@@ -499,8 +499,12 @@ fn run_stage(
         let share = base.env.sgx.epc_bytes / stage.tenants;
         base.env.sgx.epc_bytes = share.max(base.env.sgx.epc_reserved_bytes + (64 << 12));
     }
+    // The stage's normal and degraded runners are clones of one runner,
+    // so they share its LibOS launch.
+    let base = SuiteRunner::new(base);
     let make_runner = |retries: usize| {
-        let mut runner = SuiteRunner::new(base.clone())
+        let mut runner = base
+            .clone()
             .modes(&stage.modes)
             .settings(&stage.settings)
             .threads(cfg.jobs)

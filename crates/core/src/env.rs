@@ -54,13 +54,13 @@ enum ThreadKind {
     Driver,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct ThreadMeta {
     id: ThreadId,
     kind: ThreadKind,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct RegionData {
     base: u64,
     data: Vec<u8>,
@@ -177,7 +177,12 @@ fn silence_watchdog_unwinds() {
 
 /// The execution environment. See the module docs for the mode table and
 /// the crate docs for an example.
-#[derive(Debug)]
+///
+/// Cloning an `Env` forks its whole simulated platform: the clone charges
+/// exactly the cycles and counters the original would for the same
+/// operations. [`crate::Runner`] launches a LibOS enclave once and clones
+/// it into every LibOS cell.
+#[derive(Debug, Clone)]
 pub struct Env {
     mode: ExecMode,
     machine: SgxMachine,

@@ -7,6 +7,7 @@ use faults::FaultPlan;
 use libos_sim::StartupStats;
 use mem_sim::Counters;
 use sgx_sim::{DriverStats, SgxCounters};
+use std::sync::{Arc, OnceLock};
 
 /// Configuration of the per-run trace sink ([`Runner::tracing`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,6 +104,38 @@ impl RunReport {
     }
 }
 
+/// The launched LibOS platform a [`Runner`] clones into every LibOS run.
+///
+/// A LibOS launch measures the whole 4 GB enclave (~1 M EPC evictions)
+/// and depends only on the runner's fixed [`EnvConfig`], never on the
+/// workload or setting, so it is simulated once and each run starts from
+/// a fork of the result. A failed launch fails every LibOS run the same
+/// way. Clones of a runner share the one launch.
+#[derive(Clone, Default)]
+struct LaunchedLibos(Arc<OnceLock<Result<Env, WorkloadError>>>);
+
+impl LaunchedLibos {
+    /// A fork of the LibOS platform `base` describes, launching it on
+    /// first use.
+    fn fork(&self, base: &EnvConfig) -> Result<Env, WorkloadError> {
+        self.0
+            .get_or_init(|| {
+                let mut cfg = base.clone();
+                cfg.mode = ExecMode::LibOs;
+                Env::new(cfg)
+            })
+            .clone()
+    }
+}
+
+impl std::fmt::Debug for LaunchedLibos {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LaunchedLibos")
+            .field("launched", &self.0.get().is_some())
+            .finish()
+    }
+}
+
 /// Runs workloads and produces [`RunReport`]s.
 #[derive(Debug, Clone)]
 pub struct Runner {
@@ -110,6 +143,7 @@ pub struct Runner {
     faults: Option<FaultPlan>,
     cell_budget: Option<u64>,
     trace: Option<TraceConfig>,
+    libos: LaunchedLibos,
 }
 
 impl Runner {
@@ -120,6 +154,7 @@ impl Runner {
             faults: None,
             cell_budget: None,
             trace: None,
+            libos: LaunchedLibos::default(),
         }
     }
 
@@ -168,11 +203,19 @@ impl Runner {
         self.cell_budget
     }
 
+    /// Whether this runner, or any clone of it, has launched the LibOS
+    /// platform its LibOS runs are forked from.
+    pub fn libos_launched(&self) -> bool {
+        self.libos.0.get().is_some()
+    }
+
     /// Runs one (workload, mode, setting) combination once and reports.
     ///
     /// The sequence mirrors the paper's methodology: build the platform
     /// (enclave creation / LibOS launch), run `setup` unmeasured, enter
-    /// the application, reset all counters, execute, snapshot.
+    /// the application, reset all counters, execute, snapshot. The LibOS
+    /// launch is simulated once per runner and forked for each run, which
+    /// charges exactly what a fresh launch would.
     ///
     /// # Errors
     ///
@@ -207,11 +250,15 @@ impl Runner {
                 workload.name()
             )));
         }
-        let spec = workload.spec(setting);
-        let mut env_cfg = self.cfg.env.clone();
-        env_cfg.mode = mode;
-        env_cfg.protected_hint = spec.protected_bytes;
-        let mut env = Env::new(env_cfg)?;
+        let mut env = match mode {
+            ExecMode::LibOs => self.libos.fork(&self.cfg.env)?,
+            _ => {
+                let mut env_cfg = self.cfg.env.clone();
+                env_cfg.mode = mode;
+                env_cfg.protected_hint = workload.spec(setting).protected_bytes;
+                Env::new(env_cfg)?
+            }
+        };
         workload.setup(&mut env, setting)?;
         env.start_app()?;
         let libos_startup = env.libos_startup();
@@ -428,6 +475,29 @@ mod tests {
         let reports = runner.run_modes(&Toy, InputSetting::Low).unwrap();
         assert_eq!(reports.len(), 3);
         assert_eq!(reports[0].mode, ExecMode::Vanilla);
+    }
+
+    #[test]
+    fn libos_runs_share_one_launch() {
+        let runner = Runner::new(RunnerConfig::quick_test());
+        let clone = runner.clone();
+        runner
+            .run_once(&Toy, ExecMode::Native, InputSetting::Low)
+            .unwrap();
+        assert!(!runner.libos_launched(), "a Native run does not launch");
+        let a = runner
+            .run_once(&Toy, ExecMode::LibOs, InputSetting::Low)
+            .unwrap();
+        assert!(
+            clone.libos_launched(),
+            "clones of a runner share its launch"
+        );
+        let b = clone
+            .run_once(&Toy, ExecMode::LibOs, InputSetting::Low)
+            .unwrap();
+        assert_eq!(a.runtime_cycles, b.runtime_cycles);
+        assert_eq!(a.sgx, b.sgx);
+        assert_eq!(a.libos_startup, b.libos_startup);
     }
 
     /// Computes forever; only a watchdog can stop it.

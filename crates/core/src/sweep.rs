@@ -2,8 +2,9 @@
 //!
 //! The paper's methodology is a grid: every workload × execution mode ×
 //! input setting, repeated. Each cell is an independent simulation — one
-//! [`Env`](crate::Env) owning its own machine — so cells can run on
-//! separate OS threads with no shared simulator state. [`SuiteRunner`]
+//! [`Env`](crate::Env) owning its own machine, LibOS cells a fork of the
+//! runner's one launched platform — so cells can run on separate OS
+//! threads with no shared mutable simulator state. [`SuiteRunner`]
 //! fans the grid over a scoped thread pool fed by a work queue, captures
 //! per-cell panics (a crashing workload fails one cell, never the sweep),
 //! and aggregates results **in grid order**, so a parallel sweep produces

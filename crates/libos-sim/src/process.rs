@@ -48,8 +48,9 @@ pub struct StartupStats {
     pub cycles: u64,
 }
 
-/// A launched LibOS process.
-#[derive(Debug)]
+/// A launched LibOS process. Cloning it together with its machine forks
+/// the launched platform.
+#[derive(Debug, Clone)]
 pub struct LibosProcess {
     enclave: EnclaveId,
     shim: Shim,

@@ -66,7 +66,7 @@ pub struct ShimStats {
 /// The shielded syscall interface one LibOS process exposes to its
 /// application. All methods charge their cycle costs to the calling
 /// thread on the shared [`SgxMachine`].
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Shim {
     cfg: ShimConfig,
     pf: Option<SealingKey>,

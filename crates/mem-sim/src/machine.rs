@@ -146,7 +146,7 @@ struct ThreadCtx {
 ///
 /// Owns all shared structures and the per-thread contexts; see the crate
 /// docs for an end-to-end example.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Machine {
     cfg: MachineConfig,
     threads: Vec<ThreadCtx>,

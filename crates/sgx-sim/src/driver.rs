@@ -81,7 +81,7 @@ impl OpStats {
 /// d.record(DriverOp::Ewb, 12_400);
 /// assert_eq!(d.stats(DriverOp::Ewb).mean_cycles(), 12_200);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DriverStats {
     alloc: OpStats,
     ewb: OpStats,

@@ -6,10 +6,17 @@
 //! installed (paper §2.3, Fig 1); a mismatch aborts the access. We model
 //! the structure functionally — the cycle cost of the check is charged by
 //! the machine as part of the page walk.
+//!
+//! The table is dense: one permission byte per enclave page, held in the
+//! same per-enclave page directories as the EPC residency map
+//! ([`crate::pagedir`]). An enclave build records every page of its
+//! ELRANGE, so a launched 4 GB LibOS enclave leaves ~1 M entries behind,
+//! and a runner clones them into every LibOS cell: at one byte each that
+//! is 1 MiB.
 
 use crate::enclave::EnclaveId;
 use crate::epc::PageKey;
-use std::collections::HashMap;
+use crate::pagedir::PageMap;
 
 /// Page permissions recorded in an EPCM entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,8 +64,6 @@ pub enum EpcmCheck {
     NoEntry,
     /// The page belongs to a different enclave.
     WrongOwner,
-    /// The recorded virtual address does not match.
-    WrongAddress,
     /// Permissions deny the access.
     Denied,
 }
@@ -77,7 +82,29 @@ pub enum EpcmCheck {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Epcm {
-    entries: HashMap<u64, EpcmEntry>,
+    /// Per enclave page: [`PRESENT`] plus the permission bits.
+    slots: PageMap<u8>,
+}
+
+/// Set in every recorded slot, so a slot of 0 means "no entry".
+const PRESENT: u8 = 1 << 7;
+const READ: u8 = 1;
+const WRITE: u8 = 1 << 1;
+const EXECUTE: u8 = 1 << 2;
+
+impl PagePerms {
+    fn to_slot(self) -> u8 {
+        let bit = |on: bool, b: u8| if on { b } else { 0 };
+        PRESENT | bit(self.read, READ) | bit(self.write, WRITE) | bit(self.execute, EXECUTE)
+    }
+
+    fn from_slot(slot: u8) -> PagePerms {
+        PagePerms {
+            read: slot & READ != 0,
+            write: slot & WRITE != 0,
+            execute: slot & EXECUTE != 0,
+        }
+    }
 }
 
 impl Epcm {
@@ -86,38 +113,42 @@ impl Epcm {
         Self::default()
     }
 
-    /// Records (or updates) the entry for virtual page `vpage`.
+    /// Records (or updates) `owner`'s entry for virtual page `vpage`.
+    ///
+    /// ELRANGEs are disjoint ([`crate::SgxMachine::create_enclave`] puts
+    /// a guard gap between them), so a page is only ever recorded for
+    /// one enclave; callers driving the table directly must keep their
+    /// enclaves' page ranges disjoint too.
     pub fn record(&mut self, owner: EnclaveId, vpage: u64, perms: PagePerms) {
-        self.entries.insert(
-            vpage,
-            EpcmEntry {
-                owner,
-                vpage,
-                perms,
-            },
-        );
+        let key = PageKey {
+            enclave: owner,
+            page: vpage,
+        };
+        self.slots.insert(key, perms.to_slot());
     }
 
     /// Removes the entry for `vpage` (EREMOVE).
     pub fn remove(&mut self, vpage: u64) -> Option<EpcmEntry> {
-        self.entries.remove(&vpage)
+        let entry = self.entry(vpage)?;
+        self.slots.remove(PageKey {
+            enclave: entry.owner,
+            page: vpage,
+        });
+        Some(entry)
     }
 
     /// Removes every entry owned by `enclave`; returns the count.
     pub fn remove_enclave(&mut self, enclave: EnclaveId) -> usize {
-        let before = self.entries.len();
-        self.entries.retain(|_, e| e.owner != enclave);
-        before - self.entries.len()
+        self.slots.remove_enclave(enclave)
     }
 
     /// Verifies that `enclave` may access `vpage` (`write` selects the
     /// store path). This is the check the hardware performs while filling
     /// a TLB entry for an EPC page.
     pub fn verify(&self, enclave: EnclaveId, vpage: u64, write: bool) -> EpcmCheck {
-        match self.entries.get(&vpage) {
+        match self.entry(vpage) {
             None => EpcmCheck::NoEntry,
             Some(e) if e.owner != enclave => EpcmCheck::WrongOwner,
-            Some(e) if e.vpage != vpage => EpcmCheck::WrongAddress,
             Some(e) => {
                 let allowed = if write { e.perms.write } else { e.perms.read };
                 if allowed {
@@ -130,24 +161,22 @@ impl Epcm {
     }
 
     /// Looks up the entry for `vpage`.
-    pub fn entry(&self, vpage: u64) -> Option<&EpcmEntry> {
-        self.entries.get(&vpage)
-    }
-
-    /// Iterates over all live entries (arbitrary order), for invariant
-    /// audits that cross-check the EPCM against EPC residency.
-    pub fn entries(&self) -> impl Iterator<Item = &EpcmEntry> {
-        self.entries.values()
+    pub fn entry(&self, vpage: u64) -> Option<EpcmEntry> {
+        self.slots.find_page(vpage).map(|(owner, slot)| EpcmEntry {
+            owner,
+            vpage,
+            perms: PagePerms::from_slot(slot),
+        })
     }
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.slots.len()
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
     /// Convenience: records an entry from a [`PageKey`].
@@ -196,5 +225,22 @@ mod tests {
         assert!(epcm.remove(4).is_some());
         assert!(epcm.remove(4).is_none());
         assert!(epcm.is_empty());
+    }
+
+    #[test]
+    fn rerecording_a_page_updates_its_single_entry() {
+        let mut epcm = Epcm::new();
+        epcm.record(EnclaveId(1), 5, PagePerms::RW);
+        epcm.record(EnclaveId(1), 5, PagePerms::RX);
+        assert_eq!(epcm.len(), 1, "an update is not a second entry");
+        assert_eq!(
+            epcm.entry(5),
+            Some(EpcmEntry {
+                owner: EnclaveId(1),
+                vpage: 5,
+                perms: PagePerms::RX,
+            })
+        );
+        assert_eq!(epcm.verify(EnclaveId(1), 5, true), EpcmCheck::Denied);
     }
 }

@@ -314,7 +314,11 @@ const UNTRUSTED_BASE: u64 = 0x0000_1000_0000;
 const ENCLAVE_BASE: u64 = 0x7000_0000_0000;
 
 /// The SGX platform model. See the crate docs for an example.
-#[derive(Debug)]
+///
+/// A clone is a fork of the whole platform — clocks, caches, TLBs, EPC,
+/// EPCM, jitter stream — so it charges exactly the cycles and counters
+/// the original would for the same operations.
+#[derive(Debug, Clone)]
 pub struct SgxMachine {
     cfg: SgxConfig,
     mem: Machine,
@@ -1169,9 +1173,9 @@ impl SgxMachine {
     ///
     /// * the EPC's own structural invariants
     ///   ([`Epc::check_invariants`]),
-    /// * **EPCM coverage** — every resident page has an EPCM entry whose
-    ///   owner and virtual page match (the §2.3 ownership check could not
-    ///   pass otherwise),
+    /// * **EPCM coverage** — every resident page has an EPCM entry owned
+    ///   by the page's enclave (the §2.3 ownership check could not pass
+    ///   otherwise),
     /// * **memo residency** — the streaming fast-path memo only ever
     ///   names a resident page,
     /// * **AEX accounting** — every EPC fault exits the enclave exactly
@@ -1195,9 +1199,6 @@ impl SgxMachine {
                         "resident page {key:?} recorded as owned by {:?}",
                         e.owner
                     ))
-                }
-                Some(e) if e.vpage != key.page => {
-                    return Err(format!("EPCM entry for {key:?} records vpage {}", e.vpage))
                 }
                 Some(_) => {}
             }

@@ -12,6 +12,10 @@
 //! use), so a lookup is two bounds-checked array indexes and zero
 //! hashing.
 //!
+//! The EPCM ([`crate::epcm`]) keeps its permission bytes in the same
+//! directories, so a launched 4 GB enclave's million-page EPCM is 2048
+//! chunks of 512 bytes (1 MiB) rather than a million hash entries.
+//!
 //! Directories grow at either end on demand; pages far from the
 //! enclave's cluster cost one `None` chunk slot per intervening 2 MiB
 //! region, which is negligible for the bounded working sets the suite
@@ -22,9 +26,6 @@ use crate::epc::PageKey;
 
 /// Pages per directory chunk (one 2 MiB region).
 const CHUNK_PAGES: u64 = 512;
-
-/// Sentinel marking an empty slot in a [`FrameIndex`] chunk.
-const EMPTY: u32 = u32::MAX;
 
 /// One enclave's page-to-value run: chunks `base..base + chunks.len()`.
 #[derive(Debug, Clone)]
@@ -87,21 +88,39 @@ fn dir_mut<C>(dirs: &mut Vec<Option<Dir<C>>>, enclave: EnclaveId) -> &mut Dir<C>
     dirs[e].get_or_insert_with(|| Dir::new(0))
 }
 
-/// A `PageKey -> u32` map (page to EPC frame index) with no hashing.
-///
-/// Replaces the old `HashMap<PageKey, usize>` residency map; the frame
-/// index fits `u32` because EPC capacities are tens of thousands of
-/// frames ([`crate::Epc::new`] asserts it).
+/// A value a [`PageMap`] slot holds, with one bit pattern reserved to
+/// mean "no entry".
+pub(crate) trait Slot: Copy + Eq {
+    /// The reserved empty pattern; never stored as a value.
+    const EMPTY: Self;
+}
+
+/// EPC frame indices: [`crate::Epc::new`] asserts capacities below
+/// `u32::MAX`.
+impl Slot for u32 {
+    const EMPTY: u32 = u32::MAX;
+}
+
+/// EPCM permission bytes, which always carry a presence bit.
+impl Slot for u8 {
+    const EMPTY: u8 = 0;
+}
+
+/// A `PageKey -> V` map with no hashing: one dense run of 512-slot
+/// chunks per enclave.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct FrameIndex {
-    dirs: Vec<Option<Dir<Box<[u32; 512]>>>>,
+pub(crate) struct PageMap<V> {
+    dirs: Vec<Option<Dir<Box<[V; 512]>>>>,
     len: usize,
 }
 
-impl FrameIndex {
+/// Page to EPC frame index: the EPC residency map.
+pub(crate) type FrameIndex = PageMap<u32>;
+
+impl<V: Slot> PageMap<V> {
     /// Value stored for `key`, if any.
     #[inline]
-    pub(crate) fn get(&self, key: PageKey) -> Option<u32> {
+    pub(crate) fn get(&self, key: PageKey) -> Option<V> {
         let dir = match self.dirs.get(key.enclave.0) {
             Some(Some(d)) => d,
             _ => return None,
@@ -109,25 +128,31 @@ impl FrameIndex {
         let ci = dir.slot_of(key.page / CHUNK_PAGES)?;
         let chunk = dir.chunks[ci].as_ref()?;
         let v = chunk[(key.page % CHUNK_PAGES) as usize];
-        if v == EMPTY {
+        if v == V::EMPTY {
             None
         } else {
             Some(v)
         }
     }
 
-    /// Inserts or overwrites `key -> value`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `value` is `u32::MAX` (reserved as the empty sentinel).
-    pub(crate) fn insert(&mut self, key: PageKey, value: u32) {
-        assert!(value != EMPTY, "u32::MAX is reserved");
+    /// The lowest-id enclave holding `page`, with its value. Linear in
+    /// the number of enclaves: for callers that know only the address.
+    pub(crate) fn find_page(&self, page: u64) -> Option<(EnclaveId, V)> {
+        (0..self.dirs.len()).find_map(|e| {
+            let enclave = EnclaveId(e);
+            self.get(PageKey { enclave, page }).map(|v| (enclave, v))
+        })
+    }
+
+    /// Inserts or overwrites `key -> value`. `value` must not be
+    /// [`Slot::EMPTY`], which would read back as absent.
+    pub(crate) fn insert(&mut self, key: PageKey, value: V) {
+        debug_assert!(value != V::EMPTY, "the empty pattern is reserved");
         let dir = dir_mut(&mut self.dirs, key.enclave);
         let ci = dir.slot_for(key.page / CHUNK_PAGES);
-        let chunk = dir.chunks[ci].get_or_insert_with(|| Box::new([EMPTY; 512]));
+        let chunk = dir.chunks[ci].get_or_insert_with(|| Box::new([V::EMPTY; 512]));
         let slot = &mut chunk[(key.page % CHUNK_PAGES) as usize];
-        if *slot == EMPTY {
+        if *slot == V::EMPTY {
             dir.used += 1;
             self.len += 1;
         }
@@ -135,7 +160,7 @@ impl FrameIndex {
     }
 
     /// Removes `key`, returning its value if it was present.
-    pub(crate) fn remove(&mut self, key: PageKey) -> Option<u32> {
+    pub(crate) fn remove(&mut self, key: PageKey) -> Option<V> {
         let dir = match self.dirs.get_mut(key.enclave.0) {
             Some(Some(d)) => d,
             _ => return None,
@@ -143,11 +168,11 @@ impl FrameIndex {
         let ci = dir.slot_of(key.page / CHUNK_PAGES)?;
         let chunk = dir.chunks[ci].as_mut()?;
         let slot = &mut chunk[(key.page % CHUNK_PAGES) as usize];
-        if *slot == EMPTY {
+        if *slot == V::EMPTY {
             None
         } else {
             let v = *slot;
-            *slot = EMPTY;
+            *slot = V::EMPTY;
             dir.used -= 1;
             self.len -= 1;
             Some(v)
@@ -160,13 +185,16 @@ impl FrameIndex {
         self.len
     }
 
-    /// Drops every entry owned by `enclave`.
-    pub(crate) fn remove_enclave(&mut self, enclave: EnclaveId) {
-        if let Some(slot) = self.dirs.get_mut(enclave.0) {
-            if let Some(dir) = slot.take() {
-                self.len -= dir.used;
-            }
-        }
+    /// Drops every entry owned by `enclave`, returning how many there
+    /// were.
+    pub(crate) fn remove_enclave(&mut self, enclave: EnclaveId) -> usize {
+        let removed = self
+            .dirs
+            .get_mut(enclave.0)
+            .and_then(Option::take)
+            .map_or(0, |dir| dir.used);
+        self.len -= removed;
+        removed
     }
 }
 

@@ -1,10 +1,12 @@
-//! Property tests for the SGX model: EPC residency invariants and
-//! transition accounting under arbitrary access streams.
+//! Property tests for the SGX model: EPC residency invariants,
+//! transition accounting under arbitrary access streams, and forks of a
+//! built machine.
 
-use mem_sim::{AccessKind, PAGE_SIZE};
+use mem_sim::{AccessKind, ThreadId, PAGE_SIZE};
 use proptest::prelude::*;
 use sgx_sim::epc::{Epc, EpcFaultKind, PageKey};
 use sgx_sim::epcm::{Epcm, PagePerms};
+use sgx_sim::host::TenantOp;
 use sgx_sim::{EnclaveId, SgxConfig, SgxMachine};
 
 fn key(p: u64) -> PageKey {
@@ -12,6 +14,29 @@ fn key(p: u64) -> PageKey {
         enclave: EnclaveId(0),
         page: p,
     }
+}
+
+/// Heap of the forked-machine property: larger than its 64-frame EPC.
+const FORK_HEAP: u64 = 96 * PAGE_SIZE;
+
+/// A 64-frame machine inside a freshly built 256-page enclave (its
+/// measurement pass evicts), returning the thread and heap base.
+fn built_machine() -> (SgxMachine, ThreadId, u64) {
+    let mut m = SgxMachine::new(SgxConfig::with_tiny_epc(64, 4));
+    let t = m.add_thread();
+    let e = m.create_enclave(256 * PAGE_SIZE, 16 * PAGE_SIZE).unwrap();
+    let heap = m.alloc_enclave_heap(e, FORK_HEAP).unwrap();
+    m.ecall_enter(t, e).unwrap();
+    (m, t, heap)
+}
+
+fn fork_op() -> impl Strategy<Value = TenantOp> {
+    prop_oneof![
+        (0..FORK_HEAP, 1u64..8192, any::<bool>())
+            .prop_map(|(offset, len, write)| TenantOp::Access { offset, len, write }),
+        (1u64..20_000).prop_map(|cycles| TenantOp::Compute { cycles }),
+        (1u64..5_000).prop_map(|work| TenantOp::Ocall { work }),
+    ]
 }
 
 proptest! {
@@ -188,5 +213,35 @@ proptest! {
         }
         prop_assert_eq!(m.sgx_counters().ecalls, n as u64);
         prop_assert_eq!(m.mem().counters().tlb_flushes, 2 * n as u64);
+    }
+
+    /// A clone of a built machine is a fork: over any op sequence it
+    /// charges exactly the cycles, counters and driver samples of a
+    /// machine built from scratch, and running it leaves the original
+    /// as built. Runners launch each LibOS enclave once on this basis.
+    #[test]
+    fn forked_machine_matches_fresh_build(
+        ops in prop::collection::vec(fork_op(), 1..120),
+    ) {
+        let (template, t, heap) = built_machine();
+        let built = (*template.sgx_counters(), *template.mem().counters());
+        let mut fork = template.clone();
+        let (mut fresh, _, _) = built_machine();
+        for &op in &ops {
+            op.apply(&mut fork, t, heap, FORK_HEAP).unwrap();
+            op.apply(&mut fresh, t, heap, FORK_HEAP).unwrap();
+        }
+        prop_assert_eq!(fork.mem().cycles_of(t), fresh.mem().cycles_of(t));
+        prop_assert_eq!(*fork.sgx_counters(), *fresh.sgx_counters());
+        prop_assert_eq!(fork.mem().counters(), fresh.mem().counters());
+        prop_assert_eq!(fork.driver_stats(), fresh.driver_stats());
+        prop_assert_eq!(fork.epc().resident_count(), fresh.epc().resident_count());
+        prop_assert_eq!(fork.epc().evicted_count(), fresh.epc().evicted_count());
+        prop_assert_eq!(fork.epcm().len(), fresh.epcm().len());
+        prop_assert!(fork.check_invariants().is_ok());
+        prop_assert_eq!(
+            (*template.sgx_counters(), *template.mem().counters()),
+            built
+        );
     }
 }
