@@ -74,6 +74,29 @@ struct FileEntry {
     sealed: bool,
 }
 
+impl FileEntry {
+    /// Stores `data` in one copy: verbatim, or sealed block by block
+    /// with real crypto when the PF shim of `pf` is active.
+    fn store(pf: Option<&mut LibosProcess>, data: &[u8]) -> FileEntry {
+        let Some(p) = pf else {
+            return FileEntry {
+                data: data.to_vec(),
+                sealed: false,
+            };
+        };
+        let mut out = Vec::with_capacity(data.len() + data.len() / 64);
+        for block in data.chunks(PAGE_SIZE as usize) {
+            let bytes = p.shim_mut().pf_seal(block).to_bytes();
+            out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+            out.extend_from_slice(&bytes);
+        }
+        FileEntry {
+            data: out,
+            sealed: true,
+        }
+    }
+}
+
 /// Configuration of an [`Env`].
 #[derive(Debug, Clone)]
 pub struct EnvConfig {
@@ -879,37 +902,45 @@ impl Env {
     /// MAC; a flip in a plaintext file has no integrity check to hide
     /// behind, so it surfaces directly. Either way an injected flip
     /// becomes [`TransientError::IoCorruption`] — re-reading draws fresh.
-    fn fetch_plain(&mut self, name: &str) -> Result<Vec<u8>, WorkloadError> {
-        let mut entry = self
+    ///
+    /// Returns `None` when the stored bytes are the plaintext, so callers
+    /// read them in place; only unsealing or a flip makes new bytes.
+    fn fetch_plain(&mut self, name: &str) -> Result<Option<Vec<u8>>, WorkloadError> {
+        let stored = self
             .files
             .get(name)
-            .ok_or_else(|| WorkloadError::FileNotFound(name.to_owned()))?
-            .clone();
+            .ok_or_else(|| WorkloadError::FileNotFound(name.to_owned()))?;
         let flipped = self
             .faults
             .as_mut()
-            .and_then(|h| h.corrupt_bit(entry.data.len()));
-        if let Some(bit) = flipped {
-            entry.data[(bit / 8) as usize] ^= 1 << (bit % 8);
-        }
-        if entry.sealed && self.pf_active() {
-            match self.pf_unseal_file(&entry.data) {
-                Ok(plain) => Ok(plain),
-                // Genuine tampering stays a fatal Validation error;
-                // only the injected flip is retry-worthy.
-                Err(_) if flipped.is_some() => Err(TransientError::IoCorruption {
-                    file: name.to_owned(),
-                }
-                .into()),
-                Err(e) => Err(e),
-            }
-        } else if flipped.is_some() {
+            .and_then(|h| h.corrupt_bit(stored.data.len()));
+        let corrupted = || {
             Err(TransientError::IoCorruption {
                 file: name.to_owned(),
             }
             .into())
-        } else {
-            Ok(entry.data)
+        };
+        if !(stored.sealed && self.pf_active()) {
+            return if flipped.is_some() {
+                corrupted()
+            } else {
+                Ok(None)
+            };
+        }
+        let unsealed = match flipped {
+            Some(bit) => {
+                let mut data = stored.data.clone();
+                data[(bit / 8) as usize] ^= 1 << (bit % 8);
+                self.pf_unseal_file(&data)
+            }
+            None => self.pf_unseal_file(&stored.data),
+        };
+        match unsealed {
+            Ok(plain) => Ok(Some(plain)),
+            // Genuine tampering stays a fatal Validation error; only the
+            // injected flip is retry-worthy.
+            Err(_) if flipped.is_some() => corrupted(),
+            Err(e) => Err(e),
         }
     }
 
@@ -929,9 +960,15 @@ impl Env {
         off: u64,
     ) -> Result<u64, WorkloadError> {
         let plain = self.fetch_plain(name)?;
-        self.charge_file_io(plain.len() as u64, false)?;
-        self.write_bytes(region, off, &plain);
-        Ok(plain.len() as u64)
+        let len = match &plain {
+            Some(p) => p.len(),
+            None => self.files[name].data.len(),
+        };
+        self.charge_file_io(len as u64, false)?;
+        self.charge_access(region, off, len as u64, AccessKind::Write);
+        let src = plain.as_deref().unwrap_or(&self.files[name].data);
+        self.regions[region.0].data[off as usize..off as usize + len].copy_from_slice(src);
+        Ok(len as u64)
     }
 
     /// Reads a whole file into a fresh byte vector (small files; the
@@ -942,7 +979,10 @@ impl Env {
     ///
     /// Same as [`Env::read_file_into`].
     pub fn read_file(&mut self, name: &str) -> Result<Vec<u8>, WorkloadError> {
-        let plain = self.fetch_plain(name)?;
+        let plain = match self.fetch_plain(name)? {
+            Some(p) => p,
+            None => self.files[name].data.clone(),
+        };
         self.charge_file_io(plain.len() as u64, false)?;
         Ok(plain)
     }
@@ -960,9 +1000,17 @@ impl Env {
         off: u64,
         len: u64,
     ) -> Result<(), WorkloadError> {
-        let mut buf = vec![0u8; len as usize];
-        self.read_bytes(region, off, &mut buf);
-        self.write_file(name, &buf)
+        self.charge_access(region, off, len, AccessKind::Read);
+        self.charge_file_io(len, true)?;
+        let pf = if self.pf_active() {
+            self.libos.as_mut()
+        } else {
+            None
+        };
+        let data = &self.regions[region.0].data[off as usize..(off + len) as usize];
+        self.files
+            .insert(name.to_owned(), FileEntry::store(pf, data));
+        Ok(())
     }
 
     /// Writes `data` to a file through the mode's I/O path.
@@ -972,18 +1020,13 @@ impl Env {
     /// Propagates transition failures.
     pub fn write_file(&mut self, name: &str, data: &[u8]) -> Result<(), WorkloadError> {
         self.charge_file_io(data.len() as u64, true)?;
-        let entry = if self.pf_active() {
-            FileEntry {
-                data: self.pf_seal_file(data),
-                sealed: true,
-            }
+        let pf = if self.pf_active() {
+            self.libos.as_mut()
         } else {
-            FileEntry {
-                data: data.to_vec(),
-                sealed: false,
-            }
+            None
         };
-        self.files.insert(name.to_owned(), entry);
+        self.files
+            .insert(name.to_owned(), FileEntry::store(pf, data));
         Ok(())
     }
 
@@ -1026,20 +1069,8 @@ impl Env {
         Ok(())
     }
 
-    fn pf_seal_file(&mut self, data: &[u8]) -> Vec<u8> {
-        let p = self.libos.as_mut().expect("pf requires libos");
-        let mut out = Vec::with_capacity(data.len() + data.len() / 64);
-        for block in data.chunks(PAGE_SIZE as usize) {
-            let blob = p.shim_mut().pf_seal(block);
-            let bytes = blob.to_bytes();
-            out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-            out.extend_from_slice(&bytes);
-        }
-        out
-    }
-
-    fn pf_unseal_file(&mut self, data: &[u8]) -> Result<Vec<u8>, WorkloadError> {
-        let p = self.libos.as_mut().expect("pf requires libos");
+    fn pf_unseal_file(&self, data: &[u8]) -> Result<Vec<u8>, WorkloadError> {
+        let p = self.libos.as_ref().expect("pf requires libos");
         let mut out = Vec::with_capacity(data.len());
         let mut pos = 0usize;
         while pos < data.len() {
@@ -1338,5 +1369,27 @@ mod tests {
         let mut clean = env(ExecMode::Vanilla);
         clean.put_file("data", vec![7u8; 4096]);
         assert_eq!(clean.read_file("data").unwrap(), vec![7u8; 4096]);
+    }
+
+    #[test]
+    fn bitflip_in_read_file_into_leaves_the_stored_file_intact() {
+        let mut e = env(ExecMode::Vanilla);
+        e.start_app().unwrap();
+        let r = e.alloc(4096, Placement::Untrusted).unwrap();
+        e.put_file("data", vec![7u8; 4096]);
+        e.set_fault_hook(
+            faults::FaultPlan::parse("seed=4,bitflip=1000")
+                .unwrap()
+                .compile(0),
+        );
+        let err = e
+            .read_file_into("data", r, 0)
+            .expect_err("always corrupted");
+        assert!(matches!(
+            err,
+            WorkloadError::Transient(TransientError::IoCorruption { .. })
+        ));
+        // The read borrows the stored bytes; the flip must not reach them.
+        assert_eq!(e.file_raw("data").unwrap(), &[7u8; 4096][..]);
     }
 }

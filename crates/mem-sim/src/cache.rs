@@ -5,7 +5,7 @@
 //! the L1 exists so that hot lines do not reach the LLC at all, which is
 //! what makes LLC-miss counts meaningful for cache-friendly workloads.
 
-use crate::setidx::SetIndex;
+use crate::recency::LruSets;
 use crate::LINE_SHIFT;
 
 /// Outcome of a cache access, naming the level that supplied the line.
@@ -51,19 +51,6 @@ impl L1Cache {
             false
         }
     }
-
-    /// Invalidates every line (used when modeling cache pollution on
-    /// enclave transitions is desired).
-    pub fn flush(&mut self) {
-        self.tags.fill(u64::MAX);
-    }
-}
-
-impl Default for L1Cache {
-    /// 32 KiB of 64-byte lines (512 lines), the usual L1D size.
-    fn default() -> Self {
-        L1Cache::new(512)
-    }
 }
 
 /// The shared set-associative last-level cache.
@@ -79,17 +66,9 @@ impl Default for L1Cache {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Llc {
-    tags: Vec<u64>,
-    /// LRU stamps; u64 so the clock cannot wrap within a run (a u32
-    /// clock wraps after 2^32 accesses — the run lengths the batched
-    /// access path sustains — making ancient lines look freshly used).
-    stamps: Vec<u64>,
-    /// Division-free `line -> set` mapping, exact against `%` (the
-    /// default 12 MB geometry has 12288 sets, which is not a power of
-    /// two, so this is the multiply-high reciprocal path).
-    set_index: SetIndex,
+    /// 12288 sets by default: the reciprocal set-index path.
+    lines: LruSets,
     ways: usize,
-    clock: u64,
 }
 
 impl Llc {
@@ -98,71 +77,33 @@ impl Llc {
     ///
     /// # Panics
     ///
-    /// Panics if `bytes` does not describe at least one full set.
+    /// Panics if `ways` is outside `1..=16` or `bytes` does not describe
+    /// at least one full set.
     pub fn new(bytes: usize, ways: usize) -> Self {
         let lines = bytes >> LINE_SHIFT;
         assert!(ways > 0 && lines >= ways, "LLC must hold at least one set");
-        let sets = lines / ways;
         Llc {
-            tags: vec![u64::MAX; sets * ways],
-            stamps: vec![0; sets * ways],
-            set_index: SetIndex::new(sets),
+            lines: LruSets::new(lines / ways, ways),
             ways,
-            clock: 0,
         }
     }
 
-    #[inline]
-    fn set_of(&self, line: u64) -> usize {
-        self.set_index.index(line)
-    }
-
-    /// Probes for `line`, filling it on a miss; returns `true` on hit.
-    ///
-    /// The hit scan runs first as a bare equality walk — most probes
-    /// hit, and keeping victim bookkeeping out of that path lets it
-    /// vectorize. The miss path then picks the victim exactly as the
-    /// old combined scan did: the *last* invalid way if any exists,
-    /// else the smallest stamp.
+    /// Probes for `line`, filling it over the set's LRU way on a miss;
+    /// returns `true` on hit.
     #[inline]
     pub fn access(&mut self, line: u64) -> bool {
-        let base = self.set_of(line) * self.ways;
-        self.clock += 1;
-        let clock = self.clock;
-        let tags = &mut self.tags[base..base + self.ways];
-        if let Some(w) = tags.iter().position(|&t| t == line) {
-            self.stamps[base + w] = clock;
-            return true;
-        }
-        let stamps = &mut self.stamps[base..base + self.ways];
-        let mut victim = 0;
-        let mut victim_stamp = u64::MAX;
-        let mut have_invalid = false;
-        for w in 0..tags.len() {
-            if tags[w] == u64::MAX {
-                // Prefer an invalid way over evicting a live line.
-                victim = w;
-                have_invalid = true;
-            } else if !have_invalid && stamps[w] < victim_stamp {
-                victim = w;
-                victim_stamp = stamps[w];
-            }
-        }
-        tags[victim] = line;
-        stamps[victim] = clock;
-        false
+        let set = self.lines.set_of(line);
+        self.lines.probe(set, line)
     }
 
     /// Reports residency without touching replacement state.
     pub fn contains(&self, line: u64) -> bool {
-        let set = self.set_of(line);
-        let base = set * self.ways;
-        self.tags[base..base + self.ways].contains(&line)
+        self.lines.contains(self.lines.set_of(line), line)
     }
 
     /// Number of sets (exposed for tests and sizing diagnostics).
     pub fn sets(&self) -> usize {
-        self.set_index.sets()
+        self.lines.sets()
     }
 
     /// Associativity.
@@ -220,34 +161,19 @@ mod tests {
     }
 
     #[test]
-    fn llc_lru_survives_beyond_u32_clock() {
-        // Companion to the TLB clock-width fix: stamps crossing the old
-        // u32 wrap point must still compare in true age order.
+    fn llc_lru_is_exact_after_long_runs() {
+        // A long history of refreshes must not blur which line is least
+        // recently used.
         let mut llc = Llc::new(256, 2);
-        llc.clock = u64::from(u32::MAX) - 1;
-        llc.access(0);
-        llc.access(2);
-        llc.access(0); // refresh 0; 2 is LRU with a pre-wrap stamp
+        for _ in 0..100_000 {
+            llc.access(0);
+            llc.access(2);
+        }
+        llc.access(0); // refresh 0; 2 is LRU
         llc.access(4); // must evict 2
         assert!(llc.contains(0));
         assert!(!llc.contains(2));
         assert!(llc.contains(4));
-    }
-
-    #[test]
-    fn power_of_two_llc_uses_mask_indexing() {
-        let llc = Llc::new(1 << 20, 16); // 1024 sets -> mask path
-        assert!(llc.set_index.uses_mask());
-        for line in (0..10_000u64).chain([u64::MAX - 5, u64::MAX]) {
-            assert_eq!(llc.set_of(line), (line % llc.sets() as u64) as usize);
-        }
-        // Default geometry (12288 sets) takes the reciprocal path and
-        // must still agree with division exactly.
-        let llc = Llc::default();
-        assert!(!llc.set_index.uses_mask());
-        for line in (0..100_000u64).chain([u64::MAX - 5, u64::MAX, 1 << 58]) {
-            assert_eq!(llc.set_of(line), (line % llc.sets() as u64) as usize);
-        }
     }
 
     #[test]

@@ -38,6 +38,7 @@ mod fxhash;
 pub mod latency;
 pub mod machine;
 pub mod paging;
+mod recency;
 mod setidx;
 pub mod tlb;
 
@@ -45,7 +46,8 @@ pub use cache::Llc;
 pub use counters::Counters;
 pub use latency::{LatencyError, LatencyModel};
 pub use machine::{
-    AccessAttrs, AccessKind, AccessOutcome, Machine, MachineConfig, StreamRun, ThreadId,
+    AccessAttrs, AccessKind, AccessOutcome, ConfigError, Machine, MachineConfig, StreamRun,
+    ThreadId,
 };
 pub use paging::PageTable;
 pub use tlb::Tlb;
@@ -63,15 +65,3 @@ pub const LINE_SIZE: u64 = 64;
 
 /// Base-2 logarithm of [`LINE_SIZE`].
 pub const LINE_SHIFT: u32 = 6;
-
-/// Converts a virtual address to its virtual page number.
-#[inline]
-pub fn page_of(vaddr: u64) -> u64 {
-    vaddr >> PAGE_SHIFT
-}
-
-/// Converts a virtual address to its cache-line number.
-#[inline]
-pub fn line_of(vaddr: u64) -> u64 {
-    vaddr >> LINE_SHIFT
-}

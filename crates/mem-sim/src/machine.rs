@@ -5,8 +5,11 @@ use crate::cache::{L1Cache, Llc};
 use crate::counters::Counters;
 use crate::latency::{LatencyError, LatencyModel};
 use crate::paging::{PageStatus, PageTable, WalkCache};
+use crate::recency::MAX_WAYS;
 use crate::tlb::{Tlb, TlbOutcome};
 use crate::{LINE_SHIFT, PAGE_SHIFT};
+use std::error::Error;
+use std::fmt;
 
 /// Identifier of a simulated hardware thread, handed out by
 /// [`Machine::add_thread`].
@@ -128,6 +131,64 @@ impl Default for MachineConfig {
     }
 }
 
+/// A rejected [`MachineConfig`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ConfigError {
+    /// The latency model is not monotone.
+    Latency(LatencyError),
+    /// The named structure's ways lie outside `1..=16`, the ranks one
+    /// recency word holds.
+    Ways(&'static str, usize),
+    /// The named TLB's entry count is not a positive multiple of its ways.
+    TlbEntries(&'static str, usize),
+    /// The LLC of this many bytes holds less than one set.
+    LlcTooSmall(usize),
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ConfigError::Latency(e) => e.fmt(f),
+            ConfigError::Ways(s, w) => write!(f, "{s} ways ({w}) must be in 1..={MAX_WAYS}"),
+            ConfigError::TlbEntries(s, n) => {
+                write!(
+                    f,
+                    "{s} entries ({n}) must be a positive multiple of its ways"
+                )
+            }
+            ConfigError::LlcTooSmall(b) => write!(f, "an LLC of {b} bytes holds no full set"),
+        }
+    }
+}
+
+impl Error for ConfigError {}
+
+impl MachineConfig {
+    /// Checks the latency model and every TLB and LLC geometry,
+    /// returning the first violated rule.
+    fn validate(&self) -> Result<(), ConfigError> {
+        self.latency.validate().map_err(ConfigError::Latency)?;
+        let tlbs = [
+            ("L1 dTLB", self.l1_tlb_entries, self.l1_tlb_ways),
+            ("STLB", self.stlb_entries, self.stlb_ways),
+        ];
+        for (name, _, ways) in tlbs.into_iter().chain([("LLC", 0, self.llc_ways)]) {
+            if !(1..=MAX_WAYS).contains(&ways) {
+                return Err(ConfigError::Ways(name, ways));
+            }
+        }
+        for (name, entries, ways) in tlbs {
+            if entries == 0 || !entries.is_multiple_of(ways) {
+                return Err(ConfigError::TlbEntries(name, entries));
+            }
+        }
+        if self.llc_bytes >> LINE_SHIFT < self.llc_ways {
+            return Err(ConfigError::LlcTooSmall(self.llc_bytes));
+        }
+        Ok(())
+    }
+}
+
 /// Extra cycles of a translation that misses the L1 dTLB but hits the
 /// second-level TLB (Table 3 class platform; small and fixed, so not part
 /// of the tunable [`LatencyModel`]).
@@ -137,6 +198,10 @@ const STLB_HIT_CYCLES: u64 = 7;
 #[derive(Debug, Clone)]
 struct ThreadCtx {
     tlb: Tlb,
+    /// The page of the last translation, which is the MRU entry of its
+    /// L1 dTLB set until the next flush: translating it again would hit
+    /// and change no replacement order, so the probe is skipped.
+    last_page: Option<u64>,
     l1: L1Cache,
     walk_cache: WalkCache,
     cycles: u64,
@@ -171,9 +236,8 @@ impl Machine {
     ///
     /// # Panics
     ///
-    /// Panics if the latency model is non-monotone (see
-    /// [`LatencyModel::validate`]); use [`Machine::try_new`] to handle
-    /// the error instead.
+    /// Panics if [`Machine::try_new`] rejects `cfg`; use it to handle the
+    /// error instead.
     pub fn new(cfg: MachineConfig) -> Self {
         match Machine::try_new(cfg) {
             Ok(m) => m,
@@ -182,13 +246,14 @@ impl Machine {
     }
 
     /// Fallible constructor: rejects latency models whose orderings
-    /// would underflow the stall/MEE decompositions in the access path.
+    /// would underflow the stall/MEE decompositions in the access path,
+    /// and TLB or LLC geometries the set model cannot hold.
     ///
     /// # Errors
     ///
-    /// Returns the first violated latency ordering.
-    pub fn try_new(cfg: MachineConfig) -> Result<Self, LatencyError> {
-        cfg.latency.validate()?;
+    /// Returns the first violated rule.
+    pub fn try_new(cfg: MachineConfig) -> Result<Self, ConfigError> {
+        cfg.validate()?;
         let llc = Llc::new(cfg.llc_bytes, cfg.llc_ways);
         Ok(Machine {
             cfg,
@@ -211,6 +276,7 @@ impl Machine {
                 self.cfg.stlb_entries,
                 self.cfg.stlb_ways,
             ),
+            last_page: None,
             l1: L1Cache::new(self.cfg.l1_cache_lines),
             walk_cache: WalkCache::default(),
             cycles: 0,
@@ -296,6 +362,7 @@ impl Machine {
         let mut mee_cycles = 0u64;
         let mut stall_cycles = 0u64;
         let mut cycles = 0u64;
+        let mut last_page = t.last_page;
         for run in runs {
             if run.len == 0 {
                 continue;
@@ -311,10 +378,12 @@ impl Machine {
             // successive runs is data-dependent, and a conditional here
             // mispredicts on every mixed stream.
             let is_read = matches!(run.kind, AccessKind::Read) as u64;
-            // Translate once per page crossed.
-            macro_rules! translate {
-                ($page:expr) => {
-                    match t.tlb.translate($page) {
+            for line in first_line..=last_line {
+                // Translate once per page change, across runs and calls.
+                let page = line >> (PAGE_SHIFT - LINE_SHIFT);
+                if last_page != Some(page) {
+                    last_page = Some(page);
+                    match t.tlb.translate(page) {
                         TlbOutcome::L1Hit => {}
                         TlbOutcome::StlbHit => {
                             stlb_hits += 1;
@@ -324,13 +393,13 @@ impl Machine {
                             dtlb_misses += 1;
                             out.dtlb_miss = true;
                             // Demand paging: is this the first touch?
-                            if page_table.touch($page) == PageStatus::MinorFault {
+                            if page_table.touch(page) == PageStatus::MinorFault {
                                 page_faults += 1;
                                 out.minor_fault = true;
                                 cycles += lat.minor_fault;
                                 t.walk_cache.flush(); // the fault handler ran
                             }
-                            let fast = t.walk_cache.walk($page);
+                            let fast = t.walk_cache.walk(page);
                             let mut walk = if fast { lat.walk_fast } else { lat.walk_slow };
                             if attrs.epcm_check {
                                 walk += lat.epcm_check;
@@ -339,54 +408,35 @@ impl Machine {
                             cycles += walk;
                         }
                     }
-                };
-            }
-            // Charge one line through the cache hierarchy.
-            macro_rules! touch_line {
-                ($line:expr) => {
-                    mem_reads += is_read;
-                    mem_writes += 1 - is_read;
-                    let mem_cycles = if t.l1.access($line) {
-                        lat.l1_hit
-                    } else {
-                        llc_accesses += 1;
-                        if llc.access($line) {
-                            lat.llc_hit
-                        } else {
-                            llc_misses += 1;
-                            out.llc_miss = true;
-                            if attrs.encrypted_dram {
-                                let enc = lat.dram_encrypted();
-                                mee_cycles += enc - lat.dram.min(enc);
-                                enc
-                            } else {
-                                lat.dram
-                            }
-                        }
-                    };
-                    // Safe subtraction: `Machine::try_new` rejected any
-                    // model with `llc_hit < l1_hit` or `dram < llc_hit`.
-                    stall_cycles += mem_cycles - lat.l1_hit;
-                    cycles += mem_cycles;
-                };
-            }
-            // The first line always translates its page, so the running
-            // page needs no `None`/sentinel state (a sentinel value would
-            // collide with the genuine top page of the address space);
-            // single-line runs — the bulk of pointer-chase streams — take
-            // exactly this prologue and skip the loop below entirely.
-            let mut cur_page = first_line >> (PAGE_SHIFT - LINE_SHIFT);
-            translate!(cur_page);
-            touch_line!(first_line);
-            for line in first_line + 1..=last_line {
-                let page = line >> (PAGE_SHIFT - LINE_SHIFT);
-                if page != cur_page {
-                    cur_page = page;
-                    translate!(page);
                 }
-                touch_line!(line);
+                // Charge the line through the cache hierarchy.
+                mem_reads += is_read;
+                mem_writes += 1 - is_read;
+                let mem_cycles = if t.l1.access(line) {
+                    lat.l1_hit
+                } else {
+                    llc_accesses += 1;
+                    if llc.access(line) {
+                        lat.llc_hit
+                    } else {
+                        llc_misses += 1;
+                        out.llc_miss = true;
+                        if attrs.encrypted_dram {
+                            let enc = lat.dram_encrypted();
+                            mee_cycles += enc - lat.dram.min(enc);
+                            enc
+                        } else {
+                            lat.dram
+                        }
+                    }
+                };
+                // Safe subtraction: `Machine::try_new` rejected any
+                // model with `llc_hit < l1_hit` or `dram < llc_hit`.
+                stall_cycles += mem_cycles - lat.l1_hit;
+                cycles += mem_cycles;
             }
         }
+        t.last_page = last_page;
         t.cycles += cycles;
         out.cycles = cycles;
         counters.stlb_hits += stlb_hits;
@@ -437,6 +487,7 @@ impl Machine {
     pub fn flush_tlb(&mut self, tid: ThreadId) {
         let t = &mut self.threads[tid.0];
         t.tlb.flush();
+        t.last_page = None;
         t.walk_cache.flush();
         self.counters.tlb_flushes += 1;
     }
@@ -715,7 +766,7 @@ mod tests {
         };
         assert!(matches!(
             Machine::try_new(cfg),
-            Err(LatencyError::LlcFasterThanL1 { .. })
+            Err(ConfigError::Latency(LatencyError::LlcFasterThanL1 { .. }))
         ));
     }
 

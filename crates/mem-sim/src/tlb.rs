@@ -6,7 +6,7 @@
 //! whole structure ([`Tlb::flush`]), which is the mechanism behind the
 //! paper's dTLB-miss explosions (§2.3, Appendix B).
 
-use crate::setidx::SetIndex;
+use crate::recency::LruSets;
 
 /// Result of a TLB lookup, telling the machine which structure satisfied
 /// the translation.
@@ -20,128 +20,53 @@ pub enum TlbOutcome {
     Miss,
 }
 
-/// One set-associative TLB level.
+/// One set-associative TLB level with exact LRU replacement.
 ///
-/// Flushes are O(1): validity is carried by the LRU stamps themselves.
-/// An entry is live iff its stamp is at least the level's `era`, and a
-/// flush just advances `era` past the current clock, staling every entry
-/// at once. This matters because SGX flushes the TLB on *every* enclave
-/// transition and ECALL-heavy workloads perform millions of them.
-///
-/// Three hot-path properties the rest of the simulator relies on:
-///
-/// * the LRU clock and stamps are `u64`. They used to be `u32`, which
-///   wraps after 2^32 lookups — exactly the run lengths the batched
-///   access-stream API sustains — making ancient entries look freshly
-///   used and silently corrupting replacement order. A u64 clock at one
-///   tick per lookup cannot wrap within any feasible run.
-/// * the set index is division-free: a mask when the set count is a
-///   power of two (every Table 3 geometry is), else an exact
-///   multiply-high reciprocal ([`SetIndex`]).
-/// * validity needs no third per-entry array (the old scheme kept an
-///   install-epoch word per way) and no reserved tag value: the hit
-///   predicate is two loads, `tag == page && stamp >= era`, and the
-///   miss victim is simply the globally smallest stamp in the set —
-///   every stale stamp predates `era`, so stale ways are always
-///   consumed before a live way is evicted, exactly as the epoch
-///   scheme's "first invalid way wins" rule did. Which *particular*
-///   stale way is overwritten can differ from the old scheme, but stale
-///   entries can never hit, so the live contents of the set — the only
-///   observable state — evolve identically.
+/// Flushes are O(1), because SGX flushes the TLB on *every* enclave
+/// transition and ECALL-heavy workloads perform millions of them: a
+/// flush bumps the level's `era`, and a set whose stored era is behind
+/// is empty. Its next probe resets it and installs the page without a
+/// scan. Page numbers never reach the invalid tag `u64::MAX`.
 #[derive(Debug, Clone)]
 struct TlbLevel {
-    /// `sets x ways` page-number tags. No value is reserved: a tag is
-    /// meaningful only when its stamp says the way is live.
-    tags: Vec<u64>,
-    /// LRU stamps parallel to `tags`; doubles as the validity bit
-    /// (live iff `stamp >= era`).
-    stamps: Vec<u64>,
-    /// Division-free `page -> set` mapping, exact against `%`.
-    set_index: SetIndex,
-    ways: usize,
-    clock: u64,
-    /// Stamps below this are stale. Starts at 1 so the zero-initialized
-    /// stamps mark every way invalid.
+    pages: LruSets,
+    /// The era each set's tags belong to.
+    eras: Vec<u64>,
+    /// Bumped by every flush; starts above the sets' zero so every set
+    /// begins empty.
     era: u64,
 }
 
 impl TlbLevel {
     fn new(entries: usize, ways: usize) -> Self {
         assert!(ways > 0 && entries >= ways && entries.is_multiple_of(ways));
-        let sets = entries / ways;
         TlbLevel {
-            tags: vec![u64::MAX; entries],
-            stamps: vec![0; entries],
-            set_index: SetIndex::new(sets),
-            ways,
-            clock: 0,
+            pages: LruSets::new(entries / ways, ways),
+            eras: vec![0; entries / ways],
             era: 1,
         }
     }
 
-    #[inline]
-    fn set_of(&self, page: u64) -> usize {
-        self.set_index.index(page)
-    }
-
-    /// Single-pass probe: looks up `page`, refreshing LRU and returning
-    /// `true` on a hit; on a miss installs `page` over the victim way
-    /// (a stale way if one exists, else the LRU way) chosen during the
-    /// same scan.
-    ///
-    /// This replaces the old `lookup` + `insert` pair, which scanned the
-    /// set twice on every miss. The hit scan is the entire common case:
-    /// two loads and two compares per way, no validity side-array.
+    /// Looks up `page`, promoting it to MRU and returning `true` on a
+    /// hit; on a miss installs it over the set's LRU way.
     #[inline]
     fn probe_install(&mut self, page: u64) -> bool {
-        let base = self.set_of(page) * self.ways;
-        self.clock += 1;
-        let clock = self.clock;
-        let era = self.era;
-        let tags = &mut self.tags[base..base + self.ways];
-        let stamps = &mut self.stamps[base..base + self.ways];
-        // The hit scan visits every way instead of exiting at the match:
-        // at most one live way can hold `page` (installs only happen on
-        // misses), so accumulating the match index is equivalent — and a
-        // fixed-trip-count loop compiles to straight-line compares with a
-        // single well-predicted branch at the end, where the early-exit
-        // version mispredicts on the (data-dependent) hit way.
-        let mut hit = usize::MAX;
-        for w in 0..tags.len() {
-            if tags[w] == page && stamps[w] >= era {
-                hit = w;
-            }
+        let set = self.pages.set_of(page);
+        if self.eras[set] != self.era {
+            self.eras[set] = self.era;
+            self.pages.reset_install(set, page);
+            return false;
         }
-        if hit != usize::MAX {
-            stamps[hit] = clock;
-            return true;
-        }
-        // Miss: the smallest stamp is the victim. Stale stamps all
-        // predate `era` and every live stamp is >= `era`, so this
-        // reuses stale ways before evicting any live one; among live
-        // ways it is exactly LRU. Zero-filled stamps make a cold set
-        // fill left to right, matching the old first-invalid-way rule.
-        let mut victim = 0;
-        for w in 1..stamps.len() {
-            if stamps[w] < stamps[victim] {
-                victim = w;
-            }
-        }
-        tags[victim] = page;
-        stamps[victim] = clock;
-        false
+        self.pages.probe(set, page)
     }
 
     fn flush(&mut self) {
-        // Anything stamped from here on (stamps start at clock + 1) is
-        // live; everything already present is stale.
-        self.era = self.clock + 1;
+        self.era += 1;
     }
 
     fn resident(&self, page: u64) -> bool {
-        let set = self.set_of(page);
-        let base = set * self.ways;
-        (0..self.ways).any(|w| self.tags[base + w] == page && self.stamps[base + w] >= self.era)
+        let set = self.pages.set_of(page);
+        self.eras[set] == self.era && self.pages.contains(set, page)
     }
 }
 
@@ -170,8 +95,8 @@ impl Tlb {
     ///
     /// # Panics
     ///
-    /// Panics if a level's entry count is zero, smaller than its
-    /// associativity, or not divisible by it.
+    /// Panics if a level's ways are outside `1..=16`, or its entry count
+    /// is zero or not a multiple of its ways.
     pub fn new(l1_entries: usize, l1_ways: usize, stlb_entries: usize, stlb_ways: usize) -> Self {
         Tlb {
             l1: TlbLevel::new(l1_entries, l1_ways),
@@ -278,22 +203,23 @@ mod tests {
     }
 
     #[test]
-    fn lru_order_survives_beyond_u32_clock() {
-        // Regression for the old u32 LRU clock: after 2^32 lookups the
-        // clock wrapped and ancient entries looked freshly used. Start
-        // the (now u64) clock just under the old wrap point and check
-        // that replacement order stays exact as stamps cross it.
+    fn lru_order_is_exact_after_long_runs() {
+        // A long history of lookups and flushes must not blur which page
+        // is least recently used.
         let mut t = Tlb::new(2, 2, 4, 2);
-        t.l1.clock = u64::from(u32::MAX) - 1;
-        t.stlb.clock = u64::from(u32::MAX) - 1;
+        for i in 0..100_000u64 {
+            t.translate(i % 3);
+            if i % 1000 == 0 {
+                t.flush();
+            }
+        }
         t.translate(10);
         t.translate(20);
-        t.translate(10); // refresh 10; 20 is LRU with a pre-wrap stamp
+        t.translate(10); // refresh 10; 20 is LRU
         t.translate(30); // must evict 20, not 10
-        assert!(t.l1.resident(10));
-        assert!(!t.l1.resident(20));
-        assert!(t.l1.resident(30));
-        assert!(t.l1.clock > u64::from(u32::MAX));
+        assert!(t.contains(10));
+        assert!(t.contains(30));
+        assert_eq!(t.translate(20), TlbOutcome::StlbHit);
     }
 
     #[test]
@@ -302,9 +228,8 @@ mod tests {
         // behind the mask. Pages 0 and 3 collide in set 0; page 1 does
         // not.
         let mut t = Tlb::new(6, 2, 12, 2);
-        assert!(!t.l1.set_index.uses_mask());
-        assert_eq!(t.l1.set_of(0), t.l1.set_of(3));
-        assert_ne!(t.l1.set_of(0), t.l1.set_of(1));
+        assert_eq!(t.l1.pages.set_of(0), t.l1.pages.set_of(3));
+        assert_ne!(t.l1.pages.set_of(0), t.l1.pages.set_of(1));
         for p in [0u64, 3, 6, 9] {
             t.translate(p);
         }
@@ -312,22 +237,6 @@ mod tests {
         assert!(!t.l1.resident(0));
         assert!(t.l1.resident(6));
         assert!(t.l1.resident(9));
-    }
-
-    #[test]
-    fn mask_and_division_agree_for_power_of_two_sets() {
-        let masked = TlbLevel::new(64, 4); // 16 sets -> mask path
-        assert!(masked.set_index.uses_mask());
-        for page in (0..10_000u64).chain([u64::MAX - 7, u64::MAX]) {
-            assert_eq!(
-                masked.set_of(page),
-                (page % masked.set_index.sets() as u64) as usize
-            );
-        }
-        let odd = TlbLevel::new(6, 2); // 3 sets -> reciprocal path
-        for page in (0..10_000u64).chain([u64::MAX - 7, u64::MAX]) {
-            assert_eq!(odd.set_of(page), (page % 3) as usize);
-        }
     }
 
     #[test]
