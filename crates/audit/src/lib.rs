@@ -9,7 +9,7 @@
 //! Two analysis layers share one scan:
 //!
 //! * **Token rules** ([`rules`]) — flat-lexer pattern checks (cost
-//!   literals, wall-clock reads, counter casts, unwrap, fs writes).
+//!   literals, counter casts).
 //! * **Semantic passes** ([`passes`]) — a recursive-descent item parse
 //!   ([`parser`]) plus a workspace call graph ([`callgraph`]) feed four
 //!   reachability-aware passes: determinism (`hash-iter`), cycle
@@ -135,25 +135,13 @@ impl Allowlist {
             }
             let text = fs::read_to_string(&path)
                 .map_err(|e| format!("reading {}: {e}", path.display()))?;
-            for line in text.lines() {
-                let line = line.trim();
-                if line.is_empty() || line.starts_with('#') {
-                    continue;
-                }
-                let mut parts = line.split_whitespace();
-                let path_suffix = parts.next().unwrap_or_default().to_string();
-                let substring = parts.collect::<Vec<_>>().join(" ");
-                entries.push(AllowEntry {
-                    rule: rule.to_string(),
-                    path_suffix,
-                    substring,
-                });
-            }
+            entries.extend(Self::from_str_for_rule(rule, &text).entries);
         }
         Ok(Allowlist { entries })
     }
 
-    /// Parses allowlist entries for `rule` from a string (for tests).
+    /// Parses allowlist entries for `rule` from a string (for tests and
+    /// [`Allowlist::load`]).
     pub fn from_str_for_rule(rule: &'static str, text: &str) -> Allowlist {
         let entries = text
             .lines()
@@ -526,15 +514,15 @@ mod tests {
     fn exit_code_reflects_findings_and_staleness() {
         let mut r = ScanReport::default();
         assert_eq!(exit_code(&r, false), 0);
-        r.stale_allow.push("unwrap x.rs".into());
+        r.stale_allow.push("cost-literals x.rs".into());
         assert_eq!(exit_code(&r, false), 0, "stale allowlist only warns");
         assert_eq!(exit_code(&r, true), 1, "--strict promotes it");
         r.stale_allow.clear();
-        r.stale_baseline.push("unwrap x.rs".into());
+        r.stale_baseline.push("cost-literals x.rs".into());
         assert_eq!(exit_code(&r, false), 1, "stale baseline always fails");
         r.stale_baseline.clear();
         r.findings.push(Finding {
-            rule: rules::UNWRAP,
+            rule: rules::COST_LITERALS,
             file: "x.rs".into(),
             line: 1,
             message: "m".into(),
@@ -545,17 +533,18 @@ mod tests {
     #[test]
     fn allowlist_matches_suffix_and_substring() {
         let allow = Allowlist::from_str_for_rule(
-            rules::UNWRAP,
-            "# comment\ncrates/libos-sim/src/shim.rs pf_seal\n",
+            rules::COST_LITERALS,
+            "# comment\ncrates/mem-sim/src/latency.rs literal 1800\n",
         );
         let mut f = Finding {
-            rule: rules::UNWRAP,
-            file: "crates/libos-sim/src/shim.rs".into(),
-            line: 192,
-            message: ".expect(\"pf_seal without protected files\") in non-test code".into(),
+            rule: rules::COST_LITERALS,
+            file: "crates/mem-sim/src/latency.rs".into(),
+            line: 42,
+            message: "cycle-cost literal 1800 duplicates sgx_sim::costs::HOST_SYSCALL_CYCLES"
+                .into(),
         };
         assert!(allow.permits(&f));
-        f.message = ".expect(\"pf_open ...\")".into();
+        f.message = "cycle-cost literal 12000 duplicates sgx_sim::costs::EWB_CYCLES".into();
         assert!(!allow.permits(&f), "substring must match");
         f.file = "crates/sgx-sim/src/machine.rs".into();
         assert!(!allow.permits(&f), "path suffix must match");
@@ -569,10 +558,10 @@ mod tests {
         );
         let sources = vec![(
             "crates/sgx-sim/src/x.rs".to_string(),
-            "fn f(v: &Option<u32>) -> u32 { v.unwrap() }".to_string(),
+            "fn f() -> u64 { 12_000 }".to_string(),
         )];
         let baseline = Baseline::from_str(
-            "unwrap crates/sgx-sim/src/x.rs\nunwrap crates/sgx-sim/src/gone.rs\n",
+            "cost-literals crates/sgx-sim/src/x.rs\ncost-literals crates/sgx-sim/src/gone.rs\n",
         );
         let r = scan_sources(
             &sources,
@@ -583,8 +572,11 @@ mod tests {
         );
         assert!(r.findings.is_empty(), "{:?}", r.findings);
         assert_eq!(r.baselined, 1);
-        assert_eq!(r.suppressed_by_rule.get("unwrap"), Some(&1));
-        assert_eq!(r.stale_baseline, vec!["unwrap crates/sgx-sim/src/gone.rs"]);
+        assert_eq!(r.suppressed_by_rule.get("cost-literals"), Some(&1));
+        assert_eq!(
+            r.stale_baseline,
+            vec!["cost-literals crates/sgx-sim/src/gone.rs"]
+        );
         assert_eq!(exit_code(&r, false), 1, "stale baseline entry fails");
     }
 
@@ -598,7 +590,8 @@ mod tests {
             "crates/core/src/clean.rs".to_string(),
             "pub fn ok() -> u32 { 3 }".to_string(),
         )];
-        let allow = Allowlist::from_str_for_rule(rules::UNWRAP, "crates/core/src/clean.rs\n");
+        let allow =
+            Allowlist::from_str_for_rule(rules::COST_LITERALS, "crates/core/src/clean.rs\n");
         let r = scan_sources(
             &sources,
             &ctx,
@@ -606,7 +599,10 @@ mod tests {
             &Baseline::default(),
             &CycleManifest::default(),
         );
-        assert_eq!(r.stale_allow, vec!["unwrap crates/core/src/clean.rs"]);
+        assert_eq!(
+            r.stale_allow,
+            vec!["cost-literals crates/core/src/clean.rs"]
+        );
         assert_eq!(exit_code(&r, false), 0);
         assert_eq!(exit_code(&r, true), 1);
     }
@@ -617,7 +613,7 @@ mod tests {
             files_checked: 2,
             ..ScanReport::default()
         };
-        r.suppressed_by_rule.insert("unwrap".into(), 3);
+        r.suppressed_by_rule.insert("hot-path".into(), 3);
         r.findings.push(Finding {
             rule: rules::HASH_ITER,
             file: "crates/core/src/report.rs".into(),
@@ -630,7 +626,7 @@ mod tests {
         assert!(j.contains("\"ruleId\": \"hash-iter\""));
         assert!(j.contains("\"startLine\": 7"));
         assert!(j.contains("\"suppressedByRule\""));
-        assert!(j.contains("\"unwrap\": 3"));
+        assert!(j.contains("\"hot-path\": 3"));
         // Every registered rule appears in the driver rule table.
         for rule in rules::ALL_RULES {
             assert!(j.contains(&format!("\"id\": \"{rule}\"")), "{rule} missing");

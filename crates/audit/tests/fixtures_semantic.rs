@@ -78,6 +78,32 @@ fn hash_iter_positive_emission_reachable_hash_iteration() {
     assert_eq!(f[0].file, "crates/core/src/stats.rs");
 }
 
+/// Clippy's `iter_over_hash_type` flags only `for` loops; collecting a
+/// hash map's keys into a `Vec` leaks the same hash order into the
+/// artifact without one. This is why `hash-iter` stays a custom pass.
+#[test]
+fn hash_iter_positive_collected_keys_without_a_for_loop() {
+    let f = findings_for(
+        &[
+            (
+                "crates/core/src/emit.rs",
+                "impl Emitter { pub fn emit(&self) {} }",
+            ),
+            (
+                "crates/core/src/stats.rs",
+                "use std::collections::HashMap;\n\
+                 fn render_names(rows: &HashMap<String, u64>, e: &Emitter) {\n\
+                     let names: Vec<String> = rows.keys().cloned().collect();\n\
+                     e.emit();\n\
+                 }",
+            ),
+        ],
+        rules::HASH_ITER,
+    );
+    assert_eq!(f.len(), 1, "{f:?}");
+    assert!(f[0].message.contains("rows"), "{f:?}");
+}
+
 #[test]
 fn hash_iter_negative_sorted_and_unreachable_iterations() {
     // Sorted before use: clean even though emission-reachable.

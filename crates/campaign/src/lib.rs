@@ -35,6 +35,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod config;
 pub mod runner;

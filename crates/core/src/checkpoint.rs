@@ -946,6 +946,7 @@ impl Parser<'_> {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods, clippy::disallowed_types)]
 mod tests {
     use super::*;
     use crate::env::Env;

@@ -142,6 +142,7 @@ pub fn write_atomic(path: &Path, contents: &str) -> Result<(), ArtifactError> {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods, clippy::disallowed_types)]
 mod tests {
     use super::*;
 

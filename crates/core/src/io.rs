@@ -26,6 +26,8 @@
 //! stringly `Result<_, String>`, so callers can distinguish a retryable
 //! transient fault from corruption or a dead filesystem.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -210,11 +212,13 @@ fn kind_of(e: &std::io::Error) -> IoErrorKind {
     }
 }
 
-/// The real filesystem backend — the single place in this crate allowed
-/// to call `std::fs` write APIs (enforced by the `fs-write` model-lint).
+/// The real filesystem backend — the single place in the workspace's
+/// simulator and harness code allowed to call `std::fs` (enforced by the
+/// `disallowed-methods`/`disallowed-types` bans in `clippy.toml`).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RealFs;
 
+#[allow(clippy::disallowed_methods, clippy::disallowed_types)]
 impl ArtifactIo for RealFs {
     fn read(&self, path: &Path) -> Result<String, ArtifactError> {
         std::fs::read_to_string(path)
@@ -911,6 +915,7 @@ pub fn recover(io: &dyn ArtifactIo, artifact: &Path) -> Result<RecoveryReport, A
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods, clippy::disallowed_types)]
 mod tests {
     use super::*;
 

@@ -354,6 +354,7 @@ pub fn humanize(n: u64) -> String {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods, clippy::disallowed_types)]
 mod tests {
     use super::*;
     use crate::modes::{ExecMode, InputSetting};

@@ -8,9 +8,13 @@
 //! xorshift discipline as the simulated-fault plane: the same plan and
 //! seed produce the same injection sequence on every run.
 
+use crate::plan::{parse_permille, parse_u64, split_spec};
+
 /// A seeded, declarative host-I/O fault plan.
 ///
-/// Parsed from a comma-separated spec string:
+/// Parsed from a comma-separated spec string sharing the strict item
+/// grammar (positioned errors, no duplicate keys, no trailing commas)
+/// of [`crate::FaultPlan`]:
 ///
 /// ```text
 /// seed=<u64>            PRNG seed (default 1)
@@ -48,17 +52,17 @@ impl IoFaultPlan {
     ///
     /// # Errors
     ///
-    /// Returns a human-readable message naming the offending item.
+    /// Returns a positioned (`line 1, column C`) message naming the
+    /// offending item, with the same strictness as
+    /// [`crate::FaultPlan::parse`].
     pub fn parse(spec: &str) -> Result<IoFaultPlan, String> {
         let mut plan = IoFaultPlan {
             seed: 1,
             ..IoFaultPlan::default()
         };
-        for item in spec.split(',').filter(|s| !s.trim().is_empty()) {
-            let (key, val) = item
-                .split_once('=')
-                .ok_or_else(|| format!("io fault item `{item}` is not key=value"))?;
-            match key.trim() {
+        for item in split_spec(spec)? {
+            let (key, val, col) = (item.key, item.val, item.col);
+            match key {
                 "seed" => plan.seed = parse_u64("seed", val)?,
                 "enospc" => plan.enospc_permille = parse_permille("enospc", val)?,
                 "eio" => plan.eio_permille = parse_permille("eio", val)?,
@@ -70,7 +74,11 @@ impl IoFaultPlan {
                     }
                     plan.crash_rename = Some(n);
                 }
-                other => return Err(format!("unknown io fault item `{other}`")),
+                other => {
+                    return Err(format!(
+                        "line 1, column {col}: unknown io fault item `{other}`"
+                    ))
+                }
             }
         }
         Ok(plan)
@@ -121,21 +129,6 @@ impl IoFaultPlan {
     }
 }
 
-fn parse_u64(what: &str, s: &str) -> Result<u64, String> {
-    s.trim()
-        .replace('_', "")
-        .parse()
-        .map_err(|_| format!("{what}: `{s}` is not a number"))
-}
-
-fn parse_permille(what: &str, s: &str) -> Result<u32, String> {
-    let v = parse_u64(what, s)?;
-    if v > 1000 {
-        return Err(format!("{what}: permille {v} exceeds 1000"));
-    }
-    Ok(v as u32)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,6 +158,35 @@ mod tests {
         assert!(IoFaultPlan::parse("crash_rename=0").is_err());
         assert!(IoFaultPlan::parse("volcano=7").is_err());
         assert!(IoFaultPlan::parse("seed=notanumber").is_err());
+    }
+
+    #[test]
+    fn rejects_duplicate_keys_with_position() {
+        // Letting the last value win would silently run eio=10,eio=0 fault-free.
+        let err = IoFaultPlan::parse("eio=10,eio=0").unwrap_err();
+        assert!(err.contains("line 1, column 8"), "got: {err}");
+        assert!(err.contains("duplicate fault item `eio`"), "got: {err}");
+    }
+
+    #[test]
+    fn rejects_trailing_and_doubled_commas_with_position() {
+        let err = IoFaultPlan::parse("eio=10,").unwrap_err();
+        assert!(err.contains("line 1, column 8"), "got: {err}");
+        assert!(err.contains("empty fault item"), "got: {err}");
+        let err = IoFaultPlan::parse("seed=2,,torn=5").unwrap_err();
+        assert!(err.contains("line 1, column 8"), "got: {err}");
+    }
+
+    #[test]
+    fn unknown_and_malformed_items_carry_their_column() {
+        let err = IoFaultPlan::parse("seed=1, volcano=7").unwrap_err();
+        assert!(err.contains("line 1, column 9"), "got: {err}");
+        assert!(
+            err.contains("unknown io fault item `volcano`"),
+            "got: {err}"
+        );
+        let err = IoFaultPlan::parse("eio=1,bogus").unwrap_err();
+        assert!(err.contains("line 1, column 7"), "got: {err}");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! sequence number, purpose), so outcomes are independent of delivery
 //! order, polling cadence and `--jobs`, and byte-identical run-to-run.
 
-use crate::plan::split_spec;
+use crate::plan::{parse_permille, parse_u32, parse_u64, split_spec};
 use crate::prng::splitmix64;
 
 /// A scheduled bidirectional link cut between two parties.
@@ -135,8 +135,8 @@ impl NetFaultPlan {
                         format!("partition=`{val}` is not <from>-<to>@<cycle>:<dur>")
                     })?;
                     let cut = LinkPartition {
-                        from: parse_u64("partition from", from)? as u32,
-                        to: parse_u64("partition to", to)? as u32,
+                        from: parse_u32("partition from", from)?,
+                        to: parse_u32("partition to", to)?,
                         at_cycles: parse_u64("partition cycle", at)?,
                         duration_cycles: parse_u64("partition duration", dur)?,
                     };
@@ -156,7 +156,7 @@ impl NetFaultPlan {
                         .split_once(':')
                         .ok_or_else(|| format!("partykill=`{val}` is not <id>@<cycle>:<dur>"))?;
                     let kill = PartyKill {
-                        party: parse_u64("partykill id", id)? as u32,
+                        party: parse_u32("partykill id", id)?,
                         at_cycles: parse_u64("partykill cycle", at)?,
                         duration_cycles: parse_u64("partykill duration", dur)?,
                     };
@@ -367,21 +367,6 @@ fn in_window(now: u64, at: u64, dur: u64) -> bool {
     now >= at && now < at.saturating_add(dur)
 }
 
-fn parse_u64(what: &str, s: &str) -> Result<u64, String> {
-    s.trim()
-        .replace('_', "")
-        .parse()
-        .map_err(|_| format!("{what}: `{s}` is not a number"))
-}
-
-fn parse_permille(what: &str, s: &str) -> Result<u32, String> {
-    let v = parse_u64(what, s)?;
-    if v > 1000 {
-        return Err(format!("{what}: permille {v} exceeds 1000"));
-    }
-    Ok(v as u32)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -451,6 +436,28 @@ mod tests {
         assert!(err.contains("duplicate fault item `drop`"), "got: {err}");
         let err = NetFaultPlan::parse("drop=10,").unwrap_err();
         assert!(err.contains("empty fault item"), "got: {err}");
+    }
+
+    #[test]
+    fn rejects_party_ids_beyond_u32_instead_of_truncating() {
+        // Truncation would aim a fault at party 0 or 1 instead.
+        let err = NetFaultPlan::parse("partition=4294967296-1@100:50").unwrap_err();
+        assert!(
+            err.contains("partition from: 4294967296 exceeds"),
+            "got: {err}"
+        );
+        let err = NetFaultPlan::parse("partition=0-4294967297@100:50").unwrap_err();
+        assert!(
+            err.contains("partition to: 4294967297 exceeds"),
+            "got: {err}"
+        );
+        let err = NetFaultPlan::parse("partykill=4294967298@100:50").unwrap_err();
+        assert!(
+            err.contains("partykill id: 4294967298 exceeds"),
+            "got: {err}"
+        );
+        let p = NetFaultPlan::parse("partykill=4294967295@100:50").unwrap();
+        assert_eq!(p.partykills[0].party, u32::MAX);
     }
 
     #[test]

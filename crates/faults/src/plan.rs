@@ -137,7 +137,7 @@ impl FaultPlan {
                         .split_once('@')
                         .ok_or_else(|| format!("aex=`{val}` is not <exits>@<period>"))?;
                     let storm = AexStorm {
-                        exits: parse_u64("aex exits", exits)? as u32,
+                        exits: parse_u32("aex exits", exits)?,
                         period_cycles: parse_u64("aex period", period)?,
                     };
                     if storm.exits == 0 || storm.period_cycles == 0 {
@@ -238,19 +238,29 @@ impl FaultPlan {
     }
 }
 
-fn parse_u64(what: &str, s: &str) -> Result<u64, String> {
+/// Parses an unsigned integer item value; `_` digit separators are
+/// allowed. Shared by every fault-spec parser in this crate.
+pub(crate) fn parse_u64(what: &str, s: &str) -> Result<u64, String> {
     s.trim()
         .replace('_', "")
         .parse()
         .map_err(|_| format!("{what}: `{s}` is not a number"))
 }
 
-fn parse_permille(what: &str, s: &str) -> Result<u32, String> {
+/// [`parse_u64`] for `u32` fields: a value that does not fit is an
+/// error, never silently truncated.
+pub(crate) fn parse_u32(what: &str, s: &str) -> Result<u32, String> {
     let v = parse_u64(what, s)?;
-    if v > 1000 {
-        return Err(format!("{what}: permille {v} exceeds 1000"));
-    }
-    Ok(v as u32)
+    u32::try_from(v).map_err(|_| format!("{what}: {v} exceeds {}", u32::MAX))
+}
+
+/// Parses a probability in permille (0–1000).
+pub(crate) fn parse_permille(what: &str, s: &str) -> Result<u32, String> {
+    let v = parse_u64(what, s)?;
+    u32::try_from(v)
+        .ok()
+        .filter(|&p| p <= 1000)
+        .ok_or_else(|| format!("{what}: permille {v} exceeds 1000"))
 }
 
 #[cfg(test)]
@@ -326,6 +336,20 @@ mod tests {
         let err = FaultPlan::parse("seed=1,  volcano=7").unwrap_err();
         assert!(err.contains("line 1, column 10"), "got: {err}");
         assert!(err.contains("unknown fault item `volcano`"), "got: {err}");
+    }
+
+    #[test]
+    fn rejects_aex_exits_beyond_u32_instead_of_truncating() {
+        // Truncation would run 2^32 + 1 as 1 exit and misreport 2^32 as 0.
+        let err = FaultPlan::parse("aex=4294967297@50000").unwrap_err();
+        assert!(
+            err.contains("aex exits: 4294967297 exceeds 4294967295"),
+            "got: {err}"
+        );
+        let err = FaultPlan::parse("aex=4294967296@50000").unwrap_err();
+        assert!(err.contains("exceeds 4294967295"), "got: {err}");
+        let p = FaultPlan::parse("aex=4294967295@50000").unwrap();
+        assert_eq!(p.aex.unwrap().exits, u32::MAX);
     }
 
     #[test]

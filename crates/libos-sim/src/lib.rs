@@ -34,6 +34,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod manifest;
 pub mod process;

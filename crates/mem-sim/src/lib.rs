@@ -31,6 +31,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod cache;
 pub mod counters;

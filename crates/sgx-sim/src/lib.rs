@@ -40,6 +40,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod attest;
 pub mod costs;

@@ -65,6 +65,10 @@ impl SwitchlessPool {
     pub fn submit(&mut self, now: u64, work_cycles: u64) -> u64 {
         self.served += 1;
         // Earliest-free worker.
+        #[expect(
+            clippy::expect_used,
+            reason = "SwitchlessPool::new asserts a non-empty worker set, so the scan always finds one"
+        )]
         let (idx, &free_at) = self
             .busy_until
             .iter()

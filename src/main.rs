@@ -94,24 +94,52 @@ host io fault spec (comma-separated, e.g. \"seed=7,eio=20,torn=5,crash_rename=3\
     ExitCode::from(2)
 }
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+/// The flags each subcommand reads (`run`, `compare`, `suite` and
+/// `trace` include those of [`runner`]); `None` for an unknown one.
+fn known_flags(cmd: &str) -> Option<&'static str> {
+    Some(match cmd {
+        "list" => "",
+        "run" => "scale workload mode setting switchless pf faults cell-budget",
+        "compare" => "scale workload setting switchless pf faults cell-budget",
+        "suite" => {
+            "scale setting reps jobs modes retries max-quarantine checkpoint resume report \
+             io-faults switchless pf faults cell-budget"
+        }
+        "trace" => {
+            "scale mode setting jobs sample capacity out io-faults \
+             switchless pf faults cell-budget"
+        }
+        "campaign" => "out soak",
+        "cotenancy" => "tenants wave epc-pages ops jobs out timeline io-faults",
+        "mpc" => "parties threshold rounds net jobs out timeline io-faults",
+        _ => return None,
+    })
+}
+
+/// Parses `--name value` pairs (and the valueless `--pf`) for `cmd`. A
+/// flag `cmd` does not read, or one given twice, is an error naming it:
+/// silently ignoring a misspelled `--fault` would run fault-free.
+fn parse_flags(cmd: &str, args: &[String]) -> Result<HashMap<String, String>, String> {
+    let known = known_flags(cmd).ok_or_else(|| format!("unknown command `{cmd}`"))?;
     let mut flags = HashMap::new();
     let mut i = 0;
     while i < args.len() {
         let a = &args[i];
-        if let Some(name) = a.strip_prefix("--") {
-            if name == "pf" {
-                flags.insert("pf".to_owned(), "true".to_owned());
-                i += 1;
-            } else {
-                let v = args
-                    .get(i + 1)
-                    .ok_or_else(|| format!("--{name} needs a value"))?;
-                flags.insert(name.to_owned(), v.clone());
-                i += 2;
-            }
-        } else {
-            return Err(format!("unexpected argument `{a}`"));
+        let name = a
+            .strip_prefix("--")
+            .ok_or_else(|| format!("unexpected argument `{a}`"))?;
+        if !known.split_whitespace().any(|k| k == name) {
+            return Err(format!("unknown flag `--{name}` for `{cmd}`"));
+        }
+        let v = match name {
+            "pf" => "true",
+            _ => args
+                .get(i + 1)
+                .ok_or_else(|| format!("--{name} needs a value"))?,
+        };
+        i += if name == "pf" { 1 } else { 2 };
+        if flags.insert(name.to_owned(), v.to_owned()).is_some() {
+            return Err(format!("flag `--{name}` given twice"));
         }
     }
     Ok(flags)
@@ -1092,7 +1120,7 @@ fn main() -> ExitCode {
     } else {
         (None, &args[1..])
     };
-    let flags = match parse_flags(flag_args) {
+    let flags = match parse_flags(cmd, flag_args) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("error: {e}");

@@ -4,6 +4,8 @@
 //! the tentpole claim — converge to byte-identical artifacts after
 //! repeated kill/resume cycles under a combined fault storm.
 
+#![allow(clippy::disallowed_methods, clippy::disallowed_types)]
+
 use sgxgauge::campaign::{run_campaign, run_soak, CampaignConfig};
 use std::path::{Path, PathBuf};
 

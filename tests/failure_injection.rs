@@ -2,6 +2,8 @@
 //! closed* when data is tampered with, and the harness must surface
 //! usable errors rather than corrupt results.
 
+#![allow(clippy::disallowed_methods, clippy::disallowed_types)]
+
 use sgxgauge::core::env::Placement;
 use sgxgauge::core::{
     CellErrorKind, Env, EnvConfig, ExecMode, InputSetting, Runner, RunnerConfig, SuiteRunner,

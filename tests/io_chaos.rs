@@ -3,6 +3,8 @@
 //! completed artifact (after retries/recovery) or a typed error — and
 //! never a panic or a torn published artifact.
 
+#![allow(clippy::disallowed_methods, clippy::disallowed_types)]
+
 use proptest::prelude::*;
 use sgxgauge::core::io::{self as aio, Journal};
 use sgxgauge::core::{
