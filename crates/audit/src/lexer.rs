@@ -310,8 +310,8 @@ pub fn test_spans(tokens: &[Token]) -> Vec<(usize, usize)> {
                 None => break,
             };
         }
-        // The item extends to its matching `}` (mod/fn body) or to a
-        // terminating `;` (e.g. `#[cfg(test)] use ...;`).
+        // The item or statement extends to its matching `}` (mod/fn
+        // body, block) or to a terminating `;` (`#[cfg(test)] use ...;`).
         let mut end = tokens.len() - 1;
         let mut k = j;
         while k < tokens.len() {
@@ -321,7 +321,11 @@ pub fn test_spans(tokens: &[Token]) -> Vec<(usize, usize)> {
                     break;
                 }
                 Tok::Punct('{') => {
-                    end = match_close(tokens, k, '{', '}').unwrap_or(tokens.len() - 1);
+                    end = match_close(tokens, k, '{', '}').unwrap_or(end);
+                    // A trailing `;` (statement position) belongs to it.
+                    if tokens.get(end + 1).map(|t| &t.tok) == Some(&Tok::Punct(';')) {
+                        end += 1;
+                    }
                     break;
                 }
                 _ => k += 1,
@@ -356,7 +360,12 @@ fn test_attr_end(tokens: &[Token], i: usize) -> Option<usize> {
 
 /// Index of the punctuation closing the `open` at `start` (handles
 /// nesting); `None` when unbalanced.
-fn match_close(tokens: &[Token], start: usize, open: char, close: char) -> Option<usize> {
+pub(crate) fn match_close(
+    tokens: &[Token],
+    start: usize,
+    open: char,
+    close: char,
+) -> Option<usize> {
     let mut depth = 0i64;
     for (k, t) in tokens.iter().enumerate().skip(start) {
         if t.tok == Tok::Punct(open) {

@@ -11,30 +11,26 @@
 //! * **Token rules** ([`rules`]) — flat-lexer pattern checks (cost
 //!   literals, counter casts).
 //! * **Semantic passes** ([`passes`]) — a recursive-descent item parse
-//!   ([`parser`]) plus a workspace call graph ([`callgraph`]) feed four
-//!   reachability-aware passes: determinism (`hash-iter`), cycle
-//!   conservation (`cycle-routing`), hot-path purity (`hot-path`), and
-//!   phase-span balance (`phase-balance`).
+//!   ([`parser`]) feeds two per-function passes: cycle conservation
+//!   (`cycle-routing`) and phase-span balance (`phase-balance`).
 //!
-//! Three suppression planes, each with stale-entry detection:
+//! Two suppression planes, each with stale-entry detection:
 //!
 //! * `crates/audit/allowlists/<rule>.allow` — individually justified
 //!   exceptions, with the reason recorded in a comment. Entries that
 //!   match nothing are *stale* (warn; error under `--strict`).
-//! * `crates/audit/baseline/workspace.baseline` — accepted findings
-//!   carried across PRs. A stale baseline entry always fails `--check`:
-//!   the debt was paid, so the entry must go.
 //! * `crates/audit/manifests/cycle-routing.manifest` — the reviewed
 //!   list of counter-mutating functions; staleness is reported by the
 //!   `cycle-routing` pass itself.
 //!
-//! See DESIGN.md §13 for the pass catalogue and the call-graph
-//! approximation's documented false-negative edges.
+//! Determinism (no randomly seeded hash maps) and hot-path purity (no
+//! allocation once warm, no panics, printing or locks) are not here:
+//! clippy bans and `tests/hot_path_alloc.rs` enforce them. See
+//! DESIGN.md §13.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod callgraph;
 pub mod lexer;
 pub mod parser;
 pub mod passes;
@@ -56,8 +52,8 @@ pub struct Finding {
     pub file: String,
     /// 1-based line number.
     pub line: u32,
-    /// Human-readable description; allowlist/baseline substrings match
-    /// against it.
+    /// Human-readable description; allowlist substrings match against
+    /// it.
     pub message: String,
 }
 
@@ -74,19 +70,15 @@ impl fmt::Display for Finding {
 /// Result of a workspace scan.
 #[derive(Debug, Clone, Default)]
 pub struct ScanReport {
-    /// Violations that survived the allowlists and the baseline, in
-    /// (path, line, rule) order.
+    /// Violations that survived the allowlists, in (path, line, rule)
+    /// order.
     pub findings: Vec<Finding>,
     /// Number of violations suppressed by allowlist entries.
     pub suppressed: usize,
-    /// Number of violations suppressed by the committed baseline.
-    pub baselined: usize,
-    /// Suppressions (allowlist + baseline) per rule id.
+    /// Allowlist suppressions per rule id.
     pub suppressed_by_rule: BTreeMap<String, usize>,
     /// Allowlist entries that matched no finding this scan (stale).
     pub stale_allow: Vec<String>,
-    /// Baseline entries that matched no finding this scan (stale).
-    pub stale_baseline: Vec<String>,
     /// Number of `.rs` files checked.
     pub files_checked: usize,
 }
@@ -169,57 +161,6 @@ impl Allowlist {
     }
 }
 
-/// The committed baseline: accepted findings carried across PRs so that
-/// `--check` only fails on *new* debt. One entry per line:
-/// `rule path-suffix [message substring]`; `#` comments.
-///
-/// Unlike allowlists (justified forever-exceptions), baseline entries
-/// are debt: when the underlying finding disappears, the entry is
-/// *stale* and fails the scan until removed.
-#[derive(Debug, Clone, Default)]
-pub struct Baseline {
-    entries: Vec<AllowEntry>,
-}
-
-impl Baseline {
-    /// Loads the baseline from `path`; a missing file is an empty
-    /// baseline.
-    pub fn load(path: &Path) -> Result<Baseline, String> {
-        if !path.exists() {
-            return Ok(Baseline::default());
-        }
-        let text =
-            fs::read_to_string(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
-        Ok(Self::from_str(&text))
-    }
-
-    /// Parses baseline text (for tests and [`Baseline::load`]).
-    #[allow(clippy::should_implement_trait)]
-    pub fn from_str(text: &str) -> Baseline {
-        let entries = text
-            .lines()
-            .map(str::trim)
-            .filter(|l| !l.is_empty() && !l.starts_with('#'))
-            .filter_map(|line| {
-                let mut parts = line.split_whitespace();
-                let rule = parts.next()?.to_string();
-                let path_suffix = parts.next()?.to_string();
-                let substring = parts.collect::<Vec<_>>().join(" ");
-                Some(AllowEntry {
-                    rule,
-                    path_suffix,
-                    substring,
-                })
-            })
-            .collect();
-        Baseline { entries }
-    }
-
-    fn match_index(&self, f: &Finding) -> Option<usize> {
-        self.entries.iter().position(|e| e.matches(f))
-    }
-}
-
 /// Directories never scanned: vendored stubs, build output, VCS state.
 const SKIP_DIRS: &[&str] = &["vendor", "target", ".git", ".github"];
 
@@ -267,13 +208,12 @@ pub fn load_context(root: &Path) -> Result<RuleContext, String> {
 }
 
 /// Scans in-memory `(rel_path, source)` pairs with every token rule and
-/// semantic pass, then applies `allow` and `baseline` with stale-entry
-/// tracking. This is the testable core of [`scan_workspace`].
+/// semantic pass, then applies `allow` with stale-entry tracking. This
+/// is the testable core of [`scan_workspace`].
 pub fn scan_sources(
     sources: &[(String, String)],
     ctx: &RuleContext,
     allow: &Allowlist,
-    baseline: &Baseline,
     manifest: &CycleManifest,
 ) -> ScanReport {
     let mut raw = Vec::new();
@@ -295,18 +235,10 @@ pub fn scan_sources(
         ..ScanReport::default()
     };
     let mut allow_used = vec![false; allow.entries.len()];
-    let mut base_used = vec![false; baseline.entries.len()];
     for f in raw {
         if let Some(i) = allow.match_index(&f) {
             allow_used[i] = true;
             report.suppressed += 1;
-            *report
-                .suppressed_by_rule
-                .entry(f.rule.to_string())
-                .or_default() += 1;
-        } else if let Some(i) = baseline.match_index(&f) {
-            base_used[i] = true;
-            report.baselined += 1;
             *report
                 .suppressed_by_rule
                 .entry(f.rule.to_string())
@@ -322,18 +254,8 @@ pub fn scan_sources(
         .filter(|(_, used)| !**used)
         .map(|(e, _)| e.describe())
         .collect();
-    report.stale_baseline = baseline
-        .entries
-        .iter()
-        .zip(&base_used)
-        .filter(|(_, used)| !**used)
-        .map(|(e, _)| e.describe())
-        .collect();
     report
 }
-
-/// Workspace-relative path of the committed baseline.
-pub const BASELINE_PATH: &str = "crates/audit/baseline/workspace.baseline";
 /// Workspace-relative path of the cycle-routing manifest.
 pub const MANIFEST_PATH: &str = "crates/audit/manifests/cycle-routing.manifest";
 
@@ -349,13 +271,17 @@ pub fn load_manifest(root: &Path) -> Result<CycleManifest, String> {
 }
 
 /// Scans the workspace rooted at `root` with every rule and pass,
-/// applying the allowlists, the committed baseline, and the
-/// cycle-routing manifest.
+/// applying the allowlists and the cycle-routing manifest.
 pub fn scan_workspace(root: &Path) -> Result<ScanReport, String> {
     let ctx = load_context(root)?;
     let allow = Allowlist::load(&root.join("crates/audit/allowlists"))?;
-    let baseline = Baseline::load(&root.join(BASELINE_PATH))?;
     let manifest = load_manifest(root)?;
+    Ok(scan_sources(&read_sources(root)?, &ctx, &allow, &manifest))
+}
+
+/// Reads every scanned `.rs` file under `root` as
+/// `(workspace-relative path, source)` pairs, in path order.
+pub fn read_sources(root: &Path) -> Result<Vec<(String, String)>, String> {
     let mut sources = Vec::new();
     for path in collect_rs_files(root)? {
         let rel = path
@@ -367,22 +293,19 @@ pub fn scan_workspace(root: &Path) -> Result<ScanReport, String> {
             fs::read_to_string(&path).map_err(|e| format!("reading {}: {e}", path.display()))?;
         sources.push((rel, src));
     }
-    Ok(scan_sources(&sources, &ctx, &allow, &baseline, &manifest))
+    Ok(sources)
 }
 
 /// Process exit code for a report under `--check` semantics.
 ///
-/// * `0` — clean: no surviving findings, no stale baseline entries,
-///   and (under `--strict`) no stale allowlist entries.
-/// * `1` — violations survived the suppression planes, or the baseline
-///   has stale entries (paid-off debt that must be removed), or
-///   `strict` and the allowlists have stale entries.
+/// * `0` — clean: no surviving findings and (under `--strict`) no
+///   stale allowlist entries.
+/// * `1` — violations survived the suppression planes, or `strict` and
+///   the allowlists have stale entries.
 ///
 /// (`2` is reserved by the CLI for usage/IO errors.)
 pub fn exit_code(report: &ScanReport, strict: bool) -> i32 {
-    let fail = !report.findings.is_empty()
-        || !report.stale_baseline.is_empty()
-        || (strict && !report.stale_allow.is_empty());
+    let fail = !report.findings.is_empty() || (strict && !report.stale_allow.is_empty());
     i32::from(fail)
 }
 
@@ -433,9 +356,8 @@ pub fn to_json(report: &ScanReport) -> String {
     // Non-standard scan counters.
     s.push_str("      \"properties\": {\n");
     s.push_str(&format!(
-        "        \"filesChecked\": {},\n        \"suppressedByAllowlist\": {},\n        \
-         \"suppressedByBaseline\": {},\n",
-        report.files_checked, report.suppressed, report.baselined
+        "        \"filesChecked\": {},\n        \"suppressedByAllowlist\": {},\n",
+        report.files_checked, report.suppressed
     ));
     s.push_str("        \"suppressedByRule\": {");
     for (i, (rule, n)) in report.suppressed_by_rule.iter().enumerate() {
@@ -450,14 +372,6 @@ pub fn to_json(report: &ScanReport) -> String {
     s.push_str("},\n");
     s.push_str("        \"staleAllowlistEntries\": [");
     for (i, e) in report.stale_allow.iter().enumerate() {
-        if i > 0 {
-            s.push_str(", ");
-        }
-        s.push_str(&format!("\"{}\"", json_escape(e)));
-    }
-    s.push_str("],\n");
-    s.push_str("        \"staleBaselineEntries\": [");
-    for (i, e) in report.stale_baseline.iter().enumerate() {
         if i > 0 {
             s.push_str(", ");
         }
@@ -518,9 +432,6 @@ mod tests {
         assert_eq!(exit_code(&r, false), 0, "stale allowlist only warns");
         assert_eq!(exit_code(&r, true), 1, "--strict promotes it");
         r.stale_allow.clear();
-        r.stale_baseline.push("cost-literals x.rs".into());
-        assert_eq!(exit_code(&r, false), 1, "stale baseline always fails");
-        r.stale_baseline.clear();
         r.findings.push(Finding {
             rule: rules::COST_LITERALS,
             file: "x.rs".into(),
@@ -551,36 +462,6 @@ mod tests {
     }
 
     #[test]
-    fn baseline_suppresses_and_tracks_staleness() {
-        let ctx = RuleContext::from_sources(
-            "pub const EWB_CYCLES: u64 = 12_000;",
-            "pub struct Counters { pub epc_faults: u64 }",
-        );
-        let sources = vec![(
-            "crates/sgx-sim/src/x.rs".to_string(),
-            "fn f() -> u64 { 12_000 }".to_string(),
-        )];
-        let baseline = Baseline::from_str(
-            "cost-literals crates/sgx-sim/src/x.rs\ncost-literals crates/sgx-sim/src/gone.rs\n",
-        );
-        let r = scan_sources(
-            &sources,
-            &ctx,
-            &Allowlist::default(),
-            &baseline,
-            &CycleManifest::default(),
-        );
-        assert!(r.findings.is_empty(), "{:?}", r.findings);
-        assert_eq!(r.baselined, 1);
-        assert_eq!(r.suppressed_by_rule.get("cost-literals"), Some(&1));
-        assert_eq!(
-            r.stale_baseline,
-            vec!["cost-literals crates/sgx-sim/src/gone.rs"]
-        );
-        assert_eq!(exit_code(&r, false), 1, "stale baseline entry fails");
-    }
-
-    #[test]
     fn stale_allowlist_entry_is_reported_not_fatal() {
         let ctx = RuleContext::from_sources(
             "pub const EWB_CYCLES: u64 = 12_000;",
@@ -592,13 +473,7 @@ mod tests {
         )];
         let allow =
             Allowlist::from_str_for_rule(rules::COST_LITERALS, "crates/core/src/clean.rs\n");
-        let r = scan_sources(
-            &sources,
-            &ctx,
-            &allow,
-            &Baseline::default(),
-            &CycleManifest::default(),
-        );
+        let r = scan_sources(&sources, &ctx, &allow, &CycleManifest::default());
         assert_eq!(
             r.stale_allow,
             vec!["cost-literals crates/core/src/clean.rs"]
@@ -613,20 +488,20 @@ mod tests {
             files_checked: 2,
             ..ScanReport::default()
         };
-        r.suppressed_by_rule.insert("hot-path".into(), 3);
+        r.suppressed_by_rule.insert("counter-cast".into(), 3);
         r.findings.push(Finding {
-            rule: rules::HASH_ITER,
+            rule: rules::COST_LITERALS,
             file: "crates/core/src/report.rs".into(),
             line: 7,
-            message: "hash iter \"x\"".into(),
+            message: "literal \"x\"".into(),
         });
         let j = to_json(&r);
         assert!(j.contains("\"version\": \"2.1.0\""));
         assert!(j.contains("\"name\": \"gauge-audit\""));
-        assert!(j.contains("\"ruleId\": \"hash-iter\""));
+        assert!(j.contains("\"ruleId\": \"cost-literals\""));
         assert!(j.contains("\"startLine\": 7"));
         assert!(j.contains("\"suppressedByRule\""));
-        assert!(j.contains("\"hot-path\": 3"));
+        assert!(j.contains("\"counter-cast\": 3"));
         // Every registered rule appears in the driver rule table.
         for rule in rules::ALL_RULES {
             assert!(j.contains(&format!("\"id\": \"{rule}\"")), "{rule} missing");

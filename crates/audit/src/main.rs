@@ -2,7 +2,7 @@
 //! `gauge-audit [--check] [--json] [--strict] [--root DIR] [--explain RULE]`.
 //!
 //! * `--check` — exit nonzero when any violation survives the
-//!   suppression planes or the baseline has stale entries (CI mode).
+//!   suppression planes (CI mode).
 //! * `--json` — SARIF-shaped machine-readable output.
 //! * `--strict` — also fail `--check` on stale *allowlist* entries
 //!   (they only warn by default).
@@ -21,8 +21,7 @@ use std::process::ExitCode;
 const HELP: &str = "\
 usage: gauge-audit [--check] [--json] [--strict] [--root DIR] [--explain RULE]
 
-  --check         exit nonzero on surviving violations or stale baseline
-                  entries (CI mode)
+  --check         exit nonzero on surviving violations (CI mode)
   --json          SARIF-shaped JSON on stdout (runs[0].properties carries
                   per-rule suppressed counts and stale suppression entries)
   --strict        with --check, also fail on stale allowlist entries
@@ -31,8 +30,8 @@ usage: gauge-audit [--check] [--json] [--strict] [--root DIR] [--explain RULE]
 
 exit codes:
   0  clean (or --check not given)
-  1  violations survived the allowlists/baseline, or the baseline has
-     stale entries, or --strict and an allowlist entry matched nothing
+  1  violations survived the allowlists, or --strict and an allowlist
+     entry matched nothing
   2  usage or I/O error";
 
 fn main() -> ExitCode {
@@ -103,18 +102,13 @@ fn main() -> ExitCode {
         for f in &report.findings {
             println!("{f}");
         }
-        for e in &report.stale_baseline {
-            eprintln!("gauge-audit: stale baseline entry (remove it): {e}");
-        }
         for e in &report.stale_allow {
             eprintln!("gauge-audit: stale allowlist entry (matched nothing): {e}");
         }
         eprintln!(
-            "gauge-audit: {} violation(s), {} suppressed by allowlists, {} baselined, \
-             {} files checked",
+            "gauge-audit: {} violation(s), {} suppressed by allowlists, {} files checked",
             report.findings.len(),
             report.suppressed,
-            report.baselined,
             report.files_checked
         );
     }

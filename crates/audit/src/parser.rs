@@ -2,57 +2,37 @@
 //! token stream.
 //!
 //! The semantic passes (see [`crate::passes`]) need more than a flat
-//! token stream: which function a token belongs to, what type an `impl`
-//! block targets, what names a file imports. This module builds exactly
-//! that — a per-file item tree of functions (with body token spans and
-//! `Type::name` qualification), flattened `use` declarations, and the
-//! attribute-gated spans (`#[cfg(test)]`, `#[cfg(feature = "audit")]`,
-//! `#[cfg(debug_assertions)]`) that the passes must skip.
+//! token stream: which function a token belongs to and what type an
+//! `impl` block targets. This module builds exactly that — a per-file
+//! item tree of functions (with body token spans and `Type::name`
+//! qualification) plus the `#[cfg(test)]`/`#[test]` spans the passes
+//! skip.
 //!
 //! It is deliberately *not* a full Rust parser. Everything it recognizes
 //! is item-shaped structure; expressions stay opaque token ranges. The
-//! known approximations, which the passes inherit and DESIGN.md §13
-//! documents:
+//! known approximations, which the passes inherit:
 //!
 //! * Closure bodies are attributed to the enclosing `fn` (no separate
-//!   nodes), so calls made through stored closures are edges out of the
-//!   function that *defines* the closure, not the one that invokes it.
+//!   nodes).
 //! * `fn`-pointer types (`fn(u64) -> u64`) are distinguished from
-//!   definitions by the missing name; higher-order calls through them
-//!   are invisible to the call graph.
-//! * Macro bodies are scanned as plain tokens; a call synthesized by
+//!   definitions by the missing name.
+//! * Macro bodies are scanned as plain tokens; code synthesized by
 //!   `macro_rules!` expansion elsewhere is not seen.
 
-use crate::lexer::{lex, Tok, Token};
+use crate::lexer::{lex, match_close, test_spans, Tok, Token};
 
 /// One parsed function definition.
 #[derive(Debug, Clone)]
 pub struct FnDef {
-    /// Bare function name.
-    pub name: String,
     /// Qualified name: `Type::name` inside an `impl`/`trait` block,
     /// otherwise the bare name.
     pub qual: String,
-    /// 1-based line of the `fn` keyword.
-    pub line: u32,
-    /// Token index of the `fn` keyword (start of the signature).
-    pub sig: usize,
     /// Token span of the body, from the opening `{` to the closing `}`
     /// inclusive; `None` for bodyless trait method declarations.
     pub body: Option<(usize, usize)>,
     /// Whether the definition sits inside a `#[cfg(test)]`/`#[test]`
     /// span.
     pub in_test: bool,
-}
-
-/// One flattened `use` binding: `use a::b::{C as D};` yields
-/// `name = "D"`, `path = "a::b::C"`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UseDecl {
-    /// The name the import binds in this file.
-    pub name: String,
-    /// The full `::`-joined source path.
-    pub path: String,
 }
 
 /// The parsed representation of one source file.
@@ -65,29 +45,20 @@ pub struct FileIr {
     /// Every function definition, in source order (nested `fn`s
     /// included).
     pub fns: Vec<FnDef>,
-    /// Flattened `use` declarations.
-    pub uses: Vec<UseDecl>,
     /// Token spans gated behind `#[cfg(test)]` / `#[test]`.
     pub test_spans: Vec<(usize, usize)>,
-    /// Token spans gated behind `#[cfg(feature = "audit")]` or
-    /// `#[cfg(debug_assertions)]` — compiled out of release builds, so
-    /// the hot-path purity pass must not charge them.
-    pub gated_spans: Vec<(usize, usize)>,
 }
 
 impl FileIr {
     /// Parses `src` into a file IR.
     pub fn parse(path: &str, src: &str) -> FileIr {
         let tokens = lex(src);
-        let test_spans = attr_spans(&tokens, is_test_attr);
-        let gated_spans = attr_spans(&tokens, is_gated_attr);
+        let test_spans = test_spans(&tokens);
         let mut ir = FileIr {
             path: path.to_string(),
             tokens,
             fns: Vec::new(),
-            uses: Vec::new(),
             test_spans,
-            gated_spans,
         };
         let end = ir.tokens.len();
         parse_items(&mut ir, 0, end, None);
@@ -97,11 +68,6 @@ impl FileIr {
     /// Whether token index `i` lies in a test-gated span.
     pub fn in_test(&self, i: usize) -> bool {
         self.test_spans.iter().any(|&(s, e)| i >= s && i <= e)
-    }
-
-    /// Whether token index `i` lies in an audit/debug-gated span.
-    pub fn in_gated(&self, i: usize) -> bool {
-        self.gated_spans.iter().any(|&(s, e)| i >= s && i <= e)
     }
 
     /// The token ranges belonging to `fns[idx]` itself: its body span
@@ -133,19 +99,6 @@ impl FileIr {
             out.push((cur, end));
         }
         out
-    }
-
-    /// The innermost function whose body contains token index `i`.
-    pub fn fn_at(&self, i: usize) -> Option<usize> {
-        self.fns
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| f.body.is_some_and(|(s, e)| i >= s && i <= e))
-            .min_by_key(|(_, f)| {
-                let (s, e) = f.body.unwrap_or((0, usize::MAX));
-                e - s
-            })
-            .map(|(j, _)| j)
     }
 }
 
@@ -188,8 +141,6 @@ fn parse_items(ir: &mut FileIr, start: usize, end: usize, impl_ty: Option<&str>)
                     i += 1;
                     continue;
                 };
-                let name = name.clone();
-                let line = t.line;
                 let qual = match impl_ty {
                     Some(ty) => format!("{ty}::{name}"),
                     None => name.clone(),
@@ -199,10 +150,7 @@ fn parse_items(ir: &mut FileIr, start: usize, end: usize, impl_ty: Option<&str>)
                     Some(Delim::Brace(open)) => {
                         let close = match_close(&ir.tokens, open, '{', '}').unwrap_or(end - 1);
                         ir.fns.push(FnDef {
-                            name,
                             qual,
-                            line,
-                            sig: i,
                             body: Some((open, close)),
                             in_test,
                         });
@@ -212,10 +160,7 @@ fn parse_items(ir: &mut FileIr, start: usize, end: usize, impl_ty: Option<&str>)
                     }
                     Some(Delim::Semi(s)) => {
                         ir.fns.push(FnDef {
-                            name,
                             qual,
-                            line,
-                            sig: i,
                             body: None,
                             in_test,
                         });
@@ -223,10 +168,6 @@ fn parse_items(ir: &mut FileIr, start: usize, end: usize, impl_ty: Option<&str>)
                     }
                     None => i += 1,
                 }
-            }
-            Tok::Ident(kw) if kw == "use" => {
-                let semi = parse_use(ir, i + 1, end);
-                i = semi + 1;
             }
             _ => i += 1,
         }
@@ -329,194 +270,6 @@ fn skip_angles(toks: &[Token], mut i: usize, end: usize) -> usize {
     i
 }
 
-/// Parses a `use` declaration starting after the keyword; pushes the
-/// flattened bindings and returns the index of the terminating `;`.
-fn parse_use(ir: &mut FileIr, start: usize, end: usize) -> usize {
-    // Find the `;` first (groups contain no semicolons).
-    let mut semi = start;
-    while semi < end && ir.tokens[semi].tok != Tok::Punct(';') {
-        semi += 1;
-    }
-    let mut decls = Vec::new();
-    flatten_use(&ir.tokens[start..semi], String::new(), &mut decls);
-    ir.uses.extend(decls);
-    semi
-}
-
-/// Recursively flattens a use tree (`a::b::{c, d as e, f::*}`) into
-/// bindings, given the `prefix` path accumulated so far.
-fn flatten_use(toks: &[Token], prefix: String, out: &mut Vec<UseDecl>) {
-    // Split the token run on top-level commas.
-    let mut depth = 0i64;
-    let mut seg_start = 0usize;
-    let mut groups: Vec<(usize, usize)> = Vec::new();
-    for (k, t) in toks.iter().enumerate() {
-        match t.tok {
-            Tok::Punct('{') => depth += 1,
-            Tok::Punct('}') => depth -= 1,
-            Tok::Punct(',') if depth == 0 => {
-                groups.push((seg_start, k));
-                seg_start = k + 1;
-            }
-            _ => {}
-        }
-    }
-    groups.push((seg_start, toks.len()));
-    for (s, e) in groups {
-        let part = &toks[s..e];
-        if part.is_empty() {
-            continue;
-        }
-        // Walk the path until a group `{`, an alias `as`, or the end.
-        let mut path: Vec<String> = if prefix.is_empty() {
-            Vec::new()
-        } else {
-            vec![prefix.clone()]
-        };
-        let mut k = 0usize;
-        let mut alias: Option<String> = None;
-        while k < part.len() {
-            match &part[k].tok {
-                Tok::Ident(seg) if seg == "as" => {
-                    if let Some(Tok::Ident(a)) = part.get(k + 1).map(|t| &t.tok) {
-                        alias = Some(a.clone());
-                    }
-                    break;
-                }
-                Tok::Ident(seg) => {
-                    path.push(seg.clone());
-                    k += 1;
-                }
-                Tok::Punct(':') => k += 1,
-                Tok::Punct('{') => {
-                    // Group: recurse with the accumulated prefix.
-                    let inner_end = part.len() - 1; // its matching `}`
-                    flatten_use(&part[k + 1..inner_end], path.join("::"), out);
-                    path.clear();
-                    break;
-                }
-                Tok::Punct('*') => {
-                    // Glob: record under `*` so passes can at least see
-                    // the source module.
-                    out.push(UseDecl {
-                        name: "*".to_string(),
-                        path: format!("{}::*", path.join("::")),
-                    });
-                    path.clear();
-                    break;
-                }
-                _ => k += 1,
-            }
-        }
-        if let Some(last) = path.last().cloned() {
-            out.push(UseDecl {
-                name: alias.unwrap_or(last),
-                path: path.join("::"),
-            });
-        }
-    }
-}
-
-/// Token-index spans of items/statements behind attributes matching
-/// `pred` (over the attribute's identifier list).
-fn attr_spans(tokens: &[Token], pred: fn(&[&str]) -> bool) -> Vec<(usize, usize)> {
-    let mut spans: Vec<(usize, usize)> = Vec::new();
-    let mut i = 0usize;
-    while i < tokens.len() {
-        let Some(attr_end) = attr_end_if(tokens, i, pred) else {
-            i += 1;
-            continue;
-        };
-        // Skip further attributes on the same item.
-        let mut j = attr_end + 1;
-        while j + 1 < tokens.len()
-            && tokens[j].tok == Tok::Punct('#')
-            && tokens[j + 1].tok == Tok::Punct('[')
-        {
-            j = match match_close(tokens, j + 1, '[', ']') {
-                Some(e) => e + 1,
-                None => break,
-            };
-        }
-        // The gated item/statement extends to its matching `}` or `;`.
-        let mut end = tokens.len().saturating_sub(1);
-        let mut k = j;
-        while k < tokens.len() {
-            match tokens[k].tok {
-                Tok::Punct(';') => {
-                    end = k;
-                    break;
-                }
-                Tok::Punct('{') => {
-                    end = match_close(tokens, k, '{', '}').unwrap_or(end);
-                    // A trailing `;` (statement position) belongs to it.
-                    if tokens.get(end + 1).map(|t| &t.tok) == Some(&Tok::Punct(';')) {
-                        end += 1;
-                    }
-                    break;
-                }
-                _ => k += 1,
-            }
-        }
-        spans.push((i, end));
-        i = end + 1;
-    }
-    spans
-}
-
-/// If tokens at `i` start a `#[...]` attribute whose identifier list
-/// satisfies `pred`, returns the index of its closing `]`.
-fn attr_end_if(tokens: &[Token], i: usize, pred: fn(&[&str]) -> bool) -> Option<usize> {
-    if tokens[i].tok != Tok::Punct('#') || tokens.get(i + 1)?.tok != Tok::Punct('[') {
-        return None;
-    }
-    let close = match_close(tokens, i + 1, '[', ']')?;
-    let idents: Vec<&str> = tokens[i + 2..close]
-        .iter()
-        .filter_map(|t| match &t.tok {
-            Tok::Ident(s) => Some(s.as_str()),
-            _ => None,
-        })
-        .collect();
-    pred(&idents).then_some(close)
-}
-
-/// `#[test]` / `#[cfg(test)]`-style attributes (never `cfg(not(test))`).
-fn is_test_attr(idents: &[&str]) -> bool {
-    let Some(&first) = idents.first() else {
-        return false;
-    };
-    first == "test" || (first == "cfg" && idents.contains(&"test") && !idents.contains(&"not"))
-}
-
-/// `#[cfg(feature = "audit")]` / `#[cfg(debug_assertions)]` — code
-/// compiled out of release builds (never the `not(...)` forms).
-fn is_gated_attr(idents: &[&str]) -> bool {
-    let Some(&first) = idents.first() else {
-        return false;
-    };
-    first == "cfg"
-        && !idents.contains(&"not")
-        && (idents.contains(&"debug_assertions") || idents.contains(&"feature"))
-}
-
-/// Index of the punctuation closing the `open` at `start` (handles
-/// nesting); `None` when unbalanced.
-pub(crate) fn match_close(toks: &[Token], start: usize, open: char, close: char) -> Option<usize> {
-    let mut depth = 0i64;
-    for (k, t) in toks.iter().enumerate().skip(start) {
-        if t.tok == Tok::Punct(open) {
-            depth += 1;
-        } else if t.tok == Tok::Punct(close) {
-            depth -= 1;
-            if depth == 0 {
-                return Some(k);
-            }
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -551,7 +304,7 @@ mod tests {
     fn fn_pointer_types_are_not_definitions() {
         let ir = FileIr::parse("x.rs", "fn f(cb: fn(u64) -> u64) -> u64 { cb(1) }");
         assert_eq!(ir.fns.len(), 1);
-        assert_eq!(ir.fns[0].name, "f");
+        assert_eq!(ir.fns[0].qual, "f");
     }
 
     #[test]
@@ -561,7 +314,7 @@ mod tests {
             "fn outer() { fn inner() { danger(); } inner(); safe(); }",
         );
         assert_eq!(ir.fns.len(), 2);
-        let outer = ir.fns.iter().position(|f| f.name == "outer").unwrap();
+        let outer = ir.fns.iter().position(|f| f.qual == "outer").unwrap();
         let ranges = ir.own_ranges(outer);
         let own_idents: Vec<String> = ranges
             .iter()
@@ -593,76 +346,5 @@ mod tests {
     fn impl_trait_for_type_uses_the_type() {
         let ir = FileIr::parse("x.rs", "impl Display for CellKey { fn fmt(&self) {} }");
         assert_eq!(ir.fns[0].qual, "CellKey::fmt");
-    }
-
-    #[test]
-    fn use_decls_flatten_groups_and_aliases() {
-        let ir = FileIr::parse(
-            "x.rs",
-            "use std::collections::{HashMap, BTreeMap as Sorted};\nuse crate::io::ArtifactIo;",
-        );
-        assert!(ir.uses.contains(&UseDecl {
-            name: "HashMap".into(),
-            path: "std::collections::HashMap".into()
-        }));
-        assert!(ir.uses.contains(&UseDecl {
-            name: "Sorted".into(),
-            path: "std::collections::BTreeMap".into()
-        }));
-        assert!(ir.uses.contains(&UseDecl {
-            name: "ArtifactIo".into(),
-            path: "crate::io::ArtifactIo".into()
-        }));
-    }
-
-    #[test]
-    fn audit_gated_statement_span_is_detected() {
-        let src = "fn f() {\n#[cfg(feature = \"audit\")]\nlet c0 = self.counters;\n\
-                   #[cfg(feature = \"audit\")]\n{ assert_eq!(a, b); }\nwork();\n}";
-        let ir = FileIr::parse("x.rs", src);
-        let assert_idx = ir
-            .tokens
-            .iter()
-            .position(|t| t.tok == Tok::Ident("assert_eq".into()))
-            .unwrap();
-        let c0_idx = ir
-            .tokens
-            .iter()
-            .position(|t| t.tok == Tok::Ident("c0".into()))
-            .unwrap();
-        let work_idx = ir
-            .tokens
-            .iter()
-            .position(|t| t.tok == Tok::Ident("work".into()))
-            .unwrap();
-        assert!(ir.in_gated(assert_idx));
-        assert!(ir.in_gated(c0_idx));
-        assert!(!ir.in_gated(work_idx));
-    }
-
-    #[test]
-    fn cfg_not_feature_is_not_gated() {
-        let ir = FileIr::parse(
-            "x.rs",
-            "#[cfg(not(feature = \"audit\"))]\nfn always() { hot(); }",
-        );
-        let hot_idx = ir
-            .tokens
-            .iter()
-            .position(|t| t.tok == Tok::Ident("hot".into()))
-            .unwrap();
-        assert!(!ir.in_gated(hot_idx));
-    }
-
-    #[test]
-    fn fn_at_picks_innermost() {
-        let ir = FileIr::parse("x.rs", "fn outer() { fn inner() { x(); } }");
-        let x_idx = ir
-            .tokens
-            .iter()
-            .position(|t| t.tok == Tok::Ident("x".into()))
-            .unwrap();
-        let idx = ir.fn_at(x_idx).unwrap();
-        assert_eq!(ir.fns[idx].name, "inner");
     }
 }

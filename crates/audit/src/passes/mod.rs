@@ -1,29 +1,21 @@
-//! The semantic passes: analyses that need the parsed item tree and the
-//! workspace call graph rather than a flat token stream.
+//! The semantic passes: analyses that need the parsed item tree (which
+//! function a token belongs to) rather than a flat token stream.
 //!
 //! Each pass owns one rule id:
 //!
-//! * [`determinism`] — `hash-iter`: hash-ordered iteration in functions
-//!   that can reach an artifact emission or aggregation sink.
 //! * [`cycles`] — `cycle-routing`: counter/cycle mutations outside the
 //!   checked manifest and not routed through `sgx_sim::costs`.
-//! * [`hotpath`] — `hot-path`: allocation, panics, locks, or I/O in
-//!   functions reachable from the `access`/`access_stream` hot path.
 //! * [`phase`] — `phase-balance`: `Env::phase`/`phase_end` spans that a
 //!   single function body opens and closes unevenly.
 //!
 //! The passes share one [`Workspace`]: every scanned file parsed to
-//! [`FileIr`] plus the [`CallGraph`] built over them. They run on *raw*
-//! sources (test-gated spans are skipped internally); the caller applies
-//! allowlists and the baseline afterwards, exactly as for the token
-//! rules.
+//! [`FileIr`]. They run on *raw* sources (test-gated spans are skipped
+//! internally); the caller applies the allowlists afterwards, exactly
+//! as for the token rules.
 
 pub mod cycles;
-pub mod determinism;
-pub mod hotpath;
 pub mod phase;
 
-use crate::callgraph::CallGraph;
 use crate::lexer::Tok;
 use crate::parser::FileIr;
 use crate::rules::RuleContext;
@@ -34,31 +26,25 @@ use crate::Finding;
 pub struct Workspace {
     /// Parsed files, in the order given.
     pub files: Vec<FileIr>,
-    /// The call graph over them.
-    pub graph: CallGraph,
 }
 
 impl Workspace {
-    /// Parses `(rel_path, source)` pairs and builds the call graph.
-    /// Only `.rs` files under a `src/` tree participate (tests, benches
-    /// and fixtures describe behavior, not the shipped model).
+    /// Parses `(rel_path, source)` pairs. Only `.rs` files under a
+    /// `src/` tree participate (tests, benches and fixtures describe
+    /// behavior, not the shipped model).
     pub fn build(sources: &[(String, String)]) -> Workspace {
-        let files: Vec<FileIr> = sources
+        let files = sources
             .iter()
             .filter(|(rel, _)| semantic_scope(rel))
             .map(|(rel, src)| FileIr::parse(rel, src))
             .collect();
-        let graph = CallGraph::build(&files);
-        Workspace { files, graph }
+        Workspace { files }
     }
 
-    /// Runs all four semantic passes, returning raw findings in pass
-    /// order (the caller applies allowlists and the baseline).
+    /// Runs both semantic passes, returning raw findings in pass order
+    /// (the caller applies the allowlists).
     pub fn run_passes(&self, ctx: &RuleContext, manifest: &cycles::CycleManifest) -> Vec<Finding> {
-        let mut out = Vec::new();
-        out.extend(determinism::run(self));
-        out.extend(cycles::run(self, ctx, manifest));
-        out.extend(hotpath::run(self));
+        let mut out = cycles::run(self, ctx, manifest);
         out.extend(phase::run(self));
         out
     }
@@ -93,15 +79,4 @@ pub(crate) fn statement_end(file: &FileIr, i: usize) -> usize {
         k += 1;
     }
     toks.len() - 1
-}
-
-/// Collects the identifiers appearing in `[s, e]`.
-pub(crate) fn idents_in(file: &FileIr, s: usize, e: usize) -> Vec<&str> {
-    file.tokens[s..=e.min(file.tokens.len() - 1)]
-        .iter()
-        .filter_map(|t| match &t.tok {
-            Tok::Ident(id) => Some(id.as_str()),
-            _ => None,
-        })
-        .collect()
 }

@@ -11,10 +11,11 @@
 //!   a truncating `as` cast or float accumulation loses counts exactly
 //!   when workloads are large enough to matter.
 //!
-//! The wall-clock, `std::fs` and `unwrap`/`expect` bans are not here:
-//! clippy enforces them (`clippy.toml` at the workspace root, plus
-//! `#![deny(clippy::unwrap_used, clippy::expect_used)]` in the simulator
-//! crates). What stays in this crate is what clippy cannot express.
+//! The wall-clock, `std::fs`, hash-map, lock, `unwrap`/`expect`, panic
+//! and print bans are not here: clippy enforces them (`clippy.toml` at
+//! the workspace root, plus `#![deny(..)]` in the simulator crates), and
+//! `tests/hot_path_alloc.rs` checks that the access path does not
+//! allocate. What stays in this crate is what clippy cannot express.
 
 use crate::lexer::{test_spans, Tok};
 use crate::Finding;
@@ -25,29 +26,16 @@ use std::collections::BTreeSet;
 pub const COST_LITERALS: &str = "cost-literals";
 /// Rule id: truncating casts on counter fields.
 pub const COUNTER_CAST: &str = "counter-cast";
-/// Rule id (semantic): hash-ordered iteration in emission-reachable
-/// functions. See [`crate::passes::determinism`].
-pub const HASH_ITER: &str = "hash-iter";
 /// Rule id (semantic): counter/cycle mutations outside the checked
 /// manifest. See [`crate::passes::cycles`].
 pub const CYCLE_ROUTING: &str = "cycle-routing";
-/// Rule id (semantic): impurity reachable from the access hot path.
-/// See [`crate::passes::hotpath`].
-pub const HOT_PATH: &str = "hot-path";
 /// Rule id (semantic): unbalanced `Env::phase`/`phase_end` spans.
 /// See [`crate::passes::phase`].
 pub const PHASE_BALANCE: &str = "phase-balance";
 
 /// All rule ids, in reporting order: the two token rules, then the
-/// four semantic passes.
-pub const ALL_RULES: &[&str] = &[
-    COST_LITERALS,
-    COUNTER_CAST,
-    HASH_ITER,
-    CYCLE_ROUTING,
-    HOT_PATH,
-    PHASE_BALANCE,
-];
+/// two semantic passes.
+pub const ALL_RULES: &[&str] = &[COST_LITERALS, COUNTER_CAST, CYCLE_ROUTING, PHASE_BALANCE];
 
 /// One rule's registry entry: id, one-line summary, and the long-form
 /// text `gauge-audit --explain <RULE>` prints.
@@ -82,18 +70,6 @@ exactly when workloads are large enough to matter.\nFix: keep u64 end to end; co
 the presentation layer. Suppress: allowlists/counter-cast.allow.",
     },
     RuleInfo {
-        id: HASH_ITER,
-        summary: "hash-ordered iteration in an emission-reachable function",
-        explain: "A function from which an Emitter write, report aggregation, or checkpoint \
-serialization is reachable (workspace call graph, name-matched over-approximation) iterates \
-a HashMap/HashSet/FxHashMap/FxHashSet. Hash order varies across processes and insertion \
-histories, so the iteration can leak nondeterministic order into committed artifact bytes — \
-breaking the byte-identical-across-runs-and---jobs guarantee.\nExempt automatically: results \
-routed through sort*/BTreeMap/BTreeSet or an order-insensitive reduction (sum, count, min, \
-max, all, any, len) by the end of the same or next statement.\nFix: iterate a BTreeMap, or \
-collect-and-sort. Suppress: allowlists/hash-iter.allow or the workspace baseline.",
-    },
-    RuleInfo {
         id: CYCLE_ROUTING,
         summary: "counter/cycle mutation outside the checked manifest",
         explain: "A `+=` on a counter field or cycle accumulator in crates/mem-sim or \
@@ -104,17 +80,6 @@ functions allowed to account cycles; it is what makes the cycle-decomposition id
 provable from source. Stale manifest entries (functions that no longer mutate counters) \
 are also reported, so the manifest cannot rot into a blanket waiver.\nFix: route through \
 costs, or add the function to the manifest with a reason comment.",
-    },
-    RuleInfo {
-        id: HOT_PATH,
-        summary: "allocation/panic/lock/I-O reachable from the access hot path",
-        explain: "The function is transitively reachable from Machine::access/access_stream \
-(mem-sim) or SgxMachine::access/access_stream (sgx-sim) — the per-simulated-access paths \
-pinned by BENCH_hotpath.json — and contains an allocating call (Vec::new, .push, .collect, \
-.clone, format!, ...), a panicking construct (unwrap/expect/panic!/assert!), a lock, or \
-I/O. debug_assert! and #[cfg(feature = \"audit\")]-gated code are exempt (compiled out of \
-release).\nFix: hoist the work off the hot path, or declare an intended scratch buffer in \
-allowlists/hot-path.allow with the amortization argument recorded.",
     },
     RuleInfo {
         id: PHASE_BALANCE,

@@ -3,9 +3,10 @@
 //! test` even when CI's dedicated audit job is skipped.
 //!
 //! "Clean" means the full contract: no surviving finding from any token
-//! rule or semantic pass, no stale baseline entry (paid-off debt must
-//! be removed), and no stale allowlist entry (`--strict` in CI).
+//! rule or semantic pass, and no stale allowlist entry (`--strict` in
+//! CI).
 
+use audit::passes::cycles::CycleManifest;
 use std::path::Path;
 
 fn workspace_root() -> std::path::PathBuf {
@@ -35,11 +36,6 @@ fn workspace_has_no_model_lint_violations() {
             .join("\n")
     );
     assert!(
-        report.stale_baseline.is_empty(),
-        "stale baseline entries (remove them):\n{}",
-        report.stale_baseline.join("\n")
-    );
-    assert!(
         report.stale_allow.is_empty(),
         "stale allowlist entries (matched nothing):\n{}",
         report.stale_allow.join("\n")
@@ -49,19 +45,33 @@ fn workspace_has_no_model_lint_violations() {
 
 #[test]
 fn semantic_suppressions_are_in_active_use() {
-    // The semantic passes must actually be exercising the suppression
-    // planes on the real tree: the hot-path scratch allowlist and the
-    // cycle-routing manifest both exist because real code needs them.
-    // If these counts drop to zero the passes silently stopped seeing
-    // the workspace (wrong scope filter, parser regression, ...).
-    let report = audit::scan_workspace(&workspace_root()).expect("scan must succeed");
-    let hot = report
-        .suppressed_by_rule
-        .get("hot-path")
-        .copied()
-        .unwrap_or(0);
+    // The cycle-routing manifest exists because real code needs it:
+    // scanned without it, the simulator's counter-mutating functions
+    // must surface as findings. If none do, the pass silently stopped
+    // seeing the workspace (wrong scope filter, parser regression, ...).
+    let root = workspace_root();
+    let ctx = audit::load_context(&root).expect("context");
+    let manifest = audit::load_manifest(&root).expect("manifest");
     assert!(
-        hot > 0,
-        "hot-path pass suppressed nothing — is the access_stream call graph empty?"
+        !manifest.entries.is_empty(),
+        "the cycle-routing manifest is empty"
+    );
+    let sources = audit::read_sources(&root).expect("sources");
+    let unmanifested = audit::scan_sources(
+        &sources,
+        &ctx,
+        &audit::Allowlist::default(),
+        &CycleManifest::default(),
+    );
+    let unrouted = unmanifested
+        .findings
+        .iter()
+        .filter(|f| f.rule == audit::rules::CYCLE_ROUTING)
+        .count();
+    assert!(
+        unrouted >= manifest.entries.len(),
+        "without the manifest the cycle-routing pass found {unrouted} unrouted mutations for \
+         {} manifest entries — is it still reading the simulator crates?",
+        manifest.entries.len()
     );
 }

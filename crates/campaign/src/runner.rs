@@ -30,7 +30,7 @@ use sgxgauge_core::{
 };
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use trace::{CampaignEvent, CampaignLog, ShedReason};
 
 /// Publish attempts per artifact before a transient storm is treated as
@@ -99,7 +99,11 @@ impl From<ArtifactError> for CampaignError {
 /// journal intent and its commit looks like to the artifact plane.
 #[derive(Debug, Default)]
 pub struct KillState {
-    renames_left: Mutex<Option<u64>>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the kill countdown is shared by every worker's artifact I/O"
+    )]
+    renames_left: std::sync::Mutex<Option<u64>>,
     dead: AtomicBool,
 }
 
@@ -109,7 +113,7 @@ impl KillState {
     #[must_use]
     pub fn after_renames(nth: u64) -> Arc<KillState> {
         Arc::new(KillState {
-            renames_left: Mutex::new(Some(nth.max(1))),
+            renames_left: Some(nth.max(1)).into(),
             dead: AtomicBool::new(false),
         })
     }

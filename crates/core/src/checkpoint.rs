@@ -36,8 +36,9 @@ use crate::workload::{Workload, WorkloadOutput};
 use mem_sim::Counters;
 use sgx_sim::{CounterField, DriverStats, SgxCounters};
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use trace::json::escape;
 
 /// Bounded retry budget for checkpoint publishes: transient (EIO) and
 /// torn write failures are redone this many times before the sweep
@@ -148,17 +149,18 @@ impl SuiteRunner {
             path: path.to_path_buf(),
             io,
             journal: Journal::for_artifact(path),
-            state: Mutex::new(SinkState {
+            state: SinkState {
                 grid_fp,
                 cells: retained,
                 error: None,
-            }),
+            }
+            .into(),
         };
         // Write the header (plus any adopted cells) up front so even a
         // sweep killed before its first completed cell leaves a valid,
         // resumable file behind.
         sink.flush()?;
-        let report = self.execute_resumable(workloads, self.thread_count(), prefilled, Some(&sink));
+        let report = self.execute_resumable(workloads, prefilled, Some(&sink));
         sink.take_error()?;
         // Clean end of run: the journal has no pending intent, retire it
         // so the next startup's recovery scan is a no-op.
@@ -200,7 +202,11 @@ pub(crate) struct CheckpointSink<'a> {
     path: PathBuf,
     io: &'a dyn ArtifactIo,
     journal: Journal,
-    state: Mutex<SinkState>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "every sweep worker records its finished cell into one file"
+    )]
+    state: std::sync::Mutex<SinkState>,
 }
 
 struct SinkState {
@@ -312,22 +318,13 @@ pub fn adopt_stored_cell(
 // ---------------------------------------------------------------------
 
 fn cell_json(index: usize, cell: &SweepCell) -> String {
-    let mut out = String::new();
-    out.push_str("{\"index\":");
-    out.push_str(&index.to_string());
-    out.push_str(",\"workload\":");
-    json_string(&mut out, cell.workload);
-    out.push_str(",\"key\":");
-    json_string(&mut out, &cell.cell.to_string());
-    for (key, v) in [
-        ("attempts", cell.attempts as u64),
-        ("backoff", cell.backoff_cycles),
-    ] {
-        out.push_str(",\"");
-        out.push_str(key);
-        out.push_str("\":");
-        out.push_str(&v.to_string());
-    }
+    let mut out = format!(
+        "{{\"index\":{index},\"workload\":\"{}\",\"key\":\"{}\",\"attempts\":{},\"backoff\":{}",
+        escape(cell.workload),
+        escape(&cell.cell.to_string()),
+        cell.attempts,
+        cell.backoff_cycles
+    );
     // The attempt trail is optional (emitted only when non-empty), so
     // v2 files written before trails existed parse unchanged.
     if !cell.trail.is_empty() {
@@ -336,49 +333,46 @@ fn cell_json(index: usize, cell: &SweepCell) -> String {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str("{\"attempt\":");
-            out.push_str(&a.attempt.to_string());
-            out.push_str(",\"kind\":");
-            json_string(&mut out, &a.kind.to_string());
-            out.push_str(",\"message\":");
-            json_string(&mut out, &a.message);
-            out.push('}');
+            let _ = write!(
+                out,
+                "{{\"attempt\":{},\"kind\":\"{}\",\"message\":\"{}\"}}",
+                a.attempt,
+                escape(&a.kind.to_string()),
+                escape(&a.message)
+            );
         }
         out.push(']');
     }
     match &cell.result {
         Ok(r) => {
-            out.push_str(",\"ok\":{\"runtime\":");
-            out.push_str(&r.runtime_cycles.to_string());
-            out.push_str(",\"clock\":");
-            out.push_str(&r.clock_hz.to_string());
-            out.push_str(",\"counters\":");
+            let _ = write!(
+                out,
+                ",\"ok\":{{\"runtime\":{},\"clock\":{},\"counters\":",
+                r.runtime_cycles, r.clock_hz
+            );
             named_u64s(&mut out, r.counters.fields());
             out.push_str(",\"sgx\":");
             named_u64s(&mut out, r.sgx.fields());
-            out.push_str(",\"ops\":");
-            out.push_str(&r.output.ops.to_string());
-            out.push_str(",\"checksum\":");
-            out.push_str(&r.output.checksum.to_string());
-            out.push_str(",\"metrics\":[");
+            let _ = write!(
+                out,
+                ",\"ops\":{},\"checksum\":{},\"metrics\":[",
+                r.output.ops, r.output.checksum
+            );
             for (i, (name, v)) in r.output.metrics.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
-                out.push('[');
-                json_string(&mut out, name);
-                out.push(',');
-                out.push_str(&v.to_bits().to_string());
-                out.push(']');
+                let _ = write!(out, "[\"{}\",{}]", escape(name), v.to_bits());
             }
             out.push_str("]}");
         }
         Err(e) => {
-            out.push_str(",\"err\":{\"kind\":");
-            json_string(&mut out, &e.kind.to_string());
-            out.push_str(",\"message\":");
-            json_string(&mut out, &e.message);
-            out.push('}');
+            let _ = write!(
+                out,
+                ",\"err\":{{\"kind\":\"{}\",\"message\":\"{}\"}}",
+                escape(&e.kind.to_string()),
+                escape(&e.message)
+            );
         }
     }
     out.push('}');
@@ -391,31 +385,9 @@ fn named_u64s(out: &mut String, pairs: impl IntoIterator<Item = (&'static str, u
         if i > 0 {
             out.push(',');
         }
-        out.push('[');
-        json_string(out, name);
-        out.push(',');
-        out.push_str(&v.to_string());
-        out.push(']');
+        let _ = write!(out, "[\"{}\",{v}]", escape(name));
     }
     out.push(']');
-}
-
-fn json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 // ---------------------------------------------------------------------

@@ -23,7 +23,7 @@ use faults::{FaultHook, InjectedFault};
 use libos_sim::{LibosProcess, Manifest};
 use mem_sim::{AccessKind, ThreadId, PAGE_SIZE};
 use sgx_sim::{EnclaveId, SgxConfig, SgxMachine};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Where a region lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -210,7 +210,7 @@ pub struct Env {
     mode: ExecMode,
     machine: SgxMachine,
     regions: Vec<RegionData>,
-    files: HashMap<String, FileEntry>,
+    files: BTreeMap<String, FileEntry>,
     native_enclave: Option<EnclaveId>,
     libos: Option<LibosProcess>,
     threads: Vec<ThreadMeta>,
@@ -289,7 +289,7 @@ impl Env {
             mode: cfg.mode,
             machine,
             regions: Vec::new(),
-            files: HashMap::new(),
+            files: BTreeMap::new(),
             native_enclave,
             libos,
             threads: vec![ThreadMeta {

@@ -31,7 +31,6 @@
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
 use faults::{IoFaultPlan, XorShift64};
 
@@ -326,7 +325,11 @@ struct ChaosState {
 pub struct ChaosFs {
     inner: Box<dyn ArtifactIo>,
     plan: IoFaultPlan,
-    state: Mutex<ChaosState>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "ArtifactIo is shared across sweep workers; the fault draws are host-side"
+    )]
+    state: std::sync::Mutex<ChaosState>,
 }
 
 impl ChaosFs {
@@ -336,12 +339,13 @@ impl ChaosFs {
         ChaosFs {
             inner,
             plan,
-            state: Mutex::new(ChaosState {
+            state: ChaosState {
                 rng,
                 writes_seen: 0,
                 renames_seen: 0,
                 crashed: false,
-            }),
+            }
+            .into(),
         }
     }
 

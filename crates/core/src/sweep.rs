@@ -41,7 +41,7 @@ use faults::FaultPlan;
 use sgx_sim::costs::RETRY_BACKOFF_BASE_CYCLES;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// The optional co-tenancy coordinate of a grid cell: how many tenants
 /// shared the EPC while the cell ran, and how many of them were
@@ -728,7 +728,7 @@ impl SuiteRunner {
     /// which thread finished when. A panicking cell is captured into a
     /// [`CellError`] and the sweep continues.
     pub fn run(&self, workloads: &[&dyn Workload]) -> SweepReport {
-        self.execute(workloads, self.thread_count())
+        self.execute_resumable(workloads, Vec::new(), None)
     }
 
     /// [`SuiteRunner::run`], but enforcing the quarantine tolerance:
@@ -739,7 +739,7 @@ impl SuiteRunner {
     ///
     /// [`SweepError::QuarantineExceeded`] when the run is globally sick.
     pub fn try_run(&self, workloads: &[&dyn Workload]) -> Result<SweepReport, SweepError> {
-        let report = self.execute(workloads, self.thread_count());
+        let report = self.execute_resumable(workloads, Vec::new(), None);
         self.enforce_quarantine(&report)?;
         Ok(report)
     }
@@ -760,15 +760,6 @@ impl SuiteRunner {
         Ok(())
     }
 
-    /// Resolves the configured thread count (`0` → one per core).
-    pub(crate) fn thread_count(&self) -> usize {
-        if self.threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            self.threads
-        }
-    }
-
     /// Runs an explicit subset of cells across the configured worker
     /// threads, outcomes in the order the cells were given.
     ///
@@ -779,31 +770,16 @@ impl SuiteRunner {
     /// interleaved. No quarantine/stop supervision is applied here —
     /// the caller owns cell-level policy.
     pub fn run_cells(&self, workloads: &[&dyn Workload], cells: &[CellKey]) -> Vec<SweepCell> {
-        let n = cells.len();
-        let threads = self.thread_count().clamp(1, n.max(1));
-        let next = AtomicUsize::new(0);
-        let slots: Mutex<Vec<Option<SweepCell>>> = Mutex::new((0..n).map(|_| None).collect());
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let done = self.run_cell(workloads, cells[i]);
-                    slots
-                        .lock()
-                        .expect("no worker holds the lock across a panic")[i] = Some(done);
-                });
-            }
-        });
-        slots
-            .into_inner()
-            .expect("workers finished cleanly")
-            .into_iter()
-            .enumerate()
-            .map(|(i, s)| s.unwrap_or_else(|| skipped_cell(workloads, cells[i])))
-            .collect()
+        fan_out(
+            cells.len(),
+            self.threads,
+            || false,
+            |i| self.run_cell(workloads, cells[i]),
+        )
+        .into_iter()
+        .enumerate()
+        .map(|(i, s)| s.unwrap_or_else(|| skipped_cell(workloads, cells[i])))
+        .collect()
     }
 
     /// Runs the grid on the calling thread, no pool involved — the
@@ -817,27 +793,18 @@ impl SuiteRunner {
         SweepReport { cells: out }
     }
 
-    fn execute(&self, workloads: &[&dyn Workload], threads: usize) -> SweepReport {
-        self.execute_resumable(workloads, threads, Vec::new(), None)
-    }
-
-    /// [`SuiteRunner::execute`] with resume support: `prefilled` slots
-    /// (grid index → already-completed cell, from a checkpoint) are not
+    /// Runs the grid with resume support: `prefilled` slots (grid
+    /// index → already-completed cell, from a checkpoint) are not
     /// re-run, and every freshly completed cell is offered to `sink`
     /// before the sweep moves on.
     pub(crate) fn execute_resumable(
         &self,
         workloads: &[&dyn Workload],
-        threads: usize,
         prefilled: Vec<(usize, SweepCell)>,
         sink: Option<&CheckpointSink<'_>>,
     ) -> SweepReport {
         let cells = self.grid(workloads);
-        let n = cells.len();
-        let threads = threads.clamp(1, n.max(1));
-        let next = AtomicUsize::new(0);
-        let mut initial: Vec<Option<SweepCell>> = (0..n).map(|_| None).collect();
-        let mut skip = vec![false; n];
+        let mut slots: Vec<Option<SweepCell>> = (0..cells.len()).map(|_| None).collect();
         let mut seeded_quarantine = 0usize;
         for (i, cell) in prefilled {
             if let Err(e) = &cell.result {
@@ -845,52 +812,38 @@ impl SuiteRunner {
                     seeded_quarantine += 1;
                 }
             }
-            skip[i] = true;
-            initial[i] = Some(cell);
+            slots[i] = Some(cell);
         }
+        let todo: Vec<usize> = (0..cells.len()).filter(|&i| slots[i].is_none()).collect();
         let quarantined = AtomicUsize::new(seeded_quarantine);
         let sick = AtomicBool::new(
             self.max_quarantine
                 .is_some_and(|max| seeded_quarantine > max),
         );
-        let slots: Mutex<Vec<Option<SweepCell>>> = Mutex::new(initial);
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                s.spawn(|| loop {
-                    if sick.load(Ordering::Relaxed) || self.stop_requested() {
-                        break;
+        let halt = || sick.load(Ordering::Relaxed) || self.stop_requested();
+        let fresh = fan_out(todo.len(), self.threads, halt, |k| {
+            let i = todo[k];
+            let done = self.run_cell(workloads, cells[i]);
+            if let Err(e) = &done.result {
+                if e.quarantines() {
+                    let q = quarantined.fetch_add(1, Ordering::Relaxed) + 1;
+                    if self.max_quarantine.is_some_and(|max| q > max) {
+                        sick.store(true, Ordering::Relaxed);
                     }
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    if skip[i] {
-                        continue;
-                    }
-                    let done = self.run_cell(workloads, cells[i]);
-                    if let Err(e) = &done.result {
-                        if e.quarantines() {
-                            let q = quarantined.fetch_add(1, Ordering::Relaxed) + 1;
-                            if self.max_quarantine.is_some_and(|max| q > max) {
-                                sick.store(true, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                    if let Some(sink) = sink {
-                        sink.record(i, &done);
-                    }
-                    slots
-                        .lock()
-                        .expect("no worker holds the lock across a panic")[i] = Some(done);
-                });
+                }
             }
+            if let Some(sink) = sink {
+                sink.record(i, &done);
+            }
+            done
         });
+        for (&i, done) in todo.iter().zip(fresh) {
+            slots[i] = done;
+        }
         // Unclaimed slots (the sweep went sick or was asked to stop)
         // become Skipped cells: enumerated in the report, absent from
         // the checkpoint, re-run on resume.
         let out = slots
-            .into_inner()
-            .expect("workers finished cleanly")
             .into_iter()
             .enumerate()
             .map(|(i, s)| s.unwrap_or_else(|| skipped_cell(workloads, cells[i])))
@@ -958,6 +911,53 @@ impl SuiteRunner {
             trail,
         }
     }
+}
+
+/// The workspace's one worker pool: runs `job(i)` for every `i` in
+/// `0..n` on `threads` scoped workers (`0` = one per available core)
+/// and returns the outcomes in index order, so the result cannot depend
+/// on the worker count or on which worker finished first. Each worker
+/// claims the next unclaimed index; once `halt()` holds, workers stop
+/// claiming and every unclaimed index stays `None`. A panicking job
+/// propagates once every worker has stopped.
+pub fn fan_out<T: Send>(
+    n: usize,
+    threads: usize,
+    halt: impl Fn() -> bool + Sync,
+    job: impl Fn(usize) -> T + Sync,
+) -> Vec<Option<T>> {
+    let threads = match threads {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        t => t,
+    };
+    let next = AtomicUsize::new(0);
+    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    std::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads.clamp(1, n.max(1)))
+            .map(|_| {
+                s.spawn(|| {
+                    let mut done = Vec::new();
+                    while !halt() {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        done.push((i, job(i)));
+                    }
+                    done
+                })
+            })
+            .collect();
+        for worker in workers {
+            let done = worker
+                .join()
+                .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+            for (i, out) in done {
+                slots[i] = Some(out);
+            }
+        }
+    });
+    slots
 }
 
 /// The placeholder for a cell the sweep never claimed.

@@ -78,15 +78,23 @@ impl BuildHasher for FxBuildHasher {
     }
 }
 
+/// A `HashMap` keyed through [`FxHasher`]. The workspace bans std's
+/// randomly seeded maps; this one has a fixed seed, so its iteration
+/// order is a function of the inserts alone.
+#[expect(
+    clippy::disallowed_types,
+    reason = "fixed seed: iteration order is a function of the inserts"
+)]
+pub(crate) type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
 
     #[test]
     fn distinct_keys_distinct_hashes() {
         let b = FxBuildHasher;
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for k in 0..10_000u64 {
             let mut h = b.build_hasher();
             h.write_u64(k);
@@ -99,7 +107,7 @@ mod tests {
 
     #[test]
     fn works_as_hashmap_hasher() {
-        let mut m: HashMap<u64, u32, FxBuildHasher> = HashMap::default();
+        let mut m: FxHashMap<u64, u32> = FxHashMap::default();
         for k in 0..100 {
             m.insert(k, k as u32 * 2);
         }

@@ -238,6 +238,10 @@ impl Machine {
     ///
     /// Panics if [`Machine::try_new`] rejects `cfg`; use it to handle the
     /// error instead.
+    #[expect(
+        clippy::panic,
+        reason = "documented constructor contract; try_new is the fallible form"
+    )]
     pub fn new(cfg: MachineConfig) -> Self {
         match Machine::try_new(cfg) {
             Ok(m) => m,

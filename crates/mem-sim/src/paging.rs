@@ -7,8 +7,7 @@
 //! cheap: a walk whose 2 MiB region was walked recently costs
 //! `walk_fast`, a cold walk costs `walk_slow`.
 
-use crate::fxhash::FxBuildHasher;
-use std::collections::HashMap;
+use crate::fxhash::FxHashMap;
 
 /// Result of touching a page through the OS paging layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,7 +50,7 @@ const NO_REGION: u64 = u64::MAX;
 #[derive(Debug, Clone)]
 pub struct PageTable {
     /// Region number (`page >> 9`) to chunk index.
-    index: HashMap<u64, u32, FxBuildHasher>,
+    index: FxHashMap<u64, u32>,
     /// Presence bitmaps, one per region ever touched.
     chunks: Vec<Bitmap>,
     /// Last region resolved, or [`NO_REGION`].
@@ -66,7 +65,7 @@ pub struct PageTable {
 impl Default for PageTable {
     fn default() -> Self {
         PageTable {
-            index: HashMap::default(),
+            index: FxHashMap::default(),
             chunks: Vec::new(),
             memo_region: NO_REGION,
             memo_chunk: 0,

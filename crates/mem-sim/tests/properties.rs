@@ -19,7 +19,7 @@ proptest! {
     fn faults_bounded_by_distinct_pages(accesses in prop::collection::vec(arb_access(), 1..200)) {
         let mut m = Machine::new(MachineConfig::default());
         let t = m.add_thread();
-        let mut pages = std::collections::HashSet::new();
+        let mut pages = std::collections::BTreeSet::new();
         for &(addr, len, kind) in &accesses {
             m.access(t, addr, len, kind, &AccessAttrs::PLAIN);
             let first = addr / PAGE_SIZE;

@@ -324,6 +324,10 @@ impl Epc {
 
     /// Panics on the first violated invariant (audit builds only).
     #[cfg(feature = "audit")]
+    #[expect(
+        clippy::panic,
+        reason = "audit builds stop at the first broken invariant"
+    )]
     fn audit(&self) {
         if let Err(e) = self.check_invariants() {
             panic!("EPC audit: {e}");
@@ -383,7 +387,13 @@ impl Epc {
             self.frames.push(meta);
             self.resident.insert(key, (self.frames.len() - 1) as u32);
         } else {
-            unreachable!("evict_batch guarantees free space");
+            #[expect(
+                clippy::unreachable,
+                reason = "contract: evict_batch just freed a full batch of frames"
+            )]
+            {
+                unreachable!("evict_batch guarantees free space")
+            }
         }
         self.audit();
         EpcEvent { kind, evicted }

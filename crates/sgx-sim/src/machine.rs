@@ -1011,6 +1011,10 @@ impl SgxMachine {
                 self.counters.epc_loadbacks += 1;
                 fault_cycles += c;
             }
+            #[expect(
+                clippy::unreachable,
+                reason = "contract: the caller checked the page non-resident"
+            )]
             EpcFaultKind::Resident => unreachable!("page checked non-resident above"),
         }
         self.driver.record(
@@ -1227,6 +1231,10 @@ impl SgxMachine {
 
     /// Panics on the first violated invariant (audit builds only).
     #[cfg(feature = "audit")]
+    #[expect(
+        clippy::panic,
+        reason = "audit builds stop at the first broken invariant"
+    )]
     fn audit(&self) {
         if let Err(e) = self.check_invariants() {
             panic!("SGX machine audit: {e}");

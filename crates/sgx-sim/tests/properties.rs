@@ -52,7 +52,7 @@ proptest! {
             prop_assert!(!(epc.is_resident(key(p)) && epc.is_evicted(key(p))));
         }
         // Every distinct page is exactly one of: resident, evicted.
-        let distinct: std::collections::HashSet<_> = pages.iter().copied().collect();
+        let distinct: std::collections::BTreeSet<_> = pages.iter().copied().collect();
         for &p in &distinct {
             prop_assert!(epc.is_resident(key(p)) ^ epc.is_evicted(key(p)),
                 "page {p} must be exactly one of resident/evicted");

@@ -100,7 +100,10 @@ impl TraceSink {
     }
 }
 
-pub(crate) fn escape(s: &str) -> String {
+/// Escapes `s` for embedding between JSON double quotes: `"`, `\\` and
+/// the control characters, with the common ones in their short form.
+/// The simulator's one JSON string escaper (traces, checkpoints).
+pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

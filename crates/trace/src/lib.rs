@@ -34,10 +34,19 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![deny(
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::dbg_macro
+)]
 
 pub mod campaign;
 mod event;
-mod json;
+pub mod json;
 pub mod relay;
 mod sink;
 mod timeline;

@@ -63,7 +63,7 @@ mod tests {
     fn splitmix_is_deterministic_and_spread() {
         let mut a = SplitMix64::new(1);
         let mut b = SplitMix64::new(1);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for _ in 0..1000 {
             let v = a.next_u64();
             assert_eq!(v, b.next_u64());

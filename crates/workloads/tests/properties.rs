@@ -21,7 +21,7 @@ proptest! {
     fn region_bytes_roundtrip(writes in prop::collection::vec((0u64..4000, any::<u64>()), 1..64)) {
         let mut env = quick_env();
         let r = env.alloc(4096, Placement::Untrusted).expect("alloc");
-        let mut oracle = std::collections::HashMap::new();
+        let mut oracle = std::collections::BTreeMap::new();
         for &(off, v) in &writes {
             let off = off & !7; // align
             env.write_u64(r, off, v);

@@ -384,7 +384,7 @@ mod tests {
         let mut g = ScrambledZipfian::new(10_000, 11);
         // The most popular key should NOT be key 0 with overwhelming
         // probability (it's fnv1a(0) % n).
-        let mut counts = std::collections::HashMap::new();
+        let mut counts = std::collections::BTreeMap::new();
         for _ in 0..50_000 {
             *counts.entry(g.next_key()).or_insert(0u32) += 1;
         }
@@ -451,7 +451,7 @@ mod tests {
     #[test]
     fn hotspot_whole_space_reachable() {
         let mut g = Hotspot::new(50, 10);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for _ in 0..20_000 {
             seen.insert(g.next_key());
         }

@@ -14,8 +14,8 @@ use sgxgauge::core::report::{
     cycle_breakdown, humanize, quarantine_table, sweep_table, RatioRow, ReportTable,
 };
 use sgxgauge::core::{
-    ArtifactIo, CellKey, ChaosFs, EnvConfig, ExecMode, InputSetting, PartyDim, RealFs, RunReport,
-    Runner, RunnerConfig, SuiteRunner, TenantDim, TraceConfig, Workload,
+    fan_out, ArtifactIo, CellKey, ChaosFs, EnvConfig, ExecMode, InputSetting, PartyDim, RealFs,
+    RunReport, Runner, RunnerConfig, SuiteRunner, TenantDim, TraceConfig, Workload,
 };
 use sgxgauge::faults::{FaultPlan, IoFaultPlan, NetFaultPlan};
 use sgxgauge::mem::PAGE_SIZE;
@@ -23,7 +23,7 @@ use sgxgauge::relay::{run_mpc, MpcConfig, MpcError, MpcReport};
 use sgxgauge::sgx::{Host, SgxConfig, TenantId, TenantOp, TenantReport, TenantSpec};
 use sgxgauge::stats::BarChart;
 use sgxgauge::workloads::{suite, suite_scaled};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -119,9 +119,9 @@ fn known_flags(cmd: &str) -> Option<&'static str> {
 /// Parses `--name value` pairs (and the valueless `--pf`) for `cmd`. A
 /// flag `cmd` does not read, or one given twice, is an error naming it:
 /// silently ignoring a misspelled `--fault` would run fault-free.
-fn parse_flags(cmd: &str, args: &[String]) -> Result<HashMap<String, String>, String> {
+fn parse_flags(cmd: &str, args: &[String]) -> Result<BTreeMap<String, String>, String> {
     let known = known_flags(cmd).ok_or_else(|| format!("unknown command `{cmd}`"))?;
-    let mut flags = HashMap::new();
+    let mut flags = BTreeMap::new();
     let mut i = 0;
     while i < args.len() {
         let a = &args[i];
@@ -143,6 +143,28 @@ fn parse_flags(cmd: &str, args: &[String]) -> Result<HashMap<String, String>, St
         }
     }
     Ok(flags)
+}
+
+/// `--jobs <n>`: worker threads, where `0` (the default) means one per
+/// core — resolved by [`fan_out`], the one worker pool.
+fn parse_jobs(flags: &BTreeMap<String, String>) -> Result<usize, String> {
+    flags
+        .get("jobs")
+        .map_or(Ok(0), |s| s.parse())
+        .map_err(|_| "bad --jobs".to_owned())
+}
+
+/// Runs `cell(i)` for every grid index `i < n` on `jobs` workers and
+/// returns the cells in grid order, or the first failure in grid order.
+fn run_grid<T: Send>(
+    n: usize,
+    jobs: usize,
+    cell: impl Fn(usize) -> Result<T, String> + Sync,
+) -> Result<Vec<T>, String> {
+    fan_out(n, jobs, || false, cell)
+        .into_iter()
+        .map(|slot| slot.unwrap_or_else(|| Err("cell never ran (internal error)".to_owned())))
+        .collect()
 }
 
 fn parse_mode(s: &str) -> Result<ExecMode, String> {
@@ -171,7 +193,7 @@ fn find_workload(scale: u64, name: &str) -> Result<Box<dyn Workload>, String> {
         })
 }
 
-fn runner(flags: &HashMap<String, String>) -> Result<Runner, String> {
+fn runner(flags: &BTreeMap<String, String>) -> Result<Runner, String> {
     let mut env = EnvConfig::paper(ExecMode::Vanilla, 0);
     if let Some(w) = flags.get("switchless") {
         let workers: usize = w
@@ -261,7 +283,7 @@ fn cmd_list() -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_run(flags: &BTreeMap<String, String>) -> Result<(), String> {
     let scale: u64 = flags
         .get("scale")
         .map_or(Ok(1), |s| s.parse())
@@ -277,7 +299,7 @@ fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_compare(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_compare(flags: &BTreeMap<String, String>) -> Result<(), String> {
     let scale: u64 = flags
         .get("scale")
         .map_or(Ok(1), |s| s.parse())
@@ -332,7 +354,7 @@ fn cmd_compare(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_suite(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_suite(flags: &BTreeMap<String, String>) -> Result<(), String> {
     let scale: u64 = flags
         .get("scale")
         .map_or(Ok(1), |s| s.parse())
@@ -344,10 +366,7 @@ fn cmd_suite(flags: &HashMap<String, String>) -> Result<(), String> {
         .get("reps")
         .map_or(Ok(1), |s| s.parse())
         .map_err(|_| "bad --reps")?;
-    let jobs: usize = flags
-        .get("jobs")
-        .map_or(Ok(0), |s| s.parse())
-        .map_err(|_| "bad --jobs")?;
+    let jobs = parse_jobs(flags)?;
     let modes: Vec<ExecMode> = match flags.get("modes") {
         None => ExecMode::ALL.to_vec(),
         Some(spec) => spec
@@ -468,7 +487,7 @@ fn cmd_suite(flags: &HashMap<String, String>) -> Result<(), String> {
 
 /// The artifact I/O backend the CLI should publish through: the real
 /// filesystem, or a deterministic chaos wrapper when `--io-faults` is given.
-fn artifact_backend(flags: &HashMap<String, String>) -> Result<Box<dyn ArtifactIo>, String> {
+fn artifact_backend(flags: &BTreeMap<String, String>) -> Result<Box<dyn ArtifactIo>, String> {
     match flags.get("io-faults") {
         None => Ok(Box::new(RealFs)),
         Some(spec) => {
@@ -482,17 +501,14 @@ fn artifact_backend(flags: &HashMap<String, String>) -> Result<Box<dyn ArtifactI
     }
 }
 
-fn cmd_trace(name: &str, flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_trace(name: &str, flags: &BTreeMap<String, String>) -> Result<(), String> {
     let scale: u64 = flags
         .get("scale")
         .map_or(Ok(1), |s| s.parse())
         .map_err(|_| "bad --scale")?;
     let mode = parse_mode(flags.get("mode").ok_or("--mode is required")?)?;
     let setting = parse_setting(flags.get("setting").ok_or("--setting is required")?)?;
-    let jobs: usize = flags
-        .get("jobs")
-        .map_or(Ok(0), |s| s.parse())
-        .map_err(|_| "bad --jobs")?;
+    let jobs = parse_jobs(flags)?;
     let mut tc = TraceConfig::default();
     if let Some(s) = flags.get("sample") {
         tc.sample_interval_cycles = s.parse().map_err(|_| "bad --sample".to_owned())?;
@@ -709,7 +725,7 @@ fn run_cotenancy_cell(
     })
 }
 
-fn cmd_cotenancy(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_cotenancy(flags: &BTreeMap<String, String>) -> Result<(), String> {
     let tenants: u8 = flags
         .get("tenants")
         .map_or(Ok(4), |s| s.parse())
@@ -732,43 +748,14 @@ fn cmd_cotenancy(flags: &HashMap<String, String>) -> Result<(), String> {
         .get("ops")
         .map_or(Ok(1_000), |s| s.parse())
         .map_err(|_| "bad --ops")?;
-    let jobs: usize = flags
-        .get("jobs")
-        .map_or(Ok(0), |s| s.parse())
-        .map_err(|_| "bad --jobs")?;
-    let jobs = if jobs == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        jobs
-    };
+    let jobs = parse_jobs(flags)?;
     let traced = flags.contains_key("timeline");
 
     // Fan the cells (antagonist counts 0..tenants) across workers;
     // aggregate strictly in grid order.
-    let n = usize::from(tenants);
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots: Vec<std::sync::Mutex<Option<Result<CotenancyCell, String>>>> =
-        (0..n).map(|_| std::sync::Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..jobs.min(n) {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let out = run_cotenancy_cell(i as u8, wave, epc_pages, ops, traced);
-                *slots[i].lock().expect("cell slot lock") = Some(out);
-            });
-        }
-    });
-    let mut cells = Vec::with_capacity(n);
-    for slot in slots {
-        cells.push(
-            slot.into_inner()
-                .expect("cell slot lock")
-                .ok_or("cell never ran (internal error)")??,
-        );
-    }
+    let cells = run_grid(usize::from(tenants), jobs, |i| {
+        run_cotenancy_cell(i as u8, wave, epc_pages, ops, traced)
+    })?;
 
     // Noisy-neighbor curve: victim slowdown is relative to the
     // antagonist-free cell, which is always grid index 0.
@@ -883,7 +870,7 @@ fn run_mpc_cell(p: u32, t: u32, rounds: u32, net: &NetFaultPlan) -> Result<MpcCe
     }
 }
 
-fn cmd_mpc(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_mpc(flags: &BTreeMap<String, String>) -> Result<(), String> {
     let parties: u32 = flags
         .get("parties")
         .map_or(Ok(5), |s| s.parse())
@@ -909,42 +896,13 @@ fn cmd_mpc(flags: &HashMap<String, String>) -> Result<(), String> {
         Some(spec) => NetFaultPlan::parse(spec)?,
         None => NetFaultPlan::default(),
     };
-    let jobs: usize = flags
-        .get("jobs")
-        .map_or(Ok(0), |s| s.parse())
-        .map_err(|_| "bad --jobs")?;
-    let jobs = if jobs == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        jobs
-    };
+    let jobs = parse_jobs(flags)?;
 
     // Quorum-survival curve: party counts t..=n, same plan, same quorum.
     let counts: Vec<u32> = (threshold.max(2)..=parties).collect();
-    let n = counts.len();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots: Vec<std::sync::Mutex<Option<Result<MpcCell, String>>>> =
-        (0..n).map(|_| std::sync::Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..jobs.min(n) {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let out = run_mpc_cell(counts[i], threshold, rounds, &net);
-                *slots[i].lock().expect("cell slot lock") = Some(out);
-            });
-        }
-    });
-    let mut cells = Vec::with_capacity(n);
-    for slot in slots {
-        cells.push(
-            slot.into_inner()
-                .expect("cell slot lock")
-                .ok_or("cell never ran (internal error)")??,
-        );
-    }
+    let cells = run_grid(counts.len(), jobs, |i| {
+        run_mpc_cell(counts[i], threshold, rounds, &net)
+    })?;
 
     let mut table = ReportTable::new(
         &format!("MPC threshold-signing sweep ({threshold}-of-p, {rounds} rounds)"),
@@ -1015,7 +973,7 @@ fn cmd_mpc(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_campaign(config_path: &str, flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_campaign(config_path: &str, flags: &BTreeMap<String, String>) -> Result<(), String> {
     let text = RealFs
         .read(std::path::Path::new(config_path))
         .map_err(|e| e.to_string())?;
