@@ -27,8 +27,7 @@
 use mem_sim::PAGE_SIZE;
 use sgx_sim::host::{Host, TenantId, TenantOp, TenantSpec};
 use sgx_sim::SgxConfig;
-use sgxgauge_bench::{banner, results_dir};
-use std::path::PathBuf;
+use sgxgauge_bench::{banner, sgxgauge_bench};
 
 /// Measured fractions may exceed the committed trajectory point by at
 /// most this factor. Both metrics are deterministic, so the headroom
@@ -126,32 +125,22 @@ fn main() {
         "the antagonist must visibly slow the victim: {slowdown:.4}x <= {SLOWDOWN_FLOOR}x"
     );
 
-    let json = format!(
-        "{{\n  \"bench\": \"cotenancy\",\n  \"solo_cycles\": {solo},\n  \
-         \"cotenant_cycles\": {co},\n  \"interleave_skew_fraction\": {skew:.4},\n  \
-         \"victim_quiet_cycles\": {quiet_cycles},\n  \
-         \"victim_noisy_cycles\": {noisy_cycles},\n  \
-         \"victim_slowdown\": {slowdown:.4}\n}}\n"
+    let baseline = sgxgauge_bench(
+        "cotenancy",
+        &[
+            ("solo_cycles", &solo),
+            ("cotenant_cycles", &co),
+            ("interleave_skew_fraction", &format!("{skew:.4}")),
+            ("victim_quiet_cycles", &quiet_cycles),
+            ("victim_noisy_cycles", &noisy_cycles),
+            ("victim_slowdown", &format!("{slowdown:.4}")),
+        ],
     );
-    let out = std::env::var("SGXGAUGE_PERF_OUT")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| results_dir().join("BENCH_cotenancy.json"));
-    if let Some(dir) = out.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    match std::fs::write(&out, &json) {
-        Ok(()) => println!("[json] {}", out.display()),
-        Err(e) => eprintln!("[json] failed to write {}: {e}", out.display()),
-    }
 
     // Regression gate against the committed trajectory point.
-    if let Ok(baseline_path) = std::env::var("SGXGAUGE_PERF_BASELINE") {
-        let blob = std::fs::read_to_string(baseline_file(&baseline_path))
-            .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
-        let base_skew = json_number(&blob, "interleave_skew_fraction")
-            .unwrap_or_else(|| panic!("no interleave_skew_fraction in {baseline_path}"));
-        let base_slowdown = json_number(&blob, "victim_slowdown")
-            .unwrap_or_else(|| panic!("no victim_slowdown in {baseline_path}"));
+    if let Some(baseline) = baseline {
+        let base_skew = baseline.number("interleave_skew_fraction");
+        let base_slowdown = baseline.number("victim_slowdown");
         println!(
             "baseline skew {base_skew:.4} slowdown {base_slowdown:.4} \
              (gate: <= {HEADROOM:.2}x baseline)"
@@ -168,29 +157,4 @@ fn main() {
         );
     }
     println!("PASS: skew {skew:.4}, victim slowdown {slowdown:.4}x");
-}
-
-/// Pulls `"key": <number>` out of a JSON blob without a parser (the
-/// suite vendors no serde; the trajectory format is flat by design).
-fn json_number(blob: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = blob.find(&needle)? + needle.len();
-    let rest = blob[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Resolves the baseline path as given, falling back to
-/// workspace-root-relative (cargo runs bench binaries with the package
-/// as CWD; CI names the committed file relative to the repo root).
-fn baseline_file(path: &str) -> std::path::PathBuf {
-    let p = std::path::PathBuf::from(path);
-    if p.is_absolute() || p.exists() {
-        return p;
-    }
-    std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join(p)
 }

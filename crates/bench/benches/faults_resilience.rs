@@ -1,4 +1,4 @@
-//! Criterion micro-benchmarks of the fault-injection plane.
+//! Micro-benchmarks of the fault-injection plane.
 //!
 //! The fault hook is polled from every instrumented `Env` operation, so
 //! its quiescent cost is paid millions of times per sweep; these benches
@@ -6,22 +6,20 @@
 //! under an active plan) so regressions in the resilience layer are
 //! caught the same way simulator hot-path regressions are.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use faults::FaultPlan;
+use sgxgauge_bench::time_per_iter;
 use sgxgauge_core::{EnvConfig, ExecMode, InputSetting, Runner, RunnerConfig};
 use sgxgauge_workloads::HashJoin;
 use std::hint::black_box;
 
-fn bench_hook_poll(c: &mut Criterion) {
+fn bench_hook_poll() {
     // A sparse storm: almost every poll takes the fast "not due" path.
     let plan = FaultPlan::parse("seed=1,aex=2@1000000").expect("plan");
     let mut hook = plan.compile(0);
     let mut now = 0u64;
-    c.bench_function("fault_hook_poll_quiescent", |b| {
-        b.iter(|| {
-            now += 50;
-            black_box(hook.poll(black_box(now)));
-        })
+    time_per_iter("fault_hook_poll_quiescent", || {
+        now += 50;
+        black_box(hook.poll(black_box(now)));
     });
 }
 
@@ -32,34 +30,24 @@ fn quick_runner() -> RunnerConfig {
     }
 }
 
-fn bench_clean_vs_faulted_run(c: &mut Criterion) {
+fn bench_clean_vs_faulted_run() {
     let wl = HashJoin::scaled(1024);
     let clean = Runner::new(quick_runner());
-    c.bench_function("run_native_clean", |b| {
-        b.iter(|| {
-            black_box(
-                clean
-                    .run_once(&wl, ExecMode::Native, InputSetting::Low)
-                    .expect("clean run"),
-            )
-        })
+    time_per_iter("run_native_clean", || {
+        clean
+            .run_once(&wl, ExecMode::Native, InputSetting::Low)
+            .expect("clean run")
     });
     let faulted = Runner::new(quick_runner())
         .faults(FaultPlan::parse("seed=7,aex=2@20000,epc=8@90000:30000").expect("plan"));
-    c.bench_function("run_native_faulted", |b| {
-        b.iter(|| {
-            black_box(
-                faulted
-                    .run_salted(&wl, ExecMode::Native, InputSetting::Low, 1)
-                    .expect("faulted run"),
-            )
-        })
+    time_per_iter("run_native_faulted", || {
+        faulted
+            .run_salted(&wl, ExecMode::Native, InputSetting::Low, 1)
+            .expect("faulted run")
     });
 }
 
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_hook_poll, bench_clean_vs_faulted_run
+fn main() {
+    bench_hook_poll();
+    bench_clean_vs_faulted_run();
 }
-criterion_main!(benches);

@@ -5,25 +5,16 @@
 //! characteristics of the application" (§3.2.3); overall LibOS ≈ Native
 //! within ±10% (abstract).
 
-use sgxgauge_bench::{banner, emit, expect_report, fx, run_grid, scale};
+use sgxgauge_bench::{banner, emit, expect_report, fx, native_paper_suite, run_grid};
 use sgxgauge_core::report::ReportTable;
 use sgxgauge_core::{ExecMode, InputSetting};
-use sgxgauge_workloads::native_suite;
 
 fn main() {
     banner(
         "Figure 4 — LibOS vs Native per workload",
         "LibOS impact is workload-dependent, overall within ~±10% of Native",
     );
-    let divisor = scale();
-    let suite = if divisor == 1 {
-        native_suite()
-    } else {
-        sgxgauge_workloads::suite_scaled(divisor)
-            .into_iter()
-            .filter(|w| w.supports(ExecMode::Native))
-            .collect()
-    };
+    let suite = native_paper_suite();
     let sweep = run_grid(
         &suite,
         &[ExecMode::Native, ExecMode::LibOs],

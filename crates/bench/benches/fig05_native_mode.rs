@@ -5,24 +5,16 @@
 //! up to 75x (Low→Medium) and 2.6x (Medium→High) — the cliff is at the
 //! EPC boundary, not beyond it.
 
-use sgxgauge_bench::{banner, emit, expect_report, fk, fx, run_grid, scale};
+use sgxgauge_bench::{banner, emit, expect_report, fk, fx, native_paper_suite, run_grid};
 use sgxgauge_core::report::ReportTable;
-use sgxgauge_core::{ExecMode, InputSetting, Workload};
-use sgxgauge_workloads::{native_suite, suite_scaled};
+use sgxgauge_core::{ExecMode, InputSetting};
 
 fn main() {
     banner(
         "Figure 5 — Native mode per workload (5a: overhead, 5b: EPC evictions)",
         "Low->Medium jump up to 8.8x overhead / 75x evictions; Medium->High much flatter",
     );
-    let suite: Vec<Box<dyn Workload>> = if scale() == 1 {
-        native_suite()
-    } else {
-        suite_scaled(scale())
-            .into_iter()
-            .filter(|w| w.supports(ExecMode::Native))
-            .collect()
-    };
+    let suite = native_paper_suite();
     let sweep = run_grid(
         &suite,
         &[ExecMode::Vanilla, ExecMode::Native],

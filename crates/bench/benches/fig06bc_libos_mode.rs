@@ -4,21 +4,16 @@
 //! 2.7x from Medium to High; EPC load-backs grow up to 341x (Low→Medium)
 //! and 4.1x (Medium→High). Start-up is excluded (Appendix D).
 
-use sgxgauge_bench::{banner, emit, expect_report, fk, fx, run_grid, scale};
+use sgxgauge_bench::{banner, emit, expect_report, fk, fx, paper_suite, run_grid};
 use sgxgauge_core::report::ReportTable;
 use sgxgauge_core::{ExecMode, InputSetting};
-use sgxgauge_workloads::{suite, suite_scaled};
 
 fn main() {
     banner(
         "Figures 6b/6c — LibOS mode overhead and EPC reloads",
         "Low->Medium: up to 8.7x overhead, up to 341x loadbacks; Medium->High flatter",
     );
-    let all = if scale() == 1 {
-        suite()
-    } else {
-        suite_scaled(scale())
-    };
+    let all = paper_suite();
     let sweep = run_grid(
         &all,
         &[ExecMode::Vanilla, ExecMode::LibOs],

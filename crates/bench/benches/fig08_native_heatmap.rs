@@ -7,10 +7,9 @@
 //! (§B.4), BFS stays flat from locality (§B.5), PageRank's own streaming
 //! dominates (§B.6).
 
-use sgxgauge_bench::{banner, emit, fx, paper_runner, scale};
+use sgxgauge_bench::{banner, emit, fx, native_paper_suite, paper_runner};
 use sgxgauge_core::report::{RatioRow, ReportTable};
-use sgxgauge_core::{ExecMode, InputSetting, Workload};
-use sgxgauge_workloads::{native_suite, suite_scaled};
+use sgxgauge_core::{ExecMode, InputSetting};
 
 fn main() {
     banner(
@@ -18,14 +17,7 @@ fn main() {
         "per-workload counter overheads vs Vanilla across input settings",
     );
     let runner = paper_runner();
-    let suite: Vec<Box<dyn Workload>> = if scale() == 1 {
-        native_suite()
-    } else {
-        suite_scaled(scale())
-            .into_iter()
-            .filter(|w| w.supports(ExecMode::Native))
-            .collect()
-    };
+    let suite = native_paper_suite();
 
     let mut table = ReportTable::new(
         "Fig 8: Native/Vanilla counter ratios",

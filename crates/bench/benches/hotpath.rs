@@ -50,8 +50,7 @@
 use mem_sim::{AccessKind, StreamRun, PAGE_SIZE};
 use sgx_sim::enclave::EnclaveId;
 use sgx_sim::{SgxConfig, SgxMachine};
-use sgxgauge_bench::{banner, results_dir};
-use std::time::Instant;
+use sgxgauge_bench::{banner, best_of, sgxgauge_bench};
 
 /// The batched path must beat the frozen legacy pipeline by at least
 /// this factor. Set from the real pre-PR-build race (1.76x measured,
@@ -648,33 +647,6 @@ fn synth_stream(n: usize) -> Vec<Access> {
         .collect()
 }
 
-/// Best-of-`reps` wall-clock nanoseconds for `f`, with the simulated
-/// cycles of the last run (identical across runs — the model is
-/// deterministic and the stream is replayed from the same state)
-/// returned alongside.
-fn time_best<F: FnMut() -> u64>(reps: usize, mut f: F) -> (u64, u64) {
-    let mut best_ns = u64::MAX;
-    let mut cycles = 0;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        cycles = f();
-        best_ns = best_ns.min(t0.elapsed().as_nanos() as u64);
-    }
-    (best_ns, cycles)
-}
-
-/// Pulls `"key": <number>` out of a JSON blob without a parser (the
-/// suite vendors no serde; the trajectory format is flat by design).
-fn json_number(blob: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = blob.find(&needle)? + needle.len();
-    let rest = blob[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 /// Sample interval armed on both contenders: far beyond the simulated
 /// horizon, so the per-access *poll* is measured but no snapshot ever
 /// fires inside the race.
@@ -701,20 +673,6 @@ fn build_real(cfg: &SgxConfig) -> (SgxMachine, mem_sim::ThreadId, EnclaveId, u64
     m.mem_mut()
         .set_trace_sink(trace::TraceSink::with_config(1 << 16, SINK_INTERVAL));
     (m, t, e, heap)
-}
-
-/// Resolves the baseline path as given, falling back to
-/// workspace-root-relative: cargo runs bench binaries with the package
-/// as CWD, while CI (and humans) name the committed trajectory file
-/// relative to the repo root.
-fn baseline_file(path: &str) -> std::path::PathBuf {
-    let p = std::path::PathBuf::from(path);
-    if p.is_absolute() || p.exists() {
-        return p;
-    }
-    std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join(p)
 }
 
 fn main() {
@@ -756,7 +714,7 @@ fn main() {
     ls.mem.counters = legacy::Counters::default();
     ls.arm_poll(SINK_INTERVAL);
     let mut legacy_counters = legacy::Counters::default();
-    let (legacy_ns, legacy_cycles) = time_best(reps, || {
+    let (legacy_ns, legacy_cycles) = best_of(reps, || {
         let c0 = ls.mem.counters;
         let start = ls.mem.cycles;
         for (i, &(off, len, kind)) in stream.iter().enumerate() {
@@ -778,7 +736,7 @@ fn main() {
     let (mut pm, pt, pe, pheap) = build_real(&cfg);
     assert_eq!(pheap, heap, "enclave layout must be deterministic");
     let mut percall_counters = mem_sim::Counters::new();
-    let (percall_ns, percall_cycles) = time_best(reps, || {
+    let (percall_ns, percall_cycles) = best_of(reps, || {
         let c0 = *pm.mem().counters();
         let f0 = pm.sgx_counters().epc_faults;
         let start = pm.mem().cycles_of(pt);
@@ -806,7 +764,7 @@ fn main() {
         .map(|&(off, len, kind)| StreamRun::new(sheap + off, len, kind))
         .collect();
     let mut stream_counters = mem_sim::Counters::new();
-    let (stream_ns, stream_cycles) = time_best(reps, || {
+    let (stream_ns, stream_cycles) = best_of(reps, || {
         let c0 = *sm.mem().counters();
         let f0 = sm.sgx_counters().epc_faults;
         let start = sm.mem().cycles_of(st);
@@ -926,37 +884,33 @@ fn main() {
         stream_cycles as f64 / n as f64
     );
 
-    let json = format!(
-        "{{\n  \"bench\": \"hotpath\",\n  \"accesses\": {n},\n  \"smoke\": {smoke},\n  \
-         \"ns_per_access_legacy\": {:.2},\n  \"ns_per_access_percall\": {:.2},\n  \
-         \"ns_per_access_stream\": {:.2},\n  \"speedup_percall_vs_legacy\": {:.3},\n  \
-         \"speedup_stream_vs_legacy\": {:.3},\n  \"sim_accesses_per_sec_stream\": {:.0},\n  \
-         \"sim_cycles_per_access\": {:.2}\n}}\n",
-        ns_per(legacy_ns),
-        ns_per(percall_ns),
-        ns_per(stream_ns),
-        speedup_percall,
-        speedup_stream,
-        per_sec,
-        stream_cycles as f64 / n as f64,
+    let baseline = sgxgauge_bench(
+        "hotpath",
+        &[
+            ("accesses", &n),
+            ("smoke", &smoke),
+            ("ns_per_access_legacy", &format!("{:.2}", ns_per(legacy_ns))),
+            (
+                "ns_per_access_percall",
+                &format!("{:.2}", ns_per(percall_ns)),
+            ),
+            ("ns_per_access_stream", &format!("{:.2}", ns_per(stream_ns))),
+            (
+                "speedup_percall_vs_legacy",
+                &format!("{speedup_percall:.3}"),
+            ),
+            ("speedup_stream_vs_legacy", &format!("{speedup_stream:.3}")),
+            ("sim_accesses_per_sec_stream", &format!("{per_sec:.0}")),
+            (
+                "sim_cycles_per_access",
+                &format!("{:.2}", stream_cycles as f64 / n as f64),
+            ),
+        ],
     );
-    let out = std::env::var("SGXGAUGE_PERF_OUT")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|_| results_dir().join("BENCH_hotpath.json"));
-    if let Some(dir) = out.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    match std::fs::write(&out, &json) {
-        Ok(()) => println!("[json] {}", out.display()),
-        Err(e) => eprintln!("[json] failed to write {}: {e}", out.display()),
-    }
 
     // Regression gate against the committed trajectory point.
-    if let Ok(baseline_path) = std::env::var("SGXGAUGE_PERF_BASELINE") {
-        let blob = std::fs::read_to_string(baseline_file(&baseline_path))
-            .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
-        let baseline = json_number(&blob, "speedup_stream_vs_legacy")
-            .unwrap_or_else(|| panic!("no speedup_stream_vs_legacy in {baseline_path}"));
+    if let Some(baseline) = baseline {
+        let baseline = baseline.number("speedup_stream_vs_legacy");
         // Smoke runs trade stream length for speed, so their ratio is
         // noisier even after the extra repetitions; the gate loosens a
         // notch there to keep CI deterministic while still catching any

@@ -1,16 +1,16 @@
-//! Criterion micro-benchmarks of the simulator's hot paths.
+//! Micro-benchmarks of the simulator's hot paths.
 //!
 //! These measure the *reproduction's* own performance (host nanoseconds
 //! per simulated event), not paper metrics: they exist so regressions in
 //! the access path — which every workload hammers millions of times —
 //! are caught.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use mem_sim::{AccessAttrs, AccessKind, Machine, MachineConfig, PAGE_SIZE};
 use sgx_sim::{SgxConfig, SgxMachine};
+use sgxgauge_bench::time_per_iter;
 use std::hint::black_box;
 
-fn bench_mem_access(c: &mut Criterion) {
+fn bench_mem_access() {
     let mut m = Machine::new(MachineConfig::default());
     let t = m.add_thread();
     // Warm a 1 MB buffer.
@@ -18,15 +18,13 @@ fn bench_mem_access(c: &mut Criterion) {
         m.access(t, p * PAGE_SIZE, 8, AccessKind::Write, &AccessAttrs::PLAIN);
     }
     let mut addr = 0u64;
-    c.bench_function("mem_access_warm_8B", |b| {
-        b.iter(|| {
-            addr = (addr + 4096) % (256 * PAGE_SIZE);
-            black_box(m.access(t, addr, 8, AccessKind::Read, &AccessAttrs::PLAIN));
-        })
+    time_per_iter("mem_access_warm_8B", || {
+        addr = (addr + 4096) % (256 * PAGE_SIZE);
+        black_box(m.access(t, addr, 8, AccessKind::Read, &AccessAttrs::PLAIN));
     });
 }
 
-fn bench_epc_fault_path(c: &mut Criterion) {
+fn bench_epc_fault_path() {
     let mut m = SgxMachine::new(SgxConfig::with_tiny_epc(1024, 16));
     let t = m.add_thread();
     let e = m.create_enclave(64 << 20, 1 << 20).expect("enclave");
@@ -34,45 +32,41 @@ fn bench_epc_fault_path(c: &mut Criterion) {
     let heap = m.alloc_enclave_heap(e, 32 << 20).expect("heap");
     let pages = (32 << 20) / PAGE_SIZE;
     let mut p = 0u64;
-    c.bench_function("epc_fault_thrash", |b| {
-        b.iter(|| {
-            // Sweeping 8x the EPC guarantees every access faults.
-            p = (p + 1) % pages;
-            black_box(m.access(t, heap + p * PAGE_SIZE, 8, AccessKind::Read));
-        })
+    time_per_iter("epc_fault_thrash", || {
+        // Sweeping 8x the EPC guarantees every access faults.
+        p = (p + 1) % pages;
+        black_box(m.access(t, heap + p * PAGE_SIZE, 8, AccessKind::Read));
     });
 }
 
-fn bench_transitions(c: &mut Criterion) {
+fn bench_transitions() {
     let mut m = SgxMachine::new(SgxConfig::default());
     let t = m.add_thread();
     let e = m.create_enclave(32 << 20, 1 << 20).expect("enclave");
-    c.bench_function("ecall_roundtrip", |b| {
-        b.iter(|| {
-            m.ecall_enter(t, e).expect("enter");
-            m.ecall_exit(t, e).expect("exit");
-        })
+    time_per_iter("ecall_roundtrip", || {
+        m.ecall_enter(t, e).expect("enter");
+        m.ecall_exit(t, e).expect("exit");
     });
     m.ecall_enter(t, e).expect("enter");
-    c.bench_function("ocall", |b| b.iter(|| m.ocall(t, 1_000).expect("ocall")));
+    time_per_iter("ocall", || m.ocall(t, 1_000).expect("ocall"));
 }
 
-fn bench_crypto(c: &mut Criterion) {
+fn bench_crypto() {
     let data = vec![0xa5u8; 4096];
-    c.bench_function("sha256_4k", |b| {
-        b.iter(|| black_box(sgx_crypto::Sha256::digest(black_box(&data))))
+    time_per_iter("sha256_4k", || {
+        black_box(sgx_crypto::Sha256::digest(black_box(&data)))
     });
     let key = [7u8; 32];
     let nonce = [9u8; 12];
     let mut buf = vec![0u8; 4096];
-    c.bench_function("chacha20_4k", |b| {
-        b.iter(|| sgx_crypto::ChaCha20::new(&key, &nonce).apply(black_box(&mut buf), 0))
+    time_per_iter("chacha20_4k", || {
+        sgx_crypto::ChaCha20::new(&key, &nonce).apply(black_box(&mut buf), 0)
     });
 }
 
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_mem_access, bench_epc_fault_path, bench_transitions, bench_crypto
+fn main() {
+    bench_mem_access();
+    bench_epc_fault_path();
+    bench_transitions();
+    bench_crypto();
 }
-criterion_main!(benches);

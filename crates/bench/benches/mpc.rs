@@ -28,8 +28,7 @@
 
 use faults::NetFaultPlan;
 use relay::{run_mpc, MpcConfig};
-use sgxgauge_bench::{banner, results_dir};
-use std::path::PathBuf;
+use sgxgauge_bench::{banner, sgxgauge_bench};
 
 /// Measured ratios may exceed the committed trajectory point by at most
 /// this factor. Both are deterministic, so the headroom absorbs
@@ -92,33 +91,23 @@ fn main() {
          {amplification:.4}x <= {AMPLIFICATION_FLOOR}x"
     );
 
-    let json = format!(
-        "{{\n  \"bench\": \"mpc\",\n  \"clean_mean_round_latency\": {clean_latency},\n  \
-         \"lossy_mean_round_latency\": {lossy_latency},\n  \
-         \"latency_amplification\": {amplification:.4},\n  \
-         \"clean_total_cycles\": {},\n  \"storm_total_cycles\": {},\n  \
-         \"storm_overhead\": {overhead:.4},\n  \"survival_permille\": 1000\n}}\n",
-        clean.total_cycles, storm.total_cycles
+    let baseline = sgxgauge_bench(
+        "mpc",
+        &[
+            ("clean_mean_round_latency", &clean_latency),
+            ("lossy_mean_round_latency", &lossy_latency),
+            ("latency_amplification", &format!("{amplification:.4}")),
+            ("clean_total_cycles", &clean.total_cycles),
+            ("storm_total_cycles", &storm.total_cycles),
+            ("storm_overhead", &format!("{overhead:.4}")),
+            ("survival_permille", &1000),
+        ],
     );
-    let out = std::env::var("SGXGAUGE_PERF_OUT")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| results_dir().join("BENCH_mpc.json"));
-    if let Some(dir) = out.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    match std::fs::write(&out, &json) {
-        Ok(()) => println!("[json] {}", out.display()),
-        Err(e) => eprintln!("[json] failed to write {}: {e}", out.display()),
-    }
 
     // Regression gate against the committed trajectory point.
-    if let Ok(baseline_path) = std::env::var("SGXGAUGE_PERF_BASELINE") {
-        let blob = std::fs::read_to_string(baseline_file(&baseline_path))
-            .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
-        let base_amplification = json_number(&blob, "latency_amplification")
-            .unwrap_or_else(|| panic!("no latency_amplification in {baseline_path}"));
-        let base_overhead = json_number(&blob, "storm_overhead")
-            .unwrap_or_else(|| panic!("no storm_overhead in {baseline_path}"));
+    if let Some(baseline) = baseline {
+        let base_amplification = baseline.number("latency_amplification");
+        let base_overhead = baseline.number("storm_overhead");
         println!(
             "baseline amplification {base_amplification:.4} overhead {base_overhead:.4} \
              (gate: <= {HEADROOM:.2}x baseline)"
@@ -135,29 +124,4 @@ fn main() {
         );
     }
     println!("PASS: amplification {amplification:.4}x, overhead {overhead:.4}x");
-}
-
-/// Pulls `"key": <number>` out of a JSON blob without a parser (the
-/// suite vendors no serde; the trajectory format is flat by design).
-fn json_number(blob: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = blob.find(&needle)? + needle.len();
-    let rest = blob[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Resolves the baseline path as given, falling back to
-/// workspace-root-relative (cargo runs bench binaries with the package
-/// as CWD; CI names the committed file relative to the repo root).
-fn baseline_file(path: &str) -> std::path::PathBuf {
-    let p = std::path::PathBuf::from(path);
-    if p.is_absolute() || p.exists() {
-        return p;
-    }
-    std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join(p)
 }

@@ -27,7 +27,7 @@
 //! written, `SGXGAUGE_PERF_BASELINE=<path>` arms the regression gate.
 
 use campaign::{run_campaign, run_soak, CampaignConfig};
-use sgxgauge_bench::{banner, results_dir};
+use sgxgauge_bench::{banner, sgxgauge_bench};
 use std::path::PathBuf;
 
 /// The measured overhead fraction may exceed the committed trajectory
@@ -70,32 +70,6 @@ fn scratch(name: &str) -> PathBuf {
     ));
     let _ = std::fs::remove_dir_all(&p);
     p
-}
-
-/// Pulls `"key": <number>` out of a JSON blob without a parser (the
-/// suite vendors no serde; the trajectory format is flat by design).
-fn json_number(blob: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = blob.find(&needle)? + needle.len();
-    let rest = blob[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Resolves the baseline path as given, falling back to
-/// workspace-root-relative: cargo runs bench binaries with the package
-/// as CWD, while CI (and humans) name the committed trajectory file
-/// relative to the repo root.
-fn baseline_file(path: &str) -> std::path::PathBuf {
-    let p = std::path::PathBuf::from(path);
-    if p.is_absolute() || p.exists() {
-        return p;
-    }
-    std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join(p)
 }
 
 fn main() {
@@ -166,31 +140,23 @@ fn main() {
         let _ = std::fs::remove_dir_all(dir);
     }
 
-    let json = format!(
-        "{{\n  \"bench\": \"resilience\",\n  \"clean_cycles\": {clean_total},\n  \
-         \"storm_cycles\": {storm_total},\n  \"storm_backoff_cycles\": {},\n  \
-         \"overhead_fraction\": {overhead:.4},\n  \"soak_kills\": {},\n  \
-         \"soak_converged\": {},\n  \"soak_final_adopted\": {adopted},\n  \
-         \"soak_recovered_artifacts\": {recovered}\n}}\n",
-        storm.total_backoff_cycles, outcome.kills_fired, outcome.converged,
+    let baseline = sgxgauge_bench(
+        "resilience",
+        &[
+            ("clean_cycles", &clean_total),
+            ("storm_cycles", &storm_total),
+            ("storm_backoff_cycles", &storm.total_backoff_cycles),
+            ("overhead_fraction", &format!("{overhead:.4}")),
+            ("soak_kills", &outcome.kills_fired),
+            ("soak_converged", &outcome.converged),
+            ("soak_final_adopted", &adopted),
+            ("soak_recovered_artifacts", &recovered),
+        ],
     );
-    let out = std::env::var("SGXGAUGE_PERF_OUT")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| results_dir().join("BENCH_resilience.json"));
-    if let Some(dir) = out.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    match std::fs::write(&out, &json) {
-        Ok(()) => println!("[json] {}", out.display()),
-        Err(e) => eprintln!("[json] failed to write {}: {e}", out.display()),
-    }
 
     // Regression gate against the committed trajectory point.
-    if let Ok(baseline_path) = std::env::var("SGXGAUGE_PERF_BASELINE") {
-        let blob = std::fs::read_to_string(baseline_file(&baseline_path))
-            .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
-        let baseline = json_number(&blob, "overhead_fraction")
-            .unwrap_or_else(|| panic!("no overhead_fraction in {baseline_path}"));
+    if let Some(baseline) = baseline {
+        let baseline = baseline.number("overhead_fraction");
         println!(
             "baseline overhead {:.4}, measured {:.4} (gate: <= {:.2}x baseline)",
             baseline, overhead, OVERHEAD_HEADROOM

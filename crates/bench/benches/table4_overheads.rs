@@ -5,11 +5,10 @@
 //! Low/Medium/High — runtime overhead plus dTLB misses, walk cycles,
 //! stall cycles, LLC misses and absolute EPC evictions.
 
-use sgxgauge_bench::{banner, emit, expect_report, fk, fx, run_grid, scale};
+use sgxgauge_bench::{banner, emit, expect_report, fk, fx, paper_suite, run_grid};
 use sgxgauge_core::report::{RatioRow, ReportTable};
 use sgxgauge_core::sweep::SweepReport;
 use sgxgauge_core::{ExecMode, InputSetting};
-use sgxgauge_workloads::{suite, suite_scaled};
 
 /// One geomean row per setting: ratio of `num` over `den` mode across
 /// the grid cells of `indices` (workload positions in the sweep).
@@ -50,11 +49,7 @@ fn main() {
         "Table 4 — overhead in system-related events",
         "Native/Vanilla: 2.0x/3.0x/3.4x; LibOS/Vanilla: 2.03x/3.13x/3.7x; LibOS/Native: ~1.0x",
     );
-    let all = if scale() == 1 {
-        suite()
-    } else {
-        suite_scaled(scale())
-    };
+    let all = paper_suite();
     let native_capable: Vec<usize> = all
         .iter()
         .enumerate()

@@ -10,7 +10,7 @@
 use gauge_stats::standardized_coefficients;
 use sgxgauge_bench::{banner, emit, paper_runner, scale};
 use sgxgauge_core::report::ReportTable;
-use sgxgauge_core::{ExecMode, InputSetting, RunReport, Workload};
+use sgxgauge_core::{ExecMode, InputSetting, RunReport};
 use sgxgauge_workloads::{suite, suite_scaled};
 
 const COUNTER_NAMES: [&str; 6] = [
@@ -65,7 +65,7 @@ fn main() {
         let mut xs: Vec<Vec<f64>> = Vec::new();
         let mut ys: Vec<f64> = Vec::new();
         for &d in &divisors {
-            let wls: Vec<Box<dyn Workload>> = if d == 1 { suite() } else { suite_scaled(d) };
+            let wls = suite_scaled(d);
             let wl = &wls[wi];
             for mode in [ExecMode::Native, ExecMode::LibOs] {
                 if !wl.supports(mode) {

@@ -12,6 +12,11 @@
 //! factor for a smoke run. The default (`1`) is paper scale. The
 //! quick-test EPC is only used by unit tests, never here: benches always
 //! run against the 92 MB EPC platform of Table 3.
+//!
+//! The gated benches (`hotpath`, `resilience`, `cotenancy`, `mpc`)
+//! write their trajectory point and read back the committed one through
+//! [`sgxgauge_bench`]; the host-time micro benches time closures with
+//! [`time_per_iter`].
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -21,7 +26,10 @@ use sgxgauge_core::sweep::SweepReport;
 use sgxgauge_core::{
     EnvConfig, ExecMode, InputSetting, RunReport, Runner, RunnerConfig, SuiteRunner, Workload,
 };
+use std::fmt::Display;
+use std::hint::black_box;
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
 /// The input-scale divisor, from `SGXGAUGE_SCALE` (default 1).
 pub fn scale() -> u64 {
@@ -30,6 +38,20 @@ pub fn scale() -> u64 {
         .and_then(|s| s.parse().ok())
         .filter(|&d| d >= 1)
         .unwrap_or(1)
+}
+
+/// The ten workloads scaled by [`scale`]; `X::scaled(1)` is `X::new()`,
+/// so at the default scale this is the paper-scale suite.
+pub fn paper_suite() -> Vec<Box<dyn Workload>> {
+    sgxgauge_workloads::suite_scaled(scale())
+}
+
+/// The [`paper_suite`] workloads that have a Native-mode port (§4.3).
+pub fn native_paper_suite() -> Vec<Box<dyn Workload>> {
+    paper_suite()
+        .into_iter()
+        .filter(|w| w.supports(ExecMode::Native))
+        .collect()
 }
 
 /// Directory the CSV artifacts land in: `<target>/gauge-results` of the
@@ -78,19 +100,9 @@ pub fn paper_env(mode: ExecMode) -> EnvConfig {
     env
 }
 
-/// A paper-faithful [`SuiteRunner`] over `modes` × `settings`: the
-/// parallel analogue of [`paper_runner`], one worker per core.
-pub fn paper_sweep(modes: &[ExecMode], settings: &[InputSetting]) -> SuiteRunner {
-    SuiteRunner::new(RunnerConfig {
-        env: paper_env(ExecMode::Vanilla),
-        repetitions: 1,
-    })
-    .modes(modes)
-    .settings(settings)
-}
-
-/// Fans `workloads` × `modes` × `settings` across OS threads and returns
-/// the grid-ordered sweep. Figure harnesses use this instead of nested
+/// Fans `workloads` × `modes` × `settings` across OS threads (one
+/// worker per core, on the [`paper_runner`] platform) and returns the
+/// grid-ordered sweep. Figure harnesses use this instead of nested
 /// `run_once` loops: the results are identical (each cell still owns a
 /// private simulator), only the wall clock shrinks.
 pub fn run_grid(
@@ -99,7 +111,13 @@ pub fn run_grid(
     settings: &[InputSetting],
 ) -> SweepReport {
     let refs: Vec<&dyn Workload> = workloads.iter().map(|w| w.as_ref()).collect();
-    paper_sweep(modes, settings).run(&refs)
+    SuiteRunner::new(RunnerConfig {
+        env: paper_env(ExecMode::Vanilla),
+        repetitions: 1,
+    })
+    .modes(modes)
+    .settings(settings)
+    .run(&refs)
 }
 
 /// The report of grid cell (`workload` index, `mode`, `setting`), first
@@ -161,9 +179,188 @@ pub fn fk(v: u64) -> String {
     sgxgauge_core::report::humanize(v)
 }
 
+/// The keys each gated bench reads back from its committed
+/// `BENCH_<bench>.json` point. [`Baseline::number`] refuses any other
+/// key, so this list is the one place a gate's inputs are named.
+pub const GATED_KEYS: [(&str, &[&str]); 4] = [
+    ("hotpath", &["speedup_stream_vs_legacy"]),
+    ("resilience", &["overhead_fraction"]),
+    (
+        "cotenancy",
+        &["interleave_skew_fraction", "victim_slowdown"],
+    ),
+    ("mpc", &["latency_amplification", "storm_overhead"]),
+];
+
+/// A committed trajectory point, read back as a regression gate's
+/// baseline.
+#[derive(Debug, Clone)]
+pub struct Baseline {
+    bench: String,
+    path: PathBuf,
+    blob: String,
+}
+
+impl Baseline {
+    /// Reads the baseline of `bench` from `path`, as given or relative to
+    /// the workspace root (cargo runs bench binaries with the package as
+    /// CWD; CI names the committed file relative to the repo root).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the file cannot be read: an armed gate without its
+    /// baseline must fail, not pass.
+    pub fn load(bench: &str, path: &str) -> Baseline {
+        let mut file = PathBuf::from(path);
+        if !file.is_absolute() && !file.exists() {
+            file = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+                .join("../..")
+                .join(path);
+        }
+        let blob = std::fs::read_to_string(&file)
+            .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
+        Baseline {
+            bench: bench.to_owned(),
+            path: file,
+            blob,
+        }
+    }
+
+    /// The number stored under `key`, which must be one of the bench's
+    /// [`GATED_KEYS`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when `key` is not a gated key of the bench, or when the
+    /// baseline has no number under it.
+    pub fn number(&self, key: &str) -> f64 {
+        assert!(
+            GATED_KEYS
+                .iter()
+                .any(|(b, keys)| *b == self.bench && keys.contains(&key)),
+            "`{key}` is not listed in GATED_KEYS for {}",
+            self.bench
+        );
+        json_number(&self.blob, key)
+            .unwrap_or_else(|| panic!("no {key} in {}", self.path.display()))
+    }
+}
+
+/// Pulls `"key": <number>` out of a JSON blob without a parser (the
+/// suite vendors no serde; the trajectory format is flat by design).
+fn json_number(blob: &str, key: &str) -> Option<f64> {
+    let needle = format!("\"{key}\":");
+    let at = blob.find(&needle)? + needle.len();
+    let rest = blob[at..].trim_start();
+    let end = rest
+        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
+        .unwrap_or(rest.len());
+    rest[..end].parse().ok()
+}
+
+/// Writes the trajectory point of `bench` and returns the committed
+/// baseline when the gate is armed.
+///
+/// The point is the flat JSON object `{"bench": "<bench>", <fields>}`,
+/// one key per line in the given order, written to
+/// `SGXGAUGE_PERF_OUT` or else `<results>/BENCH_<bench>.json`. When
+/// `SGXGAUGE_PERF_BASELINE` names a file, it is loaded as the
+/// [`Baseline`] the bench gates against.
+pub fn sgxgauge_bench(bench: &str, fields: &[(&str, &dyn Display)]) -> Option<Baseline> {
+    let mut json = format!("{{\n  \"bench\": \"{bench}\"");
+    for (key, value) in fields {
+        json.push_str(&format!(",\n  \"{key}\": {value}"));
+    }
+    json.push_str("\n}\n");
+    let out = std::env::var("SGXGAUGE_PERF_OUT")
+        .map(PathBuf::from)
+        .unwrap_or_else(|_| results_dir().join(format!("BENCH_{bench}.json")));
+    if let Some(dir) = out.parent() {
+        let _ = std::fs::create_dir_all(dir);
+    }
+    match std::fs::write(&out, &json) {
+        Ok(()) => println!("[json] {}", out.display()),
+        Err(e) => eprintln!("[json] failed to write {}: {e}", out.display()),
+    }
+    let path = std::env::var("SGXGAUGE_PERF_BASELINE").ok()?;
+    Some(Baseline::load(bench, &path))
+}
+
+/// Warm-up window of [`time_per_iter`].
+pub const WARM_UP: Duration = Duration::from_millis(500);
+
+/// Measurement window of [`time_per_iter`].
+pub const MEASURE: Duration = Duration::from_secs(2);
+
+/// Calls `f` in doubling batches (until a batch takes a hundredth of
+/// the window) until `window` has passed; returns the elapsed time and
+/// the number of calls.
+fn run_for<R>(window: Duration, f: &mut impl FnMut() -> R) -> (Duration, u64) {
+    let start = Instant::now();
+    let (mut calls, mut batch) = (0u64, 1u64);
+    loop {
+        for _ in 0..batch {
+            black_box(f());
+        }
+        calls += batch;
+        let elapsed = start.elapsed();
+        if elapsed >= window {
+            return (elapsed, calls);
+        }
+        if elapsed < window / 100 {
+            batch *= 2;
+        }
+    }
+}
+
+/// Runs `f` for [`WARM_UP`], then for [`MEASURE`], and prints one line
+/// named `name` with the mean host nanoseconds per call.
+pub fn time_per_iter<R>(name: &str, mut f: impl FnMut() -> R) {
+    run_for(WARM_UP, &mut f);
+    let (elapsed, calls) = run_for(MEASURE, &mut f);
+    let per_call = elapsed.as_nanos() as f64 / calls as f64;
+    println!("{name:<32} {per_call:>12.1} ns/iter ({calls} iters)");
+}
+
+/// The fastest of `reps` host-timed calls of `f`, in nanoseconds, with
+/// the last call's result.
+///
+/// # Panics
+///
+/// Panics when `reps` is zero.
+pub fn best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> (u64, R) {
+    let mut best = None;
+    for _ in 0..reps {
+        let t0 = Instant::now();
+        let out = f();
+        let ns = t0.elapsed().as_nanos() as u64;
+        best = Some(match best {
+            Some((b, _)) if b <= ns => (b, out),
+            _ => (ns, out),
+        });
+    }
+    best.expect("at least one repetition")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_committed_point_has_its_gated_keys() {
+        for (bench, keys) in GATED_KEYS {
+            let base = Baseline::load(bench, &format!("BENCH_{bench}.json"));
+            for key in keys {
+                assert!(base.number(key).is_finite(), "{bench}: {key}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not listed in GATED_KEYS")]
+    fn ungated_keys_are_refused() {
+        Baseline::load("cotenancy", "BENCH_cotenancy.json").number("solo_cycles");
+    }
 
     #[test]
     fn scale_defaults_to_one() {

@@ -43,6 +43,6 @@ pub mod soak;
 pub mod supervisor;
 
 pub use config::{CampaignConfig, StageSpec};
-pub use runner::{run_campaign, CampaignError, CampaignReport, KillFs, KillState, StageReport};
+pub use runner::{run_campaign, CampaignError, CampaignReport, StageReport};
 pub use soak::{run_soak, SoakOutcome};
 pub use supervisor::{Admission, Observation, Supervisor, SupervisorHealth};

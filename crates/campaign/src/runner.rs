@@ -28,8 +28,7 @@ use sgxgauge_core::{
     checkpoint, io, ArtifactError, ArtifactIo, CellKey, ChaosFs, Emitter, IoErrorKind, PartyDim,
     RealFs, ReportTable, RunnerConfig, SuiteRunner, TenantDim,
 };
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::path::Path;
 use std::sync::Arc;
 use trace::{CampaignEvent, CampaignLog, ShedReason};
 
@@ -93,139 +92,6 @@ impl From<ArtifactError> for CampaignError {
     }
 }
 
-/// Shared countdown for the simulated process kill: the campaign dies
-/// at the N-th artifact rename, campaign-wide, and every subsequent
-/// host-I/O operation fails — exactly what a `kill -9` between a
-/// journal intent and its commit looks like to the artifact plane.
-#[derive(Debug, Default)]
-pub struct KillState {
-    #[expect(
-        clippy::disallowed_types,
-        reason = "the kill countdown is shared by every worker's artifact I/O"
-    )]
-    renames_left: std::sync::Mutex<Option<u64>>,
-    dead: AtomicBool,
-}
-
-impl KillState {
-    /// Kills the process at the `nth` rename (1-based) observed across
-    /// the whole campaign.
-    #[must_use]
-    pub fn after_renames(nth: u64) -> Arc<KillState> {
-        Arc::new(KillState {
-            renames_left: Some(nth.max(1)).into(),
-            dead: AtomicBool::new(false),
-        })
-    }
-
-    /// Whether the simulated kill has fired.
-    #[must_use]
-    pub fn fired(&self) -> bool {
-        self.dead.load(Ordering::SeqCst)
-    }
-
-    fn crashed(&self, op: &'static str, path: &Path) -> Result<(), ArtifactError> {
-        if self.fired() {
-            return Err(ArtifactError::io(
-                op,
-                path,
-                IoErrorKind::CrashRename,
-                "process killed by soak harness (simulated)",
-            ));
-        }
-        Ok(())
-    }
-
-    /// Ticks the rename countdown; returns an error when this rename is
-    /// the one the process dies on.
-    fn on_rename(&self, path: &Path) -> Result<(), ArtifactError> {
-        let mut left = match self.renames_left.lock() {
-            Ok(guard) => guard,
-            // A poisoned countdown means a panicking thread died holding
-            // the lock; treat the process as killed rather than racing.
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        if let Some(n) = *left {
-            if n <= 1 {
-                *left = Some(0);
-                self.dead.store(true, Ordering::SeqCst);
-                return Err(ArtifactError::io(
-                    "rename",
-                    path,
-                    IoErrorKind::CrashRename,
-                    "process killed by soak harness (simulated)",
-                ));
-            }
-            *left = Some(n - 1);
-        }
-        Ok(())
-    }
-}
-
-/// [`ArtifactIo`] backend that dies — permanently, for every operation —
-/// once its [`KillState`] countdown reaches the fatal rename.
-#[derive(Debug)]
-pub struct KillFs {
-    state: Arc<KillState>,
-}
-
-impl KillFs {
-    /// Wraps the real filesystem with the shared kill countdown.
-    #[must_use]
-    pub fn new(state: Arc<KillState>) -> KillFs {
-        KillFs { state }
-    }
-}
-
-impl ArtifactIo for KillFs {
-    fn read(&self, path: &Path) -> Result<String, ArtifactError> {
-        self.state.crashed("read", path)?;
-        RealFs.read(path)
-    }
-
-    fn write(&self, path: &Path, contents: &str) -> Result<(), ArtifactError> {
-        self.state.crashed("write", path)?;
-        RealFs.write(path, contents)
-    }
-
-    fn append(&self, path: &Path, contents: &str) -> Result<(), ArtifactError> {
-        self.state.crashed("append", path)?;
-        RealFs.append(path, contents)
-    }
-
-    fn rename(&self, from: &Path, to: &Path) -> Result<(), ArtifactError> {
-        self.state.crashed("rename", from)?;
-        // The fatal rename never happens: the process died just before
-        // the syscall, leaving the temp sibling and the journal intent.
-        self.state.on_rename(from)?;
-        RealFs.rename(from, to)
-    }
-
-    fn sync_dir(&self, dir: &Path) -> Result<(), ArtifactError> {
-        self.state.crashed("sync_dir", dir)?;
-        RealFs.sync_dir(dir)
-    }
-
-    fn remove(&self, path: &Path) -> Result<(), ArtifactError> {
-        self.state.crashed("remove", path)?;
-        RealFs.remove(path)
-    }
-
-    fn exists(&self, path: &Path) -> bool {
-        !self.state.fired() && RealFs.exists(path)
-    }
-
-    fn list(&self, dir: &Path) -> Result<Vec<PathBuf>, ArtifactError> {
-        self.state.crashed("list", dir)?;
-        RealFs.list(dir)
-    }
-
-    fn create_dir_all(&self, dir: &Path) -> Result<(), ArtifactError> {
-        self.state.crashed("create_dir_all", dir)?;
-        RealFs.create_dir_all(dir)
-    }
-}
-
 /// Outcome of one stage, for the campaign report and `health.json`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StageReport {
@@ -276,8 +142,10 @@ impl CampaignReport {
 /// `<out>/<stage>/{report.csv, checkpoint.json, trace.jsonl, health.json}`.
 ///
 /// `chaos` applies each stage's `io_faults` plan to the artifact plane;
-/// `kill` (used by the soak harness) arms a campaign-wide countdown
-/// that kills the process at the N-th artifact rename. Resume is
+/// `kill` (used by the soak harness) is a campaign-wide [`ChaosFs`]
+/// whose `crash_rename` plan kills the process at the N-th artifact
+/// rename: it sits under every stage's io-fault layer, so a
+/// fault-retried rename still ticks its countdown. Resume is
 /// implicit: each stage replays its recovery journal and adopts its
 /// checkpoint before executing anything.
 ///
@@ -290,7 +158,7 @@ pub fn run_campaign(
     cfg: &CampaignConfig,
     out: &Path,
     chaos: bool,
-    kill: Option<Arc<KillState>>,
+    kill: Option<Arc<ChaosFs>>,
 ) -> Result<CampaignReport, CampaignError> {
     let suite = build_suite(cfg);
     let mut supervisor = Supervisor::new(
@@ -407,19 +275,19 @@ fn stage_workloads<'a>(
 fn stage_io(
     stage: &StageSpec,
     chaos: bool,
-    kill: Option<&Arc<KillState>>,
+    kill: Option<&Arc<ChaosFs>>,
     stage_salt: u64,
-) -> Box<dyn ArtifactIo> {
-    let inner: Box<dyn ArtifactIo> = match kill {
-        Some(state) => Box::new(KillFs::new(Arc::clone(state))),
-        None => Box::new(RealFs),
+) -> Arc<dyn ArtifactIo> {
+    let inner: Arc<dyn ArtifactIo> = match kill {
+        Some(kill) => kill.clone(),
+        None => Arc::new(RealFs),
     };
     match (&stage.io_faults, chaos) {
         (Some(plan), true) => {
             // Each stage gets its own deterministic io-fault stream; the
             // kill countdown (if any) lives *under* the chaos layer so a
             // fault-retried rename still ticks it.
-            Box::new(ChaosFs::new(inner, plan.salted(stage_salt)))
+            Arc::new(ChaosFs::new(inner, plan.salted(stage_salt)))
         }
         _ => inner,
     }

@@ -4,8 +4,8 @@
 //! The harness runs the campaign once on a clean artifact plane (the
 //! *golden* tree — same fault plan, no host-I/O chaos), then runs the
 //! same campaign under the full storm — stage io-fault plans active and
-//! a seeded [`KillState`](crate::runner::KillState) countdown that kills
-//! the process at the N-th artifact rename — `kills` times, resuming
+//! a campaign-wide [`ChaosFs`] whose seeded `crash_rename` kills the
+//! process at the N-th artifact rename — `kills` times, resuming
 //! from the journal/checkpoint path after each death. A final storm
 //! pass with no kill runs the campaign to completion, and every
 //! compared artifact (`report.csv`, `checkpoint.json`, `trace.jsonl`)
@@ -19,11 +19,12 @@
 //! the next kill to fire).
 
 use crate::config::CampaignConfig;
-use crate::runner::{run_campaign, CampaignError, CampaignReport, KillState};
+use crate::runner::{run_campaign, CampaignError, CampaignReport};
 use faults::prng::splitmix64;
-use faults::XorShift64;
-use sgxgauge_core::{ArtifactIo, RealFs};
+use faults::{IoFaultPlan, XorShift64};
+use sgxgauge_core::{ArtifactIo, ChaosFs, RealFs};
 use std::path::Path;
+use std::sync::Arc;
 
 /// Domain separator for the kill-point stream (distinct from every
 /// stage salt, which are derived by small additive offsets).
@@ -74,16 +75,16 @@ pub fn run_soak(
     let mut kills_fired = 0;
     for _ in 0..kills {
         let ordinal = KILL_MIN_RENAME + rng.below(KILL_SPAN_RENAMES);
-        let kill = KillState::after_renames(ordinal);
-        match run_campaign(cfg, &storm_dir, true, Some(kill.clone())) {
-            Ok(_) => {}
-            Err(e) if kill.fired() => {
-                // The scheduled death; the next iteration resumes.
-                let _ = e;
-            }
-            Err(e) => return Err(e),
+        let kill = Arc::new(ChaosFs::over_real(IoFaultPlan {
+            crash_rename: Some(ordinal),
+            ..IoFaultPlan::default()
+        }));
+        match run_campaign(cfg, &storm_dir, true, Some(Arc::clone(&kill))) {
+            Err(e) if !kill.crashed() => return Err(e),
+            // The scheduled death; the next iteration resumes.
+            _ => {}
         }
-        if kill.fired() {
+        if kill.crashed() {
             kills_fired += 1;
         }
     }

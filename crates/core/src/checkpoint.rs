@@ -23,8 +23,8 @@
 //! sibling recovery journal, and resume first runs [`io::recover`] to
 //! repair or quarantine state a crash left behind. A checksum mismatch
 //! on load is a typed [`ArtifactError::Corrupt`] (the bad file is kept
-//! at `<path>.corrupt`); v2 files *without* a footer still load, so
-//! pre-integrity checkpoints remain resumable.
+//! at `<path>.corrupt`); files *without* a footer still load, so
+//! pre-integrity checkpoints of the current version remain resumable.
 
 use crate::io::{self, ArtifactError, ArtifactIo, Journal, RealFs};
 use crate::runner::RunReport;
@@ -52,26 +52,19 @@ const PUBLISH_ATTEMPTS: usize = 4;
 /// discriminants, and the counter arrays include `mee_cycles`.
 ///
 /// Version 3: keys may carry the optional co-tenancy dimension
-/// (`"workload/mode/setting/rep/tNaM"`). Version-2 files — which by
-/// construction describe grids without the dimension — still load; see
-/// [`OLDEST_LOADABLE_VERSION`].
+/// (`"workload/mode/setting/rep/tNaM"`).
 ///
 /// Version 4: keys may additionally carry the optional
 /// distributed-protocol dimension (`…/pNqT`, after the tenant field when
-/// both are present). Another strict grammar superset, so v2 and v3
-/// files load unchanged.
+/// both are present).
+///
+/// [`load_checkpoint`] accepts only this version: checkpoints are
+/// resume state of this build, not an exchange format.
 pub const CHECKPOINT_VERSION: u64 = 4;
-
-/// Oldest checkpoint version [`load_checkpoint`] still accepts. The v3
-/// and v4 key grammars are strict supersets of v2 (the tenant and party
-/// fields are optional in both the type and the display form), so older
-/// files parse unchanged.
-pub const OLDEST_LOADABLE_VERSION: u64 = 2;
 
 /// Pinned input to [`grid_fingerprint`]. Deliberately *not*
 /// [`CHECKPOINT_VERSION`]: the fingerprint guards the sweep's *shape*,
-/// not the file layout, and tenant-free grids render identical keys
-/// under v2 and v3 — so v2 checkpoints stay resumable across the bump.
+/// not the file layout, so a format bump alone does not change it.
 /// Bump this only when old fingerprints must be invalidated.
 const FINGERPRINT_EPOCH: u64 = 2;
 
@@ -282,7 +275,7 @@ fn render_document<'a>(grid_fp: u64, cells: impl Iterator<Item = &'a str>) -> St
     out
 }
 
-/// Renders a checkpoint document (the unsealed body, v2 format) for an
+/// Renders a checkpoint document (the unsealed body, current format) for an
 /// arbitrary set of completed cells — the building block campaign
 /// orchestrators use to persist per-stage progress in the exact format
 /// [`load_checkpoint_io`] reads back. Cells are sorted by grid index so
@@ -325,8 +318,8 @@ fn cell_json(index: usize, cell: &SweepCell) -> String {
         cell.attempts,
         cell.backoff_cycles
     );
-    // The attempt trail is optional (emitted only when non-empty), so
-    // v2 files written before trails existed parse unchanged.
+    // The attempt trail is emitted only when non-empty, so cells that
+    // succeeded first time keep their compact form.
     if !cell.trail.is_empty() {
         out.push_str(",\"trail\":[");
         for (i, a) in cell.trail.iter().enumerate() {
@@ -397,8 +390,7 @@ fn named_u64s(out: &mut String, pairs: impl IntoIterator<Item = (&'static str, u
 /// A parsed checkpoint file.
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
-    /// Format version (within
-    /// [`OLDEST_LOADABLE_VERSION`]`..=`[`CHECKPOINT_VERSION`]).
+    /// Format version (always [`CHECKPOINT_VERSION`]).
     pub version: u64,
     /// Digest of the sweep the file belongs to.
     pub grid_fp: u64,
@@ -419,8 +411,7 @@ pub struct StoredCell {
     pub attempts: usize,
     /// Accounted retry backoff.
     pub backoff_cycles: u64,
-    /// The non-final attempt failures (empty for files that predate
-    /// attempt trails).
+    /// The non-final attempt failures (absent from the file when empty).
     pub trail: Vec<AttemptFailure>,
     /// The stored outcome.
     pub result: StoredResult,
@@ -498,10 +489,9 @@ fn parse_checkpoint_body(body: &str) -> Result<Checkpoint, String> {
     let root = parse_json(body)?;
     let obj = root.as_obj("checkpoint")?;
     let version = get(obj, "version")?.as_u64("version")?;
-    if !(OLDEST_LOADABLE_VERSION..=CHECKPOINT_VERSION).contains(&version) {
+    if version != CHECKPOINT_VERSION {
         return Err(format!(
-            "checkpoint version {version} unsupported \
-             (expected {OLDEST_LOADABLE_VERSION}..={CHECKPOINT_VERSION})"
+            "checkpoint version {version} unsupported (expected {CHECKPOINT_VERSION})"
         ));
     }
     let grid_fp = get(obj, "grid_fp")?.as_u64("grid_fp")?;
@@ -906,11 +896,16 @@ impl Parser<'_> {
                     }
                 }
                 _ => {
-                    // Consume one UTF-8 scalar (multi-byte safe).
-                    let s = std::str::from_utf8(rest).map_err(|_| "non-UTF8 string".to_owned())?;
-                    let c = s.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the plain run up to the next `"` or `\\`. Both
+                    // are ASCII, so the run ends on a char boundary.
+                    let run = rest
+                        .iter()
+                        .position(|&c| c == b'"' || c == b'\\')
+                        .unwrap_or(rest.len());
+                    let text = std::str::from_utf8(&rest[..run])
+                        .map_err(|_| "non-UTF8 string".to_owned())?;
+                    out.push_str(text);
+                    self.pos += run;
                 }
             }
         }
@@ -1052,52 +1047,75 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// A v2 checkpoint — written before the co-tenancy key dimension
-    /// existed — still loads and resumes to the identical report: the
-    /// version gate accepts 2, the 4-field keys parse (`tenant: None`),
-    /// and the grid fingerprint is unchanged by the format bump.
+    /// Fails every cell with a 256 KiB message of multi-byte text.
+    struct Loud;
+
+    fn loud_message() -> String {
+        let unit = "ünïcødé 中文 🦀 \\ \"quoted\" ";
+        unit.repeat((256 * 1024usize).div_ceil(unit.len()))
+    }
+
+    impl Workload for Loud {
+        fn name(&self) -> &'static str {
+            "Loud"
+        }
+
+        fn property(&self) -> &'static str {
+            "test"
+        }
+
+        fn supported_modes(&self) -> &'static [ExecMode] {
+            &[ExecMode::Vanilla]
+        }
+
+        fn spec(&self, _setting: InputSetting) -> WorkloadSpec {
+            WorkloadSpec::new(1 << 16, "loud")
+        }
+
+        fn setup(&self, _env: &mut Env, _setting: InputSetting) -> Result<(), WorkloadError> {
+            Ok(())
+        }
+
+        fn execute(
+            &self,
+            _env: &mut Env,
+            _setting: InputSetting,
+        ) -> Result<WorkloadOutput, WorkloadError> {
+            Err(WorkloadError::Validation(loud_message()))
+        }
+    }
+
+    /// A long multi-byte error message survives the store/load round
+    /// trip, and parsing it is linear in its length.
     #[test]
-    fn v2_checkpoint_without_tenant_dimension_still_resumes() {
-        let path = scratch("v2-compat");
+    fn long_multibyte_error_messages_round_trip() {
+        let path = scratch("loud");
+        let big = loud_message();
+        assert!(big.len() >= 256 * 1024);
         let full = suite()
-            .run_with_checkpoint(&[&Tick], &path, false)
+            .run_with_checkpoint(&[&Loud], &path, false)
             .expect("run succeeds");
-        // Rewrite the sealed file as an unsealed v2 document with the
-        // same cells: exactly what a pre-bump build left on disk (v2
-        // predates the integrity footer, so no seal).
         let stored = load_checkpoint(&path).expect("parses");
-        let text = std::fs::read_to_string(&path).expect("readable");
-        let body = text
-            .replace(
-                &format!("\"version\":{CHECKPOINT_VERSION}"),
-                "\"version\":2",
-            )
-            .lines()
-            .next()
-            .expect("has body")
-            .to_owned();
-        assert!(
-            !body.contains("/t"),
-            "a tenant-free grid must render v2-identical keys"
-        );
-        std::fs::write(&path, format!("{body}\n")).expect("writable");
-        let reloaded = load_checkpoint(&path).expect("v2 file loads");
-        assert_eq!(reloaded.version, 2);
-        assert_eq!(reloaded.cells.len(), stored.cells.len());
-        assert!(reloaded.cells.iter().all(|c| c.key.tenant.is_none()));
+        assert_eq!(stored.cells.len(), 2);
+        for cell in &stored.cells {
+            match &cell.result {
+                StoredResult::Err { message, .. } => assert!(message.contains(&big)),
+                StoredResult::Ok { .. } => panic!("Loud cells fail"),
+            }
+        }
         let resumed = suite()
-            .run_with_checkpoint(&[&Tick], &path, true)
-            .expect("v2 resume succeeds");
+            .run_with_checkpoint(&[&Loud], &path, true)
+            .expect("resume succeeds");
         assert_eq!(full.fingerprint(), resumed.fingerprint());
         let _ = std::fs::remove_file(&path);
     }
 
-    /// Versions outside the loadable window are rejected with a
+    /// Every version but the current one is rejected with a
     /// descriptive message, not mis-parsed.
     #[test]
     fn out_of_window_versions_are_rejected() {
         let path = scratch("v1-reject");
-        for bad in [1, CHECKPOINT_VERSION + 1] {
+        for bad in [1, 2, 3, CHECKPOINT_VERSION + 1] {
             std::fs::write(
                 &path,
                 format!("{{\"version\":{bad},\"grid_fp\":0,\"cells\":[]}}\n"),

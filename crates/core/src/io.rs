@@ -31,6 +31,7 @@
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use faults::{IoFaultPlan, XorShift64};
 
@@ -323,7 +324,7 @@ struct ChaosState {
 ///   [`IoErrorKind::CrashRename`]), modeling a harness crash at the
 ///   most dangerous instant. Recovery runs against a fresh backend.
 pub struct ChaosFs {
-    inner: Box<dyn ArtifactIo>,
+    inner: Arc<dyn ArtifactIo>,
     plan: IoFaultPlan,
     #[expect(
         clippy::disallowed_types,
@@ -333,8 +334,9 @@ pub struct ChaosFs {
 }
 
 impl ChaosFs {
-    /// Wraps `inner` with the faults described by `plan`.
-    pub fn new(inner: Box<dyn ArtifactIo>, plan: IoFaultPlan) -> ChaosFs {
+    /// Wraps `inner` with the faults described by `plan`. `inner` is
+    /// shared, so one crash countdown can sit under several layers.
+    pub fn new(inner: Arc<dyn ArtifactIo>, plan: IoFaultPlan) -> ChaosFs {
         let rng = XorShift64::new(plan.seed);
         ChaosFs {
             inner,
@@ -351,7 +353,7 @@ impl ChaosFs {
 
     /// Convenience: chaos over the real filesystem.
     pub fn over_real(plan: IoFaultPlan) -> ChaosFs {
-        ChaosFs::new(Box::new(RealFs), plan)
+        ChaosFs::new(Arc::new(RealFs), plan)
     }
 
     /// Whether the simulated crash-at-rename has fired.
@@ -372,15 +374,16 @@ impl ChaosFs {
         )
     }
 
-    /// Draws the fate of one write. Returns `Ok(None)` for a clean
-    /// write, `Ok(Some(prefix_len))` for a torn write, `Err` for an
+    /// Draws the fate of one write. Returns what lands: all of
+    /// `contents` for a clean write, a prefix cut on a UTF-8 boundary
+    /// (so the backend stays text) for a torn one, `Err` for an
     /// injected failure.
-    fn draw_write(
+    fn draw_write<'c>(
         &self,
         op: &'static str,
         path: &Path,
-        len: usize,
-    ) -> Result<Option<usize>, ArtifactError> {
+        contents: &'c str,
+    ) -> Result<&'c str, ArtifactError> {
         let mut st = self.lock();
         if st.crashed {
             return Err(Self::dead(op, path));
@@ -402,11 +405,15 @@ impl ChaosFs {
                 "injected transient EIO",
             ));
         }
+        let len = contents.len();
         if st.rng.chance(self.plan.torn_permille) && len > 1 {
-            let cut = 1 + st.rng.below(len as u64 - 1) as usize;
-            return Ok(Some(cut));
+            let mut cut = 1 + st.rng.below(len as u64 - 1) as usize;
+            while !contents.is_char_boundary(cut) {
+                cut -= 1;
+            }
+            return Ok(&contents[..cut]);
         }
-        Ok(None)
+        Ok(contents)
     }
 
     fn guard(&self, op: &'static str, path: &Path) -> Result<(), ArtifactError> {
@@ -424,30 +431,13 @@ impl ArtifactIo for ChaosFs {
     }
 
     fn write(&self, path: &Path, contents: &str) -> Result<(), ArtifactError> {
-        match self.draw_write("write", path, contents.len())? {
-            None => self.inner.write(path, contents),
-            Some(cut) => {
-                // Tear on a UTF-8 boundary so the backend stays text.
-                let mut cut = cut.min(contents.len());
-                while !contents.is_char_boundary(cut) {
-                    cut -= 1;
-                }
-                self.inner.write(path, &contents[..cut])
-            }
-        }
+        let lands = self.draw_write("write", path, contents)?;
+        self.inner.write(path, lands)
     }
 
     fn append(&self, path: &Path, contents: &str) -> Result<(), ArtifactError> {
-        match self.draw_write("append", path, contents.len())? {
-            None => self.inner.append(path, contents),
-            Some(cut) => {
-                let mut cut = cut.min(contents.len());
-                while !contents.is_char_boundary(cut) {
-                    cut -= 1;
-                }
-                self.inner.append(path, &contents[..cut])
-            }
-        }
+        let lands = self.draw_write("append", path, contents)?;
+        self.inner.append(path, lands)
     }
 
     fn rename(&self, from: &Path, to: &Path) -> Result<(), ArtifactError> {

@@ -47,7 +47,7 @@ pub mod runner;
 pub mod sweep;
 pub mod workload;
 
-pub use checkpoint::{load_checkpoint, Checkpoint, CHECKPOINT_VERSION, OLDEST_LOADABLE_VERSION};
+pub use checkpoint::{load_checkpoint, Checkpoint, CHECKPOINT_VERSION};
 pub use emit::{Emitter, Format};
 pub use env::{Env, EnvConfig, Region, SimThread};
 pub use io::{ArtifactError, ArtifactIo, ChaosFs, IoErrorKind, RealFs, RecoveryReport};

@@ -48,8 +48,7 @@ use std::sync::Arc;
 /// antagonists. Its [`Display`](std::fmt::Display) form `t{N}a{M}`
 /// round-trips through [`FromStr`](std::str::FromStr) and appends as a
 /// fifth `/`-separated [`CellKey`] field; cells without the dimension
-/// keep the legacy four-field form, so v2 checkpoint and report files
-/// parse unchanged.
+/// keep the classic four-field form.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TenantDim {
     /// Total tenants on the shared host (at least 1).
@@ -472,9 +471,8 @@ impl SweepReport {
             h.u64(c.cell.mode as u64);
             h.u64(c.cell.setting as u64);
             h.u64(c.cell.rep as u64);
-            // Hashed only when present, so classic sweeps (and their v2
-            // checkpoints) fingerprint identically to before the
-            // dimension existed.
+            // Hashed only when present, so classic sweeps fingerprint
+            // identically to before the dimension existed.
             if let Some(t) = c.cell.tenant {
                 h.u64(u64::from(t.tenants));
                 h.u64(u64::from(t.antagonists));

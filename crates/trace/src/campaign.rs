@@ -7,16 +7,14 @@
 //! visible as one of these events — they are the audit trail that lets
 //! an operator reconstruct why a cell was never executed.
 //!
-//! Like every artifact in the workspace the rendering is hand-rolled
-//! JSONL with fixed key order: two campaign runs that made the same
-//! decisions render byte-identical streams, which is what lets the soak
-//! harness `cmp` supervision traces across kill/resume cycles.
-//!
-//! Events are stamped with the campaign's *simulated* spend clock (the
+//! A [`CampaignLog`] renders byte-identical JSONL for identical
+//! decisions, which is what lets the soak harness `cmp` supervision
+//! traces across kill/resume cycles. Events are stamped with the campaign's *simulated* spend clock (the
 //! cycles accounted to executed cells, retries and backoff at decision
 //! time), never wall-clock time.
 
 use crate::json::escape;
+use crate::log::{EventLog, LogEvent};
 use std::fmt::Write as _;
 
 /// Circuit-breaker state for one workload.
@@ -171,15 +169,12 @@ pub enum CampaignEvent {
     },
 }
 
-impl CampaignEvent {
-    /// Renders the event as one JSON object (no trailing newline), with
-    /// fixed key order.
-    pub fn json_line(&self, seq: u64, at_cycles: u64) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"seq\":{seq},\"spent_cycles\":{at_cycles},\"event\":"
-        );
+impl LogEvent for CampaignEvent {
+    const TRACE: &'static str = "sgxgauge-campaign";
+    /// Stamped with the campaign's simulated spend clock.
+    const CLOCK_KEY: &'static str = "spent_cycles";
+
+    fn write_fields(&self, out: &mut String) {
         match self {
             CampaignEvent::StageBegin {
                 stage,
@@ -294,60 +289,12 @@ impl CampaignEvent {
                 );
             }
         }
-        out.push('}');
-        out
     }
 }
 
 /// An ordered campaign supervision log: every event with the simulated
 /// spend clock at which the supervisor made the decision.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CampaignLog {
-    events: Vec<(u64, CampaignEvent)>,
-}
-
-impl CampaignLog {
-    /// An empty log.
-    pub fn new() -> Self {
-        CampaignLog::default()
-    }
-
-    /// Appends `event` stamped with the current spend clock.
-    pub fn push(&mut self, at_cycles: u64, event: CampaignEvent) {
-        self.events.push((at_cycles, event));
-    }
-
-    /// The recorded events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &(u64, CampaignEvent)> {
-        self.events.iter()
-    }
-
-    /// Number of recorded events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Renders the log as JSONL: a header line, then one line per event
-    /// in decision order. Byte-identical for identical decision streams.
-    pub fn render_jsonl(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{{\"trace\":\"sgxgauge-campaign\",\"records\":{}}}",
-            self.events.len()
-        );
-        for (seq, (cycles, event)) in self.events.iter().enumerate() {
-            out.push_str(&event.json_line(seq as u64, *cycles));
-            out.push('\n');
-        }
-        out
-    }
-}
+pub type CampaignLog = EventLog<CampaignEvent>;
 
 #[cfg(test)]
 mod tests {

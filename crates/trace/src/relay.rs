@@ -8,10 +8,10 @@
 //! underneath, so per-round transition and paging amplification can be
 //! attributed to concrete deliveries.
 //!
-//! Like every artifact in the workspace the rendering is hand-rolled
-//! JSONL with fixed key order, keyed on simulated cycles: two runs of
-//! the same plan render byte-identical streams across `--jobs`.
+//! A [`NetLog`] is keyed on simulated cycles: two runs of the same plan
+//! render byte-identical streams across `--jobs`.
 
+use crate::log::{EventLog, LogEvent};
 use std::fmt::Write as _;
 
 /// Why the relay dropped a message instead of queueing a delivery.
@@ -85,12 +85,11 @@ pub enum NetEvent {
     },
 }
 
-impl NetEvent {
-    /// Renders the event as one JSON object (no trailing newline), with
-    /// fixed key order.
-    pub fn json_line(&self, seq_no: u64, at_cycles: u64) -> String {
-        let mut out = String::new();
-        let _ = write!(out, "{{\"seq\":{seq_no},\"cycles\":{at_cycles},\"event\":");
+impl LogEvent for NetEvent {
+    const TRACE: &'static str = "sgxgauge-relay";
+    const CLOCK_KEY: &'static str = "cycles";
+
+    fn write_fields(&self, out: &mut String) {
         match self {
             NetEvent::Sent {
                 seq,
@@ -134,60 +133,12 @@ impl NetEvent {
                 );
             }
         }
-        out.push('}');
-        out
     }
 }
 
 /// An ordered relay message log: every [`NetEvent`] with the simulated
 /// cycle at which the relay processed it.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct NetLog {
-    events: Vec<(u64, NetEvent)>,
-}
-
-impl NetLog {
-    /// An empty log.
-    pub fn new() -> Self {
-        NetLog::default()
-    }
-
-    /// Appends `event` stamped at `at_cycles`.
-    pub fn push(&mut self, at_cycles: u64, event: NetEvent) {
-        self.events.push((at_cycles, event));
-    }
-
-    /// The recorded events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &(u64, NetEvent)> {
-        self.events.iter()
-    }
-
-    /// Number of recorded events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Renders the log as JSONL: a header line, then one line per event
-    /// in processing order. Byte-identical for identical message streams.
-    pub fn render_jsonl(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{{\"trace\":\"sgxgauge-relay\",\"records\":{}}}",
-            self.events.len()
-        );
-        for (seq_no, (cycles, event)) in self.events.iter().enumerate() {
-            out.push_str(&event.json_line(seq_no as u64, *cycles));
-            out.push('\n');
-        }
-        out
-    }
-}
+pub type NetLog = EventLog<NetEvent>;
 
 #[cfg(test)]
 mod tests {

@@ -66,18 +66,7 @@ use sgxgauge_core::Workload;
 
 /// The full suite at paper scale, in Table 2 order.
 pub fn suite() -> Vec<Box<dyn Workload>> {
-    vec![
-        Box::new(Blockchain::new()),
-        Box::new(OpenSsl::new()),
-        Box::new(BTree::new()),
-        Box::new(HashJoin::new()),
-        Box::new(Bfs::new()),
-        Box::new(PageRank::new()),
-        Box::new(Memcached::new()),
-        Box::new(XsBench::new()),
-        Box::new(Lighttpd::new()),
-        Box::new(Svm::new()),
-    ]
+    suite_scaled(1)
 }
 
 /// The suite scaled down by `divisor` (for tests and smoke runs).
@@ -93,18 +82,6 @@ pub fn suite_scaled(divisor: u64) -> Vec<Box<dyn Workload>> {
         Box::new(XsBench::scaled(divisor)),
         Box::new(Lighttpd::scaled(divisor)),
         Box::new(Svm::scaled(divisor)),
-    ]
-}
-
-/// The six workloads with Native-mode ports, at paper scale (§4.3).
-pub fn native_suite() -> Vec<Box<dyn Workload>> {
-    vec![
-        Box::new(Blockchain::new()),
-        Box::new(OpenSsl::new()),
-        Box::new(BTree::new()),
-        Box::new(HashJoin::new()),
-        Box::new(Bfs::new()),
-        Box::new(PageRank::new()),
     ]
 }
 

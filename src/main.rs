@@ -803,8 +803,22 @@ fn cmd_cotenancy(flags: &BTreeMap<String, String>) -> Result<(), String> {
             ]);
         }
     }
-    println!("{table}");
+    emit_grid(
+        flags,
+        &table,
+        cells.iter().map(|c| (c.key, c.jsonl.as_str())),
+    )
+}
 
+/// Prints a grid command's table, writes it sealed to `--out`, and
+/// writes the per-cell JSONL streams to `--timeline`, concatenated in
+/// grid order, each preceded by a `{"cell":…}` line naming its cell.
+fn emit_grid<S: AsRef<str>>(
+    flags: &BTreeMap<String, String>,
+    table: &ReportTable,
+    streams: impl Iterator<Item = (CellKey, S)>,
+) -> Result<(), String> {
+    println!("{table}");
     let io = artifact_backend(flags)?;
     if let Some(out) = flags.get("out") {
         let path = PathBuf::from(out);
@@ -815,12 +829,10 @@ fn cmd_cotenancy(flags: &BTreeMap<String, String>) -> Result<(), String> {
     }
     if let Some(out) = flags.get("timeline") {
         let path = PathBuf::from(out);
-        // Concatenated per-cell streams, each preceded by a meta line
-        // naming the cell the records belong to.
         let mut body = String::new();
-        for cell in &cells {
-            body.push_str(&format!("{{\"cell\":\"{}\"}}\n", cell.key));
-            body.push_str(&cell.jsonl);
+        for (key, jsonl) in streams {
+            body.push_str(&format!("{{\"cell\":\"{key}\"}}\n"));
+            body.push_str(jsonl.as_ref());
         }
         artifact_io::write_atomic_with(io.as_ref(), &path, &body).map_err(|e| e.to_string())?;
         println!("[timeline] {}", path.display());
@@ -948,29 +960,13 @@ fn cmd_mpc(flags: &BTreeMap<String, String>) -> Result<(), String> {
             r.checksum.to_string(),
         ]);
     }
-    println!("{table}");
-
-    let io = artifact_backend(flags)?;
-    if let Some(out) = flags.get("out") {
-        let path = PathBuf::from(out);
-        table
-            .emit_sealed_with(io.as_ref(), &path)
-            .map_err(|e| e.to_string())?;
-        println!("[report] {}", path.display());
-    }
-    if let Some(out) = flags.get("timeline") {
-        let path = PathBuf::from(out);
-        // Concatenated per-cell supervision streams, each preceded by a
-        // meta line naming the cell the events belong to.
-        let mut body = String::new();
-        for cell in &cells {
-            body.push_str(&format!("{{\"cell\":\"{}\"}}\n", cell.key));
-            body.push_str(&cell.report.supervision.render_jsonl());
-        }
-        artifact_io::write_atomic_with(io.as_ref(), &path, &body).map_err(|e| e.to_string())?;
-        println!("[timeline] {}", path.display());
-    }
-    Ok(())
+    emit_grid(
+        flags,
+        &table,
+        cells
+            .iter()
+            .map(|c| (c.key, c.report.supervision.render_jsonl())),
+    )
 }
 
 fn cmd_campaign(config_path: &str, flags: &BTreeMap<String, String>) -> Result<(), String> {
