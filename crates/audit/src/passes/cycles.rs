@@ -14,8 +14,8 @@
 //! (`cycles`, `*_cycles`) when the enclosing function is not in the
 //! manifest and the RHS does not reference `costs` or an ALL_CAPS
 //! `*_CYCLES` constant. It also reports *stale* manifest entries —
-//! functions that no longer exist or no longer mutate counters — so the
-//! manifest cannot rot into a blanket waiver.
+//! functions that no longer exist or whose every mutation is already
+//! costs-routed — so the manifest cannot rot into a blanket waiver.
 
 use super::{statement_end, Workspace};
 use crate::lexer::Tok;
@@ -77,7 +77,7 @@ impl CycleManifest {
 /// Runs the pass over the workspace.
 pub fn run(ws: &Workspace, ctx: &RuleContext, manifest: &CycleManifest) -> Vec<Finding> {
     let mut out = Vec::new();
-    // Manifest entries that matched a real mutating function.
+    // Manifest entries that cover a function with an unrouted mutation.
     let mut used = vec![false; manifest.entries.len()];
     for file in &ws.files {
         if !SCOPE.iter().any(|p| file.path.starts_with(p)) {
@@ -87,11 +87,11 @@ pub fn run(ws: &Workspace, ctx: &RuleContext, manifest: &CycleManifest) -> Vec<F
             if f.in_test || f.body.is_none() {
                 continue;
             }
-            let mut mutates = false;
+            let mut unrouted = false;
             for (s, e) in file.own_ranges(ni) {
-                scan_range(file, s, e, ctx, &mut mutates, manifest, &f.qual, &mut out);
+                scan_range(file, s, e, ctx, &mut unrouted, manifest, &f.qual, &mut out);
             }
-            if mutates {
+            if unrouted {
                 for (k, entry) in manifest.entries.iter().enumerate() {
                     if file.path.ends_with(&entry.path_suffix) && entry.qual == f.qual {
                         used[k] = true;
@@ -108,8 +108,8 @@ pub fn run(ws: &Workspace, ctx: &RuleContext, manifest: &CycleManifest) -> Vec<F
                 file: manifest.source.clone(),
                 line: 1,
                 message: format!(
-                    "stale manifest entry `{} {}`: no such function mutates counters any more; \
-                     remove the entry",
+                    "stale manifest entry `{} {}`: no such function has a counter mutation \
+                     that is not routed through sgx_sim::costs; remove the entry",
                     entry.path_suffix, entry.qual
                 ),
             });
@@ -118,14 +118,15 @@ pub fn run(ws: &Workspace, ctx: &RuleContext, manifest: &CycleManifest) -> Vec<F
     out
 }
 
-/// Scans `[s, e]` for `+=` mutations of counter/cycle accumulators.
+/// Scans `[s, e]` for `+=` mutations of counter/cycle accumulators,
+/// setting `unrouted` when one is not routed through the costs.
 #[allow(clippy::too_many_arguments)]
 fn scan_range(
     file: &FileIr,
     s: usize,
     e: usize,
     ctx: &RuleContext,
-    mutates: &mut bool,
+    unrouted: &mut bool,
     manifest: &CycleManifest,
     fn_qual: &str,
     out: &mut Vec<Finding>,
@@ -145,14 +146,11 @@ fn scan_range(
         if !is_cycle_lhs(lhs, ctx) {
             continue;
         }
-        *mutates = true;
-        if file.in_test(i) {
+        if file.in_test(i) || rhs_routed(file, i + 2, e) {
             continue;
         }
+        *unrouted = true;
         if manifest.covers(&file.path, fn_qual) {
-            continue;
-        }
-        if rhs_routed(file, i + 2, e) {
             continue;
         }
         out.push(Finding {
@@ -250,6 +248,20 @@ mod tests {
         assert_eq!(f.len(), 1);
         assert!(f[0].message.contains("stale manifest entry"));
         assert_eq!(f[0].file, "m.manifest");
+    }
+
+    #[test]
+    fn entry_for_a_costs_routed_function_is_stale() {
+        let w = ws(
+            "impl SgxMachine { fn fault(&mut self) { self.fault_cycles += costs::EWB_CYCLES; } }",
+        );
+        let m = CycleManifest::parse(
+            "m.manifest",
+            "crates/sgx-sim/src/machine.rs SgxMachine::fault\n",
+        );
+        let f = run(&w, &ctx(), &m);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(f[0].message.contains("stale manifest entry"));
     }
 
     #[test]

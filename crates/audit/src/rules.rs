@@ -77,7 +77,7 @@ crates/sgx-sim is neither routed through sgx_sim::costs (RHS references `costs` 
 ALL_CAPS *_CYCLES constant) nor inside a function declared in \
 crates/audit/manifests/cycle-routing.manifest. The manifest is the reviewed list of \
 functions allowed to account cycles; it is what makes the cycle-decomposition identity \
-provable from source. Stale manifest entries (functions that no longer mutate counters) \
+provable from source. Stale manifest entries (functions with no unrouted mutation left) \
 are also reported, so the manifest cannot rot into a blanket waiver.\nFix: route through \
 costs, or add the function to the manifest with a reason comment.",
     },

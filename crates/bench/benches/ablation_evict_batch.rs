@@ -8,7 +8,7 @@
 //! working set.
 
 use mem_sim::{AccessKind, PAGE_SIZE};
-use sgx_sim::{SgxConfig, SgxMachine};
+use sgx_sim::{Host, SgxConfig};
 use sgxgauge_bench::{banner, emit, fk, fx};
 use sgxgauge_core::report::ReportTable;
 
@@ -20,7 +20,7 @@ fn run(batch: usize) -> (u64, u64, u64) {
         epc_reserved_bytes: 0,
         ..Default::default()
     };
-    let mut m = SgxMachine::new(cfg);
+    let mut m = Host::builder().sgx(cfg).build_machine();
     let t = m.add_thread();
     let ws_pages = (24 << 20) / PAGE_SIZE;
     let e = m

@@ -6,7 +6,7 @@
 //! own; run several side by side and the paging storm appears anyway.
 
 use mem_sim::{AccessKind, PAGE_SIZE};
-use sgx_sim::{SgxConfig, SgxMachine};
+use sgx_sim::{Host, SgxConfig};
 use sgxgauge_bench::{banner, emit, fk, scale};
 use sgxgauge_core::report::ReportTable;
 
@@ -20,7 +20,7 @@ fn run(n: usize) -> (u64, u64) {
         ..Default::default()
     };
     let ws_pages = cfg.epc_bytes / PAGE_SIZE / 3;
-    let mut m = SgxMachine::new(cfg);
+    let mut m = Host::builder().sgx(cfg).build_machine();
     let mut threads = Vec::new();
     let mut heaps = Vec::new();
     for _ in 0..n {

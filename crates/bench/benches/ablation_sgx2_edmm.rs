@@ -11,7 +11,7 @@
 
 use libos_sim::{LibosProcess, Manifest};
 use mem_sim::{AccessKind, ThreadId, PAGE_SIZE};
-use sgx_sim::{SgxConfig, SgxMachine};
+use sgx_sim::{Host, SgxConfig};
 use sgxgauge_bench::{banner, emit, fk};
 use sgxgauge_core::report::ReportTable;
 
@@ -20,7 +20,7 @@ fn launch(edmm: bool, enclave_size: u64) -> (libos_sim::StartupStats, u64) {
         sgx2_edmm: edmm,
         ..Default::default()
     };
-    let mut m = SgxMachine::new(cfg);
+    let mut m = Host::builder().sgx(cfg).build_machine();
     let t = m.add_thread();
     let manifest = Manifest::builder("app").enclave_size(enclave_size).build();
     let p = LibosProcess::launch(&mut m, t, &manifest).expect("launch");

@@ -6,12 +6,12 @@
 //! are evicted at start-up, of which only ≈700 (2 MB) are loaded back.
 
 use libos_sim::{LibosProcess, Manifest};
-use sgx_sim::{SgxConfig, SgxMachine};
+use sgx_sim::{Host, SgxConfig};
 use sgxgauge_bench::{banner, emit, fk};
 use sgxgauge_core::report::ReportTable;
 
 fn run_empty(enclave_size: u64) -> (libos_sim::StartupStats, u64) {
-    let mut machine = SgxMachine::new(SgxConfig::default());
+    let mut machine = Host::builder().sgx(SgxConfig::default()).build_machine();
     let tid = machine.add_thread();
     let manifest = Manifest::builder("empty")
         .enclave_size(enclave_size)

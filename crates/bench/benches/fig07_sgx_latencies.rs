@@ -6,7 +6,7 @@
 //! 16 while faults load back a single page. Means over 40 K+ samples.
 
 use mem_sim::{AccessKind, PAGE_SIZE};
-use sgx_sim::{DriverOp, SgxConfig, SgxMachine};
+use sgx_sim::{DriverOp, Host, SgxConfig};
 use sgxgauge_bench::{banner, emit};
 use sgxgauge_core::report::ReportTable;
 
@@ -18,7 +18,7 @@ fn main() {
 
     // Thrash a 92 MB EPC with a 3x working set until every op has tens
     // of thousands of samples, like the paper's ftrace collection.
-    let mut m = SgxMachine::new(SgxConfig::default());
+    let mut m = Host::builder().sgx(SgxConfig::default()).build_machine();
     let t = m.add_thread();
     let ws_bytes: u64 = 276 << 20;
     let e = m

@@ -7,7 +7,7 @@
 
 use libos_sim::Manifest;
 use mem_sim::{AccessKind, PAGE_SIZE};
-use sgx_sim::{SgxConfig, SgxMachine};
+use sgx_sim::{Host, SgxConfig, SgxMachine};
 use sgxgauge_bench::{banner, emit, fk, scale};
 use sgxgauge_core::report::ReportTable;
 use trace::{TimelinePoint, TraceSink};
@@ -57,7 +57,7 @@ fn main() {
     let pages: u64 = (40 << 20) / PAGE_SIZE / scale().max(1); // ~40 MB working set
 
     // Native: right-sized enclave.
-    let mut native = SgxMachine::new(SgxConfig::default());
+    let mut native = Host::builder().sgx(SgxConfig::default()).build_machine();
     native.add_thread();
     let e = native
         .create_enclave(pages * PAGE_SIZE + (64 << 20), 4 << 20)
@@ -71,7 +71,7 @@ fn main() {
     let native_trace = run_pattern(&mut native, heap, pages);
 
     // LibOS: 4 GB enclave via Graphene-like launch.
-    let mut libos = SgxMachine::new(SgxConfig::default());
+    let mut libos = Host::builder().sgx(SgxConfig::default()).build_machine();
     let t = libos.add_thread();
     let manifest = Manifest::builder("btree").build();
     let proc_ = libos_sim::LibosProcess::launch(&mut libos, t, &manifest).expect("launch");

@@ -49,7 +49,7 @@
 
 use mem_sim::{AccessKind, StreamRun, PAGE_SIZE};
 use sgx_sim::enclave::EnclaveId;
-use sgx_sim::{SgxConfig, SgxMachine};
+use sgx_sim::{Host, SgxConfig, SgxMachine};
 use sgxgauge_bench::{banner, best_of, sgxgauge_bench};
 
 /// The batched path must beat the frozen legacy pipeline by at least
@@ -338,7 +338,7 @@ mod legacy {
                     stlb: TlbLevel::new(cfg.stlb_entries, cfg.stlb_ways),
                 },
                 l1: L1Cache {
-                    tags: vec![u64::MAX; cfg.l1_cache_lines.next_power_of_two()],
+                    tags: vec![u64::MAX; mem_sim::L1_CACHE_LINES.next_power_of_two()],
                 },
                 walk_cache: WalkCache {
                     tags: vec![u64::MAX; 32],
@@ -657,7 +657,7 @@ const SINK_INTERVAL: u64 = u64::MAX / 2;
 /// state is reset and the trace plane armed (sweeps run with the sink
 /// armed, so the race reproduces that configuration).
 fn build_real(cfg: &SgxConfig) -> (SgxMachine, mem_sim::ThreadId, EnclaveId, u64) {
-    let mut m = SgxMachine::new(cfg.clone());
+    let mut m = Host::builder().sgx(cfg.clone()).build_machine();
     let t = m.add_thread();
     let e = m
         .create_enclave(64 * PAGE_SIZE, 32 * PAGE_SIZE)
@@ -699,8 +699,8 @@ fn main() {
     let mut ls = legacy::Sgx::new(
         legacy::Machine::new(&cfg.mem),
         (heap, heap + 16 * PAGE_SIZE),
-        cfg.eexit_cycles,
-        cfg.eenter_cycles,
+        sgx_sim::costs::EEXIT_CYCLES,
+        sgx_sim::costs::EENTER_CYCLES,
     );
     for p in 0..HOT_PAGES {
         ls.make_resident(heap_page + p);

@@ -6,7 +6,7 @@
 //! are caught.
 
 use mem_sim::{AccessAttrs, AccessKind, Machine, MachineConfig, PAGE_SIZE};
-use sgx_sim::{SgxConfig, SgxMachine};
+use sgx_sim::{Host, SgxConfig};
 use sgxgauge_bench::time_per_iter;
 use std::hint::black_box;
 
@@ -25,7 +25,9 @@ fn bench_mem_access() {
 }
 
 fn bench_epc_fault_path() {
-    let mut m = SgxMachine::new(SgxConfig::with_tiny_epc(1024, 16));
+    let mut m = Host::builder()
+        .sgx(SgxConfig::with_tiny_epc(1024, 16))
+        .build_machine();
     let t = m.add_thread();
     let e = m.create_enclave(64 << 20, 1 << 20).expect("enclave");
     m.ecall_enter(t, e).expect("enter");
@@ -40,7 +42,7 @@ fn bench_epc_fault_path() {
 }
 
 fn bench_transitions() {
-    let mut m = SgxMachine::new(SgxConfig::default());
+    let mut m = Host::builder().sgx(SgxConfig::default()).build_machine();
     let t = m.add_thread();
     let e = m.create_enclave(32 << 20, 1 << 20).expect("enclave");
     time_per_iter("ecall_roundtrip", || {

@@ -25,8 +25,8 @@ use sgxgauge_core::io::Journal;
 use sgxgauge_core::sweep::{CellError, CellErrorKind, SweepCell};
 use sgxgauge_core::workload::Workload;
 use sgxgauge_core::{
-    checkpoint, io, ArtifactError, ArtifactIo, CellKey, ChaosFs, Emitter, IoErrorKind, PartyDim,
-    RealFs, ReportTable, RunnerConfig, SuiteRunner, TenantDim,
+    checkpoint, io, ArtifactError, ArtifactIo, CellKey, ChaosFs, Emitter, PartyDim, RealFs,
+    ReportTable, RunnerConfig, SuiteRunner, TenantDim,
 };
 use std::path::Path;
 use std::sync::Arc;
@@ -644,18 +644,5 @@ fn write_health(
         h.cells_shed
     );
     let path = stage_dir.join("health.json");
-    let mut last = ArtifactError::io(
-        "write",
-        &path,
-        IoErrorKind::Other,
-        "health write retry budget exhausted",
-    );
-    for _ in 0..PUBLISH_ATTEMPTS {
-        match io::write_atomic_with(io, &path, &body) {
-            Ok(()) => return Ok(()),
-            Err(e) if e.is_transient() => last = e,
-            Err(e) => return Err(e),
-        }
-    }
-    Err(last)
+    io::retry_transient(PUBLISH_ATTEMPTS, || io::write_atomic_with(io, &path, &body))
 }

@@ -97,24 +97,6 @@ pub trait Emitter {
     }
 }
 
-/// A pre-rendered JSON document (the checkpoint writer's adapter into
-/// the shared emission path).
-#[derive(Debug, Clone)]
-pub struct JsonDoc {
-    /// The complete document text.
-    pub body: String,
-}
-
-impl Emitter for JsonDoc {
-    fn format(&self) -> Format {
-        Format::Json
-    }
-
-    fn render(&self) -> String {
-        self.body.clone()
-    }
-}
-
 /// A trace sink viewed as a JSONL artifact.
 #[derive(Debug, Clone, Copy)]
 pub struct TraceJsonl<'a>(pub &'a trace::TraceSink);
@@ -129,18 +111,6 @@ impl Emitter for TraceJsonl<'_> {
     }
 }
 
-/// Whole-file atomic durable write on the real filesystem: parent
-/// directories are created, the contents land in a temp sibling
-/// (fsynced and read back to verify), and a rename followed by a
-/// directory sync publishes them.
-///
-/// # Errors
-///
-/// A typed [`ArtifactError`].
-pub fn write_atomic(path: &Path, contents: &str) -> Result<(), ArtifactError> {
-    io::write_atomic_with(&RealFs, path, contents)
-}
-
 #[cfg(test)]
 #[allow(clippy::disallowed_methods, clippy::disallowed_types)]
 mod tests {
@@ -153,22 +123,6 @@ mod tests {
         assert_eq!(Format::from_path(Path::new("t.jsonl")), Some(Format::Jsonl));
         assert_eq!(Format::from_path(Path::new("t.txt")), None);
         assert_eq!(Format::from_path(Path::new("noext")), None);
-    }
-
-    #[test]
-    fn atomic_write_creates_parents_and_publishes() {
-        let dir = std::env::temp_dir().join(format!("sgxgauge-emit-{}", std::process::id()));
-        let path = dir.join("deep/nested/doc.json");
-        let doc = JsonDoc {
-            body: "{\"ok\":1}\n".to_owned(),
-        };
-        doc.emit(&path).expect("emit succeeds");
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "{\"ok\":1}\n");
-        assert!(
-            !path.with_extension("json.tmp").exists(),
-            "temp sibling renamed away"
-        );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

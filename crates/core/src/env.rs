@@ -22,7 +22,7 @@ use crate::workload::{TransientError, WorkloadError};
 use faults::{FaultHook, InjectedFault};
 use libos_sim::{LibosProcess, Manifest};
 use mem_sim::{AccessKind, ThreadId, PAGE_SIZE};
-use sgx_sim::{EnclaveId, SgxConfig, SgxMachine};
+use sgx_sim::{costs, EnclaveId, SgxConfig, SgxMachine};
 use std::collections::BTreeMap;
 
 /// Where a region lives.
@@ -107,20 +107,18 @@ pub struct EnvConfig {
     /// Estimated protected bytes (sizes Native enclaves; checked against
     /// the LibOS enclave size).
     pub protected_hint: u64,
-    /// Bytes of measured binary content for Native enclaves.
-    pub native_content: u64,
     /// LibOS manifest; `None` uses the Table 3 defaults with the binary
     /// named "workload".
     pub manifest: Option<Manifest>,
     /// Protected-files mode for LibOS file I/O (Appendix E).
     pub protected_files: bool,
-    /// Cycles of a host syscall outside any enclave.
-    pub syscall_cycles: u64,
-    /// Copy throughput for I/O staging, cycles per KiB.
-    pub copy_cycles_per_kib: u64,
-    /// I/O batch size (bytes per OCALL in Native mode).
-    pub io_batch: u64,
 }
+
+/// Bytes of measured binary content for Native enclaves.
+const NATIVE_CONTENT: u64 = 4 << 20;
+
+/// I/O batch size: bytes per OCALL in Native mode.
+const IO_BATCH: u64 = 64 << 10;
 
 impl EnvConfig {
     /// Paper-faithful configuration for `mode` (92 MB EPC, 4 GB LibOS
@@ -130,12 +128,8 @@ impl EnvConfig {
             mode,
             sgx: SgxConfig::default(),
             protected_hint,
-            native_content: 4 << 20,
             manifest: None,
             protected_files: false,
-            syscall_cycles: sgx_sim::costs::HOST_SYSCALL_CYCLES,
-            copy_cycles_per_kib: 70,
-            io_batch: 64 << 10,
         }
     }
 
@@ -215,9 +209,6 @@ pub struct Env {
     libos: Option<LibosProcess>,
     threads: Vec<ThreadMeta>,
     cur: usize,
-    syscall_cycles: u64,
-    copy_cycles_per_kib: u64,
-    io_batch: u64,
     app_started: bool,
     /// Compiled fault-injection hook for this run, polled from the
     /// charging paths against the simulated thread clock.
@@ -264,9 +255,7 @@ impl Env {
         if let Some(m) = &manifest {
             sgx.tcs_per_enclave = m.threads() + 2;
         }
-        // Single-enclave envs are the degenerate co-tenant host: build
-        // through the same `HostBuilder` front door (see CHANGELOG.md on
-        // the positional `SgxMachine::new` deprecation).
+        // Single-enclave envs are the degenerate co-tenant host.
         let mut machine = sgx_sim::Host::builder().sgx(sgx).build_machine();
         let main = machine.add_thread();
         let mut native_enclave = None;
@@ -277,8 +266,8 @@ impl Env {
                 // Size the enclave to the workload: content + heap with
                 // slack, as a porting developer would.
                 let size =
-                    cfg.native_content + cfg.protected_hint + cfg.protected_hint / 2 + (16 << 20);
-                native_enclave = Some(machine.create_enclave(size, cfg.native_content)?);
+                    NATIVE_CONTENT + cfg.protected_hint + cfg.protected_hint / 2 + (16 << 20);
+                native_enclave = Some(machine.create_enclave(size, NATIVE_CONTENT)?);
             }
             ExecMode::LibOs => {
                 let m = manifest.as_ref().expect("manifest resolved above");
@@ -297,9 +286,6 @@ impl Env {
                 kind: ThreadKind::App,
             }],
             cur: 0,
-            syscall_cycles: cfg.syscall_cycles,
-            copy_cycles_per_kib: cfg.copy_cycles_per_kib,
-            io_batch: cfg.io_batch,
             app_started: false,
             faults: None,
             budget: None,
@@ -785,13 +771,13 @@ impl Env {
         let kind = self.threads[self.cur].kind;
         match self.mode {
             ExecMode::Vanilla => {
-                self.machine.compute(tid, self.syscall_cycles);
+                self.machine.compute(tid, costs::HOST_SYSCALL_CYCLES);
             }
             ExecMode::Native => {
                 if self.machine.current_enclave(tid).is_some() {
-                    self.machine.ocall(tid, self.syscall_cycles)?;
+                    self.machine.ocall(tid, costs::HOST_SYSCALL_CYCLES)?;
                 } else {
-                    self.machine.compute(tid, self.syscall_cycles);
+                    self.machine.compute(tid, costs::HOST_SYSCALL_CYCLES);
                 }
             }
             ExecMode::LibOs => {
@@ -799,7 +785,7 @@ impl Env {
                     let p = self.libos.as_mut().expect("libos process");
                     p.shim_mut().syscall_host(&mut self.machine, tid)?;
                 } else {
-                    self.machine.compute(tid, self.syscall_cycles);
+                    self.machine.compute(tid, costs::HOST_SYSCALL_CYCLES);
                 }
             }
         }
@@ -820,20 +806,20 @@ impl Env {
     pub fn io_transfer(&mut self, bytes: u64, _write: bool) -> Result<(), WorkloadError> {
         let tid = self.threads[self.cur].id;
         let kind = self.threads[self.cur].kind;
-        let copy = bytes.div_ceil(1024) * self.copy_cycles_per_kib;
+        let copy = bytes.div_ceil(1024) * costs::HOST_COPY_CYCLES_PER_KIB;
         match self.mode {
             ExecMode::Vanilla => {
-                self.machine.compute(tid, self.syscall_cycles + copy);
+                self.machine.compute(tid, costs::HOST_SYSCALL_CYCLES + copy);
             }
             ExecMode::Native => {
                 if self.machine.current_enclave(tid).is_some() {
-                    let chunks = bytes.div_ceil(self.io_batch).max(1);
+                    let chunks = bytes.div_ceil(IO_BATCH).max(1);
                     for _ in 0..chunks {
                         self.machine
-                            .ocall(tid, self.syscall_cycles + copy / chunks)?;
+                            .ocall(tid, costs::HOST_SYSCALL_CYCLES + copy / chunks)?;
                     }
                 } else {
-                    self.machine.compute(tid, self.syscall_cycles + copy);
+                    self.machine.compute(tid, costs::HOST_SYSCALL_CYCLES + copy);
                 }
             }
             ExecMode::LibOs => {
@@ -842,7 +828,7 @@ impl Env {
                     p.shim_mut()
                         .file_transfer(&mut self.machine, tid, bytes, _write)?;
                 } else {
-                    self.machine.compute(tid, self.syscall_cycles + copy);
+                    self.machine.compute(tid, costs::HOST_SYSCALL_CYCLES + copy);
                 }
             }
         }
@@ -1033,24 +1019,24 @@ impl Env {
     fn charge_file_io(&mut self, bytes: u64, write: bool) -> Result<(), WorkloadError> {
         let tid = self.threads[self.cur].id;
         let kind = self.threads[self.cur].kind;
-        let copy = bytes.div_ceil(1024) * self.copy_cycles_per_kib;
+        let copy = bytes.div_ceil(1024) * costs::HOST_COPY_CYCLES_PER_KIB;
         match self.mode {
             ExecMode::Vanilla => {
-                let chunks = bytes.div_ceil(self.io_batch).max(1);
+                let chunks = bytes.div_ceil(IO_BATCH).max(1);
                 self.machine
-                    .compute(tid, self.syscall_cycles * chunks + copy);
+                    .compute(tid, costs::HOST_SYSCALL_CYCLES * chunks + copy);
             }
             ExecMode::Native => {
                 if self.machine.current_enclave(tid).is_some() {
-                    let chunks = bytes.div_ceil(self.io_batch).max(1);
+                    let chunks = bytes.div_ceil(IO_BATCH).max(1);
                     for _ in 0..chunks {
                         self.machine
-                            .ocall(tid, self.syscall_cycles + copy / chunks)?;
+                            .ocall(tid, costs::HOST_SYSCALL_CYCLES + copy / chunks)?;
                     }
                 } else {
-                    let chunks = bytes.div_ceil(self.io_batch).max(1);
+                    let chunks = bytes.div_ceil(IO_BATCH).max(1);
                     self.machine
-                        .compute(tid, self.syscall_cycles * chunks + copy);
+                        .compute(tid, costs::HOST_SYSCALL_CYCLES * chunks + copy);
                 }
             }
             ExecMode::LibOs => {
@@ -1059,9 +1045,9 @@ impl Env {
                     p.shim_mut()
                         .file_transfer(&mut self.machine, tid, bytes, write)?;
                 } else {
-                    let chunks = bytes.div_ceil(self.io_batch).max(1);
+                    let chunks = bytes.div_ceil(IO_BATCH).max(1);
                     self.machine
-                        .compute(tid, self.syscall_cycles * chunks + copy);
+                        .compute(tid, costs::HOST_SYSCALL_CYCLES * chunks + copy);
                 }
             }
         }

@@ -728,9 +728,9 @@ impl Journal {
     }
 }
 
-/// Journaled atomic publish: intent → durable temp write → read-back
-/// verify → rename → directory sync → commit. A crash at any step
-/// leaves state [`recover`] can repair or quarantine.
+/// Journaled atomic publish: intent, then [`write_atomic_with`], then
+/// commit. A crash at any step leaves state [`recover`] can repair or
+/// quarantine.
 ///
 /// # Errors
 ///
@@ -741,29 +741,33 @@ pub fn publish(
     path: &Path,
     contents: &str,
 ) -> Result<(), ArtifactError> {
+    // The journal is a sibling of the artifact: its directory must exist
+    // before the intent is appended.
     ensure_parent(io, path)?;
     journal.intent(io, path, crc32(contents.as_bytes()))?;
-    let tmp = tmp_sibling(path);
-    io.write(&tmp, contents)?;
-    let back = io.read(&tmp)?;
-    if back != contents {
-        io.remove(&tmp).ok();
-        return Err(ArtifactError::io(
-            "verify",
-            &tmp,
-            IoErrorKind::Torn,
-            format!(
-                "read-back mismatch after write ({} of {} bytes landed)",
-                back.len(),
-                contents.len()
-            ),
-        ));
-    }
-    io.rename(&tmp, path)?;
-    if let Some(parent) = nonempty_parent(path) {
-        io.sync_dir(parent)?;
-    }
+    write_atomic_with(io, path, contents)?;
     journal.commit(io, path)
+}
+
+/// Runs `op` up to `attempts` times (at least once), redoing it only
+/// while it fails transiently (torn write, transient EIO). Returns the
+/// first success, the first non-transient error, or the last transient
+/// one once the budget is spent.
+///
+/// # Errors
+///
+/// The [`ArtifactError`] that ended the attempts.
+pub fn retry_transient<T>(
+    attempts: usize,
+    mut op: impl FnMut() -> Result<T, ArtifactError>,
+) -> Result<T, ArtifactError> {
+    let mut left = attempts.max(1);
+    loop {
+        match op() {
+            Err(e) if e.is_transient() && left > 1 => left -= 1,
+            done => return done,
+        }
+    }
 }
 
 /// [`publish`] of an integrity-sealed body with a bounded transient
@@ -784,20 +788,7 @@ pub fn publish_sealed(
     attempts: usize,
 ) -> Result<(), ArtifactError> {
     let sealed = seal(body);
-    let mut last = ArtifactError::io(
-        "publish",
-        path,
-        IoErrorKind::Other,
-        "publish retry budget exhausted",
-    );
-    for _ in 0..attempts.max(1) {
-        match publish(io, journal, path, &sealed) {
-            Ok(()) => return Ok(()),
-            Err(e) if e.is_transient() => last = e,
-            Err(e) => return Err(e),
-        }
-    }
-    Err(last)
+    retry_transient(attempts, || publish(io, journal, path, &sealed))
 }
 
 /// What startup recovery did, for the report and logs.

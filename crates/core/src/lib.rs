@@ -51,6 +51,7 @@ pub use checkpoint::{load_checkpoint, Checkpoint, CHECKPOINT_VERSION};
 pub use emit::{Emitter, Format};
 pub use env::{Env, EnvConfig, Region, SimThread};
 pub use io::{ArtifactError, ArtifactIo, ChaosFs, IoErrorKind, RealFs, RecoveryReport};
+pub use mem_sim::CLOCK_HZ;
 pub use modes::{ExecMode, InputSetting};
 pub use report::{RatioRow, ReportTable};
 pub use runner::{RunReport, Runner, RunnerConfig, TraceConfig};

@@ -167,11 +167,6 @@ impl Runner {
         self
     }
 
-    /// The trace configuration in use, if any.
-    pub fn trace_config(&self) -> Option<TraceConfig> {
-        self.trace
-    }
-
     /// Injects faults from `plan` into every run (see
     /// [`faults::FaultPlan`]).
     #[must_use]
@@ -328,7 +323,7 @@ impl Runner {
             sgx: *env.machine().sgx_counters(),
             driver: env.machine().driver_stats().clone(),
             libos_startup,
-            clock_hz: env.machine().config().mem.clock_hz,
+            clock_hz: mem_sim::CLOCK_HZ,
             output,
             timeline,
             phases,
@@ -349,24 +344,6 @@ impl Runner {
     ) -> Result<Vec<RunReport>, WorkloadError> {
         (0..self.cfg.repetitions.max(1))
             .map(|_| self.run_once(workload, mode, setting))
-            .collect()
-    }
-
-    /// Runs every supported mode at `setting`, returning reports in
-    /// [`ExecMode::ALL`] order (one per mode).
-    ///
-    /// # Errors
-    ///
-    /// Fails fast on the first failing run.
-    pub fn run_modes(
-        &self,
-        workload: &dyn Workload,
-        setting: InputSetting,
-    ) -> Result<Vec<RunReport>, WorkloadError> {
-        ExecMode::ALL
-            .iter()
-            .filter(|m| workload.supports(**m))
-            .map(|&m| self.run_once(workload, m, setting))
             .collect()
     }
 }
@@ -467,14 +444,6 @@ mod tests {
             .run(&Toy, ExecMode::Vanilla, InputSetting::Low)
             .unwrap();
         assert_eq!(reports.len(), 3);
-    }
-
-    #[test]
-    fn run_modes_covers_supported() {
-        let runner = Runner::new(RunnerConfig::quick_test());
-        let reports = runner.run_modes(&Toy, InputSetting::Low).unwrap();
-        assert_eq!(reports.len(), 3);
-        assert_eq!(reports[0].mode, ExecMode::Vanilla);
     }
 
     #[test]

@@ -432,14 +432,6 @@ impl SweepReport {
             .filter_map(|c| c.result.as_ref().err().map(|e| (c, e)))
     }
 
-    /// Successful reports of one workload (by grid index), in grid order.
-    pub fn reports_of(&self, workload: usize) -> impl Iterator<Item = &RunReport> {
-        self.cells
-            .iter()
-            .filter(move |c| c.cell.workload == workload)
-            .filter_map(|c| c.result.as_ref().ok())
-    }
-
     /// Quarantined cells (fatal or panicked past the retry budget), in
     /// grid order.
     pub fn quarantined(&self) -> impl Iterator<Item = (&SweepCell, &CellError)> {
@@ -667,11 +659,6 @@ impl SuiteRunner {
     pub fn max_quarantine(mut self, n: usize) -> Self {
         self.max_quarantine = Some(n);
         self
-    }
-
-    /// The configured quarantine tolerance, if any.
-    pub fn quarantine_budget(&self) -> Option<usize> {
-        self.max_quarantine
     }
 
     /// Installs a cooperative shutdown flag: once set (e.g. by a signal

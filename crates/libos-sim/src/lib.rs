@@ -23,9 +23,9 @@
 //!
 //! ```
 //! use libos_sim::{Manifest, LibosProcess};
-//! use sgx_sim::{SgxMachine, SgxConfig};
+//! use sgx_sim::{Host, SgxConfig};
 //!
-//! let mut m = SgxMachine::new(SgxConfig::with_tiny_epc(4096, 16));
+//! let mut m = Host::builder().sgx(SgxConfig::with_tiny_epc(4096, 16)).build_machine();
 //! let t = m.add_thread();
 //! let manifest = Manifest::builder("app").enclave_size(256 << 20).build();
 //! let proc_ = LibosProcess::launch(&mut m, t, &manifest).unwrap();
@@ -42,4 +42,4 @@ pub mod shim;
 
 pub use manifest::{Manifest, ManifestBuilder, ManifestError};
 pub use process::{LibosProcess, StartupStats};
-pub use shim::{Shim, ShimConfig};
+pub use shim::Shim;

@@ -14,7 +14,7 @@
 //!   the million evicted.
 
 use crate::manifest::Manifest;
-use crate::shim::{Shim, ShimConfig};
+use crate::shim::Shim;
 use mem_sim::{AccessKind, ThreadId, PAGE_SIZE};
 use sgx_sim::{EnclaveId, SgxError, SgxMachine};
 
@@ -76,11 +76,7 @@ impl LibosProcess {
         // ECREATE + whole-ELRANGE measurement + EINIT.
         let enclave = machine.create_enclave(manifest.enclave_size(), RUNTIME_IMAGE_BYTES)?;
 
-        let mut shim = Shim::new(
-            ShimConfig::default(),
-            manifest.protected_files(),
-            b"sgxgauge-platform",
-        );
+        let mut shim = Shim::new(manifest.protected_files(), b"sgxgauge-platform");
 
         // Bootstrap: the runtime enters, loads libraries/trusted files
         // via host calls, and touches its image + early internal memory.
@@ -188,11 +184,11 @@ impl LibosProcess {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sgx_sim::SgxConfig;
+    use sgx_sim::{Host, SgxConfig};
 
     /// A machine with a paper-scale EPC (92 MB) but nothing else running.
     fn machine() -> (SgxMachine, ThreadId) {
-        let mut m = SgxMachine::new(SgxConfig::default());
+        let mut m = Host::builder().sgx(SgxConfig::default()).build_machine();
         let t = m.add_thread();
         (m, t)
     }

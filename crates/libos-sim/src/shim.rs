@@ -10,43 +10,16 @@
 
 use mem_sim::ThreadId;
 use sgx_crypto::{SealError, SealedBlob, SealingKey};
-use sgx_sim::{SgxError, SgxMachine};
+use sgx_sim::{costs, SgxError, SgxMachine};
 
-/// Cost parameters of the shim.
-#[derive(Debug, Clone)]
-pub struct ShimConfig {
-    /// In-enclave cycles to decode + dispatch one intercepted syscall.
-    pub dispatch_cycles: u64,
-    /// Untrusted-side work per forwarded OCALL (the actual host syscall).
-    pub ocall_work_cycles: u64,
-    /// Bytes of file I/O coalesced into one OCALL.
-    pub batch_bytes: u64,
-    /// Copy cost through the untrusted staging buffer, cycles per KiB.
-    /// Data crosses the boundary twice (enclave buffer -> staging ->
-    /// host), so this is steeper than a plain kernel copy.
-    pub copy_cycles_per_kib: u64,
-    /// In-enclave crypto cost for protected files, cycles per KiB
-    /// (AES-NI-class GCM: ~0.4 cycles/byte).
-    pub pf_cycles_per_kib: u64,
-    /// Protected-file block size.
-    pub pf_block_bytes: u64,
-}
+/// Bytes of file I/O coalesced into one OCALL. Graphene coalesces bulk
+/// I/O more aggressively than a naive native port's per-64-KiB OCALLs —
+/// one reason the paper sees LibOS *beat* Native at large inputs
+/// (Table 4: 0.9x at High).
+const BATCH_BYTES: u64 = 256 << 10;
 
-impl Default for ShimConfig {
-    fn default() -> Self {
-        ShimConfig {
-            dispatch_cycles: 1_500,
-            ocall_work_cycles: 3_500,
-            // Graphene coalesces bulk I/O more aggressively than a naive
-            // native port's per-64-KiB OCALLs — one reason the paper sees
-            // LibOS *beat* Native at large inputs (Table 4: 0.9x at High).
-            batch_bytes: 256 << 10,
-            copy_cycles_per_kib: 250,
-            pf_cycles_per_kib: 450,
-            pf_block_bytes: 4096,
-        }
-    }
-}
+/// Protected-file block size.
+const PF_BLOCK_BYTES: u64 = 4096;
 
 /// Running statistics of the shim.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -68,7 +41,6 @@ pub struct ShimStats {
 /// thread on the shared [`SgxMachine`].
 #[derive(Debug, Clone)]
 pub struct Shim {
-    cfg: ShimConfig,
     pf: Option<SealingKey>,
     stats: ShimStats,
     pf_nonce: u64,
@@ -77,10 +49,9 @@ pub struct Shim {
 impl Shim {
     /// Creates a shim; `protected_files` arms transparent file crypto
     /// with a key derived from `platform_secret`.
-    pub fn new(cfg: ShimConfig, protected_files: bool, platform_secret: &[u8]) -> Self {
+    pub fn new(protected_files: bool, platform_secret: &[u8]) -> Self {
         let pf = protected_files.then(|| SealingKey::derive(platform_secret, b"graphene-pf"));
         Shim {
-            cfg,
             pf,
             stats: ShimStats::default(),
             pf_nonce: 1,
@@ -115,7 +86,7 @@ impl Shim {
         self.stats.syscalls += 1;
         m.mem_mut()
             .trace_emit(tid, trace::TraceEvent::ShimSyscall { host: false });
-        m.compute(tid, self.cfg.dispatch_cycles);
+        m.compute(tid, costs::SHIM_DISPATCH_CYCLES);
         Ok(())
     }
 
@@ -133,8 +104,8 @@ impl Shim {
         self.stats.forwarded_ocalls += 1;
         m.mem_mut()
             .trace_emit(tid, trace::TraceEvent::ShimSyscall { host: true });
-        m.compute(tid, self.cfg.dispatch_cycles);
-        m.ocall(tid, self.cfg.ocall_work_cycles)
+        m.compute(tid, costs::SHIM_DISPATCH_CYCLES);
+        m.ocall(tid, costs::SHIM_OCALL_WORK_CYCLES)
     }
 
     /// Charges the transfer path of `bytes` of file I/O (read when
@@ -164,26 +135,26 @@ impl Shim {
         } else {
             self.stats.bytes_read += bytes;
         }
-        m.compute(tid, self.cfg.dispatch_cycles);
-        let ocalls = bytes.div_ceil(self.cfg.batch_bytes).max(1);
-        let copy = bytes.div_ceil(1024) * self.cfg.copy_cycles_per_kib;
+        m.compute(tid, costs::SHIM_DISPATCH_CYCLES);
+        let ocalls = bytes.div_ceil(BATCH_BYTES).max(1);
+        let copy = bytes.div_ceil(1024) * costs::SHIM_COPY_CYCLES_PER_KIB;
         // PF crypto happens in-enclave, per block, before/after staging.
         if self.pf.is_some() {
-            let blocks = bytes.div_ceil(self.cfg.pf_block_bytes).max(1);
+            let blocks = bytes.div_ceil(PF_BLOCK_BYTES).max(1);
             self.stats.pf_blocks += blocks;
-            m.compute(tid, bytes.div_ceil(1024) * self.cfg.pf_cycles_per_kib);
+            m.compute(tid, bytes.div_ceil(1024) * costs::PF_CRYPTO_CYCLES_PER_KIB);
             // One extra forwarded metadata OCALL per few blocks (Merkle
             // bookkeeping), part of why PF is so expensive (Fig 10).
             let meta_ocalls = blocks.div_ceil(32);
             for _ in 0..meta_ocalls {
                 self.stats.forwarded_ocalls += 1;
-                m.ocall(tid, self.cfg.ocall_work_cycles / 2)?;
+                m.ocall(tid, costs::SHIM_OCALL_WORK_CYCLES / 2)?;
             }
         }
         let per_ocall_copy = copy / ocalls.max(1);
         for _ in 0..ocalls {
             self.stats.forwarded_ocalls += 1;
-            m.ocall(tid, self.cfg.ocall_work_cycles + per_ocall_copy)?;
+            m.ocall(tid, costs::SHIM_OCALL_WORK_CYCLES + per_ocall_copy)?;
         }
         Ok(ocalls)
     }
@@ -223,21 +194,18 @@ impl Shim {
         let key = self.pf.as_ref().expect("pf_open without protected files");
         key.unseal(blob)
     }
-
-    /// The shim's cost configuration.
-    pub fn config(&self) -> &ShimConfig {
-        &self.cfg
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mem_sim::PAGE_SIZE;
-    use sgx_sim::SgxConfig;
+    use sgx_sim::{Host, SgxConfig};
 
     fn setup() -> (SgxMachine, ThreadId, sgx_sim::EnclaveId) {
-        let mut m = SgxMachine::new(SgxConfig::with_tiny_epc(1024, 16));
+        let mut m = Host::builder()
+            .sgx(SgxConfig::with_tiny_epc(1024, 16))
+            .build_machine();
         let t = m.add_thread();
         let e = m.create_enclave(256 * PAGE_SIZE, 16 * PAGE_SIZE).unwrap();
         m.ecall_enter(t, e).unwrap();
@@ -247,7 +215,7 @@ mod tests {
     #[test]
     fn light_syscall_no_ocall() {
         let (mut m, t, _) = setup();
-        let mut shim = Shim::new(ShimConfig::default(), false, b"p");
+        let mut shim = Shim::new(false, b"p");
         shim.syscall_light(&mut m, t).unwrap();
         assert_eq!(shim.stats().syscalls, 1);
         assert_eq!(m.sgx_counters().ocalls, 0);
@@ -256,7 +224,7 @@ mod tests {
     #[test]
     fn host_syscall_forwards() {
         let (mut m, t, _) = setup();
-        let mut shim = Shim::new(ShimConfig::default(), false, b"p");
+        let mut shim = Shim::new(false, b"p");
         shim.syscall_host(&mut m, t).unwrap();
         assert_eq!(m.sgx_counters().ocalls, 1);
     }
@@ -264,7 +232,7 @@ mod tests {
     #[test]
     fn file_transfer_batches() {
         let (mut m, t, _) = setup();
-        let mut shim = Shim::new(ShimConfig::default(), false, b"p");
+        let mut shim = Shim::new(false, b"p");
         // 1 MiB over 256 KiB batches = 4 OCALLs.
         let ocalls = shim.file_transfer(&mut m, t, 1 << 20, false).unwrap();
         assert_eq!(ocalls, 4);
@@ -276,14 +244,14 @@ mod tests {
     fn pf_mode_costs_more_and_adds_ocalls() {
         let (mut m, t, _) = setup();
         m.reset_measurement(); // exclude enclave-build cycles
-        let mut plain = Shim::new(ShimConfig::default(), false, b"p");
+        let mut plain = Shim::new(false, b"p");
         plain.file_transfer(&mut m, t, 1 << 20, true).unwrap();
         let plain_cycles = m.mem().cycles_of(t);
         let plain_ocalls = m.sgx_counters().ocalls;
 
         let (mut m2, t2, _) = setup();
         m2.reset_measurement();
-        let mut pf = Shim::new(ShimConfig::default(), true, b"p");
+        let mut pf = Shim::new(true, b"p");
         pf.file_transfer(&mut m2, t2, 1 << 20, true).unwrap();
         assert!(
             m2.mem().cycles_of(t2) > 2 * plain_cycles,
@@ -295,7 +263,7 @@ mod tests {
 
     #[test]
     fn pf_seal_roundtrip_and_tamper() {
-        let mut shim = Shim::new(ShimConfig::default(), true, b"platform");
+        let mut shim = Shim::new(true, b"platform");
         let blob = shim.pf_seal(b"block contents");
         assert_eq!(shim.pf_open(&blob).unwrap(), b"block contents");
         let mut bad = blob.clone();
@@ -305,7 +273,7 @@ mod tests {
 
     #[test]
     fn pf_nonces_unique() {
-        let mut shim = Shim::new(ShimConfig::default(), true, b"platform");
+        let mut shim = Shim::new(true, b"platform");
         let a = shim.pf_seal(b"same");
         let b = shim.pf_seal(b"same");
         assert_ne!(a.nonce, b.nonce);
@@ -314,9 +282,11 @@ mod tests {
 
     #[test]
     fn outside_enclave_rejected() {
-        let mut m = SgxMachine::new(SgxConfig::with_tiny_epc(64, 4));
+        let mut m = Host::builder()
+            .sgx(SgxConfig::with_tiny_epc(64, 4))
+            .build_machine();
         let t = m.add_thread();
-        let mut shim = Shim::new(ShimConfig::default(), false, b"p");
+        let mut shim = Shim::new(false, b"p");
         assert!(shim.syscall_light(&mut m, t).is_err());
         assert!(shim.file_transfer(&mut m, t, 10, false).is_err());
     }

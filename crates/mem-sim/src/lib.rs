@@ -75,3 +75,10 @@ pub const LINE_SIZE: u64 = 64;
 
 /// Base-2 logarithm of [`LINE_SIZE`].
 pub const LINE_SHIFT: u32 = 6;
+
+/// Per-thread L1 data-cache lines (32 KiB of [`LINE_SIZE`] lines).
+pub const L1_CACHE_LINES: usize = 512;
+
+/// Core clock frequency in Hz, for converting cycle counts to wall-clock
+/// time (Table 3: Xeon E-2186G @ 3.8 GHz).
+pub const CLOCK_HZ: u64 = 3_800_000_000;

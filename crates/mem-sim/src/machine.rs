@@ -102,15 +102,10 @@ pub struct MachineConfig {
     pub stlb_entries: usize,
     /// Second-level TLB associativity.
     pub stlb_ways: usize,
-    /// Per-thread L1 data-cache lines.
-    pub l1_cache_lines: usize,
     /// Shared LLC capacity in bytes.
     pub llc_bytes: usize,
     /// Shared LLC associativity.
     pub llc_ways: usize,
-    /// Core clock frequency in Hz, for converting cycle counts to
-    /// wall-clock time (Table 3: Xeon E-2186G @ 3.8 GHz).
-    pub clock_hz: u64,
     /// Latency constants.
     pub latency: LatencyModel,
 }
@@ -122,10 +117,8 @@ impl Default for MachineConfig {
             l1_tlb_ways: 4,
             stlb_entries: 1536,
             stlb_ways: 12,
-            l1_cache_lines: 512,
             llc_bytes: 12 << 20,
             llc_ways: 16,
-            clock_hz: 3_800_000_000,
             latency: LatencyModel::default(),
         }
     }
@@ -281,7 +274,7 @@ impl Machine {
                 self.cfg.stlb_ways,
             ),
             last_page: None,
-            l1: L1Cache::new(self.cfg.l1_cache_lines),
+            l1: L1Cache::new(crate::L1_CACHE_LINES),
             walk_cache: WalkCache::default(),
             cycles: 0,
         };
@@ -521,12 +514,6 @@ impl Machine {
         &self.counters
     }
 
-    /// Mutable access to the counters, for layers (SGX, LibOS) that need
-    /// to account events of their own into the same snapshot stream.
-    pub fn counters_mut(&mut self) -> &mut Counters {
-        &mut self.counters
-    }
-
     /// Resets counters and clocks but keeps cache/TLB/page-table state.
     /// Used to exclude warm-up or LibOS start-up from measurements.
     pub fn reset_measurement(&mut self) {
@@ -539,11 +526,6 @@ impl Machine {
     /// The OS page table (resident-set queries, unmap).
     pub fn page_table(&self) -> &PageTable {
         &self.page_table
-    }
-
-    /// Mutable OS page table (pre-population by loaders).
-    pub fn page_table_mut(&mut self) -> &mut PageTable {
-        &mut self.page_table
     }
 
     /// The machine configuration this instance was built with.

@@ -20,8 +20,7 @@
 use faults::prng::splitmix64;
 use faults::NetFaultPlan;
 use sgx_sim::costs;
-use sgx_sim::host::{Host, HostError, TenantId, TenantOp, TenantSpec, DEFAULT_WAVE_CYCLES};
-use sgx_sim::SgxConfig;
+use sgx_sim::host::{Host, HostError, TenantId, TenantOp, TenantSpec};
 use trace::relay::{NetDropReason, NetLog};
 use trace::{CampaignEvent, CampaignLog};
 
@@ -43,14 +42,11 @@ pub struct MpcConfig {
     pub net: NetFaultPlan,
     /// Per-party enclave heap bytes.
     pub heap_bytes: u64,
-    /// Host scheduler wave width.
-    pub wave_cycles: u64,
-    /// Platform configuration for the shared machine.
-    pub sgx: SgxConfig,
 }
 
 impl MpcConfig {
-    /// A t-of-n run with default rounds, heap, wave width and platform.
+    /// A t-of-n run with default rounds and heap, on the default host
+    /// (paper platform, default wave width).
     pub fn new(parties: u32, threshold: u32) -> MpcConfig {
         MpcConfig {
             parties,
@@ -58,8 +54,6 @@ impl MpcConfig {
             rounds: 8,
             net: NetFaultPlan::default(),
             heap_bytes: 1 << 20,
-            wave_cycles: DEFAULT_WAVE_CYCLES,
-            sgx: SgxConfig::default(),
         }
     }
 
@@ -422,9 +416,7 @@ pub fn run_mpc(cfg: &MpcConfig, salt: u64) -> Result<MpcReport, MpcError> {
     let n = cfg.parties;
     let t = cfg.threshold;
 
-    let mut builder = Host::builder()
-        .sgx(cfg.sgx.clone())
-        .wave_cycles(cfg.wave_cycles);
+    let mut builder = Host::builder();
     for p in 0..n {
         builder = builder.tenant(TenantSpec::sized(&format!("p{p}"), cfg.heap_bytes));
     }

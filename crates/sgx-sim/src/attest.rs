@@ -118,10 +118,13 @@ pub fn verify_report(
 mod tests {
     use super::*;
     use crate::machine::SgxConfig;
+    use crate::Host;
     use mem_sim::PAGE_SIZE;
 
     fn platform() -> (SgxMachine, ThreadId, EnclaveId, EnclaveId) {
-        let mut m = SgxMachine::new(SgxConfig::with_tiny_epc(1024, 16));
+        let mut m = Host::builder()
+            .sgx(SgxConfig::with_tiny_epc(1024, 16))
+            .build_machine();
         let t = m.add_thread();
         let a = m.create_enclave(64 * PAGE_SIZE, 8 * PAGE_SIZE).unwrap();
         let b = m.create_enclave(64 * PAGE_SIZE, 16 * PAGE_SIZE).unwrap();

@@ -9,9 +9,10 @@
 //! recalibrated, and every figure derived from the stale copy is wrong
 //! without a single test failing.
 //!
-//! [`crate::SgxConfig::default`] is built from these constants, so
-//! experiments that need a *different* platform override the config —
-//! they never restate the numbers.
+//! The simulators read these constants directly; no config struct
+//! carries a copy. The platform *sizes* an experiment may vary (EPC
+//! bytes, eviction batch, TCS slots, switchless workers) live in
+//! [`crate::SgxConfig`].
 
 /// Cycles to evict one page — MAC + encrypt + write back (EWB).
 ///
@@ -67,6 +68,30 @@ pub const SWITCHLESS_CHANNEL_CYCLES: u64 = 600;
 /// Cycles of a host syscall issued outside any enclave (Table 3
 /// platform; the baseline an OCALL's untrusted work is charged at).
 pub const HOST_SYSCALL_CYCLES: u64 = 1_800;
+
+/// Copy through a host I/O staging buffer outside any LibOS, cycles
+/// per KiB: a plain kernel `read`/`write` copy on the Table 3 platform.
+pub const HOST_COPY_CYCLES_PER_KIB: u64 = 70;
+
+/// In-enclave cycles for the LibOS shim to decode and dispatch one
+/// intercepted syscall (§4.4: Graphene handles every syscall inside the
+/// enclave). Calibration: just below [`HOST_SYSCALL_CYCLES`], so a
+/// syscall the shim serves in-enclave costs about what a native one does.
+pub const SHIM_DISPATCH_CYCLES: u64 = 1_500;
+
+/// Untrusted-side work per OCALL the shim forwards: the host syscall
+/// plus Graphene's marshalling around it. Calibration: about twice
+/// [`HOST_SYSCALL_CYCLES`].
+pub const SHIM_OCALL_WORK_CYCLES: u64 = 3_500;
+
+/// Copy through the shim's untrusted staging buffer, cycles per KiB.
+/// Data crosses the boundary twice (enclave buffer → staging → host),
+/// so this is steeper than [`HOST_COPY_CYCLES_PER_KIB`].
+pub const SHIM_COPY_CYCLES_PER_KIB: u64 = 250;
+
+/// In-enclave protected-files crypto, cycles per KiB: AES-NI-class GCM
+/// at ~0.4 cycles/byte plus the per-block MAC (Appendix E, Fig 10).
+pub const PF_CRYPTO_CYCLES_PER_KIB: u64 = 450;
 
 /// Pages evicted per EWB batch — the SGX driver always writes back 16
 /// victims per fault (Appendix A).

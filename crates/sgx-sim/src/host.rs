@@ -180,8 +180,8 @@ impl From<trace::TraceError> for HostError {
     }
 }
 
-/// Builder for a [`Host`] — the constructor surface that replaces
-/// positional `SgxMachine` construction (see CHANGELOG).
+/// Builder for a [`Host`], and the one way to construct an
+/// [`SgxMachine`] ([`HostBuilder::build_machine`]).
 ///
 /// ```
 /// use sgx_sim::host::{Host, TenantSpec};
@@ -277,8 +277,8 @@ impl HostBuilder {
     }
 
     /// The zero-tenant path: builds the bare shared machine, for callers
-    /// that drive enclaves by hand. [`SgxMachine::new`] is a shim over
-    /// this. Registered tenants are ignored (debug builds assert none).
+    /// that drive enclaves by hand. Registered tenants are ignored (debug
+    /// builds assert none).
     pub fn build_machine(self) -> SgxMachine {
         debug_assert!(
             self.tenants.is_empty(),
@@ -360,15 +360,6 @@ impl Host {
         &mut self.machine
     }
 
-    /// The enclave backing tenant `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn tenant_enclave(&self, id: TenantId) -> EnclaveId {
-        self.tenants[id.0].enclave
-    }
-
     /// The hardware thread driving tenant `id`.
     ///
     /// # Panics
@@ -378,15 +369,6 @@ impl Host {
         self.tenants[id.0].tid
     }
 
-    /// The spec tenant `id` was registered with.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn tenant_spec(&self, id: TenantId) -> &TenantSpec {
-        &self.tenants[id.0].spec
-    }
-
     /// Queues ops on tenant `id`'s stream, behind any already queued.
     ///
     /// # Panics
@@ -394,11 +376,6 @@ impl Host {
     /// Panics if `id` is out of range.
     pub fn push_ops<I: IntoIterator<Item = TenantOp>>(&mut self, id: TenantId, ops: I) {
         self.tenants[id.0].queue.extend(ops);
-    }
-
-    /// Total ops queued across all tenants.
-    pub fn pending_ops(&self) -> usize {
-        self.tenants.iter().map(|t| t.queue.len()).sum()
     }
 
     /// Runs the interleaver until every tenant's queue drains: tenants
@@ -465,15 +442,6 @@ impl Host {
     /// Panics if `id` is out of range.
     pub fn tenant_cycles(&self, id: TenantId) -> u64 {
         self.machine.mem().cycles_of(self.tenants[id.0].tid)
-    }
-
-    /// Ops currently queued on tenant `id`'s stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn tenant_queue_len(&self, id: TenantId) -> usize {
-        self.tenants[id.0].queue.len()
     }
 
     /// Runs one wave of tenant `i`: ops until the wave width elapses on

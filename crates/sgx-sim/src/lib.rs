@@ -25,10 +25,10 @@
 //! # Example
 //!
 //! ```
-//! use sgx_sim::{SgxMachine, SgxConfig};
+//! use sgx_sim::{Host, SgxConfig};
 //! use mem_sim::AccessKind;
 //!
-//! let mut m = SgxMachine::new(SgxConfig::default());
+//! let mut m = Host::builder().sgx(SgxConfig::default()).build_machine();
 //! let t = m.add_thread();
 //! let e = m.create_enclave(64 << 20, 16 << 20).expect("enclave fits PRM rules");
 //! m.ecall_enter(t, e);

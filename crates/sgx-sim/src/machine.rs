@@ -53,7 +53,8 @@ impl fmt::Display for SgxError {
 impl Error for SgxError {}
 
 /// Configuration of the SGX platform model. Defaults reproduce the
-/// paper's platform (Table 3) and its cited costs (§2.2, §2.3, App. A).
+/// paper's platform (Table 3); the cycle costs it cites (§2.2, §2.3,
+/// App. A) are the constants in [`crate::costs`], not settings.
 #[derive(Debug, Clone)]
 pub struct SgxConfig {
     /// The underlying machine model.
@@ -68,39 +69,16 @@ pub struct SgxConfig {
     pub epc_reserved_bytes: u64,
     /// Pages evicted per EWB batch (the driver uses 16).
     pub evict_batch: usize,
-    /// Cycles to evict one page: MAC + encrypt + write back (≈12 000).
-    pub ewb_cycles: u64,
-    /// Cycles to load one page back: decrypt + verify (EWB is "16 % more
-    /// than loading back", Appendix A).
-    pub eldu_cycles: u64,
-    /// Cycles for `sgx_alloc_page` to hand out a free frame.
-    pub alloc_page_cycles: u64,
-    /// Fixed driver overhead of `sgx_do_fault` on top of the paging ops.
-    pub fault_base_cycles: u64,
-    /// Cycles for EENTER (half of the ≈17 k round trip of an ECALL).
-    pub eenter_cycles: u64,
-    /// Cycles for EEXIT.
-    pub eexit_cycles: u64,
-    /// Cycles for an asynchronous exit (AEX) on a fault.
-    pub aex_cycles: u64,
-    /// Cycles for ERESUME after a handled fault.
-    pub eresume_cycles: u64,
-    /// Cycles to EADD + EEXTEND (measure) one page at build time.
-    pub eadd_cycles: u64,
     /// Concurrent TCS slots per enclave.
     pub tcs_per_enclave: usize,
     /// Proxy threads for switchless OCALLs; zero disables the feature.
     pub switchless_workers: usize,
-    /// Shared-memory channel overhead per switchless call.
-    pub switchless_channel_cycles: u64,
     /// SGX2 dynamic memory (EDMM): when true, only *content* pages are
     /// measured at build time; heap pages are EAUGed on first touch
     /// instead of streaming the whole ELRANGE through the EPC. This is
     /// the platform improvement that eliminates Graphene's ≈1 M start-up
     /// evictions (Appendix D discusses SGX v1 vs v2 heaps).
     pub sgx2_edmm: bool,
-    /// Extra cycles for the in-enclave EACCEPT of an EAUGed page.
-    pub eaccept_cycles: u64,
 }
 
 impl Default for SgxConfig {
@@ -110,20 +88,9 @@ impl Default for SgxConfig {
             epc_bytes: 92 << 20,
             epc_reserved_bytes: 8 << 20,
             evict_batch: costs::EVICT_BATCH_PAGES,
-            ewb_cycles: costs::EWB_CYCLES,
-            eldu_cycles: costs::ELDU_CYCLES,
-            alloc_page_cycles: costs::ALLOC_PAGE_CYCLES,
-            fault_base_cycles: costs::FAULT_BASE_CYCLES,
-            eenter_cycles: costs::EENTER_CYCLES,
-            eexit_cycles: costs::EEXIT_CYCLES,
-            aex_cycles: costs::AEX_CYCLES,
-            eresume_cycles: costs::ERESUME_CYCLES,
-            eadd_cycles: costs::EADD_CYCLES,
             tcs_per_enclave: 16,
             switchless_workers: 0,
-            switchless_channel_cycles: costs::SWITCHLESS_CHANNEL_CYCLES,
             sgx2_edmm: false,
-            eaccept_cycles: costs::EACCEPT_CYCLES,
         }
     }
 }
@@ -348,25 +315,16 @@ pub struct SgxMachine {
 }
 
 impl SgxMachine {
-    /// Builds the platform from a configuration.
-    ///
-    /// Kept as a thin shim over the co-tenant host's zero-tenant path
-    /// (`Host::builder().sgx(cfg).build_machine()`), which is the
-    /// preferred spelling going forward — see CHANGELOG. Both routes run
-    /// the same constructor and produce bit-identical machines.
-    pub fn new(cfg: SgxConfig) -> Self {
-        crate::host::Host::builder().sgx(cfg).build_machine()
-    }
-
-    /// The one real constructor, shared by [`SgxMachine::new`] and the
-    /// [`crate::host::HostBuilder`].
+    /// Builds the platform from a configuration. Callers spell it
+    /// `Host::builder().sgx(cfg).build_machine()` (see
+    /// [`crate::host::HostBuilder`]).
     pub(crate) fn from_config(cfg: SgxConfig) -> Self {
         let frames = (cfg.epc_bytes.saturating_sub(cfg.epc_reserved_bytes) >> PAGE_SHIFT) as usize;
         let epc = Epc::new(frames.max(1), cfg.evict_batch.max(1));
         let switchless = if cfg.switchless_workers > 0 {
             Some(SwitchlessPool::new(
                 cfg.switchless_workers,
-                cfg.switchless_channel_cycles,
+                costs::SWITCHLESS_CHANNEL_CYCLES,
             ))
         } else {
             None
@@ -533,13 +491,13 @@ impl SgxMachine {
             self.counters.pages_measured += 1;
             self.counters.epc_allocs += 1;
             self.counters.epc_evictions += ev.evicted.len() as u64;
-            let mut cycles = self.cfg.eadd_cycles + self.cfg.alloc_page_cycles;
+            let mut cycles = costs::EADD_CYCLES + costs::ALLOC_PAGE_CYCLES;
             for _ in &ev.evicted {
-                let c = self.jittered(self.cfg.ewb_cycles);
+                let c = self.jittered(costs::EWB_CYCLES);
                 self.driver.record(DriverOp::Ewb, c);
                 cycles += c;
             }
-            let ac = self.jittered(self.cfg.alloc_page_cycles);
+            let ac = self.jittered(costs::ALLOC_PAGE_CYCLES);
             self.driver.record(DriverOp::AllocPage, ac);
             enclave.extend_measurement(i);
             init.cycles += cycles;
@@ -642,8 +600,8 @@ impl SgxMachine {
         self.active_tcs[id.0] += 1;
         self.in_enclave[tid.0] = Some(id);
         self.counters.ecalls += 1;
-        self.counters.transition_cycles += self.cfg.eenter_cycles;
-        self.mem.charge(tid, self.cfg.eenter_cycles);
+        self.counters.transition_cycles += costs::EENTER_CYCLES;
+        self.mem.charge(tid, costs::EENTER_CYCLES);
         #[cfg(feature = "audit")]
         let flushes = self.mem.counters().tlb_flushes;
         self.mem.flush_tlb(tid);
@@ -669,8 +627,8 @@ impl SgxMachine {
         }
         self.in_enclave[tid.0] = None;
         self.active_tcs[id.0] -= 1;
-        self.counters.transition_cycles += self.cfg.eexit_cycles;
-        self.mem.charge(tid, self.cfg.eexit_cycles);
+        self.counters.transition_cycles += costs::EEXIT_CYCLES;
+        self.mem.charge(tid, costs::EEXIT_CYCLES);
         #[cfg(feature = "audit")]
         let flushes = self.mem.counters().tlb_flushes;
         self.mem.flush_tlb(tid);
@@ -718,11 +676,11 @@ impl SgxMachine {
             return Ok(());
         }
         self.counters.ocalls += 1;
-        self.counters.transition_cycles += self.cfg.eexit_cycles + self.cfg.eenter_cycles;
-        self.mem.charge(tid, self.cfg.eexit_cycles);
+        self.counters.transition_cycles += costs::EEXIT_CYCLES + costs::EENTER_CYCLES;
+        self.mem.charge(tid, costs::EEXIT_CYCLES);
         self.mem.flush_tlb(tid);
         self.mem.charge(tid, work_cycles);
-        self.mem.charge(tid, self.cfg.eenter_cycles);
+        self.mem.charge(tid, costs::EENTER_CYCLES);
         self.mem.flush_tlb(tid);
         #[cfg(feature = "audit")]
         assert_eq!(
@@ -985,20 +943,20 @@ impl SgxMachine {
         self.counters.aex_exits += 1;
         let resident_at_fault = self.epc.resident_count() as u64;
         self.mem.flush_tlb(tid);
-        let mut fault_cycles = self.cfg.aex_cycles + self.cfg.fault_base_cycles;
+        let mut fault_cycles = costs::AEX_CYCLES + costs::FAULT_BASE_CYCLES;
         let ev = self.epc.ensure_resident(key);
         for _ in &ev.evicted {
-            let c = self.jittered(self.cfg.ewb_cycles);
+            let c = self.jittered(costs::EWB_CYCLES);
             self.driver.record(DriverOp::Ewb, c);
             self.counters.epc_evictions += 1;
             fault_cycles += c;
         }
         match ev.kind {
             EpcFaultKind::Alloc => {
-                let mut c = self.jittered(self.cfg.alloc_page_cycles);
+                let mut c = self.jittered(costs::ALLOC_PAGE_CYCLES);
                 if self.cfg.sgx2_edmm {
                     // EAUG by the driver + EACCEPT inside the enclave.
-                    c += self.cfg.eaccept_cycles;
+                    c += costs::EACCEPT_CYCLES;
                 }
                 self.driver.record(DriverOp::AllocPage, c);
                 self.counters.epc_allocs += 1;
@@ -1006,7 +964,7 @@ impl SgxMachine {
                 fault_cycles += c;
             }
             EpcFaultKind::LoadBack => {
-                let c = self.jittered(self.cfg.eldu_cycles);
+                let c = self.jittered(costs::ELDU_CYCLES);
                 self.driver.record(DriverOp::Eldu, c);
                 self.counters.epc_loadbacks += 1;
                 fault_cycles += c;
@@ -1019,9 +977,9 @@ impl SgxMachine {
         }
         self.driver.record(
             DriverOp::DoFault,
-            self.cfg.fault_base_cycles + fault_cycles / 4,
+            costs::FAULT_BASE_CYCLES + fault_cycles / 4,
         );
-        fault_cycles += self.cfg.eresume_cycles;
+        fault_cycles += costs::ERESUME_CYCLES;
         self.counters.fault_cycles += fault_cycles;
         self.mem.charge(tid, fault_cycles);
         // The faulted page is now the only one known resident with a
@@ -1090,7 +1048,7 @@ impl SgxMachine {
         self.counters.aex_exits += 1;
         self.counters.injected_aex += 1;
         self.mem.flush_tlb(tid);
-        let cycles = self.cfg.aex_cycles + self.cfg.eresume_cycles;
+        let cycles = costs::AEX_CYCLES + costs::ERESUME_CYCLES;
         self.counters.fault_cycles += cycles;
         self.mem.charge(tid, cycles);
         #[cfg(feature = "audit")]
@@ -1117,7 +1075,7 @@ impl SgxMachine {
             self.last_touched = None;
             let mut cycles = 0;
             for _ in &victims {
-                let c = self.jittered(self.cfg.ewb_cycles);
+                let c = self.jittered(costs::EWB_CYCLES);
                 self.driver.record(DriverOp::Ewb, c);
                 self.counters.epc_evictions += 1;
                 cycles += c;
@@ -1262,11 +1220,12 @@ impl SgxMachine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Host;
 
     fn small_machine(epc_pages: usize) -> (SgxMachine, ThreadId) {
         let mut cfg = SgxConfig::with_tiny_epc(epc_pages, 2);
         cfg.mem = MachineConfig::default();
-        let mut m = SgxMachine::new(cfg);
+        let mut m = Host::builder().sgx(cfg).build_machine();
         let t = m.add_thread();
         (m, t)
     }
@@ -1295,7 +1254,7 @@ mod tests {
     fn tcs_limit_enforced() {
         let mut cfg = SgxConfig::with_tiny_epc(64, 2);
         cfg.tcs_per_enclave = 2;
-        let mut m = SgxMachine::new(cfg);
+        let mut m = Host::builder().sgx(cfg).build_machine();
         let t0 = m.add_thread();
         let t1 = m.add_thread();
         let t2 = m.add_thread();
@@ -1453,7 +1412,7 @@ mod tests {
     fn switchless_ocall_avoids_flush() {
         let mut cfg = SgxConfig::with_tiny_epc(64, 2);
         cfg.switchless_workers = 4;
-        let mut m = SgxMachine::new(cfg);
+        let mut m = Host::builder().sgx(cfg).build_machine();
         let t = m.add_thread();
         let e = m.create_enclave(32 * PAGE_SIZE, 0).unwrap();
         m.ecall_enter(t, e).unwrap();
@@ -1544,7 +1503,7 @@ mod tests {
     fn sgx2_edmm_skips_heap_measurement() {
         let mut cfg = SgxConfig::with_tiny_epc(16, 2);
         cfg.sgx2_edmm = true;
-        let mut m = SgxMachine::new(cfg);
+        let mut m = Host::builder().sgx(cfg).build_machine();
         let t = m.add_thread();
         // 64-page enclave, 4 pages of content: only the content streams.
         let e = m.create_enclave(64 * PAGE_SIZE, 4 * PAGE_SIZE).unwrap();
@@ -1563,7 +1522,7 @@ mod tests {
         let build = |edmm: bool| {
             let mut cfg = SgxConfig::with_tiny_epc(64, 4);
             cfg.sgx2_edmm = edmm;
-            let mut m = SgxMachine::new(cfg);
+            let mut m = Host::builder().sgx(cfg).build_machine();
             m.add_thread();
             let e = m.create_enclave(1024 * PAGE_SIZE, 8 * PAGE_SIZE).unwrap();
             m.init_stats(e).evictions

@@ -6,7 +6,7 @@
 use mem_sim::PAGE_SIZE;
 use proptest::prelude::*;
 use sgx_sim::host::{Host, TenantId, TenantOp, TenantSpec};
-use sgx_sim::{SgxConfig, SgxMachine};
+use sgx_sim::SgxConfig;
 
 /// Random tenant op with offsets already inside a `heap_bytes` span (the
 /// host clamps defensively, but in-range ops keep the legacy replay
@@ -50,7 +50,7 @@ proptest! {
         host.push_ops(TenantId(0), ops.iter().copied());
         host.run().unwrap();
 
-        let mut m = SgxMachine::new(cfg);
+        let mut m = Host::builder().sgx(cfg).build_machine();
         let t = m.add_thread();
         let e = m.create_enclave(spec.enclave_bytes, spec.content_bytes).unwrap();
         m.ecall_enter(t, e).unwrap();
@@ -251,7 +251,9 @@ fn mid_run_teardown_keeps_survivors_consistent() {
 /// accounting stuck, wedging the thread for every later tenant.
 #[test]
 fn destroy_enclave_forces_resident_threads_out() {
-    let mut m = SgxMachine::new(SgxConfig::with_tiny_epc(64, 4));
+    let mut m = Host::builder()
+        .sgx(SgxConfig::with_tiny_epc(64, 4))
+        .build_machine();
     let t = m.add_thread();
     let e0 = m.create_enclave(16 * PAGE_SIZE, 0).unwrap();
     let e1 = m.create_enclave(16 * PAGE_SIZE, 0).unwrap();

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use sgx_sim::epc::{Epc, EpcFaultKind, PageKey};
 use sgx_sim::epcm::{Epcm, PagePerms};
 use sgx_sim::host::TenantOp;
-use sgx_sim::{EnclaveId, SgxConfig, SgxMachine};
+use sgx_sim::{EnclaveId, Host, SgxConfig, SgxMachine};
 
 fn key(p: u64) -> PageKey {
     PageKey {
@@ -22,7 +22,9 @@ const FORK_HEAP: u64 = 96 * PAGE_SIZE;
 /// A 64-frame machine inside a freshly built 256-page enclave (its
 /// measurement pass evicts), returning the thread and heap base.
 fn built_machine() -> (SgxMachine, ThreadId, u64) {
-    let mut m = SgxMachine::new(SgxConfig::with_tiny_epc(64, 4));
+    let mut m = Host::builder()
+        .sgx(SgxConfig::with_tiny_epc(64, 4))
+        .build_machine();
     let t = m.add_thread();
     let e = m.create_enclave(256 * PAGE_SIZE, 16 * PAGE_SIZE).unwrap();
     let heap = m.alloc_enclave_heap(e, FORK_HEAP).unwrap();
@@ -87,7 +89,7 @@ proptest! {
     /// every fault is an alloc or a loadback.
     #[test]
     fn machine_counter_consistency(pages in prop::collection::vec(0u64..48, 1..200)) {
-        let mut m = SgxMachine::new(SgxConfig::with_tiny_epc(16, 4));
+        let mut m = Host::builder().sgx(SgxConfig::with_tiny_epc(16, 4)).build_machine();
         let t = m.add_thread();
         let e = m.create_enclave(64 * PAGE_SIZE, 0).unwrap();
         m.ecall_enter(t, e).unwrap();
@@ -179,7 +181,7 @@ proptest! {
     fn machine_invariants_hold_under_random_streams(
         pages in prop::collection::vec(0u64..48, 1..150))
     {
-        let mut m = SgxMachine::new(SgxConfig::with_tiny_epc(16, 4));
+        let mut m = Host::builder().sgx(SgxConfig::with_tiny_epc(16, 4)).build_machine();
         let t = m.add_thread();
         let e = m.create_enclave(64 * PAGE_SIZE, 4 * PAGE_SIZE).unwrap();
         m.ecall_enter(t, e).unwrap();
@@ -203,7 +205,7 @@ proptest! {
     /// the TLB exactly once.
     #[test]
     fn transitions_balance(n in 1usize..50) {
-        let mut m = SgxMachine::new(SgxConfig::with_tiny_epc(64, 4));
+        let mut m = Host::builder().sgx(SgxConfig::with_tiny_epc(64, 4)).build_machine();
         let t = m.add_thread();
         let e = m.create_enclave(32 * PAGE_SIZE, 0).unwrap();
         m.reset_measurement();

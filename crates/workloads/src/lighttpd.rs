@@ -176,8 +176,7 @@ impl Workload for Lighttpd {
         let mut sorted = latencies.clone();
         sorted.sort_unstable();
         let p95 = sorted[(sorted.len() * 95 / 100).min(sorted.len() - 1)] as f64;
-        let clock_hz = env.machine().config().mem.clock_hz.max(1) as f64;
-        let throughput = n as f64 / (env.elapsed_cycles() as f64 / clock_hz);
+        let throughput = n as f64 / (env.elapsed_cycles() as f64 / sgxgauge_core::CLOCK_HZ as f64);
 
         Ok(WorkloadOutput {
             ops: n,

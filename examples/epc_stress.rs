@@ -7,7 +7,7 @@
 //! ```
 
 use mem_sim::{AccessKind, PAGE_SIZE};
-use sgxgauge::sgx::{SgxConfig, SgxMachine};
+use sgxgauge::sgx::{Host, SgxConfig};
 
 fn main() {
     // A small EPC keeps the sweep fast; ratios are what matter.
@@ -25,7 +25,9 @@ fn main() {
 
     for pct in [25u64, 50, 75, 90, 100, 110, 125, 150, 200, 250] {
         let ws_pages = epc_pages * pct / 100;
-        let mut m = SgxMachine::new(SgxConfig::with_tiny_epc(epc_pages as usize, 16));
+        let mut m = Host::builder()
+            .sgx(SgxConfig::with_tiny_epc(epc_pages as usize, 16))
+            .build_machine();
         let t = m.add_thread();
         let e = m
             .create_enclave(ws_pages * PAGE_SIZE + (8 << 20), 1 << 20)

@@ -7,7 +7,7 @@
 
 use sgxgauge::libos::{LibosProcess, Manifest};
 use sgxgauge::mem::{AccessKind, PAGE_SIZE};
-use sgxgauge::sgx::{SgxConfig, SgxMachine};
+use sgxgauge::sgx::{Host, SgxConfig};
 
 fn main() {
     println!("Launching a Graphene-style LibOS process (1 GB enclave) on both platforms:\n");
@@ -16,7 +16,7 @@ fn main() {
             sgx2_edmm: edmm,
             ..Default::default()
         };
-        let mut m = SgxMachine::new(cfg);
+        let mut m = Host::builder().sgx(cfg).build_machine();
         let t = m.add_thread();
         let manifest = Manifest::builder("app").enclave_size(1 << 30).build();
         let p = LibosProcess::launch(&mut m, t, &manifest).expect("launch");

@@ -4,7 +4,7 @@
 
 use mem_sim::{AccessKind, PAGE_SIZE};
 use sgxgauge::libos::{LibosProcess, Manifest};
-use sgxgauge::sgx::{SgxConfig, SgxMachine};
+use sgxgauge::sgx::{Host, SgxConfig};
 
 /// SGX2 EDMM removes the start-up eviction storm entirely while leaving
 /// demand paging intact.
@@ -13,7 +13,7 @@ fn edmm_eliminates_startup_evictions() {
     let launch = |edmm: bool| {
         let mut cfg = SgxConfig::with_tiny_epc(4096, 16);
         cfg.sgx2_edmm = edmm;
-        let mut m = SgxMachine::new(cfg);
+        let mut m = Host::builder().sgx(cfg).build_machine();
         let t = m.add_thread();
         let manifest = Manifest::builder("app")
             .enclave_size(512 << 20)
@@ -38,7 +38,7 @@ fn edmm_demand_faults_cost_eaccept() {
     let fresh_page_cycles = |edmm: bool| {
         let mut cfg = SgxConfig::with_tiny_epc(4096, 16);
         cfg.sgx2_edmm = edmm;
-        let mut m = SgxMachine::new(cfg);
+        let mut m = Host::builder().sgx(cfg).build_machine();
         let t = m.add_thread();
         let e = m.create_enclave(64 << 20, 1 << 20).expect("enclave");
         m.ecall_enter(t, e).expect("enter");
@@ -61,7 +61,7 @@ fn tlb_reach_cuts_misses() {
         let mut cfg = SgxConfig::with_tiny_epc(16_384, 16);
         cfg.mem.l1_tlb_entries *= reach;
         cfg.mem.stlb_entries *= reach;
-        let mut m = SgxMachine::new(cfg);
+        let mut m = Host::builder().sgx(cfg).build_machine();
         let t = m.add_thread();
         let e = m.create_enclave(48 << 20, 1 << 20).expect("enclave");
         m.ecall_enter(t, e).expect("enter");
@@ -91,7 +91,7 @@ fn mee_multiplier_scoped_to_epc() {
     let run = |mult: u64| {
         let mut cfg = SgxConfig::with_tiny_epc(16_384, 16);
         cfg.mem.latency.mee_mult_x100 = mult;
-        let mut m = SgxMachine::new(cfg);
+        let mut m = Host::builder().sgx(cfg).build_machine();
         let t = m.add_thread();
         let buf = m.alloc_untrusted(16 << 20);
         for p in 0..(16 << 20) / PAGE_SIZE {
