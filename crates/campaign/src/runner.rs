@@ -25,8 +25,8 @@ use sgxgauge_core::io::Journal;
 use sgxgauge_core::sweep::{CellError, CellErrorKind, SweepCell};
 use sgxgauge_core::workload::Workload;
 use sgxgauge_core::{
-    checkpoint, io, ArtifactError, ArtifactIo, CellKey, ChaosFs, Emitter, PartyDim, RealFs,
-    ReportTable, RunnerConfig, SuiteRunner, TenantDim,
+    checkpoint, io, ArtifactError, ArtifactIo, CellKey, ChaosFs, PartyDim, RealFs, ReportTable,
+    RunnerConfig, SuiteRunner, TenantDim,
 };
 use std::path::Path;
 use std::sync::Arc;

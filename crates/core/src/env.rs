@@ -601,8 +601,11 @@ impl Env {
     #[inline]
     fn charge_access(&mut self, region: Region, off: u64, len: u64, kind: AccessKind) {
         let r = &self.regions[region.0];
-        debug_assert!(
-            off + len <= r.data.len() as u64,
+        // Checked in every build: a release-mode overrun would silently
+        // charge accesses past the region.
+        assert!(
+            off.checked_add(len)
+                .is_some_and(|end| end <= r.data.len() as u64),
             "region access out of bounds"
         );
         let addr = r.base + off;
@@ -1283,6 +1286,22 @@ mod tests {
         let mut e = env(ExecMode::Vanilla);
         let r = e.alloc(8, Placement::Untrusted).unwrap();
         let _ = e.read_u64(r, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "region access out of bounds")]
+    fn out_of_bounds_touch_panics() {
+        let mut e = env(ExecMode::Vanilla);
+        let r = e.alloc(4096, Placement::Untrusted).unwrap();
+        e.touch(r, 4000, 97, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "region access out of bounds")]
+    fn overflowing_touch_range_panics() {
+        let mut e = env(ExecMode::Vanilla);
+        let r = e.alloc(4096, Placement::Untrusted).unwrap();
+        e.touch(r, 8, u64::MAX, false);
     }
 
     #[test]

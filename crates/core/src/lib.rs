@@ -38,7 +38,6 @@
 #![deny(missing_docs)]
 
 pub mod checkpoint;
-pub mod emit;
 pub mod env;
 pub mod io;
 pub mod modes;
@@ -48,7 +47,6 @@ pub mod sweep;
 pub mod workload;
 
 pub use checkpoint::{load_checkpoint, Checkpoint, CHECKPOINT_VERSION};
-pub use emit::{Emitter, Format};
 pub use env::{Env, EnvConfig, Region, SimThread};
 pub use io::{ArtifactError, ArtifactIo, ChaosFs, IoErrorKind, RealFs, RecoveryReport};
 pub use mem_sim::CLOCK_HZ;

@@ -1,6 +1,6 @@
 //! Report generation: the paper's ratio tables and CSV emission.
 
-use crate::emit::{Emitter, Format};
+use crate::io;
 use crate::modes::{ExecMode, InputSetting};
 use crate::runner::RunReport;
 use crate::sweep::SweepReport;
@@ -268,23 +268,18 @@ impl ReportTable {
         self.rows.push(cells);
     }
 
-    /// Writes the table as CSV to `path`, creating parent directories.
-    /// Thin wrapper over the shared [`Emitter`] path (atomic publish).
+    /// Writes the table as CSV to `path`, creating parent directories,
+    /// through the atomic, durable [`io::write_atomic_with`] publish.
     ///
     /// # Errors
     ///
     /// Propagates I/O failures.
     pub fn write_csv(&self, path: &Path) -> std::io::Result<()> {
-        self.emit(path).map_err(std::io::Error::other)
-    }
-}
-
-impl Emitter for ReportTable {
-    fn format(&self) -> Format {
-        Format::Csv
+        io::write_atomic_with(&io::RealFs, path, &self.render()).map_err(std::io::Error::other)
     }
 
-    fn render(&self) -> String {
+    /// Renders the table as CSV text: a header line, then one line per row.
+    pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&self.headers.join(","));
         out.push('\n');

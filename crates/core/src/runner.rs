@@ -330,22 +330,6 @@ impl Runner {
             trace: trace_sink,
         })
     }
-
-    /// Runs the configured number of repetitions and returns all reports.
-    ///
-    /// # Errors
-    ///
-    /// Fails fast on the first failing repetition.
-    pub fn run(
-        &self,
-        workload: &dyn Workload,
-        mode: ExecMode,
-        setting: InputSetting,
-    ) -> Result<Vec<RunReport>, WorkloadError> {
-        (0..self.cfg.repetitions.max(1))
-            .map(|_| self.run_once(workload, mode, setting))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -433,17 +417,6 @@ mod tests {
             .run_once(&Toy, ExecMode::Native, InputSetting::Low)
             .unwrap();
         assert!(n.runtime_cycles > v.runtime_cycles);
-    }
-
-    #[test]
-    fn repetitions_respected() {
-        let mut cfg = RunnerConfig::quick_test();
-        cfg.repetitions = 3;
-        let runner = Runner::new(cfg);
-        let reports = runner
-            .run(&Toy, ExecMode::Vanilla, InputSetting::Low)
-            .unwrap();
-        assert_eq!(reports.len(), 3);
     }
 
     #[test]

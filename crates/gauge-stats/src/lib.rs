@@ -19,9 +19,7 @@
 pub mod chart;
 pub mod regression;
 pub mod summary;
-pub mod timeline;
 
 pub use chart::BarChart;
 pub use regression::{standardized_coefficients, LinearRegression, RegressionError};
 pub use summary::{geomean, mean, percentile, ratio, Summary};
-pub use timeline::{bin_timelines, TimelineBin};

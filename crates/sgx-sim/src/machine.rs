@@ -302,16 +302,12 @@ pub struct SgxMachine {
     init_stats: Vec<InitStats>,
     jitter: u64,
     /// Memo of the last enclave page confirmed resident by
-    /// [`SgxMachine::access`], so streaming accesses within one page skip
-    /// the residency map entirely. Invariant: when set, the page is
-    /// resident with its reference bit set and no eviction sweep has run
-    /// since — every event that could break that (an EPC fault, an
-    /// enclave build or teardown) clears or overwrites the memo.
+    /// [`SgxMachine::access_stream`], so streaming accesses within one
+    /// page skip the residency map entirely. Invariant: when set, the
+    /// page is resident with its reference bit set and no eviction sweep
+    /// has run since — every event that could break that (an EPC fault,
+    /// an enclave build or teardown) clears or overwrites the memo.
     last_touched: Option<(EnclaveId, u64)>,
-    /// Scratch queue reused across [`SgxMachine::access_stream`] calls so
-    /// the batched path never allocates in steady state (its capacity
-    /// ratchets up to the largest batch seen).
-    stream_buf: Vec<StreamRun>,
 }
 
 impl SgxMachine {
@@ -346,7 +342,6 @@ impl SgxMachine {
             init_stats: Vec::new(),
             jitter: 0x9e3779b97f4a7c15,
             last_touched: None,
-            stream_buf: Vec::new(),
         }
     }
 
@@ -524,7 +519,7 @@ impl SgxMachine {
         self.enclaves.push(enclave);
         self.active_tcs.push(0);
         self.init_stats.push(init);
-        // The measurement pass churned the EPC behind secure_access's
+        // The measurement pass churned the EPC behind access_stream's
         // back; the memoized page may have been evicted.
         self.last_touched = None;
         self.audit();
@@ -700,13 +695,15 @@ impl SgxMachine {
     }
 
     /// Issues a memory access, routing it through the EPC when the thread
-    /// executes inside an enclave and targets its ELRANGE.
+    /// executes inside an enclave and targets its ELRANGE: the one-run
+    /// case of [`SgxMachine::access_stream`]. A zero-length access is a
+    /// no-op: no cycles, no counters and no trace poll.
     ///
     /// # Panics
     ///
     /// Panics if a thread *outside* any enclave touches an ELRANGE — the
     /// hardware would return abort-page semantics; in the simulator this
-    /// is always a harness bug worth failing loudly on.
+    /// is always a harness bug worth failing loudly on (debug builds).
     pub fn access(
         &mut self,
         tid: ThreadId,
@@ -717,45 +714,30 @@ impl SgxMachine {
         if len == 0 {
             return AccessOutcome::default();
         }
-        match self.in_enclave[tid.0] {
-            Some(eid) if self.enclaves[eid.0].contains(vaddr) => {
-                self.secure_access(tid, eid, vaddr, len, kind)
-            }
-            _ => {
-                debug_assert!(
-                    !self
-                        .enclaves
-                        .iter()
-                        .any(|e| e.state() == EnclaveState::Initialized
-                            && e.contains(vaddr)
-                            && self.in_enclave[tid.0].is_none_or(|c| c != e.id())),
-                    "untrusted access to ELRANGE at {vaddr:#x}"
-                );
-                let out = self.mem.access(tid, vaddr, len, kind, &AccessAttrs::PLAIN);
-                self.trace_tick(tid);
-                out
-            }
-        }
+        self.access_stream(tid, &[StreamRun { vaddr, len, kind }])
     }
 
-    /// Batched counterpart of [`SgxMachine::access`]: issues `runs` in
-    /// order and returns the aggregate outcome (cycles summed, flags
-    /// OR-ed across the batch).
+    /// Issues `runs` in order and returns the aggregate outcome (cycles
+    /// summed, flags OR-ed across the batch). Every SGX memory access,
+    /// single or batched, goes through here.
     ///
     /// Consecutive runs sharing a routing class (plain vs. ELRANGE) are
     /// forwarded to [`mem_sim::Machine::access_stream`] as one batch.
-    /// EPC residency is still established page by page and in order, and
-    /// any batched memory work queued before an EPC fault is drained
-    /// *before* the fault is serviced (the fault's AEX flushes the TLB),
-    /// so counter totals and cycle charges are identical to issuing the
-    /// runs one at a time. Only the trace sampling poll — which is
-    /// simulated-time-triggered either way — runs once per batch rather
-    /// than once per run.
+    /// EPC residency is established page by page and in order, servicing
+    /// faults (AEX + driver + ERESUME) as needed, and any batched memory
+    /// work queued before an EPC fault is drained *before* the fault is
+    /// serviced (the fault's AEX flushes the TLB), so counter totals and
+    /// cycle charges are identical to issuing the runs one at a time.
+    /// Only the trace sampling poll — which is simulated-time-triggered
+    /// either way — runs once per batch rather than once per run.
     ///
     /// # Panics
     ///
     /// As for [`SgxMachine::access`], if a thread outside any enclave
     /// touches an ELRANGE (debug builds).
+    // Inlined so the one-run `access` gets its own copy of the loop,
+    // which measured faster per call than an out-of-line batch loop.
+    #[inline]
     pub fn access_stream(&mut self, tid: ThreadId, runs: &[StreamRun]) -> AccessOutcome {
         fn merge(agg: &mut AccessOutcome, out: AccessOutcome) {
             agg.cycles += out.cycles;
@@ -763,34 +745,42 @@ impl SgxMachine {
             agg.llc_miss |= out.llc_miss;
             agg.minor_fault |= out.minor_fault;
         }
+        fn attrs(epc: bool) -> &'static AccessAttrs {
+            if epc {
+                &AccessAttrs::EPC
+            } else {
+                &AccessAttrs::PLAIN
+            }
+        }
         let mut agg = AccessOutcome::default();
         let mut extra = 0u64;
-        // Steady-state zero-alloc: the queue is taken from (and returned
-        // to) the machine so repeated batches reuse one ratcheting buffer.
-        let mut pending: Vec<StreamRun> = std::mem::take(&mut self.stream_buf);
-        pending.clear();
-        pending.reserve(runs.len());
-        let mut pending_epc = false;
+        // `runs[start..i]` are the runs not yet issued to mem-sim, all of
+        // routing class `epc`, so the path never copies or allocates.
+        // Zero-length runs inside the range are harmless:
+        // `mem_sim::Machine::access_stream` skips them too.
+        let mut start = 0;
+        let mut epc = false;
+        let current = self.in_enclave[tid.0];
+        // A resident hit mutates only reference bits and the streaming
+        // memo; the full structural sweep is only due after a fault, and
+        // charging it per access would make audit builds O(EPC) per touch.
         #[cfg(feature = "audit")]
         let mut faulted = false;
-        for run in runs {
+        for (i, run) in runs.iter().enumerate() {
             if run.len == 0 {
                 continue;
             }
-            let enclave = match self.in_enclave[tid.0] {
-                Some(eid) if self.enclaves[eid.0].contains(run.vaddr) => Some(eid),
-                _ => None,
-            };
-            if (enclave.is_some()) != pending_epc && !pending.is_empty() {
-                let attrs = if pending_epc {
-                    AccessAttrs::EPC
-                } else {
-                    AccessAttrs::PLAIN
-                };
-                merge(&mut agg, self.mem.access_stream(tid, &pending, &attrs));
-                pending.clear();
+            let enclave = current.filter(|eid| self.enclaves[eid.0].contains(run.vaddr));
+            if enclave.is_some() != epc {
+                if start < i {
+                    merge(
+                        &mut agg,
+                        self.mem.access_stream(tid, &runs[start..i], attrs(epc)),
+                    );
+                }
+                start = i;
+                epc = enclave.is_some();
             }
-            pending_epc = enclave.is_some();
             match enclave {
                 None => {
                     debug_assert!(
@@ -799,37 +789,44 @@ impl SgxMachine {
                             .iter()
                             .any(|e| e.state() == EnclaveState::Initialized
                                 && e.contains(run.vaddr)
-                                && self.in_enclave[tid.0].is_none_or(|c| c != e.id())),
+                                && current.is_none_or(|c| c != e.id())),
                         "untrusted access to ELRANGE at {:#x}",
                         run.vaddr
                     );
                 }
                 Some(eid) => {
-                    // Establish residency before queueing the run. A fault
-                    // flushes the TLB, so memory work queued *before* the
-                    // faulting page must be issued first to keep the
+                    // Establish residency before the run is issued. A
+                    // fault flushes the TLB, so the runs pending *before*
+                    // the faulting page must be issued first to keep the
                     // sequential TLB-state ordering. Resident touches only
                     // mutate EPC replacement state, which batched memory
                     // accesses never observe, so reordering those across
-                    // the queue is invisible.
+                    // the pending runs is invisible.
                     let first_page = run.vaddr >> PAGE_SHIFT;
+                    // Checked: a run reaching the top of the address space
+                    // clamps to its last byte instead of wrapping to page 0.
                     let last_byte = run.vaddr.saturating_add(run.len - 1);
                     let last_page = last_byte >> PAGE_SHIFT;
                     for page in first_page..=last_page {
+                        // Streaming fast path: repeated touches of the
+                        // memoized page skip the residency map entirely.
                         if self.last_touched == Some((eid, page)) {
                             continue;
                         }
+                        // Resident path: exactly one residency-map probe,
+                        // which also refreshes the clock reference bit.
                         let key = PageKey { enclave: eid, page };
                         if self.epc.touch(key) {
                             self.last_touched = Some((eid, page));
                             continue;
                         }
-                        if !pending.is_empty() {
+                        if start < i {
                             merge(
                                 &mut agg,
-                                self.mem.access_stream(tid, &pending, &AccessAttrs::EPC),
+                                self.mem
+                                    .access_stream(tid, &runs[start..i], &AccessAttrs::EPC),
                             );
-                            pending.clear();
+                            start = i;
                         }
                         #[cfg(feature = "audit")]
                         {
@@ -839,17 +836,11 @@ impl SgxMachine {
                     }
                 }
             }
-            pending.push(*run);
         }
-        if !pending.is_empty() {
-            let attrs = if pending_epc {
-                AccessAttrs::EPC
-            } else {
-                AccessAttrs::PLAIN
-            };
-            merge(&mut agg, self.mem.access_stream(tid, &pending, &attrs));
-        }
-        self.stream_buf = pending;
+        merge(
+            &mut agg,
+            self.mem.access_stream(tid, &runs[start..], attrs(epc)),
+        );
         agg.cycles += extra;
         self.trace_tick(tid);
         #[cfg(feature = "audit")]
@@ -859,81 +850,15 @@ impl SgxMachine {
         agg
     }
 
-    fn secure_access(
-        &mut self,
-        tid: ThreadId,
-        eid: EnclaveId,
-        vaddr: u64,
-        len: u64,
-        kind: AccessKind,
-    ) -> AccessOutcome {
-        let mut extra = 0u64;
-        // A resident hit mutates only reference bits and the streaming
-        // memo; the full structural sweep is only due after a fault, and
-        // charging it per access would make audit builds O(EPC) per touch.
-        #[cfg(feature = "audit")]
-        let mut faulted = false;
-        self.epc_phase(
-            tid,
-            eid,
-            vaddr,
-            len,
-            &mut extra,
-            #[cfg(feature = "audit")]
-            &mut faulted,
-        );
-        let mut out = self.mem.access(tid, vaddr, len, kind, &AccessAttrs::EPC);
-        out.cycles += extra;
-        self.trace_tick(tid);
-        #[cfg(feature = "audit")]
-        if faulted {
-            self.audit();
-        }
-        out
-    }
-
-    /// Establishes EPC residency for every page of `len` bytes at
-    /// `vaddr`, servicing faults (AEX + driver + ERESUME) as needed.
-    /// Fault cycles are charged to `tid` and accumulated into `extra`.
-    fn epc_phase(
-        &mut self,
-        tid: ThreadId,
-        eid: EnclaveId,
-        vaddr: u64,
-        len: u64,
-        extra: &mut u64,
-        #[cfg(feature = "audit")] faulted: &mut bool,
-    ) {
-        let first_page = vaddr >> PAGE_SHIFT;
-        // Checked: a run reaching the top of the address space clamps to
-        // its last byte instead of wrapping to page 0.
-        let last_byte = vaddr.saturating_add(len - 1);
-        let last_page = last_byte >> PAGE_SHIFT;
-        for page in first_page..=last_page {
-            // Streaming fast path: repeated touches of the memoized page
-            // skip the residency map entirely (its reference bit is
-            // already set and no sweep has cleared it since).
-            if self.last_touched == Some((eid, page)) {
-                continue;
-            }
-            let key = PageKey { enclave: eid, page };
-            if self.epc.touch(key) {
-                // Resident path: exactly one residency-map probe, which
-                // also refreshed the clock reference bit.
-                self.last_touched = Some((eid, page));
-                continue;
-            }
-            #[cfg(feature = "audit")]
-            {
-                *faulted = true;
-            }
-            *extra += self.epc_page_fault(tid, eid, page);
-        }
-    }
-
     /// Services one EPC fault for (`eid`, `page`): AEX exit, driver
     /// alloc/load-back with EWB evictions, ERESUME. Returns the cycles
     /// charged to `tid`.
+    ///
+    /// Cold and out of line: it runs once per EPC fault, and as the only
+    /// callee of the inlined `access_stream` it would otherwise be copied
+    /// into every caller's resident-hit loop.
+    #[cold]
+    #[inline(never)]
     fn epc_page_fault(&mut self, tid: ThreadId, eid: EnclaveId, page: u64) -> u64 {
         let key = PageKey { enclave: eid, page };
         // EPC fault: AEX out, driver handles it, ERESUME back.
@@ -1612,6 +1537,31 @@ mod tests {
         assert!(faults.iter().all(|&(_, resident)| resident == 8));
         assert!(faults.windows(2).all(|w| w[0].0 <= w[1].0));
         assert_eq!(m.sgx_counters().epc_faults, 16);
+    }
+
+    #[test]
+    fn zero_length_access_is_a_no_op_inside_and_outside_the_elrange() {
+        let (mut m, t) = small_machine(8);
+        let e = m.create_enclave(64 * PAGE_SIZE, 0).unwrap();
+        m.ecall_enter(t, e).unwrap();
+        let heap = m.alloc_enclave_heap(e, 16 * PAGE_SIZE).unwrap();
+        let plain = m.alloc_untrusted(PAGE_SIZE);
+        // The build already advanced the clock far past the first sample
+        // point, so any trace poll would record a sample.
+        m.mem_mut()
+            .set_trace_sink(trace::TraceSink::with_config(64, 1));
+        assert!(m.mem().trace_sample_due(t));
+        let (cycles, mem, sgx) = (m.mem().cycles_of(t), *m.mem().counters(), *m.sgx_counters());
+        for vaddr in [heap, heap + 15 * PAGE_SIZE, plain] {
+            for kind in [AccessKind::Read, AccessKind::Write] {
+                assert_eq!(m.access(t, vaddr, 0, kind), AccessOutcome::default());
+            }
+        }
+        assert_eq!(m.mem().cycles_of(t), cycles);
+        assert_eq!(*m.mem().counters(), mem);
+        assert_eq!(*m.sgx_counters(), sgx);
+        let sink = m.mem_mut().take_trace_sink().expect("sink was armed");
+        assert!(sink.is_empty(), "a zero-length access records nothing");
     }
 
     #[test]

@@ -8,14 +8,13 @@
 //! ```
 
 use sgxgauge::campaign::{run_campaign, run_soak, CampaignConfig};
-use sgxgauge::core::emit::{Emitter, Format, TraceJsonl};
 use sgxgauge::core::io as artifact_io;
 use sgxgauge::core::report::{
     cycle_breakdown, humanize, quarantine_table, sweep_table, RatioRow, ReportTable,
 };
 use sgxgauge::core::{
     fan_out, ArtifactIo, CellKey, ChaosFs, EnvConfig, ExecMode, InputSetting, PartyDim, RealFs,
-    RunReport, Runner, RunnerConfig, SuiteRunner, TenantDim, TraceConfig, Workload,
+    RunReport, RunnerConfig, SuiteRunner, TenantDim, TraceConfig, Workload,
 };
 use sgxgauge::faults::{FaultPlan, IoFaultPlan, NetFaultPlan};
 use sgxgauge::mem::PAGE_SIZE;
@@ -193,7 +192,10 @@ fn find_workload(scale: u64, name: &str) -> Result<Box<dyn Workload>, String> {
         })
 }
 
-fn runner(flags: &BTreeMap<String, String>) -> Result<Runner, String> {
+/// The sweep runner every cell-running subcommand starts from:
+/// `--switchless`, `--pf`, `--faults` and `--cell-budget` applied, `reps`
+/// repetitions per cell.
+fn suite_runner(flags: &BTreeMap<String, String>, reps: usize) -> Result<SuiteRunner, String> {
     let mut env = EnvConfig::paper(ExecMode::Vanilla, 0);
     if let Some(w) = flags.get("switchless") {
         let workers: usize = w
@@ -204,9 +206,9 @@ fn runner(flags: &BTreeMap<String, String>) -> Result<Runner, String> {
     if flags.contains_key("pf") {
         env = env.with_protected_files();
     }
-    let mut runner = Runner::new(RunnerConfig {
+    let mut runner = SuiteRunner::new(RunnerConfig {
         env,
-        repetitions: 1,
+        repetitions: reps,
     });
     if let Some(spec) = flags.get("faults") {
         runner = runner.faults(FaultPlan::parse(spec)?);
@@ -292,7 +294,8 @@ fn cmd_run(flags: &BTreeMap<String, String>) -> Result<(), String> {
     let mode = parse_mode(flags.get("mode").ok_or("--mode is required")?)?;
     let setting = parse_setting(flags.get("setting").ok_or("--setting is required")?)?;
     let wl = find_workload(scale, name)?;
-    let r = runner(flags)?
+    let r = suite_runner(flags, 1)?
+        .runner()
         .run_once(wl.as_ref(), mode, setting)
         .map_err(|e| e.to_string())?;
     print_report(&r);
@@ -307,7 +310,8 @@ fn cmd_compare(flags: &BTreeMap<String, String>) -> Result<(), String> {
     let name = flags.get("workload").ok_or("--workload is required")?;
     let setting = parse_setting(flags.get("setting").ok_or("--setting is required")?)?;
     let wl = find_workload(scale, name)?;
-    let runner = runner(flags)?;
+    let suite_runner = suite_runner(flags, 1)?;
+    let runner = suite_runner.runner();
     let vanilla = runner
         .run_once(wl.as_ref(), ExecMode::Vanilla, setting)
         .map_err(|e| e.to_string())?;
@@ -378,20 +382,11 @@ fn cmd_suite(flags: &BTreeMap<String, String>) -> Result<(), String> {
         .get("retries")
         .map_or(Ok(0), |s| s.parse())
         .map_err(|_| "bad --retries")?;
-    let runner = runner(flags)?;
-    let mut cfg = runner.config().clone();
-    cfg.repetitions = reps.max(1);
-    let mut suite_runner = SuiteRunner::new(cfg)
+    let mut suite_runner = suite_runner(flags, reps.max(1))?
         .modes(&modes)
         .settings(&[setting])
         .threads(jobs)
         .retries(retries);
-    if let Some(plan) = runner.fault_plan() {
-        suite_runner = suite_runner.faults(plan.clone());
-    }
-    if let Some(budget) = runner.cell_budget_cycles() {
-        suite_runner = suite_runner.cell_budget(budget);
-    }
     if let Some(max) = flags.get("max-quarantine") {
         let max: usize = max.parse().map_err(|_| "bad --max-quarantine")?;
         suite_runner = suite_runner.max_quarantine(max);
@@ -477,8 +472,7 @@ fn cmd_suite(flags: &BTreeMap<String, String>) -> Result<(), String> {
     }
     if let Some(out) = flags.get("report") {
         let path = PathBuf::from(out);
-        table
-            .emit_sealed_with(io.as_ref(), &path)
+        artifact_io::write_atomic_with(io.as_ref(), &path, &artifact_io::seal(&table.render()))
             .map_err(|e| e.to_string())?;
         println!("[report] {}", path.display());
     }
@@ -523,20 +517,11 @@ fn cmd_trace(name: &str, flags: &BTreeMap<String, String>) -> Result<(), String>
     // Route through the sweep executor: traces come from per-cell private
     // sinks keyed on simulated clocks, so `--jobs` provably cannot change
     // a single byte of the output.
-    let base = runner(flags)?;
-    let mut cfg = base.config().clone();
-    cfg.repetitions = 1;
-    let mut suite_runner = SuiteRunner::new(cfg)
+    let suite_runner = suite_runner(flags, 1)?
         .modes(&[mode])
         .settings(&[setting])
         .threads(jobs)
         .tracing(tc);
-    if let Some(plan) = base.fault_plan() {
-        suite_runner = suite_runner.faults(plan.clone());
-    }
-    if let Some(budget) = base.cell_budget_cycles() {
-        suite_runner = suite_runner.cell_budget(budget);
-    }
     let sweep = suite_runner.run(&[wl.as_ref()]);
     let cell = sweep.cells.first().ok_or("empty sweep")?;
     let r = cell.result.as_ref().map_err(|e| e.to_string())?;
@@ -589,19 +574,20 @@ fn cmd_trace(name: &str, flags: &BTreeMap<String, String>) -> Result<(), String>
     if let Some(out) = flags.get("out") {
         let path = PathBuf::from(out);
         let io = artifact_backend(flags)?;
-        match Format::from_path(&path) {
-            Some(Format::Jsonl) => TraceJsonl(sink)
-                .emit_with(io.as_ref(), &path)
-                .map_err(|e| e.to_string())?,
-            Some(Format::Csv) => timeline_table(r)
-                .emit_with(io.as_ref(), &path)
-                .map_err(|e| e.to_string())?,
-            Some(Format::Json) | None => {
+        let ext = path
+            .extension()
+            .and_then(|e| e.to_str())
+            .map(str::to_ascii_lowercase);
+        let body = match ext.as_deref() {
+            Some("jsonl") => sink.render_jsonl(),
+            Some("csv") => timeline_table(r).render(),
+            _ => {
                 return Err(format!(
                     "--out `{out}`: use a .jsonl (event stream) or .csv (timeline) extension"
                 ))
             }
-        }
+        };
+        artifact_io::write_atomic_with(io.as_ref(), &path, &body).map_err(|e| e.to_string())?;
         println!("[out] {}", path.display());
     }
     Ok(())
@@ -822,8 +808,7 @@ fn emit_grid<S: AsRef<str>>(
     let io = artifact_backend(flags)?;
     if let Some(out) = flags.get("out") {
         let path = PathBuf::from(out);
-        table
-            .emit_sealed_with(io.as_ref(), &path)
+        artifact_io::write_atomic_with(io.as_ref(), &path, &artifact_io::seal(&table.render()))
             .map_err(|e| e.to_string())?;
         println!("[report] {}", path.display());
     }
