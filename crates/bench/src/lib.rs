@@ -13,8 +13,8 @@
 //! quick-test EPC is only used by unit tests, never here: benches always
 //! run against the 92 MB EPC platform of Table 3.
 //!
-//! The gated benches (`hotpath`, `resilience`, `cotenancy`, `mpc`)
-//! write their trajectory point and read back the committed one through
+//! The gated benches (`hotpath`, `resilience`, `cotenancy`) write
+//! their trajectory point and read back the committed one through
 //! [`sgxgauge_bench`]; the host-time micro benches time closures with
 //! [`time_per_iter`].
 
@@ -182,14 +182,13 @@ pub fn fk(v: u64) -> String {
 /// The keys each gated bench reads back from its committed
 /// `BENCH_<bench>.json` point. [`Baseline::number`] refuses any other
 /// key, so this list is the one place a gate's inputs are named.
-pub const GATED_KEYS: [(&str, &[&str]); 4] = [
+pub const GATED_KEYS: [(&str, &[&str]); 3] = [
     ("hotpath", &["speedup_stream_vs_legacy"]),
     ("resilience", &["overhead_fraction"]),
     (
         "cotenancy",
         &["interleave_skew_fraction", "victim_slowdown"],
     ),
-    ("mpc", &["latency_amplification", "storm_overhead"]),
 ];
 
 /// A committed trajectory point, read back as a regression gate's

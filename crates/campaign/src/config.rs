@@ -33,7 +33,7 @@
 //! antagonist = false
 //! ```
 
-use faults::{FaultPlan, IoFaultPlan, NetFaultPlan};
+use faults::{FaultPlan, IoFaultPlan};
 use sgxgauge_core::{ExecMode, InputSetting};
 
 /// A parsed campaign: global policy plus ordered stages.
@@ -106,18 +106,6 @@ pub struct StageSpec {
     /// Of those tenants, how many are EPC-thrashing antagonists
     /// (recorded in the key's `aM` half; must not exceed `tenants`).
     pub antagonists: u64,
-    /// Distributed-protocol party count (`0` = the classic single-enclave
-    /// stage). When set, the stage sweeps the `ThresholdSign` workload
-    /// over `parties` relay-connected enclaves and every cell key carries
-    /// the `pNqT` dimension.
-    pub parties: u64,
-    /// Signing quorum for an MPC stage (`t` of `parties`); required —
-    /// and only meaningful — when `parties` is set.
-    pub threshold: u64,
-    /// Network fault plan applied to the stage's cross-enclave relay
-    /// (seed re-derived per stage from the campaign seed). Only
-    /// meaningful when `parties` is set.
-    pub net_faults: Option<NetFaultPlan>,
 }
 
 impl Default for StageSpec {
@@ -133,9 +121,6 @@ impl Default for StageSpec {
             antagonist: false,
             tenants: 0,
             antagonists: 0,
-            parties: 0,
-            threshold: 0,
-            net_faults: None,
         }
     }
 }
@@ -336,36 +321,6 @@ impl CampaignConfig {
                     stage.name, stage.antagonists, stage.tenants
                 ));
             }
-            if stage.parties > 0 {
-                if !(2..=64).contains(&stage.parties) {
-                    return Err(format!(
-                        "stage `{}`: parties {} outside the relay's 2..=64 range",
-                        stage.name, stage.parties
-                    ));
-                }
-                if stage.threshold == 0 || stage.threshold > stage.parties {
-                    return Err(format!(
-                        "stage `{}`: threshold {} must be 1..={} (its parties)",
-                        stage.name, stage.threshold, stage.parties
-                    ));
-                }
-                if !stage.workloads.is_empty() {
-                    return Err(format!(
-                        "stage `{}`: an MPC stage runs only ThresholdSign; drop its `workloads` list",
-                        stage.name
-                    ));
-                }
-            } else {
-                if stage.threshold > 0 {
-                    return Err(format!("stage `{}`: threshold without parties", stage.name));
-                }
-                if stage.net_faults.is_some() {
-                    return Err(format!(
-                        "stage `{}`: net_faults without parties (the relay only exists in an MPC stage)",
-                        stage.name
-                    ));
-                }
-            }
         }
         Ok(())
     }
@@ -447,13 +402,6 @@ fn apply_stage_key(
         "antagonist" => stage.antagonist = want_bool(key, line, value)?,
         "tenants" => stage.tenants = want_int(key, line, value)?,
         "antagonists" => stage.antagonists = want_int(key, line, value)?,
-        "parties" => stage.parties = want_int(key, line, value)?,
-        "threshold" => stage.threshold = want_int(key, line, value)?,
-        "net_faults" => {
-            let spec = want_str(key, line, value)?;
-            stage.net_faults =
-                Some(NetFaultPlan::parse(&spec).map_err(|e| format!("line {line}: {e}"))?);
-        }
         other => return Err(format!("line {line}: unknown [[stage]] key `{other}`")),
     }
     Ok(())
@@ -613,53 +561,16 @@ antagonist = true
     }
 
     #[test]
-    fn parses_and_validates_mpc_keys() {
+    fn retired_stage_keys_are_unknown() {
         let base = "[campaign]\nname = \"x\"\n[[stage]]\nname = \"s\"\n";
-        let cfg = CampaignConfig::parse(&format!(
-            "{base}parties = 5\nthreshold = 3\nnet_faults = \"drop=50,partykill=2@100000:500000\"\n"
-        ))
-        .expect("mpc stage parses");
-        assert_eq!(cfg.stages[0].parties, 5);
-        assert_eq!(cfg.stages[0].threshold, 3);
-        let net = cfg.stages[0].net_faults.as_ref().unwrap();
-        assert_eq!(net.drop_permille, 50);
-        // Plain stages stay single-enclave.
-        let plain = CampaignConfig::parse(base).expect("plain stage parses");
-        assert_eq!(plain.stages[0].parties, 0);
-        assert!(plain.stages[0].net_faults.is_none());
-        // Shape and pairing rules.
-        assert!(
-            CampaignConfig::parse(&format!("{base}parties = 1\nthreshold = 1\n"))
-                .unwrap_err()
-                .contains("2..=64")
-        );
-        assert!(
-            CampaignConfig::parse(&format!("{base}parties = 5\nthreshold = 6\n"))
-                .unwrap_err()
-                .contains("threshold")
-        );
-        assert!(CampaignConfig::parse(&format!("{base}parties = 5\n"))
-            .unwrap_err()
-            .contains("threshold"));
-        assert!(CampaignConfig::parse(&format!("{base}threshold = 3\n"))
-            .unwrap_err()
-            .contains("without parties"));
-        assert!(
-            CampaignConfig::parse(&format!("{base}net_faults = \"drop=50\"\n"))
-                .unwrap_err()
-                .contains("without parties")
-        );
-        assert!(CampaignConfig::parse(&format!(
-            "{base}parties = 5\nthreshold = 3\nworkloads = [\"BTree\"]\n"
-        ))
-        .unwrap_err()
-        .contains("ThresholdSign"));
-        // Bad plans carry the config line number.
-        let err = CampaignConfig::parse(&format!(
-            "{base}parties = 5\nthreshold = 3\nnet_faults = \"bogus=1\"\n"
-        ))
-        .unwrap_err();
-        assert!(err.contains("line 7"), "{err}");
+        for (line, key) in [
+            ("parties = 5", "parties"),
+            ("threshold = 3", "threshold"),
+            ("net_faults = \"drop=50\"", "net_faults"),
+        ] {
+            let err = CampaignConfig::parse(&format!("{base}{line}\n")).unwrap_err();
+            assert_eq!(err, format!("line 5: unknown [[stage]] key `{key}`"));
+        }
     }
 
     #[test]

@@ -25,8 +25,8 @@ use sgxgauge_core::io::Journal;
 use sgxgauge_core::sweep::{CellError, CellErrorKind, SweepCell};
 use sgxgauge_core::workload::Workload;
 use sgxgauge_core::{
-    checkpoint, io, ArtifactError, ArtifactIo, CellKey, ChaosFs, PartyDim, RealFs, ReportTable,
-    RunnerConfig, SuiteRunner, TenantDim,
+    checkpoint, io, ArtifactError, ArtifactIo, CellKey, ChaosFs, RealFs, ReportTable, RunnerConfig,
+    SuiteRunner, TenantDim,
 };
 use std::path::Path;
 use std::sync::Arc;
@@ -339,29 +339,7 @@ fn run_stage(
     log: &mut CampaignLog,
     quarantined_cells: &mut Vec<CellKey>,
 ) -> Result<StageReport, CampaignError> {
-    // An MPC stage sweeps a stage-local ThresholdSign over its relay
-    // shape instead of the suite; the net plan is salted per stage so
-    // stages decorrelate their network weather exactly like `faults`.
-    let mpc: Option<Box<dyn Workload>> = (stage.parties > 0).then(|| {
-        let base = if cfg.scale > 0 {
-            sgxgauge_workloads::ThresholdSign::scaled(cfg.scale)
-        } else {
-            sgxgauge_workloads::ThresholdSign::new()
-        };
-        let net = stage
-            .net_faults
-            .clone()
-            .unwrap_or_default()
-            .salted(stage_salt);
-        Box::new(
-            base.with_shape(stage.parties as u32, stage.threshold as u32)
-                .with_net(net),
-        ) as Box<dyn Workload>
-    });
-    let workloads = match &mpc {
-        Some(w) => vec![w.as_ref()],
-        None => stage_workloads(stage, suite)?,
-    };
+    let workloads = stage_workloads(stage, suite)?;
     let mut base = base_runner_config(cfg);
     if stage.tenants > 1 {
         // Co-tenancy: `tenants` enclaves share one machine's EPC, so
@@ -385,12 +363,6 @@ fn run_stage(
             runner = runner.tenant(TenantDim {
                 tenants: u8::try_from(stage.tenants).unwrap_or(u8::MAX),
                 antagonists: u8::try_from(stage.antagonists).unwrap_or(u8::MAX),
-            });
-        }
-        if stage.parties > 0 {
-            runner = runner.party(PartyDim {
-                parties: u8::try_from(stage.parties).unwrap_or(u8::MAX),
-                threshold: u8::try_from(stage.threshold).unwrap_or(u8::MAX),
             });
         }
         if let Some(plan) = &stage.faults {

@@ -54,9 +54,10 @@ const PUBLISH_ATTEMPTS: usize = 4;
 /// Version 3: keys may carry the optional co-tenancy dimension
 /// (`"workload/mode/setting/rep/tNaM"`).
 ///
-/// Version 4: keys may additionally carry the optional
-/// distributed-protocol dimension (`…/pNqT`, after the tenant field when
-/// both are present).
+/// Version 4: keys could also carry a distributed-protocol dimension
+/// (`…/pNqT`). That dimension is gone; the version stays 4 so that
+/// checkpoint bytes are unchanged, and a key that still carries it
+/// fails to parse.
 ///
 /// [`load_checkpoint`] accepts only this version: checkpoints are
 /// resume state of this build, not an exchange format.

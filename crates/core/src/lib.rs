@@ -54,8 +54,8 @@ pub use modes::{ExecMode, InputSetting};
 pub use report::{RatioRow, ReportTable};
 pub use runner::{RunReport, Runner, RunnerConfig, TraceConfig};
 pub use sweep::{
-    fan_out, CellError, CellErrorKind, CellKey, PartyDim, SuiteRunner, SweepCell, SweepError,
-    SweepReport, TenantDim,
+    fan_out, CellError, CellErrorKind, CellKey, SuiteRunner, SweepCell, SweepError, SweepReport,
+    TenantDim,
 };
 pub use workload::{
     ErrorClass, TransientError, Workload, WorkloadError, WorkloadOutput, WorkloadSpec,

@@ -462,7 +462,6 @@ mod tests {
                         setting: InputSetting::Low,
                         rep: rep as usize,
                         tenant: None,
-                        party: None,
                     },
                     attempts: 1,
                     backoff_cycles: 0,

@@ -86,47 +86,6 @@ impl std::str::FromStr for TenantDim {
     }
 }
 
-/// The optional distributed-protocol coordinate of a grid cell: how
-/// many party enclaves ran the protocol and what the signing quorum
-/// threshold was. Its [`Display`](std::fmt::Display) form `p{N}q{T}`
-/// round-trips through [`FromStr`](std::str::FromStr) and appends as a
-/// trailing `/`-separated [`CellKey`] field; cells without the
-/// dimension keep their earlier form, so existing checkpoint and
-/// report files parse unchanged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct PartyDim {
-    /// Party enclaves on the relay (at least 2).
-    pub parties: u8,
-    /// Signing threshold (quorum size, at most `parties`).
-    pub threshold: u8,
-}
-
-impl std::fmt::Display for PartyDim {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "p{}q{}", self.parties, self.threshold)
-    }
-}
-
-impl std::str::FromStr for PartyDim {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let rest = s
-            .strip_prefix('p')
-            .ok_or_else(|| format!("party dimension `{s}` must start with `p`"))?;
-        let (parties, threshold) = rest
-            .split_once('q')
-            .ok_or_else(|| format!("party dimension `{s}` is missing its `q` separator"))?;
-        let parties = parties
-            .parse::<u8>()
-            .map_err(|e| format!("bad party count in `{s}`: {e}"))?;
-        let threshold = threshold
-            .parse::<u8>()
-            .map_err(|e| format!("bad threshold in `{s}`: {e}"))?;
-        Ok(PartyDim { parties, threshold })
-    }
-}
-
 /// The typed key of one benchmark-grid cell.
 ///
 /// Every layer that used to thread `(workload, mode, setting, rep)`
@@ -147,8 +106,6 @@ pub struct CellKey {
     pub rep: usize,
     /// Co-tenancy coordinate, absent for classic single-enclave cells.
     pub tenant: Option<TenantDim>,
-    /// Distributed-protocol coordinate, absent for classic cells.
-    pub party: Option<PartyDim>,
 }
 
 impl CellKey {
@@ -170,9 +127,6 @@ impl std::fmt::Display for CellKey {
         )?;
         if let Some(t) = self.tenant {
             write!(f, "/{t}")?;
-        }
-        if let Some(p) = self.party {
-            write!(f, "/{p}")?;
         }
         Ok(())
     }
@@ -196,19 +150,10 @@ impl std::str::FromStr for CellKey {
         let rep = next("repetition")?
             .parse::<usize>()
             .map_err(|e| format!("bad repetition in `{s}`: {e}"))?;
-        // Optional trailing dimensions, dispatched by prefix: `t…` is
-        // the co-tenancy coordinate, `p…` the party coordinate. Order
-        // is fixed (tenant before party) and each appears at most once.
-        let mut tenant = None;
-        let mut party = None;
-        for field in parts {
-            if field.starts_with('t') && tenant.is_none() && party.is_none() {
-                tenant = Some(field.parse::<TenantDim>()?);
-            } else if field.starts_with('p') && party.is_none() {
-                party = Some(field.parse::<PartyDim>()?);
-            } else {
-                return Err(format!("trailing fields in cell key `{s}`"));
-            }
+        // One optional trailing field: the `tNaM` co-tenancy coordinate.
+        let tenant = parts.next().map(str::parse::<TenantDim>).transpose()?;
+        if parts.next().is_some() {
+            return Err(format!("trailing fields in cell key `{s}`"));
         }
         Ok(CellKey {
             workload,
@@ -216,7 +161,6 @@ impl std::str::FromStr for CellKey {
             setting,
             rep,
             tenant,
-            party,
         })
     }
 }
@@ -469,10 +413,6 @@ impl SweepReport {
                 h.u64(u64::from(t.tenants));
                 h.u64(u64::from(t.antagonists));
             }
-            if let Some(p) = c.cell.party {
-                h.u64(u64::from(p.parties));
-                h.u64(u64::from(p.threshold));
-            }
             h.u64(c.attempts as u64);
             h.u64(c.backoff_cycles);
             match &c.result {
@@ -551,7 +491,6 @@ pub struct SuiteRunner {
     max_quarantine: Option<usize>,
     stop: Option<Arc<AtomicBool>>,
     tenant: Option<TenantDim>,
-    party: Option<PartyDim>,
 }
 
 impl SuiteRunner {
@@ -567,7 +506,6 @@ impl SuiteRunner {
             max_quarantine: None,
             stop: None,
             tenant: None,
-            party: None,
         }
     }
 
@@ -578,15 +516,6 @@ impl SuiteRunner {
     #[must_use]
     pub fn tenant(mut self, dim: TenantDim) -> Self {
         self.tenant = Some(dim);
-        self
-    }
-
-    /// Stamps every grid cell with a distributed-protocol coordinate,
-    /// so party-count × fault-intensity sweeps checkpoint and report
-    /// distinctly from classic runs of the same grid.
-    #[must_use]
-    pub fn party(mut self, dim: PartyDim) -> Self {
-        self.party = Some(dim);
         self
     }
 
@@ -696,7 +625,6 @@ impl SuiteRunner {
                             setting,
                             rep,
                             tenant: self.tenant,
-                            party: self.party,
                         });
                     }
                 }
@@ -976,10 +904,6 @@ fn attempt_salt(name: &str, cell: &CellKey, attempt: usize) -> u64 {
         h.u64(u64::from(t.tenants));
         h.u64(u64::from(t.antagonists));
     }
-    if let Some(p) = cell.party {
-        h.u64(u64::from(p.parties));
-        h.u64(u64::from(p.threshold));
-    }
     h.u64(attempt as u64);
     h.finish()
 }
@@ -1112,7 +1036,6 @@ mod tests {
                 setting: InputSetting::Low,
                 rep: 0,
                 tenant: None,
-                party: None,
             }
         );
         assert_eq!(grid[1].rep, 1);

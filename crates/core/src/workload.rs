@@ -90,15 +90,6 @@ pub enum WorkloadError {
     /// unclosed [`Env::phase`](crate::Env::phase) spans). Deterministic —
     /// the same workload mismatches its spans on every run.
     Trace(trace::TraceError),
-    /// A distributed workload lost its signing quorum: live parties fell
-    /// below the threshold. Deterministic for a given fault plan and
-    /// salt, so retrying reproduces the loss.
-    QuorumLost {
-        /// Parties still live when the protocol aborted.
-        live: u32,
-        /// The configured signing threshold.
-        threshold: u32,
-    },
     /// Anything else, described.
     Other(String),
 }
@@ -129,10 +120,6 @@ impl fmt::Display for WorkloadError {
                 "cycle budget exceeded: {elapsed_cycles} of {budget_cycles} allowed"
             ),
             WorkloadError::Trace(e) => write!(f, "trace misuse: {e}"),
-            WorkloadError::QuorumLost { live, threshold } => write!(
-                f,
-                "quorum lost: {live} live parties < threshold {threshold}"
-            ),
             WorkloadError::Other(m) => write!(f, "{m}"),
         }
     }
@@ -302,13 +289,6 @@ mod tests {
             ),
             (
                 WorkloadError::Trace(trace::TraceError::NoOpenPhase { found: "p".into() }),
-                Fatal,
-            ),
-            (
-                WorkloadError::QuorumLost {
-                    live: 2,
-                    threshold: 3,
-                },
                 Fatal,
             ),
             (

@@ -11,9 +11,6 @@
 //!   `seed=42,aex=3@50000,epc=64@400000:100000,syscall=20,bitflip=5`),
 //! * [`FaultHook`] — the per-run compiled form, advanced by the
 //!   environment's hot paths against the *simulated* thread clock,
-//! * [`NetFaultPlan`] / [`NetFaultHook`] — the same story for the
-//!   *network* between enclaves (drops, delays, duplication,
-//!   reordering, partitions, party kills), consumed by `crates/relay`.
 //!
 //! Everything here is pure state-machine code over simulated cycles: no
 //! wall clock, no OS randomness, no dependencies. The same plan compiled
@@ -30,12 +27,10 @@
 
 pub mod hook;
 pub mod iofaults;
-pub mod netplan;
 pub mod plan;
 pub mod prng;
 
 pub use hook::{FaultHook, InjectedFault};
 pub use iofaults::IoFaultPlan;
-pub use netplan::{LinkPartition, NetDelay, NetFaultHook, NetFaultPlan, PartyKill};
 pub use plan::{AexStorm, EpcSpike, FaultPlan};
 pub use prng::XorShift64;

@@ -103,42 +103,6 @@ pub const EVICT_BATCH_PAGES: usize = 16;
 /// the transition costs it models, yet never dominates a run.
 pub const RETRY_BACKOFF_BASE_CYCLES: u64 = 25_000;
 
-/// One-way latency of a cross-enclave relay hop: the sender's
-/// untrusted-side marshalling, the host relay copy, and the receiver's
-/// delivery staging. Sized between a host syscall and an EENTER — the
-/// hop itself never crosses an enclave boundary; the boundary crossings
-/// are charged separately by the ops that produce and consume the
-/// message.
-pub const RELAY_LINK_CYCLES: u64 = 4_700;
-
-/// Base send timeout of the relay's protocol-resilience layer: a party
-/// that has not received an expected message after this many simulated
-/// cycles issues its first re-request. Doubles per attempt. Sized just
-/// above the default scheduling wave so one quiet wave never triggers a
-/// spurious retry.
-pub const RELAY_SEND_TIMEOUT_CYCLES: u64 = 65_000;
-
-/// Cycles the failure detector waits after last hearing from a party
-/// before raising `party_suspected` — four base send timeouts, so a
-/// party survives a full doubling-backoff retry burst before being
-/// declared suspect.
-pub const RELAY_SUSPECT_CYCLES: u64 = RELAY_SEND_TIMEOUT_CYCLES * 4;
-
-/// Watchdog budget for one threshold-signing round: a round that has
-/// not completed within this many cycles of its start is declared
-/// timed out (never hung). Sized far above the worst-case bounded
-/// retry schedule.
-pub const RELAY_ROUND_BUDGET_CYCLES: u64 = RELAY_SEND_TIMEOUT_CYCLES * 64;
-
-/// In-enclave compute to produce one threshold-signing share
-/// (commitment + MtA response in the DKLs23-style flow the relay
-/// workload models) — deliberately below one ECALL round trip so
-/// transition amplification, not raw compute, dominates the round.
-pub const SIGN_SHARE_CYCLES: u64 = 9_300;
-
-/// In-enclave compute to verify and absorb one received share.
-pub const SIGN_VERIFY_CYCLES: u64 = 3_700;
-
 // The derived transition halves must reassemble the cited round trip
 // exactly; a drifted edit here would corrupt Fig 7 and Table 4 at once.
 const _: () = assert!(EENTER_CYCLES + EEXIT_CYCLES == ECALL_ROUND_TRIP_CYCLES);

@@ -277,10 +277,15 @@ impl HostBuilder {
     }
 
     /// The zero-tenant path: builds the bare shared machine, for callers
-    /// that drive enclaves by hand. Registered tenants are ignored (debug
-    /// builds assert none).
+    /// that drive enclaves by hand.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any tenant was registered: this path would drop it.
     pub fn build_machine(self) -> SgxMachine {
-        debug_assert!(
+        // Checked in every build: a release build would otherwise run
+        // without the tenants the caller registered.
+        assert!(
             self.tenants.is_empty(),
             "build_machine() ignores registered tenants; use build()"
         );
@@ -405,43 +410,6 @@ impl Host {
                 return Ok(());
             }
         }
-    }
-
-    /// Runs one scheduler wave for tenant `id` alone, returning whether
-    /// any work ran (`false` when the tenant's queue was empty).
-    ///
-    /// This is the interleaving point for drivers that multiplex the
-    /// wave scheduler with another event source — the cross-enclave
-    /// relay alternates `run_wave_for` turns with message deliveries so
-    /// a delivery can enqueue ops *between* waves at a deterministic
-    /// cycle boundary. The wave is identical to one [`Host::run`] turn:
-    /// same trace phase, same charged-ledger fold.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`HostError`] from an op or a phase close.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn run_wave_for(&mut self, id: TenantId) -> Result<bool, HostError> {
-        if self.tenants[id.0].queue.is_empty() {
-            return Ok(false);
-        }
-        self.run_wave(id.0)?;
-        Ok(true)
-    }
-
-    /// The absolute simulated thread clock of tenant `id` — the time
-    /// base relay deliveries are scheduled against. (Unlike
-    /// [`TenantReport::cycles`] this is *not* rebased to the end of the
-    /// enclave build.)
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn tenant_cycles(&self, id: TenantId) -> u64 {
-        self.machine.mem().cycles_of(self.tenants[id.0].tid)
     }
 
     /// Runs one wave of tenant `i`: ops until the wave width elapses on

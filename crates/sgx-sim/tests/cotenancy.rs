@@ -269,3 +269,14 @@ fn destroy_enclave_forces_resident_threads_out() {
     m.ecall_exit(t, e1).unwrap();
     assert!(m.check_invariants().is_ok());
 }
+
+/// `build_machine` has no place for tenants: a registered one must stop
+/// the build in release builds too, not vanish from the run.
+#[test]
+#[should_panic(expected = "build_machine() ignores registered tenants")]
+fn build_machine_refuses_registered_tenants() {
+    let _ = Host::builder()
+        .sgx(SgxConfig::with_tiny_epc(64, 4))
+        .tenant(solo_spec())
+        .build_machine();
+}

@@ -134,39 +134,6 @@ pub enum CampaignEvent {
         /// The configured budget.
         budget_cycles: u64,
     },
-    /// The relay failure detector declared a party suspect: nothing was
-    /// heard from it for the suspicion window.
-    PartySuspected {
-        /// The silent party's id.
-        party: u32,
-        /// Simulated cycles since the party was last heard.
-        silent_cycles: u64,
-    },
-    /// A previously suspected party was heard again.
-    PartyRecovered {
-        /// The recovered party's id.
-        party: u32,
-    },
-    /// A threshold-signing round blew its cycle budget before reaching
-    /// quorum completion.
-    RoundTimeout {
-        /// The round ordinal (0-based).
-        round: u32,
-        /// Parties that had completed the round at timeout.
-        signers: u32,
-        /// The quorum threshold the round needed.
-        threshold: u32,
-    },
-    /// Live parties fell below the signing threshold — the protocol
-    /// aborts with a typed error rather than degrading further.
-    QuorumLost {
-        /// The round ordinal (0-based) during which quorum was lost.
-        round: u32,
-        /// Parties still considered live.
-        live: u32,
-        /// The quorum threshold.
-        threshold: u32,
-    },
 }
 
 impl LogEvent for CampaignEvent {
@@ -254,40 +221,6 @@ impl LogEvent for CampaignEvent {
                      \"budget_cycles\":{budget_cycles}"
                 );
             }
-            CampaignEvent::PartySuspected {
-                party,
-                silent_cycles,
-            } => {
-                let _ = write!(
-                    out,
-                    "\"party_suspected\",\"party\":{party},\"silent_cycles\":{silent_cycles}"
-                );
-            }
-            CampaignEvent::PartyRecovered { party } => {
-                let _ = write!(out, "\"party_recovered\",\"party\":{party}");
-            }
-            CampaignEvent::RoundTimeout {
-                round,
-                signers,
-                threshold,
-            } => {
-                let _ = write!(
-                    out,
-                    "\"round_timeout\",\"round\":{round},\"signers\":{signers},\
-                     \"threshold\":{threshold}"
-                );
-            }
-            CampaignEvent::QuorumLost {
-                round,
-                live,
-                threshold,
-            } => {
-                let _ = write!(
-                    out,
-                    "\"quorum_lost\",\"round\":{round},\"live\":{live},\
-                     \"threshold\":{threshold}"
-                );
-            }
         }
     }
 }
@@ -355,55 +288,6 @@ mod tests {
             log.render_jsonl()
         };
         assert_eq!(build(), build());
-    }
-
-    #[test]
-    fn relay_supervision_lines_use_fixed_keys() {
-        let mut log = CampaignLog::new();
-        log.push(
-            260_000,
-            CampaignEvent::PartySuspected {
-                party: 2,
-                silent_cycles: 260_000,
-            },
-        );
-        log.push(700_000, CampaignEvent::PartyRecovered { party: 2 });
-        log.push(
-            900_000,
-            CampaignEvent::RoundTimeout {
-                round: 4,
-                signers: 2,
-                threshold: 3,
-            },
-        );
-        log.push(
-            950_000,
-            CampaignEvent::QuorumLost {
-                round: 5,
-                live: 2,
-                threshold: 3,
-            },
-        );
-        let lines: Vec<String> = log.render_jsonl().lines().map(String::from).collect();
-        assert_eq!(
-            lines[1],
-            "{\"seq\":0,\"spent_cycles\":260000,\"event\":\"party_suspected\",\
-             \"party\":2,\"silent_cycles\":260000}"
-        );
-        assert_eq!(
-            lines[2],
-            "{\"seq\":1,\"spent_cycles\":700000,\"event\":\"party_recovered\",\"party\":2}"
-        );
-        assert_eq!(
-            lines[3],
-            "{\"seq\":2,\"spent_cycles\":900000,\"event\":\"round_timeout\",\
-             \"round\":4,\"signers\":2,\"threshold\":3}"
-        );
-        assert_eq!(
-            lines[4],
-            "{\"seq\":3,\"spent_cycles\":950000,\"event\":\"quorum_lost\",\
-             \"round\":5,\"live\":2,\"threshold\":3}"
-        );
     }
 
     #[test]

@@ -48,13 +48,11 @@ pub mod campaign;
 mod event;
 pub mod json;
 mod log;
-pub mod relay;
 mod sink;
 mod timeline;
 
 pub use campaign::{BreakerState, CampaignEvent, CampaignLog, ShedReason};
 pub use event::{CounterSnapshot, InjectedKind, PhaseId, TraceEvent, TraceRecord};
 pub use log::{EventLog, LogEvent};
-pub use relay::{NetDropReason, NetEvent, NetLog};
 pub use sink::{TraceError, TraceSink, DEFAULT_CAPACITY, DEFAULT_SAMPLE_INTERVAL};
 pub use timeline::{timeline, PhaseAttribution, TimelinePoint};

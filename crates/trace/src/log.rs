@@ -1,6 +1,5 @@
-//! One ordered, clock-stamped event log shared by the campaign
-//! supervisor ([`crate::CampaignLog`]) and the relay
-//! ([`crate::NetLog`]).
+//! One ordered, clock-stamped event log, used by the campaign
+//! supervisor ([`crate::CampaignLog`]).
 //!
 //! Each event type names its stream and its clock key; the log renders
 //! JSONL with fixed key order: a `{"trace":<tag>,"records":N}` header,

@@ -16,11 +16,6 @@
 //! Six are ported to Native mode; the four real-world applications run
 //! under the LibOS only, exactly as in the paper (§4.3).
 //!
-//! Beyond the paper's table, [`ThresholdSign`] is a distributed
-//! extension workload — t-of-n threshold signing over the
-//! cross-enclave relay (see the `relay` crate) — exported separately so
-//! the canonical [`suite`] stays the paper's ten.
-//!
 //! Every workload executes *real computation* (real hashing, real
 //! encryption, real graph traversals…) over data held in simulated
 //! memory regions, so the SGX performance counters emerge from organic
@@ -45,7 +40,6 @@ pub mod memcached;
 pub mod openssl;
 pub mod pagerank;
 pub mod svm;
-pub mod threshold_sign;
 pub mod util;
 pub mod xsbench;
 
@@ -59,7 +53,6 @@ pub use memcached::Memcached;
 pub use openssl::OpenSsl;
 pub use pagerank::PageRank;
 pub use svm::Svm;
-pub use threshold_sign::ThresholdSign;
 pub use xsbench::XsBench;
 
 use sgxgauge_core::Workload;

@@ -32,7 +32,6 @@ pub use faults;
 pub use gauge_stats as stats;
 pub use libos_sim as libos;
 pub use mem_sim as mem;
-pub use relay;
 pub use sgx_crypto as crypto;
 pub use sgx_sim as sgx;
 pub use sgxgauge_core as core;

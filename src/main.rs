@@ -13,12 +13,11 @@ use sgxgauge::core::report::{
     cycle_breakdown, humanize, quarantine_table, sweep_table, RatioRow, ReportTable,
 };
 use sgxgauge::core::{
-    fan_out, ArtifactIo, CellKey, ChaosFs, EnvConfig, ExecMode, InputSetting, PartyDim, RealFs,
-    RunReport, RunnerConfig, SuiteRunner, TenantDim, TraceConfig, Workload,
+    fan_out, ArtifactIo, CellKey, ChaosFs, EnvConfig, ExecMode, InputSetting, RealFs, RunReport,
+    RunnerConfig, SuiteRunner, TenantDim, TraceConfig, Workload,
 };
-use sgxgauge::faults::{FaultPlan, IoFaultPlan, NetFaultPlan};
+use sgxgauge::faults::{FaultPlan, IoFaultPlan};
 use sgxgauge::mem::PAGE_SIZE;
-use sgxgauge::relay::{run_mpc, MpcConfig, MpcError, MpcReport};
 use sgxgauge::sgx::{Host, SgxConfig, TenantId, TenantOp, TenantReport, TenantSpec};
 use sgxgauge::stats::BarChart;
 use sgxgauge::workloads::{suite, suite_scaled};
@@ -52,21 +51,6 @@ fn usage() -> ExitCode {
                    on a shared-EPC co-tenant host, emitting noisy-neighbor curves
                    (victim slowdown, per-tenant fault rates); output is
                    byte-identical across --jobs
-  sgxgauge mpc     [--parties <n>] [--threshold <t>] [--rounds <r>] [--net <spec>]
-                   [--jobs <n>] [--out <file.csv>] [--timeline <file.jsonl>]
-                   sweeps t-of-n threshold signing over relay-connected enclaves,
-                   party counts t..=n under the network fault plan, emitting
-                   round-latency and quorum-survival curves plus typed
-                   supervision events; output is byte-identical across --jobs
-
-network fault spec (comma-separated, e.g. \"drop=50,partykill=2@100000:500000\"):
-  seed=<u64>                   PRNG seed (default 1)
-  drop=<permille>              per-message loss rate (0..=1000)
-  delay=<cycles>@<permille>    extra latency <cycles> with p/1000
-  dup=<permille>               per-message duplication rate (0..=1000)
-  reorder=<permille>           per-message reordering-jitter rate (0..=1000)
-  partition=<a>-<b>@<at>:<dur> cut one link for a cycle window
-  partykill=<id>@<at>:<dur>    kill one party for a cycle window
 
 fault spec (comma-separated, e.g. \"seed=7,aex=3@50000,syscall=20\"):
   seed=<u64>                   PRNG seed (default 1)
@@ -110,7 +94,6 @@ fn known_flags(cmd: &str) -> Option<&'static str> {
         }
         "campaign" => "out soak",
         "cotenancy" => "tenants wave epc-pages ops jobs out timeline io-faults",
-        "mpc" => "parties threshold rounds net jobs out timeline io-faults",
         _ => return None,
     })
 }
@@ -639,7 +622,6 @@ fn run_cotenancy_cell(
             tenants: antagonists + 1,
             antagonists,
         }),
-        party: None,
     };
     let thrash_pages = epc_pages * 2;
     let mut b = Host::builder()
@@ -825,135 +807,6 @@ fn emit_grid<S: AsRef<str>>(
     Ok(())
 }
 
-/// One completed cell of the MPC sweep: the (possibly partial) protocol
-/// report plus how the cell ended.
-struct MpcCell {
-    key: CellKey,
-    outcome: &'static str,
-    report: MpcReport,
-}
-
-/// Runs one MPC cell: `p` relay-connected party enclaves signing with
-/// quorum `t` under the salted fault plan. Pure function of its
-/// arguments, so the sweep fans cells across threads and aggregates in
-/// grid order — `--jobs` provably cannot change a byte of output. A
-/// quorum loss is a *data point* on the degradation curve, not a
-/// command failure.
-fn run_mpc_cell(p: u32, t: u32, rounds: u32, net: &NetFaultPlan) -> Result<MpcCell, String> {
-    let key = CellKey {
-        workload: 0,
-        mode: ExecMode::Native,
-        setting: InputSetting::High,
-        rep: 0,
-        tenant: None,
-        party: Some(PartyDim {
-            parties: u8::try_from(p).unwrap_or(u8::MAX),
-            threshold: u8::try_from(t).unwrap_or(u8::MAX),
-        }),
-    };
-    let cfg = MpcConfig::new(p, t).net(net.clone()).rounds(rounds);
-    match run_mpc(&cfg, u64::from(p)) {
-        Ok(report) => Ok(MpcCell {
-            key,
-            outcome: "ok",
-            report,
-        }),
-        Err(MpcError::QuorumLost { partial, .. }) => Ok(MpcCell {
-            key,
-            outcome: "quorum_lost",
-            report: *partial,
-        }),
-        Err(e) => Err(format!("cell {key}: {e}")),
-    }
-}
-
-fn cmd_mpc(flags: &BTreeMap<String, String>) -> Result<(), String> {
-    let parties: u32 = flags
-        .get("parties")
-        .map_or(Ok(5), |s| s.parse())
-        .map_err(|_| "bad --parties (2..=64)")?;
-    if !(2..=64).contains(&parties) {
-        return Err("--parties must be 2..=64".to_owned());
-    }
-    let threshold: u32 = flags
-        .get("threshold")
-        .map_or(Ok(3), |s| s.parse())
-        .map_err(|_| "bad --threshold")?;
-    if threshold == 0 || threshold > parties {
-        return Err("--threshold must be 1..=parties".to_owned());
-    }
-    let rounds: u32 = flags
-        .get("rounds")
-        .map_or(Ok(8), |s| s.parse())
-        .map_err(|_| "bad --rounds")?;
-    if rounds == 0 {
-        return Err("--rounds must be at least 1".to_owned());
-    }
-    let net = match flags.get("net") {
-        Some(spec) => NetFaultPlan::parse(spec)?,
-        None => NetFaultPlan::default(),
-    };
-    let jobs = parse_jobs(flags)?;
-
-    // Quorum-survival curve: party counts t..=n, same plan, same quorum.
-    let counts: Vec<u32> = (threshold.max(2)..=parties).collect();
-    let cells = run_grid(counts.len(), jobs, |i| {
-        run_mpc_cell(counts[i], threshold, rounds, &net)
-    })?;
-
-    let mut table = ReportTable::new(
-        &format!("MPC threshold-signing sweep ({threshold}-of-p, {rounds} rounds)"),
-        &[
-            "cell",
-            "parties",
-            "threshold",
-            "outcome",
-            "completed",
-            "rounds",
-            "survival_permille",
-            "mean_latency",
-            "max_latency",
-            "suspects",
-            "recovers",
-            "sent",
-            "delivered",
-            "dropped",
-            "duplicated",
-            "total_cycles",
-            "checksum",
-        ],
-    );
-    for cell in &cells {
-        let r = &cell.report;
-        table.push_row(vec![
-            cell.key.to_string(),
-            r.parties.to_string(),
-            r.threshold.to_string(),
-            cell.outcome.to_owned(),
-            r.completed_rounds().to_string(),
-            r.rounds.len().to_string(),
-            r.survival_permille().to_string(),
-            r.mean_round_latency().to_string(),
-            r.max_round_latency().to_string(),
-            r.suspect_events().to_string(),
-            r.recover_events().to_string(),
-            r.stats.sent.to_string(),
-            r.stats.delivered.to_string(),
-            r.stats.dropped.to_string(),
-            r.stats.duplicated.to_string(),
-            r.total_cycles.to_string(),
-            r.checksum.to_string(),
-        ]);
-    }
-    emit_grid(
-        flags,
-        &table,
-        cells
-            .iter()
-            .map(|c| (c.key, c.report.supervision.render_jsonl())),
-    )
-}
-
 fn cmd_campaign(config_path: &str, flags: &BTreeMap<String, String>) -> Result<(), String> {
     let text = RealFs
         .read(std::path::Path::new(config_path))
@@ -1074,7 +927,6 @@ fn main() -> ExitCode {
         "trace" => cmd_trace(positional.as_deref().unwrap_or_default(), &flags),
         "campaign" => cmd_campaign(positional.as_deref().unwrap_or_default(), &flags),
         "cotenancy" => cmd_cotenancy(&flags),
-        "mpc" => cmd_mpc(&flags),
         _ => {
             return usage();
         }

@@ -231,95 +231,6 @@ workloads = ["BTree"]
     let _ = std::fs::remove_dir_all(&out);
 }
 
-/// An MPC stage sweeps the stage-local ThresholdSign workload over its
-/// relay shape: every cell key carries the `pNqT` dimension, the rows
-/// complete under the network fault plan, and the artifacts stay
-/// byte-deterministic run to run.
-#[test]
-fn mpc_stage_sweeps_threshold_sign_with_party_keys() {
-    let cfg = CampaignConfig::parse(
-        r#"
-[campaign]
-name = "mpc"
-seed = 7
-scale = 64
-profile = "quick"
-reps = 1
-jobs = 2
-
-[[stage]]
-name = "quorum"
-modes = ["vanilla", "native"]
-settings = ["low"]
-parties = 5
-threshold = 3
-net_faults = "drop=50,partykill=2@100000:500000"
-"#,
-    )
-    .expect("config parses");
-    let a = fresh("mpc-a");
-    let b = fresh("mpc-b");
-    let report = run_campaign(&cfg, &a, false, None).expect("first run");
-    run_campaign(&cfg, &b, false, None).expect("second run");
-    assert_eq!(report.stages[0].executed, 2);
-    assert_eq!(report.stages[0].quarantined, 0);
-    let csv = read(&a.join("quorum").join("report.csv"));
-    assert!(
-        csv.contains("/p5q3,ThresholdSign,"),
-        "cell keys must carry the party dimension:\n{csv}"
-    );
-    assert_eq!(
-        csv.lines().filter(|l| l.contains(",ok,")).count(),
-        2,
-        "both mode cells must complete:\n{csv}"
-    );
-    assert_eq!(
-        csv,
-        read(&b.join("quorum").join("report.csv")),
-        "report must be byte-identical"
-    );
-    let _ = std::fs::remove_dir_all(&a);
-    let _ = std::fs::remove_dir_all(&b);
-}
-
-/// A fault plan that makes the quorum unreachable surfaces as the typed
-/// fatal loss: the cell quarantines (never retries, never hangs) and the
-/// campaign reports it.
-#[test]
-fn mpc_quorum_loss_quarantines_the_cell() {
-    let cfg = CampaignConfig::parse(
-        r#"
-[campaign]
-name = "lost"
-seed = 13
-scale = 64
-profile = "quick"
-reps = 1
-jobs = 1
-retries = 2
-
-[[stage]]
-name = "dead"
-modes = ["vanilla"]
-settings = ["low"]
-parties = 3
-threshold = 3
-net_faults = "partykill=1@0:999999999999"
-"#,
-    )
-    .expect("config parses");
-    let out = fresh("mpc-lost");
-    let report = run_campaign(&cfg, &out, false, None).expect("campaign completes");
-    let stage = &report.stages[0];
-    assert_eq!(stage.quarantined, 1, "quorum loss must quarantine");
-    let csv = read(&out.join("dead").join("report.csv"));
-    assert!(
-        csv.lines().any(|l| l.contains(",fatal,")),
-        "the loss must be a fatal row, not a retried transient:\n{csv}"
-    );
-    let _ = std::fs::remove_dir_all(&out);
-}
-
 /// The tentpole: a campaign under a combined simulated-fault and
 /// host-I/O fault storm, killed and resumed at three seeded points,
 /// converges to artifacts byte-identical to a never-interrupted clean

@@ -54,7 +54,8 @@ fn repeated_flag_fails_instead_of_keeping_the_last() {
 #[test]
 fn flags_of_other_subcommands_are_unknown() {
     assert_usage_error("list --bogus 1", "unknown flag `--bogus` for `list`");
-    assert_usage_error("mpc --faults seed=1", "unknown flag `--faults` for `mpc`");
+    // A retired command is refused by name, not run as a no-op.
+    assert_usage_error("mpc", "unknown command `mpc`");
     assert_usage_error(
         "campaign {ex}/soak_campaign.toml --jobs 2",
         "unknown flag `--jobs` for `campaign`",
@@ -82,9 +83,9 @@ fn ci_suite_flag_sets_are_accepted() {
     assert_runs(&format!("{suite} --jobs 1 --resume {{tmp}}/cli-crash.json"));
 }
 
-/// The flag sets of the `trace`, `cotenancy`, `mpc` and `soak` CI jobs.
+/// The flag sets of the `trace`, `cotenancy` and `soak` CI jobs.
 #[test]
-fn ci_trace_cotenancy_mpc_and_campaign_flag_sets_are_accepted() {
+fn ci_trace_cotenancy_and_campaign_flag_sets_are_accepted() {
     assert_runs(
         "trace btree --mode native --setting low --scale 64 --jobs 1 \
          --out {tmp}/cli-trace.jsonl",
@@ -93,11 +94,6 @@ fn ci_trace_cotenancy_mpc_and_campaign_flag_sets_are_accepted() {
         "cotenancy --tenants 4 --jobs 1 --out {tmp}/cli-cot.csv \
          --timeline {tmp}/cli-cot.jsonl",
     );
-    assert_runs(
-        "mpc --parties 6 --threshold 3 --rounds 8 --net drop=50,partykill=2@100000:500000 \
-         --jobs 1 --out {tmp}/cli-mpc.csv --timeline {tmp}/cli-mpc.jsonl",
-    );
     assert_runs("campaign {ex}/soak_campaign.toml --out {tmp}/cli-soak --soak 3");
     assert_runs("campaign {ex}/cotenancy_campaign.toml --out {tmp}/cli-cot-campaign");
-    assert_runs("campaign {ex}/mpc_campaign.toml --out {tmp}/cli-mpc-campaign");
 }

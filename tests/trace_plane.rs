@@ -207,7 +207,6 @@ fn cell_key_display_round_trips() {
         setting: InputSetting::High,
         rep: 2,
         tenant: None,
-        party: None,
     };
     assert_eq!(key.to_string(), "3/LibOS/High/2");
     assert_eq!(key.to_string().parse::<CellKey>(), Ok(key));
@@ -223,24 +222,6 @@ fn cell_key_display_round_trips() {
     };
     assert_eq!(cotenant.to_string(), "3/LibOS/High/2/t3a2");
     assert_eq!(cotenant.to_string().parse::<CellKey>(), Ok(cotenant));
-    // The optional party dimension appends after the tenant field (or
-    // stands alone); prefix dispatch keeps both grammars unambiguous.
-    let party = sgxgauge::core::PartyDim {
-        parties: 5,
-        threshold: 3,
-    };
-    let mpc = CellKey {
-        party: Some(party),
-        ..key
-    };
-    assert_eq!(mpc.to_string(), "3/LibOS/High/2/p5q3");
-    assert_eq!(mpc.to_string().parse::<CellKey>(), Ok(mpc));
-    let both = CellKey {
-        party: Some(party),
-        ..cotenant
-    };
-    assert_eq!(both.to_string(), "3/LibOS/High/2/t3a2/p5q3");
-    assert_eq!(both.to_string().parse::<CellKey>(), Ok(both));
     for bad in [
         "",
         "1/libos/high",
@@ -251,11 +232,8 @@ fn cell_key_display_round_trips() {
         "1/libos/high/2/a2",
         "1/libos/high/2/t3a",
         "1/libos/high/2/t3a2/junk",
-        "1/libos/high/2/p5",
-        "1/libos/high/2/p5q",
-        "1/libos/high/2/p5q3/t3a2",
-        "1/libos/high/2/p5q3/p5q3",
-        "1/libos/high/2/t3a2/p5q3/junk",
+        "1/libos/high/2/p5q3",
+        "1/libos/high/2/t3a2/p5q3",
     ] {
         assert!(bad.parse::<CellKey>().is_err(), "accepted `{bad}`");
     }
