@@ -21,7 +21,6 @@
 use crate::config::{CampaignConfig, StageSpec};
 use crate::supervisor::{Admission, Observation, Supervisor, SupervisorHealth};
 use faults::prng::splitmix64;
-use sgxgauge_core::io::Journal;
 use sgxgauge_core::sweep::{CellError, CellErrorKind, SweepCell};
 use sgxgauge_core::workload::Workload;
 use sgxgauge_core::{
@@ -313,8 +312,7 @@ fn stage_table(stage: &str) -> ReportTable {
 }
 
 fn publish_artifact(io: &dyn ArtifactIo, path: &Path, body: &str) -> Result<(), ArtifactError> {
-    let journal = Journal::for_artifact(path);
-    io::publish_sealed(io, &journal, path, body, PUBLISH_ATTEMPTS)
+    io::publish_sealed(io, path, body, PUBLISH_ATTEMPTS)
 }
 
 /// Replays the recovery journals of the stage's compared artifacts.

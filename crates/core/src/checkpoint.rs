@@ -142,7 +142,6 @@ impl SuiteRunner {
         let sink = CheckpointSink {
             path: path.to_path_buf(),
             io,
-            journal: Journal::for_artifact(path),
             state: SinkState {
                 grid_fp,
                 cells: retained,
@@ -158,7 +157,7 @@ impl SuiteRunner {
         sink.take_error()?;
         // Clean end of run: the journal has no pending intent, retire it
         // so the next startup's recovery scan is a no-op.
-        sink.journal.retire(io)?;
+        Journal::for_artifact(path).retire(io)?;
         self.enforce_quarantine(&report)?;
         Ok(report)
     }
@@ -195,7 +194,6 @@ pub fn grid_fingerprint(suite: &SuiteRunner, workloads: &[&dyn Workload]) -> u64
 pub(crate) struct CheckpointSink<'a> {
     path: PathBuf,
     io: &'a dyn ArtifactIo,
-    journal: Journal,
     #[expect(
         clippy::disallowed_types,
         reason = "every sweep worker records its finished cell into one file"
@@ -227,13 +225,7 @@ impl CheckpointSink<'_> {
     /// budget: torn writes and transient EIO are redone, everything
     /// else (ENOSPC, crash, corruption) surfaces immediately.
     fn publish(&self, state: &SinkState) -> Result<(), ArtifactError> {
-        io::publish_sealed(
-            self.io,
-            &self.journal,
-            &self.path,
-            &render(state),
-            PUBLISH_ATTEMPTS,
-        )
+        io::publish_sealed(self.io, &self.path, &render(state), PUBLISH_ATTEMPTS)
     }
 
     fn flush(&self) -> Result<(), ArtifactError> {

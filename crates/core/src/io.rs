@@ -28,7 +28,6 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -676,7 +675,9 @@ pub fn write_atomic_with(
 
 /// The recovery journal: an append-only sibling (`<artifact>.journal`)
 /// recording `intent` (about to publish, with the contents' CRC32) and
-/// `commit` (publish completed) records, one tab-separated line each.
+/// `commit` (publish completed) records, one line each. A journal
+/// belongs to its one artifact, so the records do not name it: the
+/// journal's bytes are the same whichever directory holds the artifact.
 ///
 /// On startup, [`recover`] replays the journal: an intent without a
 /// commit means the previous process died mid-publish, and the temp
@@ -700,26 +701,18 @@ impl Journal {
         &self.path
     }
 
-    /// Records that `target` is about to be published with contents
+    /// Records that the artifact is about to be published with contents
     /// hashing to `crc`.
-    pub fn intent(
-        &self,
-        io: &dyn ArtifactIo,
-        target: &Path,
-        crc: u32,
-    ) -> Result<(), ArtifactError> {
+    pub fn intent(&self, io: &dyn ArtifactIo, crc: u32) -> Result<(), ArtifactError> {
         let mut line = String::from("intent\t");
         push_hex8(&mut line, crc);
-        line.push('\t');
-        line.push_str(&target.display().to_string());
         line.push('\n');
         io.append(&self.path, &line)
     }
 
-    /// Records that `target` was published successfully.
-    pub fn commit(&self, io: &dyn ArtifactIo, target: &Path) -> Result<(), ArtifactError> {
-        let line = format!("commit\t{}\n", target.display());
-        io.append(&self.path, &line)
+    /// Records that the artifact was published successfully.
+    pub fn commit(&self, io: &dyn ArtifactIo) -> Result<(), ArtifactError> {
+        io.append(&self.path, "commit\n")
     }
 
     /// Removes the journal (end of a clean run, or after recovery).
@@ -729,24 +722,20 @@ impl Journal {
 }
 
 /// Journaled atomic publish: intent, then [`write_atomic_with`], then
-/// commit. A crash at any step leaves state [`recover`] can repair or
-/// quarantine.
+/// commit, in `path`'s [`Journal`]. A crash at any step leaves state
+/// [`recover`] can repair or quarantine.
 ///
 /// # Errors
 ///
 /// Typed [`ArtifactError`]; torn and transient failures are retryable.
-pub fn publish(
-    io: &dyn ArtifactIo,
-    journal: &Journal,
-    path: &Path,
-    contents: &str,
-) -> Result<(), ArtifactError> {
+pub fn publish(io: &dyn ArtifactIo, path: &Path, contents: &str) -> Result<(), ArtifactError> {
     // The journal is a sibling of the artifact: its directory must exist
     // before the intent is appended.
     ensure_parent(io, path)?;
-    journal.intent(io, path, crc32(contents.as_bytes()))?;
+    let journal = Journal::for_artifact(path);
+    journal.intent(io, crc32(contents.as_bytes()))?;
     write_atomic_with(io, path, contents)?;
-    journal.commit(io, path)
+    journal.commit(io)
 }
 
 /// Runs `op` up to `attempts` times (at least once), redoing it only
@@ -782,13 +771,12 @@ pub fn retry_transient<T>(
 /// or the first non-transient one.
 pub fn publish_sealed(
     io: &dyn ArtifactIo,
-    journal: &Journal,
     path: &Path,
     body: &str,
     attempts: usize,
 ) -> Result<(), ArtifactError> {
     let sealed = seal(body);
-    retry_transient(attempts, || publish(io, journal, path, &sealed))
+    retry_transient(attempts, || publish(io, path, &sealed))
 }
 
 /// What startup recovery did, for the report and logs.
@@ -822,8 +810,8 @@ impl RecoveryReport {
 /// * stale temp sibling with no journal at all → quarantined (a crash
 ///   predating the first journal record).
 ///
-/// The journal is retired afterwards. A torn trailing journal line
-/// (the journal append itself crashed) is ignored.
+/// The journal is retired afterwards. A torn journal record (the
+/// journal append itself tore) is ignored.
 ///
 /// # Errors
 ///
@@ -832,22 +820,25 @@ pub fn recover(io: &dyn ArtifactIo, artifact: &Path) -> Result<RecoveryReport, A
     let journal = Journal::for_artifact(artifact);
     let mut report = RecoveryReport::default();
 
-    // last record per target wins
-    let mut state: BTreeMap<String, (Option<u32>, bool)> = BTreeMap::new();
+    // The last record wins: the CRC of an intent no commit followed,
+    // and whether the journal holds any record at all.
+    let mut pending: Option<u32> = None;
+    let mut journaled = false;
     if io.exists(journal.path()) {
         let text = io.read(journal.path())?;
-        for line in text.lines() {
-            let mut parts = line.splitn(3, '\t');
-            match (parts.next(), parts.next(), parts.next()) {
-                (Some("intent"), Some(hex), Some(target)) => {
-                    let crc = u32::from_str_radix(hex, 16).ok();
-                    state.insert(target.to_string(), (crc, false));
+        // Every record ends in a newline, so whatever follows the last
+        // one is a torn append.
+        let mut lines = text.split('\n');
+        lines.next_back();
+        for line in lines {
+            match line.strip_prefix("intent\t") {
+                Some(hex) if hex.len() == 8 && hex.bytes().all(|b| b.is_ascii_hexdigit()) => {
+                    pending = u32::from_str_radix(hex, 16).ok();
+                    journaled = true;
                 }
-                (Some("commit"), Some(target), _) => {
-                    state
-                        .entry(target.to_string())
-                        .and_modify(|e| e.1 = true)
-                        .or_insert((None, true));
+                _ if line == "commit" => {
+                    pending = None;
+                    journaled = true;
                 }
                 // torn or unknown line: skip (journal appends can tear too)
                 _ => {}
@@ -855,41 +846,31 @@ pub fn recover(io: &dyn ArtifactIo, artifact: &Path) -> Result<RecoveryReport, A
         }
     }
 
-    for (target, (crc, committed)) in &state {
-        if *committed {
-            continue;
-        }
+    let tmp = tmp_sibling(artifact);
+    if let Some(crc) = pending {
         report.interrupted += 1;
-        let target = PathBuf::from(target);
-        let tmp = tmp_sibling(&target);
         if io.exists(&tmp) {
             let text = io.read(&tmp)?;
-            if crc.is_some() && *crc == Some(crc32(text.as_bytes())) {
-                io.rename(&tmp, &target)?;
-                if let Some(parent) = nonempty_parent(&target) {
+            if crc == crc32(text.as_bytes()) {
+                io.rename(&tmp, artifact)?;
+                if let Some(parent) = nonempty_parent(artifact) {
                     io.sync_dir(parent)?;
                 }
-                report.repaired.push(target);
+                report.repaired.push(artifact.to_path_buf());
             } else {
                 let q = suffixed(&tmp, ".quarantine");
                 io.rename(&tmp, &q)?;
                 report.quarantined.push(q);
             }
-        } else if io.exists(&target) {
-            let text = io.read(&target)?;
-            if crc.is_some() && *crc == Some(crc32(text.as_bytes())) {
-                // rename landed; only the commit record was lost
-                report.repaired.push(target);
-            }
-            // otherwise the target is the previous (pre-publish)
-            // version: the crash hit before the rename — leave it.
+        } else if io.exists(artifact) && crc == crc32(io.read(artifact)?.as_bytes()) {
+            // rename landed; only the commit record was lost. Otherwise
+            // the artifact is the previous (pre-publish) version: the
+            // crash hit before the rename — leave it.
+            report.repaired.push(artifact.to_path_buf());
         }
-    }
-
-    // A stale temp sibling of the artifact itself with no journaled
-    // intent predates the journal; never load it, move it aside.
-    let tmp = tmp_sibling(artifact);
-    if io.exists(&tmp) && !state.contains_key(&artifact.display().to_string()) {
+    } else if io.exists(&tmp) && !journaled {
+        // A stale temp sibling with no journal record predates the
+        // journal; never load it, move it aside.
         let q = suffixed(&tmp, ".quarantine");
         io.rename(&tmp, &q)?;
         report.quarantined.push(q);
@@ -970,9 +951,8 @@ mod tests {
         let dir = scratch("journal");
         let io = RealFs;
         let path = dir.join("ck.json");
-        let journal = Journal::for_artifact(&path);
-        publish(&io, &journal, &path, "{\"v\":1}\n").unwrap();
-        journal.retire(&io).unwrap();
+        publish(&io, &path, "{\"v\":1}\n").unwrap();
+        Journal::for_artifact(&path).retire(&io).unwrap();
         let rec = recover(&io, &path).unwrap();
         assert!(rec.is_clean());
         assert_eq!(io.read(&path).unwrap(), "{\"v\":1}\n");
@@ -986,7 +966,7 @@ mod tests {
         let path = dir.join("ck.json");
         let journal = Journal::for_artifact(&path);
         // Simulate a crash after intent + temp write but before rename.
-        journal.intent(&io, &path, crc32(b"{\"v\":2}\n")).unwrap();
+        journal.intent(&io, crc32(b"{\"v\":2}\n")).unwrap();
         io.write(&tmp_sibling(&path), "{\"v\":2}\n").unwrap();
         let rec = recover(&io, &path).unwrap();
         assert_eq!(rec.repaired, vec![path.clone()]);
@@ -1002,7 +982,7 @@ mod tests {
         let io = RealFs;
         let path = dir.join("ck.json");
         let journal = Journal::for_artifact(&path);
-        journal.intent(&io, &path, crc32(b"{\"v\":3}\n")).unwrap();
+        journal.intent(&io, crc32(b"{\"v\":3}\n")).unwrap();
         io.write(&tmp_sibling(&path), "{\"v").unwrap(); // torn
         let rec = recover(&io, &path).unwrap();
         assert!(rec.repaired.is_empty());
@@ -1013,6 +993,40 @@ mod tests {
             .ends_with(".quarantine"));
         assert!(!io.exists(&path), "torn temp never published");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn torn_journal_bytes_do_not_depend_on_the_directory() {
+        // The same chaos plan tears a journal append and kills the
+        // process at the third rename, in two directories whose paths
+        // differ in length; recovery then completes the third publish.
+        let mut outcomes = Vec::new();
+        for tag in ["tj", "torn-journal-under-a-much-longer-directory-name"] {
+            let dir = scratch(tag);
+            let path = dir.join("ck.json");
+            let io =
+                ChaosFs::over_real(IoFaultPlan::parse("seed=11,torn=200,crash_rename=3").unwrap());
+            let crashed =
+                (0..3).any(|v| publish_sealed(&io, &path, &format!("{{\"v\":{v}}}\n"), 4).is_err());
+            assert!(crashed && io.crashed());
+            let journal = RealFs.read(Journal::for_artifact(&path).path()).unwrap();
+            assert!(
+                // an intact intent line is 15 bytes
+                journal.lines().any(|l| l != "commit" && l.len() != 15),
+                "the plan tears at least one journal line: {journal:?}"
+            );
+            let rec = recover(&RealFs, &path).unwrap();
+            assert!(!rec.is_clean());
+            let published = RealFs.read(&path).ok();
+            outcomes.push((
+                journal,
+                rec.repaired.len(),
+                rec.quarantined.len(),
+                published,
+            ));
+            std::fs::remove_dir_all(&dir).ok();
+        }
+        assert_eq!(outcomes[0], outcomes[1]);
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! * a two-level data TLB per hardware thread ([`tlb::Tlb`]),
 //! * a 4-level page-walk cost model with a page-walk cache ([`paging`]),
 //! * demand paging with minor-fault costs ([`paging::PageTable`]),
+//! * dense `(space, page)` maps, shared with the SGX layer's EPC and
+//!   EPCM ([`pagemap`]),
 //! * a set-associative shared last-level cache ([`cache::Llc`]) with small
 //!   per-thread L1 front-ends,
 //! * per-thread cycle clocks and a global [`Counters`] snapshot.
@@ -44,9 +46,9 @@
 
 pub mod cache;
 pub mod counters;
-mod fxhash;
 pub mod latency;
 pub mod machine;
+pub mod pagemap;
 pub mod paging;
 mod recency;
 mod setidx;

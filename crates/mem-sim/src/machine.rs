@@ -523,11 +523,6 @@ impl Machine {
         }
     }
 
-    /// The OS page table (resident-set queries, unmap).
-    pub fn page_table(&self) -> &PageTable {
-        &self.page_table
-    }
-
     /// The machine configuration this instance was built with.
     pub fn config(&self) -> &MachineConfig {
         &self.cfg

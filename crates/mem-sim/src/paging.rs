@@ -7,7 +7,7 @@
 //! cheap: a walk whose 2 MiB region was walked recently costs
 //! `walk_fast`, a cold walk costs `walk_slow`.
 
-use crate::fxhash::FxHashMap;
+use crate::pagemap::PageSet;
 
 /// Result of touching a page through the OS paging layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -18,60 +18,27 @@ pub enum PageStatus {
     MinorFault,
 }
 
-/// Pages per arena chunk: 512 pages = one 2 MiB PD region, so chunk
-/// granularity matches the walk-cache granule and real allocator
-/// behavior (whole regions populate together).
-const CHUNK_PAGES: u64 = 512;
+/// `page >> SLOT_SHIFT` is the page's 512 GiB PML4 slot.
+const SLOT_SHIFT: u32 = 27;
 
-/// One presence bit per page of a 2 MiB region.
-type Bitmap = [u64; 8];
-
-/// Sentinel for "memo empty": region numbers are `page >> 9 <= 2^43`,
-/// so `u64::MAX` is never a real region.
-const NO_REGION: u64 = u64::MAX;
-
-/// The simulated OS page table: a sparse set of populated pages.
+/// The simulated OS page table: the set of populated pages.
 ///
-/// Layout is a chunked arena rather than a per-page hash map: a small
-/// region index (fast `FxHasher`, one probe per 2 MiB region) points at
-/// 512-page presence bitmaps, and a one-entry memo skips even that
-/// lookup while successive touches stay inside the same region — the
-/// common case for the sequential and strided sweeps every workload
-/// performs. The previous `HashMap<u64, PageInfo>` paid a full SipHash
-/// per touched page and dominated the hot-path profile.
+/// One dense [`PageSet`] run cannot span the whole address space (the
+/// untrusted heap sits at 256 MiB, ELRANGEs at 112 TiB), so each 512 GiB
+/// PML4 slot touched gets a space of its own, in first-touch order. The
+/// suite touches a handful of slots, so finding one is a short scan.
 ///
 /// ```
 /// use mem_sim::paging::{PageTable, PageStatus};
 /// let mut pt = PageTable::new();
 /// assert_eq!(pt.touch(5), PageStatus::MinorFault);
 /// assert_eq!(pt.touch(5), PageStatus::Mapped);
-/// assert_eq!(pt.mapped_pages(), 1);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PageTable {
-    /// Region number (`page >> 9`) to chunk index.
-    index: FxHashMap<u64, u32>,
-    /// Presence bitmaps, one per region ever touched.
-    chunks: Vec<Bitmap>,
-    /// Last region resolved, or [`NO_REGION`].
-    memo_region: u64,
-    /// Chunk index for `memo_region`.
-    memo_chunk: u32,
-    /// Populated page count (kept incrementally; bitmaps are not
-    /// rescanned).
-    mapped: usize,
-}
-
-impl Default for PageTable {
-    fn default() -> Self {
-        PageTable {
-            index: FxHashMap::default(),
-            chunks: Vec::new(),
-            memo_region: NO_REGION,
-            memo_chunk: 0,
-            mapped: 0,
-        }
-    }
+    /// The PML4 slot of each space of `pages`.
+    slots: Vec<u64>,
+    pages: PageSet,
 }
 
 impl PageTable {
@@ -80,92 +47,22 @@ impl PageTable {
         Self::default()
     }
 
-    /// Resolves (creating on demand) the chunk holding `page`, via the
-    /// one-entry memo when possible.
-    #[inline]
-    fn chunk_of(&mut self, page: u64) -> usize {
-        let region = page / CHUNK_PAGES;
-        if region == self.memo_region {
-            return self.memo_chunk as usize;
-        }
-        let ci = match self.index.get(&region) {
-            Some(&i) => i as usize,
-            None => {
-                let i = self.chunks.len();
-                assert!(i < u32::MAX as usize, "page-table chunk index overflow");
-                self.index.insert(region, i as u32);
-                self.chunks.push([0; 8]);
-                i
-            }
-        };
-        self.memo_region = region;
-        self.memo_chunk = ci as u32;
-        ci
-    }
-
-    /// Splits `page` into (word, bit-mask) within its chunk's bitmap.
-    #[inline]
-    fn bit_of(page: u64) -> (usize, u64) {
-        let offset = page % CHUNK_PAGES;
-        ((offset >> 6) as usize, 1u64 << (offset & 63))
-    }
-
     /// Touches `page`, populating it on first access.
     #[inline]
     pub fn touch(&mut self, page: u64) -> PageStatus {
-        let ci = self.chunk_of(page);
-        let (word, mask) = Self::bit_of(page);
-        let w = &mut self.chunks[ci][word];
-        if *w & mask != 0 {
-            PageStatus::Mapped
-        } else {
-            *w |= mask;
-            self.mapped += 1;
+        let slot = page >> SLOT_SHIFT;
+        let space = match self.slots.iter().position(|&s| s == slot) {
+            Some(space) => space,
+            None => {
+                self.slots.push(slot);
+                self.slots.len() - 1
+            }
+        };
+        if self.pages.insert(space, page) {
             PageStatus::MinorFault
+        } else {
+            PageStatus::Mapped
         }
-    }
-
-    /// Whether `page` has been populated.
-    pub fn is_mapped(&self, page: u64) -> bool {
-        let region = page / CHUNK_PAGES;
-        match self.index.get(&region) {
-            Some(&ci) => {
-                let (word, mask) = Self::bit_of(page);
-                self.chunks[ci as usize][word] & mask != 0
-            }
-            None => false,
-        }
-    }
-
-    /// Removes `page` from the table, so the next touch faults again
-    /// (models `munmap`/`madvise(DONTNEED)`).
-    pub fn unmap(&mut self, page: u64) -> bool {
-        let region = page / CHUNK_PAGES;
-        match self.index.get(&region) {
-            Some(&ci) => {
-                let (word, mask) = Self::bit_of(page);
-                let w = &mut self.chunks[ci as usize][word];
-                if *w & mask != 0 {
-                    *w &= !mask;
-                    self.mapped -= 1;
-                    true
-                } else {
-                    false
-                }
-            }
-            None => false,
-        }
-    }
-
-    /// Number of populated pages (the resident-set size in pages).
-    pub fn mapped_pages(&self) -> usize {
-        self.mapped
-    }
-
-    /// Pre-populates a page without counting a fault (models `mmap` with
-    /// `MAP_POPULATE` or pages loaded by the enclave loader).
-    pub fn populate(&mut self, page: u64) {
-        let _ = self.touch(page);
     }
 }
 
@@ -225,31 +122,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn first_touch_faults_once() {
-        let mut pt = PageTable::new();
-        assert_eq!(pt.touch(1), PageStatus::MinorFault);
-        assert_eq!(pt.touch(1), PageStatus::Mapped);
-        assert_eq!(pt.touch(2), PageStatus::MinorFault);
-        assert_eq!(pt.mapped_pages(), 2);
-    }
-
-    #[test]
-    fn unmap_faults_again() {
-        let mut pt = PageTable::new();
-        pt.touch(9);
-        assert!(pt.unmap(9));
-        assert!(!pt.unmap(9));
-        assert_eq!(pt.touch(9), PageStatus::MinorFault);
-    }
-
-    #[test]
-    fn populate_skips_fault() {
-        let mut pt = PageTable::new();
-        pt.populate(4);
-        assert_eq!(pt.touch(4), PageStatus::Mapped);
-    }
-
-    #[test]
     fn walk_cache_fast_within_region() {
         let mut wc = WalkCache::new(4);
         assert!(!wc.walk(0)); // cold
@@ -267,53 +139,30 @@ mod tests {
     }
 
     #[test]
-    fn touch_counts_accumulate() {
-        let mut pt = PageTable::new();
-        for _ in 0..5 {
-            pt.touch(3);
-        }
-        assert!(pt.is_mapped(3));
-    }
-
-    #[test]
     fn cross_region_touches_keep_exact_counts() {
-        // Alternate between distant 2 MiB regions so every touch misses
-        // the memo; counts and membership must stay exact.
+        // Alternate between distant 2 MiB regions and PML4 slots; each
+        // page faults exactly once, and its neighbours stay unmapped.
         let mut pt = PageTable::new();
-        let pages = [0u64, 512, 1 << 20, 513, 1, (1 << 20) + 511];
+        let pages = [0u64, 512, 1 << 20, 513, 1, (1 << 20) + 511, 1 << 27];
         for &p in &pages {
             assert_eq!(pt.touch(p), PageStatus::MinorFault);
         }
         for &p in &pages {
             assert_eq!(pt.touch(p), PageStatus::Mapped);
         }
-        assert_eq!(pt.mapped_pages(), pages.len());
-        assert!(!pt.is_mapped(2));
-        assert!(!pt.is_mapped(514));
+        assert_eq!(pt.touch(2), PageStatus::MinorFault);
+        assert_eq!(pt.touch(514), PageStatus::MinorFault);
     }
 
     #[test]
     fn top_of_address_space_page_is_representable() {
-        // The highest page number a 64-bit vaddr can produce; the memo
-        // sentinel must not collide with its region.
+        // The highest page number a 64-bit vaddr can produce, next to
+        // the bottom of the address space.
         let top = u64::MAX >> 12;
         let mut pt = PageTable::new();
         assert_eq!(pt.touch(top), PageStatus::MinorFault);
+        assert_eq!(pt.touch(0), PageStatus::MinorFault);
         assert_eq!(pt.touch(top), PageStatus::Mapped);
-        assert!(pt.is_mapped(top));
-        assert!(pt.unmap(top));
-        assert_eq!(pt.touch(top), PageStatus::MinorFault);
-    }
-
-    #[test]
-    fn unmap_within_memoized_region_stays_consistent() {
-        let mut pt = PageTable::new();
-        pt.touch(100);
-        pt.touch(101); // memo now points at region 0
-        assert!(pt.unmap(100));
-        assert_eq!(pt.mapped_pages(), 1);
-        // The memoized chunk must see the cleared bit on the next touch.
-        assert_eq!(pt.touch(100), PageStatus::MinorFault);
-        assert_eq!(pt.mapped_pages(), 2);
+        assert_eq!(pt.touch(top - 1), PageStatus::MinorFault);
     }
 }

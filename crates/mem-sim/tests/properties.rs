@@ -1,8 +1,38 @@
 //! Property-based tests over the memory-hierarchy model: invariants that
 //! must hold for any access stream.
 
-use mem_sim::{AccessAttrs, AccessKind, Machine, MachineConfig, PAGE_SIZE};
+use std::collections::{BTreeMap, BTreeSet};
+
+use mem_sim::pagemap::{PageMap, PageSet};
+use mem_sim::paging::PageStatus;
+use mem_sim::{AccessAttrs, AccessKind, Machine, MachineConfig, PageTable, PAGE_SIZE};
 use proptest::prelude::*;
+
+/// Highest page number a 64-bit virtual address can produce.
+const TOP_PAGE: u64 = u64::MAX >> 12;
+/// First untrusted-heap page and first ELRANGE page of an `SgxMachine`.
+const UNTRUSTED_PAGE: u64 = 0x1000_0000 >> 12;
+const ENCLAVE_PAGE: u64 = 0x7000_0000_0000 >> 12;
+
+/// One operation on a page map or set: (op, space, page, value). Each of
+/// four spaces clusters its pages around its own base, 16 MiB either
+/// side, so runs grow both up and down; `op == 7` drops a whole space.
+fn arb_map_op() -> impl Strategy<Value = (u8, usize, u64, u32)> {
+    (0u8..8, 0usize..4, 0u64..8192, 0u32..1000).prop_map(|(op, space, d, v)| {
+        let base = [ENCLAVE_PAGE, UNTRUSTED_PAGE, 4096, TOP_PAGE - 4095][space];
+        (op, space, base + d - 4096, v)
+    })
+}
+
+/// Pages near the bottom and top of the untrusted heap, the first
+/// ELRANGE and the top of the address space.
+fn arb_touch_page() -> impl Strategy<Value = u64> {
+    (0usize..3, 0u64..4096).prop_map(|(at, d)| match at {
+        0 => UNTRUSTED_PAGE + d,
+        1 => ENCLAVE_PAGE + d,
+        _ => TOP_PAGE - d,
+    })
+}
 
 fn arb_access() -> impl Strategy<Value = (u64, u64, AccessKind)> {
     (
@@ -112,5 +142,70 @@ proptest! {
         let b = mk(&vals[12..24]);
         prop_assert_eq!((a + b) - b, a);
         prop_assert_eq!(a.saturating_sub(&(a + b)), Counters::default());
+    }
+
+    /// `PageMap<u32>` behaves as a `BTreeMap<(space, page), u32>`.
+    #[test]
+    fn page_map_matches_btreemap(ops in prop::collection::vec(arb_map_op(), 1..300)) {
+        let mut map: PageMap<u32> = PageMap::default();
+        let mut oracle: BTreeMap<(usize, u64), u32> = BTreeMap::new();
+        for &(op, space, page, v) in &ops {
+            match op {
+                0..=2 => {
+                    map.insert(space, page, v);
+                    oracle.insert((space, page), v);
+                }
+                3 | 4 => prop_assert_eq!(map.remove(space, page), oracle.remove(&(space, page))),
+                7 => {
+                    let before = oracle.len();
+                    oracle.retain(|&(s, _), _| s != space);
+                    prop_assert_eq!(map.remove_space(space), before - oracle.len());
+                }
+                _ => {
+                    prop_assert_eq!(map.get(space, page), oracle.get(&(space, page)).copied());
+                    let lowest = (0..4).find_map(|s| oracle.get(&(s, page)).map(|&v| (s, v)));
+                    prop_assert_eq!(map.find_page(page), lowest);
+                }
+            }
+            prop_assert_eq!(map.len(), oracle.len());
+        }
+        for (&(space, page), &v) in &oracle {
+            prop_assert_eq!(map.get(space, page), Some(v));
+        }
+    }
+
+    /// `PageSet` behaves as a `BTreeSet<(space, page)>`.
+    #[test]
+    fn page_set_matches_btreeset(ops in prop::collection::vec(arb_map_op(), 1..300)) {
+        let mut set = PageSet::default();
+        let mut oracle: BTreeSet<(usize, u64)> = BTreeSet::new();
+        for &(op, space, page, _) in &ops {
+            match op {
+                0..=2 => prop_assert_eq!(set.insert(space, page), oracle.insert((space, page))),
+                3 | 4 => prop_assert_eq!(set.remove(space, page), oracle.remove(&(space, page))),
+                7 => {
+                    let before = oracle.len();
+                    oracle.retain(|&(s, _)| s != space);
+                    prop_assert_eq!(set.remove_space(space), before - oracle.len());
+                }
+                _ => prop_assert_eq!(set.contains(space, page), oracle.contains(&(space, page))),
+            }
+            prop_assert_eq!(set.len(), oracle.len());
+        }
+        for &(space, page) in &oracle {
+            prop_assert!(set.contains(space, page));
+        }
+    }
+
+    /// `PageTable::touch` faults exactly on the first touch of a page,
+    /// wherever in the address space the page lies.
+    #[test]
+    fn page_table_faults_on_first_touch_only(pages in prop::collection::vec(arb_touch_page(), 1..300)) {
+        let mut pt = PageTable::new();
+        let mut oracle = BTreeSet::new();
+        for &page in &pages {
+            let fault = pt.touch(page) == PageStatus::MinorFault;
+            prop_assert_eq!(fault, oracle.insert(page));
+        }
     }
 }

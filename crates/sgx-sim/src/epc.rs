@@ -12,7 +12,7 @@
 //! [`crate::machine::SgxMachine`].
 
 use crate::enclave::EnclaveId;
-use crate::pagedir::{FrameIndex, PageSet};
+use mem_sim::pagemap::{PageMap, PageSet};
 
 /// Identity of one enclave page: which enclave, which virtual page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -99,11 +99,10 @@ pub struct Epc {
     reserved: usize,
     batch: usize,
     frames: Vec<FrameMeta>,
-    /// Map from page to its index in `frames`. A dense per-enclave
-    /// directory ([`crate::pagedir`]), not a hash map: [`Epc::touch`] is
-    /// the hottest probe in the simulator and must not pay a hash per
-    /// access.
-    resident: FrameIndex,
+    /// Map from page to its index in `frames`, one dense run per enclave
+    /// ([`mem_sim::pagemap`]), not a hash map: [`Epc::touch`] is the
+    /// hottest probe in the simulator and must not pay a hash per access.
+    resident: PageMap<u32>,
     /// Pages currently swapped out to untrusted memory (encrypted).
     evicted_set: PageSet,
     clock_hand: usize,
@@ -122,7 +121,7 @@ impl Epc {
     /// # Panics
     ///
     /// Panics if `capacity` or `batch` is zero, or if `capacity` does
-    /// not fit the `u32` frame indices of the residency directory (real
+    /// not fit the `u32` frame indices of the residency map (real
     /// EPCs are tens of thousands of frames).
     pub fn new(capacity: usize, batch: usize) -> Self {
         assert!(capacity > 0, "EPC needs at least one frame");
@@ -136,7 +135,7 @@ impl Epc {
             reserved: 0,
             batch,
             frames: Vec::with_capacity(capacity),
-            resident: FrameIndex::default(),
+            resident: PageMap::default(),
             evicted_set: PageSet::default(),
             clock_hand: 0,
             probes: 0,
@@ -202,7 +201,7 @@ impl Epc {
 
     /// Whether `key` is resident (diagnostic query; not probe-counted).
     pub fn is_resident(&self, key: PageKey) -> bool {
-        self.resident.get(key).is_some()
+        self.resident.get(key.enclave.0, key.page).is_some()
     }
 
     /// Single-probe resident fast path: if `key` is resident, refreshes
@@ -212,7 +211,7 @@ impl Epc {
     /// `is_resident` + `ensure_resident` double probe.
     pub fn touch(&mut self, key: PageKey) -> bool {
         self.probes += 1;
-        if let Some(idx) = self.resident.get(key) {
+        if let Some(idx) = self.resident.get(key.enclave.0, key.page) {
             self.frames[idx as usize].referenced = true;
             true
         } else {
@@ -228,7 +227,7 @@ impl Epc {
 
     /// Whether `key` has been evicted (encrypted in untrusted DRAM).
     pub fn is_evicted(&self, key: PageKey) -> bool {
-        self.evicted_set.contains(key)
+        self.evicted_set.contains(key.enclave.0, key.page)
     }
 
     /// Iterates the keys of every resident page, in frame order.
@@ -271,7 +270,7 @@ impl Epc {
             ));
         }
         for (i, f) in self.frames.iter().enumerate() {
-            match self.resident.get(f.key) {
+            match self.resident.get(f.key.enclave.0, f.key.page) {
                 Some(idx) if idx as usize == i => {}
                 Some(idx) => {
                     return Err(format!(
@@ -284,7 +283,7 @@ impl Epc {
             if f.victim {
                 return Err(format!("victim mark leaked on resident frame {i}"));
             }
-            if self.evicted_set.contains(f.key) {
+            if self.evicted_set.contains(f.key.enclave.0, f.key.page) {
                 return Err(format!("page {:?} is both resident and evicted", f.key));
             }
         }
@@ -344,7 +343,7 @@ impl Epc {
     /// clock reference bit.
     pub fn ensure_resident(&mut self, key: PageKey) -> EpcEvent {
         self.probes += 1;
-        if let Some(idx) = self.resident.get(key) {
+        if let Some(idx) = self.resident.get(key.enclave.0, key.page) {
             self.frames[idx as usize].referenced = true;
             return EpcEvent {
                 kind: EpcFaultKind::Resident,
@@ -366,7 +365,7 @@ impl Epc {
                 "EWB batch must be exactly min(batch, frames)"
             );
         }
-        let kind = if self.evicted_set.remove(key) {
+        let kind = if self.evicted_set.remove(key.enclave.0, key.page) {
             EpcFaultKind::LoadBack
         } else {
             EpcFaultKind::Alloc
@@ -385,7 +384,8 @@ impl Epc {
         // Reuse a hole left by eviction if one exists, else push.
         if self.frames.len() < self.effective_capacity() {
             self.frames.push(meta);
-            self.resident.insert(key, (self.frames.len() - 1) as u32);
+            self.resident
+                .insert(key.enclave.0, key.page, (self.frames.len() - 1) as u32);
         } else {
             #[expect(
                 clippy::unreachable,
@@ -404,8 +404,8 @@ impl Epc {
     /// the enclave loader for measured content pages whose EWB'd image
     /// survives the post-measurement EPC release.
     pub fn mark_evicted(&mut self, key: PageKey) {
-        if self.resident.get(key).is_none() {
-            self.evicted_set.insert(key);
+        if self.resident.get(key.enclave.0, key.page).is_none() {
+            self.evicted_set.insert(key.enclave.0, key.page);
         }
         self.audit();
     }
@@ -418,7 +418,7 @@ impl Epc {
     /// position relative to the surviving frames, so tearing one enclave
     /// down does not perturb the replacement order of its neighbours.
     pub fn remove_enclave(&mut self, enclave: EnclaveId) -> usize {
-        self.evicted_set.remove_enclave(enclave);
+        self.evicted_set.remove_space(enclave.0);
         // Teardown ends residency, not history: cumulative attribution
         // counters survive so a co-tenant report can still name the
         // departed tenant's evictions; only the live-frame count resets.
@@ -438,9 +438,9 @@ impl Epc {
             .count();
         let before = self.frames.len();
         self.frames.retain(|f| f.key.enclave != enclave);
-        self.resident.remove_enclave(enclave);
+        self.resident.remove_space(enclave.0);
         for (i, f) in self.frames.iter().enumerate() {
-            self.resident.insert(f.key, i as u32);
+            self.resident.insert(f.key.enclave.0, f.key.page, i as u32);
         }
         self.clock_hand = if self.frames.is_empty() {
             0
@@ -492,15 +492,16 @@ impl Epc {
         victim_idxs.sort_unstable_by(|a, b| b.cmp(a));
         for idx in victim_idxs {
             let meta = self.frames.swap_remove(idx);
-            self.resident.remove(meta.key);
-            self.evicted_set.insert(meta.key);
+            self.resident.remove(meta.key.enclave.0, meta.key.page);
+            self.evicted_set.insert(meta.key.enclave.0, meta.key.page);
             let stat = self.stat_mut(meta.key.enclave);
             stat.resident_frames = stat.resident_frames.saturating_sub(1);
             stat.victimizations += 1;
             // swap_remove moved the tail frame into `idx`.
             if idx < self.frames.len() {
                 let moved = self.frames[idx].key;
-                self.resident.insert(moved, idx as u32);
+                self.resident
+                    .insert(moved.enclave.0, moved.page, idx as u32);
             }
         }
         if !self.frames.is_empty() {

@@ -8,15 +8,15 @@
 //! the machine as part of the page walk.
 //!
 //! The table is dense: one permission byte per enclave page, held in the
-//! same per-enclave page directories as the EPC residency map
-//! ([`crate::pagedir`]). An enclave build records every page of its
+//! same per-enclave page runs as the EPC residency map
+//! ([`mem_sim::pagemap`]). An enclave build records every page of its
 //! ELRANGE, so a launched 4 GB LibOS enclave leaves ~1 M entries behind,
 //! and a runner clones them into every LibOS cell: at one byte each that
 //! is 1 MiB.
 
 use crate::enclave::EnclaveId;
 use crate::epc::PageKey;
-use crate::pagedir::PageMap;
+use mem_sim::pagemap::PageMap;
 
 /// Page permissions recorded in an EPCM entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,26 +120,19 @@ impl Epcm {
     /// one enclave; callers driving the table directly must keep their
     /// enclaves' page ranges disjoint too.
     pub fn record(&mut self, owner: EnclaveId, vpage: u64, perms: PagePerms) {
-        let key = PageKey {
-            enclave: owner,
-            page: vpage,
-        };
-        self.slots.insert(key, perms.to_slot());
+        self.slots.insert(owner.0, vpage, perms.to_slot());
     }
 
     /// Removes the entry for `vpage` (EREMOVE).
     pub fn remove(&mut self, vpage: u64) -> Option<EpcmEntry> {
         let entry = self.entry(vpage)?;
-        self.slots.remove(PageKey {
-            enclave: entry.owner,
-            page: vpage,
-        });
+        self.slots.remove(entry.owner.0, vpage);
         Some(entry)
     }
 
     /// Removes every entry owned by `enclave`; returns the count.
     pub fn remove_enclave(&mut self, enclave: EnclaveId) -> usize {
-        self.slots.remove_enclave(enclave)
+        self.slots.remove_space(enclave.0)
     }
 
     /// Verifies that `enclave` may access `vpage` (`write` selects the
@@ -163,7 +156,7 @@ impl Epcm {
     /// Looks up the entry for `vpage`.
     pub fn entry(&self, vpage: u64) -> Option<EpcmEntry> {
         self.slots.find_page(vpage).map(|(owner, slot)| EpcmEntry {
-            owner,
+            owner: EnclaveId(owner),
             vpage,
             perms: PagePerms::from_slot(slot),
         })

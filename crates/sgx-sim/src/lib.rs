@@ -59,7 +59,6 @@ pub mod epc;
 pub mod epcm;
 pub mod host;
 pub mod machine;
-mod pagedir;
 pub mod switchless;
 
 pub use attest::{ereport, verify_report, Report};

@@ -226,7 +226,7 @@ fn journal_replay_completes_verified_and_quarantines_torn_temps() {
     let journal = Journal::for_artifact(&good);
     let contents = "line one\nline two\n";
     journal
-        .intent(&RealFs, &good, aio::crc32(contents.as_bytes()))
+        .intent(&RealFs, aio::crc32(contents.as_bytes()))
         .expect("intent");
     RealFs
         .write(&aio::tmp_sibling(&good), contents)
@@ -241,7 +241,7 @@ fn journal_replay_completes_verified_and_quarantines_torn_temps() {
     cleanup(&torn);
     let journal = Journal::for_artifact(&torn);
     journal
-        .intent(&RealFs, &torn, aio::crc32(contents.as_bytes()))
+        .intent(&RealFs, aio::crc32(contents.as_bytes()))
         .expect("intent");
     RealFs
         .write(&aio::tmp_sibling(&torn), "line on")
@@ -335,10 +335,9 @@ proptest! {
         let chaos = ChaosFs::over_real(
             IoFaultPlan::parse(&format!("crash_rename={k}")).expect("valid plan"),
         );
-        let journal = Journal::for_artifact(&path);
         let mut crashed_at = None;
         for (i, version) in versions.iter().enumerate() {
-            match aio::publish_sealed(&chaos, &journal, &path, version, 1) {
+            match aio::publish_sealed(&chaos, &path, version, 1) {
                 Ok(()) => {}
                 Err(ArtifactError::Io { kind: IoErrorKind::CrashRename, .. }) => {
                     crashed_at = Some(i);
