@@ -19,9 +19,16 @@
 //! All three must charge **identical simulated cycles and counters**
 //! (the replica is cycle-faithful, which is what makes the race
 //! meaningful), and the batched path must beat the replica by at least
-//! [`SPEEDUP_FLOOR`]. Results land in a `BENCH_hotpath.json`; CI re-runs
-//! the harness in smoke mode and fails if the measured speedup falls
-//! below 90% of the committed trajectory point
+//! [`SPEEDUP_FLOOR`]. A second race runs the same stream through the
+//! workload API, `Env`'s scalar `read_u64`/`write_u64` (bulk runs as
+//! `touch`) with one `secure_call` per window, twice: a plain `Env`,
+//! which queues the accesses and charges them in batches, and an `Env`
+//! with a cycle budget that never fires, which charges each access as
+//! it happens. Both must charge identical cycles and counters.
+//! Results land in a `BENCH_hotpath.json`; CI re-runs the harness in
+//! smoke mode and fails if either measured speedup
+//! (`speedup_stream_vs_legacy`, `speedup_env_batched_vs_percall`) falls
+//! below its share of the committed trajectory point
 //! (`SGXGAUGE_PERF_BASELINE`). Gating on the speedup *ratio* — both
 //! contenders timed on the same host, same run — keeps the gate
 //! machine-independent where raw ns/access would not be.
@@ -51,6 +58,8 @@ use mem_sim::{AccessKind, StreamRun, PAGE_SIZE};
 use sgx_sim::enclave::EnclaveId;
 use sgx_sim::{Host, SgxConfig, SgxMachine};
 use sgxgauge_bench::{banner, best_of, sgxgauge_bench};
+use sgxgauge_core::env::Placement;
+use sgxgauge_core::{Env, EnvConfig, ExecMode, Region};
 
 /// The batched path must beat the frozen legacy pipeline by at least
 /// this factor. Set from the real pre-PR-build race (1.76x measured,
@@ -675,6 +684,81 @@ fn build_real(cfg: &SgxConfig) -> (SgxMachine, mem_sim::ThreadId, EnclaveId, u64
     (m, t, e, heap)
 }
 
+/// One `Env` contender: a Native enclave with the stream's working set
+/// as a protected region.
+struct EnvContender {
+    env: Env,
+    region: Region,
+}
+
+impl EnvContender {
+    /// With `per_access`, a cycle budget that never fires makes the
+    /// `Env` charge every access as it happens instead of queueing it.
+    /// Untraced: an armed trace sink would force the per-access path on
+    /// both contenders.
+    fn new(per_access: bool) -> EnvContender {
+        let bytes = 16 * PAGE_SIZE;
+        let mut env = Env::new(EnvConfig::paper(ExecMode::Native, bytes)).expect("env");
+        let region = env.alloc(bytes, Placement::Protected).expect("heap alloc");
+        if per_access {
+            env.arm_cycle_budget(u64::MAX);
+        }
+        EnvContender { env, region }
+    }
+
+    /// One pass over `stream` through `Env`'s scalar API, one
+    /// `secure_call` per [`WINDOW`] accesses: 8-byte accesses as
+    /// `read_u64`/`write_u64`, bulk runs as `touch`. Returns the
+    /// simulated cycles, counters and EPC faults of the pass.
+    fn pass(&mut self, stream: &[Access]) -> (u64, mem_sim::Counters, u64) {
+        let (env, r) = (&mut self.env, self.region);
+        let c0 = *env.machine().mem().counters();
+        let f0 = env.machine().sgx_counters().epc_faults;
+        let start = env.now();
+        let mut sum = 0u64;
+        for window in stream.chunks(WINDOW) {
+            env.secure_call(|env| {
+                for &(off, len, kind) in window {
+                    match (len, kind) {
+                        (8, AccessKind::Read) => sum = sum.wrapping_add(env.read_u64(r, off)),
+                        (8, AccessKind::Write) => env.write_u64(r, off, sum),
+                        _ => env.touch(r, off, len, kind == AccessKind::Write),
+                    }
+                }
+            })
+            .expect("enter");
+        }
+        std::hint::black_box(sum);
+        let faults = env.machine().sgx_counters().epc_faults - f0;
+        (
+            env.now() - start,
+            *env.machine().mem().counters() - c0,
+            faults,
+        )
+    }
+}
+
+/// Races `stream` through a per-access and a batched [`EnvContender`],
+/// alternating their passes so that host drift hits both alike. Returns
+/// `[per-access, batched]`: the best-of-`reps` host ns of one pass and
+/// the last pass's simulated cycles and counters.
+fn env_race(stream: &[Access], reps: usize) -> [(u64, u64, mem_sim::Counters); 2] {
+    let mut contenders = [EnvContender::new(true), EnvContender::new(false)];
+    let mut out = [(u64::MAX, 0, mem_sim::Counters::new()); 2];
+    for c in &mut contenders {
+        // Warm-up: faults the working set into the EPC.
+        c.pass(stream);
+    }
+    for _ in 0..reps {
+        for (c, o) in contenders.iter_mut().zip(&mut out) {
+            let (ns, (cycles, counters, faults)) = best_of(1, || c.pass(stream));
+            assert_eq!(faults, 0, "resident regime");
+            *o = (o.0.min(ns), cycles, counters);
+        }
+    }
+    out
+}
+
 fn main() {
     banner(
         "Hot-path throughput — perf trajectory of the access pipeline",
@@ -866,9 +950,26 @@ fn main() {
         );
     }
 
+    // Contenders 4 and 5: the workload API, per access and batched.
+    let raced = env_race(&stream, reps);
+    // The `Env` windows bracket the same accesses with the same
+    // transitions, so both charge what the machine contenders do.
+    for (what, (_, cycles, counters)) in ["per-access", "batched"].into_iter().zip(raced) {
+        assert_eq!(
+            cycles, percall_cycles,
+            "{what} Env and SgxMachine::access disagree on simulated cycles"
+        );
+        assert_eq!(
+            counters, percall_counters,
+            "{what} Env and SgxMachine::access disagree on counters"
+        );
+    }
+    let [(env_percall_ns, ..), (env_batched_ns, ..)] = raced;
+
     let ns_per = |ns: u64| ns as f64 / n as f64;
     let speedup_percall = legacy_ns as f64 / percall_ns as f64;
     let speedup_stream = legacy_ns as f64 / stream_ns as f64;
+    let speedup_env = env_percall_ns as f64 / env_batched_ns as f64;
     let per_sec = n as f64 / (stream_ns as f64 / 1e9);
     println!(
         "legacy  {:>8.1} ns/access\npercall {:>8.1} ns/access ({:.2}x)\nstream  {:>8.1} ns/access ({:.2}x)",
@@ -877,6 +978,12 @@ fn main() {
         speedup_percall,
         ns_per(stream_ns),
         speedup_stream,
+    );
+    println!(
+        "Env per-access {:>8.1} ns/access\nEnv batched    {:>8.1} ns/access ({:.2}x)",
+        ns_per(env_percall_ns),
+        ns_per(env_batched_ns),
+        speedup_env,
     );
     println!(
         "stream throughput: {:.1} M simulated accesses/sec, {:.1} sim cycles/access",
@@ -900,6 +1007,18 @@ fn main() {
                 &format!("{speedup_percall:.3}"),
             ),
             ("speedup_stream_vs_legacy", &format!("{speedup_stream:.3}")),
+            (
+                "ns_per_access_env_percall",
+                &format!("{:.2}", ns_per(env_percall_ns)),
+            ),
+            (
+                "ns_per_access_env_batched",
+                &format!("{:.2}", ns_per(env_batched_ns)),
+            ),
+            (
+                "speedup_env_batched_vs_percall",
+                &format!("{speedup_env:.3}"),
+            ),
             ("sim_accesses_per_sec_stream", &format!("{per_sec:.0}")),
             (
                 "sim_cycles_per_access",
@@ -910,25 +1029,33 @@ fn main() {
 
     // Regression gate against the committed trajectory point.
     if let Some(baseline) = baseline {
-        let baseline = baseline.number("speedup_stream_vs_legacy");
         // Smoke runs trade stream length for speed, so their ratio is
         // noisier even after the extra repetitions; the gate loosens a
         // notch there to keep CI deterministic while still catching any
         // real regression (losing one recovered overhead class costs
         // well over 20% of the measured gap).
         let tolerance = if smoke { 0.80 } else { 0.90 };
-        println!(
-            "baseline speedup {:.2}x, measured {:.2}x (gate: >= {:.0}% of baseline)",
-            baseline,
-            speedup_stream,
-            tolerance * 100.0
-        );
-        assert!(
-            speedup_stream >= tolerance * baseline,
-            "hot-path regression: stream speedup {speedup_stream:.2}x fell below {:.0}% of the \
-             committed {baseline:.2}x trajectory point",
-            tolerance * 100.0
-        );
+        for (what, key, measured) in [
+            ("stream", "speedup_stream_vs_legacy", speedup_stream),
+            (
+                "Env batching",
+                "speedup_env_batched_vs_percall",
+                speedup_env,
+            ),
+        ] {
+            let baseline = baseline.number(key);
+            println!(
+                "{what}: baseline speedup {baseline:.2}x, measured {measured:.2}x \
+                 (gate: >= {:.0}% of baseline)",
+                tolerance * 100.0
+            );
+            assert!(
+                measured >= tolerance * baseline,
+                "hot-path regression: {what} speedup {measured:.2}x fell below {:.0}% of the \
+                 committed {baseline:.2}x trajectory point",
+                tolerance * 100.0
+            );
+        }
     }
 
     assert!(

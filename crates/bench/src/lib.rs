@@ -183,7 +183,10 @@ pub fn fk(v: u64) -> String {
 /// `BENCH_<bench>.json` point. [`Baseline::number`] refuses any other
 /// key, so this list is the one place a gate's inputs are named.
 pub const GATED_KEYS: [(&str, &[&str]); 3] = [
-    ("hotpath", &["speedup_stream_vs_legacy"]),
+    (
+        "hotpath",
+        &["speedup_stream_vs_legacy", "speedup_env_batched_vs_percall"],
+    ),
     ("resilience", &["overhead_fraction"]),
     (
         "cotenancy",

@@ -311,8 +311,12 @@ fn stage_table(stage: &str) -> ReportTable {
     )
 }
 
+/// Publishes one compared artifact, then retires its journal: a clean
+/// publish leaves nothing for the next startup's recovery scan to
+/// replay (DESIGN §11.4), as `CheckpointSink` does for sweeps.
 fn publish_artifact(io: &dyn ArtifactIo, path: &Path, body: &str) -> Result<(), ArtifactError> {
-    io::publish_sealed(io, path, body, PUBLISH_ATTEMPTS)
+    io::publish_sealed(io, path, body, PUBLISH_ATTEMPTS)?;
+    io::Journal::for_artifact(path).retire(io)
 }
 
 /// Replays the recovery journals of the stage's compared artifacts.

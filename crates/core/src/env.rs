@@ -21,9 +21,114 @@ use crate::modes::ExecMode;
 use crate::workload::{TransientError, WorkloadError};
 use faults::{FaultHook, InjectedFault};
 use libos_sim::{LibosProcess, Manifest};
-use mem_sim::{AccessKind, ThreadId, PAGE_SIZE};
+use mem_sim::{AccessKind, StreamRun, ThreadId, PAGE_SIZE};
+use queue::Queued;
 use sgx_sim::{costs, EnclaveId, SgxConfig, SgxMachine};
 use std::collections::BTreeMap;
+
+/// The machine behind a queue of not-yet-charged accesses.
+///
+/// Region reads and writes move their bytes at once, but their
+/// accounting waits here as [`StreamRun`]s and is charged in one
+/// [`SgxMachine::access_stream`] call, which charges exactly what the
+/// same runs issued one at a time would. The fields are private to this
+/// module, so [`Env`] reaches the machine only through
+/// [`Queued::machine`], which flushes first, or [`Queued::view`], which
+/// refuses while runs are queued: no other simulated operation can run,
+/// and no counter or clock can be read, with runs still queued.
+/// [`Queued::flush`] serves the operations that change only `Env`'s own
+/// state, such as the current thread.
+mod queue {
+    use super::{SgxMachine, StreamRun, ThreadId};
+
+    /// Runs held before a flush. A flush is exact at any length; this
+    /// only bounds the buffer, which a warm `Env` reuses without regrowing.
+    const CAPACITY: usize = 1024;
+
+    #[derive(Debug, Clone)]
+    pub(super) struct Queued {
+        machine: SgxMachine,
+        runs: Vec<StreamRun>,
+        /// The thread every queued run belongs to.
+        tid: ThreadId,
+    }
+
+    impl Queued {
+        pub(super) fn new(machine: SgxMachine, tid: ThreadId) -> Queued {
+            Queued {
+                machine,
+                runs: Vec::with_capacity(CAPACITY),
+                tid,
+            }
+        }
+
+        /// Charges `run` to `tid`: queued, or issued at once when
+        /// `immediate` or while a trace sink is armed, whose samples and
+        /// fault events are stamped per access.
+        #[inline]
+        pub(super) fn access(&mut self, tid: ThreadId, run: StreamRun, immediate: bool) {
+            if immediate || self.machine.mem().tracing() {
+                self.access_now(tid, run);
+                return;
+            }
+            debug_assert!(
+                self.runs.is_empty() || self.tid == tid,
+                "queued runs of another thread: flush before switching threads"
+            );
+            if self.runs.len() == CAPACITY {
+                self.drain();
+            }
+            self.tid = tid;
+            self.runs.push(run);
+        }
+
+        // Both out of line: inlined, each would copy `access_stream`'s
+        // loop into every scalar access and every flush point.
+        #[inline(never)]
+        fn access_now(&mut self, tid: ThreadId, run: StreamRun) {
+            self.flush();
+            self.machine.access(tid, run.vaddr, run.len, run.kind);
+        }
+
+        #[inline(never)]
+        fn drain(&mut self) {
+            self.machine.access_stream(self.tid, &self.runs);
+            self.runs.clear();
+        }
+
+        /// Charges every queued run, in order.
+        #[inline]
+        pub(super) fn flush(&mut self) {
+            if !self.runs.is_empty() {
+                self.drain();
+            }
+        }
+
+        /// The machine with every queued run charged: the one path to
+        /// operate on it or read its clocks and counters.
+        #[inline]
+        pub(super) fn machine(&mut self) -> &mut SgxMachine {
+            self.flush();
+            &mut self.machine
+        }
+
+        /// The machine, for a reader holding only `&self`.
+        ///
+        /// # Panics
+        ///
+        /// Panics while runs are queued: their cycles and counters are
+        /// not in the machine yet.
+        pub(super) fn view(&self) -> &SgxMachine {
+            assert!(
+                self.runs.is_empty(),
+                "Env::machine() with {} accesses not yet charged; read the machine \
+                 after a flush point (e.g. secure_call, now) or through Env::machine_mut()",
+                self.runs.len()
+            );
+            &self.machine
+        }
+    }
+}
 
 /// Where a region lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -199,10 +304,19 @@ fn silence_watchdog_unwinds() {
 /// exactly the cycles and counters the original would for the same
 /// operations. [`crate::Runner`] launches a LibOS enclave once and clones
 /// it into every LibOS cell.
+///
+/// Region accesses are charged lazily: they queue up and are charged in
+/// one batch at the next operation that can observe or change simulated
+/// state (compute, a clock read, a transition, a syscall or I/O, a
+/// phase mark, a thread switch, an allocation, `machine_mut`), which
+/// charges exactly what charging them one by one would. While a fault
+/// hook, a cycle budget or a trace sink is armed, each access is charged
+/// at once, so injections, the watchdog and trace samples see every
+/// access's clock.
 #[derive(Debug, Clone)]
 pub struct Env {
     mode: ExecMode,
-    machine: SgxMachine,
+    sim: Queued,
     regions: Vec<RegionData>,
     files: BTreeMap<String, FileEntry>,
     native_enclave: Option<EnclaveId>,
@@ -276,7 +390,7 @@ impl Env {
         }
         Ok(Env {
             mode: cfg.mode,
-            machine,
+            sim: Queued::new(machine, main),
             regions: Vec::new(),
             files: BTreeMap::new(),
             native_enclave,
@@ -298,13 +412,20 @@ impl Env {
     }
 
     /// The underlying SGX machine (counters, driver stats, EPC).
+    ///
+    /// # Panics
+    ///
+    /// Panics while region accesses are still queued (see [`Env`]): read
+    /// it after a flush point such as [`Env::secure_call`] or
+    /// [`Env::now`], or through [`Env::machine_mut`], which flushes.
     pub fn machine(&self) -> &SgxMachine {
-        &self.machine
+        self.sim.view()
     }
 
-    /// Mutable machine access, for harness-level plumbing.
+    /// Mutable machine access, for harness-level plumbing; charges the
+    /// queued region accesses first.
     pub fn machine_mut(&mut self) -> &mut SgxMachine {
-        &mut self.machine
+        self.sim.machine()
     }
 
     /// LibOS start-up statistics, when running in LibOS mode.
@@ -326,8 +447,9 @@ impl Env {
             return Ok(());
         }
         self.app_started = true;
+        let m = self.sim.machine();
         if let Some(p) = &self.libos {
-            p.enter(&mut self.machine, self.threads[0].id)?;
+            p.enter(m, self.threads[0].id)?;
         }
         Ok(())
     }
@@ -335,7 +457,7 @@ impl Env {
     /// Resets all measurement state (counters, clocks, driver samples)
     /// while keeping caches, TLBs, EPC residency and page tables warm.
     pub fn reset_measurement(&mut self) {
-        self.machine.reset_measurement();
+        self.sim.machine().reset_measurement();
     }
 
     // ----- fault plane and watchdog ----------------------------------
@@ -345,6 +467,7 @@ impl Env {
     /// clock, so the injected event stream is a pure function of the
     /// plan, the salt, and the workload's own access pattern.
     pub fn set_fault_hook(&mut self, hook: FaultHook) {
+        self.sim.flush();
         self.faults = Some(hook);
     }
 
@@ -354,13 +477,18 @@ impl Env {
     /// [`WorkloadError::Timeout`]. Cancels any previously armed budget.
     pub fn arm_cycle_budget(&mut self, budget_cycles: u64) {
         silence_watchdog_unwinds();
+        self.sim.flush();
         self.budget = Some(budget_cycles);
     }
 
     #[inline]
     fn check_budget(&mut self) {
         if let Some(budget) = self.budget {
-            let elapsed = self.machine.mem().cycles_of(self.threads[self.cur].id);
+            let elapsed = self
+                .sim
+                .machine()
+                .mem()
+                .cycles_of(self.threads[self.cur].id);
             if elapsed > budget {
                 // Disarm first so drop glue running during the unwind
                 // cannot trip the watchdog again.
@@ -388,7 +516,7 @@ impl Env {
         // advance the clock, and letting them re-trigger the schedule
         // within the same tick would never drain when an injected burst
         // costs more than its period.
-        let now = self.machine.mem().cycles_of(tid);
+        let now = self.sim.machine().mem().cycles_of(tid);
         loop {
             let ev = match self.faults.as_mut() {
                 Some(h) => h.poll(now),
@@ -397,29 +525,30 @@ impl Env {
             let Some(ev) = ev else { break };
             // Every applied injection lands in the trace stream so a
             // timeline shows *when* the fault plane perturbed the run.
-            self.machine.mem_mut().trace_emit(tid, ev.trace_event());
+            let m = self.sim.machine();
+            m.mem_mut().trace_emit(tid, ev.trace_event());
             match ev {
                 // The burst is consumed even outside an enclave (keeping
                 // the event stream deterministic); injection itself is a
                 // no-op there, as real AEX only interrupts enclave code.
                 InjectedFault::Aex { exits } => {
                     for _ in 0..exits {
-                        self.machine.inject_aex(tid);
+                        m.inject_aex(tid);
                     }
                 }
                 InjectedFault::EpcSpike { frames } => {
-                    self.machine.set_epc_pressure(tid, frames);
+                    m.set_epc_pressure(tid, frames);
                 }
                 InjectedFault::EpcRelease => {
-                    self.machine.release_epc_pressure();
+                    m.release_epc_pressure();
                 }
             }
         }
     }
 
     /// Elapsed cycles: the maximum clock over all logical threads.
-    pub fn elapsed_cycles(&self) -> u64 {
-        self.machine.mem().elapsed_cycles()
+    pub fn elapsed_cycles(&mut self) -> u64 {
+        self.sim.machine().mem().elapsed_cycles()
     }
 
     // ----- trace phases ----------------------------------------------
@@ -430,7 +559,7 @@ impl Env {
     /// so instrumented workloads cost nothing in untraced runs.
     pub fn phase(&mut self, name: &str) {
         let tid = self.threads[self.cur].id;
-        self.machine.trace_phase_begin(tid, name);
+        self.sim.machine().trace_phase_begin(tid, name);
     }
 
     /// Closes the innermost open phase span, which must be `name`.
@@ -442,7 +571,7 @@ impl Env {
     /// disabled.
     pub fn phase_end(&mut self, name: &str) -> Result<(), WorkloadError> {
         let tid = self.threads[self.cur].id;
-        self.machine.trace_phase_end(tid, name)?;
+        self.sim.machine().trace_phase_end(tid, name)?;
         Ok(())
     }
 
@@ -489,9 +618,10 @@ impl Env {
     ///
     /// Propagates TCS exhaustion in LibOS mode.
     pub fn spawn_app_thread(&mut self) -> Result<SimThread, WorkloadError> {
-        let id = self.machine.add_thread();
+        let m = self.sim.machine();
+        let id = m.add_thread();
         if let Some(p) = &self.libos {
-            p.enter(&mut self.machine, id)?;
+            p.enter(m, id)?;
         }
         self.threads.push(ThreadMeta {
             id,
@@ -506,7 +636,7 @@ impl Env {
     /// Spawns a driver (load-generator) thread: always untrusted, never
     /// inside an enclave, in any mode.
     pub fn spawn_driver_thread(&mut self) -> SimThread {
-        let id = self.machine.add_thread();
+        let id = self.sim.machine().add_thread();
         self.threads.push(ThreadMeta {
             id,
             kind: ThreadKind::Driver,
@@ -520,26 +650,30 @@ impl Env {
     /// Runs `f` with operations charged to `th`, then restores the
     /// previous thread.
     pub fn with_thread<T>(&mut self, th: SimThread, f: impl FnOnce(&mut Env) -> T) -> T {
+        // Queued runs belong to the thread that issued them.
+        self.sim.flush();
         let prev = self.cur;
         self.cur = th.idx;
         let out = f(self);
+        self.sim.flush();
         self.cur = prev;
         out
     }
 
     /// Clock of `th` in cycles.
-    pub fn now_of(&self, th: SimThread) -> u64 {
-        self.machine.mem().cycles_of(th.id)
+    pub fn now_of(&mut self, th: SimThread) -> u64 {
+        self.sim.machine().mem().cycles_of(th.id)
     }
 
     /// Clock of the current thread.
-    pub fn now(&self) -> u64 {
-        self.machine.mem().cycles_of(self.threads[self.cur].id)
+    pub fn now(&mut self) -> u64 {
+        let tid = self.threads[self.cur].id;
+        self.sim.machine().mem().cycles_of(tid)
     }
 
     /// Advances `th`'s clock to at least `cycles` (synchronization).
     pub fn sync_to(&mut self, th: SimThread, cycles: u64) {
-        self.machine.mem_mut().sync_to(th.id, cycles);
+        self.sim.machine().mem_mut().sync_to(th.id, cycles);
     }
 
     /// Fork/join: runs `f(env, i)` once per thread in `workers`, each
@@ -551,9 +685,10 @@ impl Env {
             self.sync_to(w, fork);
             self.with_thread(w, |env| f(env, i));
         }
+        let m = self.sim.machine().mem();
         let join = workers
             .iter()
-            .map(|&w| self.now_of(w))
+            .map(|w| m.cycles_of(w.id))
             .max()
             .unwrap_or(fork);
         let cur = self.current_thread();
@@ -569,16 +704,17 @@ impl Env {
     /// Fails when a protected allocation exhausts the enclave.
     pub fn alloc(&mut self, bytes: u64, placement: Placement) -> Result<Region, WorkloadError> {
         let protected = placement == Placement::Protected && self.mode != ExecMode::Vanilla;
+        let m = self.sim.machine();
         let base = match (protected, self.mode) {
             (true, ExecMode::Native) => {
                 let e = self.native_enclave.expect("native mode has an enclave");
-                self.machine.alloc_enclave_heap(e, bytes)?
+                m.alloc_enclave_heap(e, bytes)?
             }
             (true, ExecMode::LibOs) => {
                 let p = self.libos.as_ref().expect("libos mode has a process");
-                p.alloc(&mut self.machine, bytes)?
+                p.alloc(m, bytes)?
             }
-            _ => self.machine.alloc_untrusted(bytes),
+            _ => m.alloc_untrusted(bytes),
         };
         self.regions.push(RegionData {
             base,
@@ -608,10 +744,15 @@ impl Env {
                 .is_some_and(|end| end <= r.data.len() as u64),
             "region access out of bounds"
         );
-        let addr = r.base + off;
+        let run = StreamRun::new(r.base + off, len, kind);
         let tid = self.threads[self.cur].id;
-        self.machine.access(tid, addr, len, kind);
-        self.fault_tick();
+        // An armed fault hook or watchdog polls the clock after every
+        // access, so those accesses cannot wait in the queue.
+        let immediate = self.faults.is_some() || self.budget.is_some();
+        self.sim.access(tid, run, immediate);
+        if immediate {
+            self.fault_tick();
+        }
     }
 
     /// Reads a `u64` at byte offset `off`.
@@ -731,7 +872,7 @@ impl Env {
     /// Charges `cycles` of pure computation to the current thread.
     pub fn compute(&mut self, cycles: u64) {
         let tid = self.threads[self.cur].id;
-        self.machine.compute(tid, cycles);
+        self.sim.machine().compute(tid, cycles);
         self.fault_tick();
     }
 
@@ -746,19 +887,22 @@ impl Env {
     /// Propagates transition failures (e.g. TCS exhaustion).
     pub fn secure_call<T>(&mut self, f: impl FnOnce(&mut Env) -> T) -> Result<T, WorkloadError> {
         let tid = self.threads[self.cur].id;
-        match self.mode {
-            ExecMode::Native => {
+        let m = self.sim.machine();
+        let out = match self.mode {
+            ExecMode::Native if m.current_enclave(tid).is_none() => {
                 let e = self.native_enclave.expect("native mode has an enclave");
-                if self.machine.current_enclave(tid).is_some() {
-                    return Ok(f(self)); // nested secure section
-                }
-                self.machine.ecall_enter(tid, e)?;
+                m.ecall_enter(tid, e)?;
                 let out = f(self);
-                self.machine.ecall_exit(tid, e)?;
-                Ok(out)
+                self.sim.machine().ecall_exit(tid, e)?;
+                out
             }
-            _ => Ok(f(self)),
-        }
+            // Nested secure section, or no ECALL in this mode.
+            _ => f(self),
+        };
+        // Every mode leaves with its accesses charged, so the machine
+        // can be read right after the call.
+        self.sim.flush();
+        Ok(out)
     }
 
     /// One host syscall with no payload (e.g. `accept`, `futex`).
@@ -772,29 +916,30 @@ impl Env {
     pub fn host_syscall(&mut self) -> Result<(), WorkloadError> {
         let tid = self.threads[self.cur].id;
         let kind = self.threads[self.cur].kind;
+        let m = self.sim.machine();
         match self.mode {
             ExecMode::Vanilla => {
-                self.machine.compute(tid, costs::HOST_SYSCALL_CYCLES);
+                m.compute(tid, costs::HOST_SYSCALL_CYCLES);
             }
             ExecMode::Native => {
-                if self.machine.current_enclave(tid).is_some() {
-                    self.machine.ocall(tid, costs::HOST_SYSCALL_CYCLES)?;
+                if m.current_enclave(tid).is_some() {
+                    m.ocall(tid, costs::HOST_SYSCALL_CYCLES)?;
                 } else {
-                    self.machine.compute(tid, costs::HOST_SYSCALL_CYCLES);
+                    m.compute(tid, costs::HOST_SYSCALL_CYCLES);
                 }
             }
             ExecMode::LibOs => {
                 if kind == ThreadKind::App {
                     let p = self.libos.as_mut().expect("libos process");
-                    p.shim_mut().syscall_host(&mut self.machine, tid)?;
+                    p.shim_mut().syscall_host(m, tid)?;
                 } else {
-                    self.machine.compute(tid, costs::HOST_SYSCALL_CYCLES);
+                    m.compute(tid, costs::HOST_SYSCALL_CYCLES);
                 }
             }
         }
         self.fault_tick();
         if self.faults.as_mut().is_some_and(|h| h.syscall_fails()) {
-            let at_cycles = self.machine.mem().cycles_of(tid);
+            let at_cycles = self.sim.machine().mem().cycles_of(tid);
             return Err(TransientError::SyscallFailed { at_cycles }.into());
         }
         Ok(())
@@ -809,29 +954,28 @@ impl Env {
     pub fn io_transfer(&mut self, bytes: u64, _write: bool) -> Result<(), WorkloadError> {
         let tid = self.threads[self.cur].id;
         let kind = self.threads[self.cur].kind;
+        let m = self.sim.machine();
         let copy = bytes.div_ceil(1024) * costs::HOST_COPY_CYCLES_PER_KIB;
         match self.mode {
             ExecMode::Vanilla => {
-                self.machine.compute(tid, costs::HOST_SYSCALL_CYCLES + copy);
+                m.compute(tid, costs::HOST_SYSCALL_CYCLES + copy);
             }
             ExecMode::Native => {
-                if self.machine.current_enclave(tid).is_some() {
+                if m.current_enclave(tid).is_some() {
                     let chunks = bytes.div_ceil(IO_BATCH).max(1);
                     for _ in 0..chunks {
-                        self.machine
-                            .ocall(tid, costs::HOST_SYSCALL_CYCLES + copy / chunks)?;
+                        m.ocall(tid, costs::HOST_SYSCALL_CYCLES + copy / chunks)?;
                     }
                 } else {
-                    self.machine.compute(tid, costs::HOST_SYSCALL_CYCLES + copy);
+                    m.compute(tid, costs::HOST_SYSCALL_CYCLES + copy);
                 }
             }
             ExecMode::LibOs => {
                 if kind == ThreadKind::App {
                     let p = self.libos.as_mut().expect("libos process");
-                    p.shim_mut()
-                        .file_transfer(&mut self.machine, tid, bytes, _write)?;
+                    p.shim_mut().file_transfer(m, tid, bytes, _write)?;
                 } else {
-                    self.machine.compute(tid, costs::HOST_SYSCALL_CYCLES + copy);
+                    m.compute(tid, costs::HOST_SYSCALL_CYCLES + copy);
                 }
             }
         }
@@ -1022,35 +1166,31 @@ impl Env {
     fn charge_file_io(&mut self, bytes: u64, write: bool) -> Result<(), WorkloadError> {
         let tid = self.threads[self.cur].id;
         let kind = self.threads[self.cur].kind;
+        let m = self.sim.machine();
         let copy = bytes.div_ceil(1024) * costs::HOST_COPY_CYCLES_PER_KIB;
         match self.mode {
             ExecMode::Vanilla => {
                 let chunks = bytes.div_ceil(IO_BATCH).max(1);
-                self.machine
-                    .compute(tid, costs::HOST_SYSCALL_CYCLES * chunks + copy);
+                m.compute(tid, costs::HOST_SYSCALL_CYCLES * chunks + copy);
             }
             ExecMode::Native => {
-                if self.machine.current_enclave(tid).is_some() {
+                if m.current_enclave(tid).is_some() {
                     let chunks = bytes.div_ceil(IO_BATCH).max(1);
                     for _ in 0..chunks {
-                        self.machine
-                            .ocall(tid, costs::HOST_SYSCALL_CYCLES + copy / chunks)?;
+                        m.ocall(tid, costs::HOST_SYSCALL_CYCLES + copy / chunks)?;
                     }
                 } else {
                     let chunks = bytes.div_ceil(IO_BATCH).max(1);
-                    self.machine
-                        .compute(tid, costs::HOST_SYSCALL_CYCLES * chunks + copy);
+                    m.compute(tid, costs::HOST_SYSCALL_CYCLES * chunks + copy);
                 }
             }
             ExecMode::LibOs => {
                 if kind == ThreadKind::App {
                     let p = self.libos.as_mut().expect("libos process");
-                    p.shim_mut()
-                        .file_transfer(&mut self.machine, tid, bytes, write)?;
+                    p.shim_mut().file_transfer(m, tid, bytes, write)?;
                 } else {
                     let chunks = bytes.div_ceil(IO_BATCH).max(1);
-                    self.machine
-                        .compute(tid, costs::HOST_SYSCALL_CYCLES * chunks + copy);
+                    m.compute(tid, costs::HOST_SYSCALL_CYCLES * chunks + copy);
                 }
             }
         }
@@ -1121,7 +1261,7 @@ mod tests {
         v.start_app().unwrap();
         let r = v.alloc(4096, Placement::Protected).unwrap();
         v.write_u64(r, 0, 1);
-        assert_eq!(v.machine().sgx_counters().epc_faults, 0);
+        assert_eq!(v.machine_mut().sgx_counters().epc_faults, 0);
         assert!(!v.region_protected(r));
 
         let mut n = env(ExecMode::Native);
@@ -1211,7 +1351,7 @@ mod tests {
         let r = e.alloc(1 << 20, Placement::Protected).unwrap();
         e.read_file_into("big", r, 0).unwrap();
         assert!(
-            e.machine().sgx_counters().ocalls >= 4,
+            e.machine_mut().sgx_counters().ocalls >= 4,
             "batched file OCALLs expected"
         );
     }
@@ -1224,7 +1364,7 @@ mod tests {
         e.reset_measurement();
         let r = e.alloc(128 << 10, Placement::Untrusted).unwrap();
         e.read_file_into("f", r, 0).unwrap(); // outside enclave
-        assert_eq!(e.machine().sgx_counters().ocalls, 0);
+        assert_eq!(e.machine_mut().sgx_counters().ocalls, 0);
         e.secure_call(|env| env.read_file_into("f", r, 0).map(|_| ()))
             .unwrap()
             .unwrap();
@@ -1276,7 +1416,7 @@ mod tests {
         let r = e.alloc(1 << 20, Placement::Untrusted).unwrap();
         let before = e.machine().mem().counters().mem_reads;
         e.touch(r, 0, 1 << 20, false);
-        let delta = e.machine().mem().counters().mem_reads - before;
+        let delta = e.machine_mut().mem().counters().mem_reads - before;
         assert_eq!(delta, (1 << 20) / 64, "one read per line");
     }
 

@@ -65,6 +65,64 @@ faults = "syscall=250"
     let _ = std::fs::remove_dir_all(&b);
 }
 
+/// Every file under `dir`, recursively.
+fn files_under(dir: &Path) -> Vec<PathBuf> {
+    let mut out = Vec::new();
+    for entry in std::fs::read_dir(dir).expect("list dir") {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() {
+            out.extend(files_under(&path));
+        } else {
+            out.push(path);
+        }
+    }
+    out
+}
+
+/// A clean run retires every recovery journal it wrote: a journal only
+/// outlives a publish that a crash interrupted.
+#[test]
+fn clean_campaign_leaves_no_recovery_journals() {
+    let cfg = CampaignConfig::parse(
+        r#"
+[campaign]
+name = "tidy"
+seed = 5
+scale = 4096
+profile = "quick"
+jobs = 2
+
+[[stage]]
+name = "first"
+modes = ["vanilla", "native"]
+settings = ["low"]
+workloads = ["BTree"]
+
+[[stage]]
+name = "second"
+modes = ["vanilla"]
+settings = ["low"]
+workloads = ["HashJoin"]
+"#,
+    )
+    .expect("config parses");
+    let out = fresh("tidy");
+    run_campaign(&cfg, &out, true, None).expect("clean run");
+    let files = files_under(&out);
+    for stage in ["first", "second"] {
+        for artifact in ["report.csv", "trace.jsonl", "checkpoint.json"] {
+            let path = out.join(stage).join(artifact);
+            assert!(files.contains(&path), "{} published", path.display());
+        }
+    }
+    let journals: Vec<_> = files
+        .iter()
+        .filter(|p| p.extension().is_some_and(|e| e == "journal"))
+        .collect();
+    assert!(journals.is_empty(), "journals left behind: {journals:?}");
+    let _ = std::fs::remove_dir_all(&out);
+}
+
 /// A workload that fails transiently on every attempt trips its
 /// breaker, sheds cooldown cells, sends half-open probes, and re-opens
 /// on probe failure — all visible as typed trace events and degraded

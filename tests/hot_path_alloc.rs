@@ -5,7 +5,8 @@
 //! `access_stream` and `SgxMachine::access` / `access_stream` with
 //! sequential, random and transition-interleaved streams, untraced and
 //! traced (on the SGX machine, with a `TraceSink` whose ring has already
-//! overflowed). After one
+//! overflowed), and `Env`'s scalar `read_u64` / `write_u64`, whose
+//! accesses queue and are charged in batches. After one
 //! warm-up pass (page tables, EPC residency and the reusable stream
 //! buffer reach their high-water marks) a second pass over an
 //! EPC-resident stream must make zero allocator calls. On a stream
@@ -19,6 +20,8 @@
 
 #![cfg(not(feature = "audit"))]
 
+use sgxgauge::core::env::Placement;
+use sgxgauge::core::{Env, EnvConfig, ExecMode};
 use sgxgauge::mem::{AccessAttrs, AccessKind, Machine, MachineConfig, StreamRun, ThreadId};
 use sgxgauge::sgx::{Host, SgxConfig, SgxMachine};
 use sgxgauge::trace::TraceSink;
@@ -288,5 +291,44 @@ fn sgx_access_paths_allocate_per_fault_not_per_access_over_the_epc() {
                 );
             }
         }
+    }
+}
+
+/// `Env` queues scalar accesses and charges them in batches; once warm,
+/// a stream of `read_u64`/`write_u64` calls on an EPC-resident region
+/// inside an ECALL makes no allocator call: the run queue is reused,
+/// never regrown.
+#[test]
+fn env_scalar_stream_does_not_allocate_once_warm() {
+    for pattern in [Pattern::Seq, Pattern::Rand] {
+        let mut cfg = EnvConfig::quick_test(ExecMode::Native);
+        cfg.protected_hint = RESIDENT_BYTES;
+        let mut env = Env::new(cfg).expect("env");
+        let r = env
+            .alloc(RESIDENT_BYTES, Placement::Protected)
+            .expect("region fits");
+        let s = stream(pattern, RESIDENT_BYTES);
+        let pass = |env: &mut Env| {
+            env.secure_call(|env| {
+                let mut sum = 0u64;
+                for &(off, kind) in &s {
+                    match kind {
+                        AccessKind::Read => sum = sum.wrapping_add(env.read_u64(r, off)),
+                        AccessKind::Write => env.write_u64(r, off, sum),
+                    }
+                }
+                std::hint::black_box(sum);
+            })
+            .expect("main thread enters its enclave");
+        };
+        pass(&mut env);
+        let faults0 = env.machine().sgx_counters().epc_faults;
+        let n = allocs_in(|| pass(&mut env));
+        assert_eq!(
+            env.machine().sgx_counters().epc_faults,
+            faults0,
+            "{pattern:?}: the stream must stay EPC-resident"
+        );
+        assert_eq!(n, 0, "{pattern:?}: {n} allocator calls once warm");
     }
 }

@@ -138,10 +138,11 @@ fn drive(env: &mut Env, ops: &[Op]) -> u64 {
 
 /// What the fork property compares.
 fn observed(env: &mut Env, sum: u64) -> impl PartialEq + std::fmt::Debug {
+    let elapsed = env.elapsed_cycles();
     let m = env.machine();
     let facts = (
         sum,
-        env.elapsed_cycles(),
+        elapsed,
         *m.mem().counters(),
         *m.sgx_counters(),
         m.driver_stats().clone(),
