@@ -24,10 +24,16 @@
 //! `touch`) with one `secure_call` per window, twice: a plain `Env`,
 //! which queues the accesses and charges them in batches, and an `Env`
 //! with a cycle budget that never fires, which charges each access as
-//! it happens. Both must charge identical cycles and counters.
+//! it happens. Both must charge identical cycles and counters. A third
+//! race runs the same two `Env`s over stride-8 and stride-64
+//! `read_u64`/`write_u64` scans of an EPC-resident region, whose
+//! same-line and next-line accesses the plain `Env` folds into its
+//! queue's tail. Every race alternates its contenders pass by pass, so
+//! host drift lands on all of them alike.
 //! Results land in a `BENCH_hotpath.json`; CI re-runs the harness in
-//! smoke mode and fails if either measured speedup
-//! (`speedup_stream_vs_legacy`, `speedup_env_batched_vs_percall`) falls
+//! smoke mode and fails if any measured speedup
+//! (`speedup_stream_vs_legacy`, `speedup_env_batched_vs_percall`,
+//! `speedup_env_scan_vs_percall`) falls
 //! below its share of the committed trajectory point
 //! (`SGXGAUGE_PERF_BASELINE`). Gating on the speedup *ratio* — both
 //! contenders timed on the same host, same run — keeps the gate
@@ -684,6 +690,9 @@ fn build_real(cfg: &SgxConfig) -> (SgxMachine, mem_sim::ThreadId, EnclaveId, u64
     (m, t, e, heap)
 }
 
+/// The scans of one [`EnvContender::scan`] round: `(stride, write)`.
+const SCANS: [(u64, bool); 4] = [(8, false), (8, true), (64, false), (64, true)];
+
 /// One `Env` contender: a Native enclave with the stream's working set
 /// as a protected region.
 struct EnvContender {
@@ -706,29 +715,14 @@ impl EnvContender {
         EnvContender { env, region }
     }
 
-    /// One pass over `stream` through `Env`'s scalar API, one
-    /// `secure_call` per [`WINDOW`] accesses: 8-byte accesses as
-    /// `read_u64`/`write_u64`, bulk runs as `touch`. Returns the
-    /// simulated cycles, counters and EPC faults of the pass.
-    fn pass(&mut self, stream: &[Access]) -> (u64, mem_sim::Counters, u64) {
-        let (env, r) = (&mut self.env, self.region);
+    /// Runs `f` on the contender's `Env` and region, and returns the
+    /// simulated cycles, counters and EPC faults it charged.
+    fn measured(&mut self, f: impl FnOnce(&mut Env, Region)) -> (u64, mem_sim::Counters, u64) {
+        let env = &mut self.env;
         let c0 = *env.machine().mem().counters();
         let f0 = env.machine().sgx_counters().epc_faults;
         let start = env.now();
-        let mut sum = 0u64;
-        for window in stream.chunks(WINDOW) {
-            env.secure_call(|env| {
-                for &(off, len, kind) in window {
-                    match (len, kind) {
-                        (8, AccessKind::Read) => sum = sum.wrapping_add(env.read_u64(r, off)),
-                        (8, AccessKind::Write) => env.write_u64(r, off, sum),
-                        _ => env.touch(r, off, len, kind == AccessKind::Write),
-                    }
-                }
-            })
-            .expect("enter");
-        }
-        std::hint::black_box(sum);
+        f(env, self.region);
         let faults = env.machine().sgx_counters().epc_faults - f0;
         (
             env.now() - start,
@@ -736,27 +730,110 @@ impl EnvContender {
             faults,
         )
     }
+
+    /// One pass over `stream` through `Env`'s scalar API, one
+    /// `secure_call` per [`WINDOW`] accesses: 8-byte accesses as
+    /// `read_u64`/`write_u64`, bulk runs as `touch`.
+    fn pass(&mut self, stream: &[Access]) -> (u64, mem_sim::Counters, u64) {
+        self.measured(|env, r| {
+            let mut sum = 0u64;
+            for window in stream.chunks(WINDOW) {
+                env.secure_call(|env| {
+                    for &(off, len, kind) in window {
+                        match (len, kind) {
+                            (8, AccessKind::Read) => sum = sum.wrapping_add(env.read_u64(r, off)),
+                            (8, AccessKind::Write) => env.write_u64(r, off, sum),
+                            _ => env.touch(r, off, len, kind == AccessKind::Write),
+                        }
+                    }
+                })
+                .expect("enter");
+            }
+            std::hint::black_box(sum);
+        })
+    }
+
+    /// Scans the region `rounds` times over with each of [`SCANS`]: one
+    /// `secure_call` per scan, `read_u64` or `write_u64` at every
+    /// `stride` bytes. A stride-8 scan is the case `Env` folds most:
+    /// seven of every eight accesses repeat the line queued last.
+    fn scan(&mut self, rounds: usize) -> (u64, mem_sim::Counters, u64) {
+        self.measured(|env, r| {
+            let bytes = env.region_len(r);
+            let mut sum = 0u64;
+            for _ in 0..rounds {
+                for (stride, write) in SCANS {
+                    env.secure_call(|env| {
+                        for off in (0..bytes).step_by(stride as usize) {
+                            if write {
+                                env.write_u64(r, off, sum);
+                            } else {
+                                sum = sum.wrapping_add(env.read_u64(r, off));
+                            }
+                        }
+                    })
+                    .expect("enter");
+                }
+            }
+            std::hint::black_box(sum);
+        })
+    }
 }
 
-/// Races `stream` through a per-access and a batched [`EnvContender`],
-/// alternating their passes so that host drift hits both alike. Returns
-/// `[per-access, batched]`: the best-of-`reps` host ns of one pass and
-/// the last pass's simulated cycles and counters.
-fn env_race(stream: &[Access], reps: usize) -> [(u64, u64, mem_sim::Counters); 2] {
-    let mut contenders = [EnvContender::new(true), EnvContender::new(false)];
-    let mut out = [(u64::MAX, 0, mem_sim::Counters::new()); 2];
-    for c in &mut contenders {
-        // Warm-up: faults the working set into the EPC.
-        c.pass(stream);
-    }
+/// Times `contenders` one pass each, in turn, `reps` times over, so that
+/// host drift lands on all of them alike. Returns, per contender, the
+/// best host ns of one pass and the last pass's result.
+fn alternate<R, const N: usize>(
+    reps: usize,
+    mut contenders: [&mut dyn FnMut() -> R; N],
+) -> [(u64, R); N] {
+    let mut best: [Option<(u64, R)>; N] = std::array::from_fn(|_| None);
     for _ in 0..reps {
-        for (c, o) in contenders.iter_mut().zip(&mut out) {
-            let (ns, (cycles, counters, faults)) = best_of(1, || c.pass(stream));
-            assert_eq!(faults, 0, "resident regime");
-            *o = (o.0.min(ns), cycles, counters);
+        for (f, b) in contenders.iter_mut().zip(&mut best) {
+            let (ns, out) = best_of(1, &mut **f);
+            let ns = b.as_ref().map_or(ns, |&(prev, _)| prev.min(ns));
+            *b = Some((ns, out));
         }
     }
-    out
+    best.map(|b| b.expect("at least one repetition"))
+}
+
+/// One `Env` contender's race result: its best host ns of one pass, and
+/// the last pass's simulated cycles and counters.
+type EnvRaced = (u64, (u64, mem_sim::Counters));
+
+/// Races `stream` through a per-access and a batched [`EnvContender`].
+/// Returns `[per-access, batched]`.
+fn env_race(stream: &[Access], reps: usize) -> [EnvRaced; 2] {
+    let [mut percall, mut batched] = [EnvContender::new(true), EnvContender::new(false)];
+    // Warm-up: faults the working set into the EPC.
+    percall.pass(stream);
+    batched.pass(stream);
+    let run = |c: &mut EnvContender| {
+        let (cycles, counters, faults) = c.pass(stream);
+        assert_eq!(faults, 0, "resident regime");
+        (cycles, counters)
+    };
+    alternate(reps, [&mut || run(&mut percall), &mut || run(&mut batched)])
+}
+
+/// Races [`SCANS`] over the region through a per-access and a batched
+/// [`EnvContender`], as [`env_race`] races the stream. Returns
+/// `[per-access, batched]` and the accesses of one pass.
+fn scan_race(accesses: usize, reps: usize) -> ([EnvRaced; 2], usize) {
+    let [mut percall, mut batched] = [EnvContender::new(true), EnvContender::new(false)];
+    let bytes = percall.env.region_len(percall.region);
+    let per_round: u64 = SCANS.iter().map(|&(stride, _)| bytes / stride).sum();
+    let rounds = accesses.div_ceil(per_round as usize);
+    percall.scan(1);
+    batched.scan(1);
+    let run = |c: &mut EnvContender| {
+        let (cycles, counters, faults) = c.scan(rounds);
+        assert_eq!(faults, 0, "resident regime");
+        (cycles, counters)
+    };
+    let raced = alternate(reps, [&mut || run(&mut percall), &mut || run(&mut batched)]);
+    (raced, rounds * per_round as usize)
 }
 
 fn main() {
@@ -797,49 +874,10 @@ fn main() {
     ls.mem.cycles = 0;
     ls.mem.counters = legacy::Counters::default();
     ls.arm_poll(SINK_INTERVAL);
-    let mut legacy_counters = legacy::Counters::default();
-    let (legacy_ns, legacy_cycles) = best_of(reps, || {
-        let c0 = ls.mem.counters;
-        let start = ls.mem.cycles;
-        for (i, &(off, len, kind)) in stream.iter().enumerate() {
-            if i % WINDOW == 0 {
-                ls.transition();
-            }
-            ls.access(heap + off, len, kind);
-        }
-        legacy_counters = ls.mem.counters.delta(c0);
-        ls.mem.cycles - start
-    });
-    assert_eq!(ls.snapshots, 0, "no snapshot may fire inside the race");
-    assert!(
-        legacy_counters.dtlb_misses > 0 && legacy_counters.llc_accesses > 0,
-        "stream must exercise the TLB-refill and LLC-probe paths"
-    );
 
     // Contender 2: today's per-call pipeline.
     let (mut pm, pt, pe, pheap) = build_real(&cfg);
     assert_eq!(pheap, heap, "enclave layout must be deterministic");
-    let mut percall_counters = mem_sim::Counters::new();
-    let (percall_ns, percall_cycles) = best_of(reps, || {
-        let c0 = *pm.mem().counters();
-        let f0 = pm.sgx_counters().epc_faults;
-        let start = pm.mem().cycles_of(pt);
-        for (i, &(off, len, kind)) in stream.iter().enumerate() {
-            if i % WINDOW == 0 {
-                pm.ecall_exit(pt, pe).expect("exit");
-                pm.ecall_enter(pt, pe).expect("enter");
-            }
-            pm.access(pt, heap + off, len, kind);
-        }
-        assert_eq!(
-            pm.sgx_counters().epc_faults,
-            f0,
-            "the race must stay EPC-resident (jittered fault costs would \
-             break the cycle comparison)"
-        );
-        percall_counters = *pm.mem().counters() - c0;
-        pm.mem().cycles_of(pt) - start
-    });
 
     // Contender 3: today's batched pipeline, one ECALL window per batch.
     let (mut sm, st, se, sheap) = build_real(&cfg);
@@ -847,20 +885,66 @@ fn main() {
         .iter()
         .map(|&(off, len, kind)| StreamRun::new(sheap + off, len, kind))
         .collect();
+
+    let mut legacy_counters = legacy::Counters::default();
+    let mut percall_counters = mem_sim::Counters::new();
     let mut stream_counters = mem_sim::Counters::new();
-    let (stream_ns, stream_cycles) = best_of(reps, || {
-        let c0 = *sm.mem().counters();
-        let f0 = sm.sgx_counters().epc_faults;
-        let start = sm.mem().cycles_of(st);
-        for chunk in runs.chunks(WINDOW) {
-            sm.ecall_exit(st, se).expect("exit");
-            sm.ecall_enter(st, se).expect("enter");
-            sm.access_stream(st, chunk);
-        }
-        assert_eq!(sm.sgx_counters().epc_faults, f0, "resident regime");
-        stream_counters = *sm.mem().counters() - c0;
-        sm.mem().cycles_of(st) - start
-    });
+    let [(legacy_ns, legacy_cycles), (percall_ns, percall_cycles), (stream_ns, stream_cycles)] =
+        alternate(
+            reps,
+            [
+                &mut || {
+                    let c0 = ls.mem.counters;
+                    let start = ls.mem.cycles;
+                    for (i, &(off, len, kind)) in stream.iter().enumerate() {
+                        if i % WINDOW == 0 {
+                            ls.transition();
+                        }
+                        ls.access(heap + off, len, kind);
+                    }
+                    legacy_counters = ls.mem.counters.delta(c0);
+                    ls.mem.cycles - start
+                },
+                &mut || {
+                    let c0 = *pm.mem().counters();
+                    let f0 = pm.sgx_counters().epc_faults;
+                    let start = pm.mem().cycles_of(pt);
+                    for (i, &(off, len, kind)) in stream.iter().enumerate() {
+                        if i % WINDOW == 0 {
+                            pm.ecall_exit(pt, pe).expect("exit");
+                            pm.ecall_enter(pt, pe).expect("enter");
+                        }
+                        pm.access(pt, heap + off, len, kind);
+                    }
+                    assert_eq!(
+                        pm.sgx_counters().epc_faults,
+                        f0,
+                        "the race must stay EPC-resident (jittered fault costs would \
+                         break the cycle comparison)"
+                    );
+                    percall_counters = *pm.mem().counters() - c0;
+                    pm.mem().cycles_of(pt) - start
+                },
+                &mut || {
+                    let c0 = *sm.mem().counters();
+                    let f0 = sm.sgx_counters().epc_faults;
+                    let start = sm.mem().cycles_of(st);
+                    for chunk in runs.chunks(WINDOW) {
+                        sm.ecall_exit(st, se).expect("exit");
+                        sm.ecall_enter(st, se).expect("enter");
+                        sm.access_stream(st, chunk);
+                    }
+                    assert_eq!(sm.sgx_counters().epc_faults, f0, "resident regime");
+                    stream_counters = *sm.mem().counters() - c0;
+                    sm.mem().cycles_of(st) - start
+                },
+            ],
+        );
+    assert_eq!(ls.snapshots, 0, "no snapshot may fire inside the race");
+    assert!(
+        legacy_counters.dtlb_misses > 0 && legacy_counters.llc_accesses > 0,
+        "stream must exercise the TLB-refill and LLC-probe paths"
+    );
 
     // The race is only meaningful if all three charge identical
     // simulated cycles — the optimizations must be invisible to the
@@ -954,7 +1038,7 @@ fn main() {
     let raced = env_race(&stream, reps);
     // The `Env` windows bracket the same accesses with the same
     // transitions, so both charge what the machine contenders do.
-    for (what, (_, cycles, counters)) in ["per-access", "batched"].into_iter().zip(raced) {
+    for (what, (_, (cycles, counters))) in ["per-access", "batched"].into_iter().zip(raced) {
         assert_eq!(
             cycles, percall_cycles,
             "{what} Env and SgxMachine::access disagree on simulated cycles"
@@ -964,12 +1048,23 @@ fn main() {
             "{what} Env and SgxMachine::access disagree on counters"
         );
     }
-    let [(env_percall_ns, ..), (env_batched_ns, ..)] = raced;
+    let [(env_percall_ns, _), (env_batched_ns, _)] = raced;
+
+    // The scan race: the same two `Env`s over line-stride scans, which
+    // the batched one folds into its queue's tail.
+    let ([(scan_percall_ns, scan_percall), (scan_batched_ns, scan_batched)], scan_n) =
+        scan_race(n, reps);
+    assert_eq!(
+        scan_percall, scan_batched,
+        "per-access and batched Env disagree on the scans' cycles or counters"
+    );
 
     let ns_per = |ns: u64| ns as f64 / n as f64;
     let speedup_percall = legacy_ns as f64 / percall_ns as f64;
     let speedup_stream = legacy_ns as f64 / stream_ns as f64;
     let speedup_env = env_percall_ns as f64 / env_batched_ns as f64;
+    let speedup_scan = scan_percall_ns as f64 / scan_batched_ns as f64;
+    let scan_ns_per = |ns: u64| ns as f64 / scan_n as f64;
     let per_sec = n as f64 / (stream_ns as f64 / 1e9);
     println!(
         "legacy  {:>8.1} ns/access\npercall {:>8.1} ns/access ({:.2}x)\nstream  {:>8.1} ns/access ({:.2}x)",
@@ -984,6 +1079,12 @@ fn main() {
         ns_per(env_percall_ns),
         ns_per(env_batched_ns),
         speedup_env,
+    );
+    println!(
+        "Env scan per-access {:>8.1} ns/access\nEnv scan batched    {:>8.1} ns/access ({:.2}x)",
+        scan_ns_per(scan_percall_ns),
+        scan_ns_per(scan_batched_ns),
+        speedup_scan,
     );
     println!(
         "stream throughput: {:.1} M simulated accesses/sec, {:.1} sim cycles/access",
@@ -1019,6 +1120,15 @@ fn main() {
                 "speedup_env_batched_vs_percall",
                 &format!("{speedup_env:.3}"),
             ),
+            (
+                "ns_per_access_env_scan_percall",
+                &format!("{:.2}", scan_ns_per(scan_percall_ns)),
+            ),
+            (
+                "ns_per_access_env_scan",
+                &format!("{:.2}", scan_ns_per(scan_batched_ns)),
+            ),
+            ("speedup_env_scan_vs_percall", &format!("{speedup_scan:.3}")),
             ("sim_accesses_per_sec_stream", &format!("{per_sec:.0}")),
             (
                 "sim_cycles_per_access",
@@ -1041,6 +1151,11 @@ fn main() {
                 "Env batching",
                 "speedup_env_batched_vs_percall",
                 speedup_env,
+            ),
+            (
+                "Env scan folding",
+                "speedup_env_scan_vs_percall",
+                speedup_scan,
             ),
         ] {
             let baseline = baseline.number(key);

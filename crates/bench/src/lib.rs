@@ -185,7 +185,11 @@ pub fn fk(v: u64) -> String {
 pub const GATED_KEYS: [(&str, &[&str]); 3] = [
     (
         "hotpath",
-        &["speedup_stream_vs_legacy", "speedup_env_batched_vs_percall"],
+        &[
+            "speedup_stream_vs_legacy",
+            "speedup_env_batched_vs_percall",
+            "speedup_env_scan_vs_percall",
+        ],
     ),
     ("resilience", &["overhead_fraction"]),
     (

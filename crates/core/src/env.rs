@@ -39,11 +39,16 @@ use std::collections::BTreeMap;
 /// [`Queued::flush`] serves the operations that change only `Env`'s own
 /// state, such as the current thread.
 mod queue {
-    use super::{SgxMachine, StreamRun, ThreadId};
+    use super::{AccessKind, SgxMachine, StreamRun, ThreadId};
+    use mem_sim::{LINE_SHIFT, PAGE_SHIFT};
 
     /// Runs held before a flush. A flush is exact at any length; this
     /// only bounds the buffer, which a warm `Env` reuses without regrowing.
     const CAPACITY: usize = 1024;
+
+    /// Lines per page as a shift: line `l` lies on page
+    /// `l >> LINES_PER_PAGE_SHIFT`.
+    const LINES_PER_PAGE_SHIFT: u32 = PAGE_SHIFT - LINE_SHIFT;
 
     #[derive(Debug, Clone)]
     pub(super) struct Queued {
@@ -51,6 +56,9 @@ mod queue {
         runs: Vec<StreamRun>,
         /// The thread every queued run belongs to.
         tid: ThreadId,
+        /// Runs folded into counted L1 hits, by [`AccessKind`]: reads,
+        /// then writes. Non-zero only while runs are queued.
+        hits: [u64; 2],
     }
 
     impl Queued {
@@ -59,44 +67,86 @@ mod queue {
                 machine,
                 runs: Vec::with_capacity(CAPACITY),
                 tid,
+                hits: [0; 2],
             }
         }
 
-        /// Charges `run` to `tid`: queued, or issued at once when
-        /// `immediate` or while a trace sink is armed, whose samples and
-        /// fault events are stamped per access.
+        /// Charges `len` bytes at `vaddr` to `tid`: queued, or issued at
+        /// once while a trace sink is armed, whose samples and fault
+        /// events are stamped per access.
+        ///
+        /// A queued run folds into the queue's tail where that is exact.
+        /// A run wholly inside the tail's last line is an L1 hit on the
+        /// line and page this thread touched last, so it becomes a
+        /// counted hit. A run of the tail's kind that starts on the
+        /// tail's last line or the next one and ends on the tail's last
+        /// page extends the tail: the part on the tail's last line, if
+        /// any, is a counted hit, and the rest is the lines the tail
+        /// would issue next, on a page whose translation and residency
+        /// the tail already established. A run reaching into the next
+        /// page never folds: a fault there flushes the TLB before the
+        /// tail's lines are issued.
         #[inline]
-        pub(super) fn access(&mut self, tid: ThreadId, run: StreamRun, immediate: bool) {
-            if immediate || self.machine.mem().tracing() {
-                self.access_now(tid, run);
+        pub(super) fn access(&mut self, tid: ThreadId, vaddr: u64, len: u64, kind: AccessKind) {
+            if self.machine.mem().tracing() {
+                self.access_now(tid, StreamRun { vaddr, len, kind });
+                return;
+            }
+            if len == 0 {
                 return;
             }
             debug_assert!(
                 self.runs.is_empty() || self.tid == tid,
                 "queued runs of another thread: flush before switching threads"
             );
+            let last_byte = vaddr.saturating_add(len - 1);
+            if let Some(tail) = self.runs.last_mut() {
+                let tail_line = tail.vaddr.saturating_add(tail.len - 1) >> LINE_SHIFT;
+                let first = vaddr >> LINE_SHIFT;
+                let last = last_byte >> LINE_SHIFT;
+                if last == tail_line && first == tail_line {
+                    self.hits[kind as usize] += 1;
+                    return;
+                }
+                if first.wrapping_sub(tail_line) <= 1
+                    && last >> LINES_PER_PAGE_SHIFT == tail_line >> LINES_PER_PAGE_SHIFT
+                    && kind == tail.kind
+                {
+                    self.hits[kind as usize] += u64::from(first == tail_line);
+                    tail.len = last_byte - tail.vaddr + 1;
+                    return;
+                }
+            }
             if self.runs.len() == CAPACITY {
                 self.drain();
             }
             self.tid = tid;
-            self.runs.push(run);
+            self.runs.push(StreamRun { vaddr, len, kind });
         }
 
-        // Both out of line: inlined, each would copy `access_stream`'s
-        // loop into every scalar access and every flush point.
+        /// Flushes, then charges `run` to `tid` at once: the path of an
+        /// armed trace sink, fault hook or cycle budget.
+        // Out of line: inlined, it would copy `access_stream`'s loop into
+        // every scalar access.
+        #[cold]
         #[inline(never)]
-        fn access_now(&mut self, tid: ThreadId, run: StreamRun) {
+        pub(super) fn access_now(&mut self, tid: ThreadId, run: StreamRun) {
             self.flush();
             self.machine.access(tid, run.vaddr, run.len, run.kind);
         }
 
+        // Out of line, like `access_now`, so flush points stay small.
         #[inline(never)]
         fn drain(&mut self) {
             self.machine.access_stream(self.tid, &self.runs);
+            let [reads, writes] = std::mem::take(&mut self.hits);
+            if reads | writes != 0 {
+                self.machine.charge_l1_hits(self.tid, reads, writes);
+            }
             self.runs.clear();
         }
 
-        /// Charges every queued run, in order.
+        /// Charges every queued run, in order, and every counted hit.
         #[inline]
         pub(super) fn flush(&mut self) {
             if !self.runs.is_empty() {
@@ -309,7 +359,10 @@ fn silence_watchdog_unwinds() {
 /// one batch at the next operation that can observe or change simulated
 /// state (compute, a clock read, a transition, a syscall or I/O, a
 /// phase mark, a thread switch, an allocation, `machine_mut`), which
-/// charges exactly what charging them one by one would. While a fault
+/// charges exactly what charging them one by one would. Scans queue
+/// little: an access within the line queued last is counted as an L1
+/// hit, and one on the next line of the same page extends the queued
+/// run. While a fault
 /// hook, a cycle budget or a trace sink is armed, each access is charged
 /// at once, so injections, the watchdog and trace samples see every
 /// access's clock.
@@ -744,15 +797,22 @@ impl Env {
                 .is_some_and(|end| end <= r.data.len() as u64),
             "region access out of bounds"
         );
-        let run = StreamRun::new(r.base + off, len, kind);
+        let vaddr = r.base + off;
         let tid = self.threads[self.cur].id;
-        // An armed fault hook or watchdog polls the clock after every
-        // access, so those accesses cannot wait in the queue.
-        let immediate = self.faults.is_some() || self.budget.is_some();
-        self.sim.access(tid, run, immediate);
-        if immediate {
-            self.fault_tick();
+        if self.faults.is_some() || self.budget.is_some() {
+            self.charge_armed(tid, StreamRun::new(vaddr, len, kind));
+        } else {
+            self.sim.access(tid, vaddr, len, kind);
         }
+    }
+
+    /// An armed fault hook or watchdog polls the clock after every
+    /// access, so those accesses cannot wait in the queue.
+    #[cold]
+    #[inline(never)]
+    fn charge_armed(&mut self, tid: ThreadId, run: StreamRun) {
+        self.sim.access_now(tid, run);
+        self.fault_tick();
     }
 
     /// Reads a `u64` at byte offset `off`.

@@ -850,6 +850,16 @@ impl SgxMachine {
         agg
     }
 
+    /// Charges `reads` loads and `writes` stores on `tid` that hit the
+    /// line it touched last: [`mem_sim::Machine::charge_l1_hits`]. The
+    /// page is the one [`SgxMachine::access_stream`] confirmed resident
+    /// last, so no residency probe is due either.
+    #[inline]
+    pub fn charge_l1_hits(&mut self, tid: ThreadId, reads: u64, writes: u64) {
+        self.mem.charge_l1_hits(tid, reads, writes);
+        self.trace_tick(tid);
+    }
+
     /// Services one EPC fault for (`eid`, `page`): AEX exit, driver
     /// alloc/load-back with EWB evictions, ERESUME. Returns the cycles
     /// charged to `tid`.

@@ -53,6 +53,62 @@ impl Bfs {
     }
 }
 
+/// Seed of the input graph's random edges.
+const GRAPH_SEED: u64 = 0xbf5_0001;
+
+/// Serializes the input graph the workload will parse, like Rodinia's
+/// .graph text inputs (binary here): the node count and the directed
+/// entry count, then per node its edge offset and degree, then the edge
+/// lists. Rodinia graphs store per-node directed edge lists, so `e`
+/// counts directed records: a ring guarantees connectivity (2n entries),
+/// then random directed entries fill up to `e`.
+///
+/// Built as CSR: degrees are counted first, then each list is filled in
+/// push order, both ring neighbours before the node's random draws.
+fn graph_file(n: u64, e: u64) -> Vec<u8> {
+    let random_edges = e.saturating_sub(2 * n);
+    let draws = || {
+        let mut rng = SplitMix64::new(GRAPH_SEED);
+        (0..random_edges).map(move |_| {
+            let a = rng.below(n);
+            let b = rng.below(n);
+            (a as usize, b as u32)
+        })
+    };
+    // Degrees, then turned in place into each list's next free entry.
+    let mut next = vec![2u32; n as usize];
+    for (a, _) in draws() {
+        next[a] += 1;
+    }
+    let total = 2 * n + random_edges;
+    let hdr = 8 + 8 * n as usize;
+    let mut file = vec![0u8; hdr + 4 * total as usize];
+    file[0..4].copy_from_slice(&(n as u32).to_le_bytes());
+    file[4..8].copy_from_slice(&(total as u32).to_le_bytes());
+    let mut offset = 0u32;
+    for (i, slot) in next.iter_mut().enumerate() {
+        let deg = *slot;
+        file[8 + 8 * i..12 + 8 * i].copy_from_slice(&offset.to_le_bytes());
+        file[12 + 8 * i..16 + 8 * i].copy_from_slice(&deg.to_le_bytes());
+        *slot = offset;
+        offset += deg;
+    }
+    let mut push = |from: usize, to: u32| {
+        let at = hdr + 4 * next[from] as usize;
+        file[at..at + 4].copy_from_slice(&to.to_le_bytes());
+        next[from] += 1;
+    };
+    for i in 0..n {
+        let j = (i + 1) % n;
+        push(i as usize, j as u32);
+        push(j as usize, i as u32);
+    }
+    for (a, b) in draws() {
+        push(a, b);
+    }
+    file
+}
+
 impl Default for Bfs {
     fn default() -> Self {
         Bfs::new()
@@ -81,43 +137,8 @@ impl Workload for Bfs {
     }
 
     fn setup(&self, env: &mut Env, setting: InputSetting) -> Result<(), WorkloadError> {
-        // Serialize the graph to an input file the workload will parse,
-        // like Rodinia's .graph text inputs (binary here): per node the
-        // edge offset + degree, then the edge list.
         let (n, e) = self.graph_size(setting);
-        let mut rng = SplitMix64::new(0xbf5_0001);
-        let mut adjacency: Vec<Vec<u32>> = vec![Vec::new(); n as usize];
-        // Ring to guarantee connectivity (2n directed entries), then
-        // random directed entries up to the Table 2 edge-record count.
-        // Rodinia graphs store per-node directed edge lists, so `e`
-        // counts directed records.
-        for i in 0..n {
-            let next = (i + 1) % n;
-            adjacency[i as usize].push(next as u32);
-            adjacency[next as usize].push(i as u32);
-        }
-        let random_edges = e.saturating_sub(2 * n);
-        for _ in 0..random_edges {
-            let a = rng.below(n);
-            let b = rng.below(n);
-            adjacency[a as usize].push(b as u32);
-        }
-        let mut file = Vec::with_capacity((n * 8 + e * 2 * 4 + 8) as usize);
-        file.extend_from_slice(&(n as u32).to_le_bytes());
-        let total_dirs: u64 = adjacency.iter().map(|a| a.len() as u64).sum();
-        file.extend_from_slice(&(total_dirs as u32).to_le_bytes());
-        let mut offset = 0u32;
-        for adj in &adjacency {
-            file.extend_from_slice(&offset.to_le_bytes());
-            file.extend_from_slice(&(adj.len() as u32).to_le_bytes());
-            offset += adj.len() as u32;
-        }
-        for adj in &adjacency {
-            for &d in adj {
-                file.extend_from_slice(&d.to_le_bytes());
-            }
-        }
-        env.put_file("graph.bin", file);
+        env.put_file("graph.bin", graph_file(n, e));
         Ok(())
     }
 
@@ -209,6 +230,57 @@ impl Workload for Bfs {
 mod tests {
     use super::*;
     use sgxgauge_core::{Runner, RunnerConfig};
+
+    /// Reference builder for `graph_file`: one adjacency `Vec` per
+    /// node, pushed in order, then serialized.
+    fn adjacency_graph_file(n: u64, e: u64) -> Vec<u8> {
+        let mut rng = SplitMix64::new(GRAPH_SEED);
+        let mut adjacency: Vec<Vec<u32>> = vec![Vec::new(); n as usize];
+        for i in 0..n {
+            let next = (i + 1) % n;
+            adjacency[i as usize].push(next as u32);
+            adjacency[next as usize].push(i as u32);
+        }
+        let random_edges = e.saturating_sub(2 * n);
+        for _ in 0..random_edges {
+            let a = rng.below(n);
+            let b = rng.below(n);
+            adjacency[a as usize].push(b as u32);
+        }
+        let mut file = Vec::new();
+        file.extend_from_slice(&(n as u32).to_le_bytes());
+        let total_dirs: u64 = adjacency.iter().map(|a| a.len() as u64).sum();
+        file.extend_from_slice(&(total_dirs as u32).to_le_bytes());
+        let mut offset = 0u32;
+        for adj in &adjacency {
+            file.extend_from_slice(&offset.to_le_bytes());
+            file.extend_from_slice(&(adj.len() as u32).to_le_bytes());
+            offset += adj.len() as u32;
+        }
+        for adj in &adjacency {
+            for &d in adj {
+                file.extend_from_slice(&d.to_le_bytes());
+            }
+        }
+        file
+    }
+
+    #[test]
+    fn csr_graph_file_matches_the_adjacency_builder() {
+        let mut sizes = vec![(64, 100), (64, 128), (1000, 1), (1000, 13_000)];
+        for divisor in [64, 256] {
+            let wl = Bfs::scaled(divisor);
+            for setting in [InputSetting::Low, InputSetting::High] {
+                sizes.push(wl.graph_size(setting));
+            }
+        }
+        for (n, e) in sizes {
+            assert!(
+                graph_file(n, e) == adjacency_graph_file(n, e),
+                "graph of {n} nodes, {e} edges"
+            );
+        }
+    }
 
     #[test]
     fn visits_every_node() {

@@ -66,21 +66,36 @@ impl Blockchain {
     /// attempts)`. Pure function; used by both the workload and its
     /// tests.
     pub fn mine(prev_hash: &[u8; 32], payload: &[u8], difficulty: u32) -> (u64, [u8; 32], u64) {
+        // The header prefix is the same for every nonce: absorb it once
+        // and finish a copy per attempt.
+        let prefix = header_prefix(prev_hash, payload);
         let mut attempts = 0u64;
         let mut nonce = 0u64;
         loop {
             attempts += 1;
-            let mut h = Sha256::new();
-            h.update(prev_hash);
-            h.update(payload);
-            h.update(&nonce.to_le_bytes());
-            let digest = h.finalize();
+            let digest = header_hash(&prefix, nonce);
             if leading_zero_bits(&digest) >= difficulty {
                 return (nonce, digest, attempts);
             }
             nonce += 1;
         }
     }
+}
+
+/// The hash state after `prev_hash ‖ payload`, the part of a block
+/// header that every nonce shares.
+fn header_prefix(prev_hash: &[u8; 32], payload: &[u8]) -> Sha256 {
+    let mut h = Sha256::new();
+    h.update(prev_hash);
+    h.update(payload);
+    h
+}
+
+/// SHA-256 of `prev_hash ‖ payload ‖ nonce`, from the shared prefix.
+fn header_hash(prefix: &Sha256, nonce: u64) -> [u8; 32] {
+    let mut h = prefix.clone();
+    h.update(&nonce.to_le_bytes());
+    h.finalize()
 }
 
 impl Default for Blockchain {
@@ -149,6 +164,7 @@ impl Workload for Blockchain {
         let mut prev_hash = [0u8; 32];
         let mut checksum = 0u64;
         let mut total_attempts = 0u64;
+        let mut nonces = Vec::with_capacity(blocks as usize);
 
         for b in 0..blocks {
             // Assemble the payload (untrusted side).
@@ -205,6 +221,7 @@ impl Workload for Blockchain {
                 b * (payload_len as u64 + 64) + payload_len as u64,
                 &hash[..32],
             );
+            nonces.push(nonce);
             checksum = fold(checksum, nonce);
             checksum = fold(
                 checksum,
@@ -213,10 +230,12 @@ impl Workload for Blockchain {
             prev_hash = hash;
         }
 
-        // Verify the chain end-to-end (as libcatena does on load).
+        // Verify the chain end-to-end (as libcatena does on load): each
+        // stored hash must be the header hash under the mined nonce and
+        // clear the difficulty.
         let mut verify_prev = [0u8; 32];
         let mut rng2 = SplitMix64::new(0x5eed_0001);
-        for b in 0..blocks {
+        for (b, &nonce) in (0..blocks).zip(&nonces) {
             let mut payload = vec![0u8; payload_len];
             for byte in payload.iter_mut() {
                 *byte = rng2.next_u64() as u8;
@@ -227,8 +246,8 @@ impl Workload for Blockchain {
                 b * (payload_len as u64 + 64) + payload_len as u64,
                 &mut stored,
             );
-            let (_, expect, _) = Blockchain::mine(&verify_prev, &payload, difficulty);
-            if stored != expect {
+            let expect = header_hash(&header_prefix(&verify_prev, &payload), nonce);
+            if stored != expect || leading_zero_bits(&expect) < difficulty {
                 return Err(WorkloadError::Validation(format!(
                     "block {b} hash mismatch"
                 )));
@@ -274,6 +293,11 @@ mod tests {
         assert_eq!((n1, h1, a1), (n2, h2, a2));
         assert!(leading_zero_bits(&h1) >= 8);
         assert_eq!(a1, n1 + 1);
+        // The prefix-cloning hash is the one-shot hash of the header, and
+        // the nonce is the first that clears the difficulty.
+        let header = |n: u64| [&prev[..], b"payload", &n.to_le_bytes()].concat();
+        assert_eq!(h1, Sha256::digest(&header(n1)));
+        assert!((0..n1).all(|n| leading_zero_bits(&Sha256::digest(&header(n))) < 8));
     }
 
     #[test]

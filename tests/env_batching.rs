@@ -18,6 +18,7 @@ use proptest::prelude::*;
 use sgxgauge::core::env::{Placement, Region, SimThread};
 use sgxgauge::core::{Env, EnvConfig, ExecMode};
 use sgxgauge::trace::TraceSink;
+use std::cell::Cell;
 
 /// One operation of a program. `Secure`, `Thread` and `Phase` open a
 /// block that runs the following ops until the matching `End` (or the
@@ -60,6 +61,26 @@ enum Op {
     FileRoundTrip {
         off: u64,
         len: u64,
+    },
+    /// `read_u64` or `write_u64` at every `stride` bytes of `len`: a
+    /// scalar scan that may cross pages.
+    Scan {
+        off: u64,
+        len: u64,
+        stride: u64,
+        write: bool,
+    },
+    /// A read and a write of the same word, in either order.
+    Pair {
+        off: u64,
+        write_first: bool,
+    },
+    /// A `touch` of `len` bytes that starts `back` bytes into the last
+    /// line of the region's previous access and may continue past it.
+    Continue {
+        back: u64,
+        len: u64,
+        write: bool,
     },
     Compute {
         cycles: u64,
@@ -104,6 +125,21 @@ fn op() -> impl Strategy<Value = Op> {
             .prop_map(|(off, len, write)| Op::Touch { off, len, write }),
         any::<bool>().prop_map(|write| Op::Sweep { write }),
         (0..MAX_REGION, 0u64..(160 << 10)).prop_map(|(off, len)| Op::FileRoundTrip { off, len }),
+        // Up to three pages, so most scans cross a page boundary.
+        (0..MAX_REGION, 0u64..(3 << 12), 0usize..3, any::<bool>()).prop_map(
+            |(off, len, s, write)| Op::Scan {
+                off,
+                len,
+                stride: [8, 16, 64][s],
+                write
+            }
+        ),
+        (0..MAX_REGION, any::<bool>()).prop_map(|(off, write_first)| Op::Pair { off, write_first }),
+        (0u64..64, 1u64..(2 << 12), any::<bool>()).prop_map(|(back, len, write)| Op::Continue {
+            back,
+            len,
+            write
+        }),
         (1u64..40_000).prop_map(|cycles| Op::Compute { cycles }),
         (0u8..1).prop_map(|_| Op::Now),
         (1u64..(200 << 10), any::<bool>()).prop_map(|(bytes, write)| Op::Io { bytes, write }),
@@ -122,6 +158,8 @@ struct World {
     bytes: u64,
     app: SimThread,
     driver: SimThread,
+    /// Where the last access ended: its region and end offset.
+    last: Cell<Option<(Region, u64)>>,
 }
 
 /// Everything the programs observe along the way.
@@ -154,26 +192,33 @@ fn run(env: &mut Env, w: &World, ops: &[Op], pc: &mut usize, protected_ok: bool,
         } else {
             w.untrusted
         };
+        // The region and end of this op's last access, if it made one.
+        let mut end = None;
         match op {
             Op::WriteU64 { off, v } => {
                 let (off, _) = span(w.bytes, off, 8);
                 env.write_u64(r, off, v);
+                end = Some((r, off + 8));
             }
             Op::ReadU64 { off } => {
                 let (off, _) = span(w.bytes, off, 8);
                 log.reads.push(env.read_u64(r, off));
+                end = Some((r, off + 8));
             }
             Op::WriteU32 { off, v } => {
                 let (off, _) = span(w.bytes, off, 4);
                 env.write_u32(r, off, v);
+                end = Some((r, off + 4));
             }
             Op::ReadU32 { off } => {
                 let (off, _) = span(w.bytes, off, 4);
                 log.reads.push(u64::from(env.read_u32(r, off)));
+                end = Some((r, off + 4));
             }
             Op::WriteBytes { off, len, fill } => {
                 let (off, len) = span(w.bytes, off, len);
                 env.write_bytes(r, off, &vec![fill; len as usize]);
+                end = (len > 0).then_some((r, off + len));
             }
             Op::ReadBytes { off, len } => {
                 let (off, len) = span(w.bytes, off, len);
@@ -181,20 +226,66 @@ fn run(env: &mut Env, w: &World, ops: &[Op], pc: &mut usize, protected_ok: bool,
                 env.read_bytes(r, off, &mut buf);
                 log.reads
                     .push(buf.iter().map(|&b| u64::from(b)).sum::<u64>());
+                end = (len > 0).then_some((r, off + len));
             }
             Op::Touch { off, len, write } => {
                 let (off, len) = span(w.bytes, off, len);
                 env.touch(r, off, len, write);
+                end = (len > 0).then_some((r, off + len));
             }
             Op::Sweep { write } => {
                 let r = if protected_ok { w.protected } else { r };
                 env.touch(r, 0, w.bytes, write);
+                end = Some((r, w.bytes));
             }
             Op::FileRoundTrip { off, len } => {
                 let (off, len) = span(w.bytes, off, len);
                 env.write_file_from("f", r, off, len).expect("write file");
                 let back = env.read_file_into("f", r, 0).expect("read file");
                 log.reads.push(back);
+                end = (back > 0).then_some((r, back));
+            }
+            Op::Scan {
+                off,
+                len,
+                stride,
+                write,
+            } => {
+                let (off, len) = span(w.bytes, off, len.max(8));
+                let mut sum = 0u64;
+                for at in (off..off + len - 7).step_by(stride as usize) {
+                    if write {
+                        env.write_u64(r, at, at);
+                    } else {
+                        sum = sum.wrapping_add(env.read_u64(r, at));
+                    }
+                    end = Some((r, at + 8));
+                }
+                log.reads.push(sum);
+            }
+            Op::Pair { off, write_first } => {
+                let (off, _) = span(w.bytes, off, 8);
+                if write_first {
+                    env.write_u64(r, off, off);
+                    log.reads.push(env.read_u64(r, off));
+                } else {
+                    log.reads.push(env.read_u64(r, off));
+                    env.write_u64(r, off, !off);
+                }
+                end = Some((r, off + 8));
+            }
+            Op::Continue { back, len, write } => {
+                // Continue on the previous access's region where this
+                // thread may touch it.
+                if let Some((prev, prev_end)) = w.last.get() {
+                    if protected_ok || prev == w.untrusted {
+                        let line = (prev_end - 1) & !63;
+                        let start = line + back % (prev_end - line);
+                        let (off, len) = span(w.bytes, start, len);
+                        env.touch(prev, off, len, write);
+                        end = Some((prev, off + len));
+                    }
+                }
             }
             Op::Compute { cycles } => env.compute(cycles),
             Op::Now => log.clocks.push(env.now()),
@@ -225,6 +316,9 @@ fn run(env: &mut Env, w: &World, ops: &[Op], pc: &mut usize, protected_ok: bool,
                 .expect("phase");
             }
             Op::End => return,
+        }
+        if end.is_some() {
+            w.last.set(end);
         }
     }
 }
@@ -276,6 +370,7 @@ fn observe(setup: Setup, per_access: bool, ops: &[Op]) -> impl PartialEq + std::
         bytes,
         app,
         driver,
+        last: Cell::new(None),
     };
     let mut log = Log::default();
     let mut pc = 0;

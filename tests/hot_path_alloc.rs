@@ -6,7 +6,8 @@
 //! sequential, random and transition-interleaved streams, untraced and
 //! traced (on the SGX machine, with a `TraceSink` whose ring has already
 //! overflowed), and `Env`'s scalar `read_u64` / `write_u64`, whose
-//! accesses queue and are charged in batches. After one
+//! accesses queue and are charged in batches (with a stride-8 scan as
+//! well, whose accesses fold into the queue's tail). After one
 //! warm-up pass (page tables, EPC residency and the reusable stream
 //! buffer reach their high-water marks) a second pass over an
 //! EPC-resident stream must make zero allocator calls. On a stream
@@ -114,6 +115,9 @@ enum Pattern {
     Seq,
     /// 8-byte accesses at random aligned offsets.
     Rand,
+    /// One 8-byte access per word, in address order: a stride-8 scan,
+    /// whose same-line and next-line accesses `Env` folds.
+    Scan,
 }
 
 /// `(offset, kind)` pairs inside a `bytes`-sized region, one write in
@@ -124,6 +128,7 @@ fn stream(pattern: Pattern, bytes: u64) -> Vec<(u64, AccessKind)> {
         .map(|i| {
             let off = match pattern {
                 Pattern::Seq => (i * 64) % bytes,
+                Pattern::Scan => (i * 8) % bytes,
                 Pattern::Rand => {
                     state = state
                         .wrapping_mul(6_364_136_223_846_793_005)
@@ -294,13 +299,14 @@ fn sgx_access_paths_allocate_per_fault_not_per_access_over_the_epc() {
     }
 }
 
-/// `Env` queues scalar accesses and charges them in batches; once warm,
-/// a stream of `read_u64`/`write_u64` calls on an EPC-resident region
+/// `Env` queues scalar accesses and charges them in batches, folding
+/// same-line and next-line ones into the queue's tail; once warm, a
+/// stream of `read_u64`/`write_u64` calls on an EPC-resident region
 /// inside an ECALL makes no allocator call: the run queue is reused,
 /// never regrown.
 #[test]
 fn env_scalar_stream_does_not_allocate_once_warm() {
-    for pattern in [Pattern::Seq, Pattern::Rand] {
+    for pattern in [Pattern::Seq, Pattern::Rand, Pattern::Scan] {
         let mut cfg = EnvConfig::quick_test(ExecMode::Native);
         cfg.protected_hint = RESIDENT_BYTES;
         let mut env = Env::new(cfg).expect("env");
