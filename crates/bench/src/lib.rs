@@ -1,7 +1,9 @@
-//! Shared plumbing for the figure/table reproduction benches.
+//! Shared plumbing for the figure/table reproduction and the gated
+//! benches.
 //!
-//! Every bench target in `benches/` regenerates one table or figure of
-//! the SGXGauge paper: it runs the relevant workloads through the
+//! The [`paper`] module holds every table, figure and ablation of the
+//! SGXGauge paper as one function; the `paper` bench target regenerates
+//! them. Each runs the relevant workloads through the
 //! [`sgxgauge_core::Runner`], prints the paper-style rows, and writes a
 //! CSV under `target/gauge-results/`. Absolute cycle counts are from the
 //! simulator, not the authors' Xeon — the claims under reproduction are
@@ -10,7 +12,7 @@
 //!
 //! Scale: set `SGXGAUGE_SCALE=<divisor>` to shrink every input by that
 //! factor for a smoke run. The default (`1`) is paper scale. The
-//! quick-test EPC is only used by unit tests, never here: benches always
+//! quick-test EPC is only used by unit tests, never here: figures always
 //! run against the 92 MB EPC platform of Table 3.
 //!
 //! The gated benches (`hotpath`, `resilience`, `cotenancy`) write
@@ -21,11 +23,10 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+pub mod paper;
+
 use sgxgauge_core::report::ReportTable;
-use sgxgauge_core::sweep::SweepReport;
-use sgxgauge_core::{
-    EnvConfig, ExecMode, InputSetting, RunReport, Runner, RunnerConfig, SuiteRunner, Workload,
-};
+use sgxgauge_core::{EnvConfig, ExecMode, Runner, RunnerConfig};
 use std::fmt::Display;
 use std::hint::black_box;
 use std::path::PathBuf;
@@ -40,20 +41,6 @@ pub fn scale() -> u64 {
         .unwrap_or(1)
 }
 
-/// The ten workloads scaled by [`scale`]; `X::scaled(1)` is `X::new()`,
-/// so at the default scale this is the paper-scale suite.
-pub fn paper_suite() -> Vec<Box<dyn Workload>> {
-    sgxgauge_workloads::suite_scaled(scale())
-}
-
-/// The [`paper_suite`] workloads that have a Native-mode port (§4.3).
-pub fn native_paper_suite() -> Vec<Box<dyn Workload>> {
-    paper_suite()
-        .into_iter()
-        .filter(|w| w.supports(ExecMode::Native))
-        .collect()
-}
-
 /// Directory the CSV artifacts land in: `<target>/gauge-results` of the
 /// workspace (bench binaries run with their package as CWD, so the
 /// workspace root is resolved relative to this crate's manifest).
@@ -66,24 +53,23 @@ pub fn results_dir() -> PathBuf {
         .join("gauge-results")
 }
 
-/// A paper-faithful runner (92 MB EPC, 4 GB LibOS enclaves, 1 rep —
-/// the simulator is deterministic, so repetitions only matter when a
-/// bench wants run-to-run structure).
+/// A one-repetition runner on `env`: the simulator is deterministic, so
+/// repetitions only matter when a bench wants run-to-run structure.
+pub(crate) fn runner(env: EnvConfig) -> Runner {
+    Runner::new(RunnerConfig {
+        env,
+        repetitions: 1,
+    })
+}
+
+/// The paper-faithful environment template for `mode` (92 MB EPC, 4 GB
+/// LibOS enclaves).
 ///
 /// Under `SGXGAUGE_SCALE=d` (smoke runs) the *platform* shrinks by the
 /// same divisor as the workloads — EPC and LibOS enclave size — so the
 /// Low/Medium/High settings keep their position relative to the EPC
 /// boundary and every figure keeps its shape.
-pub fn paper_runner() -> Runner {
-    Runner::new(RunnerConfig {
-        env: paper_env(ExecMode::Vanilla),
-        repetitions: 1,
-    })
-}
-
-/// The environment template behind [`paper_runner`], for benches that
-/// need mode-specific variants (switchless, protected files).
-pub fn paper_env(mode: ExecMode) -> EnvConfig {
+pub(crate) fn paper_env(mode: ExecMode) -> EnvConfig {
     let d = scale();
     let mut env = EnvConfig::paper(mode, 0);
     if d > 1 {
@@ -98,55 +84,6 @@ pub fn paper_env(mode: ExecMode) -> EnvConfig {
         );
     }
     env
-}
-
-/// Fans `workloads` × `modes` × `settings` across OS threads (one
-/// worker per core, on the [`paper_runner`] platform) and returns the
-/// grid-ordered sweep. Figure harnesses use this instead of nested
-/// `run_once` loops: the results are identical (each cell still owns a
-/// private simulator), only the wall clock shrinks.
-pub fn run_grid(
-    workloads: &[Box<dyn Workload>],
-    modes: &[ExecMode],
-    settings: &[InputSetting],
-) -> SweepReport {
-    let refs: Vec<&dyn Workload> = workloads.iter().map(|w| w.as_ref()).collect();
-    SuiteRunner::new(RunnerConfig {
-        env: paper_env(ExecMode::Vanilla),
-        repetitions: 1,
-    })
-    .modes(modes)
-    .settings(settings)
-    .run(&refs)
-}
-
-/// The report of grid cell (`workload` index, `mode`, `setting`), first
-/// repetition.
-///
-/// # Panics
-///
-/// Panics with the cell's error when the run failed or the cell is not in
-/// the sweep — figure harnesses treat missing data as fatal.
-pub fn expect_report(
-    sweep: &SweepReport,
-    workload: usize,
-    mode: ExecMode,
-    setting: InputSetting,
-) -> &RunReport {
-    let cell = sweep
-        .cells
-        .iter()
-        .find(|c| {
-            c.cell.workload == workload
-                && c.cell.mode == mode
-                && c.cell.setting == setting
-                && c.cell.rep == 0
-        })
-        .unwrap_or_else(|| panic!("cell ({workload}, {mode}, {setting}) not in sweep"));
-    match &cell.result {
-        Ok(r) => r,
-        Err(e) => panic!("{} in {mode} at {setting}: {e}", cell.workload),
-    }
 }
 
 /// Prints the bench banner.
