@@ -17,8 +17,7 @@
 //!
 //! The gated benches (`hotpath`, `resilience`, `cotenancy`) write
 //! their trajectory point and read back the committed one through
-//! [`sgxgauge_bench`]; the host-time micro benches time closures with
-//! [`time_per_iter`].
+//! [`sgxgauge_bench`].
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -28,9 +27,8 @@ pub mod paper;
 use sgxgauge_core::report::ReportTable;
 use sgxgauge_core::{EnvConfig, ExecMode, Runner, RunnerConfig};
 use std::fmt::Display;
-use std::hint::black_box;
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The input-scale divisor, from `SGXGAUGE_SCALE` (default 1).
 pub fn scale() -> u64 {
@@ -227,42 +225,6 @@ pub fn sgxgauge_bench(bench: &str, fields: &[(&str, &dyn Display)]) -> Option<Ba
     }
     let path = std::env::var("SGXGAUGE_PERF_BASELINE").ok()?;
     Some(Baseline::load(bench, &path))
-}
-
-/// Warm-up window of [`time_per_iter`].
-pub const WARM_UP: Duration = Duration::from_millis(500);
-
-/// Measurement window of [`time_per_iter`].
-pub const MEASURE: Duration = Duration::from_secs(2);
-
-/// Calls `f` in doubling batches (until a batch takes a hundredth of
-/// the window) until `window` has passed; returns the elapsed time and
-/// the number of calls.
-fn run_for<R>(window: Duration, f: &mut impl FnMut() -> R) -> (Duration, u64) {
-    let start = Instant::now();
-    let (mut calls, mut batch) = (0u64, 1u64);
-    loop {
-        for _ in 0..batch {
-            black_box(f());
-        }
-        calls += batch;
-        let elapsed = start.elapsed();
-        if elapsed >= window {
-            return (elapsed, calls);
-        }
-        if elapsed < window / 100 {
-            batch *= 2;
-        }
-    }
-}
-
-/// Runs `f` for [`WARM_UP`], then for [`MEASURE`], and prints one line
-/// named `name` with the mean host nanoseconds per call.
-pub fn time_per_iter<R>(name: &str, mut f: impl FnMut() -> R) {
-    run_for(WARM_UP, &mut f);
-    let (elapsed, calls) = run_for(MEASURE, &mut f);
-    let per_call = elapsed.as_nanos() as f64 / calls as f64;
-    println!("{name:<32} {per_call:>12.1} ns/iter ({calls} iters)");
 }
 
 /// The fastest of `reps` host-timed calls of `f`, in nanoseconds, with

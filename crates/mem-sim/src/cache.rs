@@ -92,13 +92,14 @@ impl Llc {
     /// returns `true` on hit.
     #[inline]
     pub fn access(&mut self, line: u64) -> bool {
-        let set = self.lines.set_of(line);
-        self.lines.probe(set, line)
+        let (tag, set) = self.lines.split(line);
+        self.lines.probe(set, tag)
     }
 
     /// Reports residency without touching replacement state.
     pub fn contains(&self, line: u64) -> bool {
-        self.lines.contains(self.lines.set_of(line), line)
+        let (tag, set) = self.lines.split(line);
+        self.lines.contains(set, tag)
     }
 
     /// Number of sets (exposed for tests and sizing diagnostics).

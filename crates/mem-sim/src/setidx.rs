@@ -21,9 +21,11 @@
 //! less. Hence `r̂ = n - q̂*d` is the true remainder or the remainder
 //! plus `d`, fixed by a single conditional subtraction. The property
 //! test below checks the full agreement with `%` over adversarial and
-//! random inputs.
+//! random inputs. The same correction yields the quotient, `q̂` or
+//! `q̂ + 1`, which the set-relative tags of `recency` store.
 
-/// Precomputed strategy for `n % sets` with a construction-time divisor.
+/// Precomputed strategy for `n / sets` and `n % sets` with a
+/// construction-time divisor.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SetIndex {
     /// The divisor (number of sets).
@@ -31,6 +33,8 @@ pub(crate) struct SetIndex {
     /// `sets - 1` when `sets` is a power of two, else `u64::MAX` as a
     /// "use the reciprocal" sentinel (set counts never get that large).
     mask: u64,
+    /// `log2(sets)` under the mask path; unused under the reciprocal.
+    shift: u32,
     /// `floor(2^64 / sets)` for the reciprocal path; unused under mask.
     magic: u64,
 }
@@ -44,27 +48,32 @@ impl SetIndex {
             SetIndex {
                 sets: d,
                 mask: d - 1,
+                shift: d.trailing_zeros(),
                 magic: 0,
             }
         } else {
             SetIndex {
                 sets: d,
                 mask: u64::MAX,
+                shift: 0,
                 magic: ((1u128 << 64) / d as u128) as u64,
             }
         }
     }
 
-    /// Exactly `n % sets`, division-free.
+    /// Exactly `(n / sets, n % sets)`, division-free.
     #[inline]
-    pub(crate) fn index(&self, n: u64) -> usize {
+    pub(crate) fn split(&self, n: u64) -> (u64, usize) {
         if self.mask != u64::MAX {
-            (n & self.mask) as usize
+            (n >> self.shift, (n & self.mask) as usize)
         } else {
             let q = ((n as u128 * self.magic as u128) >> 64) as u64;
             let r = n - q * self.sets;
-            let r = if r >= self.sets { r - self.sets } else { r };
-            r as usize
+            if r >= self.sets {
+                (q + 1, (r - self.sets) as usize)
+            } else {
+                (q, r as usize)
+            }
         }
     }
 
@@ -87,11 +96,8 @@ mod tests {
 
     fn check(sets: usize, n: u64) {
         let idx = SetIndex::new(sets);
-        assert_eq!(
-            idx.index(n),
-            (n % sets as u64) as usize,
-            "sets={sets} n={n}"
-        );
+        let d = sets as u64;
+        assert_eq!(idx.split(n), (n / d, (n % d) as usize), "sets={sets} n={n}");
     }
 
     #[test]

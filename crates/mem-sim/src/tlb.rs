@@ -26,7 +26,7 @@ pub enum TlbOutcome {
 /// transition and ECALL-heavy workloads perform millions of them: a
 /// flush bumps the level's `era`, and a set whose stored era is behind
 /// is empty. Its next probe resets it and installs the page without a
-/// scan. Page numbers never reach the invalid tag `u64::MAX`.
+/// scan.
 #[derive(Debug, Clone)]
 struct TlbLevel {
     pages: LruSets,
@@ -51,13 +51,13 @@ impl TlbLevel {
     /// hit; on a miss installs it over the set's LRU way.
     #[inline]
     fn probe_install(&mut self, page: u64) -> bool {
-        let set = self.pages.set_of(page);
+        let (tag, set) = self.pages.split(page);
         if self.eras[set] != self.era {
             self.eras[set] = self.era;
-            self.pages.reset_install(set, page);
+            self.pages.reset_install(set, tag);
             return false;
         }
-        self.pages.probe(set, page)
+        self.pages.probe(set, tag)
     }
 
     fn flush(&mut self) {
@@ -65,8 +65,8 @@ impl TlbLevel {
     }
 
     fn resident(&self, page: u64) -> bool {
-        let set = self.pages.set_of(page);
-        self.eras[set] == self.era && self.pages.contains(set, page)
+        let (tag, set) = self.pages.split(page);
+        self.eras[set] == self.era && self.pages.contains(set, tag)
     }
 }
 
@@ -228,8 +228,9 @@ mod tests {
         // behind the mask. Pages 0 and 3 collide in set 0; page 1 does
         // not.
         let mut t = Tlb::new(6, 2, 12, 2);
-        assert_eq!(t.l1.pages.set_of(0), t.l1.pages.set_of(3));
-        assert_ne!(t.l1.pages.set_of(0), t.l1.pages.set_of(1));
+        let set_of = |page| t.l1.pages.split(page).1;
+        assert_eq!(set_of(0), set_of(3));
+        assert_ne!(set_of(0), set_of(1));
         for p in [0u64, 3, 6, 9] {
             t.translate(p);
         }

@@ -4,7 +4,8 @@
 //! used and forgets every set on a flush. `Llc`, `Tlb` and the machine's
 //! last-page memo must agree with it on every probe outcome and every
 //! residency query, over skewed streams with flushes at random points,
-//! for power-of-two and odd set counts and 1 to 16 ways.
+//! for power-of-two and odd set counts and 1 to 16 ways, and over keys
+//! whose set-relative quotient is too wide for a 32-bit tag.
 
 use mem_sim::tlb::TlbOutcome;
 use mem_sim::{AccessAttrs, AccessKind, Llc, Machine, MachineConfig, Tlb, LINE_SIZE, PAGE_SIZE};
@@ -89,6 +90,23 @@ fn arb_ops() -> impl Strategy<Value = Vec<(u64, u64)>> {
     prop::collection::vec((0u64..40, any::<u64>()), 1..600)
 }
 
+/// A skewed key, or one of its aliases `k + m * sets * 2^32`: the same
+/// set and the same low 32 bits of the quotient `k / sets`, so a tag
+/// narrowed by truncation would confuse them. `m` reaches the largest
+/// multiple that fits, so quotients near `u64::MAX / sets` appear too,
+/// and quotients `k / sets + 2^32 - 2` land on the two reserved lane
+/// values and just above them.
+fn alias(draw: u64, range: u64, sets: usize) -> u64 {
+    let k = skew(draw, range);
+    let stride = sets as u64 * (1 << 32);
+    match (draw >> 56) % 5 {
+        0 | 1 => k,
+        2 => k + ((draw >> 52) % 4) * stride,
+        3 => k + (u64::MAX - k) / stride * stride,
+        _ => k + stride - 2 * sets as u64,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -131,6 +149,32 @@ proptest! {
             let want = oracle_translate(&mut l1, &mut stlb, page);
             prop_assert_eq!((page, tlb.translate(page)), (page, want));
             let probe = skew(draw.rotate_left(17), range);
+            let resident = l1.contains(probe) || stlb.contains(probe);
+            prop_assert_eq!((probe, tlb.contains(probe)), (probe, resident));
+        }
+    }
+
+    /// Keys whose quotient does not fit a `u32` lane stay exact.
+    #[test]
+    fn wide_keys_match_naive_lru(sets in arb_sets(), ways in 1usize..17, ops in arb_ops()) {
+        let mut llc = Llc::new(sets * ways * LINE_SIZE as usize, ways);
+        let mut tlb = Tlb::new(sets * ways, ways, sets * ways, ways);
+        let mut line_oracle = Oracle::new(sets, ways);
+        let (mut l1, mut stlb) = (Oracle::new(sets, ways), Oracle::new(sets, ways));
+        let range = (sets * ways * 3) as u64;
+        for &(op, draw) in &ops {
+            if op == 0 {
+                tlb.flush();
+                l1.flush();
+                stlb.flush();
+                continue;
+            }
+            let key = alias(draw, range, sets);
+            prop_assert_eq!((key, llc.access(key)), (key, line_oracle.probe(key)));
+            let want = oracle_translate(&mut l1, &mut stlb, key);
+            prop_assert_eq!((key, tlb.translate(key)), (key, want));
+            let probe = alias(draw.rotate_left(17), range, sets);
+            prop_assert_eq!((probe, llc.contains(probe)), (probe, line_oracle.contains(probe)));
             let resident = l1.contains(probe) || stlb.contains(probe);
             prop_assert_eq!((probe, tlb.contains(probe)), (probe, resident));
         }
