@@ -606,29 +606,12 @@ impl Env {
 
     // ----- trace phases ----------------------------------------------
 
-    /// Opens a named workload phase span in the trace stream (e.g.
-    /// `"build"`, `"query"`). Spans nest; close them innermost-first
-    /// with [`Env::phase_end`]. A no-op when no trace sink is installed,
-    /// so instrumented workloads cost nothing in untraced runs.
-    pub fn phase(&mut self, name: &str) {
-        let tid = self.threads[self.cur].id;
-        self.sim.machine().trace_phase_begin(tid, name);
-    }
-
-    /// Closes the innermost open phase span, which must be `name`.
-    ///
-    /// # Errors
-    ///
-    /// [`WorkloadError::Trace`] when `name` is not the innermost open
-    /// span (misnested or never opened). Always `Ok` when tracing is
-    /// disabled.
-    pub fn phase_end(&mut self, name: &str) -> Result<(), WorkloadError> {
-        let tid = self.threads[self.cur].id;
-        self.sim.machine().trace_phase_end(tid, name)?;
-        Ok(())
-    }
-
-    /// Runs `f` inside a phase span, closing it on success or failure.
+    /// Runs `f` inside a named workload phase span of the trace stream
+    /// (e.g. `"build"`, `"query"`), closing the span on success or
+    /// failure. Spans nest by nesting calls, so every span a workload
+    /// opens is closed, innermost first. A no-op wrapper when no trace
+    /// sink is installed, so instrumented workloads cost nothing in
+    /// untraced runs.
     ///
     /// # Errors
     ///
@@ -638,9 +621,10 @@ impl Env {
         name: &str,
         f: impl FnOnce(&mut Env) -> Result<T, WorkloadError>,
     ) -> Result<T, WorkloadError> {
-        self.phase(name);
+        let tid = self.threads[self.cur].id;
+        self.sim.machine().trace_phase_begin(tid, name);
         let out = f(self);
-        let closed = self.phase_end(name);
+        let closed = self.sim.machine().trace_phase_end(tid, name);
         let out = out?;
         closed?;
         Ok(out)

@@ -272,43 +272,44 @@ impl Runner {
                     tc.capacity,
                     tc.sample_interval_cycles,
                 ));
-            // The whole measured region runs inside an implicit span so
-            // even un-instrumented workloads get one attribution row.
-            env.phase("run");
         }
         if let Some(budget) = self.cell_budget {
             env.arm_cycle_budget(budget);
         }
-        let output = match self.cell_budget {
+        let execute = |env: &mut Env| match self.cell_budget {
             // With a watchdog armed, catch its typed unwind and surface
             // it as an error; any other panic keeps propagating.
             Some(_) => {
                 match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    workload.execute(&mut env, setting)
+                    workload.execute(env, setting)
                 })) {
-                    Ok(res) => res?,
+                    Ok(res) => res,
                     Err(payload) => match payload.downcast::<CycleBudgetExceeded>() {
-                        Ok(exceeded) => {
-                            return Err(WorkloadError::Timeout {
-                                budget_cycles: exceeded.budget_cycles,
-                                elapsed_cycles: exceeded.elapsed_cycles,
-                            })
-                        }
+                        Ok(exceeded) => Err(WorkloadError::Timeout {
+                            budget_cycles: exceeded.budget_cycles,
+                            elapsed_cycles: exceeded.elapsed_cycles,
+                        }),
                         Err(other) => std::panic::resume_unwind(other),
                     },
                 }
             }
-            None => workload.execute(&mut env, setting)?,
+            None => workload.execute(env, setting),
+        };
+        // Traced, the whole measured region runs inside an implicit span
+        // so even un-instrumented workloads get one attribution row.
+        let output = if self.trace.is_some() {
+            env.with_phase("run", execute)?
+        } else {
+            execute(&mut env)?
         };
         let (timeline, phases, trace_sink) = if self.trace.is_some() {
-            env.phase_end("run")?;
             let sink = env
                 .machine_mut()
                 .mem_mut()
                 .take_trace_sink()
                 .expect("sink installed before execute");
-            // Spans the workload opened but never closed are misuse,
-            // reported as a typed error rather than a bad timeline.
+            // `with_phase` closes every span `Env` opens; a span opened
+            // on the machine itself and left open is a typed error.
             sink.finish()?;
             (sink.timeline(), sink.phase_attribution(), Some(sink))
         } else {

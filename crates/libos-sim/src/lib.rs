@@ -35,6 +35,10 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::cast_possible_truncation, clippy::cast_precision_loss)
+)]
 
 pub mod manifest;
 pub mod process;

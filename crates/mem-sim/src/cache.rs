@@ -35,6 +35,10 @@ impl L1Cache {
         }
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "hot path: the line is masked to the tag array, whose length is a usize"
+    )]
     #[inline]
     fn slot(&self, line: u64) -> usize {
         (line as usize) & (self.tags.len() - 1)

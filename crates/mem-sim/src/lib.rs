@@ -34,6 +34,10 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::cast_possible_truncation, clippy::cast_precision_loss)
+)]
 #![deny(
     clippy::panic,
     clippy::unreachable,

@@ -8,8 +8,11 @@ use crate::paging::{PageStatus, PageTable, WalkCache};
 use crate::recency::MAX_WAYS;
 use crate::tlb::{Tlb, TlbOutcome};
 use crate::{LINE_SHIFT, PAGE_SHIFT};
+use ledger::Ledger;
 use std::error::Error;
 use std::fmt;
+
+mod ledger;
 
 /// Identifier of a simulated hardware thread, handed out by
 /// [`Machine::add_thread`].
@@ -210,7 +213,7 @@ pub struct Machine {
     threads: Vec<ThreadCtx>,
     llc: Llc,
     page_table: PageTable,
-    counters: Counters,
+    counters: Ledger,
     /// The trace plane, when armed. Boxed so the disabled case is one
     /// null-pointer check; the per-line access loop never touches it.
     sink: Option<Box<trace::TraceSink>>,
@@ -257,7 +260,7 @@ impl Machine {
             threads: Vec::new(),
             llc,
             page_table: PageTable::new(),
-            counters: Counters::new(),
+            counters: Ledger::default(),
             sink: None,
             sample_cache: u64::MAX,
         })
@@ -337,7 +340,7 @@ impl Machine {
         let mut out = AccessOutcome::default();
         let lat = self.cfg.latency;
         #[cfg(feature = "audit")]
-        let c0 = self.counters;
+        let c0 = *self.counters.get();
         let Machine {
             threads,
             llc,
@@ -347,7 +350,7 @@ impl Machine {
         } = self;
         let t = &mut threads[tid.0];
         // Batch-local accumulators: counters stay in registers across the
-        // whole slice and are flushed to `self.counters` exactly once.
+        // whole slice and are flushed to the ledger exactly once.
         let mut stlb_hits = 0u64;
         let mut dtlb_misses = 0u64;
         let mut page_faults = 0u64;
@@ -436,16 +439,19 @@ impl Machine {
         t.last_page = last_page;
         t.cycles += cycles;
         out.cycles = cycles;
-        counters.stlb_hits += stlb_hits;
-        counters.dtlb_misses += dtlb_misses;
-        counters.page_faults += page_faults;
-        counters.walk_cycles += walk_cycles;
-        counters.mem_reads += mem_reads;
-        counters.mem_writes += mem_writes;
-        counters.llc_accesses += llc_accesses;
-        counters.llc_misses += llc_misses;
-        counters.mee_cycles += mee_cycles;
-        counters.stall_cycles += stall_cycles;
+        counters.record_batch(&Counters {
+            stlb_hits,
+            dtlb_misses,
+            page_faults,
+            walk_cycles,
+            mem_reads,
+            mem_writes,
+            llc_accesses,
+            llc_misses,
+            mee_cycles,
+            stall_cycles,
+            ..Counters::new()
+        });
         // Every cycle this batch charged must be accounted to exactly one
         // counter bucket: STLB-hit penalties, OS fault handling, page
         // walks, hierarchy stalls, or the L1 baseline per line. A drift
@@ -453,7 +459,7 @@ impl Machine {
         // longer sums to the cycles the workloads observe.
         #[cfg(feature = "audit")]
         {
-            let d = *counters - c0;
+            let d = *counters.get() - c0;
             assert_eq!(
                 out.cycles,
                 STLB_HIT_CYCLES * d.stlb_hits
@@ -483,14 +489,13 @@ impl Machine {
     #[inline]
     pub fn charge_l1_hits(&mut self, tid: ThreadId, reads: u64, writes: u64) {
         self.threads[tid.0].cycles += self.cfg.latency.l1_hit * (reads + writes);
-        self.counters.mem_reads += reads;
-        self.counters.mem_writes += writes;
+        self.counters.record_l1_hits(reads, writes);
     }
 
     /// Charges `cycles` of pure computation to thread `tid`.
     pub fn compute(&mut self, tid: ThreadId, cycles: u64) {
         self.threads[tid.0].cycles += cycles;
-        self.counters.compute_cycles += cycles;
+        self.counters.charge_compute(cycles);
     }
 
     /// Charges `cycles` of overhead (transition, fault handling, syscall)
@@ -506,7 +511,7 @@ impl Machine {
         t.tlb.flush();
         t.last_page = None;
         t.walk_cache.flush();
-        self.counters.tlb_flushes += 1;
+        self.counters.record_tlb_flush();
     }
 
     /// Current cycle clock of thread `tid`.
@@ -531,13 +536,13 @@ impl Machine {
 
     /// Read-only view of the counter totals.
     pub fn counters(&self) -> &Counters {
-        &self.counters
+        self.counters.get()
     }
 
     /// Resets counters and clocks but keeps cache/TLB/page-table state.
     /// Used to exclude warm-up or LibOS start-up from measurements.
     pub fn reset_measurement(&mut self) {
-        self.counters = Counters::new();
+        self.counters.reset();
         for t in &mut self.threads {
             t.cycles = 0;
         }
@@ -588,6 +593,10 @@ impl Machine {
 
     /// Emits `event` stamped with thread `tid`'s current clock. No-op
     /// (one pointer check) when tracing is disabled.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "thread ids are dense and few; the trace schema stores them as u32"
+    )]
     #[inline]
     pub fn trace_emit(&mut self, tid: ThreadId, event: trace::TraceEvent) {
         if let Some(sink) = self.sink.as_deref_mut() {

@@ -79,6 +79,10 @@ impl<C> Dense<C> {
 
     /// The chunk holding `page`, growing the run of `space` to cover it
     /// and allocating the chunk with `empty` if needed.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "chunk offsets index a Vec of chunks that fits in memory"
+    )]
     fn chunk_or_new(&mut self, space: usize, page: u64, empty: fn() -> Box<C>) -> &mut C {
         if space >= self.runs.len() {
             self.runs.resize_with(space + 1, || None);
@@ -152,6 +156,7 @@ impl Slot for u8 {
 
 /// A `(space, page) -> V` map: one dense run of 512-slot chunks per
 /// space.
+#[expect(clippy::cast_possible_truncation, reason = "CHUNK_PAGES is 512")]
 #[derive(Debug, Clone, Default)]
 pub struct PageMap<V>(Dense<[V; CHUNK_PAGES as usize]>);
 
@@ -171,6 +176,7 @@ impl<V: Slot> PageMap<V> {
 
     /// Inserts or overwrites `(space, page) -> value`. `value` must not
     /// be [`Slot::EMPTY`], which would read back as absent.
+    #[expect(clippy::cast_possible_truncation, reason = "CHUNK_PAGES is 512")]
     pub fn insert(&mut self, space: usize, page: u64, value: V) {
         debug_assert!(value != V::EMPTY, "the empty pattern is reserved");
         let chunk = self

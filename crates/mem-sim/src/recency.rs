@@ -24,11 +24,16 @@ pub(crate) const MAX_WAYS: usize = 16;
 const ONES: u64 = 0x1111_1111_1111_1111;
 
 /// The word of a set with way `w` at rank `w`.
+#[expect(clippy::cast_possible_truncation, reason = "ways is at most MAX_WAYS")]
 fn fresh(ways: usize) -> u64 {
     0xFEDC_BA98_7654_3210 | u64::MAX.checked_shl(4 * ways as u32).unwrap_or(0)
 }
 
 /// The least recently used way of a set with `ways` ways.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "hot path: masked to a 4-bit way index"
+)]
 #[inline]
 fn lru(word: u64, ways: usize) -> usize {
     (word >> (4 * (ways - 1))) as usize & 0xF

@@ -41,6 +41,10 @@ pub(crate) struct SetIndex {
 
 impl SetIndex {
     /// Builds the index function for `sets >= 1` sets.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "2^64 / sets for sets >= 3 (not a power of two) fits u64"
+    )]
     pub(crate) fn new(sets: usize) -> Self {
         let d = sets as u64;
         assert!(d >= 1, "at least one set required");
@@ -62,6 +66,10 @@ impl SetIndex {
     }
 
     /// Exactly `(n / sets, n % sets)`, division-free.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "hot path: the set index is below `sets`, which came from a usize"
+    )]
     #[inline]
     pub(crate) fn split(&self, n: u64) -> (u64, usize) {
         if self.mask != u64::MAX {
@@ -78,6 +86,7 @@ impl SetIndex {
     }
 
     /// The divisor this index reduces by.
+    #[expect(clippy::cast_possible_truncation, reason = "`sets` came from a usize")]
     #[inline]
     pub(crate) fn sets(&self) -> usize {
         self.sets as usize

@@ -1,9 +1,8 @@
 //! Canonical cycle-cost constants of the SGX model.
 //!
 //! Every cycle cost the paper cites lives **here and only here**; the
-//! `gauge-audit` static linter (rule `cost-literals`, see `crates/audit`)
-//! fails the build when one of these values appears as an integer literal
-//! anywhere else in the workspace. Duplicated cost constants are how
+//! root test `tests/cost_literals.rs` fails when one of these values
+//! appears as an integer literal anywhere else in the workspace. Duplicated cost constants are how
 //! enclave benchmark suites silently drift (Stress-SGX, Vaucher et al.):
 //! a harness hard-codes "12 000 cycles per EWB", the simulator is later
 //! recalibrated, and every figure derived from the stale copy is wrong

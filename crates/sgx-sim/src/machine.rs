@@ -12,12 +12,15 @@ use crate::enclave::{Enclave, EnclaveId, EnclaveState};
 use crate::epc::{Epc, EpcFaultKind, PageKey};
 use crate::epcm::{Epcm, PagePerms};
 use crate::switchless::SwitchlessPool;
+use ledger::SgxLedger;
 use mem_sim::{
     AccessAttrs, AccessKind, AccessOutcome, Machine, MachineConfig, StreamRun, ThreadId,
     PAGE_SHIFT, PAGE_SIZE,
 };
 use std::error::Error;
 use std::fmt;
+
+mod ledger;
 
 /// Errors reported by [`SgxMachine`] operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -294,7 +297,7 @@ pub struct SgxMachine {
     enclaves: Vec<Enclave>,
     active_tcs: Vec<usize>,
     in_enclave: Vec<Option<EnclaveId>>,
-    counters: SgxCounters,
+    counters: SgxLedger,
     driver: DriverStats,
     switchless: Option<SwitchlessPool>,
     untrusted_next: u64,
@@ -334,7 +337,7 @@ impl SgxMachine {
             enclaves: Vec::new(),
             active_tcs: Vec::new(),
             in_enclave: Vec::new(),
-            counters: SgxCounters::default(),
+            counters: SgxLedger::default(),
             driver: DriverStats::new(),
             switchless,
             untrusted_next: UNTRUSTED_BASE,
@@ -357,15 +360,16 @@ impl SgxMachine {
     /// occupancy together.
     pub fn trace_snapshot(&self) -> trace::CounterSnapshot {
         let m = self.mem.counters();
+        let c = self.counters.get();
         trace::CounterSnapshot {
             resident_pages: self.epc.resident_count() as u64,
-            epc_faults: self.counters.epc_faults,
-            epc_allocs: self.counters.epc_allocs,
-            epc_evictions: self.counters.epc_evictions,
-            epc_loadbacks: self.counters.epc_loadbacks,
-            ecalls: self.counters.ecalls,
-            ocalls: self.counters.ocalls + self.counters.switchless_ocalls,
-            aex_exits: self.counters.aex_exits,
+            epc_faults: c.epc_faults,
+            epc_allocs: c.epc_allocs,
+            epc_evictions: c.epc_evictions,
+            epc_loadbacks: c.epc_loadbacks,
+            ecalls: c.ecalls,
+            ocalls: c.ocalls + c.switchless_ocalls,
+            aex_exits: c.aex_exits,
             dtlb_misses: m.dtlb_misses,
             llc_misses: m.llc_misses,
             page_faults: m.page_faults,
@@ -373,8 +377,8 @@ impl SgxMachine {
             stall_cycles: m.stall_cycles,
             walk_cycles: m.walk_cycles,
             mee_cycles: m.mee_cycles,
-            transition_cycles: self.counters.transition_cycles,
-            fault_cycles: self.counters.fault_cycles,
+            transition_cycles: c.transition_cycles,
+            fault_cycles: c.fault_cycles,
         }
     }
 
@@ -390,6 +394,10 @@ impl SgxMachine {
 
     /// Opens a workload-declared phase span, recording the boundary
     /// counter snapshot. No-op when tracing is disabled.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "thread ids are dense and few; the trace schema stores them as u32"
+    )]
     pub fn trace_phase_begin(&mut self, tid: ThreadId, name: &str) {
         if self.mem.tracing() {
             let snap = self.trace_snapshot();
@@ -406,6 +414,10 @@ impl SgxMachine {
     ///
     /// Propagates the sink's typed [`trace::TraceError`] on span misuse;
     /// always `Ok` when tracing is disabled.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "thread ids are dense and few; the trace schema stores them as u32"
+    )]
     pub fn trace_phase_end(&mut self, tid: ThreadId, name: &str) -> Result<(), trace::TraceError> {
         if self.mem.tracing() {
             let snap = self.trace_snapshot();
@@ -483,9 +495,7 @@ impl SgxMachine {
             debug_assert!(ev.kind != EpcFaultKind::LoadBack, "build pages are fresh");
             init.pages_measured += 1;
             init.evictions += ev.evicted.len() as u64;
-            self.counters.pages_measured += 1;
-            self.counters.epc_allocs += 1;
-            self.counters.epc_evictions += ev.evicted.len() as u64;
+            self.counters.record_build_page(ev.evicted.len() as u64);
             let mut cycles = costs::EADD_CYCLES + costs::ALLOC_PAGE_CYCLES;
             for _ in &ev.evicted {
                 let c = self.jittered(costs::EWB_CYCLES);
@@ -594,8 +604,7 @@ impl SgxMachine {
         }
         self.active_tcs[id.0] += 1;
         self.in_enclave[tid.0] = Some(id);
-        self.counters.ecalls += 1;
-        self.counters.transition_cycles += costs::EENTER_CYCLES;
+        self.counters.record_eenter();
         self.mem.charge(tid, costs::EENTER_CYCLES);
         #[cfg(feature = "audit")]
         let flushes = self.mem.counters().tlb_flushes;
@@ -622,7 +631,7 @@ impl SgxMachine {
         }
         self.in_enclave[tid.0] = None;
         self.active_tcs[id.0] -= 1;
-        self.counters.transition_cycles += costs::EEXIT_CYCLES;
+        self.counters.record_eexit();
         self.mem.charge(tid, costs::EEXIT_CYCLES);
         #[cfg(feature = "audit")]
         let flushes = self.mem.counters().tlb_flushes;
@@ -656,9 +665,9 @@ impl SgxMachine {
         if let Some(pool) = self.switchless.as_mut() {
             let now = self.mem.cycles_of(tid);
             let done = pool.submit(now, work_cycles);
-            self.counters.transition_cycles += done.saturating_sub(now).saturating_sub(work_cycles);
+            self.counters
+                .record_switchless_ocall(done.saturating_sub(now).saturating_sub(work_cycles));
             self.mem.sync_to(tid, done);
-            self.counters.switchless_ocalls += 1;
             #[cfg(feature = "audit")]
             assert_eq!(
                 self.mem.counters().tlb_flushes,
@@ -670,8 +679,7 @@ impl SgxMachine {
             self.trace_tick(tid);
             return Ok(());
         }
-        self.counters.ocalls += 1;
-        self.counters.transition_cycles += costs::EEXIT_CYCLES + costs::EENTER_CYCLES;
+        self.counters.record_ocall();
         self.mem.charge(tid, costs::EEXIT_CYCLES);
         self.mem.flush_tlb(tid);
         self.mem.charge(tid, work_cycles);
@@ -867,23 +875,26 @@ impl SgxMachine {
     /// Cold and out of line: it runs once per EPC fault, and as the only
     /// callee of the inlined `access_stream` it would otherwise be copied
     /// into every caller's resident-hit loop.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "an EWB batch evicts at most evict_batch pages; the trace schema stores u32"
+    )]
     #[cold]
     #[inline(never)]
     fn epc_page_fault(&mut self, tid: ThreadId, eid: EnclaveId, page: u64) -> u64 {
         let key = PageKey { enclave: eid, page };
         // EPC fault: AEX out, driver handles it, ERESUME back.
         #[cfg(feature = "audit")]
-        let (c0, flushes0) = (self.counters, self.mem.counters().tlb_flushes);
-        self.counters.epc_faults += 1;
-        self.counters.aex_exits += 1;
+        let (c0, flushes0) = (*self.counters.get(), self.mem.counters().tlb_flushes);
+        self.counters.record_epc_fault();
         let resident_at_fault = self.epc.resident_count() as u64;
         self.mem.flush_tlb(tid);
         let mut fault_cycles = costs::AEX_CYCLES + costs::FAULT_BASE_CYCLES;
         let ev = self.epc.ensure_resident(key);
+        self.counters.record_evictions(ev.evicted.len() as u64);
         for _ in &ev.evicted {
             let c = self.jittered(costs::EWB_CYCLES);
             self.driver.record(DriverOp::Ewb, c);
-            self.counters.epc_evictions += 1;
             fault_cycles += c;
         }
         match ev.kind {
@@ -894,14 +905,14 @@ impl SgxMachine {
                     c += costs::EACCEPT_CYCLES;
                 }
                 self.driver.record(DriverOp::AllocPage, c);
-                self.counters.epc_allocs += 1;
+                self.counters.record_alloc();
                 self.epcm.record(eid, page, PagePerms::RW);
                 fault_cycles += c;
             }
             EpcFaultKind::LoadBack => {
                 let c = self.jittered(costs::ELDU_CYCLES);
                 self.driver.record(DriverOp::Eldu, c);
-                self.counters.epc_loadbacks += 1;
+                self.counters.record_loadback();
                 fault_cycles += c;
             }
             #[expect(
@@ -915,7 +926,7 @@ impl SgxMachine {
             costs::FAULT_BASE_CYCLES + fault_cycles / 4,
         );
         fault_cycles += costs::ERESUME_CYCLES;
-        self.counters.fault_cycles += fault_cycles;
+        self.counters.charge_fault_cycles(fault_cycles);
         self.mem.charge(tid, fault_cycles);
         // The faulted page is now the only one known resident with a
         // fresh reference bit (the eviction sweep may have cleared
@@ -926,7 +937,7 @@ impl SgxMachine {
         // and counts one eviction per EWB victim (§2.2/§2.3).
         #[cfg(feature = "audit")]
         {
-            let c1 = &self.counters;
+            let c1 = self.counters.get();
             assert_eq!(c1.epc_faults - c0.epc_faults, 1);
             assert_eq!(c1.aex_exits - c0.aex_exits, 1, "one AEX per fault");
             assert_eq!(
@@ -980,11 +991,10 @@ impl SgxMachine {
         }
         #[cfg(feature = "audit")]
         let flushes0 = self.mem.counters().tlb_flushes;
-        self.counters.aex_exits += 1;
-        self.counters.injected_aex += 1;
+        self.counters.record_injected_aex();
         self.mem.flush_tlb(tid);
         let cycles = costs::AEX_CYCLES + costs::ERESUME_CYCLES;
-        self.counters.fault_cycles += cycles;
+        self.counters.charge_fault_cycles(cycles);
         self.mem.charge(tid, cycles);
         #[cfg(feature = "audit")]
         assert_eq!(
@@ -1012,10 +1022,10 @@ impl SgxMachine {
             for _ in &victims {
                 let c = self.jittered(costs::EWB_CYCLES);
                 self.driver.record(DriverOp::Ewb, c);
-                self.counters.epc_evictions += 1;
                 cycles += c;
             }
-            self.counters.fault_cycles += cycles;
+            self.counters.record_evictions(victims.len() as u64);
+            self.counters.charge_fault_cycles(cycles);
             self.mem.charge(tid, cycles);
         }
         self.audit();
@@ -1042,7 +1052,7 @@ impl SgxMachine {
 
     /// SGX event counters.
     pub fn sgx_counters(&self) -> &SgxCounters {
-        &self.counters
+        self.counters.get()
     }
 
     /// Driver latency statistics.
@@ -1106,7 +1116,7 @@ impl SgxMachine {
                 return Err(format!("fast-path memo names non-resident page {key:?}"));
             }
         }
-        let c = &self.counters;
+        let c = self.counters.get();
         if c.aex_exits != c.epc_faults + c.injected_aex {
             return Err(format!(
                 "{} AEX exits for {} EPC faults + {} injected",
@@ -1144,7 +1154,7 @@ impl SgxMachine {
     /// the analogue of re-arming `perf` after start-up.
     pub fn reset_measurement(&mut self) {
         self.mem.reset_measurement();
-        self.counters = SgxCounters::default();
+        self.counters.reset();
         self.driver.reset();
         if let Some(p) = self.switchless.as_mut() {
             p.reset();

@@ -4,16 +4,16 @@
 //! per-cell private sinks, so they must be byte-identical across runs
 //! and across sweep parallelism; EPC-fault events must reproduce the
 //! paper's boundary cliff (they only appear once residency reaches the
-//! watermark); phase-span misuse must surface as a typed, deterministic
-//! workload error; and the typed grid key must round-trip through its
-//! display form.
+//! watermark); a failing phase span must propagate its error and leave no
+//! span open; and the typed grid key must round-trip through its display
+//! form.
 
 use sgxgauge::core::{
-    CellKey, Env, ExecMode, InputSetting, Runner, RunnerConfig, SuiteRunner, TraceConfig, Workload,
-    WorkloadError, WorkloadOutput, WorkloadSpec,
+    CellKey, Env, EnvConfig, ExecMode, InputSetting, Runner, RunnerConfig, SuiteRunner,
+    TraceConfig, Workload, WorkloadError,
 };
 use sgxgauge::workloads::suite_scaled;
-use trace::{TraceError, TraceEvent};
+use trace::TraceEvent;
 
 fn quick_traced_runner() -> Runner {
     Runner::new(RunnerConfig::quick_test()).tracing(TraceConfig::default())
@@ -119,81 +119,40 @@ fn epc_fault_events_appear_only_past_the_watermark() {
     );
 }
 
-/// A workload that misuses the phase-span API.
-struct BadPhases {
-    /// Close a span that was never opened (vs leaving one open).
-    mismatch: bool,
-}
-
-impl Workload for BadPhases {
-    fn name(&self) -> &'static str {
-        "BadPhases"
-    }
-
-    fn property(&self) -> &'static str {
-        "test"
-    }
-
-    fn supported_modes(&self) -> &'static [ExecMode] {
-        &[ExecMode::Vanilla, ExecMode::Native]
-    }
-
-    fn spec(&self, _: InputSetting) -> WorkloadSpec {
-        WorkloadSpec::new(1 << 16, "bad-phases")
-    }
-
-    fn setup(&self, _: &mut Env, _: InputSetting) -> Result<(), WorkloadError> {
-        Ok(())
-    }
-
-    fn execute(&self, env: &mut Env, _: InputSetting) -> Result<WorkloadOutput, WorkloadError> {
-        env.compute(100);
-        if self.mismatch {
-            env.phase("build");
-            env.phase_end("probe")?; // typed error propagates via `?`
-        } else {
-            env.phase("build"); // never closed — caught at run teardown
-        }
-        Ok(WorkloadOutput::default())
-    }
-}
-
-/// Phase-span misuse is a typed, deterministic (fatal, non-retryable)
-/// error — and only when tracing is on; untraced, the spans are no-ops.
+/// `Env::with_phase` is the only span API, so a span cannot be left
+/// open: a nested span whose closure fails propagates the failure, and
+/// both spans are closed on the way out. Untraced, the same nesting is a
+/// plain call that propagates the same error.
 #[test]
-fn phase_misuse_is_a_typed_fatal_error() {
-    let mismatch = quick_traced_runner()
-        .run_once(
-            &BadPhases { mismatch: true },
-            ExecMode::Native,
-            InputSetting::Low,
-        )
-        .expect_err("mismatched spans must fail");
-    assert_eq!(
-        mismatch,
-        WorkloadError::Trace(TraceError::PhaseMismatch {
-            expected: "build".into(),
-            found: "probe".into(),
-        })
-    );
-    let unclosed = quick_traced_runner()
-        .run_once(
-            &BadPhases { mismatch: false },
-            ExecMode::Native,
-            InputSetting::Low,
-        )
-        .expect_err("unclosed span must fail");
-    assert!(
-        matches!(unclosed, WorkloadError::Trace(_)),
-        "unexpected error {unclosed:?}"
-    );
-    assert_eq!(unclosed.class(), sgxgauge::core::ErrorClass::Fatal);
-    // Untraced, the same workload runs clean: spans cost nothing and
-    // cannot fail when no sink is installed.
-    for mismatch in [true, false] {
-        Runner::new(RunnerConfig::quick_test())
-            .run_once(&BadPhases { mismatch }, ExecMode::Native, InputSetting::Low)
-            .expect("untraced spans are no-ops");
+fn failing_nested_phase_propagates_its_error_and_closes_every_span() {
+    let failure = || WorkloadError::Other("probe failed".into());
+    for traced in [false, true] {
+        let mut env = Env::new(EnvConfig::quick_test(ExecMode::Native)).expect("env");
+        if traced {
+            env.machine_mut()
+                .mem_mut()
+                .set_trace_sink(trace::TraceSink::new(1 << 10));
+        }
+        let err = env
+            .with_phase("build", |env| {
+                env.compute(100);
+                env.with_phase("probe", |env| {
+                    env.compute(100);
+                    Err::<(), _>(failure())
+                })
+            })
+            .expect_err("the inner closure's error propagates");
+        assert_eq!(err, failure(), "traced={traced}");
+        let sink = env.machine_mut().mem_mut().take_trace_sink();
+        assert_eq!(sink.is_some(), traced);
+        if let Some(sink) = sink {
+            assert_eq!(sink.finish(), Ok(()), "a span was left open");
+            let ends = sink
+                .boundary_records()
+                .filter(|r| matches!(r.event, TraceEvent::PhaseEnd { .. }))
+                .count();
+            assert_eq!(ends, 2, "both spans emit their end");
+        }
     }
 }
 
