@@ -3,7 +3,7 @@
 //!
 //! Figures 2, 4, 5a/b, 6b/c and 8 and Table 4 are views of one
 //! measurement campaign, the ten workloads × {Vanilla, Native, LibOS} ×
-//! {Low, Medium, High} (§4–§5, App. B). They read one shared [`Sweep`],
+//! {Low, Medium, High} (§4–§5, App. B). They read one shared `Sweep`,
 //! which runs at most once per invocation and only when a selected
 //! figure needs it. Every other figure and ablation builds its own
 //! platform and runs.
@@ -104,11 +104,11 @@ pub(crate) fn select(ids: &[String]) -> Result<Vec<&'static Figure>, String> {
 
 /// Regenerates the figures named by `ids` (every figure when empty):
 /// banner, table, CSV and shape checks for each, running the shared
-/// [`Sweep`] once if any selected figure reads it.
+/// `Sweep` once if any selected figure reads it.
 ///
 /// # Errors
 ///
-/// As [`select`], before anything runs.
+/// As `select`, before anything runs.
 pub fn regenerate(ids: &[String]) -> Result<(), String> {
     let mut sweep = None;
     for Figure(id, source) in select(ids)? {

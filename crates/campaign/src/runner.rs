@@ -159,7 +159,7 @@ pub fn run_campaign(
     chaos: bool,
     kill: Option<Arc<ChaosFs>>,
 ) -> Result<CampaignReport, CampaignError> {
-    let suite = build_suite(cfg);
+    let suite = sgxgauge_workloads::suite_scaled(cfg.scale);
     let mut supervisor = Supervisor::new(
         cfg.breaker_threshold,
         cfg.breaker_cooldown,
@@ -229,14 +229,6 @@ pub fn run_campaign(
     }
     report.health = supervisor.health();
     Ok(report)
-}
-
-fn build_suite(cfg: &CampaignConfig) -> Vec<Box<dyn Workload>> {
-    if cfg.scale > 0 {
-        sgxgauge_workloads::suite_scaled(cfg.scale)
-    } else {
-        sgxgauge_workloads::suite()
-    }
 }
 
 fn base_runner_config(cfg: &CampaignConfig) -> RunnerConfig {

@@ -23,8 +23,9 @@
 //! sibling recovery journal, and resume first runs [`io::recover`] to
 //! repair or quarantine state a crash left behind. A checksum mismatch
 //! on load is a typed [`ArtifactError::Corrupt`] (the bad file is kept
-//! at `<path>.corrupt`); files *without* a footer still load, so
-//! pre-integrity checkpoints of the current version remain resumable.
+//! at `<path>.corrupt`), and a file *without* a footer is a typed
+//! [`ArtifactError::Format`]: every checkpoint this module writes is
+//! sealed, so an unsealed one is not trusted.
 
 use crate::io::{self, ArtifactError, ArtifactIo, Journal, RealFs};
 use crate::runner::RunReport;
@@ -452,10 +453,10 @@ pub fn load_checkpoint(path: &Path) -> Result<Checkpoint, ArtifactError> {
 
 /// [`load_checkpoint`] through an injectable backend.
 ///
-/// The integrity footer (when present) is verified first: a mismatch is
+/// The integrity footer is verified first: a mismatch is
 /// [`ArtifactError::Corrupt`] — *not* a JSON parse error — and the bad
-/// file is preserved at `<path>.corrupt` for inspection. Files without
-/// a footer (written before the integrity format) still load.
+/// file is preserved at `<path>.corrupt` for inspection. A file without
+/// a footer is [`ArtifactError::Format`], and its body is not parsed.
 ///
 /// # Errors
 ///
@@ -1015,7 +1016,7 @@ mod tests {
             .map_or(text.rfind("}]").expect("has end"), |e| start + e + 1);
         partial.push_str(&text[start..end]);
         partial.push_str("]}\n");
-        std::fs::write(&path, partial).expect("writable");
+        std::fs::write(&path, io::seal(&partial)).expect("writable");
         let resumed = suite()
             .run_with_checkpoint(&[&Tick], &path, true)
             .expect("resume succeeds");
@@ -1111,7 +1112,9 @@ mod tests {
         for bad in [1, 2, 3, CHECKPOINT_VERSION + 1] {
             std::fs::write(
                 &path,
-                format!("{{\"version\":{bad},\"grid_fp\":0,\"cells\":[]}}\n"),
+                io::seal(&format!(
+                    "{{\"version\":{bad},\"grid_fp\":0,\"cells\":[]}}\n"
+                )),
             )
             .expect("writable");
             let err = load_checkpoint(&path).expect_err("must reject");
@@ -1123,7 +1126,7 @@ mod tests {
     #[test]
     fn malformed_files_are_reported_not_panicked() {
         let path = scratch("malformed");
-        std::fs::write(&path, "{\"version\":1,").expect("writable");
+        std::fs::write(&path, io::seal("{\"version\":1,")).expect("writable");
         let err = suite()
             .run_with_checkpoint(&[&Tick], &path, true)
             .expect_err("must reject");

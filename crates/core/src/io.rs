@@ -565,23 +565,21 @@ fn push_hex8(out: &mut String, v: u32) {
     }
 }
 
-/// Splits a sealed artifact into its verified body.
-///
-/// Returns `(Some(crc), body)` when a footer was present and verified,
-/// `(None, text)` when no footer exists (legacy artifacts still load —
-/// forward-compat with pre-integrity files).
+/// Splits a sealed artifact into its footer CRC and verified body.
 ///
 /// # Errors
 ///
 /// [`ArtifactError::Corrupt`] when the footer's CRC does not match the
-/// body, [`ArtifactError::Format`] when the footer itself is malformed.
-pub fn unseal<'a>(path: &Path, text: &'a str) -> Result<(Option<u32>, &'a str), ArtifactError> {
-    let Some(pos) = text.rfind(INTEGRITY_PREFIX) else {
-        return Ok((None, text));
-    };
-    if pos != 0 && !text[..pos].ends_with('\n') {
-        return Ok((None, text));
-    }
+/// body, [`ArtifactError::Format`] when the footer is missing, not on a
+/// line of its own, or malformed.
+pub fn unseal<'a>(path: &Path, text: &'a str) -> Result<(u32, &'a str), ArtifactError> {
+    let pos = text
+        .rfind(INTEGRITY_PREFIX)
+        .filter(|&pos| pos == 0 || text[..pos].ends_with('\n'))
+        .ok_or_else(|| ArtifactError::Format {
+            path: path.to_path_buf(),
+            message: "no integrity footer line".to_string(),
+        })?;
     let footer = &text[pos + INTEGRITY_PREFIX.len()..];
     let hex = footer.trim_end_matches('\n');
     if hex.len() != 8 || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
@@ -603,7 +601,7 @@ pub fn unseal<'a>(path: &Path, text: &'a str) -> Result<(Option<u32>, &'a str), 
             found,
         });
     }
-    Ok((Some(expected), body))
+    Ok((expected, body))
 }
 
 /// Returns the temp sibling used by the atomic publish paths
@@ -916,11 +914,11 @@ mod tests {
         assert!(sealed.ends_with('\n'));
         let (crc, back) = unseal(Path::new("x.csv"), &sealed).unwrap();
         assert_eq!(back, body);
-        assert_eq!(crc, Some(crc32(body.as_bytes())));
+        assert_eq!(crc, crc32(body.as_bytes()));
     }
 
     #[test]
-    fn unseal_detects_corruption_and_passes_legacy() {
+    fn unseal_detects_corruption_and_rejects_a_missing_footer() {
         let sealed = seal("{\"v\":1}\n");
         let tampered = sealed.replace("\"v\":1", "\"v\":2");
         match unseal(Path::new("c.json"), &tampered) {
@@ -929,10 +927,14 @@ mod tests {
             }) => assert_ne!(expected, found),
             other => panic!("expected Corrupt, got {other:?}"),
         }
-        // no footer at all: legacy file, loads verbatim
-        let (crc, body) = unseal(Path::new("old.json"), "{\"v\":1}\n").unwrap();
-        assert_eq!(crc, None);
-        assert_eq!(body, "{\"v\":1}\n");
+        // No footer, or one that does not start a line: not an artifact.
+        let unsealed = sealed.replace(&format!("\n{INTEGRITY_PREFIX}"), INTEGRITY_PREFIX);
+        for text in ["{\"v\":1}\n", unsealed.as_str()] {
+            match unseal(Path::new("old.json"), text) {
+                Err(ArtifactError::Format { .. }) => {}
+                other => panic!("expected Format, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -41,7 +41,6 @@ use faults::FaultPlan;
 use sgx_sim::costs::RETRY_BACKOFF_BASE_CYCLES;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
 
 /// The optional co-tenancy coordinate of a grid cell: how many tenants
 /// shared the EPC while the cell ran, and how many of them were
@@ -179,9 +178,8 @@ pub enum CellErrorKind {
     /// The cell panicked rather than returning an error.
     Panicked,
     /// The cell was never executed: the sweep stopped claiming work
-    /// (quarantine threshold exceeded, or a cooperative shutdown was
-    /// requested) before this cell's turn. Skipped cells are never
-    /// checkpointed, so a resume runs them.
+    /// (quarantine threshold exceeded) before this cell's turn. Skipped
+    /// cells are never checkpointed, so a resume runs them.
     Skipped,
     /// The cell was deliberately shed by campaign supervision (open
     /// circuit breaker, drained retry budget, blown stage deadline)
@@ -383,7 +381,7 @@ impl SweepReport {
     }
 
     /// Cells the sweep never executed because it stopped claiming work
-    /// (quarantine threshold tripped or shutdown requested).
+    /// (quarantine threshold tripped).
     pub fn skipped(&self) -> impl Iterator<Item = &SweepCell> {
         self.cells.iter().filter(|c| {
             matches!(
@@ -489,7 +487,6 @@ pub struct SuiteRunner {
     threads: usize,
     retries: usize,
     max_quarantine: Option<usize>,
-    stop: Option<Arc<AtomicBool>>,
     tenant: Option<TenantDim>,
 }
 
@@ -504,7 +501,6 @@ impl SuiteRunner {
             threads: 0,
             retries: 0,
             max_quarantine: None,
-            stop: None,
             tenant: None,
         }
     }
@@ -590,18 +586,6 @@ impl SuiteRunner {
         self
     }
 
-    /// Installs a cooperative shutdown flag: once set (e.g. by a signal
-    /// handler), workers finish their current cell, stop claiming new
-    /// ones, and the sweep returns with the remainder marked
-    /// [`CellErrorKind::Skipped`]. Completed cells are already in the
-    /// checkpoint, so a later `--resume` continues where the shutdown
-    /// left off.
-    #[must_use]
-    pub fn stop_flag(mut self, flag: Arc<AtomicBool>) -> Self {
-        self.stop = Some(flag);
-        self
-    }
-
     /// The underlying per-cell runner.
     pub fn runner(&self) -> &Runner {
         &self.runner
@@ -680,7 +664,7 @@ impl SuiteRunner {
     /// with: every cell outcome is a pure function of its (cell,
     /// attempt) fault salt, so the returned vector is byte-identical to
     /// a sequential run of the same cells no matter how workers
-    /// interleaved. No quarantine/stop supervision is applied here —
+    /// interleaved. No quarantine supervision is applied here —
     /// the caller owns cell-level policy.
     pub fn run_cells(&self, workloads: &[&dyn Workload], cells: &[CellKey]) -> Vec<SweepCell> {
         fan_out(
@@ -733,7 +717,7 @@ impl SuiteRunner {
             self.max_quarantine
                 .is_some_and(|max| seeded_quarantine > max),
         );
-        let halt = || sick.load(Ordering::Relaxed) || self.stop_requested();
+        let halt = || sick.load(Ordering::Relaxed);
         let fresh = fan_out(todo.len(), self.threads, halt, |k| {
             let i = todo[k];
             let done = self.run_cell(workloads, cells[i]);
@@ -753,21 +737,15 @@ impl SuiteRunner {
         for (&i, done) in todo.iter().zip(fresh) {
             slots[i] = done;
         }
-        // Unclaimed slots (the sweep went sick or was asked to stop)
-        // become Skipped cells: enumerated in the report, absent from
-        // the checkpoint, re-run on resume.
+        // Unclaimed slots (the sweep went sick) become Skipped cells:
+        // enumerated in the report, absent from the checkpoint, re-run
+        // on resume.
         let out = slots
             .into_iter()
             .enumerate()
             .map(|(i, s)| s.unwrap_or_else(|| skipped_cell(workloads, cells[i])))
             .collect();
         SweepReport { cells: out }
-    }
-
-    fn stop_requested(&self) -> bool {
-        self.stop
-            .as_ref()
-            .is_some_and(|f| f.load(Ordering::Relaxed))
     }
 
     /// Executes one cell, retrying transient failures within the retry
@@ -1333,17 +1311,6 @@ mod tests {
         let s = broken_suite(3).max_quarantine(3);
         let report = s.try_run(&[&Broken]).expect("within tolerance");
         assert_eq!(report.quarantined().count(), 3);
-        assert_eq!(report.skipped().count(), 0);
-    }
-
-    #[test]
-    fn stop_flag_skips_unclaimed_cells() {
-        let flag = Arc::new(AtomicBool::new(true));
-        let s = broken_suite(4).stop_flag(Arc::clone(&flag));
-        let report = s.run(&[&Broken]);
-        assert_eq!(report.skipped().count(), 4, "pre-set flag skips everything");
-        flag.store(false, Ordering::Relaxed);
-        let report = s.run(&[&Broken]);
         assert_eq!(report.skipped().count(), 0);
     }
 }

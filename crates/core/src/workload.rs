@@ -86,9 +86,10 @@ pub enum WorkloadError {
         /// The thread clock when the watchdog fired.
         elapsed_cycles: u64,
     },
-    /// The workload misused the phase-span tracing API (mismatched or
-    /// unclosed [`Env::phase`](crate::Env::phase) spans). Deterministic —
-    /// the same workload mismatches its spans on every run.
+    /// The trace sink found the run's phase spans mismatched or left
+    /// open at teardown (spans come from
+    /// [`Env::with_phase`](crate::Env::with_phase)). Deterministic — the
+    /// same workload mismatches its spans on every run.
     Trace(trace::TraceError),
     /// Anything else, described.
     Other(String),

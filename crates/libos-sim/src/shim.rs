@@ -73,23 +73,6 @@ impl Shim {
         self.stats = ShimStats::default();
     }
 
-    /// A cheap, fully in-enclave syscall (e.g. `gettimeofday`, `brk`):
-    /// dispatch cost only, no OCALL.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SgxError`] if the thread is not inside the enclave.
-    pub fn syscall_light(&mut self, m: &mut SgxMachine, tid: ThreadId) -> Result<(), SgxError> {
-        if m.current_enclave(tid).is_none() {
-            return Err(SgxError::NotInEnclave);
-        }
-        self.stats.syscalls += 1;
-        m.mem_mut()
-            .trace_emit(tid, trace::TraceEvent::ShimSyscall { host: false });
-        m.compute(tid, costs::SHIM_DISPATCH_CYCLES);
-        Ok(())
-    }
-
     /// A syscall that must reach the host (e.g. `open`, socket ops):
     /// dispatch plus one forwarded OCALL.
     ///
@@ -213,15 +196,6 @@ mod tests {
     }
 
     #[test]
-    fn light_syscall_no_ocall() {
-        let (mut m, t, _) = setup();
-        let mut shim = Shim::new(false, b"p");
-        shim.syscall_light(&mut m, t).unwrap();
-        assert_eq!(shim.stats().syscalls, 1);
-        assert_eq!(m.sgx_counters().ocalls, 0);
-    }
-
-    #[test]
     fn host_syscall_forwards() {
         let (mut m, t, _) = setup();
         let mut shim = Shim::new(false, b"p");
@@ -287,7 +261,7 @@ mod tests {
             .build_machine();
         let t = m.add_thread();
         let mut shim = Shim::new(false, b"p");
-        assert!(shim.syscall_light(&mut m, t).is_err());
+        assert!(shim.syscall_host(&mut m, t).is_err());
         assert!(shim.file_transfer(&mut m, t, 10, false).is_err());
     }
 }

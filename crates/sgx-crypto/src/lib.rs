@@ -10,7 +10,6 @@
 //!
 //! * [`sha256`] — FIPS 180-4 SHA-256 (tested against NIST vectors),
 //! * [`hmac`] — HMAC-SHA-256 (RFC 2104, tested against RFC 4231),
-//! * [`aes`] — AES-128 + CTR mode (FIPS 197 / SP 800-38A vectors),
 //! * [`chacha20`] — the RFC 7539 ChaCha20 stream cipher,
 //! * [`seal`] — an SGX-style sealing API (encrypt-then-MAC with a
 //!   platform-bound key).
@@ -26,13 +25,11 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod aes;
 pub mod chacha20;
 pub mod hmac;
 pub mod seal;
 pub mod sha256;
 
-pub use aes::Aes128;
 pub use chacha20::ChaCha20;
 pub use hmac::hmac_sha256;
 pub use seal::{SealError, SealedBlob, SealingKey};

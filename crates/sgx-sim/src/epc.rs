@@ -246,7 +246,7 @@ impl Epc {
     ///   each other exactly (every frame's key maps back to its index),
     /// * **disjointness** — no page is both resident and evicted,
     /// * **victim hygiene** — the transient eviction mark never leaks
-    ///   out of [`Epc::evict_batch`],
+    ///   out of `Epc::evict_batch`,
     /// * **clock-hand conservation** — the hand always points at a live
     ///   frame (or zero when the EPC is empty).
     ///

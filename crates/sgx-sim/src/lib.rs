@@ -55,7 +55,6 @@
     clippy::dbg_macro
 )]
 
-pub mod attest;
 pub mod costs;
 pub mod driver;
 pub mod enclave;
@@ -65,7 +64,6 @@ pub mod host;
 pub mod machine;
 pub mod switchless;
 
-pub use attest::{ereport, verify_report, Report};
 pub use driver::{DriverOp, DriverStats};
 pub use enclave::{Enclave, EnclaveId};
 pub use epc::{Epc, EpcEnclaveStats, EpcFaultKind, PageKey};

@@ -13,7 +13,7 @@ use sgxgauge_core::env::{Placement, Region, SimThread};
 use sgxgauge_core::{
     Env, ExecMode, InputSetting, Workload, WorkloadError, WorkloadOutput, WorkloadSpec,
 };
-use ycsb_gen::{Distribution, OpKind, WorkloadMix};
+use ycsb_gen::OpKind;
 
 /// Value bytes per record (sized so the Table 2 record counts straddle
 /// the EPC: 50 K ≈ 45 MB, 100 K ≈ 90 MB, 200 K ≈ 180 MB).
@@ -30,31 +30,20 @@ const NET_DELAY: u64 = 2_000;
 #[derive(Debug, Clone)]
 pub struct Memcached {
     divisor: u64,
-    mix: WorkloadMix,
 }
 
 impl Memcached {
     /// Paper-scale instance (50 K/100 K/200 K records, 800 K ops,
     /// YCSB workload A).
     pub fn new() -> Self {
-        Memcached {
-            divisor: 1,
-            mix: WorkloadMix::A,
-        }
+        Memcached { divisor: 1 }
     }
 
     /// Instance with sizes divided by `divisor`.
     pub fn scaled(divisor: u64) -> Self {
         Memcached {
             divisor: divisor.max(1),
-            mix: WorkloadMix::A,
         }
-    }
-
-    /// Selects a different YCSB core mix (B–F).
-    pub fn with_mix(mut self, mix: WorkloadMix) -> Self {
-        self.mix = mix;
-        self
     }
 
     /// Records for `setting` (Table 2).
@@ -229,10 +218,10 @@ impl Workload for Memcached {
             })?;
         }
 
-        // Run phase: the configured YCSB core mix over a zipfian key
-        // distribution (workload A by default, as the paper implies with
-        // "a specified set of (read or write) operations").
-        let stream = ycsb_gen::Workload::new(self.mix, Distribution::Zipfian, records, 0x5ca1e);
+        // Run phase: YCSB core workload A over a zipfian key distribution,
+        // as the paper implies with "a specified set of (read or write)
+        // operations".
+        let stream = ycsb_gen::Workload::new(records, 0x5ca1e);
         let mut checksum = 0u64;
         let mut hits = 0u64;
         let mut latency_sum = 0u64;
@@ -244,23 +233,8 @@ impl Workload for Memcached {
                         checksum = fold(checksum, stamp);
                     }
                 }
-                OpKind::Update | OpKind::Insert | OpKind::ReadModifyWrite => {
-                    if op.kind == OpKind::ReadModifyWrite {
-                        if let Some(stamp) = store.get(env, (op.key % records) + 1) {
-                            hits += 1;
-                            checksum = fold(checksum, stamp);
-                        }
-                    }
+                OpKind::Update => {
                     store.upsert(env, (op.key % records) + 1, i as u64);
-                }
-                OpKind::Scan => {
-                    // Short range scan: sequential probes from the key.
-                    for k in 0..op.scan_len as u64 {
-                        if let Some(stamp) = store.get(env, ((op.key + k) % records) + 1) {
-                            hits += 1;
-                            checksum = fold(checksum, stamp);
-                        }
-                    }
                 }
             })?;
             latency_sum += lat;
@@ -352,43 +326,6 @@ mod tests {
             l.output.metric("mean_latency_cycles").unwrap()
                 > v.output.metric("mean_latency_cycles").unwrap()
         );
-    }
-
-    #[test]
-    fn all_ycsb_mixes_run() {
-        let runner = Runner::new(RunnerConfig::quick_test());
-        for mix in [
-            WorkloadMix::A,
-            WorkloadMix::B,
-            WorkloadMix::C,
-            WorkloadMix::D,
-            WorkloadMix::E,
-            WorkloadMix::F,
-        ] {
-            let wl = Memcached::scaled(1024).with_mix(mix);
-            let r = runner
-                .run_once(&wl, ExecMode::Vanilla, InputSetting::Low)
-                .unwrap_or_else(|e| panic!("{mix:?}: {e}"));
-            assert!(
-                r.output.metric("read_hits").unwrap() > 0.0,
-                "{mix:?} had no hits"
-            );
-        }
-    }
-
-    #[test]
-    fn read_only_mix_never_writes_after_load() {
-        let runner = Runner::new(RunnerConfig::quick_test());
-        let wl = Memcached::scaled(1024).with_mix(WorkloadMix::C);
-        let a = runner
-            .run_once(&wl, ExecMode::Vanilla, InputSetting::Low)
-            .unwrap();
-        let b = runner
-            .run_once(&wl, ExecMode::Vanilla, InputSetting::Low)
-            .unwrap();
-        // Workload C is 100% reads: re-running yields the same checksum
-        // (and the same hit count) since nothing mutates.
-        assert_eq!(a.output.checksum, b.output.checksum);
     }
 
     #[test]

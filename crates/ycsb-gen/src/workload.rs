@@ -1,8 +1,6 @@
-//! YCSB core workload mixes and the operation stream.
+//! The YCSB-A operation stream.
 
-use crate::dist::{
-    Distribution, Exponential, Generator, Hotspot, Latest, ScrambledZipfian, Uniform, Zipfian,
-};
+use crate::dist::{Uniform, Zipfian};
 
 /// Kind of a generated store operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -11,12 +9,6 @@ pub enum OpKind {
     Read,
     /// Overwrite of one record's value.
     Update,
-    /// Insert of a fresh record.
-    Insert,
-    /// Short range scan starting at the key.
-    Scan,
-    /// Read-modify-write of one record.
-    ReadModifyWrite,
 }
 
 /// One generated operation.
@@ -24,50 +16,19 @@ pub enum OpKind {
 pub struct Operation {
     /// What to do.
     pub kind: OpKind,
-    /// Target key (for inserts: the new record's key).
+    /// Target key.
     pub key: u64,
-    /// Scan length (only meaningful for [`OpKind::Scan`]).
-    pub scan_len: u32,
 }
 
-/// The standard YCSB core mixes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WorkloadMix {
-    /// 50 % read / 50 % update — update heavy.
-    A,
-    /// 95 % read / 5 % update — read mostly.
-    B,
-    /// 100 % read.
-    C,
-    /// 95 % read / 5 % insert, latest distribution — read latest.
-    D,
-    /// 95 % scan / 5 % insert — short ranges.
-    E,
-    /// 50 % read / 50 % read-modify-write.
-    F,
-}
+/// Percent of YCSB-A operations that are reads; the rest are updates.
+const READ_PERCENT: u64 = 50;
 
-impl WorkloadMix {
-    /// `(read, update, insert, scan, rmw)` proportions in percent.
-    pub fn proportions(&self) -> (u32, u32, u32, u32, u32) {
-        match self {
-            WorkloadMix::A => (50, 50, 0, 0, 0),
-            WorkloadMix::B => (95, 5, 0, 0, 0),
-            WorkloadMix::C => (100, 0, 0, 0, 0),
-            WorkloadMix::D => (95, 0, 5, 0, 0),
-            WorkloadMix::E => (0, 0, 5, 95, 0),
-            WorkloadMix::F => (50, 0, 0, 0, 50),
-        }
-    }
-}
-
-/// A configured YCSB workload: mix + distribution + record count.
+/// A YCSB core workload A (50 % read / 50 % update) over zipfian keys
+/// and `records` initial records.
 ///
 /// See the crate-level example.
 #[derive(Debug, Clone)]
 pub struct Workload {
-    mix: WorkloadMix,
-    dist: Distribution,
     records: u64,
     seed: u64,
 }
@@ -78,110 +39,40 @@ impl Workload {
     /// # Panics
     ///
     /// Panics if `records` is zero.
-    pub fn new(mix: WorkloadMix, dist: Distribution, records: u64, seed: u64) -> Self {
+    pub fn new(records: u64, seed: u64) -> Self {
         assert!(records > 0, "need at least one record");
-        Workload {
-            mix,
-            dist,
-            records,
-            seed,
-        }
-    }
-
-    /// Number of records loaded in the load phase.
-    pub fn records(&self) -> u64 {
-        self.records
-    }
-
-    /// The configured mix.
-    pub fn mix(&self) -> WorkloadMix {
-        self.mix
-    }
-
-    /// Keys of the load phase, in insertion order.
-    pub fn load_keys(&self) -> impl Iterator<Item = u64> {
-        0..self.records
+        Workload { records, seed }
     }
 
     /// Infinite operation stream for the run phase; `take(n)` it.
     pub fn operations(&self) -> OperationStream {
-        let gen: Box<dyn Generator> = match self.dist {
-            Distribution::Uniform => Box::new(Uniform::new(self.records, self.seed)),
-            Distribution::Zipfian => Box::new(Zipfian::new(self.records, self.seed)),
-            Distribution::ScrambledZipfian => {
-                Box::new(ScrambledZipfian::new(self.records, self.seed))
-            }
-            Distribution::Latest => Box::new(Latest::new(self.records, self.seed)),
-            Distribution::Hotspot => Box::new(Hotspot::new(self.records, self.seed)),
-            Distribution::Exponential => Box::new(Exponential::new(self.records, self.seed)),
-        };
         OperationStream {
-            mix: self.mix,
-            gen,
+            keys: Zipfian::new(self.records, self.seed),
             choice: Uniform::new(100, self.seed ^ 0xdead_beef),
-            scan_len: Uniform::new(100, self.seed ^ 0x5ca1_ab1e),
-            next_insert: self.records,
         }
     }
 }
 
 /// Iterator yielding the run-phase [`Operation`]s.
+#[derive(Debug, Clone)]
 pub struct OperationStream {
-    mix: WorkloadMix,
-    gen: Box<dyn Generator>,
+    keys: Zipfian,
     choice: Uniform,
-    scan_len: Uniform,
-    next_insert: u64,
-}
-
-impl std::fmt::Debug for OperationStream {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("OperationStream")
-            .field("mix", &self.mix)
-            .field("next_insert", &self.next_insert)
-            .finish()
-    }
 }
 
 impl Iterator for OperationStream {
     type Item = Operation;
 
     fn next(&mut self) -> Option<Operation> {
-        let (read, update, insert, scan, _rmw) = self.mix.proportions();
-        let roll = self.choice.next_key() as u32;
-        let kind = if roll < read {
+        let kind = if self.choice.next_key() < READ_PERCENT {
             OpKind::Read
-        } else if roll < read + update {
-            OpKind::Update
-        } else if roll < read + update + insert {
-            OpKind::Insert
-        } else if roll < read + update + insert + scan {
-            OpKind::Scan
         } else {
-            OpKind::ReadModifyWrite
+            OpKind::Update
         };
-        let op = match kind {
-            OpKind::Insert => {
-                let key = self.next_insert;
-                self.next_insert += 1;
-                Operation {
-                    kind,
-                    key,
-                    scan_len: 0,
-                }
-            }
-            OpKind::Scan => Operation {
-                kind,
-                key: self.gen.next_key(),
-                scan_len: 1 + self.scan_len.next_key() as u32,
-            },
-            _ => Operation {
-                kind,
-                key: self.gen.next_key(),
-                scan_len: 0,
-            },
-        };
-        Some(op)
+        Some(Operation {
+            kind,
+            key: self.keys.next_key(),
+        })
     }
 }
 
@@ -190,70 +81,44 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mix_proportions_sum_to_100() {
-        for mix in [
-            WorkloadMix::A,
-            WorkloadMix::B,
-            WorkloadMix::C,
-            WorkloadMix::D,
-            WorkloadMix::E,
-            WorkloadMix::F,
-        ] {
-            let (r, u, i, s, m) = mix.proportions();
-            assert_eq!(r + u + i + s + m, 100, "{mix:?}");
-        }
-    }
-
-    #[test]
     fn workload_a_is_half_writes() {
-        let wl = Workload::new(WorkloadMix::A, Distribution::Zipfian, 1_000, 1);
+        let wl = Workload::new(1_000, 1);
         let ops: Vec<_> = wl.operations().take(10_000).collect();
         let updates = ops.iter().filter(|o| o.kind == OpKind::Update).count();
         assert!((4_500..5_500).contains(&updates), "updates {updates}");
     }
 
     #[test]
-    fn workload_c_is_read_only() {
-        let wl = Workload::new(WorkloadMix::C, Distribution::Uniform, 100, 2);
-        assert!(wl.operations().take(5_000).all(|o| o.kind == OpKind::Read));
-    }
-
-    #[test]
-    fn inserts_extend_keyspace_monotonically() {
-        let wl = Workload::new(WorkloadMix::D, Distribution::Latest, 100, 3);
-        let inserts: Vec<_> = wl
-            .operations()
-            .take(10_000)
-            .filter(|o| o.kind == OpKind::Insert)
-            .map(|o| o.key)
-            .collect();
-        assert!(!inserts.is_empty());
-        assert!(inserts.windows(2).all(|w| w[1] == w[0] + 1));
-        assert_eq!(inserts[0], 100);
-    }
-
-    #[test]
-    fn scans_have_positive_length() {
-        let wl = Workload::new(WorkloadMix::E, Distribution::Zipfian, 1_000, 4);
-        for op in wl.operations().take(2_000) {
-            if op.kind == OpKind::Scan {
-                assert!((1..=100).contains(&op.scan_len));
-            }
-        }
-    }
-
-    #[test]
-    fn load_keys_are_dense() {
-        let wl = Workload::new(WorkloadMix::A, Distribution::Uniform, 10, 5);
-        let keys: Vec<_> = wl.load_keys().collect();
-        assert_eq!(keys, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn stream_is_deterministic() {
-        let wl = Workload::new(WorkloadMix::B, Distribution::ScrambledZipfian, 500, 77);
+        let wl = Workload::new(500, 77);
         let a: Vec<_> = wl.operations().take(100).collect();
         let b: Vec<_> = wl.operations().take(100).collect();
         assert_eq!(a, b);
+    }
+
+    /// Memcached's run-phase stream at `records = 1024`, seed `0x5ca1e`:
+    /// its first 64 `(kind, key)` pairs. The figure goldens and perfbench
+    /// fingerprints depend on this exact stream, so a change to either
+    /// draw (its seed, its distribution, or the generator it reads) must
+    /// fail here, not in a sweep.
+    #[test]
+    fn memcached_key_stream_is_pinned() {
+        const KINDS: &str = "URUUURURRRRUUURURRRURUUUURRUUUUUURRUUUUUURUURRRUUUUUURRRURRUURRU";
+        const KEYS: [u64; 64] = [
+            6, 130, 76, 81, 2, 220, 129, 1, 6, 706, 139, 252, 440, 42, 17, 1, 213, 0, 33, 279, 5,
+            93, 303, 232, 43, 812, 0, 2, 0, 424, 924, 1, 21, 0, 0, 9, 1, 6, 4, 982, 113, 38, 611,
+            0, 79, 7, 24, 89, 0, 1, 0, 1, 42, 89, 382, 183, 68, 439, 17, 73, 158, 16, 45, 1,
+        ];
+        let ops: Vec<_> = Workload::new(1024, 0x5ca1e).operations().take(64).collect();
+        let kinds: String = ops
+            .iter()
+            .map(|o| match o.kind {
+                OpKind::Read => 'R',
+                OpKind::Update => 'U',
+            })
+            .collect();
+        let keys: Vec<u64> = ops.iter().map(|o| o.key).collect();
+        assert_eq!(kinds, KINDS);
+        assert_eq!(keys, KEYS);
     }
 }

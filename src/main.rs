@@ -136,6 +136,16 @@ fn parse_jobs(flags: &BTreeMap<String, String>) -> Result<usize, String> {
         .map_err(|_| "bad --jobs".to_owned())
 }
 
+/// `--scale <divisor>`: workload inputs shrink by the divisor; `1` (the
+/// default) is paper scale. `0` is refused rather than read as `1`.
+fn parse_scale(flags: &BTreeMap<String, String>) -> Result<u64, String> {
+    match flags.get("scale").map(|s| s.parse::<u64>()) {
+        None => Ok(1),
+        Some(Ok(d)) if d >= 1 => Ok(d),
+        Some(_) => Err("bad --scale: needs a divisor of at least 1".to_owned()),
+    }
+}
+
 /// Runs `cell(i)` for every grid index `i < n` on `jobs` workers and
 /// returns the cells in grid order, or the first failure in grid order.
 fn run_grid<T: Send>(
@@ -157,16 +167,8 @@ fn parse_setting(s: &str) -> Result<InputSetting, String> {
     s.parse()
 }
 
-fn workloads_for(scale: u64) -> Vec<Box<dyn Workload>> {
-    if scale <= 1 {
-        suite()
-    } else {
-        suite_scaled(scale)
-    }
-}
-
 fn find_workload(scale: u64, name: &str) -> Result<Box<dyn Workload>, String> {
-    workloads_for(scale)
+    suite_scaled(scale)
         .into_iter()
         .find(|w| w.name().eq_ignore_ascii_case(name))
         .ok_or_else(|| {
@@ -268,11 +270,7 @@ fn cmd_list() -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_run(flags: &BTreeMap<String, String>) -> Result<(), String> {
-    let scale: u64 = flags
-        .get("scale")
-        .map_or(Ok(1), |s| s.parse())
-        .map_err(|_| "bad --scale")?;
+fn cmd_run(flags: &BTreeMap<String, String>, scale: u64) -> Result<(), String> {
     let name = flags.get("workload").ok_or("--workload is required")?;
     let mode = parse_mode(flags.get("mode").ok_or("--mode is required")?)?;
     let setting = parse_setting(flags.get("setting").ok_or("--setting is required")?)?;
@@ -285,11 +283,7 @@ fn cmd_run(flags: &BTreeMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_compare(flags: &BTreeMap<String, String>) -> Result<(), String> {
-    let scale: u64 = flags
-        .get("scale")
-        .map_or(Ok(1), |s| s.parse())
-        .map_err(|_| "bad --scale")?;
+fn cmd_compare(flags: &BTreeMap<String, String>, scale: u64) -> Result<(), String> {
     let name = flags.get("workload").ok_or("--workload is required")?;
     let setting = parse_setting(flags.get("setting").ok_or("--setting is required")?)?;
     let wl = find_workload(scale, name)?;
@@ -341,11 +335,7 @@ fn cmd_compare(flags: &BTreeMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_suite(flags: &BTreeMap<String, String>) -> Result<(), String> {
-    let scale: u64 = flags
-        .get("scale")
-        .map_or(Ok(1), |s| s.parse())
-        .map_err(|_| "bad --scale")?;
+fn cmd_suite(flags: &BTreeMap<String, String>, scale: u64) -> Result<(), String> {
     let setting = flags
         .get("setting")
         .map_or(Ok(InputSetting::Low), |s| parse_setting(s))?;
@@ -375,7 +365,7 @@ fn cmd_suite(flags: &BTreeMap<String, String>) -> Result<(), String> {
         suite_runner = suite_runner.max_quarantine(max);
     }
     let io = artifact_backend(flags)?;
-    let workloads = workloads_for(scale);
+    let workloads = suite_scaled(scale);
     let refs: Vec<&dyn Workload> = workloads.iter().map(|w| w.as_ref()).collect();
     let checkpoint = flags.get("checkpoint").map(PathBuf::from);
     let resume = flags.get("resume").map(PathBuf::from);
@@ -478,11 +468,7 @@ fn artifact_backend(flags: &BTreeMap<String, String>) -> Result<Box<dyn Artifact
     }
 }
 
-fn cmd_trace(name: &str, flags: &BTreeMap<String, String>) -> Result<(), String> {
-    let scale: u64 = flags
-        .get("scale")
-        .map_or(Ok(1), |s| s.parse())
-        .map_err(|_| "bad --scale")?;
+fn cmd_trace(name: &str, flags: &BTreeMap<String, String>, scale: u64) -> Result<(), String> {
     let mode = parse_mode(flags.get("mode").ok_or("--mode is required")?)?;
     let setting = parse_setting(flags.get("setting").ok_or("--setting is required")?)?;
     let jobs = parse_jobs(flags)?;
@@ -912,19 +898,20 @@ fn main() -> ExitCode {
     } else {
         (None, &args[1..])
     };
-    let flags = match parse_flags(cmd, flag_args) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return usage();
-        }
-    };
+    let (flags, scale) =
+        match parse_flags(cmd, flag_args).and_then(|f| parse_scale(&f).map(|scale| (f, scale))) {
+            Ok(parsed) => parsed,
+            Err(e) => {
+                eprintln!("error: {e}");
+                return usage();
+            }
+        };
     let result = match cmd.as_str() {
         "list" => cmd_list(),
-        "run" => cmd_run(&flags),
-        "compare" => cmd_compare(&flags),
-        "suite" => cmd_suite(&flags),
-        "trace" => cmd_trace(positional.as_deref().unwrap_or_default(), &flags),
+        "run" => cmd_run(&flags, scale),
+        "compare" => cmd_compare(&flags, scale),
+        "suite" => cmd_suite(&flags, scale),
+        "trace" => cmd_trace(positional.as_deref().unwrap_or_default(), &flags, scale),
         "campaign" => cmd_campaign(positional.as_deref().unwrap_or_default(), &flags),
         "cotenancy" => cmd_cotenancy(&flags),
         _ => {

@@ -1,6 +1,6 @@
-//! The CLI rejects flags a subcommand does not read, and flags given
-//! twice, with exit code 2 and the offending name. Every flag set the CI
-//! jobs pass to the binary must still be accepted.
+//! The CLI rejects flags a subcommand does not read, flags given twice,
+//! and a `--scale` below 1, with exit code 2 and the offending name.
+//! Every flag set the CI jobs pass to the binary must still be accepted.
 
 use std::process::{Command, Output};
 
@@ -60,6 +60,16 @@ fn flags_of_other_subcommands_are_unknown() {
         "campaign {ex}/soak_campaign.toml --jobs 2",
         "unknown flag `--jobs` for `campaign`",
     );
+}
+
+#[test]
+fn zero_scale_is_a_usage_error() {
+    // Reading `--scale 0` as `1` would run paper scale without a word.
+    assert_usage_error(
+        "run --workload BTree --mode native --setting low --scale 0",
+        "bad --scale",
+    );
+    assert_usage_error("suite --setting low --scale 0", "bad --scale");
 }
 
 /// The flag sets of the `faults` and `io-chaos` CI jobs.

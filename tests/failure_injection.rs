@@ -195,8 +195,8 @@ fn scratch(name: &str) -> PathBuf {
     p
 }
 
-/// Keeps only the first `keep` cells of a checkpoint file, simulating a
-/// sweep killed mid-flight.
+/// Keeps only the first `keep` cells of a checkpoint file and reseals
+/// it, simulating a sweep killed mid-flight.
 fn truncate_cells(text: &str, keep: usize) -> String {
     let mut starts = Vec::new();
     let mut from = 0;
@@ -207,7 +207,7 @@ fn truncate_cells(text: &str, keep: usize) -> String {
     assert!(starts.len() > keep, "not enough cells to truncate");
     let mut out = text[..starts[keep]].trim_end_matches(',').to_owned();
     out.push_str("]}\n");
-    out
+    sgxgauge::core::io::seal(&out)
 }
 
 /// A killed-and-resumed sweep must converge on the same report — and the

@@ -97,8 +97,7 @@ fn chaos_matrix_completes_identically_or_fails_typed() {
                 // unseal cleanly: torn data never reaches the artifact.
                 if path.exists() {
                     let text = std::fs::read_to_string(&path).expect("readable");
-                    let (crc, _) = aio::unseal(&path, &text).expect("published prefix is sealed");
-                    assert!(crc.is_some(), "{spec}: checkpoint carries its footer");
+                    aio::unseal(&path, &text).expect("published prefix is sealed");
                 }
             }
             Err(other) => panic!("{spec}: unexpected error class: {other}"),
@@ -193,25 +192,31 @@ fn corrupt_checkpoint_is_refused_and_preserved() {
     cleanup(&path);
 }
 
-/// Pre-footer (v2) checkpoints without an integrity line still load, so
-/// old sweeps stay resumable across the upgrade.
+/// A checkpoint without its integrity footer is refused with a typed
+/// `Format` error, even when its body is a valid checkpoint: every
+/// checkpoint the harness writes is sealed.
 #[test]
-fn legacy_checkpoint_without_footer_still_resumes() {
-    let (base_fp, base_bytes) = baseline("legacy-base");
+fn footerless_checkpoint_is_a_format_error() {
+    let (_, base_bytes) = baseline("footerless-base");
     let wl = HashJoin::scaled(1024);
     let refs: Vec<&dyn Workload> = vec![&wl];
-    let path = scratch("legacy-run");
+    let path = scratch("footerless-run");
     cleanup(&path);
     let body: String = base_bytes
         .lines()
         .filter(|l| !l.starts_with(aio::INTEGRITY_PREFIX))
         .map(|l| format!("{l}\n"))
         .collect();
-    std::fs::write(&path, body).expect("seed legacy checkpoint");
-    let resumed = suite()
+    std::fs::write(&path, body).expect("seed footerless checkpoint");
+    let err = suite()
         .run_with_checkpoint_io(&refs, &path, true, &RealFs)
-        .expect("legacy file loads");
-    assert_eq!(resumed.fingerprint(), base_fp);
+        .expect_err("an unsealed checkpoint must refuse the resume");
+    match err {
+        SweepError::Artifact(ArtifactError::Format { message, .. }) => {
+            assert!(message.contains("integrity footer"), "{message}");
+        }
+        other => panic!("unexpected error class: {other}"),
+    }
     cleanup(&path);
 }
 
@@ -275,25 +280,26 @@ proptest! {
         prop_assert_eq!(streamed, aio::crc32(&data));
     }
 
-    /// seal/unseal round-trips any printable body, and unseal verifies
-    /// the footer it finds.
+    /// seal/unseal round-trips any printable body, and unseal returns
+    /// the body's CRC from the footer.
     #[test]
     fn seal_unseal_roundtrip(raw in prop::collection::vec(any::<u8>(), 0..512)) {
         let body: String = raw.iter().map(|b| char::from(32 + b % 95)).collect();
         let sealed = aio::seal(&body);
         let (crc, unsealed) =
             aio::unseal(Path::new("prop.json"), &sealed).expect("own footer verifies");
-        prop_assert!(crc.is_some());
         let mut expected = body.clone();
         if !expected.ends_with('\n') {
             expected.push('\n');
         }
+        prop_assert_eq!(crc, aio::crc32(expected.as_bytes()));
         prop_assert_eq!(unsealed, expected);
     }
 
     /// Any body byte change under an intact footer is caught as
-    /// `Corrupt`. (Destroying the footer itself demotes the file to a
-    /// legacy unsealed artifact by design, so only body flips apply.)
+    /// `Corrupt`. (Destroying the footer itself is a `Format` error,
+    /// which `unseal_detects_corruption_and_rejects_a_missing_footer`
+    /// covers, so only body flips apply.)
     #[test]
     fn seal_detects_any_body_byte_change(raw in prop::collection::vec(any::<u8>(), 1..256),
                                          idx_seed in any::<u64>(), bit in 0usize..7) {
@@ -363,8 +369,7 @@ proptest! {
         prop_assert_eq!(&after_first, &after_second);
 
         // Exactly the interrupted version, published whole and sealed.
-        let (crc, body) = aio::unseal(&path, &after_second).expect("footer verifies");
-        prop_assert!(crc.is_some());
+        let (_, body) = aio::unseal(&path, &after_second).expect("footer verifies");
         prop_assert_eq!(body, versions[crashed_at].as_str());
         prop_assert!(
             !aio::tmp_sibling(&path).exists(),
