@@ -2,9 +2,7 @@
 //!
 //! Deliberately tiny and self-contained: the fault plane must be
 //! deterministic across platforms and dependency-free, so it carries its
-//! own generator instead of pulling one in. The vendored `rand` stub is a
-//! dev-only test double elsewhere in the workspace; production fault
-//! schedules never touch it.
+//! own generator instead of pulling one in.
 
 /// Marsaglia xorshift64 with a splitmix64 seed scrambler.
 ///

@@ -6,7 +6,6 @@
 //!
 //! * **manifest** ([`manifest::Manifest`]): enclave size (4 GB default),
 //!   thread count (16), internal memory (64 MB), protected-files toggle,
-//!   trusted-file hashes,
 //! * **start-up** ([`process::LibosProcess::launch`]): the whole enclave
 //!   size streams through the EPC for measurement (≈1 M evictions for
 //!   4 GB), the runtime performs its ≈300 ECALLs / ≈1000 OCALLs / ≈1000

@@ -7,7 +7,7 @@
 //! * the enclave-size property (4 GB by default) streams through the EPC
 //!   for measurement ⇒ ≈1 M EPC evictions,
 //! * the runtime performs ≈300 ECALLs and ≈1000 OCALLs while loading the
-//!   binary, libraries and trusted files,
+//!   binary and its libraries,
 //! * demand-touching the runtime image and the first slice of internal
 //!   memory produces ≈1000 AEX page-fault exits,
 //! * only the runtime-image pages (a couple of MB) are ELDU'd back of
@@ -55,7 +55,6 @@ pub struct LibosProcess {
     enclave: EnclaveId,
     shim: Shim,
     startup: StartupStats,
-    app_binary: String,
 }
 
 impl LibosProcess {
@@ -78,8 +77,8 @@ impl LibosProcess {
 
         let mut shim = Shim::new(manifest.protected_files(), b"sgxgauge-platform");
 
-        // Bootstrap: the runtime enters, loads libraries/trusted files
-        // via host calls, and touches its image + early internal memory.
+        // Bootstrap: the runtime enters, loads its libraries via host
+        // calls, and touches its image + early internal memory.
         machine.ecall_enter(tid, enclave)?;
         let base = machine.enclave(enclave).base();
         // Demand-touch the hot tenth of the runtime image: each page
@@ -88,9 +87,8 @@ impl LibosProcess {
         for p in 0..image_pages {
             machine.access(tid, base + p * PAGE_SIZE, 8, AccessKind::Read);
         }
-        // Library/file loading host calls. Trusted files add hashing work.
-        let extra = manifest.trusted_files().len() as u64 * 4;
-        for _ in 0..STARTUP_OCALLS + extra {
+        // Library/file loading host calls.
+        for _ in 0..STARTUP_OCALLS {
             shim.syscall_host(machine, tid)?;
         }
         // Warm a slice of the internal allocator.
@@ -123,18 +121,12 @@ impl LibosProcess {
             enclave,
             shim,
             startup,
-            app_binary: manifest.binary().to_owned(),
         })
     }
 
     /// The enclave this process runs in.
     pub fn enclave(&self) -> EnclaveId {
         self.enclave
-    }
-
-    /// The application binary named by the manifest.
-    pub fn binary(&self) -> &str {
-        &self.app_binary
     }
 
     /// Start-up statistics (Fig 6a / Appendix D).

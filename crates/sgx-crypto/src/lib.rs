@@ -6,7 +6,10 @@
 //! time (EADD/EEXTEND), sealed storage encrypts data with a platform key,
 //! and two of the workloads (Blockchain, OpenSSL) are crypto kernels.
 //!
-//! This crate implements the needed primitives with no dependencies:
+//! The simulator charges the hardware's own crypto (EWB, ELDU, EEXTEND)
+//! as cycles without computing it. This crate implements, with no
+//! dependencies, the primitives the workloads and the LibOS protected
+//! files compute for real:
 //!
 //! * [`sha256`] — FIPS 180-4 SHA-256 (tested against NIST vectors),
 //! * [`hmac`] — HMAC-SHA-256 (RFC 2104, tested against RFC 4231),

@@ -2,7 +2,7 @@
 //!
 //! A streaming implementation with the usual `update`/`finalize` API plus
 //! a one-shot [`Sha256::digest`] helper. Used by the Blockchain workload's
-//! proof-of-work loop, enclave measurement (EEXTEND), and HMAC.
+//! proof-of-work loop and by HMAC.
 
 /// Round constants (first 32 bits of the fractional parts of the cube
 /// roots of the first 64 primes).

@@ -1,15 +1,15 @@
-//! Enclave objects: identity, address range, measurement, heap.
+//! Enclave objects: identity, address range, heap.
 //!
 //! An enclave occupies a contiguous virtual range (the ELRANGE). Before
-//! EINIT the loader EADDs each content page and extends the measurement
-//! (EEXTEND); the hardware then compares the result with the author's
-//! signed value (paper §2.1). The enclave-size property — not the content
+//! EINIT the loader EADDs each page and extends the measurement
+//! (EEXTEND; paper §2.1). The enclave-size property — not the content
 //! size — determines how many pages stream through the EPC at build time,
 //! which is what makes GrapheneSGX's 4 GB enclaves cost ≈1 M evictions at
-//! startup (Appendix D).
+//! startup (Appendix D). [`crate::SgxMachine::create_enclave`] charges
+//! that pass from [`crate::costs`]; nothing reads a measurement value,
+//! so none is computed.
 
 use mem_sim::{PAGE_SHIFT, PAGE_SIZE};
-use sgx_crypto::Sha256;
 
 /// Identifier of an enclave, dense from zero per [`crate::SgxMachine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -34,7 +34,6 @@ pub struct Enclave {
     size: u64,
     content_bytes: u64,
     state: EnclaveState,
-    measurement: [u8; 32],
     heap_next: u64,
 }
 
@@ -55,20 +54,12 @@ impl Enclave {
             content_bytes <= size,
             "content cannot exceed the enclave size"
         );
-        // MRENCLAVE starts from the ECREATE attributes (size, SSA layout,
-        // ...); seed it with the geometry so differently-built enclaves
-        // measure differently while identical binaries measure alike.
-        let mut h = Sha256::new();
-        h.update(b"ECREATE");
-        h.update(&size.to_le_bytes());
-        h.update(&content_bytes.to_le_bytes());
         Enclave {
             id,
             base,
             size,
             content_bytes,
             state: EnclaveState::Building,
-            measurement: h.finalize(),
             heap_next: base + content_bytes.next_multiple_of(PAGE_SIZE),
         }
     }
@@ -81,11 +72,6 @@ impl Enclave {
     /// Base virtual address of the ELRANGE.
     pub fn base(&self) -> u64 {
         self.base
-    }
-
-    /// Size of the ELRANGE in bytes (the "enclave size" property).
-    pub fn size(&self) -> u64 {
-        self.size
     }
 
     /// Bytes of measured content (binary image).
@@ -113,11 +99,6 @@ impl Enclave {
         self.state
     }
 
-    /// The measurement accumulated so far (MRENCLAVE analogue).
-    pub fn measurement(&self) -> [u8; 32] {
-        self.measurement
-    }
-
     /// Start of the heap region (just after the measured content).
     pub fn heap_base(&self) -> u64 {
         self.base + self.content_bytes.next_multiple_of(PAGE_SIZE)
@@ -138,20 +119,6 @@ impl Enclave {
         let addr = self.heap_next;
         self.heap_next += aligned;
         Some(addr)
-    }
-
-    /// Remaining heap bytes.
-    pub fn heap_remaining(&self) -> u64 {
-        self.base + self.size - self.heap_next
-    }
-
-    /// Extends the measurement with one page's contents (EEXTEND); the
-    /// loader calls this for every measured page during the build phase.
-    pub(crate) fn extend_measurement(&mut self, page_index: u64) {
-        let mut h = Sha256::new();
-        h.update(&self.measurement);
-        h.update(&page_index.to_le_bytes());
-        self.measurement = h.finalize();
     }
 
     /// Marks the enclave initialized (EINIT).
@@ -196,33 +163,9 @@ mod tests {
         let b = e.alloc_heap(1).unwrap(); // rounds to a page
         assert_eq!(a, 2 * PAGE_SIZE);
         assert_eq!(b, 3 * PAGE_SIZE);
-        assert_eq!(e.heap_remaining(), 4 * PAGE_SIZE);
         assert!(e.alloc_heap(5 * PAGE_SIZE).is_none());
         assert!(e.alloc_heap(4 * PAGE_SIZE).is_some());
-        assert_eq!(e.heap_remaining(), 0);
-    }
-
-    #[test]
-    fn measurement_changes_per_page() {
-        let mut e = Enclave::create(EnclaveId(0), 0, 4 * PAGE_SIZE, 4 * PAGE_SIZE);
-        let m0 = e.measurement();
-        e.extend_measurement(0);
-        let m1 = e.measurement();
-        e.extend_measurement(1);
-        let m2 = e.measurement();
-        assert_ne!(m0, m1);
-        assert_ne!(m1, m2);
-    }
-
-    #[test]
-    fn measurement_is_order_sensitive() {
-        let mut a = Enclave::create(EnclaveId(0), 0, 4 * PAGE_SIZE, 4 * PAGE_SIZE);
-        let mut b = Enclave::create(EnclaveId(1), 0, 4 * PAGE_SIZE, 4 * PAGE_SIZE);
-        a.extend_measurement(0);
-        a.extend_measurement(1);
-        b.extend_measurement(1);
-        b.extend_measurement(0);
-        assert_ne!(a.measurement(), b.measurement());
+        assert!(e.alloc_heap(1).is_none());
     }
 
     #[test]

@@ -504,7 +504,6 @@ impl SgxMachine {
             }
             let ac = self.jittered(costs::ALLOC_PAGE_CYCLES);
             self.driver.record(DriverOp::AllocPage, ac);
-            enclave.extend_measurement(i);
             init.cycles += cycles;
             self.epcm.record(id, first + i, PagePerms::RW);
         }

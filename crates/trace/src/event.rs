@@ -162,12 +162,9 @@ pub enum TraceEvent {
         /// EPC frames resident at the instant the fault was taken.
         resident_pages: u64,
     },
-    /// A LibOS shim syscall dispatch.
-    ShimSyscall {
-        /// The syscall left the enclave (OCALL path) rather than being
-        /// served entirely in-enclave.
-        host: bool,
-    },
+    /// A LibOS shim syscall dispatch. Every shim syscall reaches the
+    /// host through at least one OCALL.
+    ShimSyscall,
     /// The fault plane applied an injection.
     FaultInjected {
         /// Which injection fired.

@@ -50,9 +50,7 @@ impl TraceSink {
                      \"resident_pages\":{resident_pages}"
                 );
             }
-            TraceEvent::ShimSyscall { host } => {
-                let _ = write!(out, "\"shim_syscall\",\"host\":{host}");
-            }
+            TraceEvent::ShimSyscall => out.push_str("\"shim_syscall\""),
             TraceEvent::FaultInjected { kind } => {
                 let _ = write!(out, "\"fault_injected\",\"kind\":\"{}\"", kind.name());
             }

@@ -42,6 +42,7 @@ pub mod pagerank;
 pub mod svm;
 pub mod util;
 pub mod xsbench;
+mod ycsb;
 
 pub use bfs::Bfs;
 pub use blockchain::Blockchain;

@@ -9,11 +9,11 @@
 //! makes the workload Data/ECALL-intensive under a LibOS.
 
 use crate::util::{fold, scale_down};
+use crate::ycsb::{OpKind, Operations};
 use sgxgauge_core::env::{Placement, Region, SimThread};
 use sgxgauge_core::{
     Env, ExecMode, InputSetting, Workload, WorkloadError, WorkloadOutput, WorkloadSpec,
 };
-use ycsb_gen::OpKind;
 
 /// Value bytes per record (sized so the Table 2 record counts straddle
 /// the EPC: 50 K ≈ 45 MB, 100 K ≈ 90 MB, 200 K ≈ 180 MB).
@@ -221,20 +221,20 @@ impl Workload for Memcached {
         // Run phase: YCSB core workload A over a zipfian key distribution,
         // as the paper implies with "a specified set of (read or write)
         // operations".
-        let stream = ycsb_gen::Workload::new(records, 0x5ca1e);
         let mut checksum = 0u64;
         let mut hits = 0u64;
         let mut latency_sum = 0u64;
-        for (i, op) in stream.operations().take(ops as usize).enumerate() {
-            let lat = request_roundtrip(env, server, client, |env| match op.kind {
+        let stream = Operations::new(records, 0x5ca1e).take(ops as usize);
+        for (i, (kind, key)) in stream.enumerate() {
+            let lat = request_roundtrip(env, server, client, |env| match kind {
                 OpKind::Read => {
-                    if let Some(stamp) = store.get(env, (op.key % records) + 1) {
+                    if let Some(stamp) = store.get(env, (key % records) + 1) {
                         hits += 1;
                         checksum = fold(checksum, stamp);
                     }
                 }
                 OpKind::Update => {
-                    store.upsert(env, (op.key % records) + 1, i as u64);
+                    store.upsert(env, (key % records) + 1, i as u64);
                 }
             })?;
             latency_sum += lat;

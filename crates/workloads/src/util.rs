@@ -1,10 +1,10 @@
 //! Shared helpers for the workloads: deterministic randomness, sizing
 //! arithmetic, and checksum folding.
 
-/// SplitMix64: tiny, fast, deterministic PRNG for input generation.
-/// (Workloads must be reproducible across runs and modes so that
-/// checksums can be compared; `rand`'s `StdRng` is used where a richer
-/// API helps, this where raw speed does.)
+/// SplitMix64: tiny, fast, deterministic PRNG, the workloads' one
+/// source of randomness (inputs and the YCSB request stream must be
+/// reproducible across runs and modes so that checksums can be
+/// compared).
 #[derive(Debug, Clone)]
 pub struct SplitMix64 {
     state: u64,

@@ -37,4 +37,3 @@ pub use sgx_sim as sgx;
 pub use sgxgauge_core as core;
 pub use sgxgauge_workloads as workloads;
 pub use trace;
-pub use ycsb_gen as ycsb;

@@ -702,6 +702,9 @@ fn cmd_cotenancy(flags: &BTreeMap<String, String>) -> Result<(), String> {
         .get("ops")
         .map_or(Ok(1_000), |s| s.parse())
         .map_err(|_| "bad --ops")?;
+    if ops == 0 {
+        return Err("--ops must be at least 1".to_owned());
+    }
     let jobs = parse_jobs(flags)?;
     let traced = flags.contains_key("timeline");
 

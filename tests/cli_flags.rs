@@ -1,5 +1,6 @@
 //! The CLI rejects flags a subcommand does not read, flags given twice,
-//! and a `--scale` below 1, with exit code 2 and the offending name.
+//! and a `--scale` below 1, with exit code 2 and the offending name;
+//! `cotenancy` refuses sizes it cannot run with exit code 1.
 //! Every flag set the CI jobs pass to the binary must still be accepted.
 
 use std::process::{Command, Output};
@@ -70,6 +71,23 @@ fn zero_scale_is_a_usage_error() {
         "bad --scale",
     );
     assert_usage_error("suite --setting low --scale 0", "bad --scale");
+}
+
+#[test]
+fn cotenancy_rejects_degenerate_sizes() {
+    // `--ops 0` would divide by zero into a `NaN` fault-rate column.
+    for (cmdline, needle) in [
+        ("cotenancy --tenants 2 --ops 0", "--ops must be at least 1"),
+        (
+            "cotenancy --tenants 2 --epc-pages 8",
+            "--epc-pages must be at least 16",
+        ),
+    ] {
+        let out = sgxgauge(cmdline);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{cmdline}: {err}");
+        assert!(err.contains(needle), "{cmdline}: no `{needle}` in: {err}");
+    }
 }
 
 /// The flag sets of the `faults` and `io-chaos` CI jobs.
