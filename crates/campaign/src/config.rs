@@ -104,7 +104,8 @@ pub struct StageSpec {
     /// machine.
     pub tenants: u64,
     /// Of those tenants, how many are EPC-thrashing antagonists
-    /// (recorded in the key's `aM` half; must not exceed `tenants`).
+    /// (recorded in the key's `aM` half; at most `tenants - 1`, so one
+    /// tenant is always the victim).
     pub antagonists: u64,
 }
 
@@ -315,9 +316,9 @@ impl CampaignConfig {
                     u8::MAX
                 ));
             }
-            if stage.antagonists > stage.tenants {
+            if stage.antagonists > 0 && stage.antagonists >= stage.tenants {
                 return Err(format!(
-                    "stage `{}`: {} antagonists among only {} tenants",
+                    "stage `{}`: {} antagonists among only {} tenants leave no victim",
                     stage.name, stage.antagonists, stage.tenants
                 ));
             }
@@ -555,6 +556,17 @@ antagonist = true
                 .unwrap_err()
                 .contains("antagonists")
         );
+        // Every co-tenant key needs a victim: antagonists < tenants.
+        for (tenants, antagonists) in [(2, 2), (1, 1), (0, 1)] {
+            let err = CampaignConfig::parse(&format!(
+                "{base}tenants = {tenants}\nantagonists = {antagonists}\n"
+            ))
+            .unwrap_err();
+            assert!(
+                err.contains("stage `s`") && err.contains("no victim"),
+                "{err}"
+            );
+        }
         assert!(CampaignConfig::parse(&format!("{base}tenants = 300\n"))
             .unwrap_err()
             .contains("limit"));

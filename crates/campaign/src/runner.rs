@@ -24,7 +24,7 @@ use faults::prng::splitmix64;
 use sgxgauge_core::sweep::{CellError, CellErrorKind, SweepCell};
 use sgxgauge_core::workload::Workload;
 use sgxgauge_core::{
-    checkpoint, io, ArtifactError, ArtifactIo, CellKey, ChaosFs, RealFs, ReportTable, RunnerConfig,
+    io, ArtifactError, ArtifactIo, CellKey, ChaosFs, RealFs, ReportTable, RunnerConfig,
     SuiteRunner, TenantDim,
 };
 use std::path::Path;
@@ -367,7 +367,7 @@ fn run_stage(
     let normal = make_runner(cfg.retries);
     let degraded = make_runner(0);
     let grid = normal.grid(&workloads);
-    let grid_fp = checkpoint::grid_fingerprint(&normal, &workloads);
+    let checkpoint = normal.checkpoint(&workloads);
     let fault_seed = stage
         .faults
         .as_ref()
@@ -385,17 +385,8 @@ fn run_stage(
     let checkpoint_path = stage_dir.join("checkpoint.json");
     let mut adopted: Vec<Option<SweepCell>> = (0..grid.len()).map(|_| None).collect();
     if io.exists(&checkpoint_path) {
-        if let Ok(cp) = checkpoint::load_checkpoint_io(io, &checkpoint_path) {
-            if cp.grid_fp == grid_fp {
-                for stored in cp.cells {
-                    let index = stored.index;
-                    if let Ok(cell) = checkpoint::adopt_stored_cell(stored, &grid, &workloads) {
-                        if index < adopted.len() {
-                            adopted[index] = Some(cell);
-                        }
-                    }
-                }
-            }
+        for (index, cell) in checkpoint.load(io, &checkpoint_path).unwrap_or_default() {
+            adopted[index] = Some(cell);
         }
     }
 
@@ -483,7 +474,7 @@ fn run_stage(
         // Checkpoint the settled (non-shed) prefix so a kill inside the
         // next wave resumes here. Shed cells are supervision decisions,
         // recomputed on resume, never persisted.
-        let durable: Vec<(usize, &SweepCell)> = settled
+        let durable = settled
             .iter()
             .enumerate()
             .filter_map(|(index, slot)| slot.as_ref().map(|cell| (index, cell)))
@@ -495,10 +486,8 @@ fn run_stage(
                         ..
                     })
                 )
-            })
-            .collect();
-        let body = checkpoint::render_checkpoint(grid_fp, &durable);
-        publish_artifact(io, &checkpoint_path, &body)?;
+            });
+        publish_artifact(io, &checkpoint_path, &checkpoint.render(durable))?;
         wave_start = wave_end;
     }
 

@@ -13,27 +13,25 @@
 //! names, the enumerated grid, the fault plan, the retry budget and the
 //! cell budget — so a checkpoint can never be resumed against a sweep
 //! it does not describe. The format is a dependency-free JSON dialect
-//! (all numbers are unsigned 64-bit decimals; `f64` metrics are stored
-//! as their IEEE-754 bit patterns) written and parsed entirely by this
-//! module.
+//! (unsigned 64-bit decimals; `f64` metrics as IEEE-754 bits) that only
+//! [`GridCheckpoint`] writes and reads, for the sweep and for campaign
+//! stages alike. Its reader follows the document in the writer's order
+//! and builds each verified [`SweepCell`] as it goes.
 //!
-//! Since the crash-safe artifact plane landed, every checkpoint write is
-//! a *journaled, sealed publish* through [`crate::io`]: the file carries
-//! a CRC32 integrity footer, each rewrite records intent → commit in the
-//! sibling recovery journal, and resume first runs [`io::recover`] to
-//! repair or quarantine state a crash left behind. A checksum mismatch
-//! on load is a typed [`ArtifactError::Corrupt`] (the bad file is kept
-//! at `<path>.corrupt`), and a file *without* a footer is a typed
-//! [`ArtifactError::Format`]: every checkpoint this module writes is
-//! sealed, so an unsealed one is not trusted.
+//! Every write is a journaled, sealed publish through [`crate::io`]
+//! (CRC32 footer, intent → commit journal, [`io::recover`] on resume).
+//! A checksum mismatch on load is [`ArtifactError::Corrupt`] (the bad
+//! file is kept at `<path>.corrupt`); an unsealed file is
+//! [`ArtifactError::Format`] and is not trusted.
 
 use crate::io::{self, ArtifactError, ArtifactIo, Journal, RealFs};
 use crate::runner::RunReport;
 use crate::sweep::{
-    AttemptFailure, CellError, CellErrorKind, CellKey, Fnv, SuiteRunner, SweepCell, SweepError,
+    AttemptFailure, CellError, CellErrorKind, CellKey, SuiteRunner, SweepCell, SweepError,
     SweepReport,
 };
 use crate::workload::{Workload, WorkloadOutput};
+use faults::Fnv;
 use mem_sim::Counters;
 use sgx_sim::{CounterField, DriverStats, SgxCounters};
 use std::collections::BTreeMap;
@@ -60,11 +58,11 @@ const PUBLISH_ATTEMPTS: usize = 4;
 /// checkpoint bytes are unchanged, and a key that still carries it
 /// fails to parse.
 ///
-/// [`load_checkpoint`] accepts only this version: checkpoints are
+/// [`GridCheckpoint::load`] accepts only this version: checkpoints are
 /// resume state of this build, not an exchange format.
 pub const CHECKPOINT_VERSION: u64 = 4;
 
-/// Pinned input to [`grid_fingerprint`]. Deliberately *not*
+/// Pinned input to the grid fingerprint. Deliberately *not*
 /// [`CHECKPOINT_VERSION`]: the fingerprint guards the sweep's *shape*,
 /// not the file layout, so a format bump alone does not change it.
 /// Bump this only when old fingerprints must be invalidated.
@@ -112,40 +110,21 @@ impl SuiteRunner {
         io: &dyn ArtifactIo,
     ) -> Result<SweepReport, SweepError> {
         io::recover(io, path)?;
-        let grid = self.grid(workloads);
-        let grid_fp = grid_fingerprint(self, workloads);
-        let mut prefilled = Vec::new();
-        let mut retained = BTreeMap::new();
-        if resume && io.exists(path) {
-            let stored = load_checkpoint_io(io, path)?;
-            if stored.grid_fp != grid_fp {
-                return Err(SweepError::Artifact(ArtifactError::Mismatch {
-                    path: path.to_path_buf(),
-                    message: format!(
-                        "checkpoint describes a different sweep \
-                         (grid fingerprint {:#018x}, expected {:#018x})",
-                        stored.grid_fp, grid_fp
-                    ),
-                }));
-            }
-            for cell in stored.cells {
-                let index = cell.index;
-                let adopted = adopt_cell(cell, &grid, workloads).map_err(|message| {
-                    SweepError::Artifact(ArtifactError::Format {
-                        path: path.to_path_buf(),
-                        message,
-                    })
-                })?;
-                retained.insert(index, cell_json(index, &adopted));
-                prefilled.push((index, adopted));
-            }
-        }
+        let checkpoint = self.checkpoint(workloads);
+        let prefilled = if resume && io.exists(path) {
+            checkpoint.load(io, path)?
+        } else {
+            Vec::new()
+        };
         let sink = CheckpointSink {
             path: path.to_path_buf(),
             io,
             state: SinkState {
-                grid_fp,
-                cells: retained,
+                grid_fp: checkpoint.grid_fp,
+                cells: prefilled
+                    .iter()
+                    .map(|(index, cell)| (*index, cell_json(*index, cell)))
+                    .collect(),
                 error: None,
             }
             .into(),
@@ -162,31 +141,234 @@ impl SuiteRunner {
         self.enforce_quarantine(&report)?;
         Ok(report)
     }
+
+    /// The checkpoint format of this sweep over `workloads`. Campaign
+    /// stages persist and resume their checkpoint files through it.
+    pub fn checkpoint(&self, workloads: &[&dyn Workload]) -> GridCheckpoint {
+        let grid = self.grid(workloads);
+        let names: Vec<&'static str> = workloads.iter().map(|w| w.name()).collect();
+        // Everything that determines the sweep's shape and policy:
+        // adopting a cell is only sound when all of it matches.
+        let mut h = Fnv::default();
+        h.u64(FINGERPRINT_EPOCH);
+        h.u64(names.len() as u64);
+        for name in &names {
+            h.str(name);
+        }
+        for c in &grid {
+            h.str(&c.to_string());
+        }
+        let plan = self.runner().fault_plan();
+        h.u64(plan.map_or(0, faults::FaultPlan::digest));
+        h.u64(self.retry_budget() as u64);
+        h.u64(self.runner().cell_budget_cycles().unwrap_or(0));
+        GridCheckpoint {
+            grid,
+            names,
+            grid_fp: h.finish(),
+        }
+    }
 }
 
-/// Digest of everything that determines the sweep's shape and policy:
-/// adopting a cell from a checkpoint is only sound when all of it
-/// matches. Public so campaign-level orchestrators can stamp their own
-/// per-stage checkpoint files with the same guard.
-pub fn grid_fingerprint(suite: &SuiteRunner, workloads: &[&dyn Workload]) -> u64 {
-    let mut h = Fnv::new();
-    h.u64(FINGERPRINT_EPOCH);
-    h.u64(workloads.len() as u64);
-    for w in workloads {
-        h.str(w.name());
+/// The checkpoint format of one sweep grid, from
+/// [`SuiteRunner::checkpoint`]: the grid, its workload names and the
+/// grid fingerprint every file of it carries.
+#[derive(Debug, Clone)]
+pub struct GridCheckpoint {
+    grid: Vec<CellKey>,
+    names: Vec<&'static str>,
+    grid_fp: u64,
+}
+
+impl GridCheckpoint {
+    /// Reads, integrity-checks and verifies the checkpoint at `path`,
+    /// returning its cells as (grid index, cell) pairs in file order.
+    ///
+    /// The integrity footer is verified first: a mismatch is
+    /// [`ArtifactError::Corrupt`] and the bad file is preserved at
+    /// `<path>.corrupt`; a file without a footer is
+    /// [`ArtifactError::Format`], and its body is not read. A file of a
+    /// different sweep is [`ArtifactError::Mismatch`].
+    ///
+    /// # Errors
+    ///
+    /// A typed [`ArtifactError`]: `Format` for a body that is not
+    /// exactly what this module writes (version, syntax, key order,
+    /// unknown counter) or whose cells do not agree with the grid.
+    pub fn load(
+        &self,
+        io: &dyn ArtifactIo,
+        path: &Path,
+    ) -> Result<Vec<(usize, SweepCell)>, ArtifactError> {
+        let text = io.read(path)?;
+        let body = match io::unseal(path, &text) {
+            Ok((_crc, body)) => body,
+            Err(e @ ArtifactError::Corrupt { .. }) => {
+                // Keep the evidence: a checksum mismatch moves the file
+                // aside instead of letting a resume half-trust it.
+                io.rename(path, &io::corrupt_sibling(path)).ok();
+                return Err(e);
+            }
+            Err(e) => return Err(e),
+        };
+        let format = |message| ArtifactError::Format {
+            path: path.to_path_buf(),
+            message,
+        };
+        let mut r = Reader { text: body, pos: 0 };
+        let grid_fp = r.header().map_err(format)?;
+        if grid_fp != self.grid_fp {
+            return Err(ArtifactError::Mismatch {
+                path: path.to_path_buf(),
+                message: format!(
+                    "checkpoint describes a different sweep \
+                     (grid fingerprint {grid_fp:#018x}, expected {:#018x})",
+                    self.grid_fp
+                ),
+            });
+        }
+        let mut cells = Vec::new();
+        r.items(|r| {
+            cells.push(self.cell(r)?);
+            Ok(())
+        })
+        .and_then(|()| r.end())
+        .map_err(format)?;
+        Ok(cells)
     }
-    for c in suite.grid(workloads) {
-        h.str(&c.to_string());
+
+    /// Renders the unsealed checkpoint document for `cells`, given as
+    /// (grid index, cell) pairs. Cells are sorted by grid index, so the
+    /// file is stable regardless of completion order.
+    pub fn render<'c>(&self, cells: impl IntoIterator<Item = (usize, &'c SweepCell)>) -> String {
+        let sorted: BTreeMap<usize, String> = cells
+            .into_iter()
+            .map(|(index, cell)| (index, cell_json(index, cell)))
+            .collect();
+        render_document(self.grid_fp, sorted.values().map(String::as_str))
     }
-    h.u64(
-        suite
-            .runner()
-            .fault_plan()
-            .map_or(0, faults::FaultPlan::digest),
-    );
-    h.u64(suite.retry_budget() as u64);
-    h.u64(suite.runner().cell_budget_cycles().unwrap_or(0));
-    h.finish()
+
+    /// Reads one cell, in the order [`cell_json`] writes it, checking
+    /// it against the grid as it goes.
+    fn cell(&self, r: &mut Reader<'_>) -> Result<(usize, SweepCell), String> {
+        let index = usize::try_from(r.number("{\"index\":")?).unwrap_or(usize::MAX);
+        let key = *self
+            .grid
+            .get(index)
+            .ok_or_else(|| format!("checkpoint cell index {index} outside the grid"))?;
+        let name = self.names[key.workload];
+        let stored = r.string(",\"workload\":")?;
+        if stored != name {
+            return Err(format!(
+                "checkpoint cell {index}: stored workload `{stored}` is `{name}` in this sweep"
+            ));
+        }
+        let stored: CellKey = r
+            .string(",\"key\":")?
+            .parse()
+            .map_err(|e| format!("checkpoint cell {index}: {e}"))?;
+        if stored != key {
+            return Err(format!(
+                "checkpoint cell {index} ({stored}) does not match the enumerated grid ({key})"
+            ));
+        }
+        let attempts = r.number(",\"attempts\":")? as usize;
+        let backoff_cycles = r.number(",\"backoff\":")?;
+        let kind = |r: &mut Reader<'_>, lit: &str| {
+            r.string(lit)?
+                .parse::<CellErrorKind>()
+                .map_err(|e| format!("checkpoint cell {index}: {e}"))
+        };
+        let mut trail = Vec::new();
+        if r.eat(",\"trail\":[") {
+            r.items(|r| {
+                trail.push(AttemptFailure {
+                    attempt: r.number("{\"attempt\":")? as usize,
+                    kind: kind(r, ",\"kind\":")?,
+                    message: r.string(",\"message\":")?,
+                });
+                r.lit("}")
+            })?;
+        }
+        let result = if r.eat(",\"ok\":") {
+            Ok(self.report(r, key, index)?)
+        } else {
+            let error = CellError {
+                kind: kind(r, ",\"err\":{\"kind\":")?,
+                message: r.string(",\"message\":")?,
+            };
+            r.lit("}")?;
+            Err(error)
+        };
+        r.lit("}")?;
+        Ok((
+            index,
+            SweepCell {
+                cell: key,
+                workload: name,
+                result,
+                attempts,
+                backoff_cycles,
+                trail,
+            },
+        ))
+    }
+
+    /// Reads a cell's `ok` object back into the fingerprinted subset of
+    /// its [`RunReport`].
+    fn report(&self, r: &mut Reader<'_>, key: CellKey, index: usize) -> Result<RunReport, String> {
+        let unknown = |name: &str| {
+            format!(
+                "checkpoint cell {index}: unknown counter `{name}` (file from a different build?)"
+            )
+        };
+        let runtime_cycles = r.number("{\"runtime\":")?;
+        let clock_hz = r.number(",\"clock\":")?;
+        let mut counters = Counters::new();
+        r.pairs(",\"counters\":[", |name, v| {
+            counters
+                .set_field(&name, v)
+                .then_some(())
+                .ok_or_else(|| unknown(&name))
+        })?;
+        // SGX counters restore through the typed field enum: unknown
+        // names fail the load instead of silently writing nowhere.
+        let mut sgx = SgxCounters::default();
+        r.pairs(",\"sgx\":[", |name, v| {
+            sgx.set(CounterField::parse(&name).ok_or_else(|| unknown(&name))?, v);
+            Ok(())
+        })?;
+        let ops = r.number(",\"ops\":")?;
+        let checksum = r.number(",\"checksum\":")?;
+        let mut metrics = Vec::new();
+        r.pairs(",\"metrics\":[", |name, bits| {
+            metrics.push((name, f64::from_bits(bits)));
+            Ok(())
+        })?;
+        r.lit("}")?;
+        Ok(RunReport {
+            workload: self.names[key.workload],
+            mode: key.mode,
+            setting: key.setting,
+            runtime_cycles,
+            counters,
+            sgx,
+            // None of these enter the fingerprint; a resumed report
+            // only guarantees the fingerprinted subset. Traces in
+            // particular are never persisted — re-trace to get one.
+            driver: DriverStats::new(),
+            libos_startup: None,
+            timeline: Vec::new(),
+            phases: Vec::new(),
+            trace: None,
+            clock_hz,
+            output: WorkloadOutput {
+                ops,
+                checksum,
+                metrics,
+            },
+        })
+    }
 }
 
 /// Accumulates completed cells and rewrites the checkpoint file after
@@ -226,7 +408,8 @@ impl CheckpointSink<'_> {
     /// budget: torn writes and transient EIO are redone, everything
     /// else (ENOSPC, crash, corruption) surfaces immediately.
     fn publish(&self, state: &SinkState) -> Result<(), ArtifactError> {
-        io::publish_sealed(self.io, &self.path, &render(state), PUBLISH_ATTEMPTS)
+        let body = render_document(state.grid_fp, state.cells.values().map(String::as_str));
+        io::publish_sealed(self.io, &self.path, &body, PUBLISH_ATTEMPTS)
     }
 
     fn flush(&self) -> Result<(), ArtifactError> {
@@ -235,22 +418,14 @@ impl CheckpointSink<'_> {
     }
 
     fn take_error(&self) -> Result<(), ArtifactError> {
-        match self
-            .state
-            .lock()
-            .expect("sink lock is never poisoned")
-            .error
-            .take()
-        {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        let mut state = self.state.lock().expect("sink lock is never poisoned");
+        state.error.take().map_or(Ok(()), Err)
     }
 }
 
-fn render(state: &SinkState) -> String {
-    render_document(state.grid_fp, state.cells.values().map(String::as_str))
-}
+// ---------------------------------------------------------------------
+// Writing
+// ---------------------------------------------------------------------
 
 fn render_document<'a>(grid_fp: u64, cells: impl Iterator<Item = &'a str>) -> String {
     let mut out = String::new();
@@ -268,41 +443,6 @@ fn render_document<'a>(grid_fp: u64, cells: impl Iterator<Item = &'a str>) -> St
     out.push_str("]}\n");
     out
 }
-
-/// Renders a checkpoint document (the unsealed body, current format) for an
-/// arbitrary set of completed cells — the building block campaign
-/// orchestrators use to persist per-stage progress in the exact format
-/// [`load_checkpoint_io`] reads back. Cells are sorted by grid index so
-/// the rendered file is stable regardless of completion order.
-pub fn render_checkpoint(grid_fp: u64, cells: &[(usize, &SweepCell)]) -> String {
-    let sorted: BTreeMap<usize, String> = cells
-        .iter()
-        .map(|&(index, cell)| (index, cell_json(index, cell)))
-        .collect();
-    render_document(grid_fp, sorted.values().map(String::as_str))
-}
-
-/// Turns a parsed [`StoredCell`] back into a live [`SweepCell`],
-/// verifying it against the enumerated grid and the live workload set —
-/// the public face of the resume path's adoption step, for orchestrators
-/// that manage their own checkpoint files.
-///
-/// # Errors
-///
-/// A human-readable message when the stored cell does not belong to
-/// this grid (index out of range, workload renamed, key mismatch) or
-/// cannot be re-hydrated.
-pub fn adopt_stored_cell(
-    stored: StoredCell,
-    grid: &[crate::sweep::CellKey],
-    workloads: &[&dyn Workload],
-) -> Result<SweepCell, String> {
-    adopt_cell(stored, grid, workloads)
-}
-
-// ---------------------------------------------------------------------
-// Serialization
-// ---------------------------------------------------------------------
 
 fn cell_json(index: usize, cell: &SweepCell) -> String {
     let mut out = format!(
@@ -378,530 +518,138 @@ fn named_u64s(out: &mut String, pairs: impl IntoIterator<Item = (&'static str, u
 }
 
 // ---------------------------------------------------------------------
-// Parsing
+// Reading
 // ---------------------------------------------------------------------
 
-/// A parsed checkpoint file.
-#[derive(Debug, Clone)]
-pub struct Checkpoint {
-    /// Format version (always [`CHECKPOINT_VERSION`]).
-    pub version: u64,
-    /// Digest of the sweep the file belongs to.
-    pub grid_fp: u64,
-    /// Completed cells, in stored (grid-index) order.
-    pub cells: Vec<StoredCell>,
-}
-
-/// One completed cell as stored on disk.
-#[derive(Debug, Clone)]
-pub struct StoredCell {
-    /// Position in the enumerated grid.
-    pub index: usize,
-    /// Workload name at store time (verified against the live suite).
-    pub workload: String,
-    /// The typed grid key, parsed from its stored display form.
-    pub key: CellKey,
-    /// Attempts the cell took.
-    pub attempts: usize,
-    /// Accounted retry backoff.
-    pub backoff_cycles: u64,
-    /// The non-final attempt failures (absent from the file when empty).
-    pub trail: Vec<AttemptFailure>,
-    /// The stored outcome.
-    pub result: StoredResult,
-}
-
-/// Stored cell outcome.
-#[derive(Debug, Clone)]
-pub enum StoredResult {
-    /// A successful run (the fingerprinted subset of [`RunReport`]).
-    Ok {
-        /// Measured runtime in cycles.
-        runtime_cycles: u64,
-        /// Machine clock in Hz.
-        clock_hz: u64,
-        /// Hardware counter (name, value) pairs.
-        counters: Vec<(String, u64)>,
-        /// SGX counter (name, value) pairs.
-        sgx: Vec<(String, u64)>,
-        /// Application-level operations.
-        ops: u64,
-        /// Validation checksum.
-        checksum: u64,
-        /// Metrics as (name, IEEE-754 bits).
-        metrics: Vec<(String, u64)>,
-    },
-    /// A failed cell.
-    Err {
-        /// The structured failure kind, as displayed.
-        kind: String,
-        /// The failure message.
-        message: String,
-    },
-}
-
-/// Reads, integrity-checks and parses a checkpoint file on the real
-/// filesystem. See [`load_checkpoint_io`].
-///
-/// # Errors
-///
-/// A typed [`ArtifactError`] describing the I/O, integrity, syntax, or
-/// schema problem.
-pub fn load_checkpoint(path: &Path) -> Result<Checkpoint, ArtifactError> {
-    load_checkpoint_io(&RealFs, path)
-}
-
-/// [`load_checkpoint`] through an injectable backend.
-///
-/// The integrity footer is verified first: a mismatch is
-/// [`ArtifactError::Corrupt`] — *not* a JSON parse error — and the bad
-/// file is preserved at `<path>.corrupt` for inspection. A file without
-/// a footer is [`ArtifactError::Format`], and its body is not parsed.
-///
-/// # Errors
-///
-/// A typed [`ArtifactError`].
-pub fn load_checkpoint_io(io: &dyn ArtifactIo, path: &Path) -> Result<Checkpoint, ArtifactError> {
-    let text = io.read(path)?;
-    let body = match io::unseal(path, &text) {
-        Ok((_crc, body)) => body,
-        Err(e @ ArtifactError::Corrupt { .. }) => {
-            // Keep the evidence: a checksum mismatch moves the file
-            // aside instead of letting a resume half-trust it.
-            io.rename(path, &io::corrupt_sibling(path)).ok();
-            return Err(e);
-        }
-        Err(e) => return Err(e),
-    };
-    parse_checkpoint_body(body).map_err(|message| ArtifactError::Format {
-        path: path.to_path_buf(),
-        message,
-    })
-}
-
-fn parse_checkpoint_body(body: &str) -> Result<Checkpoint, String> {
-    let root = parse_json(body)?;
-    let obj = root.as_obj("checkpoint")?;
-    let version = get(obj, "version")?.as_u64("version")?;
-    if version != CHECKPOINT_VERSION {
-        return Err(format!(
-            "checkpoint version {version} unsupported (expected {CHECKPOINT_VERSION})"
-        ));
-    }
-    let grid_fp = get(obj, "grid_fp")?.as_u64("grid_fp")?;
-    let mut cells = Vec::new();
-    for v in get(obj, "cells")?.as_arr("cells")? {
-        cells.push(parse_cell(v)?);
-    }
-    Ok(Checkpoint {
-        version,
-        grid_fp,
-        cells,
-    })
-}
-
-fn parse_cell(v: &Json) -> Result<StoredCell, String> {
-    let obj = v.as_obj("cell")?;
-    let result = if let Ok(ok) = get(obj, "ok") {
-        let ok = ok.as_obj("ok")?;
-        StoredResult::Ok {
-            runtime_cycles: get(ok, "runtime")?.as_u64("runtime")?,
-            clock_hz: get(ok, "clock")?.as_u64("clock")?,
-            counters: named_pairs(get(ok, "counters")?, "counters")?,
-            sgx: named_pairs(get(ok, "sgx")?, "sgx")?,
-            ops: get(ok, "ops")?.as_u64("ops")?,
-            checksum: get(ok, "checksum")?.as_u64("checksum")?,
-            metrics: named_pairs(get(ok, "metrics")?, "metrics")?,
-        }
-    } else {
-        let err = get(obj, "err")?.as_obj("err")?;
-        StoredResult::Err {
-            kind: get(err, "kind")?.as_str("kind")?.to_owned(),
-            message: get(err, "message")?.as_str("message")?.to_owned(),
-        }
-    };
-    let index = get(obj, "index")?.as_u64("index")? as usize;
-    let key = get(obj, "key")?
-        .as_str("key")?
-        .parse::<CellKey>()
-        .map_err(|e| format!("checkpoint cell {index}: {e}"))?;
-    let mut trail = Vec::new();
-    if let Ok(stored) = get(obj, "trail") {
-        for t in stored.as_arr("trail")? {
-            let t = t.as_obj("trail")?;
-            trail.push(AttemptFailure {
-                attempt: get(t, "attempt")?.as_u64("attempt")? as usize,
-                kind: get(t, "kind")?
-                    .as_str("kind")?
-                    .parse()
-                    .map_err(|e| format!("checkpoint cell {index} trail: {e}"))?,
-                message: get(t, "message")?.as_str("message")?.to_owned(),
-            });
-        }
-    }
-    Ok(StoredCell {
-        index,
-        workload: get(obj, "workload")?.as_str("workload")?.to_owned(),
-        key,
-        attempts: get(obj, "attempts")?.as_u64("attempts")? as usize,
-        backoff_cycles: get(obj, "backoff")?.as_u64("backoff")?,
-        trail,
-        result,
-    })
-}
-
-fn named_pairs(v: &Json, what: &str) -> Result<Vec<(String, u64)>, String> {
-    let mut out = Vec::new();
-    for entry in v.as_arr(what)? {
-        let pair = entry.as_arr(what)?;
-        if pair.len() != 2 {
-            return Err(format!("{what}: expected [name, value] pairs"));
-        }
-        out.push((pair[0].as_str(what)?.to_owned(), pair[1].as_u64(what)?));
-    }
-    Ok(out)
-}
-
-/// Turns a stored cell back into a live [`SweepCell`], verifying it
-/// against the enumerated grid and the live workload set.
-fn adopt_cell(
-    stored: StoredCell,
-    grid: &[crate::sweep::CellKey],
-    workloads: &[&dyn Workload],
-) -> Result<SweepCell, String> {
-    let index = stored.index;
-    let grid_cell = *grid
-        .get(index)
-        .ok_or_else(|| format!("checkpoint cell index {index} outside the grid"))?;
-    let w = workloads
-        .get(stored.key.workload)
-        .ok_or_else(|| format!("checkpoint cell {index}: workload index out of range"))?;
-    if w.name() != stored.workload {
-        return Err(format!(
-            "checkpoint cell {index}: stored workload `{}` is `{}` in this sweep",
-            stored.workload,
-            w.name()
-        ));
-    }
-    if grid_cell != stored.key {
-        return Err(format!(
-            "checkpoint cell {index} ({}) does not match the enumerated grid ({grid_cell})",
-            stored.key
-        ));
-    }
-    let (mode, setting) = (grid_cell.mode, grid_cell.setting);
-    let result = match stored.result {
-        StoredResult::Ok {
-            runtime_cycles,
-            clock_hz,
-            counters,
-            sgx,
-            ops,
-            checksum,
-            metrics,
-        } => {
-            let mut c = Counters::new();
-            restore_fields(&mut c, Counters::set_field, &counters, index)?;
-            let mut s = SgxCounters::default();
-            // SGX counters restore through the typed field enum: unknown
-            // names fail the parse instead of silently writing nowhere.
-            restore_fields(
-                &mut s,
-                |s, name, v| {
-                    CounterField::parse(name).is_some_and(|f| {
-                        s.set(f, v);
-                        true
-                    })
-                },
-                &sgx,
-                index,
-            )?;
-            Ok(RunReport {
-                workload: w.name(),
-                mode,
-                setting,
-                runtime_cycles,
-                counters: c,
-                sgx: s,
-                // None of these enter the fingerprint; a resumed report
-                // only guarantees the fingerprinted subset. Traces in
-                // particular are never persisted — re-trace to get one.
-                driver: DriverStats::new(),
-                libos_startup: None,
-                timeline: Vec::new(),
-                phases: Vec::new(),
-                trace: None,
-                clock_hz,
-                output: WorkloadOutput {
-                    ops,
-                    checksum,
-                    metrics: metrics
-                        .into_iter()
-                        .map(|(name, bits)| (name, f64::from_bits(bits)))
-                        .collect(),
-                },
-            })
-        }
-        StoredResult::Err { kind, message } => {
-            let kind: CellErrorKind = kind
-                .parse()
-                .map_err(|e| format!("checkpoint cell {index}: {e}"))?;
-            Err(CellError { kind, message })
-        }
-    };
-    Ok(SweepCell {
-        cell: grid_cell,
-        workload: w.name(),
-        result,
-        attempts: stored.attempts,
-        backoff_cycles: stored.backoff_cycles,
-        trail: stored.trail,
-    })
-}
-
-fn restore_fields<T>(
-    target: &mut T,
-    set: impl Fn(&mut T, &str, u64) -> bool,
-    pairs: &[(String, u64)],
-    index: usize,
-) -> Result<(), String> {
-    for (name, v) in pairs {
-        if !set(target, name, *v) {
-            return Err(format!(
-                "checkpoint cell {index}: unknown counter `{name}` \
-                 (file from a different build?)"
-            ));
-        }
-    }
-    Ok(())
-}
-
-// Minimal JSON value model — exactly what the writer above emits.
-
-#[derive(Debug, Clone)]
-enum Json {
-    Num(u64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn as_u64(&self, what: &str) -> Result<u64, String> {
-        match self {
-            Json::Num(v) => Ok(*v),
-            _ => Err(format!("{what}: expected a number")),
-        }
-    }
-
-    fn as_str(&self, what: &str) -> Result<&str, String> {
-        match self {
-            Json::Str(s) => Ok(s),
-            _ => Err(format!("{what}: expected a string")),
-        }
-    }
-
-    fn as_arr(&self, what: &str) -> Result<&[Json], String> {
-        match self {
-            Json::Arr(v) => Ok(v),
-            _ => Err(format!("{what}: expected an array")),
-        }
-    }
-
-    fn as_obj(&self, what: &str) -> Result<&[(String, Json)], String> {
-        match self {
-            Json::Obj(v) => Ok(v),
-            _ => Err(format!("{what}: expected an object")),
-        }
-    }
-}
-
-fn get<'a>(obj: &'a [(String, Json)], key: &str) -> Result<&'a Json, String> {
-    obj.iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("missing key `{key}`"))
-}
-
-fn parse_json(text: &str) -> Result<Json, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing data at byte {}", p.pos));
-    }
-    Ok(v)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// A cursor over a checkpoint body that accepts exactly the writer's
+/// output: every key in its place, no whitespace.
+struct Reader<'a> {
+    text: &'a str,
     pos: usize,
 }
 
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
+impl Reader<'_> {
+    /// Reads `{"version":V,"grid_fp":F,"cells":[`, rejecting any
+    /// version but [`CHECKPOINT_VERSION`], and returns the fingerprint.
+    fn header(&mut self) -> Result<u64, String> {
+        let version = self.number("{\"version\":")?;
+        if version != CHECKPOINT_VERSION {
+            return Err(format!(
+                "checkpoint version {version} unsupported (expected {CHECKPOINT_VERSION})"
+            ));
         }
+        let grid_fp = self.number(",\"grid_fp\":")?;
+        self.lit(",\"cells\":[")?;
+        Ok(grid_fp)
     }
 
-    fn peek(&mut self) -> Result<u8, String> {
-        self.skip_ws();
-        self.bytes
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| "unexpected end of checkpoint".to_owned())
+    /// Reads the `}` and final newline that close the document.
+    fn end(&mut self) -> Result<(), String> {
+        self.lit("}\n")?;
+        (self.pos == self.text.len())
+            .then_some(())
+            .ok_or_else(|| format!("trailing data at byte {}", self.pos))
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek()? == b {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at byte {}", char::from(b), self.pos))
+    /// Consumes `lit` if the text continues with it.
+    fn eat(&mut self, lit: &str) -> bool {
+        let found = self.text[self.pos..].starts_with(lit);
+        if found {
+            self.pos += lit.len();
         }
+        found
     }
 
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Ok(Json::Str(self.string()?)),
-            b'0'..=b'9' => self.number(),
-            other => Err(format!(
-                "unexpected `{}` at byte {}",
-                char::from(other),
-                self.pos
-            )),
-        }
+    fn lit(&mut self, lit: &str) -> Result<(), String> {
+        self.eat(lit)
+            .then_some(())
+            .ok_or_else(|| format!("expected `{lit}` at byte {}", self.pos))
     }
 
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut out = Vec::new();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Ok(Json::Obj(out));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            out.push((key, self.value()?));
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(out));
-                }
-                other => {
-                    return Err(format!(
-                        "expected `,` or `}}`, found `{}` at byte {}",
-                        char::from(other),
-                        self.pos
-                    ))
-                }
-            }
-        }
+    /// `lit` followed by an unsigned decimal.
+    fn number(&mut self, lit: &str) -> Result<u64, String> {
+        self.lit(lit)?;
+        let rest = &self.text[self.pos..];
+        let len = rest.bytes().take_while(u8::is_ascii_digit).count();
+        let v = rest[..len]
+            .parse()
+            .map_err(|e| format!("bad number at byte {}: {e}", self.pos))?;
+        self.pos += len;
+        Ok(v)
     }
 
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut out = Vec::new();
-        if self.peek()? == b']' {
-            self.pos += 1;
-            return Ok(Json::Arr(out));
-        }
-        loop {
-            out.push(self.value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(out));
-                }
-                other => {
-                    return Err(format!(
-                        "expected `,` or `]`, found `{}` at byte {}",
-                        char::from(other),
-                        self.pos
-                    ))
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while matches!(self.bytes.get(self.pos), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "non-UTF8 number".to_owned())?;
-        text.parse::<u64>()
-            .map(Json::Num)
-            .map_err(|e| format!("bad number at byte {start}: {e}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        if self.bytes.get(self.pos) != Some(&b'"') {
-            return Err(format!("expected a string at byte {}", self.pos));
-        }
-        self.pos += 1;
+    /// `lit` followed by a JSON string, unescaped.
+    fn string(&mut self, lit: &str) -> Result<String, String> {
+        self.lit(lit)?;
+        self.lit("\"")?;
         let mut out = String::new();
         loop {
-            let rest = &self.bytes[self.pos..];
-            let Some(&b) = rest.first() else {
-                return Err("unterminated string".to_owned());
-            };
-            match b {
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    let esc = rest.get(1).copied().ok_or("unterminated escape")?;
-                    self.pos += 2;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|e| format!("bad \\u escape: {e}"))?;
-                            self.pos += 4;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| format!("invalid code point {code:#x}"))?,
-                            );
-                        }
-                        other => return Err(format!("unknown escape `\\{}`", char::from(other))),
-                    }
-                }
-                _ => {
-                    // Copy the plain run up to the next `"` or `\\`. Both
-                    // are ASCII, so the run ends on a char boundary.
-                    let run = rest
-                        .iter()
-                        .position(|&c| c == b'"' || c == b'\\')
-                        .unwrap_or(rest.len());
-                    let text = std::str::from_utf8(&rest[..run])
-                        .map_err(|_| "non-UTF8 string".to_owned())?;
-                    out.push_str(text);
-                    self.pos += run;
-                }
+            // Copy the plain run up to the next `"` or `\`. Both are
+            // ASCII, so the run ends on a char boundary.
+            let rest = &self.text[self.pos..];
+            let run = rest
+                .find(['"', '\\'])
+                .ok_or_else(|| "unterminated string".to_owned())?;
+            out.push_str(&rest[..run]);
+            self.pos += run;
+            let rest = &rest[run..];
+            if rest.starts_with('"') {
+                self.pos += 1;
+                return Ok(out);
             }
+            let (c, len) = match rest.as_bytes().get(1) {
+                Some(&b @ (b'"' | b'\\' | b'/')) => (char::from(b), 2),
+                Some(b'n') => ('\n', 2),
+                Some(b'r') => ('\r', 2),
+                Some(b't') => ('\t', 2),
+                Some(b'u') => {
+                    let code = rest
+                        .get(2..6)
+                        .filter(|hex| hex.bytes().all(|b| b.is_ascii_hexdigit()))
+                        .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                        .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
+                    let c = char::from_u32(code)
+                        .ok_or_else(|| format!("invalid code point {code:#x}"))?;
+                    (c, 6)
+                }
+                _ => return Err(format!("bad escape at byte {}", self.pos)),
+            };
+            out.push(c);
+            self.pos += len;
+        }
+    }
+
+    /// `lit` (ending in `[`) followed by a list of `["name",value]`
+    /// pairs, each handed to `each`.
+    fn pairs(
+        &mut self,
+        lit: &str,
+        mut each: impl FnMut(String, u64) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.lit(lit)?;
+        self.items(|r| {
+            let name = r.string("[")?;
+            let v = r.number(",")?;
+            r.lit("]")?;
+            each(name, v)
+        })
+    }
+
+    /// Reads the comma-separated elements of a list whose `[` is already
+    /// consumed, through its closing `]`.
+    fn items(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
+        if self.eat("]") {
+            return Ok(());
+        }
+        loop {
+            item(self)?;
+            if self.eat("]") {
+                return Ok(());
+            }
+            self.lit(",")?;
         }
     }
 }
@@ -915,11 +663,16 @@ mod tests {
     use crate::runner::RunnerConfig;
     use crate::workload::{WorkloadError, WorkloadSpec};
 
-    struct Tick;
+    /// A test workload whose `execute` is `run`.
+    struct Probe {
+        name: &'static str,
+        modes: &'static [ExecMode],
+        run: fn(&mut Env, InputSetting) -> Result<WorkloadOutput, WorkloadError>,
+    }
 
-    impl Workload for Tick {
+    impl Workload for Probe {
         fn name(&self) -> &'static str {
-            "Tick"
+            self.name
         }
 
         fn property(&self) -> &'static str {
@@ -927,11 +680,11 @@ mod tests {
         }
 
         fn supported_modes(&self) -> &'static [ExecMode] {
-            &[ExecMode::Vanilla, ExecMode::Native]
+            self.modes
         }
 
         fn spec(&self, _setting: InputSetting) -> WorkloadSpec {
-            WorkloadSpec::new(1 << 16, "tick")
+            WorkloadSpec::new(1 << 16, "probe")
         }
 
         fn setup(&self, _env: &mut Env, _setting: InputSetting) -> Result<(), WorkloadError> {
@@ -943,6 +696,14 @@ mod tests {
             env: &mut Env,
             setting: InputSetting,
         ) -> Result<WorkloadOutput, WorkloadError> {
+            (self.run)(env, setting)
+        }
+    }
+
+    const TICK: Probe = Probe {
+        name: "Tick",
+        modes: &[ExecMode::Vanilla, ExecMode::Native],
+        run: |env, setting| {
             env.compute(match setting {
                 InputSetting::Low => 1_000,
                 InputSetting::Medium => 2_000,
@@ -953,8 +714,15 @@ mod tests {
                 checksum: 11,
                 metrics: vec![("phase".into(), 0.25)],
             })
-        }
-    }
+        },
+    };
+
+    /// Fails every cell with a 256 KiB message of multi-byte text.
+    const LOUD: Probe = Probe {
+        name: "Loud",
+        modes: &[ExecMode::Vanilla],
+        run: |_, _| Err(WorkloadError::Validation(loud_message())),
+    };
 
     fn scratch(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -971,26 +739,38 @@ mod tests {
     #[test]
     fn checkpointed_sweep_matches_plain_run() {
         let path = scratch("plain");
-        let plain = suite().run(&[&Tick]);
+        let plain = suite().run(&[&TICK]);
         let ck = suite()
-            .run_with_checkpoint(&[&Tick], &path, false)
+            .run_with_checkpoint(&[&TICK], &path, false)
             .expect("checkpointed run succeeds");
         assert_eq!(plain.fingerprint(), ck.fingerprint());
         let _ = std::fs::remove_file(&path);
+    }
+
+    fn load(
+        workload: &dyn Workload,
+        path: &Path,
+    ) -> Result<Vec<(usize, SweepCell)>, ArtifactError> {
+        suite().checkpoint(&[workload]).load(&RealFs, path)
     }
 
     #[test]
     fn stored_cells_round_trip_through_the_parser() {
         let path = scratch("roundtrip");
         let report = suite()
-            .run_with_checkpoint(&[&Tick], &path, false)
+            .run_with_checkpoint(&[&TICK], &path, false)
             .expect("run succeeds");
-        let stored = load_checkpoint(&path).expect("parses");
-        assert_eq!(stored.version, CHECKPOINT_VERSION);
-        assert_eq!(stored.cells.len(), report.cells.len());
+        let text = std::fs::read_to_string(&path).expect("readable");
+        assert!(text.starts_with(&format!("{{\"version\":{CHECKPOINT_VERSION},")));
+        let stored = load(&TICK, &path).expect("loads");
+        assert_eq!(stored.len(), report.cells.len());
+        // The loaded cells are the sweep's cells, in grid order.
+        assert!(stored.iter().enumerate().all(|(i, (index, _))| i == *index));
+        let cells = stored.into_iter().map(|(_, cell)| cell).collect();
+        assert_eq!(SweepReport { cells }.fingerprint(), report.fingerprint());
         // Adopt everything back and compare fingerprints.
         let resumed = suite()
-            .run_with_checkpoint(&[&Tick], &path, true)
+            .run_with_checkpoint(&[&TICK], &path, true)
             .expect("resume succeeds");
         assert_eq!(report.fingerprint(), resumed.fingerprint());
         let _ = std::fs::remove_file(&path);
@@ -1000,25 +780,18 @@ mod tests {
     fn truncated_checkpoint_resumes_to_identical_report() {
         let path = scratch("truncated");
         let full = suite()
-            .run_with_checkpoint(&[&Tick], &path, false)
+            .run_with_checkpoint(&[&TICK], &path, false)
             .expect("run succeeds");
         // Simulate a sweep killed halfway: keep only the first cell.
-        let stored = load_checkpoint(&path).expect("parses");
-        let mut partial = format!(
-            "{{\"version\":{},\"grid_fp\":{},\"cells\":[",
-            stored.version, stored.grid_fp
-        );
         let text = std::fs::read_to_string(&path).expect("readable");
-        // Cheap re-serialization: slice the first cell out of the file.
         let start = text.find("[{").expect("has cells") + 1;
         let end = text[start..]
             .find("},{")
             .map_or(text.rfind("}]").expect("has end"), |e| start + e + 1);
-        partial.push_str(&text[start..end]);
-        partial.push_str("]}\n");
+        let partial = format!("{}]}}\n", &text[..end]);
         std::fs::write(&path, io::seal(&partial)).expect("writable");
         let resumed = suite()
-            .run_with_checkpoint(&[&Tick], &path, true)
+            .run_with_checkpoint(&[&TICK], &path, true)
             .expect("resume succeeds");
         assert_eq!(full.fingerprint(), resumed.fingerprint());
         let _ = std::fs::remove_file(&path);
@@ -1028,77 +801,113 @@ mod tests {
     fn grid_mismatch_is_rejected() {
         let path = scratch("mismatch");
         suite()
-            .run_with_checkpoint(&[&Tick], &path, false)
+            .run_with_checkpoint(&[&TICK], &path, false)
             .expect("run succeeds");
         // Same file, different sweep shape: one fewer setting.
         let other = SuiteRunner::new(RunnerConfig::quick_test())
             .settings(&[InputSetting::Low])
             .threads(2);
         let err = other
-            .run_with_checkpoint(&[&Tick], &path, true)
+            .run_with_checkpoint(&[&TICK], &path, true)
             .expect_err("must refuse to resume");
         assert!(err.to_string().contains("different sweep"), "{err}");
         let _ = std::fs::remove_file(&path);
     }
 
-    /// Fails every cell with a 256 KiB message of multi-byte text.
-    struct Loud;
+    /// Seals `body` into `path` and requires the load to be a format
+    /// error.
+    fn assert_format_error(path: &Path, body: &str) {
+        std::fs::write(path, io::seal(body)).expect("writable");
+        match load(&TICK, path) {
+            Err(ArtifactError::Format { .. }) => {}
+            other => panic!(
+                "body {body:?} gave {:?}, not a format error",
+                other.map(|cells| cells.len())
+            ),
+        }
+    }
+
+    /// A real checkpoint body, sealed at `path`.
+    fn tick_body(path: &Path) -> String {
+        suite()
+            .run_with_checkpoint(&[&TICK], path, false)
+            .expect("run succeeds");
+        let text = std::fs::read_to_string(path).expect("readable");
+        io::unseal(path, &text).expect("sealed").1.to_owned()
+    }
+
+    /// Every cut of a real checkpoint — the shape a torn write or a
+    /// hand-truncated file takes — and the same body with two keys of
+    /// one cell swapped, and every cut of that, is a format error, never
+    /// a panic or a partial adoption. `seal` restores a missing final
+    /// newline, so the cuts run over the body without it.
+    #[test]
+    fn cut_or_reordered_bodies_are_format_errors() {
+        let path = scratch("prefixes");
+        let body = tick_body(&path);
+        assert!(load(&TICK, &path).is_ok());
+        let swapped = body.replacen(
+            "{\"index\":0,\"workload\":\"Tick\",",
+            "{\"workload\":\"Tick\",\"index\":0,",
+            1,
+        );
+        assert_ne!(
+            swapped, body,
+            "the first cell starts as the writer writes it"
+        );
+        assert_format_error(&path, &swapped);
+        for doc in [&body, &swapped] {
+            let doc = doc.trim_end_matches('\n');
+            for end in 0..doc.len() {
+                assert_format_error(&path, &doc[..end]);
+            }
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn unknown_counter_names_are_rejected() {
+        let path = scratch("unknown-counter");
+        let body = tick_body(&path);
+        for list in ["\"counters\":[[\"", "\"sgx\":[[\""] {
+            let renamed = body.replacen(list, &format!("{list}bogus_"), 1);
+            assert_ne!(renamed, body);
+            assert_format_error(&path, &renamed);
+            let err = load(&TICK, &path).expect_err("rejected");
+            assert!(err.to_string().contains("unknown counter"), "{err}");
+        }
+        let _ = std::fs::remove_file(&path);
+    }
 
     fn loud_message() -> String {
-        let unit = "ünïcødé 中文 🦀 \\ \"quoted\" ";
+        let unit = "ünïcødé 中文 🦀 \\ \"quoted\" \u{1}\t\n ";
         unit.repeat((256 * 1024usize).div_ceil(unit.len()))
     }
 
-    impl Workload for Loud {
-        fn name(&self) -> &'static str {
-            "Loud"
-        }
-
-        fn property(&self) -> &'static str {
-            "test"
-        }
-
-        fn supported_modes(&self) -> &'static [ExecMode] {
-            &[ExecMode::Vanilla]
-        }
-
-        fn spec(&self, _setting: InputSetting) -> WorkloadSpec {
-            WorkloadSpec::new(1 << 16, "loud")
-        }
-
-        fn setup(&self, _env: &mut Env, _setting: InputSetting) -> Result<(), WorkloadError> {
-            Ok(())
-        }
-
-        fn execute(
-            &self,
-            _env: &mut Env,
-            _setting: InputSetting,
-        ) -> Result<WorkloadOutput, WorkloadError> {
-            Err(WorkloadError::Validation(loud_message()))
-        }
-    }
-
-    /// A long multi-byte error message survives the store/load round
-    /// trip, and parsing it is linear in its length.
+    /// A long multi-byte error message, with control characters written
+    /// as `\uXXXX` escapes, survives the store/load round trip, and
+    /// reading it is linear in its length.
     #[test]
     fn long_multibyte_error_messages_round_trip() {
         let path = scratch("loud");
         let big = loud_message();
         assert!(big.len() >= 256 * 1024);
         let full = suite()
-            .run_with_checkpoint(&[&Loud], &path, false)
+            .run_with_checkpoint(&[&LOUD], &path, false)
             .expect("run succeeds");
-        let stored = load_checkpoint(&path).expect("parses");
-        assert_eq!(stored.cells.len(), 2);
-        for cell in &stored.cells {
+        assert!(std::fs::read_to_string(&path)
+            .expect("readable")
+            .contains("\\u0001"));
+        let stored = load(&LOUD, &path).expect("loads");
+        assert_eq!(stored.len(), 2);
+        for (_, cell) in &stored {
             match &cell.result {
-                StoredResult::Err { message, .. } => assert!(message.contains(&big)),
-                StoredResult::Ok { .. } => panic!("Loud cells fail"),
+                Err(e) => assert!(e.message.contains(&big)),
+                Ok(_) => panic!("Loud cells fail"),
             }
         }
         let resumed = suite()
-            .run_with_checkpoint(&[&Loud], &path, true)
+            .run_with_checkpoint(&[&LOUD], &path, true)
             .expect("resume succeeds");
         assert_eq!(full.fingerprint(), resumed.fingerprint());
         let _ = std::fs::remove_file(&path);
@@ -1117,7 +926,7 @@ mod tests {
                 )),
             )
             .expect("writable");
-            let err = load_checkpoint(&path).expect_err("must reject");
+            let err = load(&TICK, &path).expect_err("must reject");
             assert!(err.to_string().contains("unsupported"), "{err}");
         }
         let _ = std::fs::remove_file(&path);
@@ -1128,7 +937,7 @@ mod tests {
         let path = scratch("malformed");
         std::fs::write(&path, io::seal("{\"version\":1,")).expect("writable");
         let err = suite()
-            .run_with_checkpoint(&[&Tick], &path, true)
+            .run_with_checkpoint(&[&TICK], &path, true)
             .expect_err("must reject");
         assert!(!err.to_string().is_empty());
         let _ = std::fs::remove_file(&path);

@@ -46,7 +46,7 @@ pub mod runner;
 pub mod sweep;
 pub mod workload;
 
-pub use checkpoint::{load_checkpoint, Checkpoint, CHECKPOINT_VERSION};
+pub use checkpoint::{GridCheckpoint, CHECKPOINT_VERSION};
 pub use env::{Env, EnvConfig, Region, SimThread};
 pub use io::{ArtifactError, ArtifactIo, ChaosFs, IoErrorKind, RealFs, RecoveryReport};
 pub use mem_sim::CLOCK_HZ;

@@ -37,7 +37,7 @@ use crate::io::ArtifactError;
 use crate::modes::{ExecMode, InputSetting};
 use crate::runner::{RunReport, Runner, RunnerConfig};
 use crate::workload::{ErrorClass, Workload, WorkloadError};
-use faults::FaultPlan;
+use faults::{FaultPlan, Fnv};
 use sgx_sim::costs::RETRY_BACKOFF_BASE_CYCLES;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -78,6 +78,12 @@ impl std::str::FromStr for TenantDim {
         let antagonists = antagonists
             .parse::<u8>()
             .map_err(|e| format!("bad antagonist count in `{s}`: {e}"))?;
+        if antagonists >= tenants {
+            return Err(format!(
+                "tenant dimension `{s}` leaves no victim: \
+                 it needs more tenants than antagonists"
+            ));
+        }
         Ok(TenantDim {
             tenants,
             antagonists,
@@ -398,7 +404,7 @@ impl SweepReport {
     /// outputs (FNV-1a). Two sweeps that executed the same grid with the
     /// same results — e.g. a sequential and a parallel run — hash equal.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv::new();
+        let mut h = Fnv::default();
         for c in &self.cells {
             h.str(c.workload);
             h.u64(c.cell.workload as u64);
@@ -439,38 +445,6 @@ impl SweepReport {
             }
         }
         h.finish()
-    }
-}
-
-/// FNV-1a, the digest behind [`SweepReport::fingerprint`], the per-cell
-/// fault salts and the checkpoint grid guard.
-pub(crate) struct Fnv(u64);
-
-impl Fnv {
-    pub(crate) fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn byte(&mut self, b: u8) {
-        self.0 ^= u64::from(b);
-        self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-    }
-
-    pub(crate) fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.byte(b);
-        }
-    }
-
-    pub(crate) fn str(&mut self, s: &str) {
-        for b in s.as_bytes() {
-            self.byte(*b);
-        }
-        self.byte(0xff); // delimiter
-    }
-
-    pub(crate) fn finish(&self) -> u64 {
-        self.0
     }
 }
 
@@ -870,7 +844,7 @@ fn skipped_cell(workloads: &[&dyn Workload], cell: CellKey) -> SweepCell {
 /// attempt ordinal, so every (cell, attempt) pair sees a distinct but
 /// reproducible fault stream regardless of worker scheduling.
 fn attempt_salt(name: &str, cell: &CellKey, attempt: usize) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = Fnv::default();
     h.str(name);
     h.u64(cell.workload as u64);
     h.u64(cell.mode as u64);

@@ -103,30 +103,6 @@ impl IoFaultPlan {
         plan.seed = crate::prng::splitmix64(self.seed ^ salt.rotate_left(32));
         plan
     }
-
-    /// An order-sensitive FNV-1a digest of the plan (for logs and
-    /// provenance records).
-    pub fn digest(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        };
-        mix(self.seed);
-        mix(u64::from(self.enospc_permille));
-        mix(u64::from(self.eio_permille));
-        mix(u64::from(self.torn_permille));
-        match self.crash_rename {
-            Some(n) => {
-                mix(1);
-                mix(n);
-            }
-            None => mix(0),
-        }
-        h
-    }
 }
 
 #[cfg(test)]
@@ -187,18 +163,5 @@ mod tests {
         );
         let err = IoFaultPlan::parse("eio=1,bogus").unwrap_err();
         assert!(err.contains("line 1, column 7"), "got: {err}");
-    }
-
-    #[test]
-    fn digest_distinguishes_plans() {
-        let a = IoFaultPlan::parse("seed=1,eio=10").unwrap();
-        let b = IoFaultPlan::parse("seed=2,eio=10").unwrap();
-        let c = IoFaultPlan::parse("seed=1,torn=10").unwrap();
-        assert_ne!(a.digest(), b.digest());
-        assert_ne!(a.digest(), c.digest());
-        assert_eq!(
-            a.digest(),
-            IoFaultPlan::parse("seed=1,eio=10").unwrap().digest()
-        );
     }
 }

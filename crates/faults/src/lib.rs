@@ -25,11 +25,13 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+mod fnv;
 pub mod hook;
 pub mod iofaults;
 pub mod plan;
 pub mod prng;
 
+pub use fnv::Fnv;
 pub use hook::{FaultHook, InjectedFault};
 pub use iofaults::IoFaultPlan;
 pub use plan::{AexStorm, EpcSpike, FaultPlan};

@@ -207,34 +207,28 @@ impl FaultPlan {
     /// checkpoints: resuming a sweep under a different plan would splice
     /// incompatible cells together.
     pub fn digest(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        };
-        mix(self.seed);
+        let mut h = crate::Fnv::default();
+        h.u64(self.seed);
         match self.aex {
             Some(s) => {
-                mix(1);
-                mix(u64::from(s.exits));
-                mix(s.period_cycles);
+                h.u64(1);
+                h.u64(u64::from(s.exits));
+                h.u64(s.period_cycles);
             }
-            None => mix(0),
+            None => h.u64(0),
         }
         match self.epc {
             Some(s) => {
-                mix(1);
-                mix(s.frames as u64);
-                mix(s.period_cycles);
-                mix(s.duration_cycles);
+                h.u64(1);
+                h.u64(s.frames as u64);
+                h.u64(s.period_cycles);
+                h.u64(s.duration_cycles);
             }
-            None => mix(0),
+            None => h.u64(0),
         }
-        mix(u64::from(self.syscall_fail_permille));
-        mix(u64::from(self.bitflip_permille));
-        h
+        h.u64(u64::from(self.syscall_fail_permille));
+        h.u64(u64::from(self.bitflip_permille));
+        h.finish()
     }
 }
 
@@ -362,6 +356,17 @@ mod tests {
         assert_eq!(
             a.digest(),
             FaultPlan::parse("seed=1,aex=2@1000").unwrap().digest()
+        );
+    }
+
+    /// The digest guards checkpoint grid fingerprints, so its value is
+    /// part of the checkpoint format: a changed hash would orphan every
+    /// checkpoint written under a fault plan.
+    #[test]
+    fn digest_value_is_pinned() {
+        assert_eq!(
+            FaultPlan::parse("seed=1,aex=2@1000").unwrap().digest(),
+            0x2cd3_5de9_65e8_a04a
         );
     }
 }

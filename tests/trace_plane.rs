@@ -193,6 +193,9 @@ fn cell_key_display_round_trips() {
         "1/libos/high/2/t3a2/junk",
         "1/libos/high/2/p5q3",
         "1/libos/high/2/t3a2/p5q3",
+        "1/libos/high/2/t2a2",
+        "1/libos/high/2/t1a1",
+        "1/libos/high/2/t0a0",
     ] {
         assert!(bad.parse::<CellKey>().is_err(), "accepted `{bad}`");
     }
