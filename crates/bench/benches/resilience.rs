@@ -3,7 +3,7 @@
 //! The campaign plane's whole value proposition is that a fault storm
 //! changes *when* work completes, never *what* it computes — and that
 //! the price of that guarantee (retry re-execution, backoff spend,
-//! journal replay on restart) stays a small, pinned fraction of the
+//! recomputing a crashed wave on restart) stays a small, pinned fraction of the
 //! clean-run cycle bill. This harness measures exactly that:
 //!
 //! 1. runs one campaign grid fault-free and once more under a combined
@@ -11,9 +11,9 @@
 //!    `overhead_fraction = (storm - clean) / clean` in simulated
 //!    cycles (runtime + retry backoff);
 //! 2. runs the storm config as a kill/resume soak — three seeded
-//!    kills, journal recovery on every restart — and asserts the
-//!    tentpole convergence claim while recording how many artifacts
-//!    the recovery path actually repaired.
+//!    kills, stray temps quarantined on every restart — and asserts
+//!    the tentpole convergence claim while recording how many temps
+//!    the recovery path actually quarantined.
 //!
 //! Unlike `hotpath.rs`, nothing here is wall-clock: every number is a
 //! deterministic function of the config and the salted fault plans, so
@@ -116,7 +116,7 @@ fn main() {
 
     // Leg 2: the storm config as a kill/resume soak. Convergence is the
     // tentpole invariant; the recovery counters quantify how much the
-    // journal-replay path was actually exercised while holding it.
+    // quarantine path was actually exercised while holding it.
     let soak_out = scratch("soak");
     let outcome = run_soak(&config("storm", true), &soak_out, 3).expect("soak completes");
     assert_eq!(outcome.kills_fired, 3, "every scheduled kill must land");
@@ -133,7 +133,7 @@ fn main() {
     let adopted: usize = outcome.report.stages.iter().map(|s| s.adopted).sum();
     println!(
         "soak: 3 kills fired, converged; final pass adopted {adopted} cells, \
-         recovery repaired {recovered} artifacts"
+         recovery quarantined {recovered} temps"
     );
 
     for dir in [&clean_out, &storm_out, &soak_out] {

@@ -9,7 +9,7 @@
 //! config ([`CampaignConfig`]) and executed by [`run_campaign`], which
 //! writes a per-stage artifact tree
 //! (`<out>/<stage>/{report.csv, checkpoint.json, trace.jsonl,
-//! health.json}`) through the core crate's journaled artifact plane.
+//! health.json}`) through the core crate's crash-safe artifact plane.
 //!
 //! # Determinism, stated once
 //!
@@ -24,8 +24,8 @@
 //!   observation sequence as a freshly executed one.
 //!
 //! The payoff is the strongest robustness claim in the workspace: kill
-//! the campaign at seeded points mid-write, resume it from the journal
-//! and checkpoint, repeat, and the final artifacts are **byte-identical**
+//! the campaign at seeded points mid-write, resume it from the
+//! checkpoint, repeat, and the final artifacts are **byte-identical**
 //! to an uninterrupted run. [`run_soak`] is that claim as an executable
 //! harness; CI runs it on every push.
 //!

@@ -12,8 +12,9 @@
 //!
 //! Crash-safety rides entirely on the core artifact plane: every
 //! compared artifact (`report.csv`, `checkpoint.json`, `trace.jsonl`)
-//! is published journaled-and-sealed, and a (re)started stage first
-//! replays the recovery journal, then adopts the checkpoint. An adopted
+//! is published sealed through a verified temp and a rename, and a
+//! (re)started stage first quarantines any temp a crash left
+//! un-renamed, then adopts the checkpoint. An adopted
 //! cell flows through the *same* admission/observation sequence as an
 //! executed one, so a resumed campaign converges on the same artifacts
 //! as an uninterrupted run.
@@ -30,10 +31,6 @@ use sgxgauge_core::{
 use std::path::Path;
 use std::sync::Arc;
 use trace::{CampaignEvent, CampaignLog, ShedReason};
-
-/// Publish attempts per artifact before a transient storm is treated as
-/// weather the campaign cannot fly in.
-const PUBLISH_ATTEMPTS: usize = 4;
 
 /// Why a campaign could not complete.
 #[derive(Debug)]
@@ -110,8 +107,8 @@ pub struct StageReport {
     pub runtime_cycles: u64,
     /// Simulated backoff cycles accounted by the stage's retries.
     pub backoff_cycles: u64,
-    /// Interrupted publishes the stage's startup recovery repaired or
-    /// quarantined.
+    /// Temp siblings of interrupted publishes that the stage's startup
+    /// recovery quarantined.
     pub recovered: usize,
 }
 
@@ -145,7 +142,7 @@ impl CampaignReport {
 /// whose `crash_rename` plan kills the process at the N-th artifact
 /// rename: it sits under every stage's io-fault layer, so a
 /// fault-retried rename still ticks its countdown. Resume is
-/// implicit: each stage replays its recovery journal and adopts its
+/// implicit: each stage quarantines stray temps and adopts its
 /// checkpoint before executing anything.
 ///
 /// # Errors
@@ -191,8 +188,8 @@ pub fn run_campaign(
                 ..StageReport::default()
             };
             let table = stage_table(&stage.name);
-            publish_artifact(io, &stage_dir.join("report.csv"), &table.render())?;
-            publish_artifact(io, &stage_dir.join("trace.jsonl"), &log.render_jsonl())?;
+            io::publish_sealed(io, &stage_dir.join("report.csv"), &table.render())?;
+            io::publish_sealed(io, &stage_dir.join("trace.jsonl"), &log.render_jsonl())?;
             write_health(io, &stage_dir, &supervisor, &skipped)?;
             report.stages.push(skipped);
             continue;
@@ -303,20 +300,14 @@ fn stage_table(stage: &str) -> ReportTable {
     )
 }
 
-/// Publishes one compared artifact, then retires its journal: a clean
-/// publish leaves nothing for the next startup's recovery scan to
-/// replay (DESIGN §11.4), as `CheckpointSink` does for sweeps.
-fn publish_artifact(io: &dyn ArtifactIo, path: &Path, body: &str) -> Result<(), ArtifactError> {
-    io::publish_sealed(io, path, body, PUBLISH_ATTEMPTS)?;
-    io::Journal::for_artifact(path).retire(io)
-}
-
-/// Replays the recovery journals of the stage's compared artifacts.
+/// Quarantines the stray temps of the stage's compared artifacts and
+/// counts them.
 fn recover_stage(io: &dyn ArtifactIo, stage_dir: &Path) -> Result<usize, ArtifactError> {
     let mut recovered = 0;
     for artifact in ["checkpoint.json", "report.csv", "trace.jsonl"] {
-        let rr = io::recover(io, &stage_dir.join(artifact))?;
-        recovered += rr.repaired.len() + rr.quarantined.len();
+        if io::recover(io, &stage_dir.join(artifact))?.is_some() {
+            recovered += 1;
+        }
     }
     Ok(recovered)
 }
@@ -346,6 +337,15 @@ fn run_stage(
     // The stage's normal and degraded runners are clones of one runner,
     // so they share its LibOS launch.
     let base = SuiteRunner::new(base);
+    // Stage validation bounds both counts; a stage that slipped past it
+    // is a config error here, never a key its own resume refuses.
+    let tenant = if stage.tenants > 0 {
+        let clamp = |n: u64| u8::try_from(n).unwrap_or(u8::MAX);
+        let dim = TenantDim::new(clamp(stage.tenants), clamp(stage.antagonists));
+        Some(dim.map_err(CampaignError::Config)?)
+    } else {
+        None
+    };
     let make_runner = |retries: usize| {
         let mut runner = base
             .clone()
@@ -353,11 +353,8 @@ fn run_stage(
             .settings(&stage.settings)
             .threads(cfg.jobs)
             .retries(retries);
-        if stage.tenants > 0 {
-            runner = runner.tenant(TenantDim {
-                tenants: u8::try_from(stage.tenants).unwrap_or(u8::MAX),
-                antagonists: u8::try_from(stage.antagonists).unwrap_or(u8::MAX),
-            });
+        if let Some(dim) = tenant {
+            runner = runner.tenant(dim);
         }
         if let Some(plan) = &stage.faults {
             runner = runner.faults(plan.salted(stage_salt));
@@ -487,7 +484,7 @@ fn run_stage(
                     })
                 )
             });
-        publish_artifact(io, &checkpoint_path, &checkpoint.render(durable))?;
+        io::publish_sealed(io, &checkpoint_path, &checkpoint.render(durable))?;
         wave_start = wave_end;
     }
 
@@ -508,8 +505,8 @@ fn run_stage(
             table.push_row(report_row(&grid[j], name, cell));
         }
     }
-    publish_artifact(io, &stage_dir.join("report.csv"), &table.render())?;
-    publish_artifact(io, &stage_dir.join("trace.jsonl"), &log.render_jsonl())?;
+    io::publish_sealed(io, &stage_dir.join("report.csv"), &table.render())?;
+    io::publish_sealed(io, &stage_dir.join("trace.jsonl"), &log.render_jsonl())?;
     write_health(io, stage_dir, supervisor, &sr)?;
     Ok(sr)
 }
@@ -599,5 +596,7 @@ fn write_health(
         h.cells_shed
     );
     let path = stage_dir.join("health.json");
-    io::retry_transient(PUBLISH_ATTEMPTS, || io::write_atomic_with(io, &path, &body))
+    io::retry_transient(io::PUBLISH_ATTEMPTS, || {
+        io::write_atomic_with(io, &path, &body)
+    })
 }

@@ -6,12 +6,12 @@
 //! same campaign under the full storm — stage io-fault plans active and
 //! a campaign-wide [`ChaosFs`] whose seeded `crash_rename` kills the
 //! process at the N-th artifact rename — `kills` times, resuming
-//! from the journal/checkpoint path after each death. A final storm
+//! from the checkpoint after each death. A final storm
 //! pass with no kill runs the campaign to completion, and every
 //! compared artifact (`report.csv`, `checkpoint.json`, `trace.jsonl`)
 //! must be **byte-identical** to the golden tree. `health.json` is
 //! deliberately excluded: it records how a particular run got there
-//! (adoption counts, recovery repairs), not where it landed.
+//! (adoption counts, quarantined temps), not where it landed.
 //!
 //! Kill points are drawn from the campaign seed, early in the rename
 //! stream (every resume re-publishes the artifacts of already-complete

@@ -18,13 +18,14 @@
 //! stages alike. Its reader follows the document in the writer's order
 //! and builds each verified [`SweepCell`] as it goes.
 //!
-//! Every write is a journaled, sealed publish through [`crate::io`]
-//! (CRC32 footer, intent → commit journal, [`io::recover`] on resume).
+//! Every write is a verified, sealed publish through [`crate::io`]
+//! (temp sibling read back before the rename, CRC32 footer; a stray temp
+//! is quarantined by [`io::recover`] on entry).
 //! A checksum mismatch on load is [`ArtifactError::Corrupt`] (the bad
 //! file is kept at `<path>.corrupt`); an unsealed file is
 //! [`ArtifactError::Format`] and is not trusted.
 
-use crate::io::{self, ArtifactError, ArtifactIo, Journal, RealFs};
+use crate::io::{self, ArtifactError, ArtifactIo, RealFs};
 use crate::runner::RunReport;
 use crate::sweep::{
     AttemptFailure, CellError, CellErrorKind, CellKey, SuiteRunner, SweepCell, SweepError,
@@ -38,11 +39,6 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use trace::json::escape;
-
-/// Bounded retry budget for checkpoint publishes: transient (EIO) and
-/// torn write failures are redone this many times before the sweep
-/// latches the error.
-const PUBLISH_ATTEMPTS: usize = 4;
 
 /// Checkpoint file format version; bumped on incompatible layout change.
 ///
@@ -92,12 +88,11 @@ impl SuiteRunner {
     /// [`ArtifactIo`] backend — the entry point the chaos matrix drives
     /// with a fault-injecting filesystem.
     ///
-    /// On entry the checkpoint's recovery journal is replayed
-    /// ([`io::recover`]): an interrupted publish whose temp sibling
-    /// verifies is completed, torn state is quarantined. Resume then
-    /// loads the (integrity-checked) file, rejects grid mismatches, and
-    /// executes only the remaining cells; every completed cell is
-    /// re-published as a sealed, journaled checkpoint.
+    /// On entry a temp sibling that a crash left un-renamed is
+    /// quarantined ([`io::recover`]). Resume then loads the
+    /// (integrity-checked) file, rejects grid mismatches, and executes
+    /// only the remaining cells; every completed cell is re-published as
+    /// a sealed checkpoint.
     ///
     /// # Errors
     ///
@@ -135,9 +130,6 @@ impl SuiteRunner {
         sink.flush()?;
         let report = self.execute_resumable(workloads, prefilled, Some(&sink));
         sink.take_error()?;
-        // Clean end of run: the journal has no pending intent, retire it
-        // so the next startup's recovery scan is a no-op.
-        Journal::for_artifact(path).retire(io)?;
         self.enforce_quarantine(&report)?;
         Ok(report)
     }
@@ -372,7 +364,7 @@ impl GridCheckpoint {
 }
 
 /// Accumulates completed cells and rewrites the checkpoint file after
-/// each one — every rewrite a sealed, journaled, retry-bounded publish.
+/// each one — every rewrite a sealed, verified, retry-bounded publish.
 /// Shared across sweep workers behind its internal mutex.
 pub(crate) struct CheckpointSink<'a> {
     path: PathBuf,
@@ -404,12 +396,11 @@ impl CheckpointSink<'_> {
         }
     }
 
-    /// One sealed, journaled publish with the bounded transient-retry
-    /// budget: torn writes and transient EIO are redone, everything
-    /// else (ENOSPC, crash, corruption) surfaces immediately.
+    /// One sealed publish with the bounded transient-retry budget
+    /// ([`io::publish_sealed`]).
     fn publish(&self, state: &SinkState) -> Result<(), ArtifactError> {
         let body = render_document(state.grid_fp, state.cells.values().map(String::as_str));
-        io::publish_sealed(self.io, &self.path, &body, PUBLISH_ATTEMPTS)
+        io::publish_sealed(self.io, &self.path, &body)
     }
 
     fn flush(&self) -> Result<(), ArtifactError> {

@@ -1,5 +1,5 @@
-//! The crash-safe artifact plane: injectable host I/O, integrity
-//! footers, and a recovery journal.
+//! The crash-safe artifact plane: injectable host I/O, verified atomic
+//! publishes, and integrity footers.
 //!
 //! Everything the harness publishes — report CSVs, checkpoint JSON,
 //! trace JSONL — now flows through the [`ArtifactIo`] trait instead of
@@ -15,12 +15,13 @@
 //!   the same fault stream on every run, which is what makes the chaos
 //!   matrix in `tests/io_chaos.rs` reproducible.
 //!
-//! On top of the trait sit the integrity and recovery primitives:
-//! a hand-rolled [`crc32`], [`seal`]/[`unseal`] footers
-//! (`#sgxgauge-integrity v1 crc32=…`), the intent → publish → commit
-//! [`Journal`], and [`recover`], which scans a journal at startup,
-//! completes interrupted publishes whose temp sibling verifies, and
-//! quarantines torn state for inspection instead of silently loading it.
+//! On top of the trait sit two integrity guards: [`write_atomic_with`]
+//! publishes through a temp sibling it reads back and verifies before
+//! the rename, and [`seal`]/[`unseal`] add and check a hand-rolled
+//! [`crc32`] footer (`#sgxgauge-integrity v1 crc32=…`). A crash between
+//! the temp write and the rename leaves the previous artifact in place;
+//! [`recover`] moves the stray temp aside for inspection, and the
+//! resumed run recomputes what the lost publish held.
 //!
 //! Failures are typed ([`ArtifactError`] / [`IoErrorKind`]) rather than
 //! stringly `Result<_, String>`, so callers can distinguish a retryable
@@ -178,8 +179,6 @@ pub trait ArtifactIo: Send + Sync {
     /// Writes the whole file durably (contents on stable storage before
     /// return).
     fn write(&self, path: &Path, contents: &str) -> Result<(), ArtifactError>;
-    /// Appends to the file durably, creating it if absent.
-    fn append(&self, path: &Path, contents: &str) -> Result<(), ArtifactError>;
     /// Atomically replaces `to` with `from`.
     fn rename(&self, from: &Path, to: &Path) -> Result<(), ArtifactError>;
     /// Flushes directory metadata (the published name) to stable
@@ -229,18 +228,6 @@ impl ArtifactIo for RealFs {
             .map_err(|e| ArtifactError::io("create", path, kind_of(&e), e.to_string()))?;
         f.write_all(contents.as_bytes())
             .map_err(|e| ArtifactError::io("write", path, kind_of(&e), e.to_string()))?;
-        f.sync_all()
-            .map_err(|e| ArtifactError::io("fsync", path, kind_of(&e), e.to_string()))
-    }
-
-    fn append(&self, path: &Path, contents: &str) -> Result<(), ArtifactError> {
-        let mut f = std::fs::File::options()
-            .create(true)
-            .append(true)
-            .open(path)
-            .map_err(|e| ArtifactError::io("open-append", path, kind_of(&e), e.to_string()))?;
-        f.write_all(contents.as_bytes())
-            .map_err(|e| ArtifactError::io("append", path, kind_of(&e), e.to_string()))?;
         f.sync_all()
             .map_err(|e| ArtifactError::io("fsync", path, kind_of(&e), e.to_string()))
     }
@@ -300,7 +287,6 @@ impl ArtifactIo for RealFs {
 
 struct ChaosState {
     rng: XorShift64,
-    writes_seen: u64,
     renames_seen: u64,
     crashed: bool,
 }
@@ -342,7 +328,6 @@ impl ChaosFs {
             plan,
             state: ChaosState {
                 rng,
-                writes_seen: 0,
                 renames_seen: 0,
                 crashed: false,
             }
@@ -377,20 +362,14 @@ impl ChaosFs {
     /// `contents` for a clean write, a prefix cut on a UTF-8 boundary
     /// (so the backend stays text) for a torn one, `Err` for an
     /// injected failure.
-    fn draw_write<'c>(
-        &self,
-        op: &'static str,
-        path: &Path,
-        contents: &'c str,
-    ) -> Result<&'c str, ArtifactError> {
+    fn draw_write<'c>(&self, path: &Path, contents: &'c str) -> Result<&'c str, ArtifactError> {
         let mut st = self.lock();
         if st.crashed {
-            return Err(Self::dead(op, path));
+            return Err(Self::dead("write", path));
         }
-        st.writes_seen += 1;
         if st.rng.chance(self.plan.enospc_permille) {
             return Err(ArtifactError::io(
-                op,
+                "write",
                 path,
                 IoErrorKind::NoSpace,
                 "injected ENOSPC: no space left on device",
@@ -398,7 +377,7 @@ impl ChaosFs {
         }
         if st.rng.chance(self.plan.eio_permille) {
             return Err(ArtifactError::io(
-                op,
+                "write",
                 path,
                 IoErrorKind::Transient,
                 "injected transient EIO",
@@ -430,13 +409,8 @@ impl ArtifactIo for ChaosFs {
     }
 
     fn write(&self, path: &Path, contents: &str) -> Result<(), ArtifactError> {
-        let lands = self.draw_write("write", path, contents)?;
+        let lands = self.draw_write(path, contents)?;
         self.inner.write(path, lands)
-    }
-
-    fn append(&self, path: &Path, contents: &str) -> Result<(), ArtifactError> {
-        let lands = self.draw_write("append", path, contents)?;
-        self.inner.append(path, lands)
     }
 
     fn rename(&self, from: &Path, to: &Path) -> Result<(), ArtifactError> {
@@ -523,14 +497,7 @@ const CRC_TABLE: [u32; 256] = crc32_table();
 ///
 /// The check value for `b"123456789"` is `0xCBF4_3926`.
 pub fn crc32(data: &[u8]) -> u32 {
-    crc32_append(0, data)
-}
-
-/// Extends a running CRC32 with more data. `crc32_append(crc32(a), b)`
-/// equals `crc32(a ++ b)`, which is what lets the journal and streaming
-/// writers checksum without buffering.
-pub fn crc32_append(crc: u32, data: &[u8]) -> u32 {
-    let mut c = !crc;
+    let mut c = !0u32;
     for &b in data {
         c = CRC_TABLE[((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
     }
@@ -552,17 +519,8 @@ pub fn seal(body: &str) -> String {
         out.push('\n');
     }
     let crc = crc32(out.as_bytes());
-    out.push_str(INTEGRITY_PREFIX);
-    push_hex8(&mut out, crc);
-    out.push('\n');
+    out.push_str(&format!("{INTEGRITY_PREFIX}{crc:08x}\n"));
     out
-}
-
-fn push_hex8(out: &mut String, v: u32) {
-    for shift in (0..8).rev() {
-        let nibble = (v >> (shift * 4)) & 0xf;
-        out.push(char::from_digit(nibble, 16).unwrap_or('0'));
-    }
 }
 
 /// Splits a sealed artifact into its footer CRC and verified body.
@@ -626,13 +584,6 @@ fn nonempty_parent(path: &Path) -> Option<&Path> {
     path.parent().filter(|p| !p.as_os_str().is_empty())
 }
 
-fn ensure_parent(io: &dyn ArtifactIo, path: &Path) -> Result<(), ArtifactError> {
-    if let Some(parent) = nonempty_parent(path) {
-        io.create_dir_all(parent)?;
-    }
-    Ok(())
-}
-
 /// Whole-file atomic durable write through an [`ArtifactIo`]: parents
 /// created, contents written to a temp sibling, read back and verified
 /// (so a silently torn write is caught *before* the rename can publish
@@ -647,7 +598,9 @@ pub fn write_atomic_with(
     path: &Path,
     contents: &str,
 ) -> Result<(), ArtifactError> {
-    ensure_parent(io, path)?;
+    if let Some(parent) = nonempty_parent(path) {
+        io.create_dir_all(parent)?;
+    }
     let tmp = tmp_sibling(path);
     io.write(&tmp, contents)?;
     let back = io.read(&tmp)?;
@@ -671,70 +624,9 @@ pub fn write_atomic_with(
     Ok(())
 }
 
-/// The recovery journal: an append-only sibling (`<artifact>.journal`)
-/// recording `intent` (about to publish, with the contents' CRC32) and
-/// `commit` (publish completed) records, one line each. A journal
-/// belongs to its one artifact, so the records do not name it: the
-/// journal's bytes are the same whichever directory holds the artifact.
-///
-/// On startup, [`recover`] replays the journal: an intent without a
-/// commit means the previous process died mid-publish, and the temp
-/// sibling is either completed (its CRC matches the intent) or
-/// quarantined (torn).
-#[derive(Debug, Clone)]
-pub struct Journal {
-    path: PathBuf,
-}
-
-impl Journal {
-    /// The journal sibling for an artifact path.
-    pub fn for_artifact(artifact: &Path) -> Journal {
-        Journal {
-            path: suffixed(artifact, ".journal"),
-        }
-    }
-
-    /// The journal's own path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Records that the artifact is about to be published with contents
-    /// hashing to `crc`.
-    pub fn intent(&self, io: &dyn ArtifactIo, crc: u32) -> Result<(), ArtifactError> {
-        let mut line = String::from("intent\t");
-        push_hex8(&mut line, crc);
-        line.push('\n');
-        io.append(&self.path, &line)
-    }
-
-    /// Records that the artifact was published successfully.
-    pub fn commit(&self, io: &dyn ArtifactIo) -> Result<(), ArtifactError> {
-        io.append(&self.path, "commit\n")
-    }
-
-    /// Removes the journal (end of a clean run, or after recovery).
-    pub fn retire(&self, io: &dyn ArtifactIo) -> Result<(), ArtifactError> {
-        io.remove(&self.path)
-    }
-}
-
-/// Journaled atomic publish: intent, then [`write_atomic_with`], then
-/// commit, in `path`'s [`Journal`]. A crash at any step leaves state
-/// [`recover`] can repair or quarantine.
-///
-/// # Errors
-///
-/// Typed [`ArtifactError`]; torn and transient failures are retryable.
-pub fn publish(io: &dyn ArtifactIo, path: &Path, contents: &str) -> Result<(), ArtifactError> {
-    // The journal is a sibling of the artifact: its directory must exist
-    // before the intent is appended.
-    ensure_parent(io, path)?;
-    let journal = Journal::for_artifact(path);
-    journal.intent(io, crc32(contents.as_bytes()))?;
-    write_atomic_with(io, path, contents)?;
-    journal.commit(io)
-}
+/// Publish attempts per artifact: torn writes and transient EIO are
+/// redone up to this many times before the error surfaces.
+pub const PUBLISH_ATTEMPTS: usize = 4;
 
 /// Runs `op` up to `attempts` times (at least once), redoing it only
 /// while it fails transiently (torn write, transient EIO). Returns the
@@ -757,125 +649,40 @@ pub fn retry_transient<T>(
     }
 }
 
-/// [`publish`] of an integrity-sealed body with a bounded transient
-/// retry budget: torn writes and transient EIO are redone up to
-/// `attempts` times, everything else (ENOSPC, crash, corruption)
-/// surfaces immediately. The retry-bounded publish the checkpoint sink
-/// and campaign orchestrators share.
+/// [`write_atomic_with`] of an integrity-sealed body, with torn writes
+/// and transient EIO redone up to [`PUBLISH_ATTEMPTS`] times; everything
+/// else (ENOSPC, crash) surfaces immediately. The publish the checkpoint
+/// sink and campaign stages share.
 ///
 /// # Errors
 ///
 /// The last transient [`ArtifactError`] when the budget is exhausted,
 /// or the first non-transient one.
-pub fn publish_sealed(
-    io: &dyn ArtifactIo,
-    path: &Path,
-    body: &str,
-    attempts: usize,
-) -> Result<(), ArtifactError> {
+pub fn publish_sealed(io: &dyn ArtifactIo, path: &Path, body: &str) -> Result<(), ArtifactError> {
     let sealed = seal(body);
-    retry_transient(attempts, || publish(io, path, &sealed))
+    retry_transient(PUBLISH_ATTEMPTS, || write_atomic_with(io, path, &sealed))
 }
 
-/// What startup recovery did, for the report and logs.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RecoveryReport {
-    /// Publishes that were completed (the temp sibling verified against
-    /// the journaled intent) or confirmed already committed.
-    pub repaired: Vec<PathBuf>,
-    /// Torn state moved aside for inspection (`.quarantine` /
-    /// `.corrupt` siblings).
-    pub quarantined: Vec<PathBuf>,
-    /// Number of journaled publishes found interrupted.
-    pub interrupted: usize,
-}
-
-impl RecoveryReport {
-    /// Whether recovery found nothing to do.
-    pub fn is_clean(&self) -> bool {
-        self.repaired.is_empty() && self.quarantined.is_empty() && self.interrupted == 0
-    }
-}
-
-/// Scans the artifact's recovery journal and repairs or quarantines
-/// interrupted publishes. Call this before resuming from a checkpoint.
+/// Moves a temp sibling that a crash left between write and rename to
+/// `<artifact>.tmp.quarantine` and returns that path. Call this before
+/// resuming from the artifact.
 ///
-/// * temp sibling present and CRC matches the journaled intent → the
-///   rename is completed (the publish is *repaired*);
-/// * temp sibling present but torn → moved to `<tmp>.quarantine`;
-/// * no temp but the target already matches the intent → the commit
-///   record was lost after a successful rename; nothing to do;
-/// * stale temp sibling with no journal at all → quarantined (a crash
-///   predating the first journal record).
-///
-/// The journal is retired afterwards. A torn journal record (the
-/// journal append itself tore) is ignored.
+/// A stray temp is never loaded: every reader opens the sealed target,
+/// which still holds the previous publish, and the resumed run
+/// recomputes what the lost one held. Quarantining it keeps the bytes
+/// for inspection and makes a second call a no-op.
 ///
 /// # Errors
 ///
-/// Typed [`ArtifactError`] if the repair I/O itself fails.
-pub fn recover(io: &dyn ArtifactIo, artifact: &Path) -> Result<RecoveryReport, ArtifactError> {
-    let journal = Journal::for_artifact(artifact);
-    let mut report = RecoveryReport::default();
-
-    // The last record wins: the CRC of an intent no commit followed,
-    // and whether the journal holds any record at all.
-    let mut pending: Option<u32> = None;
-    let mut journaled = false;
-    if io.exists(journal.path()) {
-        let text = io.read(journal.path())?;
-        // Every record ends in a newline, so whatever follows the last
-        // one is a torn append.
-        let mut lines = text.split('\n');
-        lines.next_back();
-        for line in lines {
-            match line.strip_prefix("intent\t") {
-                Some(hex) if hex.len() == 8 && hex.bytes().all(|b| b.is_ascii_hexdigit()) => {
-                    pending = u32::from_str_radix(hex, 16).ok();
-                    journaled = true;
-                }
-                _ if line == "commit" => {
-                    pending = None;
-                    journaled = true;
-                }
-                // torn or unknown line: skip (journal appends can tear too)
-                _ => {}
-            }
-        }
-    }
-
+/// Typed [`ArtifactError`] if the rename fails.
+pub fn recover(io: &dyn ArtifactIo, artifact: &Path) -> Result<Option<PathBuf>, ArtifactError> {
     let tmp = tmp_sibling(artifact);
-    if let Some(crc) = pending {
-        report.interrupted += 1;
-        if io.exists(&tmp) {
-            let text = io.read(&tmp)?;
-            if crc == crc32(text.as_bytes()) {
-                io.rename(&tmp, artifact)?;
-                if let Some(parent) = nonempty_parent(artifact) {
-                    io.sync_dir(parent)?;
-                }
-                report.repaired.push(artifact.to_path_buf());
-            } else {
-                let q = suffixed(&tmp, ".quarantine");
-                io.rename(&tmp, &q)?;
-                report.quarantined.push(q);
-            }
-        } else if io.exists(artifact) && crc == crc32(io.read(artifact)?.as_bytes()) {
-            // rename landed; only the commit record was lost. Otherwise
-            // the artifact is the previous (pre-publish) version: the
-            // crash hit before the rename — leave it.
-            report.repaired.push(artifact.to_path_buf());
-        }
-    } else if io.exists(&tmp) && !journaled {
-        // A stale temp sibling with no journal record predates the
-        // journal; never load it, move it aside.
-        let q = suffixed(&tmp, ".quarantine");
-        io.rename(&tmp, &q)?;
-        report.quarantined.push(q);
+    if !io.exists(&tmp) {
+        return Ok(None);
     }
-
-    journal.retire(io)?;
-    Ok(report)
+    let quarantine = suffixed(&tmp, ".quarantine");
+    io.rename(&tmp, &quarantine)?;
+    Ok(Some(quarantine))
 }
 
 #[cfg(test)]
@@ -898,13 +705,6 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
-    }
-
-    #[test]
-    fn crc32_append_is_consistent() {
-        let (a, b) = (b"hello ".as_slice(), b"world".as_slice());
-        let whole = crc32(b"hello world");
-        assert_eq!(crc32_append(crc32(a), b), whole);
     }
 
     #[test]
@@ -949,86 +749,20 @@ mod tests {
     }
 
     #[test]
-    fn journaled_publish_commits_and_recovery_is_clean() {
-        let dir = scratch("journal");
-        let io = RealFs;
-        let path = dir.join("ck.json");
-        publish(&io, &path, "{\"v\":1}\n").unwrap();
-        Journal::for_artifact(&path).retire(&io).unwrap();
-        let rec = recover(&io, &path).unwrap();
-        assert!(rec.is_clean());
-        assert_eq!(io.read(&path).unwrap(), "{\"v\":1}\n");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn recovery_completes_a_verified_interrupted_publish() {
-        let dir = scratch("repair");
-        let io = RealFs;
-        let path = dir.join("ck.json");
-        let journal = Journal::for_artifact(&path);
-        // Simulate a crash after intent + temp write but before rename.
-        journal.intent(&io, crc32(b"{\"v\":2}\n")).unwrap();
-        io.write(&tmp_sibling(&path), "{\"v\":2}\n").unwrap();
-        let rec = recover(&io, &path).unwrap();
-        assert_eq!(rec.repaired, vec![path.clone()]);
-        assert!(rec.quarantined.is_empty());
-        assert_eq!(io.read(&path).unwrap(), "{\"v\":2}\n");
-        assert!(!io.exists(journal.path()), "journal retired");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn recovery_quarantines_a_torn_temp() {
+    fn recovery_quarantines_a_stray_temp() {
         let dir = scratch("quarantine");
         let io = RealFs;
         let path = dir.join("ck.json");
-        let journal = Journal::for_artifact(&path);
-        journal.intent(&io, crc32(b"{\"v\":3}\n")).unwrap();
-        io.write(&tmp_sibling(&path), "{\"v").unwrap(); // torn
-        let rec = recover(&io, &path).unwrap();
-        assert!(rec.repaired.is_empty());
-        assert_eq!(rec.quarantined.len(), 1);
-        assert!(rec.quarantined[0]
-            .display()
-            .to_string()
-            .ends_with(".quarantine"));
-        assert!(!io.exists(&path), "torn temp never published");
+        write_atomic_with(&io, &path, "{\"v\":1}\n").unwrap();
+        // A crash after the temp write, before the rename.
+        io.write(&tmp_sibling(&path), "{\"v\":2}\n").unwrap();
+        let quarantined = recover(&io, &path).unwrap().unwrap();
+        assert_eq!(quarantined, dir.join("ck.json.tmp.quarantine"));
+        assert_eq!(io.read(&quarantined).unwrap(), "{\"v\":2}\n");
+        assert_eq!(io.read(&path).unwrap(), "{\"v\":1}\n", "target untouched");
+        assert!(!io.exists(&tmp_sibling(&path)));
+        assert_eq!(recover(&io, &path).unwrap(), None, "second call is a no-op");
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn torn_journal_bytes_do_not_depend_on_the_directory() {
-        // The same chaos plan tears a journal append and kills the
-        // process at the third rename, in two directories whose paths
-        // differ in length; recovery then completes the third publish.
-        let mut outcomes = Vec::new();
-        for tag in ["tj", "torn-journal-under-a-much-longer-directory-name"] {
-            let dir = scratch(tag);
-            let path = dir.join("ck.json");
-            let io =
-                ChaosFs::over_real(IoFaultPlan::parse("seed=11,torn=200,crash_rename=3").unwrap());
-            let crashed =
-                (0..3).any(|v| publish_sealed(&io, &path, &format!("{{\"v\":{v}}}\n"), 4).is_err());
-            assert!(crashed && io.crashed());
-            let journal = RealFs.read(Journal::for_artifact(&path).path()).unwrap();
-            assert!(
-                // an intact intent line is 15 bytes
-                journal.lines().any(|l| l != "commit" && l.len() != 15),
-                "the plan tears at least one journal line: {journal:?}"
-            );
-            let rec = recover(&RealFs, &path).unwrap();
-            assert!(!rec.is_clean());
-            let published = RealFs.read(&path).ok();
-            outcomes.push((
-                journal,
-                rec.repaired.len(),
-                rec.quarantined.len(),
-                published,
-            ));
-            std::fs::remove_dir_all(&dir).ok();
-        }
-        assert_eq!(outcomes[0], outcomes[1]);
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub mod workload;
 
 pub use checkpoint::{GridCheckpoint, CHECKPOINT_VERSION};
 pub use env::{Env, EnvConfig, Region, SimThread};
-pub use io::{ArtifactError, ArtifactIo, ChaosFs, IoErrorKind, RealFs, RecoveryReport};
+pub use io::{ArtifactError, ArtifactIo, ChaosFs, IoErrorKind, RealFs};
 pub use mem_sim::CLOCK_HZ;
 pub use modes::{ExecMode, InputSetting};
 pub use report::{RatioRow, ReportTable};

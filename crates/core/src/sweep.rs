@@ -48,12 +48,49 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 /// round-trips through [`FromStr`](std::str::FromStr) and appends as a
 /// fifth `/`-separated [`CellKey`] field; cells without the dimension
 /// keep the classic four-field form.
+///
+/// Every value leaves a victim (`antagonists < tenants`), so every key
+/// a sweep writes is one its resume reads back. The fields are private
+/// and [`TenantDim::new`] checks the bound:
+///
+/// ```compile_fail,E0451
+/// let dim = sgxgauge_core::TenantDim { tenants: 2, antagonists: 2 };
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TenantDim {
+    tenants: u8,
+    antagonists: u8,
+}
+
+impl TenantDim {
+    /// `tenants` enclaves on one host, `antagonists` of them hostile.
+    ///
+    /// # Errors
+    ///
+    /// When no victim is left (`antagonists >= tenants`, which includes
+    /// `tenants == 0`).
+    pub fn new(tenants: u8, antagonists: u8) -> Result<TenantDim, String> {
+        if antagonists >= tenants {
+            return Err(format!(
+                "tenant dimension `t{tenants}a{antagonists}` leaves no victim: \
+                 it needs more tenants than antagonists"
+            ));
+        }
+        Ok(TenantDim {
+            tenants,
+            antagonists,
+        })
+    }
+
     /// Total tenants on the shared host (at least 1).
-    pub tenants: u8,
+    pub fn tenants(self) -> u8 {
+        self.tenants
+    }
+
     /// Antagonist tenants among them (at most `tenants - 1`).
-    pub antagonists: u8,
+    pub fn antagonists(self) -> u8 {
+        self.antagonists
+    }
 }
 
 impl std::fmt::Display for TenantDim {
@@ -78,16 +115,7 @@ impl std::str::FromStr for TenantDim {
         let antagonists = antagonists
             .parse::<u8>()
             .map_err(|e| format!("bad antagonist count in `{s}`: {e}"))?;
-        if antagonists >= tenants {
-            return Err(format!(
-                "tenant dimension `{s}` leaves no victim: \
-                 it needs more tenants than antagonists"
-            ));
-        }
-        Ok(TenantDim {
-            tenants,
-            antagonists,
-        })
+        TenantDim::new(tenants, antagonists)
     }
 }
 
@@ -993,6 +1021,16 @@ mod tests {
         assert_eq!(grid[1].rep, 1);
         assert_eq!(grid[2].setting, InputSetting::Medium);
         assert_eq!(grid[4].mode, ExecMode::Native);
+    }
+
+    #[test]
+    fn tenant_dim_needs_a_victim() {
+        for (tenants, antagonists) in [(2, 2), (1, 1), (0, 1)] {
+            assert!(TenantDim::new(tenants, antagonists).is_err());
+        }
+        let dim = TenantDim::new(3, 2).unwrap();
+        assert_eq!((dim.tenants(), dim.antagonists()), (3, 2));
+        assert_eq!(dim.to_string().parse::<TenantDim>(), Ok(dim));
     }
 
     #[test]

@@ -68,9 +68,9 @@ host io fault spec (comma-separated, e.g. \"seed=7,eio=20,torn=5,crash_rename=3\
 
 --max-quarantine <n>  tolerate at most n quarantined (fatal/panicked) cells,
                       then fail fast; completed cells stay checkpointed
---resume <path>       verifies the checkpoint's CRC32 integrity footer and
-                      replays its recovery journal (repairing or quarantining
-                      interrupted writes) before adopting completed cells
+--resume <path>       quarantines a temp file an interrupted write left behind
+                      (<path>.tmp.quarantine) and verifies the checkpoint's
+                      CRC32 integrity footer before adopting completed cells
 --report <file.csv>   emit the suite table as CSV sealed with an integrity
                       footer"
     );
@@ -373,26 +373,9 @@ fn cmd_suite(flags: &BTreeMap<String, String>, scale: u64) -> Result<(), String>
         (Some(c), Some(r)) if c != r => {
             return Err("--checkpoint and --resume must name the same file".to_owned())
         }
-        (_, Some(path)) => {
-            let recovery = artifact_io::recover(io.as_ref(), path).map_err(|e| e.to_string())?;
-            if !recovery.is_clean() {
-                for repaired in &recovery.repaired {
-                    eprintln!(
-                        "[recovery] completed interrupted write: {}",
-                        repaired.display()
-                    );
-                }
-                for quarantined in &recovery.quarantined {
-                    eprintln!(
-                        "[recovery] quarantined torn write: {}",
-                        quarantined.display()
-                    );
-                }
-            }
-            suite_runner
-                .run_with_checkpoint_io(&refs, path, true, io.as_ref())
-                .map_err(|e| e.to_string())?
-        }
+        (_, Some(path)) => suite_runner
+            .run_with_checkpoint_io(&refs, path, true, io.as_ref())
+            .map_err(|e| e.to_string())?,
         (Some(path), None) => suite_runner
             .run_with_checkpoint_io(&refs, path, false, io.as_ref())
             .map_err(|e| e.to_string())?,
@@ -604,10 +587,7 @@ fn run_cotenancy_cell(
         mode: ExecMode::Native,
         setting: InputSetting::High,
         rep: 0,
-        tenant: Some(TenantDim {
-            tenants: antagonists + 1,
-            antagonists,
-        }),
+        tenant: Some(TenantDim::new(antagonists + 1, antagonists)?),
     };
     let thrash_pages = epc_pages * 2;
     let mut b = Host::builder()

@@ -79,10 +79,11 @@ fn files_under(dir: &Path) -> Vec<PathBuf> {
     out
 }
 
-/// A clean run retires every recovery journal it wrote: a journal only
-/// outlives a publish that a crash interrupted.
+/// A clean run leaves only its published artifacts: no temp sibling
+/// outlives a publish unless a crash interrupted it, and no run writes
+/// a recovery journal.
 #[test]
-fn clean_campaign_leaves_no_recovery_journals() {
+fn clean_campaign_leaves_no_temps_or_journals() {
     let cfg = CampaignConfig::parse(
         r#"
 [campaign]
@@ -115,11 +116,11 @@ workloads = ["HashJoin"]
             assert!(files.contains(&path), "{} published", path.display());
         }
     }
-    let journals: Vec<_> = files
+    let residue: Vec<_> = files
         .iter()
-        .filter(|p| p.extension().is_some_and(|e| e == "journal"))
+        .filter(|p| p.extension().is_some_and(|e| e == "journal" || e == "tmp"))
         .collect();
-    assert!(journals.is_empty(), "journals left behind: {journals:?}");
+    assert!(residue.is_empty(), "left behind: {residue:?}");
     let _ = std::fs::remove_dir_all(&out);
 }
 

@@ -6,10 +6,10 @@
 #![allow(clippy::disallowed_methods, clippy::disallowed_types)]
 
 use proptest::prelude::*;
-use sgxgauge::core::io::{self as aio, Journal};
+use sgxgauge::core::io as aio;
 use sgxgauge::core::{
-    ArtifactError, ArtifactIo, ChaosFs, ExecMode, InputSetting, IoErrorKind, RealFs, RunnerConfig,
-    SuiteRunner, SweepError, Workload,
+    ArtifactError, ChaosFs, ExecMode, InputSetting, IoErrorKind, RealFs, RunnerConfig, SuiteRunner,
+    SweepError, Workload,
 };
 use sgxgauge::faults::IoFaultPlan;
 use sgxgauge::workloads::HashJoin;
@@ -33,12 +33,16 @@ fn scratch(name: &str) -> PathBuf {
     p
 }
 
+fn quarantine_sibling(path: &Path) -> PathBuf {
+    PathBuf::from(format!("{}.tmp.quarantine", path.display()))
+}
+
 fn cleanup(path: &Path) {
     for p in [
         path.to_path_buf(),
         aio::tmp_sibling(path),
         aio::corrupt_sibling(path),
-        Journal::for_artifact(path).path().to_path_buf(),
+        quarantine_sibling(path),
     ] {
         let _ = std::fs::remove_file(p);
     }
@@ -127,40 +131,53 @@ fn fault_free_chaos_backend_matches_real_fs_exactly() {
     cleanup(&path);
 }
 
-/// Crash at the n-th rename, then resume on the real filesystem: the
-/// recovery journal completes the interrupted publish and the resumed
-/// sweep converges on the uninterrupted bytes.
+/// Crash at every rename point of the sweep in turn, then resume on the
+/// real filesystem: the crashed publish's temp is quarantined, the
+/// checkpoint still holds the previous publish, and the resumed sweep
+/// recomputes the lost cells and converges on the uninterrupted bytes.
 #[test]
 fn crash_at_rename_recovers_and_resumes_to_identical_bytes() {
     let (base_fp, base_bytes) = baseline("crash-base");
     let wl = HashJoin::scaled(1024);
     let refs: Vec<&dyn Workload> = vec![&wl];
     let path = scratch("crash-run");
-    cleanup(&path);
-    let chaos = ChaosFs::over_real(IoFaultPlan::parse("seed=2,crash_rename=3").expect("valid"));
-    let err = suite()
-        .run_with_checkpoint_io(&refs, &path, false, &chaos)
-        .expect_err("the backend dies at the third rename");
-    assert!(chaos.crashed());
-    match err {
-        SweepError::Artifact(ArtifactError::Io { kind, .. }) => {
-            assert_eq!(kind, IoErrorKind::CrashRename)
+    let mut k = 1;
+    loop {
+        cleanup(&path);
+        let plan = IoFaultPlan::parse(&format!("seed=2,crash_rename={k}")).expect("valid");
+        let chaos = ChaosFs::over_real(plan);
+        let run = suite().run_with_checkpoint_io(&refs, &path, false, &chaos);
+        if !chaos.crashed() {
+            // Past the sweep's last rename: the run completes untouched.
+            assert_eq!(run.expect("no crash fired").fingerprint(), base_fp);
+            break;
         }
-        other => panic!("unexpected error class: {other}"),
+        match run {
+            Err(SweepError::Artifact(ArtifactError::Io { kind, .. })) => {
+                assert_eq!(kind, IoErrorKind::CrashRename, "k={k}")
+            }
+            Err(other) => panic!("k={k}: unexpected error class: {other}"),
+            Ok(_) => panic!("k={k}: the crash must fail the run"),
+        }
+        // The crash left the verified temp of the lost publish behind.
+        assert!(aio::tmp_sibling(&path).exists(), "k={k}");
+        let resumed = suite()
+            .run_with_checkpoint_io(&refs, &path, true, &RealFs)
+            .expect("resumed run");
+        assert_eq!(resumed.fingerprint(), base_fp, "k={k}");
+        assert_eq!(
+            std::fs::read_to_string(&path).expect("rewritten"),
+            base_bytes,
+            "k={k}"
+        );
+        assert!(
+            quarantine_sibling(&path).exists(),
+            "k={k}: temp quarantined"
+        );
+        k += 1;
     }
-    // The crash left a verified temp file and an intent journal behind.
-    let report = aio::recover(&RealFs, &path).expect("recovery scan");
-    assert_eq!(report.repaired, vec![path.clone()], "publish completed");
-    assert!(report.quarantined.is_empty());
-    // Resume on the healthy backend: same fingerprint, same bytes.
-    let resumed = suite()
-        .run_with_checkpoint_io(&refs, &path, true, &RealFs)
-        .expect("resumed run");
-    assert_eq!(resumed.fingerprint(), base_fp);
-    assert_eq!(
-        std::fs::read_to_string(&path).expect("rewritten"),
-        base_bytes
-    );
+    // The header and every cell publish each had their crash point.
+    assert!(k > 2, "the sweep renames more than once");
     cleanup(&path);
 }
 
@@ -220,45 +237,6 @@ fn footerless_checkpoint_is_a_format_error() {
     cleanup(&path);
 }
 
-/// Journal replay, interrupted before the rename: a temp file whose
-/// contents match the journaled intent CRC is completed; one that does
-/// not is quarantined instead of published.
-#[test]
-fn journal_replay_completes_verified_and_quarantines_torn_temps() {
-    // Verified temp → repaired.
-    let good = scratch("journal-good");
-    cleanup(&good);
-    let journal = Journal::for_artifact(&good);
-    let contents = "line one\nline two\n";
-    journal
-        .intent(&RealFs, aio::crc32(contents.as_bytes()))
-        .expect("intent");
-    RealFs
-        .write(&aio::tmp_sibling(&good), contents)
-        .expect("temp lands");
-    let report = aio::recover(&RealFs, &good).expect("scan");
-    assert_eq!(report.repaired, vec![good.clone()]);
-    assert_eq!(std::fs::read_to_string(&good).expect("published"), contents);
-    cleanup(&good);
-
-    // Torn temp (CRC mismatch) → quarantined, never published.
-    let torn = scratch("journal-torn");
-    cleanup(&torn);
-    let journal = Journal::for_artifact(&torn);
-    journal
-        .intent(&RealFs, aio::crc32(contents.as_bytes()))
-        .expect("intent");
-    RealFs
-        .write(&aio::tmp_sibling(&torn), "line on")
-        .expect("torn temp lands");
-    let report = aio::recover(&RealFs, &torn).expect("scan");
-    assert!(report.repaired.is_empty());
-    assert_eq!(report.quarantined.len(), 1);
-    assert!(!torn.exists(), "torn data must not be published");
-    let _ = std::fs::remove_file(&report.quarantined[0]);
-    cleanup(&torn);
-}
-
 /// The IEEE CRC32 check values the footer format is defined against.
 #[test]
 fn crc32_known_vectors() {
@@ -271,15 +249,6 @@ fn crc32_known_vectors() {
 }
 
 proptest! {
-    /// Streaming CRC32 over any split equals the one-shot digest.
-    #[test]
-    fn crc32_append_equals_oneshot(data in prop::collection::vec(any::<u8>(), 0..2048),
-                                   cut in 0usize..2048) {
-        let cut = cut.min(data.len());
-        let streamed = aio::crc32_append(aio::crc32(&data[..cut]), &data[cut..]);
-        prop_assert_eq!(streamed, aio::crc32(&data));
-    }
-
     /// seal/unseal round-trips any printable body, and unseal returns
     /// the body's CRC from the footer.
     #[test]
@@ -321,29 +290,27 @@ proptest! {
         }
     }
 
-    /// Journal replay is idempotent at *every* crash point: publish a
-    /// sequence of versions through a backend that dies at rename `k`,
-    /// then recover twice before the journal is retired. The crashed
-    /// publish is completed exactly once (the artifact equals the
-    /// version whose rename was interrupted, with a valid integrity
-    /// footer), the second replay is a clean no-op, and no temp sibling
-    /// survives to be double-published or lost.
+    /// A crash at *every* rename point is survived without a journal:
+    /// publish a sequence of versions through a backend that dies at
+    /// rename `k`. The previous sealed version stays readable, `recover`
+    /// quarantines the crashed publish's temp exactly once (a second
+    /// call finds nothing), and publishing again converges.
     #[test]
-    fn journal_replay_is_idempotent_at_every_crash_point(k in 1u64..5, seed in any::<u64>()) {
-        let path = scratch("prop-replay");
+    fn crash_at_every_rename_keeps_the_previous_version(k in 1u64..5, seed in any::<u64>()) {
+        let path = scratch("prop-crash");
         cleanup(&path);
         let versions: Vec<String> = (0..4u64)
             .map(|i| format!("{{\"version\":{i},\"seed\":{seed}}}\n"))
             .collect();
         // Each publish performs exactly one rename, so `crash_rename=k`
         // dies mid-publish of version k-1 (0-based), after its verified
-        // temp and journal intent landed but before the rename.
+        // temp landed but before the rename.
         let chaos = ChaosFs::over_real(
             IoFaultPlan::parse(&format!("crash_rename={k}")).expect("valid plan"),
         );
         let mut crashed_at = None;
         for (i, version) in versions.iter().enumerate() {
-            match aio::publish_sealed(&chaos, &path, version, 1) {
+            match aio::publish_sealed(&chaos, &path, version) {
                 Ok(()) => {}
                 Err(ArtifactError::Io { kind: IoErrorKind::CrashRename, .. }) => {
                     crashed_at = Some(i);
@@ -355,26 +322,30 @@ proptest! {
         let crashed_at = crashed_at.expect("k <= version count, so the crash fires");
         prop_assert_eq!(crashed_at as u64, k - 1);
 
-        let first = aio::recover(&RealFs, &path).expect("first replay");
-        prop_assert_eq!(first.interrupted, 1);
-        prop_assert_eq!(first.repaired.clone(), vec![path.clone()]);
-        prop_assert!(first.quarantined.is_empty());
-        let after_first = std::fs::read_to_string(&path).expect("artifact exists");
+        // The target is the last completed publish, or absent when the
+        // very first publish crashed.
+        let previous = std::fs::read_to_string(&path).ok();
+        match crashed_at.checked_sub(1) {
+            Some(done) => {
+                let text = previous.clone().expect("previous version readable");
+                let (_, body) = aio::unseal(&path, &text).expect("footer verifies");
+                prop_assert_eq!(body, versions[done].as_str());
+            }
+            None => prop_assert!(previous.is_none()),
+        }
 
-        // Idempotency: a second replay before anything retires the
-        // journal must find nothing to do and change nothing.
-        let second = aio::recover(&RealFs, &path).expect("second replay");
-        prop_assert!(second.is_clean(), "second replay must be a no-op: {:?}", second);
-        let after_second = std::fs::read_to_string(&path).expect("still exists");
-        prop_assert_eq!(&after_first, &after_second);
+        let quarantined = aio::recover(&RealFs, &path).expect("first recover");
+        prop_assert_eq!(quarantined, Some(quarantine_sibling(&path)));
+        prop_assert!(!aio::tmp_sibling(&path).exists(), "the temp is moved aside");
+        let second = aio::recover(&RealFs, &path).expect("second recover");
+        prop_assert_eq!(second, None);
+        prop_assert_eq!(std::fs::read_to_string(&path).ok(), previous);
 
-        // Exactly the interrupted version, published whole and sealed.
-        let (_, body) = aio::unseal(&path, &after_second).expect("footer verifies");
+        // Publishing the lost version again converges.
+        aio::publish_sealed(&RealFs, &path, &versions[crashed_at]).expect("republish");
+        let text = std::fs::read_to_string(&path).expect("published");
+        let (_, body) = aio::unseal(&path, &text).expect("footer verifies");
         prop_assert_eq!(body, versions[crashed_at].as_str());
-        prop_assert!(
-            !aio::tmp_sibling(&path).exists(),
-            "no temp sibling may survive replay"
-        );
         cleanup(&path);
     }
 }

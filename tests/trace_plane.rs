@@ -173,10 +173,7 @@ fn cell_key_display_round_trips() {
     // The optional fifth field carries the co-tenancy dimension; keys
     // without it stay byte-identical to the legacy 4-field form.
     let cotenant = CellKey {
-        tenant: Some(sgxgauge::core::TenantDim {
-            tenants: 3,
-            antagonists: 2,
-        }),
+        tenant: Some(sgxgauge::core::TenantDim::new(3, 2).expect("a victim is left")),
         ..key
     };
     assert_eq!(cotenant.to_string(), "3/LibOS/High/2/t3a2");
