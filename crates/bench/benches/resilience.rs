@@ -129,11 +129,11 @@ fn main() {
         outcome.golden_cycles, outcome.storm_cycles,
         "converged runs must also agree on the cycle bill"
     );
-    let recovered: usize = outcome.report.stages.iter().map(|s| s.recovered).sum();
+    let recovered = outcome.recovered;
     let adopted: usize = outcome.report.stages.iter().map(|s| s.adopted).sum();
     println!(
         "soak: 3 kills fired, converged; final pass adopted {adopted} cells, \
-         recovery quarantined {recovered} temps"
+         recovery quarantined {recovered} temps across every restart"
     );
 
     for dir in [&clean_out, &storm_out, &soak_out] {

@@ -97,16 +97,6 @@ pub struct StageSpec {
     /// entirely when the campaign is already degraded by the time it
     /// is reached.
     pub antagonist: bool,
-    /// Co-tenant count sharing the stage's EPC (`0` = the classic
-    /// single-tenant stage). When set, every cell key carries the
-    /// `tNaM` dimension and the stage's per-tenant EPC share shrinks
-    /// accordingly, modeling `tenants` enclaves resident on one
-    /// machine.
-    pub tenants: u64,
-    /// Of those tenants, how many are EPC-thrashing antagonists
-    /// (recorded in the key's `aM` half; at most `tenants - 1`, so one
-    /// tenant is always the victim).
-    pub antagonists: u64,
 }
 
 impl Default for StageSpec {
@@ -120,8 +110,6 @@ impl Default for StageSpec {
             io_faults: None,
             deadline_cycles: 0,
             antagonist: false,
-            tenants: 0,
-            antagonists: 0,
         }
     }
 }
@@ -308,20 +296,6 @@ impl CampaignConfig {
             if stage.settings.is_empty() {
                 return Err(format!("stage `{}` sweeps no settings", stage.name));
             }
-            if stage.tenants > u64::from(u8::MAX) {
-                return Err(format!(
-                    "stage `{}`: tenants {} exceeds the key dimension's limit of {}",
-                    stage.name,
-                    stage.tenants,
-                    u8::MAX
-                ));
-            }
-            if stage.antagonists > 0 && stage.antagonists >= stage.tenants {
-                return Err(format!(
-                    "stage `{}`: {} antagonists among only {} tenants leave no victim",
-                    stage.name, stage.antagonists, stage.tenants
-                ));
-            }
         }
         Ok(())
     }
@@ -401,8 +375,6 @@ fn apply_stage_key(
         }
         "deadline_cycles" => stage.deadline_cycles = want_int(key, line, value)?,
         "antagonist" => stage.antagonist = want_bool(key, line, value)?,
-        "tenants" => stage.tenants = want_int(key, line, value)?,
-        "antagonists" => stage.antagonists = want_int(key, line, value)?,
         other => return Err(format!("line {line}: unknown [[stage]] key `{other}`")),
     }
     Ok(())
@@ -542,43 +514,14 @@ antagonist = true
     }
 
     #[test]
-    fn parses_and_validates_cotenancy_keys() {
-        let base = "[campaign]\nname = \"x\"\n[[stage]]\nname = \"s\"\n";
-        let cfg = CampaignConfig::parse(&format!("{base}tenants = 4\nantagonists = 3\n"))
-            .expect("co-tenant stage parses");
-        assert_eq!(cfg.stages[0].tenants, 4);
-        assert_eq!(cfg.stages[0].antagonists, 3);
-        // Default stays the classic single-tenant stage.
-        let plain = CampaignConfig::parse(base).expect("plain stage parses");
-        assert_eq!(plain.stages[0].tenants, 0);
-        assert!(
-            CampaignConfig::parse(&format!("{base}tenants = 2\nantagonists = 3\n"))
-                .unwrap_err()
-                .contains("antagonists")
-        );
-        // Every co-tenant key needs a victim: antagonists < tenants.
-        for (tenants, antagonists) in [(2, 2), (1, 1), (0, 1)] {
-            let err = CampaignConfig::parse(&format!(
-                "{base}tenants = {tenants}\nantagonists = {antagonists}\n"
-            ))
-            .unwrap_err();
-            assert!(
-                err.contains("stage `s`") && err.contains("no victim"),
-                "{err}"
-            );
-        }
-        assert!(CampaignConfig::parse(&format!("{base}tenants = 300\n"))
-            .unwrap_err()
-            .contains("limit"));
-    }
-
-    #[test]
     fn retired_stage_keys_are_unknown() {
         let base = "[campaign]\nname = \"x\"\n[[stage]]\nname = \"s\"\n";
         for (line, key) in [
             ("parties = 5", "parties"),
             ("threshold = 3", "threshold"),
             ("net_faults = \"drop=50\"", "net_faults"),
+            ("tenants = 2", "tenants"),
+            ("antagonists = 1", "antagonists"),
         ] {
             let err = CampaignConfig::parse(&format!("{base}{line}\n")).unwrap_err();
             assert_eq!(err, format!("line 5: unknown [[stage]] key `{key}`"));

@@ -17,9 +17,11 @@
 //!
 //! * cell outcomes are pure functions of the stage-salted fault plan
 //!   (the simulator never consults wall-clock time or host randomness),
-//! * supervision decisions happen at *wave* boundaries, and the wave
-//!   width is the config's `jobs` value — never the machine's core
-//!   count — so admission order is config-derived,
+//! * each stage is one [`SuiteRunner::sweep`](sgxgauge_core::SuiteRunner::sweep)
+//!   with the [`Supervisor`] as its policy; supervision decisions
+//!   happen at *wave* boundaries, and the wave width is the config's
+//!   `jobs` value — never the machine's core count — so admission
+//!   order is config-derived,
 //! * a checkpoint-adopted cell flows through the same admission and
 //!   observation sequence as a freshly executed one.
 //!
@@ -45,4 +47,4 @@ pub mod supervisor;
 pub use config::{CampaignConfig, StageSpec};
 pub use runner::{run_campaign, CampaignError, CampaignReport, StageReport};
 pub use soak::{run_soak, SoakOutcome};
-pub use supervisor::{Admission, Observation, Supervisor, SupervisorHealth};
+pub use supervisor::{Supervisor, SupervisorHealth};

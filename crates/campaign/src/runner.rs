@@ -1,14 +1,15 @@
-//! Campaign execution: stages, waves, artifacts, and crash-safe resume.
+//! Campaign execution: stages, artifacts, and crash-safe resume.
 //!
-//! A campaign is executed stage by stage; within a stage the grid is
-//! consumed in *waves* of `jobs` cells. All supervision decisions
-//! ([`Supervisor::admit`]) happen sequentially in grid order at the
-//! start of a wave, the admitted cells run in parallel, and outcomes
-//! are observed — again in grid order — at the wave boundary. Because
-//! the wave width comes from the config (never from the machine) and
-//! cell outcomes are pure functions of the salted fault plan, two runs
-//! of the same campaign make byte-identical decisions regardless of how
-//! many host threads actually executed the cells.
+//! A campaign is executed stage by stage; each stage is one
+//! [`SuiteRunner::sweep`] with the campaign's [`Supervisor`] as its
+//! policy. The sweep admits the grid in *waves* of `jobs` cells, in
+//! grid order, runs the admitted cells in parallel, and shows the
+//! supervisor their outcomes — again in grid order — once the wave has
+//! settled. Because the wave width comes from the config (never from
+//! the machine) and cell outcomes are pure functions of the salted
+//! fault plan, two runs of the same campaign make byte-identical
+//! decisions regardless of how many host threads actually executed the
+//! cells.
 //!
 //! Crash-safety rides entirely on the core artifact plane: every
 //! compared artifact (`report.csv`, `checkpoint.json`, `trace.jsonl`)
@@ -20,17 +21,17 @@
 //! as an uninterrupted run.
 
 use crate::config::{CampaignConfig, StageSpec};
-use crate::supervisor::{Admission, Observation, Supervisor, SupervisorHealth};
+use crate::supervisor::{Supervisor, SupervisorHealth};
 use faults::prng::splitmix64;
-use sgxgauge_core::sweep::{CellError, CellErrorKind, SweepCell};
+use sgxgauge_core::sweep::SweepCell;
 use sgxgauge_core::workload::Workload;
 use sgxgauge_core::{
-    io, ArtifactError, ArtifactIo, CellKey, ChaosFs, RealFs, ReportTable, RunnerConfig,
-    SuiteRunner, TenantDim,
+    io, ArtifactError, ArtifactIo, CellKey, ChaosFs, CheckpointFile, RealFs, ReportTable,
+    RunnerConfig, SuiteRunner,
 };
 use std::path::Path;
 use std::sync::Arc;
-use trace::{CampaignEvent, CampaignLog, ShedReason};
+use trace::{CampaignEvent, ShedReason};
 
 /// Why a campaign could not complete.
 #[derive(Debug)]
@@ -123,6 +124,9 @@ pub struct CampaignReport {
     pub total_runtime_cycles: u64,
     /// Total simulated backoff cycles across retries.
     pub total_backoff_cycles: u64,
+    /// Temps quarantined by the startup recovery of every stage this
+    /// run reached, including a stage an error cut short.
+    pub recovered: usize,
 }
 
 impl CampaignReport {
@@ -156,13 +160,26 @@ pub fn run_campaign(
     chaos: bool,
     kill: Option<Arc<ChaosFs>>,
 ) -> Result<CampaignReport, CampaignError> {
+    let mut report = CampaignReport::default();
+    run_into(cfg, out, chaos, kill, &mut report)?;
+    Ok(report)
+}
+
+/// [`run_campaign`], filling `report` as it goes, so a run that fails
+/// still reports what it did up to the failure.
+pub(crate) fn run_into(
+    cfg: &CampaignConfig,
+    out: &Path,
+    chaos: bool,
+    kill: Option<Arc<ChaosFs>>,
+    report: &mut CampaignReport,
+) -> Result<(), CampaignError> {
     let suite = sgxgauge_workloads::suite_scaled(cfg.scale);
     let mut supervisor = Supervisor::new(
         cfg.breaker_threshold,
         cfg.breaker_cooldown,
         cfg.retry_budget_cycles,
     );
-    let mut report = CampaignReport::default();
     let mut quarantined_cells: Vec<CellKey> = Vec::new();
     for (si, stage) in cfg.stages.iter().enumerate() {
         let stage_salt = splitmix64(cfg.seed.wrapping_add(si as u64 + 1));
@@ -170,18 +187,14 @@ pub fn run_campaign(
         let io = stage_io(stage, chaos, kill.as_ref(), stage_salt);
         let io: &dyn ArtifactIo = io.as_ref();
         io.create_dir_all(&stage_dir)?;
-        let mut log = CampaignLog::new();
         if supervisor.is_degraded() && stage.antagonist {
             // An antagonist stage exists to create stress; a degraded
             // campaign cannot afford it. Its artifacts still exist (so
             // the tree shape is run-independent), just empty.
-            log.push(
-                supervisor.health().retry_spent_cycles,
-                CampaignEvent::StageSkipped {
-                    stage: stage.name.clone(),
-                    reason: ShedReason::AntagonistSkipped,
-                },
-            );
+            supervisor.event(CampaignEvent::StageSkipped {
+                stage: stage.name.clone(),
+                reason: ShedReason::AntagonistSkipped,
+            });
             let skipped = StageReport {
                 name: stage.name.clone(),
                 skipped: true,
@@ -189,12 +202,15 @@ pub fn run_campaign(
             };
             let table = stage_table(&stage.name);
             io::publish_sealed(io, &stage_dir.join("report.csv"), &table.render())?;
+            let log = supervisor.take_log();
             io::publish_sealed(io, &stage_dir.join("trace.jsonl"), &log.render_jsonl())?;
             write_health(io, &stage_dir, &supervisor, &skipped)?;
             report.stages.push(skipped);
             continue;
         }
-        let sr = run_stage(
+        let recovered = recover_stage(io, &stage_dir)?;
+        report.recovered += recovered;
+        let mut sr = run_stage(
             cfg,
             stage,
             stage_salt,
@@ -202,9 +218,10 @@ pub fn run_campaign(
             io,
             &stage_dir,
             &mut supervisor,
-            &mut log,
             &mut quarantined_cells,
         )?;
+        sr.recovered = recovered;
+        write_health(io, &stage_dir, &supervisor, &sr)?;
         report.total_runtime_cycles = report
             .total_runtime_cycles
             .saturating_add(sr.runtime_cycles);
@@ -225,7 +242,7 @@ pub fn run_campaign(
         }
     }
     report.health = supervisor.health();
-    Ok(report)
+    Ok(())
 }
 
 fn base_runner_config(cfg: &CampaignConfig) -> RunnerConfig {
@@ -312,6 +329,8 @@ fn recover_stage(io: &dyn ArtifactIo, stage_dir: &Path) -> Result<usize, Artifac
     Ok(recovered)
 }
 
+/// Runs one stage's grid as a sweep under the supervisor and publishes
+/// its report and trace; the caller writes `health.json`.
 #[allow(clippy::too_many_arguments)]
 fn run_stage(
     cfg: &CampaignConfig,
@@ -321,50 +340,17 @@ fn run_stage(
     io: &dyn ArtifactIo,
     stage_dir: &Path,
     supervisor: &mut Supervisor,
-    log: &mut CampaignLog,
     quarantined_cells: &mut Vec<CellKey>,
 ) -> Result<StageReport, CampaignError> {
     let workloads = stage_workloads(stage, suite)?;
-    let mut base = base_runner_config(cfg);
-    if stage.tenants > 1 {
-        // Co-tenancy: `tenants` enclaves share one machine's EPC, so
-        // each cell runs against its per-tenant share of the pool. The
-        // floor keeps a degenerate config (tiny EPC, many tenants) a
-        // slow stage instead of an unbootable one.
-        let share = base.env.sgx.epc_bytes / stage.tenants;
-        base.env.sgx.epc_bytes = share.max(base.env.sgx.epc_reserved_bytes + (64 << 12));
+    let mut runner = SuiteRunner::new(base_runner_config(cfg))
+        .modes(&stage.modes)
+        .settings(&stage.settings)
+        .threads(cfg.jobs)
+        .retries(cfg.retries);
+    if let Some(plan) = &stage.faults {
+        runner = runner.faults(plan.salted(stage_salt));
     }
-    // The stage's normal and degraded runners are clones of one runner,
-    // so they share its LibOS launch.
-    let base = SuiteRunner::new(base);
-    // Stage validation bounds both counts; a stage that slipped past it
-    // is a config error here, never a key its own resume refuses.
-    let tenant = if stage.tenants > 0 {
-        let clamp = |n: u64| u8::try_from(n).unwrap_or(u8::MAX);
-        let dim = TenantDim::new(clamp(stage.tenants), clamp(stage.antagonists));
-        Some(dim.map_err(CampaignError::Config)?)
-    } else {
-        None
-    };
-    let make_runner = |retries: usize| {
-        let mut runner = base
-            .clone()
-            .modes(&stage.modes)
-            .settings(&stage.settings)
-            .threads(cfg.jobs)
-            .retries(retries);
-        if let Some(dim) = tenant {
-            runner = runner.tenant(dim);
-        }
-        if let Some(plan) = &stage.faults {
-            runner = runner.faults(plan.salted(stage_salt));
-        }
-        runner
-    };
-    let normal = make_runner(cfg.retries);
-    let degraded = make_runner(0);
-    let grid = normal.grid(&workloads);
-    let checkpoint = normal.checkpoint(&workloads);
     let fault_seed = stage
         .faults
         .as_ref()
@@ -374,175 +360,67 @@ fn run_stage(
         ..StageReport::default()
     };
 
-    // Crash recovery, then checkpoint adoption. A missing, stale, or
-    // unreadable checkpoint simply means a fresh stage: resume must
-    // never be able to make a campaign fail that would have succeeded
-    // from scratch.
-    sr.recovered = recover_stage(io, stage_dir)?;
-    let checkpoint_path = stage_dir.join("checkpoint.json");
-    let mut adopted: Vec<Option<SweepCell>> = (0..grid.len()).map(|_| None).collect();
-    if io.exists(&checkpoint_path) {
-        for (index, cell) in checkpoint.load(io, &checkpoint_path).unwrap_or_default() {
-            adopted[index] = Some(cell);
-        }
+    // A missing, stale, or unreadable checkpoint simply means a fresh
+    // stage: resume must never be able to make a campaign fail that
+    // would have succeeded from scratch.
+    let path = stage_dir.join("checkpoint.json");
+    let adopted = if io.exists(&path) {
+        runner.checkpoint(&workloads).load(io, &path).ok()
+    } else {
+        None
+    };
+    let grid_len = runner.grid(&workloads).len();
+    let mut was_adopted = vec![false; grid_len];
+    for (index, _) in adopted.iter().flatten() {
+        was_adopted[*index] = true;
     }
 
     supervisor.begin_stage(stage.deadline_cycles);
-    log.push(
-        supervisor.health().retry_spent_cycles,
-        CampaignEvent::StageBegin {
-            stage: stage.name.clone(),
-            cells: grid.len(),
-            fault_seed,
-        },
-    );
-
-    let mut settled: Vec<Option<SweepCell>> = (0..grid.len()).map(|_| None).collect();
-    let wave_width = cfg.jobs.max(1);
-    let mut wave_start = 0;
-    while wave_start < grid.len() {
-        let wave_end = (wave_start + wave_width).min(grid.len());
-        // Pick the executing runner for the wave *before* admissions:
-        // degraded-ness only flips at wave boundaries, so this is the
-        // state every cell of the wave sees.
-        let runner = if supervisor.is_degraded() {
-            &degraded
-        } else {
-            &normal
-        };
-        let mut to_run: Vec<(usize, CellKey)> = Vec::new();
-        let mut probes: Vec<bool> = (wave_start..wave_end).map(|_| false).collect();
-        for j in wave_start..wave_end {
-            let key = grid[j];
-            let workload = workloads[key.workload].name();
-            match supervisor.admit(workload, &key.to_string(), key.rep, log) {
-                Admission::Run { probe } => {
-                    probes[j - wave_start] = probe;
-                    if adopted[j].is_none() {
-                        to_run.push((j, key));
-                    }
-                }
-                Admission::Shed(reason) => {
-                    settled[j] = Some(shed_cell(workload, key, reason));
-                    sr.shed += 1;
-                }
-            }
+    supervisor.event(CampaignEvent::StageBegin {
+        stage: stage.name.clone(),
+        cells: grid_len,
+        fault_seed,
+    });
+    let file = CheckpointFile {
+        io,
+        path: &path,
+        adopted,
+    };
+    let sweep = runner.sweep(&workloads, supervisor, Some(file))?;
+    let mut table = stage_table(&stage.name);
+    for (cell, adopted) in sweep.cells.iter().zip(was_adopted) {
+        table.push_row(report_row(cell));
+        if cell.shed() {
+            sr.shed += 1;
+            continue;
         }
-        let keys: Vec<CellKey> = to_run.iter().map(|&(_, k)| k).collect();
-        let executed = runner.run_cells(&workloads, &keys);
-        for ((j, _), cell) in to_run.iter().zip(executed) {
-            settled[*j] = Some(cell);
+        if adopted {
+            sr.adopted += 1;
+        } else {
             sr.executed += 1;
         }
-        // Observe in grid order at the wave boundary — adopted cells
-        // included, so supervision replays identically on resume.
-        for j in wave_start..wave_end {
-            let key = grid[j];
-            let workload = workloads[key.workload].name();
-            if settled[j].is_none() {
-                if let Some(cell) = adopted[j].take() {
-                    settled[j] = Some(cell);
-                    sr.adopted += 1;
-                }
-            }
-            let Some(cell) = settled[j].as_ref() else {
-                continue;
-            };
-            if matches!(
-                cell.result,
-                Err(CellError {
-                    kind: CellErrorKind::Degraded,
-                    ..
-                })
-            ) {
-                continue;
-            }
-            let obs = observe_cell(cell);
-            supervisor.observe(workload, probes[j - wave_start], obs, log);
-            sr.runtime_cycles = sr.runtime_cycles.saturating_add(obs.cell_cycles);
-            sr.backoff_cycles = sr.backoff_cycles.saturating_add(obs.backoff_cycles);
-            if let Err(e) = &cell.result {
-                if e.quarantines() {
-                    sr.quarantined += 1;
-                    quarantined_cells.push(key);
-                }
-            }
-        }
-        // Checkpoint the settled (non-shed) prefix so a kill inside the
-        // next wave resumes here. Shed cells are supervision decisions,
-        // recomputed on resume, never persisted.
-        let durable = settled
-            .iter()
-            .enumerate()
-            .filter_map(|(index, slot)| slot.as_ref().map(|cell| (index, cell)))
-            .filter(|(_, cell)| {
-                !matches!(
-                    cell.result,
-                    Err(CellError {
-                        kind: CellErrorKind::Degraded,
-                        ..
-                    })
-                )
-            });
-        io::publish_sealed(io, &checkpoint_path, &checkpoint.render(durable))?;
-        wave_start = wave_end;
-    }
-
-    log.push(
-        supervisor.health().retry_spent_cycles,
-        CampaignEvent::StageEnd {
-            stage: stage.name.clone(),
-            executed: sr.executed + sr.adopted,
-            shed: sr.shed,
-            spent_cycles: supervisor.stage_spent_cycles(),
-        },
-    );
-
-    let mut table = stage_table(&stage.name);
-    for (j, slot) in settled.iter().enumerate() {
-        if let Some(cell) = slot {
-            let name = workloads[grid[j].workload].name();
-            table.push_row(report_row(&grid[j], name, cell));
+        let runtime = cell.result.as_ref().map_or(0, |r| r.runtime_cycles);
+        sr.runtime_cycles = sr.runtime_cycles.saturating_add(runtime);
+        sr.backoff_cycles = sr.backoff_cycles.saturating_add(cell.backoff_cycles);
+        if cell.result.as_ref().is_err_and(|e| e.quarantines()) {
+            sr.quarantined += 1;
+            quarantined_cells.push(cell.cell);
         }
     }
+    supervisor.event(CampaignEvent::StageEnd {
+        stage: stage.name.clone(),
+        executed: sr.executed + sr.adopted,
+        shed: sr.shed,
+        spent_cycles: supervisor.stage_spent_cycles(),
+    });
     io::publish_sealed(io, &stage_dir.join("report.csv"), &table.render())?;
+    let log = supervisor.take_log();
     io::publish_sealed(io, &stage_dir.join("trace.jsonl"), &log.render_jsonl())?;
-    write_health(io, stage_dir, supervisor, &sr)?;
     Ok(sr)
 }
 
-fn shed_cell(workload: &'static str, key: CellKey, reason: ShedReason) -> SweepCell {
-    SweepCell {
-        cell: key,
-        workload,
-        result: Err(CellError {
-            kind: CellErrorKind::Degraded,
-            message: format!("shed by campaign supervision: {}", reason.name()),
-        }),
-        attempts: 0,
-        backoff_cycles: 0,
-        trail: Vec::new(),
-    }
-}
-
-fn observe_cell(cell: &SweepCell) -> Observation {
-    match &cell.result {
-        Ok(report) => Observation {
-            ok: true,
-            transient: false,
-            backoff_cycles: cell.backoff_cycles,
-            cell_cycles: report.runtime_cycles,
-        },
-        Err(e) => Observation {
-            ok: false,
-            transient: e.kind == CellErrorKind::Transient,
-            backoff_cycles: cell.backoff_cycles,
-            cell_cycles: 0,
-        },
-    }
-}
-
-fn report_row(key: &CellKey, workload: &str, cell: &SweepCell) -> Vec<String> {
+fn report_row(cell: &SweepCell) -> Vec<String> {
+    let key = &cell.cell;
     let (outcome, runtime, ops, checksum) = match &cell.result {
         Ok(report) => (
             "ok".to_owned(),
@@ -554,7 +432,7 @@ fn report_row(key: &CellKey, workload: &str, cell: &SweepCell) -> Vec<String> {
     };
     vec![
         key.to_string(),
-        workload.to_owned(),
+        cell.workload.to_owned(),
         key.mode.to_string(),
         key.setting.to_string(),
         key.rep.to_string(),

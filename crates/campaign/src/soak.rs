@@ -19,7 +19,7 @@
 //! the next kill to fire).
 
 use crate::config::CampaignConfig;
-use crate::runner::{run_campaign, CampaignError, CampaignReport};
+use crate::runner::{run_campaign, run_into, CampaignError, CampaignReport};
 use faults::prng::splitmix64;
 use faults::{IoFaultPlan, XorShift64};
 use sgxgauge_core::{ArtifactIo, ChaosFs, RealFs};
@@ -52,6 +52,9 @@ pub struct SoakOutcome {
     pub storm_cycles: u64,
     /// The final storm pass's campaign report.
     pub report: CampaignReport,
+    /// Temps the stage recoveries quarantined across every storm pass,
+    /// killed ones included.
+    pub recovered: usize,
 }
 
 /// Runs the crash-restart soak under `out` (`<out>/golden` and
@@ -73,22 +76,26 @@ pub fn run_soak(
 
     let mut rng = XorShift64::new(splitmix64(cfg.seed ^ SOAK_SALT));
     let mut kills_fired = 0;
+    let mut recovered = 0;
     for _ in 0..kills {
         let ordinal = KILL_MIN_RENAME + rng.below(KILL_SPAN_RENAMES);
         let kill = Arc::new(ChaosFs::over_real(IoFaultPlan {
             crash_rename: Some(ordinal),
             ..IoFaultPlan::default()
         }));
-        match run_campaign(cfg, &storm_dir, true, Some(Arc::clone(&kill))) {
+        let mut killed = CampaignReport::default();
+        match run_into(cfg, &storm_dir, true, Some(Arc::clone(&kill)), &mut killed) {
             Err(e) if !kill.crashed() => return Err(e),
             // The scheduled death; the next iteration resumes.
             _ => {}
         }
+        recovered += killed.recovered;
         if kill.crashed() {
             kills_fired += 1;
         }
     }
     let report = run_campaign(cfg, &storm_dir, true, None)?;
+    recovered += report.recovered;
 
     let mut mismatches = Vec::new();
     for stage in &cfg.stages {
@@ -114,5 +121,6 @@ pub fn run_soak(
         golden_cycles: golden.total_cycles(),
         storm_cycles: report.total_cycles(),
         report,
+        recovered,
     })
 }

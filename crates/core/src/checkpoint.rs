@@ -37,7 +37,7 @@ use mem_sim::Counters;
 use sgx_sim::{CounterField, DriverStats, SgxCounters};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use trace::json::escape;
 
 /// Checkpoint file format version; bumped on incompatible layout change.
@@ -46,12 +46,12 @@ use trace::json::escape;
 /// (`"key":"workload/mode/setting/rep"`) instead of four numeric
 /// discriminants, and the counter arrays include `mee_cycles`.
 ///
-/// Version 3: keys may carry the optional co-tenancy dimension
+/// Version 3: keys could carry a co-tenancy dimension
 /// (`"workload/mode/setting/rep/tNaM"`).
 ///
 /// Version 4: keys could also carry a distributed-protocol dimension
-/// (`…/pNqT`). That dimension is gone; the version stays 4 so that
-/// checkpoint bytes are unchanged, and a key that still carries it
+/// (`…/pNqT`). Both dimensions are gone; the version stays 4 so that
+/// checkpoint bytes are unchanged, and a key that still carries either
 /// fails to parse.
 ///
 /// [`GridCheckpoint::load`] accepts only this version: checkpoints are
@@ -91,8 +91,8 @@ impl SuiteRunner {
     /// On entry a temp sibling that a crash left un-renamed is
     /// quarantined ([`io::recover`]). Resume then loads the
     /// (integrity-checked) file, rejects grid mismatches, and executes
-    /// only the remaining cells; every completed cell is re-published as
-    /// a sealed checkpoint.
+    /// only the remaining cells; the sweep re-publishes the sealed
+    /// checkpoint as cells complete (see [`SuiteRunner::sweep`]).
     ///
     /// # Errors
     ///
@@ -105,31 +105,13 @@ impl SuiteRunner {
         io: &dyn ArtifactIo,
     ) -> Result<SweepReport, SweepError> {
         io::recover(io, path)?;
-        let checkpoint = self.checkpoint(workloads);
-        let prefilled = if resume && io.exists(path) {
-            checkpoint.load(io, path)?
+        let adopted = if resume && io.exists(path) {
+            Some(self.checkpoint(workloads).load(io, path)?)
         } else {
-            Vec::new()
+            None
         };
-        let sink = CheckpointSink {
-            path: path.to_path_buf(),
-            io,
-            state: SinkState {
-                grid_fp: checkpoint.grid_fp,
-                cells: prefilled
-                    .iter()
-                    .map(|(index, cell)| (*index, cell_json(*index, cell)))
-                    .collect(),
-                error: None,
-            }
-            .into(),
-        };
-        // Write the header (plus any adopted cells) up front so even a
-        // sweep killed before its first completed cell leaves a valid,
-        // resumable file behind.
-        sink.flush()?;
-        let report = self.execute_resumable(workloads, prefilled, Some(&sink));
-        sink.take_error()?;
+        let file = CheckpointFile { io, path, adopted };
+        let report = self.sweep(workloads, &mut self.tolerance(), Some(file))?;
         self.enforce_quarantine(&report)?;
         Ok(report)
     }
@@ -160,6 +142,19 @@ impl SuiteRunner {
             grid_fp: h.finish(),
         }
     }
+}
+
+/// The checkpoint file of one [`SuiteRunner::sweep`]: where it is
+/// published, and the cells the sweep adopts from it.
+pub struct CheckpointFile<'a> {
+    /// The backend every publish goes through.
+    pub io: &'a dyn ArtifactIo,
+    /// The checkpoint's path.
+    pub path: &'a Path,
+    /// The cells `path` holds, as (grid index, cell) pairs from
+    /// [`GridCheckpoint::load`]; `None` when the file is not adopted, so
+    /// the sweep publishes a fresh one before its first cell runs.
+    pub adopted: Option<Vec<(usize, SweepCell)>>,
 }
 
 /// The checkpoint format of one sweep grid, from
@@ -232,7 +227,10 @@ impl GridCheckpoint {
     /// Renders the unsealed checkpoint document for `cells`, given as
     /// (grid index, cell) pairs. Cells are sorted by grid index, so the
     /// file is stable regardless of completion order.
-    pub fn render<'c>(&self, cells: impl IntoIterator<Item = (usize, &'c SweepCell)>) -> String {
+    pub(crate) fn render<'c>(
+        &self,
+        cells: impl IntoIterator<Item = (usize, &'c SweepCell)>,
+    ) -> String {
         let sorted: BTreeMap<usize, String> = cells
             .into_iter()
             .map(|(index, cell)| (index, cell_json(index, cell)))
@@ -360,57 +358,6 @@ impl GridCheckpoint {
                 metrics,
             },
         })
-    }
-}
-
-/// Accumulates completed cells and rewrites the checkpoint file after
-/// each one — every rewrite a sealed, verified, retry-bounded publish.
-/// Shared across sweep workers behind its internal mutex.
-pub(crate) struct CheckpointSink<'a> {
-    path: PathBuf,
-    io: &'a dyn ArtifactIo,
-    #[expect(
-        clippy::disallowed_types,
-        reason = "every sweep worker records its finished cell into one file"
-    )]
-    state: std::sync::Mutex<SinkState>,
-}
-
-struct SinkState {
-    grid_fp: u64,
-    /// Grid index → serialized cell JSON, kept sorted for stable files.
-    cells: BTreeMap<usize, String>,
-    /// First unrecoverable write failure, surfaced when the sweep
-    /// finishes (workers cannot propagate it mid-flight).
-    error: Option<ArtifactError>,
-}
-
-impl CheckpointSink<'_> {
-    /// Records a completed cell and rewrites the file. Skipped cells
-    /// are never offered here, so a resume re-runs them.
-    pub(crate) fn record(&self, index: usize, cell: &SweepCell) {
-        let mut state = self.state.lock().expect("sink lock is never poisoned");
-        state.cells.insert(index, cell_json(index, cell));
-        if let Err(e) = self.publish(&state) {
-            state.error.get_or_insert(e);
-        }
-    }
-
-    /// One sealed publish with the bounded transient-retry budget
-    /// ([`io::publish_sealed`]).
-    fn publish(&self, state: &SinkState) -> Result<(), ArtifactError> {
-        let body = render_document(state.grid_fp, state.cells.values().map(String::as_str));
-        io::publish_sealed(self.io, &self.path, &body)
-    }
-
-    fn flush(&self) -> Result<(), ArtifactError> {
-        let state = self.state.lock().expect("sink lock is never poisoned");
-        self.publish(&state)
-    }
-
-    fn take_error(&self) -> Result<(), ArtifactError> {
-        let mut state = self.state.lock().expect("sink lock is never poisoned");
-        state.error.take().map_or(Ok(()), Err)
     }
 }
 
@@ -653,6 +600,7 @@ mod tests {
     use crate::modes::{ExecMode, InputSetting};
     use crate::runner::RunnerConfig;
     use crate::workload::{WorkloadError, WorkloadSpec};
+    use std::path::PathBuf;
 
     /// A test workload whose `execute` is `run`.
     struct Probe {

@@ -188,8 +188,6 @@ pub trait ArtifactIo: Send + Sync {
     fn remove(&self, path: &Path) -> Result<(), ArtifactError>;
     /// Whether the path exists.
     fn exists(&self, path: &Path) -> bool;
-    /// Lists the entries of a directory.
-    fn list(&self, dir: &Path) -> Result<Vec<PathBuf>, ArtifactError>;
     /// Creates the directory and all missing parents.
     fn create_dir_all(&self, dir: &Path) -> Result<(), ArtifactError>;
 }
@@ -264,19 +262,6 @@ impl ArtifactIo for RealFs {
 
     fn exists(&self, path: &Path) -> bool {
         path.exists()
-    }
-
-    fn list(&self, dir: &Path) -> Result<Vec<PathBuf>, ArtifactError> {
-        let rd = std::fs::read_dir(dir)
-            .map_err(|e| ArtifactError::io("list", dir, kind_of(&e), e.to_string()))?;
-        let mut out = Vec::new();
-        for entry in rd {
-            let entry =
-                entry.map_err(|e| ArtifactError::io("list", dir, kind_of(&e), e.to_string()))?;
-            out.push(entry.path());
-        }
-        out.sort();
-        Ok(out)
     }
 
     fn create_dir_all(&self, dir: &Path) -> Result<(), ArtifactError> {
@@ -458,11 +443,6 @@ impl ArtifactIo for ChaosFs {
             return false;
         }
         self.inner.exists(path)
-    }
-
-    fn list(&self, dir: &Path) -> Result<Vec<PathBuf>, ArtifactError> {
-        self.guard("list", dir)?;
-        self.inner.list(dir)
     }
 
     fn create_dir_all(&self, dir: &Path) -> Result<(), ArtifactError> {

@@ -46,7 +46,7 @@ pub mod runner;
 pub mod sweep;
 pub mod workload;
 
-pub use checkpoint::{GridCheckpoint, CHECKPOINT_VERSION};
+pub use checkpoint::{CheckpointFile, GridCheckpoint, CHECKPOINT_VERSION};
 pub use env::{Env, EnvConfig, Region, SimThread};
 pub use io::{ArtifactError, ArtifactIo, ChaosFs, IoErrorKind, RealFs};
 pub use mem_sim::CLOCK_HZ;
@@ -54,8 +54,8 @@ pub use modes::{ExecMode, InputSetting};
 pub use report::{RatioRow, ReportTable};
 pub use runner::{RunReport, Runner, RunnerConfig, TraceConfig};
 pub use sweep::{
-    fan_out, CellError, CellErrorKind, CellKey, SuiteRunner, SweepCell, SweepError, SweepReport,
-    TenantDim,
+    fan_out, Admission, CellError, CellErrorKind, CellKey, Pool, SuiteRunner, SweepCell,
+    SweepError, SweepPolicy, SweepReport,
 };
 pub use workload::{
     ErrorClass, TransientError, Workload, WorkloadError, WorkloadOutput, WorkloadSpec,

@@ -461,7 +461,6 @@ mod tests {
                         mode: ExecMode::Native,
                         setting: InputSetting::Low,
                         rep: rep as usize,
-                        tenant: None,
                     },
                     attempts: 1,
                     backoff_cycles: 0,

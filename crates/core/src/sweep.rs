@@ -4,11 +4,12 @@
 //! input setting, repeated. Each cell is an independent simulation — one
 //! [`Env`](crate::Env) owning its own machine, LibOS cells a fork of the
 //! runner's one launched platform — so cells can run on separate OS
-//! threads with no shared mutable simulator state. [`SuiteRunner`]
-//! fans the grid over a scoped thread pool fed by a work queue, captures
-//! per-cell panics (a crashing workload fails one cell, never the sweep),
-//! and aggregates results **in grid order**, so a parallel sweep produces
-//! byte-identical reports to a sequential one.
+//! threads with no shared mutable simulator state. Every grid runs
+//! through one loop, [`SuiteRunner::sweep`]: it fans the cells over the
+//! [`fan_out`] pool, captures per-cell panics (a crashing workload fails
+//! one cell, never the sweep), and admits, observes and checkpoints the
+//! cells under a [`SweepPolicy`] **in grid order**, so a parallel sweep
+//! produces byte-identical reports to a sequential one.
 //!
 //! # Example
 //!
@@ -32,92 +33,17 @@
 //! assert!(sweep.cells[0].result.is_ok());
 //! ```
 
-use crate::checkpoint::CheckpointSink;
-use crate::io::ArtifactError;
+use crate::checkpoint::CheckpointFile;
+use crate::io::{self, ArtifactError};
 use crate::modes::{ExecMode, InputSetting};
 use crate::runner::{RunReport, Runner, RunnerConfig};
 use crate::workload::{ErrorClass, Workload, WorkloadError};
 use faults::{FaultPlan, Fnv};
 use sgx_sim::costs::RETRY_BACKOFF_BASE_CYCLES;
+use std::collections::VecDeque;
+use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-
-/// The optional co-tenancy coordinate of a grid cell: how many tenants
-/// shared the EPC while the cell ran, and how many of them were
-/// antagonists. Its [`Display`](std::fmt::Display) form `t{N}a{M}`
-/// round-trips through [`FromStr`](std::str::FromStr) and appends as a
-/// fifth `/`-separated [`CellKey`] field; cells without the dimension
-/// keep the classic four-field form.
-///
-/// Every value leaves a victim (`antagonists < tenants`), so every key
-/// a sweep writes is one its resume reads back. The fields are private
-/// and [`TenantDim::new`] checks the bound:
-///
-/// ```compile_fail,E0451
-/// let dim = sgxgauge_core::TenantDim { tenants: 2, antagonists: 2 };
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct TenantDim {
-    tenants: u8,
-    antagonists: u8,
-}
-
-impl TenantDim {
-    /// `tenants` enclaves on one host, `antagonists` of them hostile.
-    ///
-    /// # Errors
-    ///
-    /// When no victim is left (`antagonists >= tenants`, which includes
-    /// `tenants == 0`).
-    pub fn new(tenants: u8, antagonists: u8) -> Result<TenantDim, String> {
-        if antagonists >= tenants {
-            return Err(format!(
-                "tenant dimension `t{tenants}a{antagonists}` leaves no victim: \
-                 it needs more tenants than antagonists"
-            ));
-        }
-        Ok(TenantDim {
-            tenants,
-            antagonists,
-        })
-    }
-
-    /// Total tenants on the shared host (at least 1).
-    pub fn tenants(self) -> u8 {
-        self.tenants
-    }
-
-    /// Antagonist tenants among them (at most `tenants - 1`).
-    pub fn antagonists(self) -> u8 {
-        self.antagonists
-    }
-}
-
-impl std::fmt::Display for TenantDim {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "t{}a{}", self.tenants, self.antagonists)
-    }
-}
-
-impl std::str::FromStr for TenantDim {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let rest = s
-            .strip_prefix('t')
-            .ok_or_else(|| format!("tenant dimension `{s}` must start with `t`"))?;
-        let (tenants, antagonists) = rest
-            .split_once('a')
-            .ok_or_else(|| format!("tenant dimension `{s}` is missing its `a` separator"))?;
-        let tenants = tenants
-            .parse::<u8>()
-            .map_err(|e| format!("bad tenant count in `{s}`: {e}"))?;
-        let antagonists = antagonists
-            .parse::<u8>()
-            .map_err(|e| format!("bad antagonist count in `{s}`: {e}"))?;
-        TenantDim::new(tenants, antagonists)
-    }
-}
+use std::sync::mpsc;
 
 /// The typed key of one benchmark-grid cell.
 ///
@@ -125,8 +51,7 @@ impl std::str::FromStr for TenantDim {
 /// tuples — the sweep queue, checkpoint fingerprints and lookups, report
 /// grouping — now passes this one type. Its [`Display`](std::fmt::Display)
 /// form `workload/mode/setting/rep` round-trips through
-/// [`FromStr`](std::str::FromStr); co-tenant cells append a fifth
-/// [`TenantDim`] field (`workload/mode/setting/rep/tNaM`).
+/// [`FromStr`](std::str::FromStr).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CellKey {
     /// Index into the workload slice passed to [`SuiteRunner::run`].
@@ -137,8 +62,6 @@ pub struct CellKey {
     pub setting: InputSetting,
     /// Repetition number, `0..repetitions`.
     pub rep: usize,
-    /// Co-tenancy coordinate, absent for classic single-enclave cells.
-    pub tenant: Option<TenantDim>,
 }
 
 impl CellKey {
@@ -157,11 +80,7 @@ impl std::fmt::Display for CellKey {
             f,
             "{}/{}/{}/{}",
             self.workload, self.mode, self.setting, self.rep
-        )?;
-        if let Some(t) = self.tenant {
-            write!(f, "/{t}")?;
-        }
-        Ok(())
+        )
     }
 }
 
@@ -183,8 +102,6 @@ impl std::str::FromStr for CellKey {
         let rep = next("repetition")?
             .parse::<usize>()
             .map_err(|e| format!("bad repetition in `{s}`: {e}"))?;
-        // One optional trailing field: the `tNaM` co-tenancy coordinate.
-        let tenant = parts.next().map(str::parse::<TenantDim>).transpose()?;
         if parts.next().is_some() {
             return Err(format!("trailing fields in cell key `{s}`"));
         }
@@ -193,7 +110,6 @@ impl std::str::FromStr for CellKey {
             mode,
             setting,
             rep,
-            tenant,
         })
     }
 }
@@ -333,6 +249,89 @@ pub struct SweepCell {
     pub trail: Vec<AttemptFailure>,
 }
 
+impl SweepCell {
+    /// A cell that settled without running, failed with `kind`.
+    fn unrun(cell: CellKey, workload: &'static str, kind: CellErrorKind, message: String) -> Self {
+        SweepCell {
+            cell,
+            workload,
+            result: Err(CellError { kind, message }),
+            attempts: 0,
+            backoff_cycles: 0,
+            trail: Vec::new(),
+        }
+    }
+
+    /// True when the sweep's policy shed this cell.
+    pub fn shed(&self) -> bool {
+        matches!(&self.result, Err(e) if e.kind == CellErrorKind::Degraded)
+    }
+}
+
+/// What a [`SweepPolicy`] decides for one grid cell.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Admission {
+    /// Run the cell, or adopt its checkpointed outcome.
+    Run,
+    /// As [`Admission::Run`], but [`SweepPolicy::observe`] sees the
+    /// outcome as a probe's.
+    Probe,
+    /// Do not run the cell. It settles as [`CellErrorKind::Degraded`]
+    /// with this message, is never observed and is never checkpointed.
+    Shed(String),
+}
+
+/// The cell-level policy of a sweep. [`SuiteRunner::sweep`] asks it to
+/// admit every grid cell, then shows it every admitted cell's outcome,
+/// both in grid order. Neither order depends on which worker finished
+/// first, so a policy decides the same at every thread count.
+pub trait SweepPolicy {
+    /// Whether admissions read earlier outcomes. Such a policy is
+    /// admitted in waves of the sweep's `threads` cells (at least one),
+    /// each once the previous wave is observed. Any other policy has
+    /// every cell admitted up front, and no worker waits on a wave.
+    fn waves(&self) -> bool {
+        false
+    }
+
+    /// Decides the fate of `cell`, a cell of `workload`. Called once
+    /// per cell, checkpoint-adopted cells included.
+    fn admit(&mut self, _cell: CellKey, _workload: &'static str) -> Admission {
+        Admission::Run
+    }
+
+    /// The retry budget an admitted cell runs with, given the sweep's
+    /// [`SuiteRunner::retries`].
+    fn retries(&self, configured: usize) -> usize {
+        configured
+    }
+
+    /// Sees one admitted cell's outcome; `probe` echoes its admission.
+    /// Breaking stops the sweep: every later cell is
+    /// [`CellErrorKind::Skipped`] and stays out of the checkpoint.
+    fn observe(&mut self, cell: &SweepCell, probe: bool) -> ControlFlow<()>;
+}
+
+/// The default policy: stop at the first quarantined cell past
+/// [`SuiteRunner::max_quarantine`].
+struct Tolerance {
+    max: Option<usize>,
+    quarantined: usize,
+}
+
+impl SweepPolicy for Tolerance {
+    fn observe(&mut self, cell: &SweepCell, _probe: bool) -> ControlFlow<()> {
+        if cell.result.as_ref().is_err_and(CellError::quarantines) {
+            self.quarantined += 1;
+        }
+        if self.max.is_some_and(|max| self.quarantined > max) {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    }
+}
+
 /// Why a sweep could not produce (or persist) its report.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SweepError {
@@ -439,12 +438,6 @@ impl SweepReport {
             h.u64(c.cell.mode as u64);
             h.u64(c.cell.setting as u64);
             h.u64(c.cell.rep as u64);
-            // Hashed only when present, so classic sweeps fingerprint
-            // identically to before the dimension existed.
-            if let Some(t) = c.cell.tenant {
-                h.u64(u64::from(t.tenants));
-                h.u64(u64::from(t.antagonists));
-            }
             h.u64(c.attempts as u64);
             h.u64(c.backoff_cycles);
             match &c.result {
@@ -489,7 +482,6 @@ pub struct SuiteRunner {
     threads: usize,
     retries: usize,
     max_quarantine: Option<usize>,
-    tenant: Option<TenantDim>,
 }
 
 impl SuiteRunner {
@@ -503,18 +495,7 @@ impl SuiteRunner {
             threads: 0,
             retries: 0,
             max_quarantine: None,
-            tenant: None,
         }
-    }
-
-    /// Stamps every grid cell with a co-tenancy coordinate: the sweep
-    /// itself still runs one workload per cell, but its keys, salts and
-    /// fingerprints carry the dimension so co-tenant campaigns checkpoint
-    /// and report distinctly from classic runs of the same grid.
-    #[must_use]
-    pub fn tenant(mut self, dim: TenantDim) -> Self {
-        self.tenant = Some(dim);
-        self
     }
 
     /// Restricts the sweep to `modes` (kept in the given order).
@@ -610,7 +591,6 @@ impl SuiteRunner {
                             mode,
                             setting,
                             rep,
-                            tenant: self.tenant,
                         });
                     }
                 }
@@ -621,13 +601,17 @@ impl SuiteRunner {
 
     /// Runs the grid across the configured worker threads.
     ///
-    /// Each worker pulls the next unclaimed cell off a shared queue,
-    /// builds a private [`Env`](crate::Env), and writes the outcome into
-    /// the cell's slot, so the report order is the grid order no matter
-    /// which thread finished when. A panicking cell is captured into a
-    /// [`CellError`] and the sweep continues.
+    /// Each worker takes the next cell off the pool's queue, builds a
+    /// private [`Env`](crate::Env), and hands the outcome back to the
+    /// calling thread, which files it under the cell's grid index, so
+    /// the report order is the grid order no matter which thread
+    /// finished when. A panicking cell is captured into a [`CellError`]
+    /// and the sweep continues.
     pub fn run(&self, workloads: &[&dyn Workload]) -> SweepReport {
-        self.execute_resumable(workloads, Vec::new(), None)
+        match self.sweep(workloads, &mut self.tolerance(), None) {
+            Ok(report) => report,
+            Err(e) => unreachable!("a sweep without a checkpoint publishes nothing: {e}"),
+        }
     }
 
     /// [`SuiteRunner::run`], but enforcing the quarantine tolerance:
@@ -638,7 +622,7 @@ impl SuiteRunner {
     ///
     /// [`SweepError::QuarantineExceeded`] when the run is globally sick.
     pub fn try_run(&self, workloads: &[&dyn Workload]) -> Result<SweepReport, SweepError> {
-        let report = self.execute_resumable(workloads, Vec::new(), None);
+        let report = self.run(workloads);
         self.enforce_quarantine(&report)?;
         Ok(report)
     }
@@ -659,26 +643,12 @@ impl SuiteRunner {
         Ok(())
     }
 
-    /// Runs an explicit subset of cells across the configured worker
-    /// threads, outcomes in the order the cells were given.
-    ///
-    /// This is the building block campaign orchestrators schedule waves
-    /// with: every cell outcome is a pure function of its (cell,
-    /// attempt) fault salt, so the returned vector is byte-identical to
-    /// a sequential run of the same cells no matter how workers
-    /// interleaved. No quarantine supervision is applied here —
-    /// the caller owns cell-level policy.
-    pub fn run_cells(&self, workloads: &[&dyn Workload], cells: &[CellKey]) -> Vec<SweepCell> {
-        fan_out(
-            cells.len(),
-            self.threads,
-            || false,
-            |i| self.run_cell(workloads, cells[i]),
-        )
-        .into_iter()
-        .enumerate()
-        .map(|(i, s)| s.unwrap_or_else(|| skipped_cell(workloads, cells[i])))
-        .collect()
+    /// The default policy: the [`SuiteRunner::max_quarantine`] tolerance.
+    pub(crate) fn tolerance(&self) -> impl SweepPolicy {
+        Tolerance {
+            max: self.max_quarantine,
+            quarantined: 0,
+        }
     }
 
     /// Runs the grid on the calling thread, no pool involved — the
@@ -687,74 +657,146 @@ impl SuiteRunner {
         let cells = self.grid(workloads);
         let mut out = Vec::with_capacity(cells.len());
         for cell in cells {
-            out.push(self.run_cell(workloads, cell));
+            out.push(self.run_cell(workloads, cell, self.retries));
         }
         SweepReport { cells: out }
     }
 
-    /// Runs the grid with resume support: `prefilled` slots (grid
-    /// index → already-completed cell, from a checkpoint) are not
-    /// re-run, and every freshly completed cell is offered to `sink`
-    /// before the sweep moves on.
-    pub(crate) fn execute_resumable(
+    /// The one sweep loop, behind [`SuiteRunner::run`], the checkpointed
+    /// runners and campaign stages.
+    ///
+    /// `policy` admits every grid cell and then observes every admitted
+    /// outcome, both in grid order. Admitted cells run on the
+    /// [`fan_out`] pool with the policy's retry budget; cells adopted
+    /// from `checkpoint` are admitted and observed but not re-run. When
+    /// the policy stops the sweep, every later cell is
+    /// [`CellErrorKind::Skipped`].
+    ///
+    /// The checkpoint is published from the calling thread, so its
+    /// bytes never depend on thread timing. It holds the observed cells
+    /// that were not shed. It is published before the first cell when it
+    /// was not adopted, and then at every `threads`-th observed cell, at
+    /// the last cell and where the policy stops, if a cell run since the
+    /// last publish was observed.
+    ///
+    /// # Errors
+    ///
+    /// The first checkpoint publish that failed; the sweep stops there.
+    pub fn sweep(
         &self,
         workloads: &[&dyn Workload],
-        prefilled: Vec<(usize, SweepCell)>,
-        sink: Option<&CheckpointSink<'_>>,
-    ) -> SweepReport {
-        let cells = self.grid(workloads);
-        let mut slots: Vec<Option<SweepCell>> = (0..cells.len()).map(|_| None).collect();
-        let mut seeded_quarantine = 0usize;
-        for (i, cell) in prefilled {
-            if let Err(e) = &cell.result {
-                if e.quarantines() {
-                    seeded_quarantine += 1;
-                }
+        policy: &mut dyn SweepPolicy,
+        checkpoint: Option<CheckpointFile<'_>>,
+    ) -> Result<SweepReport, ArtifactError> {
+        let grid = self.grid(workloads);
+        let n = grid.len();
+        let wave = self.threads.max(1);
+        let mut slots: Vec<Option<SweepCell>> = (0..n).map(|_| None).collect();
+        let mut adopted: Vec<Option<SweepCell>> = (0..n).map(|_| None).collect();
+        let mut probes = vec![false; n];
+        let mut target = None;
+        if let Some(file) = checkpoint {
+            let format = self.checkpoint(workloads);
+            match file.adopted {
+                Some(cells) => cells
+                    .into_iter()
+                    .for_each(|(i, cell)| adopted[i] = Some(cell)),
+                None => io::publish_sealed(file.io, file.path, &format.render([]))?,
             }
-            slots[i] = Some(cell);
+            target = Some((format, file.io, file.path));
         }
-        let todo: Vec<usize> = (0..cells.len()).filter(|&i| slots[i].is_none()).collect();
-        let quarantined = AtomicUsize::new(seeded_quarantine);
-        let sick = AtomicBool::new(
-            self.max_quarantine
-                .is_some_and(|max| seeded_quarantine > max),
-        );
-        let halt = || sick.load(Ordering::Relaxed);
-        let fresh = fan_out(todo.len(), self.threads, halt, |k| {
-            let i = todo[k];
-            let done = self.run_cell(workloads, cells[i]);
-            if let Err(e) = &done.result {
-                if e.quarantines() {
-                    let q = quarantined.fetch_add(1, Ordering::Relaxed) + 1;
-                    if self.max_quarantine.is_some_and(|max| q > max) {
-                        sick.store(true, Ordering::Relaxed);
+        let publish = |settled: &[Option<SweepCell>]| match &target {
+            Some((format, io, path)) => {
+                let durable = settled.iter().enumerate().filter_map(|(i, slot)| {
+                    slot.as_ref()
+                        .filter(|cell| !cell.shed())
+                        .map(|cell| (i, cell))
+                });
+                io::publish_sealed(*io, path, &format.render(durable))
+            }
+            None => Ok(()),
+        };
+        let todo = adopted.iter().filter(|a| a.is_none()).count();
+        let job = |(i, retries): (usize, usize)| (i, self.run_cell(workloads, grid[i], retries));
+        let observed = fan_out(todo, self.threads, job, |pool| {
+            let (mut admitted, mut observed, mut dirty) = (0, 0, false);
+            while observed < n {
+                // Every cell up front, or a waving policy's next wave
+                // once the previous one is observed.
+                let limit = if policy.waves() {
+                    ((observed / wave + 1) * wave).min(n)
+                } else {
+                    n
+                };
+                for i in admitted..limit {
+                    let key = grid[i];
+                    let workload = workloads[key.workload].name();
+                    match policy.admit(key, workload) {
+                        Admission::Shed(message) => {
+                            slots[i] = Some(SweepCell::unrun(
+                                key,
+                                workload,
+                                CellErrorKind::Degraded,
+                                message,
+                            ));
+                        }
+                        admission => {
+                            probes[i] = admission == Admission::Probe;
+                            if adopted[i].is_none() {
+                                pool.submit((i, policy.retries(self.retries)));
+                            }
+                        }
                     }
                 }
+                admitted = admitted.max(limit);
+                while observed < admitted {
+                    let fresh = slots[observed].is_some();
+                    if !fresh {
+                        slots[observed] = adopted[observed].take();
+                    }
+                    let Some(cell) = &slots[observed] else { break };
+                    let stop = !cell.shed() && {
+                        dirty |= fresh;
+                        policy.observe(cell, probes[observed]).is_break()
+                    };
+                    observed += 1;
+                    if dirty && (stop || observed % wave == 0 || observed == n) {
+                        publish(&slots[..observed])?;
+                        dirty = false;
+                    }
+                    if stop {
+                        return Ok(observed);
+                    }
+                }
+                if observed < admitted {
+                    let Some((i, cell)) = pool.next() else { break };
+                    slots[i] = Some(cell);
+                }
             }
-            if let Some(sink) = sink {
-                sink.record(i, &done);
-            }
-            done
-        });
-        for (&i, done) in todo.iter().zip(fresh) {
-            slots[i] = done;
-        }
-        // Unclaimed slots (the sweep went sick) become Skipped cells:
-        // enumerated in the report, absent from the checkpoint, re-run
-        // on resume.
-        let out = slots
+            Ok(observed)
+        })?;
+        let cells = slots
             .into_iter()
+            .zip(grid)
             .enumerate()
-            .map(|(i, s)| s.unwrap_or_else(|| skipped_cell(workloads, cells[i])))
+            .map(|(i, (slot, key))| match slot {
+                Some(cell) if i < observed => cell,
+                _ => SweepCell::unrun(
+                    key,
+                    workloads[key.workload].name(),
+                    CellErrorKind::Skipped,
+                    "sweep stopped before this cell was executed".to_owned(),
+                ),
+            })
             .collect();
-        SweepReport { cells: out }
+        Ok(SweepReport { cells })
     }
 
-    /// Executes one cell, retrying transient failures within the retry
-    /// budget and converting errors and panics into the outcome.
-    fn run_cell(&self, workloads: &[&dyn Workload], cell: CellKey) -> SweepCell {
+    /// Executes one cell, retrying transient failures within `retries`
+    /// extra attempts and converting errors and panics into the outcome.
+    fn run_cell(&self, workloads: &[&dyn Workload], cell: CellKey, retries: usize) -> SweepCell {
         let w = workloads[cell.workload];
-        let max_attempts = self.retries + 1;
+        let max_attempts = retries + 1;
         let mut attempts = 0;
         let mut backoff_cycles = 0u64;
         let mut trail: Vec<AttemptFailure> = Vec::new();
@@ -806,65 +848,98 @@ impl SuiteRunner {
     }
 }
 
-/// The workspace's one worker pool: runs `job(i)` for every `i` in
-/// `0..n` on `threads` scoped workers (`0` = one per available core)
-/// and returns the outcomes in index order, so the result cannot depend
-/// on the worker count or on which worker finished first. Each worker
-/// claims the next unclaimed index; once `halt()` holds, workers stop
-/// claiming and every unclaimed index stays `None`. A panicking job
-/// propagates once every worker has stopped.
-pub fn fan_out<T: Send>(
+/// The workspace's one worker pool. `drive` runs on the calling thread
+/// and hands inputs to [`Pool::submit`]; up to `n` scoped workers
+/// (`threads` of them, `0` = one per available core) run `job` on them,
+/// and the pool yields the outputs back over a channel in completion
+/// order. A worker is handed one input at a time, only when idle, so a
+/// long job never holds queued work back. A panicking job resumes its
+/// panic on the calling thread when its output is due; the workers stop
+/// once `drive` returns.
+pub fn fan_out<I: Send, T: Send, R>(
     n: usize,
     threads: usize,
-    halt: impl Fn() -> bool + Sync,
-    job: impl Fn(usize) -> T + Sync,
-) -> Vec<Option<T>> {
+    job: impl Fn(I) -> T + Sync,
+    drive: impl FnOnce(&mut Pool<I, T>) -> R,
+) -> R {
     let threads = match threads {
         0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
         t => t,
-    };
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    }
+    .min(n);
+    let job = &job;
     std::thread::scope(|s| {
-        let workers: Vec<_> = (0..threads.clamp(1, n.max(1)))
-            .map(|_| {
-                s.spawn(|| {
-                    let mut done = Vec::new();
-                    while !halt() {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
+        let (done_tx, done) = mpsc::channel();
+        let workers = (0..threads)
+            .map(|w| {
+                let (tx, inputs) = mpsc::channel();
+                let done_tx = done_tx.clone();
+                s.spawn(move || {
+                    for input in inputs {
+                        let out = catch_unwind(AssertUnwindSafe(|| job(input)));
+                        if done_tx.send((w, out)).is_err() {
                             break;
                         }
-                        done.push((i, job(i)));
                     }
-                    done
-                })
+                });
+                tx
             })
             .collect();
-        for worker in workers {
-            let done = worker
-                .join()
-                .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-            for (i, out) in done {
-                slots[i] = Some(out);
-            }
-        }
-    });
-    slots
+        drive(&mut Pool {
+            workers,
+            idle: (0..threads).rev().collect(),
+            queue: VecDeque::new(),
+            busy: 0,
+            done,
+        })
+    })
 }
 
-/// The placeholder for a cell the sweep never claimed.
-fn skipped_cell(workloads: &[&dyn Workload], cell: CellKey) -> SweepCell {
-    SweepCell {
-        cell,
-        workload: workloads[cell.workload].name(),
-        result: Err(CellError {
-            kind: CellErrorKind::Skipped,
-            message: "sweep stopped before this cell was executed".to_string(),
-        }),
-        attempts: 0,
-        backoff_cycles: 0,
-        trail: Vec::new(),
+/// The calling thread's handle on the [`fan_out`] workers. As an
+/// [`Iterator`] it blocks for the next finished job's output and ends
+/// once nothing is queued or running.
+pub struct Pool<I, T> {
+    workers: Vec<mpsc::Sender<I>>,
+    idle: Vec<usize>,
+    queue: VecDeque<I>,
+    busy: usize,
+    done: mpsc::Receiver<(usize, std::thread::Result<T>)>,
+}
+
+impl<I, T> Pool<I, T> {
+    /// Queues `input` for the next idle worker.
+    pub fn submit(&mut self, input: I) {
+        self.queue.push_back(input);
+        self.dispatch();
+    }
+
+    fn dispatch(&mut self) {
+        while let Some(&w) = self.idle.last() {
+            let Some(input) = self.queue.pop_front() else {
+                break;
+            };
+            self.idle.pop();
+            // A worker only leaves its loop once its sender is dropped,
+            // so the send cannot fail while the pool holds it.
+            if self.workers[w].send(input).is_ok() {
+                self.busy += 1;
+            }
+        }
+    }
+}
+
+impl<I, T> Iterator for Pool<I, T> {
+    type Item = T;
+
+    fn next(&mut self) -> Option<T> {
+        if self.busy == 0 {
+            return None;
+        }
+        let (w, out) = self.done.recv().ok()?;
+        self.busy -= 1;
+        self.idle.push(w);
+        self.dispatch();
+        Some(out.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
     }
 }
 
@@ -878,12 +953,6 @@ fn attempt_salt(name: &str, cell: &CellKey, attempt: usize) -> u64 {
     h.u64(cell.mode as u64);
     h.u64(cell.setting as u64);
     h.u64(cell.rep as u64);
-    // Only co-tenant cells fold the dimension in, so classic cells keep
-    // their historical fault streams.
-    if let Some(t) = cell.tenant {
-        h.u64(u64::from(t.tenants));
-        h.u64(u64::from(t.antagonists));
-    }
     h.u64(attempt as u64);
     h.finish()
 }
@@ -902,7 +971,9 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
     use crate::env::{Env, Placement};
+    use crate::io::{ArtifactIo, RealFs};
     use crate::workload::{WorkloadError, WorkloadOutput, WorkloadSpec};
+    use std::sync::atomic::Ordering;
 
     /// Deterministic workload touching protected memory.
     struct Stream;
@@ -1015,22 +1086,11 @@ mod tests {
                 mode: ExecMode::Vanilla,
                 setting: InputSetting::Low,
                 rep: 0,
-                tenant: None,
             }
         );
         assert_eq!(grid[1].rep, 1);
         assert_eq!(grid[2].setting, InputSetting::Medium);
         assert_eq!(grid[4].mode, ExecMode::Native);
-    }
-
-    #[test]
-    fn tenant_dim_needs_a_victim() {
-        for (tenants, antagonists) in [(2, 2), (1, 1), (0, 1)] {
-            assert!(TenantDim::new(tenants, antagonists).is_err());
-        }
-        let dim = TenantDim::new(3, 2).unwrap();
-        assert_eq!((dim.tenants(), dim.antagonists()), (3, 2));
-        assert_eq!(dim.to_string().parse::<TenantDim>(), Ok(dim));
     }
 
     #[test]
@@ -1047,6 +1107,82 @@ mod tests {
         for (a, b) in seq.cells.iter().zip(par.cells.iter()) {
             assert_eq!(a.cell, b.cell, "grid order must be preserved");
         }
+    }
+
+    /// Sheds every repetition `r` with `r % 3 == 2` and stops the sweep
+    /// at its `halt_after`-th observation.
+    struct Thinning {
+        waves: bool,
+        halt_after: usize,
+        seen: usize,
+    }
+
+    impl SweepPolicy for Thinning {
+        fn waves(&self) -> bool {
+            self.waves
+        }
+
+        fn admit(&mut self, cell: CellKey, _workload: &'static str) -> Admission {
+            if cell.rep % 3 == 2 {
+                Admission::Shed("thinned".to_owned())
+            } else {
+                Admission::Run
+            }
+        }
+
+        fn observe(&mut self, _cell: &SweepCell, _probe: bool) -> ControlFlow<()> {
+            self.seen += 1;
+            if self.seen == self.halt_after {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        }
+    }
+
+    #[test]
+    fn policy_decisions_and_checkpoint_bytes_ignore_the_thread_count() {
+        let mut cfg = RunnerConfig::quick_test();
+        cfg.repetitions = 6;
+        let path = std::env::temp_dir().join(format!(
+            "sgxgauge-sweep-{}-thinning.json",
+            std::process::id()
+        ));
+        for waves in [false, true] {
+            let mut runs = Vec::new();
+            for threads in [1, 2, 4] {
+                let suite = SuiteRunner::new(cfg.clone())
+                    .settings(&[InputSetting::Low, InputSetting::Medium])
+                    .threads(threads);
+                let mut policy = Thinning {
+                    waves,
+                    halt_after: 9,
+                    seen: 0,
+                };
+                let file = CheckpointFile {
+                    io: &RealFs,
+                    path: &path,
+                    adopted: None,
+                };
+                let sweep = suite.sweep(&[&Stream], &mut policy, Some(file)).unwrap();
+                let bytes = RealFs.read(&path).unwrap();
+                runs.push((sweep.fingerprint(), bytes, sweep));
+            }
+            for (fp, bytes, _) in &runs[1..] {
+                assert_eq!(*fp, runs[0].0, "waves {waves}: sweep fingerprint");
+                assert_eq!(*bytes, runs[0].1, "waves {waves}: checkpoint bytes");
+            }
+            // 24 cells, four of every six observed: the 9th observation
+            // is grid cell 12, so cells 13.. are skipped, and the four
+            // shed cells before it stay out of the checkpoint.
+            let sweep = &runs[0].2;
+            assert_eq!(sweep.cells.len(), 24);
+            assert_eq!(sweep.cells.iter().filter(|c| c.shed()).count(), 4);
+            assert_eq!(sweep.skipped().count(), 11);
+            assert_eq!(sweep.reports().count(), 9);
+            assert_eq!(runs[0].1.matches("\"index\":").count(), 9);
+        }
+        RealFs.remove(&path).unwrap();
     }
 
     #[test]
@@ -1067,6 +1203,24 @@ mod tests {
         }
         // Every other cell still produced a report.
         assert_eq!(sweep.reports().count(), 12);
+    }
+
+    /// A job's panic reaches the caller instead of leaving it waiting
+    /// for an output that never comes.
+    #[test]
+    fn pool_resumes_a_job_panic_on_the_calling_thread() {
+        let caught = catch_unwind(|| {
+            let job = |i: usize| {
+                assert!(i != 1, "job 1 fails");
+                i
+            };
+            fan_out(3, 2, job, |pool| {
+                (0..3).for_each(|i| pool.submit(i));
+                pool.count()
+            })
+        });
+        let payload = caught.expect_err("the panic propagates");
+        assert_eq!(panic_text(payload.as_ref()), "job 1 fails");
     }
 
     #[test]

@@ -13,8 +13,8 @@ use sgxgauge::core::report::{
     cycle_breakdown, humanize, quarantine_table, sweep_table, RatioRow, ReportTable,
 };
 use sgxgauge::core::{
-    fan_out, ArtifactIo, CellKey, ChaosFs, EnvConfig, ExecMode, InputSetting, RealFs, RunReport,
-    RunnerConfig, SuiteRunner, TenantDim, TraceConfig, Workload,
+    fan_out, ArtifactIo, ChaosFs, EnvConfig, ExecMode, InputSetting, RealFs, RunReport,
+    RunnerConfig, SuiteRunner, TraceConfig, Workload,
 };
 use sgxgauge::faults::{FaultPlan, IoFaultPlan};
 use sgxgauge::mem::PAGE_SIZE;
@@ -153,7 +153,17 @@ fn run_grid<T: Send>(
     jobs: usize,
     cell: impl Fn(usize) -> Result<T, String> + Sync,
 ) -> Result<Vec<T>, String> {
-    fan_out(n, jobs, || false, cell)
+    let mut slots: Vec<Option<Result<T, String>>> = (0..n).map(|_| None).collect();
+    fan_out(
+        n,
+        jobs,
+        |i| (i, cell(i)),
+        |pool| {
+            (0..n).for_each(|i| pool.submit(i));
+            pool.for_each(|(i, out)| slots[i] = Some(out));
+        },
+    );
+    slots
         .into_iter()
         .map(|slot| slot.unwrap_or_else(|| Err("cell never ran (internal error)".to_owned())))
         .collect()
@@ -566,7 +576,8 @@ fn timeline_table(r: &RunReport) -> ReportTable {
 /// One completed cell of the co-tenancy sweep: the per-tenant reports
 /// plus the cell's rendered JSONL trace (empty when untraced).
 struct CotenancyCell {
-    key: CellKey,
+    /// The `cell` column: `0/Native/High/0/t{tenants}a{antagonists}`.
+    key: String,
     reports: Vec<TenantReport>,
     jsonl: String,
 }
@@ -582,13 +593,7 @@ fn run_cotenancy_cell(
     ops: u64,
     traced: bool,
 ) -> Result<CotenancyCell, String> {
-    let key = CellKey {
-        workload: 0,
-        mode: ExecMode::Native,
-        setting: InputSetting::High,
-        rep: 0,
-        tenant: Some(TenantDim::new(antagonists + 1, antagonists)?),
-    };
+    let key = format!("0/Native/High/0/t{}a{antagonists}", antagonists + 1);
     let thrash_pages = epc_pages * 2;
     let mut b = Host::builder()
         .sgx(SgxConfig::with_tiny_epc(
@@ -725,7 +730,7 @@ fn cmd_cotenancy(flags: &BTreeMap<String, String>) -> Result<(), String> {
                 "-".to_owned()
             };
             table.push_row(vec![
-                cell.key.to_string(),
+                cell.key.clone(),
                 r.name.clone(),
                 r.cycles.to_string(),
                 r.waves.to_string(),
@@ -743,17 +748,17 @@ fn cmd_cotenancy(flags: &BTreeMap<String, String>) -> Result<(), String> {
     emit_grid(
         flags,
         &table,
-        cells.iter().map(|c| (c.key, c.jsonl.as_str())),
+        cells.iter().map(|c| (c.key.as_str(), c.jsonl.as_str())),
     )
 }
 
 /// Prints a grid command's table, writes it sealed to `--out`, and
 /// writes the per-cell JSONL streams to `--timeline`, concatenated in
 /// grid order, each preceded by a `{"cell":…}` line naming its cell.
-fn emit_grid<S: AsRef<str>>(
+fn emit_grid<'a, S: AsRef<str>>(
     flags: &BTreeMap<String, String>,
     table: &ReportTable,
-    streams: impl Iterator<Item = (CellKey, S)>,
+    streams: impl Iterator<Item = (&'a str, S)>,
 ) -> Result<(), String> {
     println!("{table}");
     let io = artifact_backend(flags)?;

@@ -173,6 +173,12 @@ faults = "syscall=1000"
         trace.contains("\"event\":\"probe\"") && trace.contains("\"ok\":false"),
         "failed probes must be visible"
     );
+    // Reps 0 and 1 open the breaker, rep 2 is the cooldown, rep 3 is
+    // the first probe: its event names the cell, not the workload.
+    assert!(
+        trace.contains("\"probe\",\"cell\":\"0/Native/Low/3\",\"workload\":\"Blockchain\""),
+        "a probe event carries its cell key:\n{trace}"
+    );
     assert!(
         trace.contains("\"reason\":\"breaker_open\""),
         "shed cells must carry their reason"

@@ -123,5 +123,4 @@ fn ci_trace_cotenancy_and_campaign_flag_sets_are_accepted() {
          --timeline {tmp}/cli-cot.jsonl",
     );
     assert_runs("campaign {ex}/soak_campaign.toml --out {tmp}/cli-soak --soak 3");
-    assert_runs("campaign {ex}/cotenancy_campaign.toml --out {tmp}/cli-cot-campaign");
 }

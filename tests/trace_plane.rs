@@ -165,34 +165,20 @@ fn cell_key_display_round_trips() {
         mode: ExecMode::LibOs,
         setting: InputSetting::High,
         rep: 2,
-        tenant: None,
     };
     assert_eq!(key.to_string(), "3/LibOS/High/2");
     assert_eq!(key.to_string().parse::<CellKey>(), Ok(key));
     assert_eq!("3/libos/high/2".parse::<CellKey>(), Ok(key));
-    // The optional fifth field carries the co-tenancy dimension; keys
-    // without it stay byte-identical to the legacy 4-field form.
-    let cotenant = CellKey {
-        tenant: Some(sgxgauge::core::TenantDim::new(3, 2).expect("a victim is left")),
-        ..key
-    };
-    assert_eq!(cotenant.to_string(), "3/LibOS/High/2/t3a2");
-    assert_eq!(cotenant.to_string().parse::<CellKey>(), Ok(cotenant));
+    // Keys of the retired co-tenancy (`tNaM`) and protocol (`pNqT`)
+    // dimensions are refused like any other trailing field.
     for bad in [
         "",
         "1/libos/high",
         "1/libos/high/2/9",
         "x/libos/high/2",
         "1/warp/high/0",
-        "1/libos/high/2/t3",
-        "1/libos/high/2/a2",
-        "1/libos/high/2/t3a",
-        "1/libos/high/2/t3a2/junk",
+        "1/libos/high/2/t3a2",
         "1/libos/high/2/p5q3",
-        "1/libos/high/2/t3a2/p5q3",
-        "1/libos/high/2/t2a2",
-        "1/libos/high/2/t1a1",
-        "1/libos/high/2/t0a0",
     ] {
         assert!(bad.parse::<CellKey>().is_err(), "accepted `{bad}`");
     }
