@@ -220,34 +220,45 @@ struct RegionData {
     base: u64,
     data: Vec<u8>,
     protected: bool,
+    /// Set when a [`FileEntry::View`] of these bytes was stored; cleared
+    /// by [`Env::unshare`], which every write of the bytes calls first.
+    viewed: bool,
 }
 
+/// A stored file's bytes.
 #[derive(Debug, Clone)]
-struct FileEntry {
-    data: Vec<u8>,
-    /// True when the bytes are PF-sealed blocks rather than plaintext.
-    sealed: bool,
+enum FileEntry {
+    /// Plaintext the file owns.
+    Plain(Vec<u8>),
+    /// PF-sealed blocks, each prefixed with its length.
+    Sealed(Vec<u8>),
+    /// Plaintext that is `len` bytes of region `region` from `off`: a
+    /// file written from a region shares the region's bytes until they
+    /// change, when [`Env::unshare`] makes it [`FileEntry::Plain`].
+    View {
+        region: usize,
+        off: usize,
+        len: usize,
+    },
 }
 
 impl FileEntry {
-    /// Stores `data` in one copy: verbatim, or sealed block by block
-    /// with real crypto when the PF shim of `pf` is active.
-    fn store(pf: Option<&mut LibosProcess>, data: &[u8]) -> FileEntry {
-        let Some(p) = pf else {
-            return FileEntry {
-                data: data.to_vec(),
-                sealed: false,
-            };
-        };
+    /// Seals `data` block by block with the real crypto of `p`'s PF shim.
+    fn seal(p: &mut LibosProcess, data: &[u8]) -> FileEntry {
         let mut out = Vec::with_capacity(data.len() + data.len() / 64);
         for block in data.chunks(PAGE_SIZE as usize) {
             let bytes = p.shim_mut().pf_seal(block).to_bytes();
             out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
             out.extend_from_slice(&bytes);
         }
-        FileEntry {
-            data: out,
-            sealed: true,
+        FileEntry::Sealed(out)
+    }
+
+    /// The stored bytes, resolving a view against `regions`.
+    fn bytes<'a>(&'a self, regions: &'a [RegionData]) -> &'a [u8] {
+        match self {
+            FileEntry::Plain(data) | FileEntry::Sealed(data) => data,
+            &FileEntry::View { region, off, len } => &regions[region].data[off..off + len],
         }
     }
 }
@@ -757,6 +768,7 @@ impl Env {
             base,
             data: vec![0u8; bytes as usize],
             protected,
+            viewed: false,
         });
         Ok(Region(self.regions.len() - 1))
     }
@@ -799,6 +811,36 @@ impl Env {
         self.fault_tick();
     }
 
+    /// The bytes of `region`, to change them: files that view them get
+    /// their own copy first.
+    #[inline]
+    fn bytes_mut(&mut self, region: Region) -> &mut Vec<u8> {
+        if self.regions[region.0].viewed {
+            self.unshare(region);
+        }
+        &mut self.regions[region.0].data
+    }
+
+    /// Turns every file that views `region` into plaintext it owns.
+    #[cold]
+    #[inline(never)]
+    fn unshare(&mut self, region: Region) {
+        let r = &mut self.regions[region.0];
+        r.viewed = false;
+        for file in self.files.values_mut() {
+            if let FileEntry::View {
+                region: viewed,
+                off,
+                len,
+            } = *file
+            {
+                if viewed == region.0 {
+                    *file = FileEntry::Plain(r.data[off..off + len].to_vec());
+                }
+            }
+        }
+    }
+
     /// Reads a `u64` at byte offset `off`.
     ///
     /// # Panics
@@ -823,8 +865,7 @@ impl Env {
     #[inline]
     pub fn write_u64(&mut self, region: Region, off: u64, v: u64) {
         self.charge_access(region, off, 8, AccessKind::Write);
-        let d = &mut self.regions[region.0].data;
-        d[off as usize..off as usize + 8].copy_from_slice(&v.to_le_bytes());
+        self.bytes_mut(region)[off as usize..off as usize + 8].copy_from_slice(&v.to_le_bytes());
     }
 
     /// Reads a `u32` at byte offset `off`.
@@ -851,8 +892,7 @@ impl Env {
     #[inline]
     pub fn write_u32(&mut self, region: Region, off: u64, v: u32) {
         self.charge_access(region, off, 4, AccessKind::Write);
-        let d = &mut self.regions[region.0].data;
-        d[off as usize..off as usize + 4].copy_from_slice(&v.to_le_bytes());
+        self.bytes_mut(region)[off as usize..off as usize + 4].copy_from_slice(&v.to_le_bytes());
     }
 
     /// Reads an `f64` at byte offset `off`.
@@ -893,8 +933,7 @@ impl Env {
     /// Panics when the access is out of bounds.
     pub fn write_bytes(&mut self, region: Region, off: u64, buf: &[u8]) {
         self.charge_access(region, off, buf.len() as u64, AccessKind::Write);
-        let d = &mut self.regions[region.0].data;
-        d[off as usize..off as usize + buf.len()].copy_from_slice(buf);
+        self.bytes_mut(region)[off as usize..off as usize + buf.len()].copy_from_slice(buf);
     }
 
     /// Accounting-only touch of `[off, off+len)` — drives the TLB, cache
@@ -1031,13 +1070,7 @@ impl Env {
 
     /// Installs an input file directly (setup phase, unmeasured).
     pub fn put_file(&mut self, name: &str, data: Vec<u8>) {
-        self.files.insert(
-            name.to_owned(),
-            FileEntry {
-                data,
-                sealed: false,
-            },
-        );
+        self.files.insert(name.to_owned(), FileEntry::Plain(data));
     }
 
     /// Size of a file in bytes.
@@ -1048,7 +1081,7 @@ impl Env {
     pub fn file_len(&self, name: &str) -> Result<u64, WorkloadError> {
         self.files
             .get(name)
-            .map(|f| f.data.len() as u64)
+            .map(|f| f.bytes(&self.regions).len() as u64)
             .ok_or_else(|| WorkloadError::FileNotFound(name.to_owned()))
     }
 
@@ -1060,7 +1093,7 @@ impl Env {
     pub fn file_raw(&self, name: &str) -> Result<&[u8], WorkloadError> {
         self.files
             .get(name)
-            .map(|f| f.data.as_slice())
+            .map(|f| f.bytes(&self.regions))
             .ok_or_else(|| WorkloadError::FileNotFound(name.to_owned()))
     }
 
@@ -1090,27 +1123,25 @@ impl Env {
         let flipped = self
             .faults
             .as_mut()
-            .and_then(|h| h.corrupt_bit(stored.data.len()));
+            .and_then(|h| h.corrupt_bit(stored.bytes(&self.regions).len()));
         let corrupted = || {
             Err(TransientError::IoCorruption {
                 file: name.to_owned(),
             }
             .into())
         };
-        if !(stored.sealed && self.pf_active()) {
-            return if flipped.is_some() {
-                corrupted()
-            } else {
-                Ok(None)
-            };
-        }
+        let sealed = match stored {
+            FileEntry::Sealed(data) if self.pf_active() => data,
+            _ if flipped.is_some() => return corrupted(),
+            _ => return Ok(None),
+        };
         let unsealed = match flipped {
             Some(bit) => {
-                let mut data = stored.data.clone();
+                let mut data = sealed.clone();
                 data[(bit / 8) as usize] ^= 1 << (bit % 8);
                 self.pf_unseal_file(&data)
             }
-            None => self.pf_unseal_file(&stored.data),
+            None => self.pf_unseal_file(sealed),
         };
         match unsealed {
             Ok(plain) => Ok(Some(plain)),
@@ -1139,12 +1170,19 @@ impl Env {
         let plain = self.fetch_plain(name)?;
         let len = match &plain {
             Some(p) => p.len(),
-            None => self.files[name].data.len(),
+            None => self.files[name].bytes(&self.regions).len(),
         };
         self.charge_file_io(len as u64, false)?;
         self.charge_access(region, off, len as u64, AccessKind::Write);
-        let src = plain.as_deref().unwrap_or(&self.files[name].data);
-        self.regions[region.0].data[off as usize..off as usize + len].copy_from_slice(src);
+        // Once unshared, `region` is no file's source, so it can be taken
+        // out while the file's bytes are borrowed from another region.
+        let mut dst = std::mem::take(self.bytes_mut(region));
+        let src = match &plain {
+            Some(p) => p,
+            None => self.files[name].bytes(&self.regions),
+        };
+        dst[off as usize..off as usize + len].copy_from_slice(src);
+        self.regions[region.0].data = dst;
         Ok(len as u64)
     }
 
@@ -1158,7 +1196,7 @@ impl Env {
     pub fn read_file(&mut self, name: &str) -> Result<Vec<u8>, WorkloadError> {
         let plain = match self.fetch_plain(name)? {
             Some(p) => p,
-            None => self.files[name].data.clone(),
+            None => self.files[name].bytes(&self.regions).to_vec(),
         };
         self.charge_file_io(plain.len() as u64, false)?;
         Ok(plain)
@@ -1166,6 +1204,8 @@ impl Env {
 
     /// Writes `len` bytes of `region` (from `off`) to a file through the
     /// mode's I/O path; PF mode seals each 4 KiB block with real crypto.
+    /// Outside PF mode the file shares the region's bytes, and is given
+    /// its own copy only when they change.
     ///
     /// # Errors
     ///
@@ -1179,14 +1219,19 @@ impl Env {
     ) -> Result<(), WorkloadError> {
         self.charge_access(region, off, len, AccessKind::Read);
         self.charge_file_io(len, true)?;
-        let pf = if self.pf_active() {
-            self.libos.as_mut()
+        let (off, len) = (off as usize, len as usize);
+        let file = if self.pf_active() {
+            let p = self.libos.as_mut().expect("pf requires libos");
+            FileEntry::seal(p, &self.regions[region.0].data[off..off + len])
         } else {
-            None
+            self.regions[region.0].viewed = true;
+            FileEntry::View {
+                region: region.0,
+                off,
+                len,
+            }
         };
-        let data = &self.regions[region.0].data[off as usize..(off + len) as usize];
-        self.files
-            .insert(name.to_owned(), FileEntry::store(pf, data));
+        self.files.insert(name.to_owned(), file);
         Ok(())
     }
 
@@ -1197,13 +1242,12 @@ impl Env {
     /// Propagates transition failures.
     pub fn write_file(&mut self, name: &str, data: &[u8]) -> Result<(), WorkloadError> {
         self.charge_file_io(data.len() as u64, true)?;
-        let pf = if self.pf_active() {
-            self.libos.as_mut()
+        let file = if self.pf_active() {
+            FileEntry::seal(self.libos.as_mut().expect("pf requires libos"), data)
         } else {
-            None
+            FileEntry::Plain(data.to_vec())
         };
-        self.files
-            .insert(name.to_owned(), FileEntry::store(pf, data));
+        self.files.insert(name.to_owned(), file);
         Ok(())
     }
 
@@ -1580,5 +1624,139 @@ mod tests {
         ));
         // The read borrows the stored bytes; the flip must not reach them.
         assert_eq!(e.file_raw("data").unwrap(), &[7u8; 4096][..]);
+    }
+
+    /// A Vanilla env with a 4 KiB region `r` of bytes `i * 7` and the
+    /// file `out` written from bytes `[100, 3100)` of it.
+    fn viewed_file() -> (Env, Region, Vec<u8>) {
+        let mut e = env(ExecMode::Vanilla);
+        e.start_app().unwrap();
+        let r = e.alloc(4096, Placement::Untrusted).unwrap();
+        let bytes: Vec<u8> = (0..4096u32).map(|i| (i * 7) as u8).collect();
+        e.write_bytes(r, 0, &bytes);
+        e.write_file_from("out", r, 100, 3000).unwrap();
+        (e, r, bytes[100..3100].to_vec())
+    }
+
+    /// Every reader of `out` in `e` sees `old`.
+    fn assert_file_holds(e: &mut Env, old: &[u8]) {
+        assert_eq!(e.file_len("out").unwrap(), old.len() as u64);
+        assert_eq!(e.file_raw("out").unwrap(), old);
+        assert_eq!(e.read_file("out").unwrap(), old);
+        let dst = e.alloc(4096, Placement::Untrusted).unwrap();
+        assert_eq!(e.read_file_into("out", dst, 8).unwrap(), old.len() as u64);
+        let mut back = vec![0u8; old.len()];
+        e.read_bytes(dst, 8, &mut back);
+        assert_eq!(back, old);
+    }
+
+    #[test]
+    fn file_written_from_a_region_keeps_its_bytes_through_every_region_write() {
+        for what in [
+            "write_u64",
+            "write_u32",
+            "write_f64",
+            "write_bytes",
+            "read_file_into",
+        ] {
+            let (mut e, r, old) = viewed_file();
+            assert!(matches!(e.files["out"], FileEntry::View { .. }), "{what}");
+            match what {
+                "write_u64" => e.write_u64(r, 200, u64::MAX),
+                "write_u32" => e.write_u32(r, 3096, u32::MAX),
+                "write_f64" => e.write_f64(r, 96, -1.5),
+                "write_bytes" => e.write_bytes(r, 0, &[0xee; 4096]),
+                _ => {
+                    e.put_file("other", vec![0xee; 4096]);
+                    e.read_file_into("other", r, 0).unwrap();
+                }
+            }
+            assert!(matches!(e.files["out"], FileEntry::Plain(_)), "{what}");
+            assert_file_holds(&mut e, &old);
+        }
+        // A region's own file read back into it: the file keeps its bytes
+        // and the region gets them back.
+        let (mut e, r, old) = viewed_file();
+        e.read_file_into("out", r, 0).unwrap();
+        assert_file_holds(&mut e, &old);
+        let mut back = vec![0u8; old.len()];
+        e.read_bytes(r, 0, &mut back);
+        assert_eq!(back, old);
+    }
+
+    #[test]
+    fn reads_and_touches_leave_a_region_shared() {
+        let (mut e, r, old) = viewed_file();
+        let _ = e.read_u64(r, 200);
+        e.touch(r, 0, 4096, true);
+        assert!(matches!(e.files["out"], FileEntry::View { .. }));
+        assert_file_holds(&mut e, &old);
+    }
+
+    #[test]
+    fn a_write_in_one_env_clone_leaves_the_other_clones_file_intact() {
+        let (mut a, r, old) = viewed_file();
+        let mut b = a.clone();
+        a.write_bytes(r, 0, &[0; 4096]);
+        assert_file_holds(&mut b, &old);
+        b.write_bytes(r, 0, &[1; 4096]);
+        assert_file_holds(&mut a, &old);
+    }
+
+    #[test]
+    fn overwriting_a_viewed_file_drops_the_view() {
+        let (mut e, r, _) = viewed_file();
+        e.write_file("out", b"replaced").unwrap();
+        e.write_u64(r, 200, 0);
+        assert_eq!(e.read_file("out").unwrap(), b"replaced");
+        // A view replaced by a view of another region.
+        let (mut e, r, _) = viewed_file();
+        let other = e.alloc(4096, Placement::Untrusted).unwrap();
+        e.write_bytes(other, 0, &[5; 4096]);
+        e.write_file_from("out", other, 0, 16).unwrap();
+        e.write_u64(r, 200, 0);
+        assert!(matches!(e.files["out"], FileEntry::View { region, .. } if region == other.0));
+        assert_eq!(e.read_file("out").unwrap(), [5; 16]);
+    }
+
+    #[test]
+    fn pf_write_file_from_stores_sealed_bytes() {
+        let mut e =
+            Env::new(EnvConfig::quick_test(ExecMode::LibOs).with_protected_files()).unwrap();
+        e.start_app().unwrap();
+        let r = e.alloc(8192, Placement::Protected).unwrap();
+        let plain: Vec<u8> = (0..8192u32).map(|i| (i % 251) as u8).collect();
+        e.write_bytes(r, 0, &plain);
+        e.write_file_from("secret", r, 0, 8192).unwrap();
+        assert!(matches!(e.files["secret"], FileEntry::Sealed(_)));
+        assert_ne!(e.file_raw("secret").unwrap(), &plain[..]);
+        e.write_bytes(r, 0, &[0; 8192]);
+        assert_eq!(e.read_file("secret").unwrap(), plain);
+    }
+
+    #[test]
+    fn bitflip_in_a_viewed_file_leaves_the_file_and_its_region_intact() {
+        let (mut e, r, old) = viewed_file();
+        e.set_fault_hook(
+            faults::FaultPlan::parse("seed=4,bitflip=1000")
+                .unwrap()
+                .compile(0),
+        );
+        let dst = e.alloc(4096, Placement::Untrusted).unwrap();
+        for err in [
+            e.read_file_into("out", dst, 0)
+                .expect_err("always corrupted"),
+            e.read_file_into("out", r, 0).expect_err("always corrupted"),
+        ] {
+            assert!(matches!(
+                err,
+                WorkloadError::Transient(TransientError::IoCorruption { .. })
+            ));
+        }
+        assert!(matches!(e.files["out"], FileEntry::View { .. }));
+        assert_eq!(e.file_raw("out").unwrap(), &old[..]);
+        let mut back = vec![0u8; old.len()];
+        e.read_bytes(r, 100, &mut back);
+        assert_eq!(back, old);
     }
 }

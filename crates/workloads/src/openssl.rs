@@ -23,6 +23,33 @@ const CHUNK: usize = 4096;
 const KEY: [u8; 32] = [0x42; 32];
 const NONCE: [u8; 12] = [0x24; 12];
 
+/// `(k * 31) as u8` for each `k` of one 256-byte period.
+const PERIOD: [u8; 256] = {
+    let mut p = [0u8; 256];
+    let mut k = 0;
+    while k < 256 {
+        p[k] = (k * 31) as u8;
+        k += 1;
+    }
+    p
+};
+
+/// The input file's deterministic, compressible-ish plaintext: byte `i`
+/// is `((i * 31) ^ (i >> 7)) as u8`.
+fn plaintext(bytes: usize) -> Vec<u8> {
+    // `(i * 31) as u8` is `PERIOD[i & 255]`, and `i >> 7` is constant on
+    // each aligned 128-byte half, so a half is half of `PERIOD` XOR one
+    // byte.
+    let mut data = vec![0u8; bytes];
+    for (h, half) in data.chunks_mut(128).enumerate() {
+        let c = h as u8;
+        for (b, p) in half.iter_mut().zip(&PERIOD[(h & 1) * 128..]) {
+            *b = p ^ c;
+        }
+    }
+    data
+}
+
 /// The OpenSSL workload. See the module docs.
 #[derive(Debug, Clone)]
 pub struct OpenSsl {
@@ -79,12 +106,7 @@ impl Workload for OpenSsl {
 
     fn setup(&self, env: &mut Env, setting: InputSetting) -> Result<(), WorkloadError> {
         // Produce the encrypted input file (what the data owner ships).
-        let bytes = self.file_bytes(setting) as usize;
-        let mut data = vec![0u8; bytes];
-        // Deterministic compressible-ish plaintext.
-        for (i, b) in data.iter_mut().enumerate() {
-            *b = ((i * 31) ^ (i >> 7)) as u8;
-        }
+        let mut data = plaintext(self.file_bytes(setting) as usize);
         ChaCha20::new(&KEY, &NONCE).apply(&mut data, 0);
         env.put_file("input.enc", data);
         Ok(())
@@ -205,6 +227,30 @@ mod tests {
             .run_once(&wl, ExecMode::Vanilla, InputSetting::Low)
             .unwrap();
         assert_eq!(r.output.checksum, expect);
+    }
+
+    #[test]
+    fn plaintext_matches_its_formula() {
+        let settings = [InputSetting::Low, InputSetting::Medium, InputSetting::High];
+        let lengths = [0, 1, 127, 128, 129, 255, 256, 257, 1000, 65_537]
+            .into_iter()
+            .chain(
+                settings
+                    .iter()
+                    .map(|&s| OpenSsl::new().file_bytes(s) as usize),
+            )
+            .chain(
+                settings
+                    .iter()
+                    .map(|&s| OpenSsl::scaled(1000).file_bytes(s) as usize),
+            );
+        for len in lengths {
+            let data = plaintext(len);
+            assert_eq!(data.len(), len);
+            for (i, &b) in data.iter().enumerate() {
+                assert_eq!(b, ((i * 31) ^ (i >> 7)) as u8, "byte {i} of {len}");
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! fit the quick-test EPC and regions that page. Every thread clock,
 //! every clock read along the way, every value read back, the mem-sim
 //! and SGX counters, the driver stats, EPC residency and the region
-//! bytes must match.
+//! bytes must match. A file written from a region and read back after
+//! the region was overwritten must hold the bytes it was written with.
 
 use proptest::prelude::*;
 use sgxgauge::core::env::{Placement, Region, SimThread};
@@ -241,7 +242,15 @@ fn run(env: &mut Env, w: &World, ops: &[Op], pc: &mut usize, protected_ok: bool,
             Op::FileRoundTrip { off, len } => {
                 let (off, len) = span(w.bytes, off, len);
                 env.write_file_from("f", r, off, len).expect("write file");
+                // Overwrite the written bytes: the file keeps the old ones.
+                let old = env.file_raw("f").expect("file").to_vec();
+                let flipped: Vec<u8> = old.iter().map(|b| !b).collect();
+                env.write_bytes(r, off, &flipped);
+                assert_eq!(env.file_raw("f").expect("file"), &old[..]);
                 let back = env.read_file_into("f", r, 0).expect("read file");
+                let mut now = vec![0u8; back as usize];
+                env.read_bytes(r, 0, &mut now);
+                assert_eq!(now, old, "the file's old bytes read back");
                 log.reads.push(back);
                 end = (back > 0).then_some((r, back));
             }

@@ -1,19 +1,22 @@
 //! The per-access path never allocates once warm.
 //!
 //! A counting global allocator wraps `System` and counts, per thread,
-//! every call into it. The tests drive `mem_sim::Machine::access` /
-//! `access_stream` and `SgxMachine::access` / `access_stream` with
-//! sequential, random and transition-interleaved streams, untraced and
-//! traced (on the SGX machine, with a `TraceSink` whose ring has already
-//! overflowed), and `Env`'s scalar `read_u64` / `write_u64`, whose
-//! accesses queue and are charged in batches (with a stride-8 scan as
-//! well, whose accesses fold into the queue's tail). After one
+//! every call into it and the bytes those calls ask for. The tests
+//! drive `mem_sim::Machine::access` / `access_stream` and
+//! `SgxMachine::access` / `access_stream` with sequential, random and
+//! transition-interleaved streams, untraced and traced (on the SGX
+//! machine, with a `TraceSink` whose ring has already overflowed), and
+//! `Env`'s scalar `read_u64` / `write_u64`, whose accesses queue and are
+//! charged in batches (with a stride-8 scan as well, whose accesses
+//! fold into the queue's tail). After one
 //! warm-up pass (page tables, EPC residency and the reusable stream
 //! buffer reach their high-water marks) a second pass over an
 //! EPC-resident stream must make zero allocator calls. On a stream
 //! larger than the EPC, paging allocates per eviction batch, so the test
 //! bounds allocator calls by the EPC faults taken divided by
 //! [`FAULTS_PER_ALLOC`]: allocation is O(faults), never O(accesses).
+//! A file written from a region shares the region's bytes, so writing
+//! it allocates no copy; the region's next write allocates exactly one.
 //!
 //! `audit` builds compile per-event invariant checks into the same paths
 //! and those allocate on purpose, so this file is empty under that
@@ -30,18 +33,33 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 thread_local! {
-    /// Allocator calls made by this thread. `const`-initialised with a
-    /// type that needs no destructor, so touching it never allocates.
-    static CALLS: Cell<u64> = const { Cell::new(0) };
+    /// Allocator calls made by this thread, and the bytes they asked
+    /// for. `const`-initialised with a type that needs no destructor, so
+    /// touching it never allocates.
+    static COUNT: Cell<Allocs> = const { Cell::new(Allocs { calls: 0, bytes: 0 }) };
+}
+
+/// Allocator calls and the bytes they asked for (a `realloc` counts
+/// its new size).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Allocs {
+    calls: u64,
+    bytes: u64,
 }
 
 /// `System`, counting `alloc`, `alloc_zeroed` and `realloc` calls.
 struct Counting;
 
-fn count_call() {
+fn count_call(bytes: usize) {
     // `try_with`: the allocator still runs while a thread's locals are
     // being torn down.
-    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+    let _ = COUNT.try_with(|c| {
+        let n = c.get();
+        c.set(Allocs {
+            calls: n.calls + 1,
+            bytes: n.bytes + bytes as u64,
+        });
+    });
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
@@ -49,19 +67,19 @@ fn count_call() {
 // thread-local counter bump that neither allocates nor unwinds.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_call();
+        count_call(layout.size());
         // SAFETY: the caller upholds `alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_call();
+        count_call(layout.size());
         // SAFETY: the caller upholds `alloc_zeroed`'s contract.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_call();
+        count_call(new_size);
         // SAFETY: the caller upholds `realloc`'s contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -75,11 +93,15 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Allocator calls `f` makes on the calling thread.
-fn allocs_in(f: impl FnOnce()) -> u64 {
-    let before = CALLS.with(Cell::get);
+/// Allocator calls `f` makes on the calling thread, and their bytes.
+fn allocs_in(f: impl FnOnce()) -> Allocs {
+    let before = COUNT.with(Cell::get);
     f();
-    CALLS.with(Cell::get) - before
+    let after = COUNT.with(Cell::get);
+    Allocs {
+        calls: after.calls - before.calls,
+        bytes: after.bytes - before.bytes,
+    }
 }
 
 /// EPC faults per allocator call that an over-EPC stream must at least
@@ -167,7 +189,7 @@ fn mem_sim_access_and_access_stream_do_not_allocate_once_warm() {
                 }
             };
             per_access(&mut m);
-            let n = allocs_in(|| per_access(&mut m));
+            let n = allocs_in(|| per_access(&mut m)).calls;
             assert_eq!(n, 0, "{pattern:?} traced={traced}: access allocated {n}x");
             let batched = |m: &mut Machine| {
                 for chunk in batch.chunks(BATCH) {
@@ -175,7 +197,7 @@ fn mem_sim_access_and_access_stream_do_not_allocate_once_warm() {
                 }
             };
             batched(&mut m);
-            let n = allocs_in(|| batched(&mut m));
+            let n = allocs_in(|| batched(&mut m)).calls;
             assert_eq!(
                 n, 0,
                 "{pattern:?} traced={traced}: access_stream allocated {n}x"
@@ -251,7 +273,7 @@ fn measure_sgx(
     let pass = runs(heap, &stream(pattern, bytes), transitions);
     sgx_pass(&mut m, t, &pass, batched, transitions);
     let faults0 = m.sgx_counters().epc_faults;
-    let allocs = allocs_in(|| sgx_pass(&mut m, t, &pass, batched, transitions));
+    let allocs = allocs_in(|| sgx_pass(&mut m, t, &pass, batched, transitions)).calls;
     let faults = m.sgx_counters().epc_faults - faults0;
     if traced {
         let sink = m.mem_mut().take_trace_sink().expect("sink was armed");
@@ -329,7 +351,7 @@ fn env_scalar_stream_does_not_allocate_once_warm() {
         };
         pass(&mut env);
         let faults0 = env.machine().sgx_counters().epc_faults;
-        let n = allocs_in(|| pass(&mut env));
+        let n = allocs_in(|| pass(&mut env)).calls;
         assert_eq!(
             env.machine().sgx_counters().epc_faults,
             faults0,
@@ -337,4 +359,34 @@ fn env_scalar_stream_does_not_allocate_once_warm() {
         );
         assert_eq!(n, 0, "{pattern:?}: {n} allocator calls once warm");
     }
+}
+
+/// `Env::write_file_from` stores a view of the region, not a copy: a
+/// whole-region write of 4 MiB allocates only bookkeeping (the file
+/// name and its map entry). The region's next write gives the file its
+/// own bytes: one allocation of exactly the region's size.
+#[test]
+fn write_file_from_copies_the_region_only_when_it_changes() {
+    const BYTES: u64 = 4 << 20;
+    let mut env = Env::new(EnvConfig::quick_test(ExecMode::Vanilla)).expect("env");
+    let r = env
+        .alloc(BYTES, Placement::Untrusted)
+        .expect("untrusted regions always fit");
+    let shared = allocs_in(|| {
+        env.write_file_from("out", r, 0, BYTES)
+            .expect("vanilla file writes cannot fail");
+    });
+    assert!(
+        shared.bytes < 64 << 10,
+        "write_file_from allocated {shared:?}"
+    );
+    let copied = allocs_in(|| env.write_u64(r, 8, 2));
+    assert_eq!(
+        copied,
+        Allocs {
+            calls: 1,
+            bytes: BYTES
+        },
+        "the first write after write_file_from copies the region once"
+    );
 }
