@@ -69,11 +69,11 @@ fn stream(span_pages: u64, ops: u64, write: bool) -> Vec<TenantOp> {
 }
 
 fn run_host(cfg: &SgxConfig, tenants: &[(TenantSpec, Vec<TenantOp>)]) -> Vec<u64> {
-    let mut b = Host::builder().sgx(cfg.clone()).wave_cycles(5_000);
-    for (spec, _) in tenants {
-        b = b.tenant(spec.clone());
-    }
-    let mut host = b.build().expect("host builds");
+    let mut host = Host::builder()
+        .sgx(cfg.clone())
+        .wave_cycles(5_000)
+        .build(tenants.iter().map(|(spec, _)| spec.clone()))
+        .expect("host builds");
     for (i, (_, ops)) in tenants.iter().enumerate() {
         host.push_ops(TenantId(i), ops.iter().copied());
     }

@@ -254,6 +254,33 @@ impl FileEntry {
         FileEntry::Sealed(out)
     }
 
+    /// Opens the length-prefixed PF blocks of `data` with the real
+    /// crypto of `p`'s PF shim.
+    fn unseal(p: &LibosProcess, data: &[u8]) -> Result<Vec<u8>, WorkloadError> {
+        let mut out = Vec::with_capacity(data.len());
+        let mut rest = data;
+        while let Some((len, body)) = rest.split_first_chunk::<4>() {
+            let len = u32::from_le_bytes(*len) as usize;
+            let Some((block, tail)) = body.split_at_checked(len) else {
+                return Err(WorkloadError::Validation("truncated PF block".into()));
+            };
+            let blob = sgx_crypto::SealedBlob::from_bytes(block)
+                .map_err(|e| WorkloadError::Validation(format!("PF block parse: {e}")))?;
+            let plain = p
+                .shim()
+                .pf_open(&blob)
+                .map_err(|e| WorkloadError::Validation(format!("PF block MAC: {e}")))?;
+            out.extend_from_slice(&plain);
+            rest = tail;
+        }
+        if !rest.is_empty() {
+            return Err(WorkloadError::Validation(
+                "truncated PF block header".into(),
+            ));
+        }
+        Ok(out)
+    }
+
     /// The stored bytes, resolving a view against `regions`.
     fn bytes<'a>(&'a self, regions: &'a [RegionData]) -> &'a [u8] {
         match self {
@@ -338,6 +365,29 @@ pub struct CycleBudgetExceeded {
     pub elapsed_cycles: u64,
 }
 
+/// The platform an [`Env`] runs on: one per [`ExecMode`], holding what
+/// that mode needs and nothing another mode needs.
+#[derive(Debug, Clone)]
+enum Platform {
+    /// No enclave.
+    Vanilla,
+    /// The SDK's enclave, entered per [`Env::secure_call`].
+    Native(EnclaveId),
+    /// A LibOS process that owns its enclave; app threads live inside.
+    LibOs(LibosProcess),
+}
+
+impl Platform {
+    /// The LibOS process, when a thread of `kind` does its file I/O
+    /// through protected files.
+    fn protected_files(&mut self, kind: ThreadKind) -> Option<&mut LibosProcess> {
+        match self {
+            Platform::LibOs(p) if kind == ThreadKind::App && p.shim().protected_files() => Some(p),
+            _ => None,
+        }
+    }
+}
+
 /// Installs (once per process) a panic hook that stays silent for the
 /// watchdog's [`CycleBudgetExceeded`] unwind — it is control flow, not a
 /// failure, and is always caught by the runner — while delegating every
@@ -379,12 +429,10 @@ fn silence_watchdog_unwinds() {
 /// access's clock.
 #[derive(Debug, Clone)]
 pub struct Env {
-    mode: ExecMode,
+    platform: Platform,
     sim: Queued,
     regions: Vec<RegionData>,
     files: BTreeMap<String, FileEntry>,
-    native_enclave: Option<EnclaveId>,
-    libos: Option<LibosProcess>,
     threads: Vec<ThreadMeta>,
     cur: usize,
     app_started: bool,
@@ -405,60 +453,56 @@ impl Env {
     ///
     /// Propagates enclave-creation failures.
     pub fn new(cfg: EnvConfig) -> Result<Env, WorkloadError> {
-        // Resolve the LibOS manifest first: its thread count sets the
-        // enclave's TCS budget (main thread + app threads + slack for
-        // the runtime's own helpers).
-        let manifest = match cfg.mode {
-            ExecMode::LibOs => {
-                let m = cfg.manifest.clone().unwrap_or_else(|| {
-                    Manifest::builder("workload")
-                        .protected_files(cfg.protected_files)
-                        .build()
-                });
-                let m = if cfg.protected_files && !m.protected_files() {
-                    Manifest::builder(m.binary())
-                        .enclave_size(m.enclave_size())
-                        .threads(m.threads())
-                        .internal_memory(m.internal_memory())
-                        .protected_files(true)
-                        .build()
-                } else {
-                    m
-                };
-                Some(m)
-            }
-            _ => None,
-        };
-        let mut sgx = cfg.sgx.clone();
-        if let Some(m) = &manifest {
-            sgx.tcs_per_enclave = m.threads() + 2;
-        }
         // Single-enclave envs are the degenerate co-tenant host.
-        let mut machine = sgx_sim::Host::builder().sgx(sgx).build_machine();
-        let main = machine.add_thread();
-        let mut native_enclave = None;
-        let mut libos = None;
-        match cfg.mode {
-            ExecMode::Vanilla => {}
+        let boot = |sgx| {
+            let mut machine = sgx_sim::Host::builder().sgx(sgx).build_machine();
+            let main = machine.add_thread();
+            (machine, main)
+        };
+        let (machine, main, platform) = match cfg.mode {
+            ExecMode::Vanilla => {
+                let (machine, main) = boot(cfg.sgx);
+                (machine, main, Platform::Vanilla)
+            }
             ExecMode::Native => {
+                let (mut machine, main) = boot(cfg.sgx);
                 // Size the enclave to the workload: content + heap with
                 // slack, as a porting developer would.
                 let size =
                     NATIVE_CONTENT + cfg.protected_hint + cfg.protected_hint / 2 + (16 << 20);
-                native_enclave = Some(machine.create_enclave(size, NATIVE_CONTENT)?);
+                let enclave = machine.create_enclave(size, NATIVE_CONTENT)?;
+                (machine, main, Platform::Native(enclave))
             }
             ExecMode::LibOs => {
-                let m = manifest.as_ref().expect("manifest resolved above");
-                libos = Some(LibosProcess::launch(&mut machine, main, m)?);
+                let m = match cfg.manifest {
+                    Some(m) if cfg.protected_files && !m.protected_files() => {
+                        Manifest::builder(m.binary())
+                            .enclave_size(m.enclave_size())
+                            .threads(m.threads())
+                            .internal_memory(m.internal_memory())
+                            .protected_files(true)
+                            .build()
+                    }
+                    Some(m) => m,
+                    None => Manifest::builder("workload")
+                        .protected_files(cfg.protected_files)
+                        .build(),
+                };
+                // The manifest's thread count sets the enclave's TCS
+                // budget: main thread + app threads + slack for the
+                // runtime's own helpers.
+                let mut sgx = cfg.sgx;
+                sgx.tcs_per_enclave = m.threads() + 2;
+                let (mut machine, main) = boot(sgx);
+                let process = LibosProcess::launch(&mut machine, main, &m)?;
+                (machine, main, Platform::LibOs(process))
             }
-        }
+        };
         Ok(Env {
-            mode: cfg.mode,
+            platform,
             sim: Queued::new(machine, main),
             regions: Vec::new(),
             files: BTreeMap::new(),
-            native_enclave,
-            libos,
             threads: vec![ThreadMeta {
                 id: main,
                 kind: ThreadKind::App,
@@ -472,7 +516,11 @@ impl Env {
 
     /// The configured mode.
     pub fn mode(&self) -> ExecMode {
-        self.mode
+        match self.platform {
+            Platform::Vanilla => ExecMode::Vanilla,
+            Platform::Native(_) => ExecMode::Native,
+            Platform::LibOs(_) => ExecMode::LibOs,
+        }
     }
 
     /// The underlying SGX machine (counters, driver stats, EPC).
@@ -494,7 +542,10 @@ impl Env {
 
     /// LibOS start-up statistics, when running in LibOS mode.
     pub fn libos_startup(&self) -> Option<libos_sim::StartupStats> {
-        self.libos.as_ref().map(|p| p.startup())
+        match &self.platform {
+            Platform::LibOs(p) => Some(p.startup()),
+            _ => None,
+        }
     }
 
     // ----- lifecycle -------------------------------------------------
@@ -511,9 +562,8 @@ impl Env {
             return Ok(());
         }
         self.app_started = true;
-        let m = self.sim.machine();
-        if let Some(p) = &self.libos {
-            p.enter(m, self.threads[0].id)?;
+        if let Platform::LibOs(p) = &self.platform {
+            p.enter(self.sim.machine(), self.threads[0].id)?;
         }
         Ok(())
     }
@@ -633,12 +683,7 @@ impl Env {
         f: impl FnOnce(&mut Env) -> Result<T, WorkloadError>,
     ) -> Result<T, WorkloadError> {
         let tid = self.threads[self.cur].id;
-        self.sim.machine().trace_phase_begin(tid, name);
-        let out = f(self);
-        let closed = self.sim.machine().trace_phase_end(tid, name);
-        let out = out?;
-        closed?;
-        Ok(out)
+        sgx_sim::with_phase(self, Env::machine_mut, tid, name, f)
     }
 
     // ----- threads ---------------------------------------------------
@@ -668,7 +713,7 @@ impl Env {
     pub fn spawn_app_thread(&mut self) -> Result<SimThread, WorkloadError> {
         let m = self.sim.machine();
         let id = m.add_thread();
-        if let Some(p) = &self.libos {
+        if let Platform::LibOs(p) = &self.platform {
             p.enter(m, id)?;
         }
         self.threads.push(ThreadMeta {
@@ -751,18 +796,11 @@ impl Env {
     ///
     /// Fails when a protected allocation exhausts the enclave.
     pub fn alloc(&mut self, bytes: u64, placement: Placement) -> Result<Region, WorkloadError> {
-        let protected = placement == Placement::Protected && self.mode != ExecMode::Vanilla;
         let m = self.sim.machine();
-        let base = match (protected, self.mode) {
-            (true, ExecMode::Native) => {
-                let e = self.native_enclave.expect("native mode has an enclave");
-                m.alloc_enclave_heap(e, bytes)?
-            }
-            (true, ExecMode::LibOs) => {
-                let p = self.libos.as_ref().expect("libos mode has a process");
-                p.alloc(m, bytes)?
-            }
-            _ => m.alloc_untrusted(bytes),
+        let (base, protected) = match (&self.platform, placement) {
+            (Platform::Native(e), Placement::Protected) => (m.alloc_enclave_heap(*e, bytes)?, true),
+            (Platform::LibOs(p), Placement::Protected) => (p.alloc(m, bytes)?, true),
+            _ => (m.alloc_untrusted(bytes), false),
         };
         self.regions.push(RegionData {
             base,
@@ -971,9 +1009,8 @@ impl Env {
     pub fn secure_call<T>(&mut self, f: impl FnOnce(&mut Env) -> T) -> Result<T, WorkloadError> {
         let tid = self.threads[self.cur].id;
         let m = self.sim.machine();
-        let out = match self.mode {
-            ExecMode::Native if m.current_enclave(tid).is_none() => {
-                let e = self.native_enclave.expect("native mode has an enclave");
+        let out = match self.platform {
+            Platform::Native(e) if m.current_enclave(tid).is_none() => {
                 m.ecall_enter(tid, e)?;
                 let out = f(self);
                 self.sim.machine().ecall_exit(tid, e)?;
@@ -1000,25 +1037,12 @@ impl Env {
         let tid = self.threads[self.cur].id;
         let kind = self.threads[self.cur].kind;
         let m = self.sim.machine();
-        match self.mode {
-            ExecMode::Vanilla => {
-                m.compute(tid, costs::HOST_SYSCALL_CYCLES);
+        match &mut self.platform {
+            Platform::Native(_) if m.current_enclave(tid).is_some() => {
+                m.ocall(tid, costs::HOST_SYSCALL_CYCLES)?;
             }
-            ExecMode::Native => {
-                if m.current_enclave(tid).is_some() {
-                    m.ocall(tid, costs::HOST_SYSCALL_CYCLES)?;
-                } else {
-                    m.compute(tid, costs::HOST_SYSCALL_CYCLES);
-                }
-            }
-            ExecMode::LibOs => {
-                if kind == ThreadKind::App {
-                    let p = self.libos.as_mut().expect("libos process");
-                    p.shim_mut().syscall_host(m, tid)?;
-                } else {
-                    m.compute(tid, costs::HOST_SYSCALL_CYCLES);
-                }
-            }
+            Platform::LibOs(p) if kind == ThreadKind::App => p.shim_mut().syscall_host(m, tid)?,
+            _ => m.compute(tid, costs::HOST_SYSCALL_CYCLES),
         }
         self.fault_tick();
         if self.faults.as_mut().is_some_and(|h| h.syscall_fails()) {
@@ -1029,37 +1053,38 @@ impl Env {
     }
 
     /// Transfers `bytes` across the trust boundary (socket send/recv,
-    /// pipe): syscalls + staging copies, batched per mode.
+    /// pipe): syscalls + staging copies, batched per mode. An untrusted
+    /// thread pays one syscall.
     ///
     /// # Errors
     ///
     /// Propagates transition failures.
-    pub fn io_transfer(&mut self, bytes: u64, _write: bool) -> Result<(), WorkloadError> {
+    pub fn io_transfer(&mut self, bytes: u64, write: bool) -> Result<(), WorkloadError> {
+        self.charge_io(bytes, write, false)
+    }
+
+    /// Charges `bytes` of I/O to the current thread: an enclave thread
+    /// OCALLs once per [`IO_BATCH`], a LibOS app thread goes through the
+    /// shim, and an untrusted thread pays the copy plus one syscall, or
+    /// one per [`IO_BATCH`] when `per_batch` (file I/O).
+    fn charge_io(&mut self, bytes: u64, write: bool, per_batch: bool) -> Result<(), WorkloadError> {
         let tid = self.threads[self.cur].id;
         let kind = self.threads[self.cur].kind;
         let m = self.sim.machine();
         let copy = bytes.div_ceil(1024) * costs::HOST_COPY_CYCLES_PER_KIB;
-        match self.mode {
-            ExecMode::Vanilla => {
-                m.compute(tid, costs::HOST_SYSCALL_CYCLES + copy);
-            }
-            ExecMode::Native => {
-                if m.current_enclave(tid).is_some() {
-                    let chunks = bytes.div_ceil(IO_BATCH).max(1);
-                    for _ in 0..chunks {
-                        m.ocall(tid, costs::HOST_SYSCALL_CYCLES + copy / chunks)?;
-                    }
-                } else {
-                    m.compute(tid, costs::HOST_SYSCALL_CYCLES + copy);
+        let chunks = bytes.div_ceil(IO_BATCH).max(1);
+        match &mut self.platform {
+            Platform::Native(_) if m.current_enclave(tid).is_some() => {
+                for _ in 0..chunks {
+                    m.ocall(tid, costs::HOST_SYSCALL_CYCLES + copy / chunks)?;
                 }
             }
-            ExecMode::LibOs => {
-                if kind == ThreadKind::App {
-                    let p = self.libos.as_mut().expect("libos process");
-                    p.shim_mut().file_transfer(m, tid, bytes, _write)?;
-                } else {
-                    m.compute(tid, costs::HOST_SYSCALL_CYCLES + copy);
-                }
+            Platform::LibOs(p) if kind == ThreadKind::App => {
+                p.shim_mut().file_transfer(m, tid, bytes, write)?;
+            }
+            _ => {
+                let syscalls = if per_batch { chunks } else { 1 };
+                m.compute(tid, costs::HOST_SYSCALL_CYCLES * syscalls + copy);
             }
         }
         self.fault_tick();
@@ -1097,15 +1122,6 @@ impl Env {
             .ok_or_else(|| WorkloadError::FileNotFound(name.to_owned()))
     }
 
-    fn pf_active(&self) -> bool {
-        self.mode == ExecMode::LibOs
-            && self
-                .libos
-                .as_ref()
-                .is_some_and(|p| p.shim().protected_files())
-            && self.threads[self.cur].kind == ThreadKind::App
-    }
-
     /// Fetches a file's plaintext: looks it up, lets the fault plane flip
     /// a stored bit (simulated bit rot on the untrusted host), and
     /// unseals PF files. A flip in a sealed file is caught by the block
@@ -1130,8 +1146,9 @@ impl Env {
             }
             .into())
         };
-        let sealed = match stored {
-            FileEntry::Sealed(data) if self.pf_active() => data,
+        let kind = self.threads[self.cur].kind;
+        let (sealed, p) = match (stored, self.platform.protected_files(kind)) {
+            (FileEntry::Sealed(data), Some(p)) => (data, p),
             _ if flipped.is_some() => return corrupted(),
             _ => return Ok(None),
         };
@@ -1139,9 +1156,9 @@ impl Env {
             Some(bit) => {
                 let mut data = sealed.clone();
                 data[(bit / 8) as usize] ^= 1 << (bit % 8);
-                self.pf_unseal_file(&data)
+                FileEntry::unseal(p, &data)
             }
-            None => self.pf_unseal_file(sealed),
+            None => FileEntry::unseal(p, sealed),
         };
         match unsealed {
             Ok(plain) => Ok(Some(plain)),
@@ -1172,7 +1189,7 @@ impl Env {
             Some(p) => p.len(),
             None => self.files[name].bytes(&self.regions).len(),
         };
-        self.charge_file_io(len as u64, false)?;
+        self.charge_io(len as u64, false, true)?;
         self.charge_access(region, off, len as u64, AccessKind::Write);
         // Once unshared, `region` is no file's source, so it can be taken
         // out while the file's bytes are borrowed from another region.
@@ -1198,7 +1215,7 @@ impl Env {
             Some(p) => p,
             None => self.files[name].bytes(&self.regions).to_vec(),
         };
-        self.charge_file_io(plain.len() as u64, false)?;
+        self.charge_io(plain.len() as u64, false, true)?;
         Ok(plain)
     }
 
@@ -1218,17 +1235,17 @@ impl Env {
         len: u64,
     ) -> Result<(), WorkloadError> {
         self.charge_access(region, off, len, AccessKind::Read);
-        self.charge_file_io(len, true)?;
+        self.charge_io(len, true, true)?;
         let (off, len) = (off as usize, len as usize);
-        let file = if self.pf_active() {
-            let p = self.libos.as_mut().expect("pf requires libos");
-            FileEntry::seal(p, &self.regions[region.0].data[off..off + len])
-        } else {
-            self.regions[region.0].viewed = true;
-            FileEntry::View {
-                region: region.0,
-                off,
-                len,
+        let file = match self.platform.protected_files(self.threads[self.cur].kind) {
+            Some(p) => FileEntry::seal(p, &self.regions[region.0].data[off..off + len]),
+            None => {
+                self.regions[region.0].viewed = true;
+                FileEntry::View {
+                    region: region.0,
+                    off,
+                    len,
+                }
             }
         };
         self.files.insert(name.to_owned(), file);
@@ -1241,76 +1258,13 @@ impl Env {
     ///
     /// Propagates transition failures.
     pub fn write_file(&mut self, name: &str, data: &[u8]) -> Result<(), WorkloadError> {
-        self.charge_file_io(data.len() as u64, true)?;
-        let file = if self.pf_active() {
-            FileEntry::seal(self.libos.as_mut().expect("pf requires libos"), data)
-        } else {
-            FileEntry::Plain(data.to_vec())
+        self.charge_io(data.len() as u64, true, true)?;
+        let file = match self.platform.protected_files(self.threads[self.cur].kind) {
+            Some(p) => FileEntry::seal(p, data),
+            None => FileEntry::Plain(data.to_vec()),
         };
         self.files.insert(name.to_owned(), file);
         Ok(())
-    }
-
-    fn charge_file_io(&mut self, bytes: u64, write: bool) -> Result<(), WorkloadError> {
-        let tid = self.threads[self.cur].id;
-        let kind = self.threads[self.cur].kind;
-        let m = self.sim.machine();
-        let copy = bytes.div_ceil(1024) * costs::HOST_COPY_CYCLES_PER_KIB;
-        match self.mode {
-            ExecMode::Vanilla => {
-                let chunks = bytes.div_ceil(IO_BATCH).max(1);
-                m.compute(tid, costs::HOST_SYSCALL_CYCLES * chunks + copy);
-            }
-            ExecMode::Native => {
-                if m.current_enclave(tid).is_some() {
-                    let chunks = bytes.div_ceil(IO_BATCH).max(1);
-                    for _ in 0..chunks {
-                        m.ocall(tid, costs::HOST_SYSCALL_CYCLES + copy / chunks)?;
-                    }
-                } else {
-                    let chunks = bytes.div_ceil(IO_BATCH).max(1);
-                    m.compute(tid, costs::HOST_SYSCALL_CYCLES * chunks + copy);
-                }
-            }
-            ExecMode::LibOs => {
-                if kind == ThreadKind::App {
-                    let p = self.libos.as_mut().expect("libos process");
-                    p.shim_mut().file_transfer(m, tid, bytes, write)?;
-                } else {
-                    let chunks = bytes.div_ceil(IO_BATCH).max(1);
-                    m.compute(tid, costs::HOST_SYSCALL_CYCLES * chunks + copy);
-                }
-            }
-        }
-        self.fault_tick();
-        Ok(())
-    }
-
-    fn pf_unseal_file(&self, data: &[u8]) -> Result<Vec<u8>, WorkloadError> {
-        let p = self.libos.as_ref().expect("pf requires libos");
-        let mut out = Vec::with_capacity(data.len());
-        let mut pos = 0usize;
-        while pos < data.len() {
-            if pos + 4 > data.len() {
-                return Err(WorkloadError::Validation(
-                    "truncated PF block header".into(),
-                ));
-            }
-            let len = u32::from_le_bytes(data[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-            pos += 4;
-            if pos + len > data.len() {
-                return Err(WorkloadError::Validation("truncated PF block".into()));
-            }
-            let blob = sgx_crypto::SealedBlob::from_bytes(&data[pos..pos + len])
-                .map_err(|e| WorkloadError::Validation(format!("PF block parse: {e}")))?;
-            let plain = p
-                .shim()
-                .pf_open(&blob)
-                .map_err(|e| WorkloadError::Validation(format!("PF block MAC: {e}")))?;
-            out.extend_from_slice(&plain);
-            pos += len;
-        }
-        Ok(out)
     }
 }
 

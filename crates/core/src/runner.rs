@@ -308,8 +308,8 @@ impl Runner {
                 .mem_mut()
                 .take_trace_sink()
                 .expect("sink installed before execute");
-            // `with_phase` closes every span `Env` opens; a span opened
-            // on the machine itself and left open is a typed error.
+            // `sgx_sim::with_phase`, the only way to open a span,
+            // closes each one; a span still open is a typed error.
             sink.finish()?;
             (sink.timeline(), sink.phase_attribution(), Some(sink))
         } else {

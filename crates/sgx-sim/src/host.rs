@@ -34,7 +34,7 @@
 //! [`SgxMachine`] directly: the builder makes the same machine calls in
 //! the same order (so the jitter stream matches), and wave boundaries
 //! only read counters and open/close trace phases (no-ops without a
-//! sink). A property test in this module pins that guarantee.
+//! sink). A property test in `tests/cotenancy.rs` pins that guarantee.
 
 use std::collections::VecDeque;
 
@@ -181,7 +181,8 @@ impl From<trace::TraceError> for HostError {
 }
 
 /// Builder for a [`Host`], and the one way to construct an
-/// [`SgxMachine`] ([`HostBuilder::build_machine`]).
+/// [`SgxMachine`] ([`HostBuilder::build_machine`]). It holds only the
+/// platform: the tenants are given to [`HostBuilder::build`].
 ///
 /// ```
 /// use sgx_sim::host::{Host, TenantSpec};
@@ -189,17 +190,27 @@ impl From<trace::TraceError> for HostError {
 ///
 /// let host = Host::builder()
 ///     .sgx(SgxConfig::with_tiny_epc(1024, 16))
-///     .tenant(TenantSpec::sized("victim", 1 << 20))
-///     .tenant(TenantSpec::sized("antagonist", 8 << 20))
-///     .build()
+///     .build([
+///         TenantSpec::sized("victim", 1 << 20),
+///         TenantSpec::sized("antagonist", 8 << 20),
+///     ])
 ///     .expect("two small tenants fit");
-/// assert_eq!(host.tenant_count(), 2);
+/// assert_eq!(host.tenant_reports().len(), 2);
+/// ```
+///
+/// So a tenant cannot be registered on the bare-machine path:
+///
+/// ```compile_fail,E0599
+/// use sgx_sim::host::{Host, TenantSpec};
+///
+/// let machine = Host::builder()
+///     .tenant(TenantSpec::sized("dropped", 1 << 20))
+///     .build_machine();
 /// ```
 #[derive(Debug, Clone)]
 pub struct HostBuilder {
     cfg: SgxConfig,
     wave_cycles: u64,
-    tenants: Vec<TenantSpec>,
 }
 
 impl Default for HostBuilder {
@@ -207,7 +218,6 @@ impl Default for HostBuilder {
         HostBuilder {
             cfg: SgxConfig::default(),
             wave_cycles: DEFAULT_WAVE_CYCLES,
-            tenants: Vec::new(),
         }
     }
 }
@@ -227,15 +237,9 @@ impl HostBuilder {
         self
     }
 
-    /// Registers a tenant. Tenants are built, scheduled and reported in
-    /// registration order.
-    pub fn tenant(mut self, spec: TenantSpec) -> Self {
-        self.tenants.push(spec);
-        self
-    }
-
-    /// Builds the host: one shared machine, then per tenant — in
-    /// registration order — a hardware thread, the enclave build
+    /// Builds the host for `specs`: one shared machine, then per tenant
+    /// — in the order given, which is also the order tenants are
+    /// scheduled and reported in — a hardware thread, the enclave build
     /// (measurement pass included), an EENTER, and the heap allocation.
     /// This is exactly the legacy single-enclave call sequence repeated
     /// per tenant, so a one-tenant host draws the same jitter stream as
@@ -245,10 +249,10 @@ impl HostBuilder {
     ///
     /// Propagates the first [`SgxError`] from enclave construction
     /// (content larger than the ELRANGE, heap exhaustion, TCS limits).
-    pub fn build(self) -> Result<Host, SgxError> {
+    pub fn build(self, specs: impl IntoIterator<Item = TenantSpec>) -> Result<Host, SgxError> {
         let mut machine = SgxMachine::from_config(self.cfg);
-        let mut tenants = Vec::with_capacity(self.tenants.len());
-        for spec in self.tenants {
+        let mut tenants = Vec::new();
+        for spec in specs {
             let tid = machine.add_thread();
             let enclave = machine.create_enclave(spec.enclave_bytes, spec.content_bytes)?;
             machine.ecall_enter(tid, enclave)?;
@@ -278,17 +282,7 @@ impl HostBuilder {
 
     /// The zero-tenant path: builds the bare shared machine, for callers
     /// that drive enclaves by hand.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any tenant was registered: this path would drop it.
     pub fn build_machine(self) -> SgxMachine {
-        // Checked in every build: a release build would otherwise run
-        // without the tenants the caller registered.
-        assert!(
-            self.tenants.is_empty(),
-            "build_machine() ignores registered tenants; use build()"
-        );
         SgxMachine::from_config(self.cfg)
     }
 }
@@ -342,16 +336,6 @@ impl Host {
     /// Starts a [`HostBuilder`] with default config and wave width.
     pub fn builder() -> HostBuilder {
         HostBuilder::default()
-    }
-
-    /// Number of registered tenants.
-    pub fn tenant_count(&self) -> usize {
-        self.tenants.len()
-    }
-
-    /// The configured scheduler wave width in cycles.
-    pub fn wave_cycles(&self) -> u64 {
-        self.wave_cycles
     }
 
     /// The shared machine (counters, EPC, trace plane).
@@ -416,23 +400,22 @@ impl Host {
     /// the tenant's thread clock or its queue drains, with the counter
     /// delta folded into the tenant's `charged` ledger.
     fn run_wave(&mut self, i: usize) -> Result<(), HostError> {
-        let tid = self.tenants[i].tid;
-        let heap_base = self.tenants[i].heap_base;
-        let heap_bytes = self.tenants[i].spec.heap_bytes;
+        let t = &mut self.tenants[i];
+        let (tid, heap_base, heap_bytes) = (t.tid, t.heap_base, t.spec.heap_bytes);
         let start = self.machine.mem().cycles_of(tid);
         let before = *self.machine.sgx_counters();
-        self.machine
-            .trace_phase_begin(tid, &self.tenants[i].spec.name);
-        while let Some(op) = self.tenants[i].queue.pop_front() {
-            op.apply(&mut self.machine, tid, heap_base, heap_bytes)?;
-            if self.machine.mem().cycles_of(tid).saturating_sub(start) >= self.wave_cycles {
-                break;
+        let (queue, wave_cycles) = (&mut t.queue, self.wave_cycles);
+        let wave = |m: &mut SgxMachine| {
+            while let Some(op) = queue.pop_front() {
+                op.apply(m, tid, heap_base, heap_bytes)?;
+                if m.mem().cycles_of(tid).saturating_sub(start) >= wave_cycles {
+                    break;
+                }
             }
-        }
-        self.machine
-            .trace_phase_end(tid, &self.tenants[i].spec.name)?;
+            Ok::<_, HostError>(())
+        };
+        crate::with_phase(&mut self.machine, |m| m, tid, &t.spec.name, wave)?;
         let after = *self.machine.sgx_counters();
-        let t = &mut self.tenants[i];
         for f in CounterField::ALL {
             let delta = after.get(f).saturating_sub(before.get(f));
             t.charged.set(f, t.charged.get(f) + delta);

@@ -69,5 +69,7 @@ pub use enclave::{Enclave, EnclaveId};
 pub use epc::{Epc, EpcEnclaveStats, EpcFaultKind, PageKey};
 pub use epcm::{Epcm, EpcmEntry};
 pub use host::{Host, HostBuilder, HostError, TenantId, TenantOp, TenantReport, TenantSpec};
-pub use machine::{CounterField, InitStats, SgxConfig, SgxCounters, SgxError, SgxMachine};
+pub use machine::{
+    with_phase, CounterField, InitStats, SgxConfig, SgxCounters, SgxError, SgxMachine,
+};
 pub use switchless::SwitchlessPool;

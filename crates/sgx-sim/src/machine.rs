@@ -392,13 +392,14 @@ impl SgxMachine {
         }
     }
 
-    /// Opens a workload-declared phase span, recording the boundary
-    /// counter snapshot. No-op when tracing is disabled.
+    /// Opens a phase span, recording the boundary counter snapshot.
+    /// No-op when tracing is disabled. Private: [`with_phase`] pairs it
+    /// with [`SgxMachine::trace_phase_end`].
     #[expect(
         clippy::cast_possible_truncation,
         reason = "thread ids are dense and few; the trace schema stores them as u32"
     )]
-    pub fn trace_phase_begin(&mut self, tid: ThreadId, name: &str) {
+    fn trace_phase_begin(&mut self, tid: ThreadId, name: &str) {
         if self.mem.tracing() {
             let snap = self.trace_snapshot();
             let now = self.mem.cycles_of(tid);
@@ -418,7 +419,7 @@ impl SgxMachine {
         clippy::cast_possible_truncation,
         reason = "thread ids are dense and few; the trace schema stores them as u32"
     )]
-    pub fn trace_phase_end(&mut self, tid: ThreadId, name: &str) -> Result<(), trace::TraceError> {
+    fn trace_phase_end(&mut self, tid: ThreadId, name: &str) -> Result<(), trace::TraceError> {
         if self.mem.tracing() {
             let snap = self.trace_snapshot();
             let now = self.mem.cycles_of(tid);
@@ -1161,6 +1162,39 @@ impl SgxMachine {
     }
 }
 
+/// Runs `f` on `ctx` inside a trace phase span named `name` on `tid`'s
+/// clock, closing the span whether `f` returns `Ok` or `Err`: the one
+/// way to open a span, so none is left open. `machine_of` reaches the
+/// machine from `ctx` before and after `f`. Without a trace sink the
+/// span is a no-op. A span cannot be opened on its own:
+///
+/// ```compile_fail,E0624
+/// use sgx_sim::{Host, SgxConfig};
+///
+/// let mut m = Host::builder().sgx(SgxConfig::default()).build_machine();
+/// let t = m.add_thread();
+/// m.trace_phase_begin(t, "left-open");
+/// ```
+///
+/// # Errors
+///
+/// Returns `f`'s error, or else the [`trace::TraceError`] of a span the
+/// sink refused to close.
+pub fn with_phase<C, T, E: From<trace::TraceError>>(
+    ctx: &mut C,
+    machine_of: fn(&mut C) -> &mut SgxMachine,
+    tid: ThreadId,
+    name: &str,
+    f: impl FnOnce(&mut C) -> Result<T, E>,
+) -> Result<T, E> {
+    machine_of(ctx).trace_phase_begin(tid, name);
+    let out = f(ctx);
+    let closed = machine_of(ctx).trace_phase_end(tid, name);
+    let out = out?;
+    closed?;
+    Ok(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1556,6 +1590,28 @@ mod tests {
         assert!(faults.iter().all(|&(_, resident)| resident == 8));
         assert!(faults.windows(2).all(|w| w[0].0 <= w[1].0));
         assert_eq!(m.sgx_counters().epc_faults, 16);
+    }
+
+    #[test]
+    fn a_failing_with_phase_body_leaves_no_span_open() {
+        let (mut m, t) = small_machine(8);
+        m.mem_mut()
+            .set_trace_sink(trace::TraceSink::with_config(64, 0));
+        let failed = crate::HostError::Sgx(SgxError::NotInEnclave);
+        let inner = |m: &mut SgxMachine| {
+            m.compute(t, 10);
+            Err::<(), _>(failed.clone())
+        };
+        let outer = |m: &mut SgxMachine| with_phase(m, |m| m, t, "inner", inner);
+        let out = with_phase(&mut m, |m| m, t, "outer", outer);
+        assert_eq!(out, Err(failed));
+        let sink = m.mem_mut().take_trace_sink().expect("sink was armed");
+        assert_eq!(sink.finish(), Ok(()));
+        let ends = sink
+            .records()
+            .filter(|r| matches!(r.event, trace::TraceEvent::PhaseEnd { .. }))
+            .count();
+        assert_eq!(ends, 2, "both spans closed");
     }
 
     #[test]

@@ -44,8 +44,7 @@ proptest! {
 
         let mut host = Host::builder()
             .sgx(cfg.clone())
-            .tenant(spec.clone())
-            .build()
+            .build([spec.clone()])
             .unwrap();
         host.push_ops(TenantId(0), ops.iter().copied());
         host.run().unwrap();
@@ -88,19 +87,20 @@ fn two_tenant_host() -> Host {
     Host::builder()
         .sgx(SgxConfig::with_tiny_epc(64, 4))
         .wave_cycles(5_000)
-        .tenant(TenantSpec {
-            name: "victim".to_string(),
-            enclave_bytes: 32 * PAGE_SIZE,
-            content_bytes: 0,
-            heap_bytes: 8 * PAGE_SIZE,
-        })
-        .tenant(TenantSpec {
-            name: "antagonist".to_string(),
-            enclave_bytes: 160 * PAGE_SIZE,
-            content_bytes: 0,
-            heap_bytes: 128 * PAGE_SIZE,
-        })
-        .build()
+        .build([
+            TenantSpec {
+                name: "victim".to_string(),
+                enclave_bytes: 32 * PAGE_SIZE,
+                content_bytes: 0,
+                heap_bytes: 8 * PAGE_SIZE,
+            },
+            TenantSpec {
+                name: "antagonist".to_string(),
+                enclave_bytes: 160 * PAGE_SIZE,
+                content_bytes: 0,
+                heap_bytes: 128 * PAGE_SIZE,
+            },
+        ])
         .unwrap()
 }
 
@@ -187,13 +187,12 @@ fn noisy_neighbor_attribution_lands_on_the_victim() {
 fn one_tenant_alone_suffers_no_victimizations() {
     let mut host = Host::builder()
         .sgx(SgxConfig::with_tiny_epc(64, 4))
-        .tenant(TenantSpec {
+        .build([TenantSpec {
             name: "solo".to_string(),
             enclave_bytes: 32 * PAGE_SIZE,
             content_bytes: 0,
             heap_bytes: 8 * PAGE_SIZE,
-        })
-        .build()
+        }])
         .unwrap();
     let ops: Vec<TenantOp> = (0..200)
         .map(|i| TenantOp::Access {
@@ -268,15 +267,4 @@ fn destroy_enclave_forces_resident_threads_out() {
     m.ecall_enter(t, e1).unwrap();
     m.ecall_exit(t, e1).unwrap();
     assert!(m.check_invariants().is_ok());
-}
-
-/// `build_machine` has no place for tenants: a registered one must stop
-/// the build in release builds too, not vanish from the run.
-#[test]
-#[should_panic(expected = "build_machine() ignores registered tenants")]
-fn build_machine_refuses_registered_tenants() {
-    let _ = Host::builder()
-        .sgx(SgxConfig::with_tiny_epc(64, 4))
-        .tenant(solo_spec())
-        .build_machine();
 }

@@ -595,27 +595,26 @@ fn run_cotenancy_cell(
 ) -> Result<CotenancyCell, String> {
     let key = format!("0/Native/High/0/t{}a{antagonists}", antagonists + 1);
     let thrash_pages = epc_pages * 2;
-    let mut b = Host::builder()
+    let victim = TenantSpec {
+        name: "victim".to_owned(),
+        enclave_bytes: 32 * PAGE_SIZE,
+        content_bytes: 0,
+        heap_bytes: 8 * PAGE_SIZE,
+    };
+    let antagonist_specs = (0..antagonists).map(|i| TenantSpec {
+        name: format!("antagonist{i}"),
+        enclave_bytes: (thrash_pages + 16) * PAGE_SIZE,
+        content_bytes: 0,
+        heap_bytes: thrash_pages * PAGE_SIZE,
+    });
+    let mut host = Host::builder()
         .sgx(SgxConfig::with_tiny_epc(
             usize::try_from(epc_pages).map_err(|_| "bad --epc-pages")?,
             4,
         ))
         .wave_cycles(wave)
-        .tenant(TenantSpec {
-            name: "victim".to_owned(),
-            enclave_bytes: 32 * PAGE_SIZE,
-            content_bytes: 0,
-            heap_bytes: 8 * PAGE_SIZE,
-        });
-    for i in 0..antagonists {
-        b = b.tenant(TenantSpec {
-            name: format!("antagonist{i}"),
-            enclave_bytes: (thrash_pages + 16) * PAGE_SIZE,
-            content_bytes: 0,
-            heap_bytes: thrash_pages * PAGE_SIZE,
-        });
-    }
-    let mut host = b.build().map_err(|e| e.to_string())?;
+        .build(std::iter::once(victim).chain(antagonist_specs))
+        .map_err(|e| e.to_string())?;
     if traced {
         host.machine_mut()
             .mem_mut()
