@@ -272,6 +272,80 @@ mod tests {
     }
 
     #[test]
+    fn every_event_renders_its_pinned_line() {
+        let mut log = CampaignLog::new();
+        log.push(
+            0,
+            CampaignEvent::StageBegin {
+                stage: "baseline".into(),
+                cells: 12,
+                fault_seed: 7,
+            },
+        );
+        log.push(
+            900,
+            CampaignEvent::StageEnd {
+                stage: "baseline".into(),
+                executed: 10,
+                shed: 2,
+                spent_cycles: 900,
+            },
+        );
+        log.push(
+            900,
+            CampaignEvent::StageSkipped {
+                stage: "soak \"b\"".into(),
+                reason: ShedReason::SloExceeded,
+            },
+        );
+        log.push(
+            1_000,
+            CampaignEvent::BreakerTransition {
+                workload: "BTree".into(),
+                from: BreakerState::HalfOpen,
+                to: BreakerState::Closed,
+                consecutive_failures: 0,
+            },
+        );
+        log.push(
+            1_100,
+            CampaignEvent::CellShed {
+                cell: "2/Vanilla/Low/1".into(),
+                workload: "BTree".into(),
+                reason: ShedReason::AntagonistSkipped,
+            },
+        );
+        log.push(
+            1_200,
+            CampaignEvent::ProbeResult {
+                cell: "2/Vanilla/Low/2".into(),
+                workload: "BTree".into(),
+                ok: false,
+            },
+        );
+        log.push(
+            1_300,
+            CampaignEvent::RetryBudgetDrained {
+                spent_cycles: 5_000,
+                budget_cycles: 4_000,
+            },
+        );
+        let expected = [
+            r#"{"trace":"sgxgauge-campaign","records":7}"#,
+            r#"{"seq":0,"spent_cycles":0,"event":"stage_begin","stage":"baseline","cells":12,"fault_seed":7}"#,
+            r#"{"seq":1,"spent_cycles":900,"event":"stage_end","stage":"baseline","executed":10,"shed":2,"stage_cycles":900}"#,
+            r#"{"seq":2,"spent_cycles":900,"event":"stage_skipped","stage":"soak \"b\"","reason":"slo_exceeded"}"#,
+            r#"{"seq":3,"spent_cycles":1000,"event":"breaker","workload":"BTree","from":"half_open","to":"closed","consecutive_failures":0}"#,
+            r#"{"seq":4,"spent_cycles":1100,"event":"cell_shed","cell":"2/Vanilla/Low/1","workload":"BTree","reason":"antagonist_skipped"}"#,
+            r#"{"seq":5,"spent_cycles":1200,"event":"probe","cell":"2/Vanilla/Low/2","workload":"BTree","ok":false}"#,
+            r#"{"seq":6,"spent_cycles":1300,"event":"retry_budget_drained","backoff_cycles":5000,"budget_cycles":4000}"#,
+        ];
+        let text = log.render_jsonl();
+        assert_eq!(text.lines().collect::<Vec<_>>(), expected);
+        assert!(text.ends_with("}\n"), "every line is newline-terminated");
+    }
+
+    #[test]
     fn rendering_is_deterministic() {
         let build = || {
             let mut log = CampaignLog::new();

@@ -160,6 +160,115 @@ mod tests {
         assert!(lines[3].contains("\"kind\":\"epc_spike\""));
     }
 
+    /// A snapshot whose every field is distinct and non-zero, and the
+    /// object it renders as.
+    const SNAP: CounterSnapshot = CounterSnapshot {
+        resident_pages: 1,
+        epc_faults: 2,
+        epc_allocs: 3,
+        epc_evictions: 4,
+        epc_loadbacks: 5,
+        ecalls: 6,
+        ocalls: 7,
+        aex_exits: 8,
+        dtlb_misses: 9,
+        llc_misses: 10,
+        page_faults: 11,
+        compute_cycles: 12,
+        stall_cycles: 13,
+        walk_cycles: 14,
+        mee_cycles: 15,
+        transition_cycles: 16,
+        fault_cycles: 17,
+    };
+    macro_rules! snap_json {
+        () => {
+            r#"{"resident_pages":1,"epc_faults":2,"epc_allocs":3,"epc_evictions":4,"epc_loadbacks":5,"ecalls":6,"ocalls":7,"aex_exits":8,"dtlb_misses":9,"llc_misses":10,"page_faults":11,"compute_cycles":12,"stall_cycles":13,"walk_cycles":14,"mee_cycles":15,"transition_cycles":16,"fault_cycles":17}"#
+        };
+    }
+
+    #[test]
+    fn every_event_renders_its_pinned_line() {
+        let mut s = TraceSink::with_config(32, 0);
+        s.emit(1, 0, TraceEvent::EcallEnter);
+        s.emit(2, 0, TraceEvent::EcallExit);
+        s.emit(3, 1, TraceEvent::Ocall { switchless: false });
+        s.emit(4, 1, TraceEvent::Ocall { switchless: true });
+        s.emit(5, 0, TraceEvent::Aex { injected: false });
+        s.emit(6, 0, TraceEvent::Aex { injected: true });
+        s.emit(
+            7,
+            0,
+            TraceEvent::EpcFault {
+                loadback: false,
+                evicted: 16,
+                resident_pages: 1_024,
+            },
+        );
+        s.emit(8, 2, TraceEvent::ShimSyscall);
+        for kind in [
+            InjectedKind::Aex,
+            InjectedKind::EpcSpike,
+            InjectedKind::EpcRelease,
+        ] {
+            s.emit(9, 0, TraceEvent::FaultInjected { kind });
+        }
+        s.begin_phase("build", 10, 3, SNAP);
+        s.emit(11, 3, TraceEvent::Sample { snap: SNAP });
+        s.end_phase("build", 12, 3, SNAP).unwrap();
+        let expected = [
+            r#"{"trace":"sgxgauge","records":14,"dropped":0,"emitted":14}"#,
+            r#"{"seq":0,"cycles":1,"thread":0,"event":"ecall_enter"}"#,
+            r#"{"seq":1,"cycles":2,"thread":0,"event":"ecall_exit"}"#,
+            r#"{"seq":2,"cycles":3,"thread":1,"event":"ocall","switchless":false}"#,
+            r#"{"seq":3,"cycles":4,"thread":1,"event":"ocall","switchless":true}"#,
+            r#"{"seq":4,"cycles":5,"thread":0,"event":"aex","injected":false}"#,
+            r#"{"seq":5,"cycles":6,"thread":0,"event":"aex","injected":true}"#,
+            r#"{"seq":6,"cycles":7,"thread":0,"event":"epc_fault","loadback":false,"evicted":16,"resident_pages":1024}"#,
+            r#"{"seq":7,"cycles":8,"thread":2,"event":"shim_syscall"}"#,
+            r#"{"seq":8,"cycles":9,"thread":0,"event":"fault_injected","kind":"aex"}"#,
+            r#"{"seq":9,"cycles":9,"thread":0,"event":"fault_injected","kind":"epc_spike"}"#,
+            r#"{"seq":10,"cycles":9,"thread":0,"event":"fault_injected","kind":"epc_release"}"#,
+            concat!(
+                r#"{"seq":11,"cycles":10,"thread":3,"event":"phase_begin","phase":"build","snap":"#,
+                snap_json!(),
+                "}"
+            ),
+            concat!(
+                r#"{"seq":12,"cycles":11,"thread":3,"event":"sample","snap":"#,
+                snap_json!(),
+                "}"
+            ),
+            concat!(
+                r#"{"seq":13,"cycles":12,"thread":3,"event":"phase_end","phase":"build","snap":"#,
+                snap_json!(),
+                "}"
+            ),
+        ];
+        let text = s.render_jsonl();
+        assert_eq!(text.lines().collect::<Vec<_>>(), expected);
+        assert!(text.ends_with("}\n"), "every line is newline-terminated");
+    }
+
+    #[test]
+    fn a_wrapped_ring_renders_its_drops_and_surviving_seqs() {
+        let mut s = TraceSink::with_config(2, 0);
+        for cycles in [10, 20, 30] {
+            s.emit(cycles, 0, TraceEvent::EcallEnter);
+        }
+        assert_eq!(
+            s.render_jsonl(),
+            concat!(
+                r#"{"trace":"sgxgauge","records":2,"dropped":1,"emitted":3}"#,
+                "\n",
+                r#"{"seq":1,"cycles":20,"thread":0,"event":"ecall_enter"}"#,
+                "\n",
+                r#"{"seq":2,"cycles":30,"thread":0,"event":"ecall_enter"}"#,
+                "\n"
+            )
+        );
+    }
+
     #[test]
     fn rendering_is_deterministic() {
         let build = || {

@@ -57,6 +57,21 @@ fn trace_stream_is_byte_identical_across_runs_and_jobs() {
     assert_eq!(sequential, sweep_jsonl(8), "parallelism drift");
 }
 
+/// The rendered sweep trace is pinned byte for byte: its length and
+/// FNV-1a digest, recorded before the JSONL framing moved into
+/// `trace::log`, so any change to a rendered byte fails here.
+#[test]
+fn trace_stream_bytes_are_pinned() {
+    let text = sweep_jsonl(1);
+    let mut h = faults::Fnv::default();
+    h.str(&text);
+    assert_eq!(
+        (text.len(), h.finish()),
+        (28_447, 0x388a_d614_eaf0_75e5),
+        "the rendered trace bytes changed"
+    );
+}
+
 /// Tracing observes the simulation without perturbing it: cycle counts
 /// and outputs match an untraced run exactly.
 #[test]
@@ -148,10 +163,11 @@ fn failing_nested_phase_propagates_its_error_and_closes_every_span() {
         if let Some(sink) = sink {
             assert_eq!(sink.finish(), Ok(()), "a span was left open");
             let ends = sink
-                .boundary_records()
+                .records()
                 .filter(|r| matches!(r.event, TraceEvent::PhaseEnd { .. }))
                 .count();
             assert_eq!(ends, 2, "both spans emit their end");
+            assert_eq!(sink.phase_attribution().len(), 2, "one row per span");
         }
     }
 }
