@@ -41,6 +41,8 @@ fn main() {
         .tracing(TraceConfig::default())
         .run_once(btree.as_ref(), ExecMode::Native, InputSetting::Low)
         .expect("traced run");
+    let sink = traced.trace.as_ref().expect("traced run carries its sink");
+    let timeline = sink.timeline();
 
     println!(
         "untraced {} cycles | traced {} cycles | golden {}",
@@ -50,8 +52,8 @@ fn main() {
     );
     println!(
         "traced run: {} timeline points, {} phase rows",
-        traced.timeline.len(),
-        traced.phases.len()
+        timeline.len(),
+        sink.phase_attribution().len()
     );
 
     assert_eq!(
@@ -69,11 +71,11 @@ fn main() {
         untraced.runtime_cycles
     );
     assert!(
-        !traced.timeline.is_empty(),
+        !timeline.is_empty(),
         "traced run produced no timeline points"
     );
     assert!(
-        traced.phases.iter().any(|p| p.phase == "run"),
+        sink.phase_attribution().iter().any(|p| p.phase == "run"),
         "traced run lost its implicit `run` span"
     );
     println!("PASS: zero-cost contract holds (drift {drift} cycles, bound 2%)");

@@ -24,6 +24,7 @@
 
 pub mod paper;
 
+use sgxgauge_core::io;
 use sgxgauge_core::report::ReportTable;
 use sgxgauge_core::{EnvConfig, ExecMode, Runner, RunnerConfig};
 use std::fmt::Display;
@@ -98,7 +99,7 @@ pub fn banner(id: &str, paper_claim: &str) {
 pub fn emit(id: &str, table: &ReportTable) {
     println!("{table}");
     let path = results_dir().join(format!("{id}.csv"));
-    match table.write_csv(&path) {
+    match io::write_atomic_with(&io::RealFs, &path, &table.render()) {
         Ok(()) => println!("[csv] {}", path.display()),
         Err(e) => eprintln!("[csv] failed to write {}: {e}", path.display()),
     }

@@ -348,8 +348,6 @@ impl GridCheckpoint {
             // particular are never persisted — re-trace to get one.
             driver: DriverStats::new(),
             libos_startup: None,
-            timeline: Vec::new(),
-            phases: Vec::new(),
             trace: None,
             clock_hz,
             output: WorkloadOutput {

@@ -1,12 +1,10 @@
 //! Report generation: the paper's ratio tables and CSV emission.
 
-use crate::io;
 use crate::modes::{ExecMode, InputSetting};
 use crate::runner::RunReport;
 use crate::sweep::SweepReport;
 use gauge_stats::{geomean, ratio, Summary};
 use std::fmt;
-use std::path::Path;
 
 /// The counter ratios the paper tabulates (Table 4 columns).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -268,16 +266,6 @@ impl ReportTable {
         self.rows.push(cells);
     }
 
-    /// Writes the table as CSV to `path`, creating parent directories,
-    /// through the atomic, durable [`io::write_atomic_with`] publish.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures.
-    pub fn write_csv(&self, path: &Path) -> std::io::Result<()> {
-        io::write_atomic_with(&io::RealFs, path, &self.render()).map_err(std::io::Error::other)
-    }
-
     /// Renders the table as CSV text: a header line, then one line per row.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -381,8 +369,6 @@ mod tests {
             libos_startup: None,
             clock_hz: 3_800_000_000,
             output: WorkloadOutput::default(),
-            timeline: Vec::new(),
-            phases: Vec::new(),
             trace: None,
         }
     }
@@ -415,12 +401,7 @@ mod tests {
         t.push_row(vec!["1".into(), "2".into()]);
         let s = t.to_string();
         assert!(s.contains("Demo") && s.contains('1'));
-        let dir = std::env::temp_dir().join("sgxgauge-test-report");
-        let path = dir.join("t.csv");
-        t.write_csv(&path).unwrap();
-        let content = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(content, "a,b\n1,2\n");
-        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(t.render(), "a,b\n1,2\n");
     }
 
     #[test]

@@ -81,14 +81,10 @@ pub struct RunReport {
     pub clock_hz: u64,
     /// The workload's output (ops, checksum, metrics).
     pub output: WorkloadOutput,
-    /// Phase-resolved counter timeline: one snapshot per periodic sample
-    /// and per phase boundary. Empty unless the run was traced.
-    pub timeline: Vec<trace::TimelinePoint>,
-    /// Per-phase cycle attribution (app vs transition vs paging vs MEE).
-    /// Empty unless the run was traced.
-    pub phases: Vec<trace::PhaseAttribution>,
-    /// The raw trace stream, for JSONL export. `None` unless the run was
-    /// traced. Not persisted by checkpoints.
+    /// The trace of the run: its event stream (JSONL export), counter
+    /// timeline ([`trace::TraceSink::timeline`]) and per-phase cycle
+    /// attribution ([`trace::TraceSink::phase_attribution`]). `None`
+    /// unless the run was traced. Not persisted by checkpoints.
     pub trace: Option<trace::TraceSink>,
 }
 
@@ -158,9 +154,9 @@ impl Runner {
         }
     }
 
-    /// Installs a trace sink into every run: the report's `timeline`,
-    /// `phases` and `trace` fields are filled, and the whole measured
-    /// region executes inside an implicit `"run"` phase span.
+    /// Installs a trace sink into every run: the report's `trace` field
+    /// is filled, and the whole measured region executes inside an
+    /// implicit `"run"` phase span.
     #[must_use]
     pub fn tracing(mut self, cfg: TraceConfig) -> Self {
         self.trace = Some(cfg);
@@ -302,7 +298,7 @@ impl Runner {
         } else {
             execute(&mut env)?
         };
-        let (timeline, phases, trace_sink) = if self.trace.is_some() {
+        let trace_sink = if self.trace.is_some() {
             let sink = env
                 .machine_mut()
                 .mem_mut()
@@ -311,9 +307,9 @@ impl Runner {
             // `sgx_sim::with_phase`, the only way to open a span,
             // closes each one; a span still open is a typed error.
             sink.finish()?;
-            (sink.timeline(), sink.phase_attribution(), Some(sink))
+            Some(sink)
         } else {
-            (Vec::new(), Vec::new(), None)
+            None
         };
         Ok(RunReport {
             workload: workload.name(),
@@ -326,8 +322,6 @@ impl Runner {
             libos_startup,
             clock_hz: mem_sim::CLOCK_HZ,
             output,
-            timeline,
-            phases,
             trace: trace_sink,
         })
     }

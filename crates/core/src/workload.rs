@@ -47,27 +47,6 @@ pub enum ErrorClass {
     Fatal,
 }
 
-impl fmt::Display for ErrorClass {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            ErrorClass::Transient => "transient",
-            ErrorClass::Fatal => "fatal",
-        })
-    }
-}
-
-impl std::str::FromStr for ErrorClass {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "transient" => Ok(ErrorClass::Transient),
-            "fatal" => Ok(ErrorClass::Fatal),
-            other => Err(format!("unknown error class `{other}`")),
-        }
-    }
-}
-
 /// Errors surfaced by workloads and the environment.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WorkloadError {
@@ -304,14 +283,5 @@ mod tests {
         for (err, class) in cases {
             assert_eq!(err.class(), class, "{err}");
         }
-    }
-
-    #[test]
-    fn error_class_display_round_trips() {
-        for class in [ErrorClass::Transient, ErrorClass::Fatal] {
-            let shown = class.to_string();
-            assert_eq!(shown.parse::<ErrorClass>().unwrap(), class);
-        }
-        assert!("flaky".parse::<ErrorClass>().is_err());
     }
 }

@@ -22,14 +22,11 @@ fn push_snap(out: &mut String, snap: &CounterSnapshot) {
 }
 
 impl TraceSink {
-    /// Renders one record as a single JSON object (no trailing newline).
-    pub fn json_line(&self, r: &TraceRecord) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"seq\":{},\"cycles\":{},\"thread\":{},\"event\":",
-            r.seq, r.cycles, r.thread
-        );
+    /// Appends a record's fields after the line prefix:
+    /// `"thread":t,"event":…`, phase names resolved from the intern
+    /// table.
+    fn write_fields(&self, out: &mut String, r: &TraceRecord) {
+        let _ = write!(out, "\"thread\":{},\"event\":", r.thread);
         match r.event {
             TraceEvent::EcallEnter => out.push_str("\"ecall_enter\""),
             TraceEvent::EcallExit => out.push_str("\"ecall_exit\""),
@@ -60,7 +57,7 @@ impl TraceSink {
                     "\"phase_begin\",\"phase\":\"{}\",\"snap\":",
                     escape(self.phase_name(id))
                 );
-                push_snap(&mut out, &snap);
+                push_snap(out, &snap);
             }
             TraceEvent::PhaseEnd { id, snap } => {
                 let _ = write!(
@@ -68,33 +65,27 @@ impl TraceSink {
                     "\"phase_end\",\"phase\":\"{}\",\"snap\":",
                     escape(self.phase_name(id))
                 );
-                push_snap(&mut out, &snap);
+                push_snap(out, &snap);
             }
             TraceEvent::Sample { snap } => {
                 out.push_str("\"sample\",\"snap\":");
-                push_snap(&mut out, &snap);
+                push_snap(out, &snap);
             }
         }
-        out.push('}');
-        out
     }
 
-    /// Renders the whole retained stream as JSONL: a header line with
-    /// drop accounting, then one line per record, oldest first.
+    /// Renders the whole retained stream as JSONL through the shared
+    /// framing: a header line with drop accounting, then one line per
+    /// record, oldest first, each under its own emission `seq`.
     pub fn render_jsonl(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{{\"trace\":\"sgxgauge\",\"records\":{},\"dropped\":{},\"emitted\":{}}}",
+        crate::log::render_jsonl(
+            "sgxgauge",
             self.len(),
-            self.dropped(),
-            self.emitted()
-        );
-        for r in self.records() {
-            out.push_str(&self.json_line(r));
-            out.push('\n');
-        }
-        out
+            &[("dropped", self.dropped()), ("emitted", self.emitted())],
+            "cycles",
+            self.records().map(|r| (r.seq, r.cycles, r)),
+            |out, r| self.write_fields(out, r),
+        )
     }
 }
 
@@ -124,71 +115,21 @@ mod tests {
     use super::*;
     use crate::event::InjectedKind;
 
-    #[test]
-    fn lines_are_stable_and_self_describing() {
-        let mut s = TraceSink::with_config(16, 0);
-        s.emit(42, 1, TraceEvent::EcallEnter);
-        s.emit(
-            99,
-            0,
-            TraceEvent::EpcFault {
-                loadback: true,
-                evicted: 16,
-                resident_pages: 23_552,
-            },
-        );
-        s.emit(
-            120,
-            0,
-            TraceEvent::FaultInjected {
-                kind: InjectedKind::EpcSpike,
-            },
-        );
-        let text = s.render_jsonl();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 4, "header + 3 records");
-        assert_eq!(
-            lines[0],
-            "{\"trace\":\"sgxgauge\",\"records\":3,\"dropped\":0,\"emitted\":3}"
-        );
-        assert_eq!(
-            lines[1],
-            "{\"seq\":0,\"cycles\":42,\"thread\":1,\"event\":\"ecall_enter\"}"
-        );
-        assert!(lines[2].contains("\"loadback\":true"));
-        assert!(lines[2].contains("\"resident_pages\":23552"));
-        assert!(lines[3].contains("\"kind\":\"epc_spike\""));
-    }
-
-    /// A snapshot whose every field is distinct and non-zero, and the
-    /// object it renders as.
-    const SNAP: CounterSnapshot = CounterSnapshot {
-        resident_pages: 1,
-        epc_faults: 2,
-        epc_allocs: 3,
-        epc_evictions: 4,
-        epc_loadbacks: 5,
-        ecalls: 6,
-        ocalls: 7,
-        aex_exits: 8,
-        dtlb_misses: 9,
-        llc_misses: 10,
-        page_faults: 11,
-        compute_cycles: 12,
-        stall_cycles: 13,
-        walk_cycles: 14,
-        mee_cycles: 15,
-        transition_cycles: 16,
-        fault_cycles: 17,
-    };
+    /// The object a snapshot with `resident_pages` 1024 and `fault_cycles`
+    /// 7 renders as: every field, in `fields()` order.
     macro_rules! snap_json {
         () => {
-            r#"{"resident_pages":1,"epc_faults":2,"epc_allocs":3,"epc_evictions":4,"epc_loadbacks":5,"ecalls":6,"ocalls":7,"aex_exits":8,"dtlb_misses":9,"llc_misses":10,"page_faults":11,"compute_cycles":12,"stall_cycles":13,"walk_cycles":14,"mee_cycles":15,"transition_cycles":16,"fault_cycles":17}"#
+            r#"{"resident_pages":1024,"epc_faults":0,"epc_allocs":0,"epc_evictions":0,"epc_loadbacks":0,"ecalls":0,"ocalls":0,"aex_exits":0,"dtlb_misses":0,"llc_misses":0,"page_faults":0,"compute_cycles":0,"stall_cycles":0,"walk_cycles":0,"mee_cycles":0,"transition_cycles":0,"fault_cycles":7}"#
         };
     }
 
     #[test]
     fn every_event_renders_its_pinned_line() {
+        let snap = CounterSnapshot {
+            resident_pages: 1_024,
+            fault_cycles: 7,
+            ..CounterSnapshot::default()
+        };
         let mut s = TraceSink::with_config(32, 0);
         s.emit(1, 0, TraceEvent::EcallEnter);
         s.emit(2, 0, TraceEvent::EcallExit);
@@ -200,7 +141,7 @@ mod tests {
             7,
             0,
             TraceEvent::EpcFault {
-                loadback: false,
+                loadback: true,
                 evicted: 16,
                 resident_pages: 1_024,
             },
@@ -213,9 +154,9 @@ mod tests {
         ] {
             s.emit(9, 0, TraceEvent::FaultInjected { kind });
         }
-        s.begin_phase("build", 10, 3, SNAP);
-        s.emit(11, 3, TraceEvent::Sample { snap: SNAP });
-        s.end_phase("build", 12, 3, SNAP).unwrap();
+        s.begin_phase("a\"b", 10, 3, snap);
+        s.emit(11, 3, TraceEvent::Sample { snap });
+        s.end_phase("a\"b", 12, 3, snap).unwrap();
         let expected = [
             r#"{"trace":"sgxgauge","records":14,"dropped":0,"emitted":14}"#,
             r#"{"seq":0,"cycles":1,"thread":0,"event":"ecall_enter"}"#,
@@ -224,13 +165,13 @@ mod tests {
             r#"{"seq":3,"cycles":4,"thread":1,"event":"ocall","switchless":true}"#,
             r#"{"seq":4,"cycles":5,"thread":0,"event":"aex","injected":false}"#,
             r#"{"seq":5,"cycles":6,"thread":0,"event":"aex","injected":true}"#,
-            r#"{"seq":6,"cycles":7,"thread":0,"event":"epc_fault","loadback":false,"evicted":16,"resident_pages":1024}"#,
+            r#"{"seq":6,"cycles":7,"thread":0,"event":"epc_fault","loadback":true,"evicted":16,"resident_pages":1024}"#,
             r#"{"seq":7,"cycles":8,"thread":2,"event":"shim_syscall"}"#,
             r#"{"seq":8,"cycles":9,"thread":0,"event":"fault_injected","kind":"aex"}"#,
             r#"{"seq":9,"cycles":9,"thread":0,"event":"fault_injected","kind":"epc_spike"}"#,
             r#"{"seq":10,"cycles":9,"thread":0,"event":"fault_injected","kind":"epc_release"}"#,
             concat!(
-                r#"{"seq":11,"cycles":10,"thread":3,"event":"phase_begin","phase":"build","snap":"#,
+                r#"{"seq":11,"cycles":10,"thread":3,"event":"phase_begin","phase":"a\"b","snap":"#,
                 snap_json!(),
                 "}"
             ),
@@ -240,7 +181,7 @@ mod tests {
                 "}"
             ),
             concat!(
-                r#"{"seq":13,"cycles":12,"thread":3,"event":"phase_end","phase":"build","snap":"#,
+                r#"{"seq":13,"cycles":12,"thread":3,"event":"phase_end","phase":"a\"b","snap":"#,
                 snap_json!(),
                 "}"
             ),
@@ -267,28 +208,5 @@ mod tests {
                 "\n"
             )
         );
-    }
-
-    #[test]
-    fn rendering_is_deterministic() {
-        let build = || {
-            let mut s = TraceSink::with_config(8, 0);
-            for i in 0..12u64 {
-                s.emit(i * 7, 0, TraceEvent::Ocall { switchless: false });
-            }
-            s.begin_phase("p", 100, 0, CounterSnapshot::default());
-            s.end_phase("p", 200, 0, CounterSnapshot::default())
-                .unwrap();
-            s.render_jsonl()
-        };
-        assert_eq!(build(), build());
-    }
-
-    #[test]
-    fn phase_names_are_escaped() {
-        let mut s = TraceSink::with_config(8, 0);
-        s.begin_phase("a\"b", 1, 0, CounterSnapshot::default());
-        let text = s.render_jsonl();
-        assert!(text.contains("a\\\"b"));
     }
 }

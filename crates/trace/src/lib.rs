@@ -14,9 +14,9 @@
 //!   the *simulated* thread clock, with drop accounting and deterministic
 //!   ordering (events are appended in program order of the owning cell,
 //!   so traces are identical run-to-run and independent of `--jobs`),
-//! * [`timeline`]/[`phase_attribution`](TraceSink::phase_attribution) —
-//!   analysis passes turning a record stream into a Fig-7-style counter
-//!   timeline and a per-phase cycle-attribution breakdown.
+//! * [`timeline`](TraceSink::timeline)/[`phase_attribution`](TraceSink::phase_attribution) —
+//!   a Fig-7-style counter timeline of the retained records and a
+//!   per-phase cycle-attribution breakdown built as each span closes.
 //!
 //! # Zero cost when disabled
 //!
@@ -55,4 +55,4 @@ pub use campaign::{BreakerState, CampaignEvent, CampaignLog, ShedReason};
 pub use event::{CounterSnapshot, InjectedKind, PhaseId, TraceEvent, TraceRecord};
 pub use log::{EventLog, LogEvent};
 pub use sink::{TraceError, TraceSink, DEFAULT_CAPACITY, DEFAULT_SAMPLE_INTERVAL};
-pub use timeline::{timeline, PhaseAttribution, TimelinePoint};
+pub use timeline::{PhaseAttribution, TimelinePoint};

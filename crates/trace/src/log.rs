@@ -1,12 +1,37 @@
-//! One ordered, clock-stamped event log, used by the campaign
-//! supervisor ([`crate::CampaignLog`]).
-//!
-//! Each event type names its stream and its clock key; the log renders
-//! JSONL with fixed key order: a `{"trace":<tag>,"records":N}` header,
-//! then `{"seq":i,<clock key>:t,"event":…}` per event, so identical
-//! event streams render byte-identical artifacts.
+//! The one JSONL framing of the trace plane ([`render_jsonl`]: fixed
+//! key order, so identical event streams render byte-identical
+//! artifacts), and the ordered, clock-stamped event log of the campaign
+//! supervisor ([`crate::CampaignLog`]). [`EventLog`] and
+//! [`crate::TraceSink`] differ only in the fields each line carries
+//! after the framing's prefix.
 
 use std::fmt::Write as _;
+
+/// Renders a JSONL log: the header `{"trace":<trace>,"records":<len>`,
+/// then each `extras` field, then `}`; then, per `(seq, clock, record)`,
+/// the prefix `{"seq":seq,"<clock_key>":clock,`, the record's own fields
+/// (from `write_fields`) and `}`. Every line ends in a newline.
+pub(crate) fn render_jsonl<R>(
+    trace: &str,
+    len: usize,
+    extras: &[(&str, u64)],
+    clock_key: &str,
+    records: impl Iterator<Item = (u64, u64, R)>,
+    mut write_fields: impl FnMut(&mut String, R),
+) -> String {
+    let mut out = String::new();
+    let _ = write!(out, "{{\"trace\":\"{trace}\",\"records\":{len}");
+    for (key, value) in extras {
+        let _ = write!(out, ",\"{key}\":{value}");
+    }
+    out.push_str("}\n");
+    for (seq, clock, record) in records {
+        let _ = write!(out, "{{\"seq\":{seq},\"{clock_key}\":{clock},");
+        write_fields(&mut out, record);
+        out.push_str("}\n");
+    }
+    out
+}
 
 /// An event type an [`EventLog`] can render.
 pub trait LogEvent {
@@ -15,22 +40,9 @@ pub trait LogEvent {
     /// The key the per-event clock stamp is rendered under.
     const CLOCK_KEY: &'static str;
 
-    /// Appends the event's name and fields after `"event":`, e.g.
-    /// `"probe","cell":"…","ok":true`.
+    /// Appends the event's fields after the line prefix, starting with
+    /// its name, e.g. `"event":"probe","cell":"…","ok":true`.
     fn write_fields(&self, out: &mut String);
-
-    /// Renders the event as one JSON object (no trailing newline).
-    fn json_line(&self, seq: u64, at_cycles: u64) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"seq\":{seq},\"{}\":{at_cycles},\"event\":",
-            Self::CLOCK_KEY
-        );
-        self.write_fields(&mut out);
-        out.push('}');
-        out
-    }
 }
 
 /// An ordered log: every event with the simulated cycle stamp at which
@@ -75,19 +87,17 @@ impl<E> EventLog<E> {
 
 impl<E: LogEvent> EventLog<E> {
     /// Renders the log as JSONL: a header line, then one line per event
-    /// in recording order.
+    /// in recording order, numbered from 0.
     pub fn render_jsonl(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{{\"trace\":\"{}\",\"records\":{}}}",
+        render_jsonl(
             E::TRACE,
-            self.events.len()
-        );
-        for (seq, (cycles, event)) in self.events.iter().enumerate() {
-            out.push_str(&event.json_line(seq as u64, *cycles));
-            out.push('\n');
-        }
-        out
+            self.events.len(),
+            &[],
+            E::CLOCK_KEY,
+            (0u64..)
+                .zip(&self.events)
+                .map(|(seq, (at, e))| (seq, *at, e)),
+            |out, event| event.write_fields(out),
+        )
     }
 }

@@ -1,6 +1,7 @@
 //! The bounded ring-buffer sink.
 
 use crate::event::{CounterSnapshot, PhaseId, TraceEvent, TraceRecord};
+use crate::timeline::PhaseAttribution;
 use std::error::Error;
 use std::fmt;
 
@@ -70,14 +71,13 @@ pub struct TraceSink {
     sample_interval: u64,
     next_sample: u64,
     phases: Vec<String>,
-    stack: Vec<PhaseId>,
-    /// Phase-boundary records, duplicated outside the ring: spans are
-    /// few (workload-declared) but their begin records are emitted
-    /// first, making them the first casualties of ring overwrite — and
-    /// losing a begin record silently erases the whole span from the
-    /// attribution. Keeping boundaries aside makes `phase_attribution`
-    /// immune to overflow by bulk events.
-    boundaries: Vec<TraceRecord>,
+    /// Open spans, innermost last: each span's id, begin clock and
+    /// begin snapshot.
+    stack: Vec<(PhaseId, u64, CounterSnapshot)>,
+    /// One attribution row per closed span, in closing order. Built at
+    /// span close rather than from the ring, so bulk events that
+    /// overwrite a span's begin record cannot erase its row.
+    rows: Vec<PhaseAttribution>,
 }
 
 impl Default for TraceSink {
@@ -108,7 +108,7 @@ impl TraceSink {
             next_sample: sample_interval,
             phases: Vec::new(),
             stack: Vec::new(),
-            boundaries: Vec::new(),
+            rows: Vec::new(),
         }
     }
 
@@ -124,12 +124,6 @@ impl TraceSink {
             event,
         };
         self.seq += 1;
-        if matches!(
-            event,
-            TraceEvent::PhaseBegin { .. } | TraceEvent::PhaseEnd { .. }
-        ) {
-            self.boundaries.push(record);
-        }
         if self.records.len() < self.capacity {
             self.records.push(record);
         } else {
@@ -181,12 +175,13 @@ impl TraceSink {
         snap: CounterSnapshot,
     ) -> PhaseId {
         let id = self.intern(name);
-        self.stack.push(id);
+        self.stack.push((id, cycles, snap));
         self.emit(cycles, thread, TraceEvent::PhaseBegin { id, snap });
         id
     }
 
-    /// Closes the innermost phase span, which must be named `name`.
+    /// Closes the innermost phase span, which must be named `name`, and
+    /// appends its [`PhaseAttribution`] row.
     ///
     /// # Errors
     ///
@@ -200,7 +195,7 @@ impl TraceSink {
         thread: u32,
         snap: CounterSnapshot,
     ) -> Result<(), TraceError> {
-        let Some(&top) = self.stack.last() else {
+        let Some(&(top, start_cycles, start)) = self.stack.last() else {
             return Err(TraceError::NoOpenPhase { found: name.into() });
         };
         if self.phases[top.0 as usize] != name {
@@ -211,6 +206,8 @@ impl TraceSink {
         }
         self.stack.pop();
         self.emit(cycles, thread, TraceEvent::PhaseEnd { id: top, snap });
+        let row = PhaseAttribution::of_span(name, start_cycles, &start, cycles, &snap);
+        self.rows.push(row);
         Ok(())
     }
 
@@ -222,7 +219,7 @@ impl TraceSink {
     pub fn finish(&self) -> Result<(), TraceError> {
         match self.stack.last() {
             None => Ok(()),
-            Some(&id) => Err(TraceError::UnclosedPhase {
+            Some(&(id, _, _)) => Err(TraceError::UnclosedPhase {
                 phase: self.phases[id.0 as usize].clone(),
             }),
         }
@@ -241,14 +238,13 @@ impl TraceSink {
         &self.phases[id.0 as usize]
     }
 
-    /// Phase-boundary records in emission order. Unlike [`records`]
-    /// (the bounded ring), boundaries are never lost to overwrite, so
-    /// per-phase attribution survives traces that overflow on bulk
-    /// events.
-    ///
-    /// [`records`]: TraceSink::records
-    pub fn boundary_records(&self) -> impl Iterator<Item = &TraceRecord> {
-        self.boundaries.iter()
+    /// The per-phase cycle attribution: one row per closed span, in
+    /// closing order (an inner span's row precedes its parent's). Rows
+    /// are kept outside the ring, so they survive traces whose bulk
+    /// events overflowed it. Nested spans each get their own row, with
+    /// inner cycles counted in both (spans, not a partition).
+    pub fn phase_attribution(&self) -> &[PhaseAttribution] {
+        &self.rows
     }
 
     /// Number of records currently held (≤ capacity).

@@ -1,6 +1,6 @@
 //! Analysis passes: counter timelines and per-phase cycle attribution.
 
-use crate::event::{CounterSnapshot, TraceEvent, TraceRecord};
+use crate::event::{CounterSnapshot, TraceEvent};
 use crate::sink::TraceSink;
 
 /// One point of a counter timeline: the snapshot carried by a periodic
@@ -11,23 +11,6 @@ pub struct TimelinePoint {
     pub cycles: u64,
     /// Cumulative counter state at that instant.
     pub snap: CounterSnapshot,
-}
-
-/// Extracts the counter timeline from a record stream: every record that
-/// carries a snapshot (periodic samples and phase boundaries), in
-/// emission order.
-pub fn timeline<'a>(records: impl Iterator<Item = &'a TraceRecord>) -> Vec<TimelinePoint> {
-    records
-        .filter_map(|r| match r.event {
-            TraceEvent::Sample { snap }
-            | TraceEvent::PhaseBegin { snap, .. }
-            | TraceEvent::PhaseEnd { snap, .. } => Some(TimelinePoint {
-                cycles: r.cycles,
-                snap,
-            }),
-            _ => None,
-        })
-        .collect()
 }
 
 /// Cycle attribution of one workload-declared phase: where the span's
@@ -49,15 +32,35 @@ pub struct PhaseAttribution {
     pub paging_cycles: u64,
     /// MEE premium: extra DRAM stall cycles paid for encrypted memory.
     pub mee_cycles: u64,
-    /// Retry-backoff cycles charged against this span. Backoff happens
-    /// at the sweep layer between attempts, so this is zero for inner
-    /// phases and only populated on a whole-run row by the sweep.
-    pub backoff_cycles: u64,
     /// EPC faults taken inside the span.
     pub epc_faults: u64,
 }
 
 impl PhaseAttribution {
+    /// The row of span `phase`, opened at `start_cycles` with counters
+    /// `start` and closed at `end_cycles` with counters `end`.
+    pub(crate) fn of_span(
+        phase: &str,
+        start_cycles: u64,
+        start: &CounterSnapshot,
+        end_cycles: u64,
+        end: &CounterSnapshot,
+    ) -> Self {
+        let d = end.delta(start);
+        let total = end_cycles.saturating_sub(start_cycles);
+        let overhead = d.transition_cycles + d.fault_cycles + d.mee_cycles;
+        PhaseAttribution {
+            phase: phase.to_owned(),
+            start_cycles,
+            end_cycles,
+            app_cycles: total.saturating_sub(overhead),
+            transition_cycles: d.transition_cycles,
+            paging_cycles: d.fault_cycles,
+            mee_cycles: d.mee_cycles,
+            epc_faults: d.epc_faults,
+        }
+    }
+
     /// Total span length in cycles.
     pub fn total_cycles(&self) -> u64 {
         self.end_cycles.saturating_sub(self.start_cycles)
@@ -65,47 +68,21 @@ impl PhaseAttribution {
 }
 
 impl TraceSink {
-    /// The counter timeline of the retained records (see [`timeline`]).
+    /// The counter timeline of the retained records: every record that
+    /// carries a snapshot (periodic samples and phase boundaries), in
+    /// emission order.
     pub fn timeline(&self) -> Vec<TimelinePoint> {
-        timeline(self.records())
-    }
-
-    /// Derives the per-phase cycle-attribution breakdown from the phase
-    /// boundary snapshots, which are retained outside the ring — so the
-    /// breakdown survives traces whose bulk events overflowed it.
-    /// Nested spans each get their own row, with inner cycles counted
-    /// in both (spans, not a partition).
-    pub fn phase_attribution(&self) -> Vec<PhaseAttribution> {
-        let mut open: Vec<(u32, u64, CounterSnapshot)> = Vec::new();
-        let mut out = Vec::new();
-        for r in self.boundary_records() {
-            match r.event {
-                TraceEvent::PhaseBegin { id, snap } => open.push((id.0, r.cycles, snap)),
-                TraceEvent::PhaseEnd { id, snap } => {
-                    let Some(pos) = open.iter().rposition(|&(open_id, _, _)| open_id == id.0)
-                    else {
-                        continue; // unmatched end; the sink rejects these
-                    };
-                    let (_, start_cycles, start) = open.remove(pos);
-                    let d = snap.delta(&start);
-                    let total = r.cycles.saturating_sub(start_cycles);
-                    let overhead = d.transition_cycles + d.fault_cycles + d.mee_cycles;
-                    out.push(PhaseAttribution {
-                        phase: self.phase_name(crate::PhaseId(id.0)).to_owned(),
-                        start_cycles,
-                        end_cycles: r.cycles,
-                        app_cycles: total.saturating_sub(overhead),
-                        transition_cycles: d.transition_cycles,
-                        paging_cycles: d.fault_cycles,
-                        mee_cycles: d.mee_cycles,
-                        backoff_cycles: 0,
-                        epc_faults: d.epc_faults,
-                    });
-                }
-                _ => {}
-            }
-        }
-        out
+        self.records()
+            .filter_map(|r| match r.event {
+                TraceEvent::Sample { snap }
+                | TraceEvent::PhaseBegin { snap, .. }
+                | TraceEvent::PhaseEnd { snap, .. } => Some(TimelinePoint {
+                    cycles: r.cycles,
+                    snap,
+                }),
+                _ => None,
+            })
+            .collect()
     }
 }
 
@@ -157,7 +134,6 @@ mod tests {
         assert_eq!(row.mee_cycles, 100);
         assert_eq!(row.epc_faults, 7);
         assert_eq!(row.app_cycles, 1_000 - 100 - 300 - 100);
-        assert_eq!(row.backoff_cycles, 0);
     }
 
     #[test]

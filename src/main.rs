@@ -20,6 +20,7 @@ use sgxgauge::faults::{FaultPlan, IoFaultPlan};
 use sgxgauge::mem::PAGE_SIZE;
 use sgxgauge::sgx::{Host, SgxConfig, TenantId, TenantOp, TenantReport, TenantSpec};
 use sgxgauge::stats::BarChart;
+use sgxgauge::trace::TimelinePoint;
 use sgxgauge::workloads::{suite, suite_scaled};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -491,6 +492,7 @@ fn cmd_trace(name: &str, flags: &BTreeMap<String, String>, scale: u64) -> Result
         .trace
         .as_ref()
         .ok_or("run produced no trace (internal error)")?;
+    let timeline = sink.timeline();
 
     println!(
         "workload : {} | mode {} | setting {}",
@@ -507,7 +509,7 @@ fn cmd_trace(name: &str, flags: &BTreeMap<String, String>, scale: u64) -> Result
         humanize(sink.len() as u64),
         humanize(sink.emitted()),
         humanize(sink.dropped()),
-        r.timeline.len()
+        timeline.len()
     );
     let mut table = ReportTable::new(
         "Per-phase cycle attribution",
@@ -521,7 +523,7 @@ fn cmd_trace(name: &str, flags: &BTreeMap<String, String>, scale: u64) -> Result
             "epc_faults",
         ],
     );
-    for p in &r.phases {
+    for p in sink.phase_attribution() {
         table.push_row(vec![
             p.phase.clone(),
             humanize(p.total_cycles()),
@@ -542,7 +544,7 @@ fn cmd_trace(name: &str, flags: &BTreeMap<String, String>, scale: u64) -> Result
             .map(str::to_ascii_lowercase);
         let body = match ext.as_deref() {
             Some("jsonl") => sink.render_jsonl(),
-            Some("csv") => timeline_table(r).render(),
+            Some("csv") => timeline_table(r, &timeline).render(),
             _ => {
                 return Err(format!(
                     "--out `{out}`: use a .jsonl (event stream) or .csv (timeline) extension"
@@ -556,16 +558,16 @@ fn cmd_trace(name: &str, flags: &BTreeMap<String, String>, scale: u64) -> Result
 }
 
 /// The sampled counter timeline of a traced report as a CSV-ready table.
-fn timeline_table(r: &RunReport) -> ReportTable {
+fn timeline_table(r: &RunReport, timeline: &[TimelinePoint]) -> ReportTable {
     let mut headers = vec!["cycles"];
-    if let Some(first) = r.timeline.first() {
+    if let Some(first) = timeline.first() {
         headers.extend(first.snap.fields().map(|(name, _)| name));
     }
     let mut table = ReportTable::new(
         &format!("{} {} {} counter timeline", r.workload, r.mode, r.setting),
         &headers,
     );
-    for point in &r.timeline {
+    for point in timeline {
         let mut row = vec![point.cycles.to_string()];
         row.extend(point.snap.fields().map(|(_, v)| v.to_string()));
         table.push_row(row);

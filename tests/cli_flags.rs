@@ -119,6 +119,10 @@ fn ci_trace_cotenancy_and_campaign_flag_sets_are_accepted() {
          --out {tmp}/cli-trace.jsonl",
     );
     assert_runs(
+        "trace lighttpd --mode libos --setting low --scale 64 --pf --switchless 2 \
+         --faults seed=3,aex=2@50000 --jobs 1 --out {tmp}/cli-trace-lh.jsonl",
+    );
+    assert_runs(
         "cotenancy --tenants 4 --jobs 1 --out {tmp}/cli-cot.csv \
          --timeline {tmp}/cli-cot.jsonl",
     );
