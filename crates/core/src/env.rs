@@ -233,8 +233,9 @@ enum FileEntry {
     /// PF-sealed blocks, each prefixed with its length.
     Sealed(Vec<u8>),
     /// Plaintext that is `len` bytes of region `region` from `off`: a
-    /// file written from a region shares the region's bytes until they
-    /// change, when [`Env::unshare`] makes it [`FileEntry::Plain`].
+    /// file written from a region, or read whole into one, shares the
+    /// region's bytes until they change, when [`Env::unshare`] makes it
+    /// [`FileEntry::Plain`].
     View {
         region: usize,
         off: usize,
@@ -1098,6 +1099,20 @@ impl Env {
         self.files.insert(name.to_owned(), FileEntry::Plain(data));
     }
 
+    /// Deletes a file from the host store (unmeasured, like
+    /// [`Env::put_file`]): a workload drops an input it has consumed, so
+    /// the host stops holding its bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`WorkloadError::FileNotFound`] when absent.
+    pub fn remove_file(&mut self, name: &str) -> Result<(), WorkloadError> {
+        match self.files.remove(name) {
+            Some(_) => Ok(()),
+            None => Err(WorkloadError::FileNotFound(name.to_owned())),
+        }
+    }
+
     /// Size of a file in bytes.
     ///
     /// # Errors
@@ -1170,7 +1185,10 @@ impl Env {
     }
 
     /// Reads a whole file through the mode's I/O path into `region` at
-    /// `off`; returns the plaintext byte count.
+    /// `off`; returns the plaintext byte count. A read that fills the
+    /// whole region moves the plaintext instead of copying it: an
+    /// unsealed PF plaintext becomes the region's bytes, and a plaintext
+    /// file hands its buffer to the region and views it from then on.
     ///
     /// # Errors
     ///
@@ -1191,15 +1209,36 @@ impl Env {
         };
         self.charge_io(len as u64, false, true)?;
         self.charge_access(region, off, len as u64, AccessKind::Write);
-        // Once unshared, `region` is no file's source, so it can be taken
-        // out while the file's bytes are borrowed from another region.
-        let mut dst = std::mem::take(self.bytes_mut(region));
-        let src = match &plain {
-            Some(p) => p,
-            None => self.files[name].bytes(&self.regions),
-        };
-        dst[off as usize..off as usize + len].copy_from_slice(src);
-        self.regions[region.0].data = dst;
+        if self.regions[region.0].viewed {
+            self.unshare(region);
+        }
+        // Once unshared, `region` is no file's source: a read that fills
+        // it hands it the plaintext's buffer, and otherwise its bytes can
+        // be taken out while the file's are borrowed from another region.
+        let off = off as usize;
+        let whole = off == 0 && len == self.regions[region.0].data.len();
+        let file = self.files.get_mut(name).expect("fetch_plain found it");
+        match plain {
+            Some(p) if whole => self.regions[region.0].data = p,
+            Some(p) => self.regions[region.0].data[off..off + len].copy_from_slice(&p),
+            None => match file {
+                FileEntry::Plain(data) if whole => {
+                    let r = &mut self.regions[region.0];
+                    r.data = std::mem::take(data);
+                    r.viewed = true;
+                    *file = FileEntry::View {
+                        region: region.0,
+                        off: 0,
+                        len,
+                    };
+                }
+                _ => {
+                    let mut dst = std::mem::take(&mut self.regions[region.0].data);
+                    dst[off..off + len].copy_from_slice(file.bytes(&self.regions));
+                    self.regions[region.0].data = dst;
+                }
+            },
+        }
         Ok(len as u64)
     }
 
@@ -1592,12 +1631,24 @@ mod tests {
         (e, r, bytes[100..3100].to_vec())
     }
 
+    /// A Vanilla env with a 4 KiB region `r` that took the buffer of
+    /// the file `out` by reading it whole.
+    fn adopted_file() -> (Env, Region, Vec<u8>) {
+        let mut e = env(ExecMode::Vanilla);
+        e.start_app().unwrap();
+        let r = e.alloc(4096, Placement::Untrusted).unwrap();
+        let bytes: Vec<u8> = (0..4096u32).map(|i| (i * 5) as u8).collect();
+        e.put_file("out", bytes.clone());
+        e.read_file_into("out", r, 0).unwrap();
+        (e, r, bytes)
+    }
+
     /// Every reader of `out` in `e` sees `old`.
     fn assert_file_holds(e: &mut Env, old: &[u8]) {
         assert_eq!(e.file_len("out").unwrap(), old.len() as u64);
         assert_eq!(e.file_raw("out").unwrap(), old);
         assert_eq!(e.read_file("out").unwrap(), old);
-        let dst = e.alloc(4096, Placement::Untrusted).unwrap();
+        let dst = e.alloc(old.len() as u64 + 8, Placement::Untrusted).unwrap();
         assert_eq!(e.read_file_into("out", dst, 8).unwrap(), old.len() as u64);
         let mut back = vec![0u8; old.len()];
         e.read_bytes(dst, 8, &mut back);
@@ -1606,14 +1657,17 @@ mod tests {
 
     #[test]
     fn file_written_from_a_region_keeps_its_bytes_through_every_region_write() {
-        for what in [
+        for (what, setup) in [
             "write_u64",
             "write_u32",
             "write_f64",
             "write_bytes",
             "read_file_into",
-        ] {
-            let (mut e, r, old) = viewed_file();
+        ]
+        .into_iter()
+        .flat_map(|what| [(what, viewed_file as fn() -> _), (what, adopted_file)])
+        {
+            let (mut e, r, old) = setup();
             assert!(matches!(e.files["out"], FileEntry::View { .. }), "{what}");
             match what {
                 "write_u64" => e.write_u64(r, 200, u64::MAX),
@@ -1630,12 +1684,14 @@ mod tests {
         }
         // A region's own file read back into it: the file keeps its bytes
         // and the region gets them back.
-        let (mut e, r, old) = viewed_file();
-        e.read_file_into("out", r, 0).unwrap();
-        assert_file_holds(&mut e, &old);
-        let mut back = vec![0u8; old.len()];
-        e.read_bytes(r, 0, &mut back);
-        assert_eq!(back, old);
+        for setup in [viewed_file, adopted_file] {
+            let (mut e, r, old) = setup();
+            e.read_file_into("out", r, 0).unwrap();
+            assert_file_holds(&mut e, &old);
+            let mut back = vec![0u8; old.len()];
+            e.read_bytes(r, 0, &mut back);
+            assert_eq!(back, old);
+        }
     }
 
     #[test]
@@ -1649,12 +1705,14 @@ mod tests {
 
     #[test]
     fn a_write_in_one_env_clone_leaves_the_other_clones_file_intact() {
-        let (mut a, r, old) = viewed_file();
-        let mut b = a.clone();
-        a.write_bytes(r, 0, &[0; 4096]);
-        assert_file_holds(&mut b, &old);
-        b.write_bytes(r, 0, &[1; 4096]);
-        assert_file_holds(&mut a, &old);
+        for setup in [viewed_file, adopted_file] {
+            let (mut a, r, old) = setup();
+            let mut b = a.clone();
+            a.write_bytes(r, 0, &[0; 4096]);
+            assert_file_holds(&mut b, &old);
+            b.write_bytes(r, 0, &[1; 4096]);
+            assert_file_holds(&mut a, &old);
+        }
     }
 
     #[test]
@@ -1712,5 +1770,122 @@ mod tests {
         let mut back = vec![0u8; old.len()];
         e.read_bytes(r, 100, &mut back);
         assert_eq!(back, old);
+    }
+
+    /// The bytes of `r` in `e`.
+    fn region_bytes(e: &mut Env, r: Region) -> Vec<u8> {
+        let mut back = vec![0u8; e.regions[r.0].data.len()];
+        e.read_bytes(r, 0, &mut back);
+        back
+    }
+
+    #[test]
+    fn a_whole_read_hands_the_file_buffer_to_the_region() {
+        let mut e = env(ExecMode::Vanilla);
+        e.start_app().unwrap();
+        let r = e.alloc(4096, Placement::Untrusted).unwrap();
+        let bytes: Vec<u8> = (0..4096u32).map(|i| (i * 3) as u8).collect();
+        e.put_file("in", bytes.clone());
+        let FileEntry::Plain(stored) = &e.files["in"] else {
+            panic!("put_file stores plaintext")
+        };
+        let buffer = stored.as_ptr();
+        assert_eq!(e.read_file_into("in", r, 0).unwrap(), 4096);
+        assert_eq!(e.regions[r.0].data.as_ptr(), buffer);
+        assert!(matches!(e.files["in"], FileEntry::View { .. }));
+        assert_eq!(region_bytes(&mut e, r), bytes);
+    }
+
+    #[test]
+    fn a_partial_read_copies_and_leaves_the_file_plain() {
+        let mut e = env(ExecMode::Vanilla);
+        e.start_app().unwrap();
+        let r = e.alloc(4096, Placement::Untrusted).unwrap();
+        let bytes: Vec<u8> = (0..4096u32).map(|i| (i * 3) as u8).collect();
+        // At an offset, and from offset 0 a file shorter than the region.
+        for (name, off, len) in [("at", 96, 4000), ("short", 0, 4000)] {
+            e.put_file(name, bytes[..len].to_vec());
+            assert_eq!(e.read_file_into(name, r, off as u64).unwrap(), len as u64);
+            assert!(matches!(e.files[name], FileEntry::Plain(_)), "{name}");
+            assert!(!e.regions[r.0].viewed, "{name}");
+            assert_eq!(
+                region_bytes(&mut e, r)[off..off + len],
+                bytes[..len],
+                "{name}"
+            );
+            assert_eq!(e.file_raw(name).unwrap(), &bytes[..len], "{name}");
+        }
+    }
+
+    #[test]
+    fn a_pf_whole_read_moves_the_plaintext_and_keeps_the_file_sealed() {
+        let mut e =
+            Env::new(EnvConfig::quick_test(ExecMode::LibOs).with_protected_files()).unwrap();
+        e.start_app().unwrap();
+        let src = e.alloc(8192, Placement::Protected).unwrap();
+        let plain: Vec<u8> = (0..8192u32).map(|i| (i % 251) as u8).collect();
+        e.write_bytes(src, 0, &plain);
+        e.write_file_from("secret", src, 0, 8192).unwrap();
+        let sealed = e.file_raw("secret").unwrap().to_vec();
+        let dst = e.alloc(8192, Placement::Protected).unwrap();
+        assert_eq!(e.read_file_into("secret", dst, 0).unwrap(), 8192);
+        assert!(matches!(e.files["secret"], FileEntry::Sealed(_)));
+        assert!(!e.regions[dst.0].viewed);
+        assert_eq!(region_bytes(&mut e, dst), plain);
+        e.write_bytes(dst, 0, &[0; 8192]);
+        assert_eq!(e.file_raw("secret").unwrap(), &sealed[..]);
+        assert_eq!(e.read_file("secret").unwrap(), plain);
+    }
+
+    #[test]
+    fn iozone_records_round_trip_through_one_region() {
+        // Write each record from one buffer, stamping it first, then read
+        // every record back whole into the same buffer.
+        let mut e = env(ExecMode::Vanilla);
+        e.start_app().unwrap();
+        let r = e.alloc(4096, Placement::Untrusted).unwrap();
+        e.write_bytes(r, 0, &[0x5a; 4096]);
+        for i in 0..3 {
+            e.write_u64(r, 0, i);
+            e.write_u64(r, 4088, i ^ 0xffff);
+            e.write_file_from(&format!("rec.{i}"), r, 0, 4096).unwrap();
+        }
+        let record = |i: u64| {
+            let mut b = vec![0x5a; 4096];
+            b[..8].copy_from_slice(&i.to_le_bytes());
+            b[4088..].copy_from_slice(&(i ^ 0xffff).to_le_bytes());
+            b
+        };
+        for _ in 0..2 {
+            for i in 0..3 {
+                assert_eq!(e.read_file_into(&format!("rec.{i}"), r, 0).unwrap(), 4096);
+                assert_eq!(region_bytes(&mut e, r), record(i), "record {i}");
+            }
+        }
+        for i in 0..3 {
+            assert_eq!(e.read_file(&format!("rec.{i}")).unwrap(), record(i));
+        }
+    }
+
+    #[test]
+    fn a_removed_file_is_not_found() {
+        let mut e = env(ExecMode::Vanilla);
+        e.start_app().unwrap();
+        let r = e.alloc(4096, Placement::Untrusted).unwrap();
+        let missing = |res: Result<(), WorkloadError>| {
+            assert!(matches!(res, Err(WorkloadError::FileNotFound(n)) if n == "in"));
+        };
+        missing(e.remove_file("in"));
+        e.put_file("in", vec![3; 4096]);
+        e.read_file_into("in", r, 0).unwrap();
+        e.remove_file("in").unwrap();
+        missing(e.remove_file("in"));
+        missing(e.read_file("in").map(drop));
+        missing(e.read_file_into("in", r, 0).map(drop));
+        missing(e.file_len("in").map(drop));
+        missing(e.file_raw("in").map(drop));
+        // The region keeps the bytes it took, and writes to it are plain.
+        e.write_u64(r, 0, 0);
+        assert_eq!(region_bytes(&mut e, r)[8..], [3; 4088]);
     }
 }

@@ -3,9 +3,20 @@
 /// Index of an interned phase name inside a [`crate::TraceSink`].
 ///
 /// Phase names are interned so that [`TraceRecord`]s stay `Copy`; resolve
-/// an id back to its name with [`crate::TraceSink::phase_name`].
+/// an id back to its name with [`crate::TraceSink::phase_name`]. Only a
+/// sink mints ids, when it opens a span, so a phase event cannot be
+/// forged from a raw index:
+///
+/// ```compile_fail,E0603
+/// use trace::{CounterSnapshot, PhaseId, TraceEvent};
+///
+/// let forged = TraceEvent::PhaseBegin {
+///     id: PhaseId(0),
+///     snap: CounterSnapshot::default(),
+/// };
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct PhaseId(pub u32);
+pub struct PhaseId(pub(crate) u32);
 
 /// Which fault-plane injection fired (mirrors `faults::InjectedFault`
 /// without depending on that crate).

@@ -154,6 +154,7 @@ impl Workload for Bfs {
                 // Parse the header from the input file (unmodeled scratch),
                 // then build the in-EPC structures with padded records.
                 let raw = env.read_file("graph.bin")?;
+                env.remove_file("graph.bin")?;
                 let nodes = u32::from_le_bytes(raw[0..4].try_into().expect("4 bytes")) as u64;
                 let total_dirs = u32::from_le_bytes(raw[4..8].try_into().expect("4 bytes")) as u64;
                 debug_assert_eq!(nodes, n);
@@ -291,6 +292,21 @@ mod tests {
             .unwrap();
         let (n, _) = wl.graph_size(InputSetting::Low);
         assert_eq!(r.output.ops, n);
+    }
+
+    #[test]
+    fn drops_its_input_file_once_parsed() {
+        let wl = Bfs::scaled(256);
+        let mut env_cfg = RunnerConfig::quick_test().env;
+        env_cfg.mode = ExecMode::Vanilla;
+        let mut env = Env::new(env_cfg).unwrap();
+        wl.setup(&mut env, InputSetting::Low).unwrap();
+        env.start_app().unwrap();
+        wl.execute(&mut env, InputSetting::Low).unwrap();
+        assert!(matches!(
+            env.file_len("graph.bin"),
+            Err(WorkloadError::FileNotFound(_))
+        ));
     }
 
     #[test]

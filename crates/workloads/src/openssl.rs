@@ -121,8 +121,11 @@ impl Workload for OpenSsl {
         let buf = env.alloc(bytes, Placement::Protected)?;
 
         let checksum = env.secure_call(|env| -> Result<u64, WorkloadError> {
-            // 1. Pull the encrypted file into the enclave.
+            // 1. Pull the encrypted file into the enclave. The read fills
+            //    `buf`, so it takes the file's bytes; dropping the file
+            //    leaves the decrypt pass nothing to copy out first.
             let n = env.read_file_into("input.enc", buf, 0)?;
+            env.remove_file("input.enc")?;
 
             // 2. Decrypt in place, chunk by chunk (real ChaCha20 +
             //    modeled crypto cycles), folding a histogram-style
@@ -274,6 +277,11 @@ mod tests {
         wl.execute(&mut env, InputSetting::Low).unwrap();
         assert!(env.file_len("output.enc").unwrap() > 0);
         assert_eq!(env.file_len("output.tag").unwrap(), 32);
+        // The input was consumed: the host no longer holds it.
+        assert!(matches!(
+            env.file_len("input.enc"),
+            Err(WorkloadError::FileNotFound(_))
+        ));
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! every clock read along the way, every value read back, the mem-sim
 //! and SGX counters, the driver stats, EPC residency and the region
 //! bytes must match. A file written from a region and read back after
-//! the region was overwritten must hold the bytes it was written with.
+//! the region was overwritten must hold the bytes it was written with,
+//! also when it fills the region and the read hands it its buffer.
 
 use proptest::prelude::*;
 use sgxgauge::core::env::{Placement, Region, SimThread};
@@ -59,9 +60,13 @@ enum Op {
     Sweep {
         write: bool,
     },
+    /// Writes a file from `len` bytes at `off` (from the whole region
+    /// when `whole`), overwrites them and reads the file back at 0: a
+    /// whole-region read moves the file's buffer into the region.
     FileRoundTrip {
         off: u64,
         len: u64,
+        whole: bool,
     },
     /// `read_u64` or `write_u64` at every `stride` bytes of `len`: a
     /// scalar scan that may cross pages.
@@ -125,7 +130,8 @@ fn op() -> impl Strategy<Value = Op> {
         (0..MAX_REGION, 0u64..(EPC_BYTES / 4), any::<bool>())
             .prop_map(|(off, len, write)| Op::Touch { off, len, write }),
         any::<bool>().prop_map(|write| Op::Sweep { write }),
-        (0..MAX_REGION, 0u64..(160 << 10)).prop_map(|(off, len)| Op::FileRoundTrip { off, len }),
+        (0..MAX_REGION, 0u64..(160 << 10), any::<bool>())
+            .prop_map(|(off, len, whole)| Op::FileRoundTrip { off, len, whole }),
         // Up to three pages, so most scans cross a page boundary.
         (0..MAX_REGION, 0u64..(3 << 12), 0usize..3, any::<bool>()).prop_map(
             |(off, len, s, write)| Op::Scan {
@@ -239,8 +245,11 @@ fn run(env: &mut Env, w: &World, ops: &[Op], pc: &mut usize, protected_ok: bool,
                 env.touch(r, 0, w.bytes, write);
                 end = Some((r, w.bytes));
             }
-            Op::FileRoundTrip { off, len } => {
-                let (off, len) = span(w.bytes, off, len);
+            Op::FileRoundTrip { off, len, whole } => {
+                let (off, len) = match whole {
+                    true => (0, w.bytes),
+                    false => span(w.bytes, off, len),
+                };
                 env.write_file_from("f", r, off, len).expect("write file");
                 // Overwrite the written bytes: the file keeps the old ones.
                 let old = env.file_raw("f").expect("file").to_vec();

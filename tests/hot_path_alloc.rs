@@ -17,6 +17,8 @@
 //! [`FAULTS_PER_ALLOC`]: allocation is O(faults), never O(accesses).
 //! A file written from a region shares the region's bytes, so writing
 //! it allocates no copy; the region's next write allocates exactly one.
+//! A file read whole into a region hands over its buffer, so the read
+//! allocates no copy either.
 //!
 //! `audit` builds compile per-event invariant checks into the same paths
 //! and those allocate on purpose, so this file is empty under that
@@ -389,4 +391,43 @@ fn write_file_from_copies_the_region_only_when_it_changes() {
         },
         "the first write after write_file_from copies the region once"
     );
+}
+
+/// `Env::read_file_into` of a whole region moves the file's buffer into
+/// the region instead of copying it: a 4 MiB read allocates only
+/// bookkeeping. A removed input leaves the region nothing to share, so
+/// its first write allocates nothing; a kept one views the region, so
+/// the first write gives it its own bytes back in one allocation of
+/// exactly the region's size.
+#[test]
+fn read_file_into_moves_a_whole_region_file_instead_of_copying_it() {
+    const BYTES: u64 = 4 << 20;
+    let input: Vec<u8> = (0..BYTES).map(|i| (i % 251) as u8).collect();
+    for keep in [false, true] {
+        let mut env = Env::new(EnvConfig::quick_test(ExecMode::Vanilla)).expect("env");
+        let r = env
+            .alloc(BYTES, Placement::Untrusted)
+            .expect("untrusted regions always fit");
+        env.put_file("in", input.clone());
+        let moved = allocs_in(|| {
+            env.read_file_into("in", r, 0)
+                .expect("vanilla file reads cannot fail");
+        });
+        assert!(moved.bytes < 64 << 10, "read_file_into allocated {moved:?}");
+        if !keep {
+            env.remove_file("in").expect("the input is there");
+        }
+        let first_write = allocs_in(|| env.write_u64(r, 8, 2));
+        let expect = match keep {
+            false => Allocs { calls: 0, bytes: 0 },
+            true => Allocs {
+                calls: 1,
+                bytes: BYTES,
+            },
+        };
+        assert_eq!(first_write, expect, "keep = {keep}");
+        if keep {
+            assert_eq!(env.file_raw("in").expect("kept"), &input[..]);
+        }
+    }
 }
