@@ -52,7 +52,7 @@ fn config(name: &str, storm: bool) -> CampaignConfig {
     };
     let text = format!(
         "[campaign]\nname = \"{name}\"\nseed = 42\nscale = 4096\n\
-         profile = \"quick\"\nreps = 2\njobs = 2\nretries = 2\n\
+         reps = 2\njobs = 2\nretries = 2\n\
          breaker_threshold = 3\nbreaker_cooldown = 1\n\
          [[stage]]\nname = \"join\"\nmodes = [\"vanilla\"]\n\
          settings = [\"low\"]\nworkloads = [\"HashJoin\"]\n{faults}\

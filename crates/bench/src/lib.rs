@@ -10,10 +10,10 @@
 //! the *shapes* (who wins, where the EPC cliff falls, how LibOS compares
 //! to Native).
 //!
-//! Scale: set `SGXGAUGE_SCALE=<divisor>` to shrink every input by that
-//! factor for a smoke run. The default (`1`) is paper scale. The
-//! quick-test EPC is only used by unit tests, never here: figures always
-//! run against the 92 MB EPC platform of Table 3.
+//! Scale: set `SGXGAUGE_SCALE=<divisor>` to shrink every input, and the
+//! platform with it ([`sgxgauge_core::EnvConfig::scaled`]), by that
+//! factor for a smoke run. The default (`1`) is paper scale: the 92 MB
+//! EPC platform of Table 3.
 //!
 //! The gated benches (`hotpath`, `resilience`, `cotenancy`) write
 //! their trajectory point and read back the committed one through
@@ -26,7 +26,7 @@ pub mod paper;
 
 use sgxgauge_core::io;
 use sgxgauge_core::report::ReportTable;
-use sgxgauge_core::{EnvConfig, ExecMode, Runner, RunnerConfig};
+use sgxgauge_core::{EnvConfig, Runner, RunnerConfig};
 use std::fmt::Display;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -59,30 +59,6 @@ pub(crate) fn runner(env: EnvConfig) -> Runner {
         env,
         repetitions: 1,
     })
-}
-
-/// The paper-faithful environment template for `mode` (92 MB EPC, 4 GB
-/// LibOS enclaves).
-///
-/// Under `SGXGAUGE_SCALE=d` (smoke runs) the *platform* shrinks by the
-/// same divisor as the workloads — EPC and LibOS enclave size — so the
-/// Low/Medium/High settings keep their position relative to the EPC
-/// boundary and every figure keeps its shape.
-pub(crate) fn paper_env(mode: ExecMode) -> EnvConfig {
-    let d = scale();
-    let mut env = EnvConfig::paper(mode, 0);
-    if d > 1 {
-        env.sgx.epc_bytes = (env.sgx.epc_bytes / d).max(1 << 20);
-        let enclave = ((4u64 << 30) / d).max(libos_sim::manifest::MIN_ENCLAVE_BYTES.max(128 << 20));
-        let internal = ((64u64 << 20) / d).max(1 << 20);
-        env.manifest = Some(
-            libos_sim::Manifest::builder("workload")
-                .enclave_size(enclave)
-                .internal_memory(internal)
-                .build(),
-        );
-    }
-    env
 }
 
 /// Prints the bench banner.

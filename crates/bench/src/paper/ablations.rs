@@ -4,10 +4,10 @@
 use super::Output;
 use crate::{fk, fx, runner, scale};
 use libos_sim::{LibosProcess, Manifest, StartupStats};
-use mem_sim::{AccessKind, MachineConfig, ThreadId, PAGE_SIZE};
+use mem_sim::{AccessKind, ThreadId, PAGE_SIZE};
 use sgx_sim::{Host, SgxConfig};
 use sgxgauge_core::report::ReportTable;
-use sgxgauge_core::{EnvConfig, ExecMode, InputSetting, Runner};
+use sgxgauge_core::{EnvConfig, ExecMode, InputSetting, RunReport};
 use sgxgauge_workloads::HashJoin;
 
 fn edmm_launch(edmm: bool, enclave_size: u64) -> (StartupStats, u64) {
@@ -71,34 +71,27 @@ pub(super) fn sgx2_edmm() -> Output {
     )
 }
 
-/// A runner on the paper environment with platform `sgx`, its EPC
-/// scaled by `SGXGAUGE_SCALE`.
-fn runner_on(mut sgx: SgxConfig) -> Runner {
-    if scale() > 1 {
-        sgx.epc_bytes = (sgx.epc_bytes / scale()).max(1 << 20);
-    }
-    let mut env = EnvConfig::paper(ExecMode::Vanilla, 0);
-    env.sgx = sgx;
-    runner(env)
+/// HashJoin in `mode` at `setting`, its inputs and platform scaled by
+/// `SGXGAUGE_SCALE`, with `ablate` applied to the platform.
+fn hashjoin_on(
+    ablate: impl Fn(&mut SgxConfig),
+    mode: ExecMode,
+    setting: InputSetting,
+) -> RunReport {
+    let mut env = EnvConfig::scaled(ExecMode::Vanilla, scale());
+    ablate(&mut env.sgx);
+    let wl = HashJoin::scaled(scale());
+    runner(env).run_once(&wl, mode, setting).expect("run")
 }
 
 fn hugepages_run(reach: usize) -> (u64, u64, u64) {
-    let mut mem = MachineConfig::default();
-    mem.l1_tlb_entries *= reach;
-    mem.stlb_entries *= reach;
-    let runner = runner_on(SgxConfig {
-        mem,
-        ..SgxConfig::default()
-    });
-    let wl = HashJoin::scaled(scale());
-    let r = runner
-        .run_once(&wl, ExecMode::Native, InputSetting::High)
-        .expect("run");
-    (
-        r.runtime_cycles,
-        r.counters.dtlb_misses,
-        r.counters.walk_cycles,
-    )
+    let ablate = |sgx: &mut SgxConfig| {
+        sgx.mem.l1_tlb_entries *= reach;
+        sgx.mem.stlb_entries *= reach;
+    };
+    let r = hashjoin_on(ablate, ExecMode::Native, InputSetting::High);
+    let c = r.counters;
+    (r.runtime_cycles, c.dtlb_misses, c.walk_cycles)
 }
 
 /// Ablation: TLB reach (the SGXL hypothesis).
@@ -214,17 +207,9 @@ pub(super) fn evict_batch() -> Output {
 }
 
 fn mee_run(mult_x100: u64, setting: InputSetting) -> (u64, u64) {
-    let mut sgx = SgxConfig::default();
-    sgx.mem.latency.mee_mult_x100 = mult_x100;
-    let runner = runner_on(sgx);
-    let wl = HashJoin::scaled(scale());
-    let native = runner
-        .run_once(&wl, ExecMode::Native, setting)
-        .expect("native");
-    let vanilla = runner
-        .run_once(&wl, ExecMode::Vanilla, setting)
-        .expect("vanilla");
-    (native.runtime_cycles, vanilla.runtime_cycles)
+    let ablate = |sgx: &mut SgxConfig| sgx.mem.latency.mee_mult_x100 = mult_x100;
+    let run = |mode| hashjoin_on(ablate, mode, setting).runtime_cycles;
+    (run(ExecMode::Native), run(ExecMode::Vanilla))
 }
 
 /// Ablation: Memory Encryption Engine latency.

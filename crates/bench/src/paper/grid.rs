@@ -2,10 +2,12 @@
 //! Figs 2, 4, 5a/b, 6b/c and 8 and Table 4.
 
 use super::Output;
-use crate::{fk, fx, paper_env, scale};
+use crate::{fk, fx};
 use sgxgauge_core::report::{RatioRow, ReportTable};
 use sgxgauge_core::sweep::SweepReport;
-use sgxgauge_core::{ExecMode, InputSetting, RunReport, RunnerConfig, SuiteRunner, Workload};
+use sgxgauge_core::{
+    EnvConfig, ExecMode, InputSetting, RunReport, RunnerConfig, SuiteRunner, Workload,
+};
 use ExecMode::{LibOs, Native, Vanilla};
 
 /// One run of a suite over every mode and setting, one repetition.
@@ -19,25 +21,20 @@ pub struct Sweep {
 }
 
 impl Sweep {
-    /// Runs `suite` × [`ExecMode::ALL`] × [`InputSetting::ALL`] on the
-    /// platform of `cfg`, one worker per core. Modes a workload does not
-    /// support are skipped.
-    pub fn run(suite: Vec<Box<dyn Workload>>, cfg: RunnerConfig) -> Sweep {
+    /// Runs the ten workloads × [`ExecMode::ALL`] × [`InputSetting::ALL`],
+    /// the inputs and the platform both scaled by `d` (`SGXGAUGE_SCALE`
+    /// in the harness; `d = 1` is paper scale), one worker per core.
+    /// Modes a workload does not support are skipped.
+    pub fn scaled(d: u64) -> Sweep {
+        let suite = sgxgauge_workloads::suite_scaled(d);
         let refs: Vec<&dyn Workload> = suite.iter().map(|w| w.as_ref()).collect();
-        let report = SuiteRunner::new(cfg).run(&refs);
+        let env = EnvConfig::scaled(Vanilla, d);
+        let report = SuiteRunner::new(RunnerConfig {
+            env,
+            repetitions: 1,
+        })
+        .run(&refs);
         Sweep { suite, report }
-    }
-
-    /// The ten workloads at `SGXGAUGE_SCALE` on the paper platform;
-    /// `X::scaled(1)` is `X::new()`, so the default is paper scale.
-    pub fn paper() -> Sweep {
-        Sweep::run(
-            sgxgauge_workloads::suite_scaled(scale()),
-            RunnerConfig {
-                env: paper_env(ExecMode::Vanilla),
-                repetitions: 1,
-            },
-        )
     }
 
     /// The report of cell (`workload` index, `mode`, `setting`).
@@ -399,15 +396,13 @@ pub(super) fn table4_overheads(sweep: &Sweep) -> Output {
 mod tests {
     use super::*;
 
-    /// Every shared-sweep view renders from one small sweep, so a view
+    /// Every shared-sweep view renders from one scale-64 sweep, so a view
     /// that reads a cell the sweep does not hold fails here, not only at
-    /// paper scale.
+    /// paper scale. The same sweep holds the paper's EPC regime (§3.2.1):
+    /// Low fits, and paging does not fall as the input grows.
     #[test]
     fn every_view_renders_from_one_small_sweep() {
-        let sweep = Sweep::run(
-            sgxgauge_workloads::suite_scaled(4096),
-            RunnerConfig::quick_test(),
-        );
+        let sweep = Sweep::scaled(64);
         // 10 workloads in Vanilla and LibOS, 6 of them in Native, at 3 settings.
         assert_eq!(sweep.report.cells.len(), 78);
         let rows = |view: fn(&Sweep) -> Output| {
@@ -421,5 +416,27 @@ mod tests {
         assert_eq!(rows(fig06bc_libos_mode), 30, "Fig 6b/c");
         assert_eq!(rows(fig08_native_heatmap), 18, "Fig 8");
         assert_eq!(rows(table4_overheads), 9, "Table 4");
+
+        for mode in [Native, LibOs] {
+            for (w, name) in sweep.workloads(mode) {
+                let paging = InputSetting::ALL.map(|s| {
+                    let sgx = &sweep.report(w, mode, s).sgx;
+                    (sgx.epc_evictions, sgx.epc_loadbacks)
+                });
+                let [(low_ev, low_lb), ..] = paging;
+                match mode {
+                    Native => assert_eq!(low_ev, 0, "{name}: Native evicts at Low"),
+                    // LibOS Low evictions are the launch's residue; none
+                    // of them comes back.
+                    _ => assert_eq!(low_lb, 0, "{name}: LibOS loads back at Low"),
+                }
+                for pair in paging.windows(2) {
+                    assert!(
+                        pair[0].0 <= pair[1].0 && pair[0].1 <= pair[1].1,
+                        "{name} in {mode}: paging falls as the input grows: {paging:?}"
+                    );
+                }
+            }
+        }
     }
 }

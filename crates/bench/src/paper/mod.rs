@@ -17,7 +17,7 @@ mod runs;
 
 pub(crate) use grid::Sweep;
 
-use crate::{banner, emit};
+use crate::{banner, emit, scale};
 use sgxgauge_core::report::ReportTable;
 use Source::{Grid, Own};
 
@@ -113,7 +113,7 @@ pub fn regenerate(ids: &[String]) -> Result<(), String> {
     let mut sweep = None;
     for Figure(id, source) in select(ids)? {
         let out = match source {
-            Grid(view) => view(sweep.get_or_insert_with(Sweep::paper)),
+            Grid(view) => view(sweep.get_or_insert_with(|| Sweep::scaled(scale()))),
             Own(run) => run(),
         };
         banner(out.title, out.claim);

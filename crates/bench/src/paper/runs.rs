@@ -2,13 +2,13 @@
 //! Figs 3, 6a, 6d, 7, 9 and 10 and Table 5.
 
 use super::Output;
-use crate::{fk, fx, paper_env, runner, scale};
+use crate::{fk, fx, runner, scale};
 use gauge_stats::standardized_coefficients;
 use libos_sim::{LibosProcess, Manifest};
 use mem_sim::{AccessKind, PAGE_SIZE};
 use sgx_sim::{DriverOp, Host, SgxConfig, SgxMachine};
 use sgxgauge_core::report::ReportTable;
-use sgxgauge_core::{ExecMode, InputSetting, RunReport};
+use sgxgauge_core::{EnvConfig, ExecMode, InputSetting, RunReport};
 use sgxgauge_workloads::{suite, suite_scaled, Iozone, Lighttpd};
 use trace::{TimelinePoint, TraceSink};
 
@@ -18,7 +18,7 @@ use trace::{TimelinePoint, TraceSink};
 /// of concurrent accesses by up to 7x while running in SGX and compared
 /// to a Vanilla (non-SGX) execution" (§3.2.2).
 pub(super) fn fig03_lighttpd_threads() -> Output {
-    let runner = runner(paper_env(ExecMode::Vanilla));
+    let runner = runner(EnvConfig::scaled(ExecMode::Vanilla, scale()));
     // Keep this figure light: the request count is already thread-divided.
     let divisor = scale().max(4);
 
@@ -123,10 +123,11 @@ pub(super) fn fig06d_switchless() -> Output {
     let divisor = scale().max(4);
     let wl = Lighttpd::scaled(divisor);
 
+    let env = EnvConfig::scaled(ExecMode::LibOs, scale());
     let run = |env| runner(env).run_once(&wl, ExecMode::LibOs, InputSetting::Low);
-    let base = run(paper_env(ExecMode::LibOs)).expect("default");
+    let base = run(env.clone()).expect("default");
     // The paper configures 8 cores for OCALL handling.
-    let swl = run(paper_env(ExecMode::LibOs).with_switchless(8)).expect("switchless");
+    let swl = run(env.with_switchless(8)).expect("switchless");
 
     let base_lat = base.output.metric("mean_latency_cycles").expect("metric");
     let swl_lat = swl.output.metric("mean_latency_cycles").expect("metric");
@@ -359,14 +360,11 @@ pub(super) fn fig09_epc_timeline() -> Output {
 /// per-block crypto.
 pub(super) fn fig10_iozone_pf() -> Output {
     let wl = Iozone::scaled(scale());
+    let env = EnvConfig::scaled(ExecMode::Vanilla, scale());
     let run = |env, mode| runner(env).run_once(&wl, mode, InputSetting::Low);
-    let vanilla = run(paper_env(ExecMode::Vanilla), ExecMode::Vanilla).expect("vanilla");
-    let libos = run(paper_env(ExecMode::LibOs), ExecMode::LibOs).expect("libos");
-    let pf = run(
-        paper_env(ExecMode::LibOs).with_protected_files(),
-        ExecMode::LibOs,
-    )
-    .expect("libos+pf");
+    let vanilla = run(env.clone(), ExecMode::Vanilla).expect("vanilla");
+    let libos = run(env.clone(), ExecMode::LibOs).expect("libos");
+    let pf = run(env.with_protected_files(), ExecMode::LibOs).expect("libos+pf");
 
     let metric = |r: &RunReport, m: &str| r.output.metric(m).expect("metric");
     let mut table = ReportTable::new(
@@ -443,7 +441,7 @@ fn features(r: &RunReport) -> Vec<f64> {
 /// "Most of the time paging and TLB-related counters are the most
 /// correlated with the performance."
 pub(super) fn table5_regression() -> Output {
-    let runner = runner(paper_env(ExecMode::Vanilla));
+    let runner = runner(EnvConfig::scaled(ExecMode::Vanilla, scale()));
     // Sample matrix: 3 settings x supported SGX modes x 3 size variants,
     // giving 9-18 observations per workload for 6 features. A minimum
     // divisor of 2 keeps this (the heaviest table) tractable without

@@ -12,8 +12,7 @@
 //! [campaign]
 //! name = "storm"
 //! seed = 42
-//! scale = 64            # input divisor (0 = paper scale)
-//! profile = "quick"     # "quick" (test platform) or "paper"
+//! scale = 64            # inputs and platform divisor (1 = paper scale)
 //! reps = 2
 //! jobs = 2              # wave width = worker threads (determinism!)
 //! retries = 2
@@ -44,10 +43,8 @@ pub struct CampaignConfig {
     /// Campaign seed: salts every stage's fault and io-fault plans and
     /// the soak kill schedule.
     pub seed: u64,
-    /// Workload input divisor (`0` = paper scale).
+    /// Divisor of the inputs and the platform (`EnvConfig::scaled`); 1 is paper scale.
     pub scale: u64,
-    /// Platform profile: `true` = the scaled-down quick-test machine.
-    pub quick_profile: bool,
     /// Repetitions per grid combination.
     pub reps: usize,
     /// Wave width *and* worker thread count. Part of the campaign's
@@ -198,8 +195,7 @@ impl CampaignConfig {
         let mut cfg = CampaignConfig {
             name: String::new(),
             seed: 1,
-            scale: 0,
-            quick_profile: false,
+            scale: 1,
             reps: 1,
             jobs: 1,
             retries: 0,
@@ -266,6 +262,9 @@ impl CampaignConfig {
         if self.stages.is_empty() {
             return Err("a campaign needs at least one [[stage]]".to_owned());
         }
+        if self.scale == 0 {
+            return Err("scale must be at least 1 (1 is paper scale)".to_owned());
+        }
         if self.reps == 0 {
             return Err("reps must be at least 1".to_owned());
         }
@@ -311,18 +310,6 @@ fn apply_campaign_key(
         "name" => cfg.name = want_str(key, line, value)?,
         "seed" => cfg.seed = want_int(key, line, value)?,
         "scale" => cfg.scale = want_int(key, line, value)?,
-        "profile" => {
-            let profile = want_str(key, line, value)?;
-            cfg.quick_profile = match profile.as_str() {
-                "quick" => true,
-                "paper" => false,
-                other => {
-                    return Err(format!(
-                        "line {line}: profile `{other}` (want \"quick\" or \"paper\")"
-                    ));
-                }
-            };
-        }
         "reps" => cfg.reps = want_int(key, line, value)? as usize,
         "jobs" => cfg.jobs = want_int(key, line, value)? as usize,
         "retries" => cfg.retries = want_int(key, line, value)? as usize,
@@ -467,7 +454,6 @@ mod tests {
 name = "storm"          # output tree name
 seed = 42
 scale = 64
-profile = "quick"
 reps = 2
 jobs = 2
 retries = 2
@@ -497,7 +483,6 @@ antagonist = true
         assert_eq!(cfg.name, "storm");
         assert_eq!(cfg.seed, 42);
         assert_eq!(cfg.scale, 64);
-        assert!(cfg.quick_profile);
         assert_eq!(cfg.jobs, 2);
         assert_eq!(cfg.retry_budget_cycles, 2_000_000);
         assert_eq!(cfg.stages.len(), 2);
@@ -526,6 +511,19 @@ antagonist = true
             let err = CampaignConfig::parse(&format!("{base}{line}\n")).unwrap_err();
             assert_eq!(err, format!("line 5: unknown [[stage]] key `{key}`"));
         }
+    }
+
+    /// The platform follows `scale`, which defaults to paper scale and
+    /// refuses 0; the retired `profile` key is unknown.
+    #[test]
+    fn scale_alone_picks_the_platform() {
+        let stage = "[[stage]]\nname = \"s\"\n";
+        let cfg = CampaignConfig::parse(&format!("[campaign]\nname = \"x\"\n{stage}"));
+        assert_eq!(cfg.map(|c| c.scale), Ok(1));
+        let zero = CampaignConfig::parse(&format!("[campaign]\nname = \"x\"\nscale = 0\n{stage}"));
+        assert!(zero.unwrap_err().contains("scale must be at least 1"));
+        let err = CampaignConfig::parse("[campaign]\nprofile = \"quick\"\n").unwrap_err();
+        assert_eq!(err, "line 2: unknown [campaign] key `profile`");
     }
 
     #[test]

@@ -26,8 +26,8 @@ use faults::prng::splitmix64;
 use sgxgauge_core::sweep::SweepCell;
 use sgxgauge_core::workload::Workload;
 use sgxgauge_core::{
-    io, ArtifactError, ArtifactIo, CellKey, ChaosFs, CheckpointFile, RealFs, ReportTable,
-    RunnerConfig, SuiteRunner,
+    io, ArtifactError, ArtifactIo, CellKey, ChaosFs, CheckpointFile, EnvConfig, ExecMode, RealFs,
+    ReportTable, RunnerConfig, SuiteRunner,
 };
 use std::path::Path;
 use std::sync::Arc;
@@ -245,16 +245,6 @@ pub(crate) fn run_into(
     Ok(())
 }
 
-fn base_runner_config(cfg: &CampaignConfig) -> RunnerConfig {
-    let mut base = if cfg.quick_profile {
-        RunnerConfig::quick_test()
-    } else {
-        RunnerConfig::paper(cfg.reps)
-    };
-    base.repetitions = cfg.reps;
-    base
-}
-
 /// Selects the stage's workload subset, in config order (the whole
 /// suite when the stage names none).
 fn stage_workloads<'a>(
@@ -343,11 +333,14 @@ fn run_stage(
     quarantined_cells: &mut Vec<CellKey>,
 ) -> Result<StageReport, CampaignError> {
     let workloads = stage_workloads(stage, suite)?;
-    let mut runner = SuiteRunner::new(base_runner_config(cfg))
-        .modes(&stage.modes)
-        .settings(&stage.settings)
-        .threads(cfg.jobs)
-        .retries(cfg.retries);
+    let mut runner = SuiteRunner::new(RunnerConfig {
+        env: EnvConfig::scaled(ExecMode::Vanilla, cfg.scale),
+        repetitions: cfg.reps,
+    })
+    .modes(&stage.modes)
+    .settings(&stage.settings)
+    .threads(cfg.jobs)
+    .retries(cfg.retries);
     if let Some(plan) = &stage.faults {
         runner = runner.faults(plan.salted(stage_salt));
     }

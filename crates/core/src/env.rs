@@ -327,6 +327,26 @@ impl EnvConfig {
         }
     }
 
+    /// The paper platform shrunk like `suite_scaled(d)`: the EPC, its
+    /// reservation and the LibOS manifest divide by `d` (floors: 1 MiB EPC,
+    /// 128 MiB enclave, 1 MiB internal memory), so Low, Medium and High
+    /// keep their place relative to the EPC. `scaled(mode, 1)` is `paper`.
+    pub fn scaled(mode: ExecMode, d: u64) -> Self {
+        let mut cfg = EnvConfig::paper(mode, 0);
+        if d > 1 {
+            cfg.sgx.epc_bytes = (cfg.sgx.epc_bytes / d).max(1 << 20);
+            cfg.sgx.epc_reserved_bytes /= d;
+            let paper = Manifest::builder("workload").build();
+            cfg.manifest = Some(
+                Manifest::builder("workload")
+                    .enclave_size((paper.enclave_size() / d).max(128 << 20))
+                    .internal_memory((paper.internal_memory() / d).max(1 << 20))
+                    .build(),
+            );
+        }
+        cfg
+    }
+
     /// A configuration for fast unit tests: small EPC (1024 pages) and a
     /// small LibOS enclave, so launches take microseconds.
     pub fn quick_test(mode: ExecMode) -> Self {
@@ -452,8 +472,9 @@ impl Env {
     ///
     /// # Errors
     ///
-    /// Propagates enclave-creation failures.
+    /// Propagates [`SgxConfig::check`] and enclave-creation failures.
     pub fn new(cfg: EnvConfig) -> Result<Env, WorkloadError> {
+        cfg.sgx.check()?;
         // Single-enclave envs are the degenerate co-tenant host.
         let boot = |sgx| {
             let mut machine = sgx_sim::Host::builder().sgx(sgx).build_machine();
@@ -641,7 +662,7 @@ impl Env {
             // Every applied injection lands in the trace stream so a
             // timeline shows *when* the fault plane perturbed the run.
             let m = self.sim.machine();
-            m.mem_mut().trace_emit(tid, ev.trace_event());
+            let _ = m.mem_mut().trace_emit(tid, ev.trace_event());
             match ev {
                 // The burst is consumed even outside an enclave (keeping
                 // the event stream deterministic); injection itself is a
@@ -1314,6 +1335,47 @@ mod tests {
 
     fn env(mode: ExecMode) -> Env {
         Env::new(EnvConfig::quick_test(mode)).unwrap()
+    }
+
+    /// `scaled` divides the EPC, its reservation and the LibOS manifest
+    /// by one divisor, with the paper platform at `d = 1`.
+    #[test]
+    fn scaled_shrinks_the_whole_platform_by_one_divisor() {
+        for mode in ExecMode::ALL {
+            let one = EnvConfig::scaled(mode, 1);
+            let paper = EnvConfig::paper(mode, 0);
+            assert_eq!(format!("{one:?}"), format!("{paper:?}"), "{mode}");
+        }
+        let s = EnvConfig::scaled(ExecMode::LibOs, 64);
+        assert_eq!(s.sgx.epc_bytes, (92 << 20) / 64);
+        assert_eq!(s.sgx.epc_reserved_bytes, (8 << 20) / 64);
+        let m = s.manifest.as_ref().expect("scaled LibOS manifest");
+        assert_eq!(
+            (m.enclave_size(), m.internal_memory()),
+            (128 << 20, 1 << 20)
+        );
+        Env::new(s).expect("scale-64 platform builds");
+        // Past d = 92 the 1 MiB EPC floor binds; the reservation still
+        // shrinks, so the EPC keeps frames.
+        let s = EnvConfig::scaled(ExecMode::Native, 4096);
+        assert_eq!((s.sgx.epc_bytes, s.sgx.epc_reserved_bytes), (1 << 20, 2048));
+        assert!(s.sgx.check().is_ok());
+    }
+
+    /// The old bench platform at d = 64 (EPC divided, reservation not)
+    /// is refused instead of running on a one-frame EPC.
+    #[test]
+    fn reservation_at_or_above_the_epc_is_refused() {
+        let mut cfg = EnvConfig::paper(ExecMode::Native, 0);
+        cfg.sgx.epc_bytes /= 64;
+        let refused = sgx_sim::SgxError::EpcReservationTooLarge;
+        assert_eq!(cfg.sgx.check(), Err(refused.clone()));
+        match Env::new(cfg.clone()) {
+            Err(WorkloadError::Sgx(e)) => assert_eq!(e, refused),
+            other => panic!("expected the reservation error, got {:?}", other.err()),
+        }
+        let host = sgx_sim::Host::builder().sgx(cfg.sgx).build([]);
+        assert_eq!(host.err(), Some(refused));
     }
 
     #[test]

@@ -85,7 +85,7 @@ impl Shim {
         }
         self.stats.syscalls += 1;
         self.stats.forwarded_ocalls += 1;
-        m.mem_mut().trace_emit(tid, trace::TraceEvent::ShimSyscall);
+        let _ = m.mem_mut().trace_emit(tid, trace::TraceEvent::ShimSyscall);
         m.compute(tid, costs::SHIM_DISPATCH_CYCLES);
         m.ocall(tid, costs::SHIM_OCALL_WORK_CYCLES)
     }
@@ -110,7 +110,7 @@ impl Shim {
             return Err(SgxError::NotInEnclave);
         }
         self.stats.syscalls += 1;
-        m.mem_mut().trace_emit(tid, trace::TraceEvent::ShimSyscall);
+        let _ = m.mem_mut().trace_emit(tid, trace::TraceEvent::ShimSyscall);
         if write {
             self.stats.bytes_written += bytes;
         } else {

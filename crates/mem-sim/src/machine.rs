@@ -11,6 +11,7 @@ use crate::{LINE_SHIFT, PAGE_SHIFT};
 use ledger::Ledger;
 use std::error::Error;
 use std::fmt;
+use trace::{TraceError, TraceEvent, TraceSink};
 
 mod ledger;
 
@@ -216,7 +217,7 @@ pub struct Machine {
     counters: Ledger,
     /// The trace plane, when armed. Boxed so the disabled case is one
     /// null-pointer check; the per-line access loop never touches it.
-    sink: Option<Box<trace::TraceSink>>,
+    sink: Option<Box<TraceSink>>,
     /// Conservative lower bound on the sink's next periodic-sample
     /// instant (`u64::MAX` when disarmed or sampling is off). The
     /// sink's schedule only moves forward, so `trace_sample_due` can
@@ -564,24 +565,24 @@ impl Machine {
     /// Arms the trace plane. Replaces (and discards) any previous sink;
     /// surviving [`Machine::reset_measurement`] is intentional so the
     /// harness can arm right after resetting.
-    pub fn set_trace_sink(&mut self, sink: trace::TraceSink) {
+    pub fn set_trace_sink(&mut self, sink: TraceSink) {
         self.sample_cache = sink.next_sample_at();
         self.sink = Some(Box::new(sink));
     }
 
     /// Disarms the trace plane, returning the sink and its records.
-    pub fn take_trace_sink(&mut self) -> Option<trace::TraceSink> {
+    pub fn take_trace_sink(&mut self) -> Option<TraceSink> {
         self.sample_cache = u64::MAX;
         self.sink.take().map(|b| *b)
     }
 
     /// Read-only view of the armed sink, if any.
-    pub fn trace_sink(&self) -> Option<&trace::TraceSink> {
+    pub fn trace_sink(&self) -> Option<&TraceSink> {
         self.sink.as_deref()
     }
 
     /// Mutable view of the armed sink, if any.
-    pub fn trace_sink_mut(&mut self) -> Option<&mut trace::TraceSink> {
+    pub fn trace_sink_mut(&mut self) -> Option<&mut TraceSink> {
         self.sink.as_deref_mut()
     }
 
@@ -593,23 +594,28 @@ impl Machine {
 
     /// Emits `event` stamped with thread `tid`'s current clock. No-op
     /// (one pointer check) when tracing is disabled.
+    ///
+    /// # Errors
+    ///
+    /// [`TraceSink::emit`]'s; callers of a fixed non-phase event ignore it.
     #[expect(
         clippy::cast_possible_truncation,
         reason = "thread ids are dense and few; the trace schema stores them as u32"
     )]
     #[inline]
-    pub fn trace_emit(&mut self, tid: ThreadId, event: trace::TraceEvent) {
+    pub fn trace_emit(&mut self, tid: ThreadId, event: TraceEvent) -> Result<(), TraceError> {
         if let Some(sink) = self.sink.as_deref_mut() {
             let now = self.threads[tid.0].cycles;
-            sink.emit(now, tid.0 as u32, event);
+            sink.emit(now, tid.0 as u32, event)?;
             // Recording a sample re-arms the sink's schedule; advance the
             // fast-path bound so polling goes back to one compare.
             self.sample_cache = sink.next_sample_at();
         }
+        Ok(())
     }
 
     /// Whether a periodic counter sample is due at thread `tid`'s clock.
-    /// The SGX layer polls this and emits [`trace::TraceEvent::Sample`]
+    /// The SGX layer polls this and emits [`TraceEvent::Sample`]
     /// with a snapshot it assembles.
     ///
     /// The common "not yet" answer is a single integer compare against a

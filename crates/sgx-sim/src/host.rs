@@ -247,9 +247,11 @@ impl HostBuilder {
     ///
     /// # Errors
     ///
-    /// Propagates the first [`SgxError`] from enclave construction
-    /// (content larger than the ELRANGE, heap exhaustion, TCS limits).
+    /// Propagates [`SgxConfig::check`], then the first [`SgxError`] from
+    /// enclave construction (content larger than the ELRANGE, heap
+    /// exhaustion, TCS limits).
     pub fn build(self, specs: impl IntoIterator<Item = TenantSpec>) -> Result<Host, SgxError> {
+        self.cfg.check()?;
         let mut machine = SgxMachine::from_config(self.cfg);
         let mut tenants = Vec::new();
         for spec in specs {
@@ -281,7 +283,7 @@ impl HostBuilder {
     }
 
     /// The zero-tenant path: builds the bare shared machine, for callers
-    /// that drive enclaves by hand.
+    /// that drive enclaves by hand; it skips [`SgxConfig::check`].
     pub fn build_machine(self) -> SgxMachine {
         SgxMachine::from_config(self.cfg)
     }

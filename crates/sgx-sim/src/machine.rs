@@ -19,6 +19,7 @@ use mem_sim::{
 };
 use std::error::Error;
 use std::fmt;
+use trace::TraceEvent;
 
 mod ledger;
 
@@ -38,6 +39,8 @@ pub enum SgxError {
     OutOfTcs,
     /// The enclave's ELRANGE cannot hold the requested heap allocation.
     OutOfEnclaveMemory,
+    /// `epc_reserved_bytes` leaves no EPC frame ([`SgxConfig::check`]).
+    EpcReservationTooLarge,
 }
 
 impl fmt::Display for SgxError {
@@ -49,6 +52,7 @@ impl fmt::Display for SgxError {
             SgxError::NotInEnclave => write!(f, "thread is not inside an enclave"),
             SgxError::OutOfTcs => write!(f, "no free TCS slot for another concurrent ECALL"),
             SgxError::OutOfEnclaveMemory => write!(f, "enclave heap exhausted"),
+            SgxError::EpcReservationTooLarge => write!(f, "EPC reservation leaves no frame"),
         }
     }
 }
@@ -108,6 +112,19 @@ impl SgxConfig {
             evict_batch: batch,
             ..Default::default()
         }
+    }
+
+    /// The platform check of [`crate::HostBuilder::build`] and
+    /// `core::Env::new` (`build_machine` skips it and keeps one frame).
+    ///
+    /// # Errors
+    ///
+    /// [`SgxError::EpcReservationTooLarge`] when no whole frame is left.
+    pub fn check(&self) -> Result<(), SgxError> {
+        if self.epc_bytes.saturating_sub(self.epc_reserved_bytes) < PAGE_SIZE {
+            return Err(SgxError::EpcReservationTooLarge);
+        }
+        Ok(())
     }
 }
 
@@ -388,8 +405,15 @@ impl SgxMachine {
     fn trace_tick(&mut self, tid: ThreadId) {
         if self.mem.trace_sample_due(tid) {
             let snap = self.trace_snapshot();
-            self.mem.trace_emit(tid, trace::TraceEvent::Sample { snap });
+            let _ = self.mem.trace_emit(tid, TraceEvent::Sample { snap });
         }
+    }
+
+    /// Emits a machine event, then a periodic sample if one is due. No
+    /// machine event is a phase event, so the sink never refuses one.
+    fn trace_event(&mut self, tid: ThreadId, event: TraceEvent) {
+        let _ = self.mem.trace_emit(tid, event);
+        self.trace_tick(tid);
     }
 
     /// Opens a phase span, recording the boundary counter snapshot.
@@ -615,8 +639,7 @@ impl SgxMachine {
             flushes + 1,
             "EENTER flushes the TLB exactly once (§2.3)"
         );
-        self.mem.trace_emit(tid, trace::TraceEvent::EcallEnter);
-        self.trace_tick(tid);
+        self.trace_event(tid, TraceEvent::EcallEnter);
         Ok(())
     }
 
@@ -642,8 +665,7 @@ impl SgxMachine {
             flushes + 1,
             "EEXIT flushes the TLB exactly once (§2.3)"
         );
-        self.mem.trace_emit(tid, trace::TraceEvent::EcallExit);
-        self.trace_tick(tid);
+        self.trace_event(tid, TraceEvent::EcallExit);
         Ok(())
     }
 
@@ -674,9 +696,7 @@ impl SgxMachine {
                 flushes,
                 "switchless OCALLs are exit-less: no TLB flush (§5.6)"
             );
-            self.mem
-                .trace_emit(tid, trace::TraceEvent::Ocall { switchless: true });
-            self.trace_tick(tid);
+            self.trace_event(tid, TraceEvent::Ocall { switchless: true });
             return Ok(());
         }
         self.counters.record_ocall();
@@ -691,9 +711,7 @@ impl SgxMachine {
             flushes + 2,
             "a classic OCALL flushes on both EEXIT and EENTER (§2.3)"
         );
-        self.mem
-            .trace_emit(tid, trace::TraceEvent::Ocall { switchless: false });
-        self.trace_tick(tid);
+        self.trace_event(tid, TraceEvent::Ocall { switchless: false });
         Ok(())
     }
 
@@ -962,9 +980,9 @@ impl SgxMachine {
         // stream, which is what makes the EPC boundary cliff visible
         // as "fault events appear only past the watermark".
         if ev.kind == EpcFaultKind::LoadBack || !ev.evicted.is_empty() {
-            self.mem.trace_emit(
+            let _ = self.mem.trace_emit(
                 tid,
-                trace::TraceEvent::EpcFault {
+                TraceEvent::EpcFault {
                     loadback: ev.kind == EpcFaultKind::LoadBack,
                     evicted: ev.evicted.len() as u32,
                     resident_pages: resident_at_fault,
@@ -1002,9 +1020,7 @@ impl SgxMachine {
             1,
             "an injected AEX flushes the TLB exactly once"
         );
-        self.mem
-            .trace_emit(tid, trace::TraceEvent::Aex { injected: true });
-        self.trace_tick(tid);
+        self.trace_event(tid, TraceEvent::Aex { injected: true });
         self.audit();
         true
     }

@@ -2,10 +2,11 @@
 
 /// Index of an interned phase name inside a [`crate::TraceSink`].
 ///
-/// Phase names are interned so that [`TraceRecord`]s stay `Copy`; resolve
-/// an id back to its name with [`crate::TraceSink::phase_name`]. Only a
-/// sink mints ids, when it opens a span, so a phase event cannot be
-/// forged from a raw index:
+/// Phase names are interned so that [`TraceRecord`]s stay `Copy`; the
+/// sink that minted an id resolves it when it renders. Only a sink mints
+/// ids, when it opens a span, and [`crate::TraceSink::emit`] refuses
+/// phase events, so a phase event cannot be forged from a raw index or
+/// carried into another sink:
 ///
 /// ```compile_fail,E0603
 /// use trace::{CounterSnapshot, PhaseId, TraceEvent};

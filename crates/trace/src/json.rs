@@ -131,12 +131,14 @@ mod tests {
             ..CounterSnapshot::default()
         };
         let mut s = TraceSink::with_config(32, 0);
-        s.emit(1, 0, TraceEvent::EcallEnter);
-        s.emit(2, 0, TraceEvent::EcallExit);
-        s.emit(3, 1, TraceEvent::Ocall { switchless: false });
-        s.emit(4, 1, TraceEvent::Ocall { switchless: true });
-        s.emit(5, 0, TraceEvent::Aex { injected: false });
-        s.emit(6, 0, TraceEvent::Aex { injected: true });
+        s.emit(1, 0, TraceEvent::EcallEnter).unwrap();
+        s.emit(2, 0, TraceEvent::EcallExit).unwrap();
+        s.emit(3, 1, TraceEvent::Ocall { switchless: false })
+            .unwrap();
+        s.emit(4, 1, TraceEvent::Ocall { switchless: true })
+            .unwrap();
+        s.emit(5, 0, TraceEvent::Aex { injected: false }).unwrap();
+        s.emit(6, 0, TraceEvent::Aex { injected: true }).unwrap();
         s.emit(
             7,
             0,
@@ -145,17 +147,18 @@ mod tests {
                 evicted: 16,
                 resident_pages: 1_024,
             },
-        );
-        s.emit(8, 2, TraceEvent::ShimSyscall);
+        )
+        .unwrap();
+        s.emit(8, 2, TraceEvent::ShimSyscall).unwrap();
         for kind in [
             InjectedKind::Aex,
             InjectedKind::EpcSpike,
             InjectedKind::EpcRelease,
         ] {
-            s.emit(9, 0, TraceEvent::FaultInjected { kind });
+            s.emit(9, 0, TraceEvent::FaultInjected { kind }).unwrap();
         }
         s.begin_phase("a\"b", 10, 3, snap);
-        s.emit(11, 3, TraceEvent::Sample { snap });
+        s.emit(11, 3, TraceEvent::Sample { snap }).unwrap();
         s.end_phase("a\"b", 12, 3, snap).unwrap();
         let expected = [
             r#"{"trace":"sgxgauge","records":14,"dropped":0,"emitted":14}"#,
@@ -195,7 +198,7 @@ mod tests {
     fn a_wrapped_ring_renders_its_drops_and_surviving_seqs() {
         let mut s = TraceSink::with_config(2, 0);
         for cycles in [10, 20, 30] {
-            s.emit(cycles, 0, TraceEvent::EcallEnter);
+            s.emit(cycles, 0, TraceEvent::EcallEnter).unwrap();
         }
         assert_eq!(
             s.render_jsonl(),

@@ -32,6 +32,9 @@ pub enum TraceError {
         /// The name the caller tried to close.
         found: String,
     },
+    /// [`TraceSink::emit`] was given a phase event; only the span API
+    /// records those, since it mints and checks their ids.
+    PhaseEvent,
 }
 
 impl fmt::Display for TraceError {
@@ -46,6 +49,7 @@ impl fmt::Display for TraceError {
             TraceError::NoOpenPhase { found } => {
                 write!(f, "phase `{found}` closed but no phase is open")
             }
+            TraceError::PhaseEvent => write!(f, "phase events come only from the span API"),
         }
     }
 }
@@ -113,7 +117,20 @@ impl TraceSink {
     }
 
     /// Appends an event stamped with the emitting thread's clock.
-    pub fn emit(&mut self, cycles: u64, thread: u32, event: TraceEvent) {
+    ///
+    /// # Errors
+    ///
+    /// [`TraceError::PhaseEvent`], recording nothing, for a phase event:
+    /// only [`TraceSink::begin_phase`] and [`TraceSink::end_phase`] do.
+    pub fn emit(&mut self, cycles: u64, thread: u32, event: TraceEvent) -> Result<(), TraceError> {
+        if let TraceEvent::PhaseBegin { .. } | TraceEvent::PhaseEnd { .. } = event {
+            return Err(TraceError::PhaseEvent);
+        }
+        self.push(cycles, thread, event);
+        Ok(())
+    }
+
+    fn push(&mut self, cycles: u64, thread: u32, event: TraceEvent) {
         if let TraceEvent::Sample { .. } = event {
             self.note_sample(cycles);
         }
@@ -176,7 +193,7 @@ impl TraceSink {
     ) -> PhaseId {
         let id = self.intern(name);
         self.stack.push((id, cycles, snap));
-        self.emit(cycles, thread, TraceEvent::PhaseBegin { id, snap });
+        self.push(cycles, thread, TraceEvent::PhaseBegin { id, snap });
         id
     }
 
@@ -205,7 +222,7 @@ impl TraceSink {
             });
         }
         self.stack.pop();
-        self.emit(cycles, thread, TraceEvent::PhaseEnd { id: top, snap });
+        self.push(cycles, thread, TraceEvent::PhaseEnd { id: top, snap });
         let row = PhaseAttribution::of_span(name, start_cycles, &start, cycles, &snap);
         self.rows.push(row);
         Ok(())
@@ -233,8 +250,8 @@ impl TraceSink {
         PhaseId((self.phases.len() - 1) as u32)
     }
 
-    /// Resolves an interned phase id back to its name.
-    pub fn phase_name(&self, id: PhaseId) -> &str {
+    /// Resolves an id this sink minted back to its name.
+    pub(crate) fn phase_name(&self, id: PhaseId) -> &str {
         &self.phases[id.0 as usize]
     }
 
@@ -286,7 +303,7 @@ mod tests {
     fn records_come_back_in_order() {
         let mut s = TraceSink::new(16);
         for i in 0..5u64 {
-            s.emit(i * 10, 0, TraceEvent::EcallEnter);
+            s.emit(i * 10, 0, TraceEvent::EcallEnter).unwrap();
         }
         let seqs: Vec<u64> = s.records().map(|r| r.seq).collect();
         assert_eq!(seqs, vec![0, 1, 2, 3, 4]);
@@ -298,7 +315,8 @@ mod tests {
     fn overflow_drops_oldest_and_counts() {
         let mut s = TraceSink::new(8);
         for i in 0..20u64 {
-            s.emit(i, 0, TraceEvent::Ocall { switchless: false });
+            s.emit(i, 0, TraceEvent::Ocall { switchless: false })
+                .unwrap();
         }
         assert_eq!(s.len(), 8);
         assert_eq!(s.dropped(), 12);
@@ -309,10 +327,27 @@ mod tests {
     #[test]
     fn capacity_is_clamped_to_one() {
         let mut s = TraceSink::new(0);
-        s.emit(1, 0, TraceEvent::EcallEnter);
-        s.emit(2, 0, TraceEvent::EcallExit);
+        s.emit(1, 0, TraceEvent::EcallEnter).unwrap();
+        s.emit(2, 0, TraceEvent::EcallExit).unwrap();
         assert_eq!(s.len(), 1);
         assert_eq!(s.dropped(), 1);
+    }
+
+    /// A phase id minted by one sink, emitted into another, used to
+    /// index past the second sink's names when it rendered.
+    #[test]
+    fn emit_refuses_phase_events() {
+        let mut donor = TraceSink::new(16);
+        let id = donor.begin_phase("donor", 0, 0, snap());
+        let mut s = TraceSink::new(16);
+        for event in [
+            TraceEvent::PhaseBegin { id, snap: snap() },
+            TraceEvent::PhaseEnd { id, snap: snap() },
+        ] {
+            assert_eq!(s.emit(1, 0, event), Err(TraceError::PhaseEvent));
+        }
+        assert_eq!((s.emitted(), s.finish()), (0, Ok(())));
+        assert!(!s.render_jsonl().contains("phase"));
     }
 
     #[test]
@@ -371,10 +406,11 @@ mod tests {
         let mut s = TraceSink::with_config(64, 100);
         assert!(!s.sample_due(99));
         assert!(s.sample_due(100));
-        s.emit(100, 0, TraceEvent::Sample { snap: snap() });
+        s.emit(100, 0, TraceEvent::Sample { snap: snap() }).unwrap();
         assert!(!s.sample_due(199));
         // A long stall fires exactly one sample, then re-anchors.
-        s.emit(1_234, 0, TraceEvent::Sample { snap: snap() });
+        s.emit(1_234, 0, TraceEvent::Sample { snap: snap() })
+            .unwrap();
         assert!(!s.sample_due(1_299));
         assert!(s.sample_due(1_300));
     }

@@ -93,7 +93,7 @@ mod tests {
     #[test]
     fn timeline_keeps_only_snapshot_records() {
         let mut s = TraceSink::with_config(64, 0);
-        s.emit(1, 0, TraceEvent::EcallEnter);
+        s.emit(1, 0, TraceEvent::EcallEnter).unwrap();
         s.emit(
             5,
             0,
@@ -103,8 +103,9 @@ mod tests {
                     ..Default::default()
                 },
             },
-        );
-        s.emit(7, 0, TraceEvent::EcallExit);
+        )
+        .unwrap();
+        s.emit(7, 0, TraceEvent::EcallExit).unwrap();
         let tl = s.timeline();
         assert_eq!(tl.len(), 1);
         assert_eq!(tl[0].cycles, 5);
@@ -142,7 +143,7 @@ mod tests {
         let zero = CounterSnapshot::default();
         s.begin_phase("run", 0, 0, zero);
         for i in 0..100 {
-            s.emit(i + 1, 0, TraceEvent::EcallEnter);
+            s.emit(i + 1, 0, TraceEvent::EcallEnter).unwrap();
         }
         s.end_phase("run", 1_000, 0, zero).unwrap();
         assert!(s.dropped() > 0, "ring must have overflowed");

@@ -137,7 +137,8 @@ fn parse_jobs(flags: &BTreeMap<String, String>) -> Result<usize, String> {
         .map_err(|_| "bad --jobs".to_owned())
 }
 
-/// `--scale <divisor>`: workload inputs shrink by the divisor; `1` (the
+/// `--scale <divisor>`: workload inputs and the platform shrink by the
+/// divisor, as under `SGXGAUGE_SCALE` ([`EnvConfig::scaled`]); `1` (the
 /// default) is paper scale. `0` is refused rather than read as `1`.
 fn parse_scale(flags: &BTreeMap<String, String>) -> Result<u64, String> {
     match flags.get("scale").map(|s| s.parse::<u64>()) {
@@ -188,11 +189,11 @@ fn find_workload(scale: u64, name: &str) -> Result<Box<dyn Workload>, String> {
         })
 }
 
-/// The sweep runner every cell-running subcommand starts from:
-/// `--switchless`, `--pf`, `--faults` and `--cell-budget` applied, `reps`
-/// repetitions per cell.
+/// The sweep runner every cell-running subcommand starts from: the
+/// platform scaled by `--scale`, with `--switchless`, `--pf`, `--faults`
+/// and `--cell-budget` applied, `reps` repetitions per cell.
 fn suite_runner(flags: &BTreeMap<String, String>, reps: usize) -> Result<SuiteRunner, String> {
-    let mut env = EnvConfig::paper(ExecMode::Vanilla, 0);
+    let mut env = EnvConfig::scaled(ExecMode::Vanilla, parse_scale(flags)?);
     if let Some(w) = flags.get("switchless") {
         let workers: usize = w
             .parse()

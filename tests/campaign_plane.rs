@@ -36,7 +36,6 @@ fn campaign_runs_are_byte_deterministic() {
 name = "det"
 seed = 11
 scale = 4096
-profile = "quick"
 reps = 2
 jobs = 2
 retries = 1
@@ -90,7 +89,6 @@ fn clean_campaign_leaves_no_temps_or_journals() {
 name = "tidy"
 seed = 5
 scale = 4096
-profile = "quick"
 jobs = 2
 
 [[stage]]
@@ -136,7 +134,6 @@ fn breaker_transitions_are_typed_trace_events() {
 name = "breaker"
 seed = 3
 scale = 4096
-profile = "quick"
 reps = 6
 jobs = 1
 retries = 0
@@ -203,7 +200,6 @@ fn drained_budget_degrades_and_skips_antagonists() {
 name = "degraded"
 seed = 5
 scale = 4096
-profile = "quick"
 reps = 3
 jobs = 1
 retries = 1
@@ -260,7 +256,6 @@ fn stage_deadline_sheds_only_its_own_remainder() {
 name = "slo"
 seed = 9
 scale = 4096
-profile = "quick"
 reps = 3
 jobs = 1
 retries = 0
@@ -308,7 +303,6 @@ fn soak_converges_after_three_kill_resume_cycles() {
 name = "soak"
 seed = 42
 scale = 4096
-profile = "quick"
 reps = 2
 jobs = 2
 retries = 2
