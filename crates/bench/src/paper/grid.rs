@@ -5,9 +5,7 @@ use super::Output;
 use crate::{fk, fx};
 use sgxgauge_core::report::{RatioRow, ReportTable};
 use sgxgauge_core::sweep::SweepReport;
-use sgxgauge_core::{
-    EnvConfig, ExecMode, InputSetting, RunReport, RunnerConfig, SuiteRunner, Workload,
-};
+use sgxgauge_core::{ExecMode, InputSetting, RunReport, RunnerConfig, SuiteRunner, Workload};
 use ExecMode::{LibOs, Native, Vanilla};
 
 /// One run of a suite over every mode and setting, one repetition.
@@ -28,12 +26,7 @@ impl Sweep {
     pub fn scaled(d: u64) -> Sweep {
         let suite = sgxgauge_workloads::suite_scaled(d);
         let refs: Vec<&dyn Workload> = suite.iter().map(|w| w.as_ref()).collect();
-        let env = EnvConfig::scaled(Vanilla, d);
-        let report = SuiteRunner::new(RunnerConfig {
-            env,
-            repetitions: 1,
-        })
-        .run(&refs);
+        let report = SuiteRunner::new(RunnerConfig::scaled(d)).run(&refs);
         Sweep { suite, report }
     }
 

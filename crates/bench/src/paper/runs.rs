@@ -18,9 +18,10 @@ use trace::{TimelinePoint, TraceSink};
 /// of concurrent accesses by up to 7x while running in SGX and compared
 /// to a Vanilla (non-SGX) execution" (§3.2.2).
 pub(super) fn fig03_lighttpd_threads() -> Output {
-    let runner = runner(EnvConfig::scaled(ExecMode::Vanilla, scale()));
     // Keep this figure light: the request count is already thread-divided.
+    // The platform shrinks with the inputs.
     let divisor = scale().max(4);
+    let runner = runner(EnvConfig::scaled(ExecMode::Vanilla, divisor));
 
     let mut table = ReportTable::new(
         "Fig 3: mean request latency (cycles), Vanilla vs LibOS(SGX)",
@@ -123,7 +124,7 @@ pub(super) fn fig06d_switchless() -> Output {
     let divisor = scale().max(4);
     let wl = Lighttpd::scaled(divisor);
 
-    let env = EnvConfig::scaled(ExecMode::LibOs, scale());
+    let env = EnvConfig::scaled(ExecMode::LibOs, divisor);
     let run = |env| runner(env).run_once(&wl, ExecMode::LibOs, InputSetting::Low);
     let base = run(env.clone()).expect("default");
     // The paper configures 8 cores for OCALL handling.

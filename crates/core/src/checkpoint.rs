@@ -668,7 +668,7 @@ mod tests {
     }
 
     fn suite() -> SuiteRunner {
-        SuiteRunner::new(RunnerConfig::quick_test())
+        SuiteRunner::new(RunnerConfig::scaled(1024))
             .settings(&[InputSetting::Low, InputSetting::Medium])
             .threads(2)
     }
@@ -741,7 +741,7 @@ mod tests {
             .run_with_checkpoint(&[&TICK], &path, false)
             .expect("run succeeds");
         // Same file, different sweep shape: one fewer setting.
-        let other = SuiteRunner::new(RunnerConfig::quick_test())
+        let other = SuiteRunner::new(RunnerConfig::scaled(1024))
             .settings(&[InputSetting::Low])
             .threads(2);
         let err = other

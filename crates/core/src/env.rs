@@ -347,18 +347,10 @@ impl EnvConfig {
         cfg
     }
 
-    /// A configuration for fast unit tests: small EPC (1024 pages) and a
-    /// small LibOS enclave, so launches take microseconds.
+    /// The retired quick-test envelope: `scaled(mode, 1024)`.
+    #[deprecated(note = "use scaled(mode, d)")]
     pub fn quick_test(mode: ExecMode) -> Self {
-        let mut cfg = EnvConfig::paper(mode, 1 << 20);
-        cfg.sgx = SgxConfig::with_tiny_epc(1024, 16);
-        cfg.manifest = Some(
-            Manifest::builder("workload")
-                .enclave_size(128 << 20)
-                .internal_memory(8 << 20)
-                .build(),
-        );
-        cfg
+        EnvConfig::scaled(mode, 1024)
     }
 
     /// Enables switchless OCALLs with `workers` proxy threads (§5.6).
@@ -1334,7 +1326,7 @@ mod tests {
     use crate::modes::ExecMode;
 
     fn env(mode: ExecMode) -> Env {
-        Env::new(EnvConfig::quick_test(mode)).unwrap()
+        Env::new(EnvConfig::scaled(mode, 1024)).unwrap()
     }
 
     /// `scaled` divides the EPC, its reservation and the LibOS manifest
@@ -1472,7 +1464,7 @@ mod tests {
     #[test]
     fn pf_mode_seals_on_disk_but_roundtrips() {
         let mut e =
-            Env::new(EnvConfig::quick_test(ExecMode::LibOs).with_protected_files()).unwrap();
+            Env::new(EnvConfig::scaled(ExecMode::LibOs, 1024).with_protected_files()).unwrap();
         e.start_app().unwrap();
         e.write_file("secret", b"plaintext payload").unwrap();
         // Host view must not contain the plaintext.
@@ -1796,7 +1788,7 @@ mod tests {
     #[test]
     fn pf_write_file_from_stores_sealed_bytes() {
         let mut e =
-            Env::new(EnvConfig::quick_test(ExecMode::LibOs).with_protected_files()).unwrap();
+            Env::new(EnvConfig::scaled(ExecMode::LibOs, 1024).with_protected_files()).unwrap();
         e.start_app().unwrap();
         let r = e.alloc(8192, Placement::Protected).unwrap();
         let plain: Vec<u8> = (0..8192u32).map(|i| (i % 251) as u8).collect();
@@ -1882,7 +1874,7 @@ mod tests {
     #[test]
     fn a_pf_whole_read_moves_the_plaintext_and_keeps_the_file_sealed() {
         let mut e =
-            Env::new(EnvConfig::quick_test(ExecMode::LibOs).with_protected_files()).unwrap();
+            Env::new(EnvConfig::scaled(ExecMode::LibOs, 1024).with_protected_files()).unwrap();
         e.start_app().unwrap();
         let src = e.alloc(8192, Placement::Protected).unwrap();
         let plain: Vec<u8> = (0..8192u32).map(|i| (i % 251) as u8).collect();

@@ -28,7 +28,7 @@
 //! use sgxgauge_core::{Env, EnvConfig, ExecMode, InputSetting};
 //! use sgxgauge_core::env::Placement;
 //!
-//! let mut env = Env::new(EnvConfig::quick_test(ExecMode::Vanilla)).unwrap();
+//! let mut env = Env::new(EnvConfig::scaled(ExecMode::Vanilla, 1024)).unwrap();
 //! let region = env.alloc(4096, Placement::Protected).unwrap();
 //! env.write_u64(region, 0, 42);
 //! assert_eq!(env.read_u64(region, 0), 42);

@@ -48,12 +48,19 @@ impl RunnerConfig {
         }
     }
 
-    /// Fast configuration for tests.
-    pub fn quick_test() -> Self {
+    /// One repetition on [`EnvConfig::scaled`]`(Vanilla, d)`, the platform
+    /// for inputs shrunk by the same `d` (`suite_scaled(d)`, `W::scaled(d)`).
+    pub fn scaled(d: u64) -> Self {
         RunnerConfig {
-            env: EnvConfig::quick_test(ExecMode::Vanilla),
+            env: EnvConfig::scaled(ExecMode::Vanilla, d),
             repetitions: 1,
         }
+    }
+
+    /// The retired quick-test envelope: `scaled(1024)`.
+    #[deprecated(note = "use scaled(d)")]
+    pub fn quick_test() -> Self {
+        RunnerConfig::scaled(1024)
     }
 }
 
@@ -382,7 +389,7 @@ mod tests {
 
     #[test]
     fn run_once_all_modes() {
-        let runner = Runner::new(RunnerConfig::quick_test());
+        let runner = Runner::new(RunnerConfig::scaled(1024));
         for mode in ExecMode::ALL {
             let r = runner.run_once(&Toy, mode, InputSetting::Low).unwrap();
             assert_eq!(r.workload, "Toy");
@@ -404,7 +411,7 @@ mod tests {
 
     #[test]
     fn sgx_modes_slower_than_vanilla() {
-        let runner = Runner::new(RunnerConfig::quick_test());
+        let runner = Runner::new(RunnerConfig::scaled(1024));
         let v = runner
             .run_once(&Toy, ExecMode::Vanilla, InputSetting::Low)
             .unwrap();
@@ -416,7 +423,7 @@ mod tests {
 
     #[test]
     fn libos_runs_share_one_launch() {
-        let runner = Runner::new(RunnerConfig::quick_test());
+        let runner = Runner::new(RunnerConfig::scaled(1024));
         let clone = runner.clone();
         runner
             .run_once(&Toy, ExecMode::Native, InputSetting::Low)
@@ -474,7 +481,7 @@ mod tests {
 
     #[test]
     fn watchdog_cancels_unbounded_workload() {
-        let runner = Runner::new(RunnerConfig::quick_test()).cell_budget(1_000_000);
+        let runner = Runner::new(RunnerConfig::scaled(1024)).cell_budget(1_000_000);
         let err = runner
             .run_once(&Unbounded, ExecMode::Vanilla, InputSetting::Low)
             .expect_err("must time out");
@@ -494,7 +501,7 @@ mod tests {
     fn fault_plan_perturbs_runs_deterministically() {
         let plan = faults::FaultPlan::parse("seed=11,aex=2@30000").unwrap();
         let run = |salt| {
-            Runner::new(RunnerConfig::quick_test())
+            Runner::new(RunnerConfig::scaled(1024))
                 .faults(plan.clone())
                 .run_salted(&Toy, ExecMode::Native, InputSetting::Low, salt)
                 .unwrap()
@@ -503,7 +510,7 @@ mod tests {
         let b = run(5);
         assert_eq!(a.runtime_cycles, b.runtime_cycles, "same salt, same run");
         assert_eq!(a.sgx, b.sgx);
-        let clean = Runner::new(RunnerConfig::quick_test())
+        let clean = Runner::new(RunnerConfig::scaled(1024))
             .run_once(&Toy, ExecMode::Native, InputSetting::Low)
             .unwrap();
         assert_eq!(clean.sgx.injected_aex, 0, "no plan, no injection");

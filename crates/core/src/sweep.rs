@@ -27,7 +27,7 @@
 //! #         env.compute(1); Ok(WorkloadOutput::default())
 //! #     }
 //! # }
-//! let suite = SuiteRunner::new(RunnerConfig::quick_test()).settings(&[InputSetting::Low]);
+//! let suite = SuiteRunner::new(RunnerConfig::scaled(1024)).settings(&[InputSetting::Low]);
 //! let sweep = suite.run(&[&Noop]);
 //! assert_eq!(sweep.cells.len(), 1);
 //! assert!(sweep.cells[0].result.is_ok());
@@ -1068,7 +1068,7 @@ mod tests {
     }
 
     fn suite() -> SuiteRunner {
-        let mut cfg = RunnerConfig::quick_test();
+        let mut cfg = RunnerConfig::scaled(1024);
         cfg.repetitions = 2;
         SuiteRunner::new(cfg).settings(&[InputSetting::Low, InputSetting::Medium])
     }
@@ -1142,7 +1142,7 @@ mod tests {
 
     #[test]
     fn policy_decisions_and_checkpoint_bytes_ignore_the_thread_count() {
-        let mut cfg = RunnerConfig::quick_test();
+        let mut cfg = RunnerConfig::scaled(1024);
         cfg.repetitions = 6;
         let path = std::env::temp_dir().join(format!(
             "sgxgauge-sweep-{}-thinning.json",
@@ -1304,7 +1304,7 @@ mod tests {
     }
 
     fn tiny_suite() -> SuiteRunner {
-        SuiteRunner::new(RunnerConfig::quick_test())
+        SuiteRunner::new(RunnerConfig::scaled(1024))
             .modes(&[ExecMode::Vanilla])
             .settings(&[InputSetting::Low])
     }
@@ -1436,7 +1436,7 @@ mod tests {
     }
 
     fn broken_suite(reps: usize) -> SuiteRunner {
-        let mut cfg = RunnerConfig::quick_test();
+        let mut cfg = RunnerConfig::scaled(1024);
         cfg.repetitions = reps;
         SuiteRunner::new(cfg)
             .modes(&[ExecMode::Vanilla])

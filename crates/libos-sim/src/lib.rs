@@ -22,9 +22,9 @@
 //!
 //! ```
 //! use libos_sim::{Manifest, LibosProcess};
-//! use sgx_sim::{Host, SgxConfig};
+//! use sgx_sim::Host;
 //!
-//! let mut m = Host::builder().sgx(SgxConfig::with_tiny_epc(4096, 16)).build_machine();
+//! let mut m = Host::builder().build_machine();
 //! let t = m.add_thread();
 //! let manifest = Manifest::builder("app").enclave_size(256 << 20).build();
 //! let proc_ = LibosProcess::launch(&mut m, t, &manifest).unwrap();

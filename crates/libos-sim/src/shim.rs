@@ -181,12 +181,10 @@ impl Shim {
 mod tests {
     use super::*;
     use mem_sim::PAGE_SIZE;
-    use sgx_sim::{Host, SgxConfig};
+    use sgx_sim::Host;
 
     fn setup() -> (SgxMachine, ThreadId, sgx_sim::EnclaveId) {
-        let mut m = Host::builder()
-            .sgx(SgxConfig::with_tiny_epc(1024, 16))
-            .build_machine();
+        let mut m = Host::builder().build_machine();
         let t = m.add_thread();
         let e = m.create_enclave(256 * PAGE_SIZE, 16 * PAGE_SIZE).unwrap();
         m.ecall_enter(t, e).unwrap();
@@ -254,9 +252,7 @@ mod tests {
 
     #[test]
     fn outside_enclave_rejected() {
-        let mut m = Host::builder()
-            .sgx(SgxConfig::with_tiny_epc(64, 4))
-            .build_machine();
+        let mut m = Host::builder().build_machine();
         let t = m.add_thread();
         let mut shim = Shim::new(false, b"p");
         assert!(shim.syscall_host(&mut m, t).is_err());

@@ -286,7 +286,7 @@ mod tests {
     #[test]
     fn visits_every_node() {
         let wl = Bfs::scaled(256);
-        let runner = Runner::new(RunnerConfig::quick_test());
+        let runner = Runner::new(RunnerConfig::scaled(256));
         let r = runner
             .run_once(&wl, ExecMode::Vanilla, InputSetting::Low)
             .unwrap();
@@ -297,7 +297,7 @@ mod tests {
     #[test]
     fn drops_its_input_file_once_parsed() {
         let wl = Bfs::scaled(256);
-        let mut env_cfg = RunnerConfig::quick_test().env;
+        let mut env_cfg = RunnerConfig::scaled(256).env;
         env_cfg.mode = ExecMode::Vanilla;
         let mut env = Env::new(env_cfg).unwrap();
         wl.setup(&mut env, InputSetting::Low).unwrap();
@@ -312,7 +312,7 @@ mod tests {
     #[test]
     fn checksums_agree_across_modes() {
         let wl = Bfs::scaled(256);
-        let runner = Runner::new(RunnerConfig::quick_test());
+        let runner = Runner::new(RunnerConfig::scaled(256));
         let mut sums = Vec::new();
         for mode in ExecMode::ALL {
             sums.push(
@@ -341,7 +341,7 @@ mod tests {
         // relative to pointer-chasing workloads (§B.5); sanity-check that
         // the High/Low fault ratio stays moderate.
         let wl = Bfs::scaled(64);
-        let runner = Runner::new(RunnerConfig::quick_test());
+        let runner = Runner::new(RunnerConfig::scaled(64));
         let low = runner
             .run_once(&wl, ExecMode::Native, InputSetting::Low)
             .unwrap();

@@ -270,7 +270,7 @@ const _: fn(u64, u64, u64) -> u64 = scale_down;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sgxgauge_core::{EnvConfig, Runner, RunnerConfig};
+    use sgxgauge_core::{Runner, RunnerConfig};
 
     #[test]
     fn leading_zeros_counting() {
@@ -303,7 +303,7 @@ mod tests {
     #[test]
     fn runs_and_validates_in_all_modes() {
         let wl = Blockchain::scaled(1024);
-        let runner = Runner::new(RunnerConfig::quick_test());
+        let runner = Runner::new(RunnerConfig::scaled(1024));
         let mut checksums = Vec::new();
         for mode in ExecMode::ALL {
             let r = runner.run_once(&wl, mode, InputSetting::Low).unwrap();
@@ -317,7 +317,7 @@ mod tests {
     #[test]
     fn native_mode_is_ecall_heavy() {
         let wl = Blockchain::scaled(1024);
-        let runner = Runner::new(RunnerConfig::quick_test());
+        let runner = Runner::new(RunnerConfig::scaled(1024));
         let r = runner
             .run_once(&wl, ExecMode::Native, InputSetting::Low)
             .unwrap();
@@ -337,7 +337,7 @@ mod tests {
     #[test]
     fn more_blocks_more_work() {
         let wl = Blockchain::scaled(1024);
-        let runner = Runner::new(RunnerConfig::quick_test());
+        let runner = Runner::new(RunnerConfig::scaled(1024));
         let low = runner
             .run_once(&wl, ExecMode::Vanilla, InputSetting::Low)
             .unwrap();
@@ -345,12 +345,5 @@ mod tests {
             .run_once(&wl, ExecMode::Vanilla, InputSetting::High)
             .unwrap();
         assert!(high.output.ops > low.output.ops);
-    }
-
-    #[test]
-    fn env_config_quick_test_used() {
-        // quick_test config sanity: keeps this suite's tests sub-second.
-        let cfg = EnvConfig::quick_test(ExecMode::Vanilla);
-        assert!(cfg.sgx.epc_bytes <= 8 << 20);
     }
 }

@@ -384,7 +384,7 @@ mod tests {
 
     #[test]
     fn tree_matches_std_btreeset() {
-        let mut env = Env::new(EnvConfig::quick_test(ExecMode::Vanilla)).unwrap();
+        let mut env = Env::new(EnvConfig::scaled(ExecMode::Vanilla, 1024)).unwrap();
         let arena = env.alloc(2 << 20, Placement::Untrusted).unwrap();
         let mut tree = RegionTree::create(&mut env, arena).unwrap();
         let mut oracle = BTreeSet::new();
@@ -406,7 +406,7 @@ mod tests {
 
     #[test]
     fn sequential_inserts_split_correctly() {
-        let mut env = Env::new(EnvConfig::quick_test(ExecMode::Vanilla)).unwrap();
+        let mut env = Env::new(EnvConfig::scaled(ExecMode::Vanilla, 1024)).unwrap();
         let arena = env.alloc(2 << 20, Placement::Untrusted).unwrap();
         let mut tree = RegionTree::create(&mut env, arena).unwrap();
         for k in (1..2_000u64).map(|k| k * 2 + 1) {
@@ -421,7 +421,7 @@ mod tests {
     #[test]
     fn checksums_agree_across_modes() {
         let wl = BTree::scaled(512);
-        let runner = Runner::new(RunnerConfig::quick_test());
+        let runner = Runner::new(RunnerConfig::scaled(512));
         let mut sums = Vec::new();
         for mode in ExecMode::ALL {
             let r = runner.run_once(&wl, mode, InputSetting::Low).unwrap();
@@ -444,7 +444,7 @@ mod tests {
     #[test]
     fn high_setting_faults_more() {
         let wl = BTree::scaled(2048);
-        let runner = Runner::new(RunnerConfig::quick_test());
+        let runner = Runner::new(RunnerConfig::scaled(2048));
         let low = runner
             .run_once(&wl, ExecMode::Native, InputSetting::Low)
             .unwrap();

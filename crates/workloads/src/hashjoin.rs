@@ -197,7 +197,7 @@ mod tests {
     #[test]
     fn join_matches_expected_count() {
         let wl = HashJoin::scaled(1024);
-        let runner = Runner::new(RunnerConfig::quick_test());
+        let runner = Runner::new(RunnerConfig::scaled(1024));
         let r = runner
             .run_once(&wl, ExecMode::Vanilla, InputSetting::Low)
             .unwrap();
@@ -211,7 +211,7 @@ mod tests {
     #[test]
     fn checksums_agree_across_modes() {
         let wl = HashJoin::scaled(1024);
-        let runner = Runner::new(RunnerConfig::quick_test());
+        let runner = Runner::new(RunnerConfig::scaled(1024));
         let mut sums = Vec::new();
         for mode in ExecMode::ALL {
             sums.push(
@@ -238,7 +238,7 @@ mod tests {
     #[test]
     fn random_probes_blow_up_dtlb_in_native() {
         let wl = HashJoin::scaled(24);
-        let runner = Runner::new(RunnerConfig::quick_test());
+        let runner = Runner::new(RunnerConfig::scaled(24));
         let v = runner
             .run_once(&wl, ExecMode::Vanilla, InputSetting::High)
             .unwrap();

@@ -130,12 +130,12 @@ impl Workload for Iozone {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sgxgauge_core::{EnvConfig, Runner, RunnerConfig};
+    use sgxgauge_core::{Runner, RunnerConfig};
 
     #[test]
     fn roundtrip_checksum_stable_across_modes() {
         let wl = Iozone::scaled(256);
-        let runner = Runner::new(RunnerConfig::quick_test());
+        let runner = Runner::new(RunnerConfig::scaled(256));
         let v = runner
             .run_once(&wl, ExecMode::Vanilla, InputSetting::Low)
             .unwrap();
@@ -149,7 +149,7 @@ mod tests {
     fn pf_mode_costs_most() {
         // Fig 10 ordering: Vanilla < LibOS < LibOS+PF.
         let wl = Iozone::scaled(256);
-        let runner = Runner::new(RunnerConfig::quick_test());
+        let runner = Runner::new(RunnerConfig::scaled(256));
         let v = runner
             .run_once(&wl, ExecMode::Vanilla, InputSetting::Low)
             .unwrap();
@@ -157,8 +157,8 @@ mod tests {
             .run_once(&wl, ExecMode::LibOs, InputSetting::Low)
             .unwrap();
 
-        let mut pf_cfg = RunnerConfig::quick_test();
-        pf_cfg.env = EnvConfig::quick_test(ExecMode::LibOs).with_protected_files();
+        let mut pf_cfg = RunnerConfig::scaled(256);
+        pf_cfg.env = pf_cfg.env.with_protected_files();
         let pf = Runner::new(pf_cfg)
             .run_once(&wl, ExecMode::LibOs, InputSetting::Low)
             .unwrap();
@@ -172,7 +172,7 @@ mod tests {
     #[test]
     fn read_and_write_metrics_present() {
         let wl = Iozone::scaled(512);
-        let runner = Runner::new(RunnerConfig::quick_test());
+        let runner = Runner::new(RunnerConfig::scaled(512));
         let r = runner
             .run_once(&wl, ExecMode::Vanilla, InputSetting::Low)
             .unwrap();

@@ -22,9 +22,9 @@
 //! access patterns rather than synthetic event injection.
 //!
 //! All workloads support [`scaled`](Blockchain::scaled) construction:
-//! `scaled(d)` divides the input sizes by `d` so unit tests (and the
-//! quick-test environment with its scaled-down EPC) finish in
-//! milliseconds while preserving each Low/Medium/High setting's position
+//! `scaled(d)` divides the input sizes by `d`, as
+//! `EnvConfig::scaled(mode, d)` divides the platform, so unit tests finish
+//! in milliseconds while each Low/Medium/High setting keeps its position
 //! relative to the EPC boundary.
 
 #![forbid(unsafe_code)]

@@ -198,7 +198,7 @@ mod tests {
     #[test]
     fn serves_all_requests() {
         let wl = Lighttpd::scaled(512);
-        let runner = Runner::new(RunnerConfig::quick_test());
+        let runner = Runner::new(RunnerConfig::scaled(512));
         let r = runner
             .run_once(&wl, ExecMode::Vanilla, InputSetting::Low)
             .unwrap();
@@ -210,7 +210,7 @@ mod tests {
     #[test]
     fn latency_grows_with_concurrency() {
         // Fig 3: latency rises with the number of concurrent clients.
-        let runner = Runner::new(RunnerConfig::quick_test());
+        let runner = Runner::new(RunnerConfig::scaled(512));
         let lat = |threads: usize| {
             let wl = Lighttpd::scaled(512).with_threads(threads);
             runner
@@ -231,7 +231,7 @@ mod tests {
     #[test]
     fn libos_slower_than_vanilla_per_request() {
         let wl = Lighttpd::scaled(512);
-        let runner = Runner::new(RunnerConfig::quick_test());
+        let runner = Runner::new(RunnerConfig::scaled(512));
         let v = runner
             .run_once(&wl, ExecMode::Vanilla, InputSetting::Low)
             .unwrap();

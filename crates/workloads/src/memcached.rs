@@ -264,7 +264,7 @@ mod tests {
 
     #[test]
     fn store_get_after_upsert() {
-        let mut env = Env::new(sgxgauge_core::EnvConfig::quick_test(ExecMode::Vanilla)).unwrap();
+        let mut env = Env::new(sgxgauge_core::EnvConfig::scaled(ExecMode::Vanilla, 1024)).unwrap();
         let index = env.alloc(1024 * 16, Placement::Untrusted).unwrap();
         let arena = env.alloc(512 * VALUE_BYTES, Placement::Untrusted).unwrap();
         let store = Store {
@@ -285,7 +285,7 @@ mod tests {
     #[test]
     fn runs_in_vanilla_and_libos() {
         let wl = Memcached::scaled(512);
-        let runner = Runner::new(RunnerConfig::quick_test());
+        let runner = Runner::new(RunnerConfig::scaled(512));
         let v = runner
             .run_once(&wl, ExecMode::Vanilla, InputSetting::Low)
             .unwrap();
@@ -306,7 +306,7 @@ mod tests {
     fn native_mode_unsupported() {
         let wl = Memcached::new();
         assert!(!wl.supports(ExecMode::Native));
-        let runner = Runner::new(RunnerConfig::quick_test());
+        let runner = Runner::new(RunnerConfig::scaled(1));
         assert!(runner
             .run_once(&wl, ExecMode::Native, InputSetting::Low)
             .is_err());
@@ -315,7 +315,7 @@ mod tests {
     #[test]
     fn latency_higher_under_libos() {
         let wl = Memcached::scaled(512);
-        let runner = Runner::new(RunnerConfig::quick_test());
+        let runner = Runner::new(RunnerConfig::scaled(512));
         let v = runner
             .run_once(&wl, ExecMode::Vanilla, InputSetting::Low)
             .unwrap();

@@ -190,15 +190,18 @@ impl Workload for OpenSsl {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sgxgauge_core::{Runner, RunnerConfig};
+    use sgxgauge_core::{EnvConfig, Runner, RunnerConfig};
+
+    /// The divisor of every test's inputs and platform.
+    const D: u64 = 512;
 
     fn runner() -> Runner {
-        Runner::new(RunnerConfig::quick_test())
+        Runner::new(RunnerConfig::scaled(D))
     }
 
     #[test]
     fn checksums_agree_across_modes() {
-        let wl = OpenSsl::scaled(512);
+        let wl = OpenSsl::scaled(D);
         let mut sums = Vec::new();
         for mode in ExecMode::ALL {
             let r = runner().run_once(&wl, mode, InputSetting::Low).unwrap();
@@ -216,7 +219,7 @@ mod tests {
         // The checksum is over the plaintext histogram; a wrong key would
         // yield a near-uniform histogram. Compare against a direct
         // computation.
-        let wl = OpenSsl::scaled(512);
+        let wl = OpenSsl::scaled(D);
         let bytes = wl.file_bytes(InputSetting::Low) as usize;
         let mut hist = [0u64; 16];
         for i in 0..bytes {
@@ -266,12 +269,8 @@ mod tests {
 
     #[test]
     fn writes_outputs() {
-        let wl = OpenSsl::scaled(512);
-        let runner = runner();
-        let cfg = runner.config().clone();
-        let mut env_cfg = cfg.env.clone();
-        env_cfg.mode = ExecMode::Vanilla;
-        let mut env = Env::new(env_cfg).unwrap();
+        let wl = OpenSsl::scaled(D);
+        let mut env = Env::new(EnvConfig::scaled(ExecMode::Vanilla, D)).unwrap();
         wl.setup(&mut env, InputSetting::Low).unwrap();
         env.start_app().unwrap();
         wl.execute(&mut env, InputSetting::Low).unwrap();
@@ -286,7 +285,7 @@ mod tests {
 
     #[test]
     fn sgx_mode_pays_for_data_movement() {
-        let wl = OpenSsl::scaled(512);
+        let wl = OpenSsl::scaled(D);
         let v = runner()
             .run_once(&wl, ExecMode::Vanilla, InputSetting::Low)
             .unwrap();

@@ -169,7 +169,7 @@ mod tests {
     #[test]
     fn rank_mass_conserved_and_deterministic() {
         let wl = PageRank::scaled(2048);
-        let runner = Runner::new(RunnerConfig::quick_test());
+        let runner = Runner::new(RunnerConfig::scaled(2048));
         let a = runner
             .run_once(&wl, ExecMode::Vanilla, InputSetting::Low)
             .unwrap();
@@ -182,7 +182,7 @@ mod tests {
     #[test]
     fn checksums_agree_across_modes() {
         let wl = PageRank::scaled(2048);
-        let runner = Runner::new(RunnerConfig::quick_test());
+        let runner = Runner::new(RunnerConfig::scaled(2048));
         let mut sums = Vec::new();
         for mode in ExecMode::ALL {
             sums.push(
@@ -212,7 +212,7 @@ mod tests {
         // are comparatively small. Check Native/Vanilla dTLB ratio is far
         // below a pointer-chasing workload's.
         let wl = PageRank::scaled(512);
-        let runner = Runner::new(RunnerConfig::quick_test());
+        let runner = Runner::new(RunnerConfig::scaled(512));
         let v = runner
             .run_once(&wl, ExecMode::Vanilla, InputSetting::Low)
             .unwrap();

@@ -227,7 +227,7 @@ mod tests {
     #[test]
     fn trains_and_finds_support_vectors() {
         let wl = Svm::scaled(64);
-        let runner = Runner::new(RunnerConfig::quick_test());
+        let runner = Runner::new(RunnerConfig::scaled(64));
         let r = runner
             .run_once(&wl, ExecMode::Vanilla, InputSetting::Low)
             .unwrap();
@@ -237,7 +237,7 @@ mod tests {
     #[test]
     fn checksums_agree_across_modes() {
         let wl = Svm::scaled(64);
-        let runner = Runner::new(RunnerConfig::quick_test());
+        let runner = Runner::new(RunnerConfig::scaled(64));
         let v = runner
             .run_once(&wl, ExecMode::Vanilla, InputSetting::Low)
             .unwrap();

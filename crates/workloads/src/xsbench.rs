@@ -175,7 +175,7 @@ mod tests {
     #[test]
     fn checksums_agree_across_modes() {
         let wl = XsBench::scaled(256);
-        let runner = Runner::new(RunnerConfig::quick_test());
+        let runner = Runner::new(RunnerConfig::scaled(256));
         let v = runner
             .run_once(&wl, ExecMode::Vanilla, InputSetting::Low)
             .unwrap();
@@ -199,7 +199,7 @@ mod tests {
     #[test]
     fn high_setting_thrashes_epc_under_libos() {
         let wl = XsBench::scaled(256);
-        let runner = Runner::new(RunnerConfig::quick_test());
+        let runner = Runner::new(RunnerConfig::scaled(256));
         let low = runner
             .run_once(&wl, ExecMode::LibOs, InputSetting::Low)
             .unwrap();
@@ -212,7 +212,7 @@ mod tests {
     #[test]
     fn lookup_count_is_ops() {
         let wl = XsBench::scaled(256);
-        let runner = Runner::new(RunnerConfig::quick_test());
+        let runner = Runner::new(RunnerConfig::scaled(256));
         let r = runner
             .run_once(&wl, ExecMode::Vanilla, InputSetting::Low)
             .unwrap();

@@ -8,10 +8,6 @@ use sgxgauge_core::{Env, EnvConfig, ExecMode, InputSetting, Runner, RunnerConfig
 use sgxgauge_workloads::util::SplitMix64;
 use sgxgauge_workloads::{Bfs, HashJoin, Lighttpd, Memcached};
 
-fn quick_env() -> Env {
-    Env::new(EnvConfig::quick_test(ExecMode::Vanilla)).expect("env")
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -19,7 +15,7 @@ proptest! {
     /// (in-bounds) offsets — the foundation every workload stands on.
     #[test]
     fn region_bytes_roundtrip(writes in prop::collection::vec((0u64..4000, any::<u64>()), 1..64)) {
-        let mut env = quick_env();
+        let mut env = Env::new(EnvConfig::scaled(ExecMode::Vanilla, 1024)).expect("env");
         let r = env.alloc(4096, Placement::Untrusted).expect("alloc");
         let mut oracle = std::collections::BTreeMap::new();
         for &(off, v) in &writes {
@@ -38,7 +34,7 @@ proptest! {
     #[test]
     fn bfs_visits_all_nodes(divisor in 64u64..2048) {
         let wl = Bfs::scaled(divisor);
-        let runner = Runner::new(RunnerConfig::quick_test());
+        let runner = Runner::new(RunnerConfig::scaled(divisor));
         let r = runner.run_once(&wl, ExecMode::Vanilla, InputSetting::Low).expect("run");
         let (n, _) = wl.graph_size(InputSetting::Low);
         prop_assert_eq!(r.output.ops, n);
@@ -49,7 +45,7 @@ proptest! {
     #[test]
     fn hashjoin_match_count_exact(divisor in 128u64..4096) {
         let wl = HashJoin::scaled(divisor);
-        let runner = Runner::new(RunnerConfig::quick_test());
+        let runner = Runner::new(RunnerConfig::scaled(divisor));
         let r = runner.run_once(&wl, ExecMode::Vanilla, InputSetting::Low).expect("run");
         let matches = r.output.metric("matches").expect("metric") as u64;
         prop_assert_eq!(matches, wl.build_rows(InputSetting::Low));
@@ -60,7 +56,7 @@ proptest! {
     #[test]
     fn memcached_hits_mode_independent(divisor in 256u64..2048) {
         let wl = Memcached::scaled(divisor);
-        let runner = Runner::new(RunnerConfig::quick_test());
+        let runner = Runner::new(RunnerConfig::scaled(divisor));
         let v = runner.run_once(&wl, ExecMode::Vanilla, InputSetting::Low).expect("vanilla");
         let l = runner.run_once(&wl, ExecMode::LibOs, InputSetting::Low).expect("libos");
         prop_assert_eq!(v.output.metric("read_hits"), l.output.metric("read_hits"));
@@ -70,7 +66,7 @@ proptest! {
     /// count under SGX: more concurrency, more queueing.
     #[test]
     fn lighttpd_latency_monotone_in_threads(threads in 2usize..12) {
-        let runner = Runner::new(RunnerConfig::quick_test());
+        let runner = Runner::new(RunnerConfig::scaled(1024));
         let lat = |t: usize| {
             let wl = Lighttpd::scaled(1024).with_threads(t);
             runner

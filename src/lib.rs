@@ -7,18 +7,16 @@
 //!
 //! # Example
 //!
-//! Run one workload in Native mode on the paper's platform:
+//! Run one workload in Native mode, inputs and platform shrunk by one divisor:
 //!
 //! ```
-//! use sgxgauge::core::{EnvConfig, ExecMode, InputSetting, Runner, RunnerConfig};
+//! use sgxgauge::core::{ExecMode, InputSetting, Runner, RunnerConfig};
 //! use sgxgauge::workloads::HashJoin;
 //!
 //! # fn main() -> Result<(), sgxgauge::core::WorkloadError> {
-//! let runner = Runner::new(RunnerConfig {
-//!     env: EnvConfig::quick_test(ExecMode::Vanilla), // small platform for doctests
-//!     repetitions: 1,
-//! });
-//! let report = runner.run_once(&HashJoin::scaled(1024), ExecMode::Native, InputSetting::Low)?;
+//! let d = 1024;
+//! let runner = Runner::new(RunnerConfig::scaled(d));
+//! let report = runner.run_once(&HashJoin::scaled(d), ExecMode::Native, InputSetting::Low)?;
 //! assert!(report.sgx.ecalls > 0);
 //! # Ok(())
 //! # }

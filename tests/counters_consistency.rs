@@ -10,7 +10,7 @@ use sgxgauge::workloads::suite_scaled;
 /// can never exceed evictions.
 #[test]
 fn epc_accounting_balances_for_every_workload() {
-    let runner = Runner::new(RunnerConfig::quick_test());
+    let runner = Runner::new(RunnerConfig::scaled(512));
     for wl in suite_scaled(512) {
         for mode in [ExecMode::Native, ExecMode::LibOs] {
             if !wl.supports(mode) {
@@ -47,7 +47,7 @@ fn epc_accounting_balances_for_every_workload() {
 /// classic OCALL, one per ECALL and one per AEX.
 #[test]
 fn tlb_flushes_cover_transitions() {
-    let runner = Runner::new(RunnerConfig::quick_test());
+    let runner = Runner::new(RunnerConfig::scaled(512));
     for wl in suite_scaled(512) {
         for mode in [ExecMode::Native, ExecMode::LibOs] {
             if !wl.supports(mode) {
@@ -74,7 +74,7 @@ fn tlb_flushes_cover_transitions() {
 #[test]
 fn breakdown_bounded_by_clock_mass() {
     use sgxgauge::core::report::cycle_breakdown;
-    let runner = Runner::new(RunnerConfig::quick_test());
+    let runner = Runner::new(RunnerConfig::scaled(512));
     for wl in suite_scaled(512) {
         let r = runner
             .run_once(wl.as_ref(), ExecMode::LibOs, InputSetting::Low)
@@ -94,7 +94,7 @@ fn breakdown_bounded_by_clock_mass() {
 /// In Vanilla mode no SGX counter may ever tick.
 #[test]
 fn vanilla_never_touches_sgx() {
-    let runner = Runner::new(RunnerConfig::quick_test());
+    let runner = Runner::new(RunnerConfig::scaled(512));
     for wl in suite_scaled(512) {
         let r = runner
             .run_once(wl.as_ref(), ExecMode::Vanilla, InputSetting::High)

@@ -9,7 +9,7 @@
 //! accounting-only accesses, compute, clock reads, I/O, syscalls,
 //! thread switches between app and driver threads, nested secure
 //! sections and phases) run on both, in every mode, over regions that
-//! fit the quick-test EPC and regions that page. Every thread clock,
+//! fit the EPC and regions that page. Every thread clock,
 //! every clock read along the way, every value read back, the mem-sim
 //! and SGX counters, the driver stats, EPC residency and the region
 //! bytes must match. A file written from a region and read back after
@@ -107,7 +107,10 @@ enum Op {
     End,
 }
 
-/// Footprint of the quick-test EPC (1024 frames).
+/// The platform divisor: `EnvConfig::scaled(_, 23)` has a 4 MiB EPC.
+const D: u64 = 23;
+
+/// Footprint of the EPC at `D`.
 const EPC_BYTES: u64 = 4 << 20;
 
 /// Offsets are drawn over the largest region and folded into the
@@ -367,7 +370,7 @@ fn observe(setup: Setup, per_access: bool, ops: &[Op]) -> impl PartialEq + std::
         enclosed,
         traced,
     } = setup;
-    let mut env = Env::new(EnvConfig::quick_test(mode)).expect("env");
+    let mut env = Env::new(EnvConfig::scaled(mode, D)).expect("env");
     let protected = env.alloc(bytes, Placement::Protected).expect("protected");
     let untrusted = env.alloc(bytes, Placement::Untrusted).expect("untrusted");
     env.start_app().expect("start");

@@ -18,8 +18,8 @@ use std::path::PathBuf;
 /// read time (the PF MAC), not silently decrypted to garbage.
 #[test]
 fn pf_tamper_detected_at_read() {
-    let mut env =
-        Env::new(EnvConfig::quick_test(ExecMode::LibOs).with_protected_files()).expect("env");
+    let cfg = EnvConfig::scaled(ExecMode::LibOs, 1024).with_protected_files();
+    let mut env = Env::new(cfg.clone()).expect("env");
     env.start_app().expect("start");
     env.write_file("secret.db", b"records that must not be forged")
         .expect("write");
@@ -41,8 +41,7 @@ fn pf_tamper_detected_at_read() {
             // put_file cleared the sealed flag, so the file is treated as
             // a plaintext trusted file; re-seal and tamper in place to
             // force the MAC path.
-            let mut env2 = Env::new(EnvConfig::quick_test(ExecMode::LibOs).with_protected_files())
-                .expect("env");
+            let mut env2 = Env::new(cfg).expect("env");
             env2.start_app().expect("start");
             env2.write_file("s", b"payload").expect("write");
             // Direct blob surgery through the crypto API:
@@ -60,7 +59,7 @@ fn pf_tamper_detected_at_read() {
 /// Asking for an unsupported mode is an error, not a silent fallback.
 #[test]
 fn unsupported_mode_is_an_error() {
-    let runner = Runner::new(RunnerConfig::quick_test());
+    let runner = Runner::new(RunnerConfig::scaled(2048));
     let err = runner
         .run_once(
             &Memcached::scaled(2048),
@@ -75,7 +74,7 @@ fn unsupported_mode_is_an_error() {
 /// region, with the file name in the message.
 #[test]
 fn missing_file_is_reported() {
-    let mut env = Env::new(EnvConfig::quick_test(ExecMode::Vanilla)).expect("env");
+    let mut env = Env::new(EnvConfig::scaled(ExecMode::Vanilla, 1024)).expect("env");
     env.start_app().expect("start");
     let err = env.read_file("does-not-exist.bin").expect_err("must fail");
     assert!(matches!(err, WorkloadError::FileNotFound(ref n) if n == "does-not-exist.bin"));
@@ -84,7 +83,7 @@ fn missing_file_is_reported() {
 /// Enclave heap exhaustion is reported as such (the SGX v1 sizing trap).
 #[test]
 fn enclave_heap_exhaustion_reported() {
-    let mut cfg = EnvConfig::quick_test(ExecMode::Native);
+    let mut cfg = EnvConfig::scaled(ExecMode::Native, 1024);
     cfg.protected_hint = 1 << 20; // tiny enclave
     let mut env = Env::new(cfg).expect("env");
     env.start_app().expect("start");
@@ -100,7 +99,7 @@ fn enclave_heap_exhaustion_reported() {
 #[test]
 fn pf_corruption_does_not_leak_across_files() {
     let wl = Iozone::scaled(512);
-    let mut cfg = RunnerConfig::quick_test();
+    let mut cfg = RunnerConfig::scaled(512);
     cfg.env = cfg.env.with_protected_files();
     let runner = Runner::new(cfg);
     let a = runner
@@ -112,8 +111,8 @@ fn pf_corruption_does_not_leak_across_files() {
     assert_eq!(a.output.checksum, b.output.checksum);
 }
 
-fn faulted_suite(plan: &str) -> SuiteRunner {
-    let mut cfg = RunnerConfig::quick_test();
+fn faulted_suite(d: u64, plan: &str) -> SuiteRunner {
+    let mut cfg = RunnerConfig::scaled(d);
     cfg.repetitions = 2;
     SuiteRunner::new(cfg)
         .modes(&[ExecMode::Native])
@@ -125,12 +124,13 @@ fn faulted_suite(plan: &str) -> SuiteRunner {
 /// sweep fingerprint run-to-run AND independent of worker-thread count.
 #[test]
 fn aex_storm_sweeps_are_deterministic_across_job_counts() {
-    let wl = HashJoin::scaled(1024);
+    let d = 1024;
+    let wl = HashJoin::scaled(d);
     let refs: Vec<&dyn Workload> = vec![&wl];
     let plan = "seed=7,aex=2@20000";
-    let one = faulted_suite(plan).threads(1).run(&refs);
-    let four = faulted_suite(plan).threads(4).run(&refs);
-    let again = faulted_suite(plan).threads(4).run(&refs);
+    let one = faulted_suite(d, plan).threads(1).run(&refs);
+    let four = faulted_suite(d, plan).threads(4).run(&refs);
+    let again = faulted_suite(d, plan).threads(4).run(&refs);
     assert_eq!(
         one.fingerprint(),
         four.fingerprint(),
@@ -142,7 +142,7 @@ fn aex_storm_sweeps_are_deterministic_across_job_counts() {
         "the storm must actually land"
     );
     // A different storm intensity genuinely perturbs the sweep.
-    let other = faulted_suite("seed=7,aex=4@20000").threads(1).run(&refs);
+    let other = faulted_suite(d, "seed=7,aex=4@20000").threads(1).run(&refs);
     assert_ne!(one.fingerprint(), other.fingerprint());
 }
 
@@ -153,7 +153,7 @@ fn aex_storm_sweeps_are_deterministic_across_job_counts() {
 fn retry_exhaustion_surfaces_the_last_transient_error() {
     let wl = Blockchain::scaled(4096);
     let refs: Vec<&dyn Workload> = vec![&wl];
-    let suite = faulted_suite("seed=3,syscall=1000").retries(2);
+    let suite = faulted_suite(4096, "seed=3,syscall=1000").retries(2);
     let sweep = suite.threads(2).run(&refs);
     assert_eq!(sweep.cells.len(), 4);
     for cell in &sweep.cells {
@@ -171,9 +171,7 @@ fn retry_exhaustion_surfaces_the_last_transient_error() {
 fn watchdog_times_out_cells_but_not_the_sweep() {
     let wl = HashJoin::scaled(1024);
     let refs: Vec<&dyn Workload> = vec![&wl];
-    let mut cfg = RunnerConfig::quick_test();
-    cfg.repetitions = 1;
-    let suite = SuiteRunner::new(cfg)
+    let suite = SuiteRunner::new(RunnerConfig::scaled(1024))
         .modes(&[ExecMode::Native])
         .settings(&[InputSetting::Low])
         .cell_budget(1_000) // far below any real run
@@ -219,14 +217,14 @@ fn resumed_sweep_is_byte_identical_to_uninterrupted() {
     let full_path = scratch("full");
     let cut_path = scratch("cut");
     let plan = "seed=5,aex=1@40000";
-    let full = faulted_suite(plan)
+    let full = faulted_suite(1024, plan)
         .threads(2)
         .run_with_checkpoint(&refs, &full_path, false)
         .expect("uninterrupted run");
     let full_bytes = std::fs::read_to_string(&full_path).expect("checkpoint written");
     // "Kill" the sweep after one completed cell, then resume.
     std::fs::write(&cut_path, truncate_cells(&full_bytes, 1)).expect("truncate");
-    let resumed = faulted_suite(plan)
+    let resumed = faulted_suite(1024, plan)
         .threads(2)
         .run_with_checkpoint(&refs, &cut_path, true)
         .expect("resumed run");

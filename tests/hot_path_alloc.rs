@@ -331,9 +331,8 @@ fn sgx_access_paths_allocate_per_fault_not_per_access_over_the_epc() {
 #[test]
 fn env_scalar_stream_does_not_allocate_once_warm() {
     for pattern in [Pattern::Seq, Pattern::Rand, Pattern::Scan] {
-        let mut cfg = EnvConfig::quick_test(ExecMode::Native);
-        cfg.protected_hint = RESIDENT_BYTES;
-        let mut env = Env::new(cfg).expect("env");
+        // The paper platform's EPC holds the region.
+        let mut env = Env::new(EnvConfig::paper(ExecMode::Native, RESIDENT_BYTES)).expect("env");
         let r = env
             .alloc(RESIDENT_BYTES, Placement::Protected)
             .expect("region fits");
@@ -370,7 +369,7 @@ fn env_scalar_stream_does_not_allocate_once_warm() {
 #[test]
 fn write_file_from_copies_the_region_only_when_it_changes() {
     const BYTES: u64 = 4 << 20;
-    let mut env = Env::new(EnvConfig::quick_test(ExecMode::Vanilla)).expect("env");
+    let mut env = Env::new(EnvConfig::scaled(ExecMode::Vanilla, 1024)).expect("env");
     let r = env
         .alloc(BYTES, Placement::Untrusted)
         .expect("untrusted regions always fit");
@@ -404,7 +403,7 @@ fn read_file_into_moves_a_whole_region_file_instead_of_copying_it() {
     const BYTES: u64 = 4 << 20;
     let input: Vec<u8> = (0..BYTES).map(|i| (i % 251) as u8).collect();
     for keep in [false, true] {
-        let mut env = Env::new(EnvConfig::quick_test(ExecMode::Vanilla)).expect("env");
+        let mut env = Env::new(EnvConfig::scaled(ExecMode::Vanilla, 1024)).expect("env");
         let r = env
             .alloc(BYTES, Placement::Untrusted)
             .expect("untrusted regions always fit");

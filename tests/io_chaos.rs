@@ -15,8 +15,11 @@ use sgxgauge::faults::IoFaultPlan;
 use sgxgauge::workloads::HashJoin;
 use std::path::{Path, PathBuf};
 
+/// The divisor of the workload and the platform.
+const D: u64 = 1024;
+
 fn suite() -> SuiteRunner {
-    let mut cfg = RunnerConfig::quick_test();
+    let mut cfg = RunnerConfig::scaled(D);
     cfg.repetitions = 2;
     SuiteRunner::new(cfg)
         .modes(&[ExecMode::Native])
@@ -51,7 +54,7 @@ fn cleanup(path: &Path) {
 /// Runs the reference sweep through the real backend and returns its
 /// fingerprint plus the sealed checkpoint bytes.
 fn baseline(name: &str) -> (u64, String) {
-    let wl = HashJoin::scaled(1024);
+    let wl = HashJoin::scaled(D);
     let refs: Vec<&dyn Workload> = vec![&wl];
     let path = scratch(name);
     cleanup(&path);
@@ -69,7 +72,7 @@ fn baseline(name: &str) -> (u64, String) {
 #[test]
 fn chaos_matrix_completes_identically_or_fails_typed() {
     let (base_fp, base_bytes) = baseline("matrix-base");
-    let wl = HashJoin::scaled(1024);
+    let wl = HashJoin::scaled(D);
     let refs: Vec<&dyn Workload> = vec![&wl];
     let specs = [
         "seed=11,enospc=200",
@@ -115,7 +118,7 @@ fn chaos_matrix_completes_identically_or_fails_typed() {
 #[test]
 fn fault_free_chaos_backend_matches_real_fs_exactly() {
     let (base_fp, base_bytes) = baseline("noop-base");
-    let wl = HashJoin::scaled(1024);
+    let wl = HashJoin::scaled(D);
     let refs: Vec<&dyn Workload> = vec![&wl];
     let path = scratch("noop-chaos");
     cleanup(&path);
@@ -138,7 +141,7 @@ fn fault_free_chaos_backend_matches_real_fs_exactly() {
 #[test]
 fn crash_at_rename_recovers_and_resumes_to_identical_bytes() {
     let (base_fp, base_bytes) = baseline("crash-base");
-    let wl = HashJoin::scaled(1024);
+    let wl = HashJoin::scaled(D);
     let refs: Vec<&dyn Workload> = vec![&wl];
     let path = scratch("crash-run");
     let mut k = 1;
@@ -186,7 +189,7 @@ fn crash_at_rename_recovers_and_resumes_to_identical_bytes() {
 #[test]
 fn corrupt_checkpoint_is_refused_and_preserved() {
     let (_, base_bytes) = baseline("corrupt-base");
-    let wl = HashJoin::scaled(1024);
+    let wl = HashJoin::scaled(D);
     let refs: Vec<&dyn Workload> = vec![&wl];
     let path = scratch("corrupt-run");
     cleanup(&path);
@@ -215,7 +218,7 @@ fn corrupt_checkpoint_is_refused_and_preserved() {
 #[test]
 fn footerless_checkpoint_is_a_format_error() {
     let (_, base_bytes) = baseline("footerless-base");
-    let wl = HashJoin::scaled(1024);
+    let wl = HashJoin::scaled(D);
     let refs: Vec<&dyn Workload> = vec![&wl];
     let path = scratch("footerless-run");
     cleanup(&path);

@@ -19,8 +19,11 @@ use sgxgauge::workloads::suite_scaled;
 /// fault and eviction paths too.
 const STORM: &str = "seed=7,aex=2@40000,epc=64@200000:50000";
 
+/// The divisor of the inputs and the platform.
+const D: u64 = 1024;
+
 fn runner() -> Runner {
-    Runner::new(RunnerConfig::quick_test())
+    Runner::new(RunnerConfig::scaled(D))
         .tracing(TraceConfig::default())
         .faults(FaultPlan::parse(STORM).expect("valid plan"))
 }
@@ -45,7 +48,7 @@ fn assert_same_run(fork: &RunReport, fresh: &RunReport) {
 #[test]
 fn libos_cells_forked_from_one_launch_match_fresh_launches() {
     let shared = runner();
-    let workloads = suite_scaled(1024);
+    let workloads = suite_scaled(D);
     let libos: Vec<_> = workloads
         .iter()
         .filter(|w| w.supports(ExecMode::LibOs))
@@ -83,8 +86,8 @@ enum Op {
     Spawn,
 }
 
-/// The region every op works on: larger than the quick-test EPC (1024
-/// frames), so touches page.
+/// The region every op works on: larger than the EPC (1 MiB at `D`), so
+/// touches page.
 const REGION: u64 = 6 << 20;
 
 fn op() -> impl Strategy<Value = Op> {
@@ -125,7 +128,7 @@ fn drive(env: &mut Env, ops: &[Op]) -> u64 {
             // Injected syscall failures are part of the compared run.
             Op::Syscall => sum = sum.wrapping_add(u64::from(env.host_syscall().is_err())),
             Op::Io { bytes } => env.io_transfer(bytes, true).expect("io"),
-            // The quick-test manifest leaves TCS slots for a few threads.
+            // The manifest leaves TCS slots for a few threads.
             Op::Spawn if threads < 4 => {
                 env.spawn_app_thread().expect("spawn");
                 threads += 1;
@@ -167,7 +170,7 @@ proptest! {
     /// matches as well.
     #[test]
     fn forked_libos_env_matches_fresh_launch(ops in prop::collection::vec(op(), 1..60)) {
-        let cfg = EnvConfig::quick_test(ExecMode::LibOs);
+        let cfg = EnvConfig::scaled(ExecMode::LibOs, D);
         let template = Env::new(cfg.clone()).expect("launch");
         let mut fresh = Env::new(cfg).expect("launch");
         let sum = drive(&mut fresh, &ops);

@@ -9,7 +9,7 @@ use sgxgauge::workloads::suite_scaled;
 /// *what* is computed, only how fast).
 #[test]
 fn checksums_mode_independent_for_all_ten() {
-    let runner = Runner::new(RunnerConfig::quick_test());
+    let runner = Runner::new(RunnerConfig::scaled(1024));
     for wl in suite_scaled(1024) {
         let mut checksums = Vec::new();
         for mode in ExecMode::ALL {
@@ -42,7 +42,7 @@ fn checksums_mode_independent_for_all_ten() {
 /// slower than Vanilla at the same input.
 #[test]
 fn sgx_modes_never_faster_than_vanilla() {
-    let runner = Runner::new(RunnerConfig::quick_test());
+    let runner = Runner::new(RunnerConfig::scaled(1024));
     for wl in suite_scaled(1024) {
         let vanilla = runner
             .run_once(wl.as_ref(), ExecMode::Vanilla, InputSetting::Low)
@@ -69,7 +69,7 @@ fn sgx_modes_never_faster_than_vanilla() {
 /// property that lets the suite compare modes at all.
 #[test]
 fn runs_are_deterministic() {
-    let runner = Runner::new(RunnerConfig::quick_test());
+    let runner = Runner::new(RunnerConfig::scaled(2048));
     for wl in suite_scaled(2048) {
         let a = runner
             .run_once(wl.as_ref(), ExecMode::LibOs, InputSetting::Low)
@@ -97,7 +97,7 @@ fn runs_are_deterministic() {
 /// input settings).
 #[test]
 fn input_settings_scale_runtime() {
-    let runner = Runner::new(RunnerConfig::quick_test());
+    let runner = Runner::new(RunnerConfig::scaled(256));
     // Divisor 256 keeps every workload's Low/High sizes distinct after
     // the per-workload minimum clamps.
     for wl in suite_scaled(256) {
@@ -125,7 +125,7 @@ fn input_settings_scale_runtime() {
 /// LibOS runs report startup statistics and exclude them from runtime.
 #[test]
 fn libos_startup_reported_and_excluded() {
-    let runner = Runner::new(RunnerConfig::quick_test());
+    let runner = Runner::new(RunnerConfig::scaled(2048));
     for wl in suite_scaled(2048) {
         let r = runner
             .run_once(wl.as_ref(), ExecMode::LibOs, InputSetting::Low)

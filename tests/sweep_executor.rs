@@ -8,8 +8,8 @@
 use sgxgauge::core::{ExecMode, InputSetting, RunnerConfig, SuiteRunner, Workload};
 use sgxgauge::workloads::suite_scaled;
 
-fn quick_suite_runner(reps: usize) -> SuiteRunner {
-    let mut cfg = RunnerConfig::quick_test();
+fn suite_runner(d: u64, reps: usize) -> SuiteRunner {
+    let mut cfg = RunnerConfig::scaled(d);
     cfg.repetitions = reps;
     SuiteRunner::new(cfg).settings(&[InputSetting::Low])
 }
@@ -21,8 +21,8 @@ fn parallel_suite_sweep_matches_sequential() {
     let workloads = suite_scaled(1024);
     let refs: Vec<&dyn Workload> = workloads.iter().map(|w| w.as_ref()).collect();
 
-    let sequential = quick_suite_runner(1).run_sequential(&refs);
-    let parallel = quick_suite_runner(1).threads(4).run(&refs);
+    let sequential = suite_runner(1024, 1).run_sequential(&refs);
+    let parallel = suite_runner(1024, 1).threads(4).run(&refs);
 
     assert_eq!(sequential.cells.len(), parallel.cells.len());
     assert!(!sequential.cells.is_empty());
@@ -64,7 +64,7 @@ fn parallel_suite_sweep_matches_sequential() {
 fn repetitions_are_deterministic_and_grid_ordered() {
     let workloads = suite_scaled(2048);
     let refs: Vec<&dyn Workload> = workloads.iter().map(|w| w.as_ref()).collect();
-    let sweep = quick_suite_runner(2)
+    let sweep = suite_runner(2048, 2)
         .modes(&[ExecMode::Vanilla])
         .threads(3)
         .run(&refs);

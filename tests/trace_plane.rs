@@ -15,8 +15,8 @@ use sgxgauge::core::{
 use sgxgauge::workloads::suite_scaled;
 use trace::TraceEvent;
 
-fn quick_traced_runner() -> Runner {
-    Runner::new(RunnerConfig::quick_test()).tracing(TraceConfig::default())
+fn traced_runner(d: u64) -> Runner {
+    Runner::new(RunnerConfig::scaled(d)).tracing(TraceConfig::default())
 }
 
 fn find(scale: u64, name: &str) -> Box<dyn Workload> {
@@ -31,7 +31,7 @@ fn find(scale: u64, name: &str) -> Box<dyn Workload> {
 fn sweep_jsonl(jobs: usize) -> String {
     let workloads = suite_scaled(2048);
     let refs: Vec<&dyn Workload> = workloads.iter().map(|w| w.as_ref()).collect();
-    let sweep = SuiteRunner::new(RunnerConfig::quick_test())
+    let sweep = SuiteRunner::new(RunnerConfig::scaled(2048))
         .modes(&[ExecMode::Vanilla, ExecMode::Native])
         .settings(&[InputSetting::Low])
         .threads(jobs)
@@ -58,8 +58,8 @@ fn trace_stream_is_byte_identical_across_runs_and_jobs() {
 }
 
 /// The rendered sweep trace is pinned byte for byte: its length and
-/// FNV-1a digest, recorded before the JSONL framing moved into
-/// `trace::log`, so any change to a rendered byte fails here.
+/// FNV-1a digest on the `scaled(2048)` platform, so any change to a
+/// rendered byte fails here.
 #[test]
 fn trace_stream_bytes_are_pinned() {
     let text = sweep_jsonl(1);
@@ -67,7 +67,7 @@ fn trace_stream_bytes_are_pinned() {
     h.str(&text);
     assert_eq!(
         (text.len(), h.finish()),
-        (28_447, 0x388a_d614_eaf0_75e5),
+        (28_447, 0x480d_61f8_876d_d04a),
         "the rendered trace bytes changed"
     );
 }
@@ -77,10 +77,10 @@ fn trace_stream_bytes_are_pinned() {
 #[test]
 fn tracing_charges_zero_simulated_cycles() {
     let wl = find(2048, "btree");
-    let untraced = Runner::new(RunnerConfig::quick_test())
+    let untraced = Runner::new(RunnerConfig::scaled(2048))
         .run_once(wl.as_ref(), ExecMode::Native, InputSetting::Low)
         .expect("untraced run");
-    let traced = quick_traced_runner()
+    let traced = traced_runner(2048)
         .run_once(wl.as_ref(), ExecMode::Native, InputSetting::Low)
         .expect("traced run");
     assert_eq!(untraced.runtime_cycles, traced.runtime_cycles);
@@ -90,17 +90,18 @@ fn tracing_charges_zero_simulated_cycles() {
 }
 
 /// The paper's EPC boundary cliff, event-resolved: below the watermark
-/// (Low fits in the quick-test EPC) no `epc_fault` events exist at all;
-/// past it (High overflows) they appear, and every one fires with
-/// residency pinned to the watermark band (full EPC minus at most one
-/// eviction batch).
+/// (Low fits in the EPC) no `epc_fault` events exist at all; past it
+/// (High overflows) they appear, and every one fires with residency
+/// pinned to the watermark band (full EPC minus at most one eviction
+/// batch).
 #[test]
 fn epc_fault_events_appear_only_past_the_watermark() {
-    // Scale 24 straddles the quick-test EPC (1024 pages = 4 MiB): the
-    // Low arena fits, the High arena overflows.
-    let wl = find(24, "btree");
+    // Inputs and platform shrink by one divisor, so the Low arena fits
+    // the EPC and the High arena overflows it, as at paper scale.
+    let d = 24;
+    let wl = find(d, "btree");
     let faults_of = |setting| {
-        let r = quick_traced_runner()
+        let r = traced_runner(d)
             .run_once(wl.as_ref(), ExecMode::Native, setting)
             .expect("run");
         let sink = r.trace.expect("traced");
@@ -122,11 +123,10 @@ fn epc_fault_events_appear_only_past_the_watermark() {
         !high.is_empty(),
         "High overflows EPC yet recorded no faults"
     );
-    // with_tiny_epc(1024, 16): faults only fire with the EPC full, so
-    // residency at fault time stays within one 16-page EWB batch of the
-    // peak.
+    // Faults only fire with the EPC full, so residency at fault time
+    // stays within one EWB batch of the peak.
     let peak = *high.iter().max().unwrap();
-    let floor = peak.saturating_sub(16);
+    let floor = peak.saturating_sub(sgxgauge::sgx::costs::EVICT_BATCH_PAGES as u64);
     assert!(
         high.iter().all(|&r| r >= floor),
         "fault below the watermark band: min {} < {floor}",
@@ -142,7 +142,7 @@ fn epc_fault_events_appear_only_past_the_watermark() {
 fn failing_nested_phase_propagates_its_error_and_closes_every_span() {
     let failure = || WorkloadError::Other("probe failed".into());
     for traced in [false, true] {
-        let mut env = Env::new(EnvConfig::quick_test(ExecMode::Native)).expect("env");
+        let mut env = Env::new(EnvConfig::scaled(ExecMode::Native, 1024)).expect("env");
         if traced {
             env.machine_mut()
                 .mem_mut()
